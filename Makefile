@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is the CI gate.
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check bench benchjson benchjson-check fuzz chaos chaos-net fabric-test ci golden diffgate race-serve serve-test
+.PHONY: all build test race vet lint fmt-check bench benchsmoke fuzz chaos chaos-net fabric-test ci golden diffgate race-serve serve-test
 
 all: build vet lint test race
 
@@ -37,15 +37,11 @@ fmt-check:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Re-measure core throughput and pin it to BENCH_core.json.
-benchjson:
-	$(GO) run ./cmd/lpmbench -o BENCH_core.json
-
-# Regression gate: re-measure and fail when the fast-forward or
-# functional speedup over the stepped baseline falls more than 20%
-# below the pinned BENCH_core.json (ratios, so machine-independent).
-benchjson-check:
-	$(GO) run ./cmd/lpmbench -check BENCH_core.json
+# Smoke the layered benchmark (bench/, declared in BENCHMARK.json): every
+# workload runs once, briefly, and must emit its whole metric catalogue.
+# Measuring and comparing runs is `go run ./bench` (see EXPERIMENTS.md).
+benchsmoke:
+	$(GO) run ./bench -smoke
 
 # Short fuzz smoke over the fuzz targets; the checked-in corpora under
 # testdata/fuzz/ replay in ordinary `go test` runs regardless.
@@ -65,8 +61,7 @@ fabric-test:
 
 # Fault-injection suite: every recovery path (checkpoint/resume
 # bit-identity, watchdog livelock isolation, partial reports on
-# cancellation) under the race detector. Also part of the full -race
-# sweep in `make ci`; this target runs it standalone.
+# cancellation) under the race detector. A prerequisite of `make ci`.
 chaos:
 	$(GO) test -race -count=1 -run '^TestChaos' ./...
 
@@ -105,15 +100,14 @@ race-serve:
 serve-test:
 	$(GO) test -race -count=1 ./internal/ctrl ./cmd/lpmserve ./internal/resilience
 
-# Full CI gate: formatting, build, vet, lint, the fault-injection suite,
-# the whole suite under the race detector, the golden-report diff gate,
-# and the fuzz smoke. The cheap static gates (fmt/vet/lint) run first so
-# a finding fails the build in seconds, before the long chaos/race/fuzz
-# suites spin up.
-ci: fmt-check build vet lint
-	$(MAKE) chaos
-	$(MAKE) chaos-net
-	$(MAKE) serve-test
+# Full CI gate: formatting, build, vet, lint, the fault-injection and
+# control-plane suites, the whole suite under the race detector, the
+# golden-report diff gate, and the fuzz smoke. The cheap static gates
+# (fmt/vet/lint) come first so a finding fails the build in seconds,
+# before the long chaos/race/fuzz suites spin up. A caller that already
+# ran a prerequisite as its own step skips it with `make ci -o <target>`
+# (the workflow in .github/workflows/ci.yml does).
+ci: fmt-check build vet lint chaos chaos-net serve-test
 	$(GO) test -race ./...
 	$(MAKE) diffgate
 	$(MAKE) fuzz

@@ -94,7 +94,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if !*quiet {
 		log = cliutil.NewLogger(stderr, *logFmt)
 	}
-	tel := fabric.NewWorkerTelemetry(obs.NewRegistry())
+	reg := obs.NewRegistry()
 	policy := fleet.Defaults(*seed)
 	opts := fabric.WorkerOptions{
 		Name:         *name,
@@ -104,7 +104,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Retry:        policy,
 		Seed:         *seed,
 		Log:          log,
-		Obs:          tel,
+		Obs:          fabric.NewWorkerTelemetry(reg),
 		// One reprobe set across every session of this process: keys
 		// abandoned when a session broke are re-probed against the
 		// shared cache after the reconnect.
@@ -135,7 +135,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			break
 		}
 	}
-	logWorkerSummary(log, tel)
+	logWorkerSummary(log, reg.Snapshot())
 	return err
 }
 
@@ -143,11 +143,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // granules this worker executed, at what latency, and how many it
 // abandoned to shutdown. Reads the snapshot after RunWorker returned,
 // when the worker is single-goroutine again.
-func logWorkerSummary(log *slog.Logger, tel *fabric.WorkerTelemetry) {
-	s := tel.Snapshot()
-	if s == nil {
-		return
-	}
+func logWorkerSummary(log *slog.Logger, s *obs.Snapshot) {
 	lat, _ := s.Metric("worker.granule_seconds")
 	attrs := []any{
 		"executed", s.Counter("worker.granules_executed"),

@@ -184,10 +184,6 @@ func TestCancelPendingAndRunning(t *testing.T) {
 
 func TestHubRingDropsOldest(t *testing.T) {
 	hub := NewHub()
-	var drops uint64
-	var dropMu sync.Mutex
-	hub.onDrop = func(n uint64) { dropMu.Lock(); drops += n; dropMu.Unlock() }
-
 	sub := hub.Subscribe(4)
 	for i := 0; i < 10; i++ {
 		hub.Publish(timeseries.Window{Index: i})
@@ -211,9 +207,7 @@ func TestHubRingDropsOldest(t *testing.T) {
 		t.Fatalf("final event: %+v", e)
 	}
 	sub.Close()
-	dropMu.Lock()
-	defer dropMu.Unlock()
-	if drops != 7 {
+	if drops := hub.dropped.Load(); drops != 7 {
 		t.Fatalf("drop accounting: %d, want 7", drops)
 	}
 }

@@ -10,6 +10,7 @@ package ctrl
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"lpm/internal/obs/timeseries"
 )
@@ -40,10 +41,9 @@ type Hub struct {
 	done    bool
 	subs    []*Subscriber
 
-	// onSub and onDrop feed the registry's control-plane telemetry;
-	// both may be nil. They are called outside sub locks.
-	onSub  func(delta int)
-	onDrop func(n uint64)
+	// dropped totals ring overruns across every subscriber the hub ever
+	// had; with len(subs) it is what the fleet /metrics publishes.
+	dropped atomic.Uint64
 }
 
 // NewHub returns an empty hub.
@@ -69,8 +69,7 @@ func (h *Hub) Done() {
 }
 
 // broadcast stamps the next sequence number, appends to history and
-// pushes to every subscriber ring, reporting aggregate drops to the
-// telemetry hook.
+// pushes to every subscriber ring, accounting aggregate drops.
 func (h *Hub) broadcast(e Event) {
 	h.mu.Lock()
 	h.seq++
@@ -78,12 +77,8 @@ func (h *Hub) broadcast(e Event) {
 	h.history = append(h.history, e)
 	subs := append([]*Subscriber(nil), h.subs...)
 	h.mu.Unlock()
-	var drops uint64
 	for _, s := range subs {
-		drops += s.push(e)
-	}
-	if drops > 0 && h.onDrop != nil {
-		h.onDrop(drops)
+		h.dropped.Add(s.push(e))
 	}
 }
 
@@ -110,39 +105,33 @@ func (h *Hub) SubscribeAfter(ring int, after uint64) *Subscriber {
 		notify: make(chan struct{}, 1),
 	}
 	h.mu.Lock()
-	var drops uint64
+	defer h.mu.Unlock()
 	for _, e := range h.history {
-		if e.Seq <= after {
-			continue
+		if e.Seq > after {
+			h.dropped.Add(s.push(e))
 		}
-		drops += s.push(e)
 	}
 	h.subs = append(h.subs, s)
-	h.mu.Unlock()
-	if h.onSub != nil {
-		h.onSub(1)
-	}
-	if drops > 0 && h.onDrop != nil {
-		h.onDrop(drops)
-	}
 	return s
 }
 
 // unsubscribe removes s; idempotent.
 func (h *Hub) unsubscribe(s *Subscriber) {
 	h.mu.Lock()
-	present := false
+	defer h.mu.Unlock()
 	for i, sub := range h.subs {
 		if sub == s {
 			h.subs = append(h.subs[:i], h.subs[i+1:]...)
-			present = true
-			break
+			return
 		}
 	}
-	h.mu.Unlock()
-	if present && h.onSub != nil {
-		h.onSub(-1)
-	}
+}
+
+// subscribers returns the live subscriber count.
+func (h *Hub) subscribers() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.subs)
 }
 
 // Subscriber is one consumer's bounded view of a hub. Events queue in a

@@ -4,8 +4,9 @@ package ctrl
 // the global concurrency budget and the submitting tenant's budget have
 // room, and publish their timelines through a Live/Hub pair while they
 // execute. One mutex guards all registry state including the obs
-// registry holding control-plane metrics — the same
-// single-writer-under-lock discipline the fabric coordinator uses.
+// registry the ctrl.* metrics are published into from that state at
+// scrape time — the same single-count, publish-under-lock discipline
+// the fabric coordinator uses.
 
 import (
 	"context"
@@ -116,8 +117,9 @@ type Registry struct {
 	pending   int
 	perTenant map[string]int
 	nextID    int
+	rejected  uint64 // submissions refused at validation
+	retried   uint64 // transient run failures re-executed
 	obs       *obs.Registry
-	tel       *Telemetry
 	wg        sync.WaitGroup
 }
 
@@ -137,14 +139,12 @@ func NewRegistry(ctx context.Context, cfg Config) *Registry {
 	if cfg.Retry == (fleet.RetryPolicy{}) {
 		cfg.Retry = fleet.Defaults(0)
 	}
-	reg := obs.NewRegistry()
 	return &Registry{
 		cfg:       cfg,
 		ctx:       ctx,
 		runs:      make(map[string]*run),
 		perTenant: make(map[string]int),
-		obs:       reg,
-		tel:       NewTelemetry(reg),
+		obs:       obs.NewRegistry(),
 	}
 }
 
@@ -156,7 +156,7 @@ func (g *Registry) log() *slog.Logger { return cliutil.LoggerOrDiscard(g.cfg.Log
 func (g *Registry) Submit(spec RunSpec) (RunStatus, error) {
 	if err := spec.Normalize(); err != nil {
 		g.mu.Lock()
-		g.tel.Rejected()
+		g.rejected++
 		g.mu.Unlock()
 		return RunStatus{}, err
 	}
@@ -171,20 +171,9 @@ func (g *Registry) Submit(spec RunSpec) (RunStatus, error) {
 		hub:       NewHub(),
 		submitted: time.Now(),
 	}
-	r.hub.onSub = func(delta int) {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		g.tel.Subscribers(delta)
-	}
-	r.hub.onDrop = func(n uint64) {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		g.tel.EventsDropped(n)
-	}
 	g.runs[r.id] = r
 	g.order = append(g.order, r.id)
 	g.pending++
-	g.tel.Submitted()
 	g.log().Info("ctrl: run submitted",
 		"run", r.id, "tenant", spec.Tenant, "workload", spec.Workload)
 	g.scheduleLocked()
@@ -204,7 +193,6 @@ func (g *Registry) scheduleLocked() {
 		}
 		g.startLocked(r)
 	}
-	g.tel.SyncQueue(g.pending, g.running)
 }
 
 // startLocked transitions r to running and launches its goroutine.
@@ -230,7 +218,7 @@ func (g *Registry) startLocked(r *run) {
 				break
 			}
 			g.mu.Lock()
-			g.tel.Retried()
+			g.retried++
 			g.mu.Unlock()
 			g.log().Warn("ctrl: run failed transiently; retrying",
 				"run", r.id, "attempt", attempt+1, "of", g.cfg.RetryBudget, "err", err.Error())
@@ -266,7 +254,6 @@ func (g *Registry) finish(r *run, result json.RawMessage, err error, interrupted
 	}
 	g.running--
 	g.perTenant[r.spec.Tenant]--
-	g.tel.Finished(r.state)
 	g.log().Info("ctrl: run finished",
 		"run", r.id, "tenant", r.spec.Tenant, "state", string(r.state), "error", r.errMsg)
 	g.scheduleLocked()
@@ -287,7 +274,6 @@ func (g *Registry) Cancel(id string) (RunStatus, error) {
 		r.errMsg = "cancelled before start"
 		r.finished = time.Now()
 		g.pending--
-		g.tel.Finished(StateCancelled)
 		hub := r.hub
 		g.scheduleLocked()
 		g.mu.Unlock()
@@ -374,18 +360,40 @@ type runExpo struct {
 // fleetSnapshots captures, under one lock acquisition, the control
 // plane's own snapshot and the identity of every run; per-run live
 // snapshots are then pulled outside g.mu (Live carries its own lock).
+// The ctrl.* series are published here and nowhere else, from the run
+// table and its hubs: the registry's state is the only count.
 func (g *Registry) fleetSnapshots() (*obs.Snapshot, []runExpo) {
 	g.mu.Lock()
-	ctrlSnap := g.obs.Snapshot()
 	rs := make([]runExpo, 0, len(g.order))
+	lives := make([]*timeseries.Live, 0, len(g.order))
+	var done, failed, cancelled, dropped uint64
+	subs := 0
 	for _, id := range g.order {
 		r := g.runs[id]
 		rs = append(rs, runExpo{id: r.id, tenant: r.spec.Tenant})
+		lives = append(lives, r.live)
+		switch r.state {
+		case StateDone:
+			done++
+		case StateFailed:
+			failed++
+		case StateCancelled:
+			cancelled++
+		}
+		subs += r.hub.subscribers()
+		dropped += r.hub.dropped.Load()
 	}
-	lives := make([]*timeseries.Live, len(rs))
-	for i, id := range g.order {
-		lives[i] = g.runs[id].live
-	}
+	g.obs.Gauge("ctrl.runs_pending").Set(float64(g.pending))
+	g.obs.Gauge("ctrl.runs_running").Set(float64(g.running))
+	g.obs.Gauge("ctrl.sse_subscribers").Set(float64(subs))
+	g.obs.Counter("ctrl.runs_submitted").Set(uint64(g.nextID))
+	g.obs.Counter("ctrl.runs_done").Set(done)
+	g.obs.Counter("ctrl.runs_failed").Set(failed)
+	g.obs.Counter("ctrl.runs_cancelled").Set(cancelled)
+	g.obs.Counter("ctrl.runs_rejected").Set(g.rejected)
+	g.obs.Counter("ctrl.runs_retried").Set(g.retried)
+	g.obs.Counter("ctrl.sse_events_dropped").Set(dropped)
+	ctrlSnap := g.obs.Snapshot()
 	g.mu.Unlock()
 	for i := range rs {
 		rs[i].snap = lives[i].Snapshot()

@@ -360,6 +360,7 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 	_ = c1.Close()
 
 	// Phase 2: the successor replays the torn journal.
+	resumeStart := time.Now()
 	c2, err := Listen("127.0.0.1:0", Options{
 		InFlight: 2, StraggleAfter: -1, ValidateEvery: 1, JournalPath: j2,
 	})
@@ -367,6 +368,18 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
+	// No accidental sleep or un-journaled rebuild on the resume path:
+	// successor Listen to its first completion is milliseconds of work,
+	// so 2s is generous even race-enabled on a loaded host.
+	go func() { _ = RunWorker(ctx, c2.Addr(), WorkerOptions{Name: "w4", Slots: 1}) }()
+	go func() { _ = RunWorker(ctx, c2.Addr(), WorkerOptions{Name: "w5", Slots: 1}) }()
+	spec, _ := json.Marshal(map[string]int{"X": 0})
+	if _, err := c2.Submit(ctx, "test.double", "test.double|0|0", spec); err != nil {
+		t.Fatalf("first post-resume granule: %v", err)
+	}
+	if d := time.Since(resumeStart); d > 2*time.Second {
+		t.Fatalf("successor Listen to first completion took %v, want under 2s", d)
+	}
 	rs := c2.Resumed()
 	if rs == nil {
 		t.Fatal("successor recovered no journal state")
@@ -386,8 +399,6 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 	}
 
 	// Honest workers finish the whole sweep, byte-identical to serial.
-	go func() { _ = RunWorker(ctx, c2.Addr(), WorkerOptions{Name: "w4", Slots: 1}) }()
-	go func() { _ = RunWorker(ctx, c2.Addr(), WorkerOptions{Name: "w5", Slots: 1}) }()
 	if err := c2.WaitWorkers(ctx, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,12 @@ package fabric
 //     earlier submissions are never starved by later ones;
 //   - a dead worker's granules are re-queued (unless another holder
 //     survives) and re-issued;
-//   - a straggling or suspect-held granule is duplicated onto an idle
-//     worker; the first result wins and later duplicates are ignored,
-//     which is sound because executors are pure functions of the spec.
+//   - one per-tick placement pass asks fleet.ReplicaPolicy how many
+//     live copies each held granule should have (cross-validation,
+//     suspect hedge, straggler hedge) and issues the shortfall to
+//     eligible workers; the first result wins and later duplicates are
+//     ignored, which is sound because executors are pure functions of
+//     the spec.
 //
 // The resilience layer (internal/resilience/fleet) hangs off the same
 // mutex: heartbeat health classification runs on the tick loop's
@@ -65,14 +68,13 @@ type Options struct {
 	// health, backoff, and probation deadlines are measured in these
 	// ticks. 0 means the 25ms default.
 	TickEvery time.Duration
-	// Heartbeat is the ping cadence assigned to proto-2 workers in the
-	// welcome frame. 0 means the 250ms default; negative disables
-	// heartbeats (and with them health classification).
+	// Heartbeat is the ping cadence assigned to workers in the welcome
+	// frame. 0 means the 250ms default; negative disables heartbeats
+	// (and with them health classification).
 	Heartbeat time.Duration
 	// Health classifies worker silence in ticks; the zero value means
 	// the default (suspect after 1s of silence, dead after 5s at the
-	// default tick). Only proto-2 workers with heartbeats enabled are
-	// classified — a proto-1 worker proves liveness only by results.
+	// default tick).
 	Health fleet.HealthPolicy
 	// Retry is the shared deterministic backoff policy for transient
 	// granule retries. The zero value means fleet defaults seeded by
@@ -108,8 +110,7 @@ type Options struct {
 	Log *slog.Logger
 	// Obs, when set, receives the coordinator's fabric telemetry —
 	// queue depth, per-worker in-flight, re-queue and straggler churn,
-	// cache hit rate. Nil (the default) keeps every probe a nil-receiver
-	// no-op, so instrumentation is zero-cost when observability is off.
+	// cache hit rate — published from Stats by ObsSnapshot.
 	Obs *obs.Registry
 }
 
@@ -130,6 +131,9 @@ type Stats struct {
 	Validated     int // cross-validated granules decided
 	Divergent     int // cross-validations that caught disagreeing answers
 	FallbackExecs int // granules executed in-process by the local fallback
+	Died          int // worker sessions torn down
+	LateResults   int // results ignored because the first copy already won
+	CacheMisses   int // worker cache probes the shared cache could not answer
 }
 
 // vote is one worker's answer to a cross-validated granule.
@@ -165,9 +169,8 @@ type granule struct {
 	readyTick  uint64    // dispatch not before this tick (transient-retry backoff)
 	retries    int       // transient failures charged so far
 
-	votesWanted int             // cross-validation copies required (0/1 = none)
-	votes       []vote          // answers received, in arrival order
-	issuedTo    map[string]bool // workers this granule was ever issued to
+	votesWanted int    // cross-validation copies required (0/1 = none)
+	votes       []vote // answers received, in arrival order
 }
 
 // resolved reports whether the granule has a result.
@@ -194,14 +197,13 @@ func (g *granule) voted(name string) bool {
 type remoteWorker struct {
 	name     string
 	conn     net.Conn
-	proto    int // negotiated session protocol
 	slots    int // worker-declared execution concurrency (informational)
 	inflight map[uint64]*granule
 	outbox   chan Msg
 	dead     bool
-	suspect  bool  // health state at last classification
-	busy     int   // executing granules, from the last ping
-	rtt      int64 // last reported ping round trip, microseconds
+	suspect  uint64 // tick the worker turned suspect; 0 while healthy
+	busy     int    // executing granules, from the last ping
+	rtt      int64  // last reported ping round trip, microseconds
 }
 
 // Coordinator accepts workers and brokers granules between Submit
@@ -210,19 +212,19 @@ type Coordinator struct {
 	opts          Options
 	ln            net.Listener
 	retry         fleet.RetryPolicy
-	straggleTicks uint64 // 0 = straggler re-issue disabled
-	fallbackTicks uint64 // 0 = local fallback disabled
+	replicas      fleet.ReplicaPolicy
+	latency       *obs.Histogram // issue-to-result wall clock; nil without Options.Obs
+	fallbackTicks uint64         // 0 = local fallback disabled
 
 	mu       sync.Mutex
 	tick     uint64
 	nextID   uint64
 	byKey    map[string]*granule
 	byID     map[uint64]*granule
-	order    []*granule // submission order; straggler scans walk this, never a map
+	order    []*granule // submission order, pruned of resolved granules each tick; the placement pass walks this, never a map
 	pending  []*granule // dispatch queue, ascending id
 	workers  []*remoteWorker
 	stats    Stats
-	tel      *Telemetry // nil when Options.Obs is nil; updates under mu
 	health   *fleet.HealthTracker
 	quar     *fleet.Quarantine
 	journal  *fleet.Journal
@@ -279,13 +281,13 @@ func Listen(addr string, opts Options) (*Coordinator, error) {
 		retry:  retry,
 		byKey:  make(map[string]*granule),
 		byID:   make(map[uint64]*granule),
-		tel:    NewTelemetry(opts.Obs),
 		health: fleet.NewHealthTracker(opts.Health),
 		quar:   fleet.NewQuarantine(opts.Quarantine),
 		closed: make(chan struct{}),
 	}
+	c.latency = opts.Obs.Histogram("fabric.granule_seconds", 0, 30, 120)
 	if opts.StraggleAfter > 0 {
-		c.straggleTicks = ticksFor(opts.StraggleAfter, opts.TickEvery)
+		c.replicas.StraggleAfter = ticksFor(opts.StraggleAfter, opts.TickEvery)
 	}
 	if opts.LocalFallbackAfter > 0 {
 		c.fallbackTicks = ticksFor(opts.LocalFallbackAfter, opts.TickEvery)
@@ -429,7 +431,7 @@ func (c *Coordinator) FleetStats() FleetSnapshot {
 	for _, w := range c.workers {
 		snap.Workers = append(snap.Workers, WorkerHealth{
 			Name:     w.name,
-			Proto:    w.proto,
+			Proto:    ProtoVersion,
 			State:    c.healthStateLocked(w).String(),
 			InFlight: len(w.inflight),
 			Busy:     w.busy,
@@ -450,23 +452,13 @@ func (c *Coordinator) FleetStatsJSON() json.RawMessage {
 	return b
 }
 
-// healthStateLocked classifies w at the current tick; workers outside
-// the heartbeat protocol are always healthy.
+// healthStateLocked classifies w at the current tick; with heartbeats
+// off every worker is healthy.
 func (c *Coordinator) healthStateLocked(w *remoteWorker) fleet.HealthState {
-	if w.proto < 2 || c.opts.Heartbeat < 0 {
+	if c.opts.Heartbeat < 0 {
 		return fleet.Healthy
 	}
 	return c.health.State(w.name, c.tick)
-}
-
-// ObsSnapshot captures the coordinator's fabric telemetry (nil when no
-// Obs registry was configured). The snapshot is taken under the
-// coordinator mutex, the same lock every telemetry update holds, so it
-// is consistent and safe to call from serving goroutines.
-func (c *Coordinator) ObsSnapshot() *obs.Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.opts.Obs.Snapshot()
 }
 
 // WaitWorkers blocks until at least n workers are connected, ctx
@@ -502,12 +494,11 @@ func (c *Coordinator) Submit(ctx context.Context, kind, key string, spec json.Ra
 	g, ok := c.byKey[key]
 	if !ok {
 		g = &granule{
-			id:       c.nextID,
-			kind:     kind,
-			key:      key,
-			spec:     spec,
-			done:     make(chan struct{}),
-			issuedTo: make(map[string]bool),
+			id:   c.nextID,
+			kind: kind,
+			key:  key,
+			spec: spec,
+			done: make(chan struct{}),
 		}
 		c.nextID++
 		if k := c.opts.ValidateEvery; k > 0 && g.id%uint64(k) == 0 {
@@ -522,7 +513,6 @@ func (c *Coordinator) Submit(ctx context.Context, kind, key string, spec json.Ra
 		c.byID[g.id] = g
 		c.order = append(c.order, g)
 		c.stats.Submitted++
-		c.tel.Submitted()
 		c.journalLocked(fleet.Entry{Op: fleet.OpSubmit, Kind: kind, Key: key})
 		c.enqueueLocked(g)
 		c.dispatchLocked()
@@ -594,7 +584,7 @@ func (c *Coordinator) popReadyLocked(w *remoteWorker) *granule {
 // lowest id first, walking workers in join order.
 func (c *Coordinator) dispatchLocked() {
 	for _, w := range c.workers {
-		for !w.dead && len(w.inflight) < c.opts.InFlight {
+		for len(w.inflight) < c.opts.InFlight {
 			g := c.popReadyLocked(w)
 			if g == nil {
 				break
@@ -602,7 +592,6 @@ func (c *Coordinator) dispatchLocked() {
 			c.issueLocked(w, g)
 		}
 	}
-	c.tel.SyncQueue(c.workers, len(c.pending))
 }
 
 // issueLocked sends g to w and records the holding.
@@ -611,7 +600,6 @@ func (c *Coordinator) issueLocked(w *remoteWorker, g *granule) {
 	g.holders++
 	g.issuedAt = time.Now()
 	g.issuedTick = c.tick
-	g.issuedTo[w.name] = true
 	c.journalLocked(fleet.Entry{Op: fleet.OpIssue, Kind: g.kind, Key: g.key, Worker: w.name})
 	c.sendLocked(w, Msg{Type: MsgWork, ID: g.id, Kind: g.kind, Key: g.key, Spec: g.spec})
 }
@@ -653,10 +641,9 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	if hello.Proto < MinProtoVersion || hello.Proto > ProtoVersion {
+	if hello.Proto != ProtoVersion {
 		c.log().Warn("fabric: rejecting worker: protocol mismatch",
-			"worker", hello.Worker, "proto", hello.Proto,
-			"accept_min", MinProtoVersion, "accept_max", ProtoVersion)
+			"worker", hello.Worker, "proto", hello.Proto, "want", ProtoVersion)
 		_ = conn.Close()
 		return
 	}
@@ -664,13 +651,12 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	w := &remoteWorker{
 		name:     hello.Worker,
 		conn:     conn,
-		proto:    hello.Proto,
 		slots:    hello.Slots,
 		inflight: make(map[uint64]*granule),
 		outbox:   make(chan Msg, 4*c.opts.InFlight+16),
 	}
 	pingMS := int64(0)
-	if w.proto >= 2 && c.opts.Heartbeat > 0 {
+	if c.opts.Heartbeat > 0 {
 		pingMS = c.opts.Heartbeat.Milliseconds()
 		if pingMS <= 0 {
 			pingMS = 1
@@ -695,21 +681,19 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	}
 	if readmitted {
 		c.stats.Readmitted++
-		c.tel.Readmitted()
 		c.journalLocked(fleet.Entry{Op: fleet.OpReadmit, Worker: w.name})
 	}
 	c.workers = append(c.workers, w)
 	c.stats.Workers++
 	c.stats.Joined++
-	c.tel.Joined()
 	c.health.Observe(w.name, c.tick)
 	c.journalLocked(fleet.Entry{Op: fleet.OpJoin, Worker: w.name})
 	go c.writeLoop(w)
-	c.sendLocked(w, Msg{Type: MsgWelcome, Proto: w.proto, PingMS: pingMS})
+	c.sendLocked(w, Msg{Type: MsgWelcome, Proto: ProtoVersion, PingMS: pingMS})
 	c.dispatchLocked()
 	c.mu.Unlock()
 	c.log().Info("fabric: worker joined",
-		"worker", w.name, "proto", w.proto, "slots", w.slots,
+		"worker", w.name, "slots", w.slots,
 		"remote", fmt.Sprint(conn.RemoteAddr()))
 
 	for {
@@ -750,14 +734,13 @@ func (c *Coordinator) handlePing(w *remoteWorker, m Msg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.health.Observe(w.name, c.tick)
-	if w.suspect {
-		w.suspect = false
+	if w.suspect != 0 {
+		w.suspect = 0
 		c.log().Info("fabric: suspect worker recovered", "worker", w.name)
 	}
 	w.busy = m.Busy
 	w.rtt = m.RTT
 	c.stats.Heartbeats++
-	c.tel.Heartbeat()
 	c.sendLocked(w, Msg{Type: MsgPong, ID: m.ID})
 }
 
@@ -780,7 +763,7 @@ func (c *Coordinator) handleResult(w *remoteWorker, m Msg) {
 		g.holders--
 	}
 	if g.resolved() {
-		c.tel.LateResult()
+		c.stats.LateResults++
 		c.dispatchLocked()
 		return
 	}
@@ -801,7 +784,6 @@ func (c *Coordinator) retryLocked(g *granule, cause string) {
 	g.retries++
 	g.readyTick = c.tick + ticksFor(c.retry.Delay(g.retries-1), c.opts.TickEvery)
 	c.stats.Retried++
-	c.tel.Retried()
 	c.journalLocked(fleet.Entry{
 		Op: fleet.OpRequeue, Kind: g.kind, Key: g.key,
 		Retries: g.retries, Detail: "transient: " + cause,
@@ -822,7 +804,7 @@ func (c *Coordinator) resolveLocked(g *granule, value json.RawMessage, errText s
 	g.transient = transient
 	close(g.done)
 	c.stats.Completed++
-	c.tel.Completed(time.Since(g.issuedAt))
+	c.latency.Observe(time.Since(g.issuedAt).Seconds())
 	c.journalLocked(fleet.Entry{Op: fleet.OpComplete, Kind: g.kind, Key: g.key})
 	for _, w := range c.workers {
 		if _, held := w.inflight[g.id]; held {
@@ -848,7 +830,6 @@ func (c *Coordinator) handleVoteLocked(w *remoteWorker, g *granule, m Msg) {
 	if len(g.votes) == 2 && g.votes[0].digest() != g.votes[1].digest() && g.votesWanted < 3 {
 		g.votesWanted = 3
 		c.stats.Divergent++
-		c.tel.Divergent()
 		c.log().Warn("fabric: cross-validation divergence, escalating to a third worker",
 			"granule", g.id, "kind", g.kind,
 			"voters", g.votes[0].worker+","+g.votes[1].worker)
@@ -857,25 +838,10 @@ func (c *Coordinator) handleVoteLocked(w *remoteWorker, g *granule, m Msg) {
 		c.decideVotesLocked(g)
 		return
 	}
-	// If no one is left to produce another vote — no live worker that
-	// has not already answered and no copy still in flight — decide
-	// with what we have rather than hang the sweep.
-	if g.holders == 0 && !c.eligibleVoterExistsLocked(g) {
-		c.decideVotesLocked(g)
-		return
-	}
+	// Place the next copy now rather than a tick later — or, when no one
+	// is left to produce another vote, settle with what we have.
+	c.placeLocked(g)
 	c.dispatchLocked()
-}
-
-// eligibleVoterExistsLocked reports whether a live worker could still
-// contribute a fresh vote for g.
-func (c *Coordinator) eligibleVoterExistsLocked(g *granule) bool {
-	for _, w := range c.workers {
-		if !w.dead && !g.voted(w.name) {
-			return true
-		}
-	}
-	return false
 }
 
 // decideVotesLocked settles a cross-validated granule: the largest
@@ -884,14 +850,6 @@ func (c *Coordinator) eligibleVoterExistsLocked(g *granule) bool {
 // different answer, so the outlier lied (or its link corrupted results
 // systematically, which deserves the same treatment).
 func (c *Coordinator) decideVotesLocked(g *granule) {
-	if len(g.votes) == 0 {
-		// Every voter died before answering; back on the queue.
-		if !g.queued && g.holders == 0 {
-			c.enqueueLocked(g)
-			c.dispatchLocked()
-		}
-		return
-	}
 	groups := make(map[string]int)
 	for _, v := range g.votes {
 		groups[v.digest()]++
@@ -905,13 +863,14 @@ func (c *Coordinator) decideVotesLocked(g *granule) {
 		}
 	}
 	c.stats.Validated++
-	c.tel.Validated()
 	if len(groups) > 1 && best >= 2 {
 		for _, v := range g.votes {
 			if v.digest() == winner.digest() {
 				continue
 			}
-			c.quarantineLocked(v.worker, fmt.Sprintf("divergent answer on granule %d (%s)", g.id, g.kind))
+			if c.quar.QuarantineNow(v.worker, c.tick) {
+				c.tripLocked(v.worker, fmt.Sprintf("divergent answer on granule %d (%s)", g.id, g.kind))
+			}
 		}
 	} else if len(groups) > 1 {
 		// Every answer differs: no majority to trust, nobody can be
@@ -922,36 +881,16 @@ func (c *Coordinator) decideVotesLocked(g *granule) {
 	c.resolveLocked(g, winner.value, winner.errText, winner.transient)
 }
 
-// quarantineLocked trips the breaker for the named worker: journals the
-// decision, blocks future handshakes for the probation window, and
-// drops the live session if one exists.
-func (c *Coordinator) quarantineLocked(name, reason string) {
-	if !c.quar.QuarantineNow(name, c.tick) {
-		return
-	}
+// tripLocked records that the breaker just tripped for the named
+// worker: journals the decision (future handshakes are refused for the
+// probation window) and drops the live session if one exists.
+func (c *Coordinator) tripLocked(name, reason string) {
 	c.stats.Quarantined++
-	c.tel.Quarantined()
 	c.journalLocked(fleet.Entry{Op: fleet.OpQuarantine, Worker: name, Detail: reason})
 	c.log().Warn("fabric: worker quarantined", "worker", name, "reason", reason)
 	for _, w := range c.workers {
-		if w.name == name && !w.dead {
+		if w.name == name {
 			go c.workerGone(w, fmt.Errorf("quarantined: %s", reason))
-		}
-	}
-}
-
-// strikeLocked charges one fault and quarantines on the tripping
-// strike.
-func (c *Coordinator) strikeLocked(name, reason string) {
-	if c.quar.Strike(name, c.tick) {
-		c.stats.Quarantined++
-		c.tel.Quarantined()
-		c.journalLocked(fleet.Entry{Op: fleet.OpQuarantine, Worker: name, Detail: reason})
-		c.log().Warn("fabric: worker quarantined", "worker", name, "reason", reason)
-		for _, w := range c.workers {
-			if w.name == name && !w.dead {
-				go c.workerGone(w, fmt.Errorf("quarantined: %s", reason))
-			}
 		}
 	}
 }
@@ -970,8 +909,9 @@ func (c *Coordinator) handleCacheGet(w *remoteWorker, m Msg) {
 		reply.Error = g.errText
 		reply.Transient = g.transient
 		c.stats.CacheHits++
+	} else {
+		c.stats.CacheMisses++
 	}
-	c.tel.CacheProbe(reply.Found)
 	c.sendLocked(w, reply)
 }
 
@@ -993,6 +933,8 @@ func (c *Coordinator) workerGone(w *remoteWorker, cause error) {
 		}
 	}
 	c.stats.Workers--
+	c.stats.Died++
+	c.opts.Obs.Gauge("fabric.worker." + promSafe(w.name) + ".inflight").Set(0)
 	c.health.Forget(w.name)
 	c.journalLocked(fleet.Entry{Op: fleet.OpGone, Worker: w.name, Detail: cause.Error()})
 	ids := make([]uint64, 0, len(w.inflight))
@@ -1016,7 +958,6 @@ func (c *Coordinator) workerGone(w *remoteWorker, cause error) {
 		requeued++
 	}
 	w.inflight = nil
-	c.tel.WorkerGone(w.name, requeued)
 	c.dispatchLocked()
 	c.mu.Unlock()
 	c.log().Warn("fabric: worker gone",
@@ -1024,10 +965,9 @@ func (c *Coordinator) workerGone(w *remoteWorker, cause error) {
 }
 
 // tickLoop advances the coordinator's logical clock and runs every
-// deadline-driven duty on it: heartbeat health classification,
-// straggler re-issue, cross-validation copy placement, backoff expiry,
-// and local-fallback engagement. One loop, one clock, so every deadline
-// in the fleet is measured the same way.
+// deadline-driven duty on it: heartbeat health classification, replica
+// placement, backoff expiry, and local-fallback engagement. One loop,
+// one clock, so every deadline in the fleet is measured the same way.
 func (c *Coordinator) tickLoop() {
 	defer c.loops.Done()
 	ticker := time.NewTicker(c.opts.TickEvery)
@@ -1047,10 +987,14 @@ func (c *Coordinator) onTick() {
 	c.mu.Lock()
 	c.tick++
 	c.classifyHealthLocked()
-	if c.straggleTicks > 0 {
-		c.reissueStragglersLocked()
+	live := c.order[:0]
+	for _, g := range c.order {
+		if !g.resolved() {
+			live = append(live, g)
+			c.placeLocked(g)
+		}
 	}
-	c.placeValidationCopiesLocked()
+	c.order = live
 	// Backoffs expire on ticks; give newly ready granules a chance.
 	c.dispatchLocked()
 	c.considerFallbackLocked()
@@ -1058,157 +1002,90 @@ func (c *Coordinator) onTick() {
 }
 
 // classifyHealthLocked walks the fleet and acts on heartbeat silence:
-// suspects get their sole-held granules proactively duplicated, the
-// dead are evicted outright (and struck).
+// the dead are evicted outright (and struck); suspects are only marked —
+// the placement pass hedges their sole-held granules.
 func (c *Coordinator) classifyHealthLocked() {
 	if c.opts.Heartbeat <= 0 {
 		return
 	}
 	for _, w := range c.workers {
-		if w.dead || w.proto < 2 {
-			continue
-		}
 		switch c.health.State(w.name, c.tick) {
 		case fleet.Dead:
 			go c.workerGone(w, fmt.Errorf("heartbeat: no frame for %d ticks", c.opts.Health.DeadAfter))
-			c.strikeLocked(w.name, "heartbeat death")
+			if c.quar.Strike(w.name, c.tick) {
+				c.tripLocked(w.name, "heartbeat death")
+			}
 		case fleet.Suspect:
-			if w.suspect {
-				continue
-			}
-			w.suspect = true
-			c.stats.Suspects++
-			c.tel.Suspect()
-			c.log().Warn("fabric: worker suspect, duplicating its granules",
-				"worker", w.name, "inflight", len(w.inflight))
-			// Suspicion is a soft state: it hedges with duplicates but
-			// does NOT strike — a worker saturated by a long granule on
-			// a loaded host recovers on its next frame, and charging it
-			// would eject healthy capacity (fatal when it is the fleet's
-			// last worker). Strikes come from hard faults: eviction,
-			// straggling, divergence.
-			c.duplicateHoldingsLocked(w)
-		}
-	}
-}
-
-// duplicateHoldingsLocked issues copies of w's sole-held granules onto
-// other live, healthy workers with free budget — the proactive arm of
-// straggler re-issue, fired by suspicion instead of age.
-func (c *Coordinator) duplicateHoldingsLocked(w *remoteWorker) {
-	ids := make([]uint64, 0, len(w.inflight))
-	for id := range w.inflight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		g := w.inflight[id]
-		if g.resolved() || g.holders > 1 {
-			continue
-		}
-		if t := c.idleTargetLocked(g); t != nil {
-			c.issueLocked(t, g)
-			c.stats.Duplicated++
-			c.tel.Duplicated()
-		}
-	}
-	c.tel.SyncQueue(c.workers, len(c.pending))
-}
-
-// idleTargetLocked finds a live, unsuspected worker with free budget
-// that is not already holding g (and has not voted on it).
-func (c *Coordinator) idleTargetLocked(g *granule) *remoteWorker {
-	for _, w := range c.workers {
-		if w.dead || w.suspect || len(w.inflight) >= c.opts.InFlight {
-			continue
-		}
-		if _, held := w.inflight[g.id]; held {
-			continue
-		}
-		if g.voted(w.name) {
-			continue
-		}
-		return w
-	}
-	return nil
-}
-
-// reissueStragglersLocked walks granules in submission order and
-// duplicates any aged one onto a worker with free budget that is not
-// already holding it. The stale holder is struck: repeatedly sitting on
-// granules past the straggle deadline is the timeout pattern the
-// circuit breaker exists for.
-func (c *Coordinator) reissueStragglersLocked() {
-	for _, g := range c.order {
-		if g.resolved() || g.queued || g.holders == 0 {
-			continue
-		}
-		if c.tick-g.issuedTick < c.straggleTicks {
-			continue
-		}
-		t := c.idleTargetLocked(g)
-		if t == nil {
-			continue
-		}
-		// Strike every stale holder before the re-issue bumps
-		// issuedTick; holders are found by scanning the fleet.
-		for _, w := range c.workers {
-			if _, held := w.inflight[g.id]; held {
-				c.strikeLocked(w.name, "straggling granule re-issued")
+			if w.suspect == 0 {
+				w.suspect = c.tick
+				c.stats.Suspects++
+				c.log().Warn("fabric: worker suspect, hedging its granules",
+					"worker", w.name, "inflight", len(w.inflight))
 			}
 		}
-		c.issueLocked(t, g)
-		c.stats.Duplicated++
-		c.tel.Duplicated()
-		c.tel.SyncQueue(c.workers, len(c.pending))
-		c.log().Info("fabric: straggler duplicated",
-			"granule", g.id, "kind", g.kind, "worker", t.name)
 	}
 }
 
-// placeValidationCopiesLocked issues the redundant copies that
-// cross-validated granules still need, one eligible worker at a time.
-func (c *Coordinator) placeValidationCopiesLocked() {
-	if c.opts.ValidateEvery <= 0 {
+// placeLocked is the one "run this granule somewhere else too"
+// decision: it shows the replica policy g's votes, live holders, age
+// and sole holder's health, and issues the copies the policy finds
+// missing to eligible workers with free budget, in join order. A
+// queued granule is left to dispatch — the queue is its one place —
+// unless it holds votes an exhausted electorate must settle.
+func (c *Coordinator) placeLocked(g *granule) {
+	if g.queued && len(g.votes) == 0 {
 		return
 	}
-	for _, g := range c.order {
-		if g.resolved() || g.votesWanted <= 1 {
-			continue
-		}
-		// Useful copies are votes already cast plus copies live workers
-		// still hold. issuedTo would over-count: an issue to a worker
-		// that has since died (or been quarantined mid-validation) will
-		// never become a vote, and counting it parks the granule forever.
-		for len(g.votes)+g.holders < g.votesWanted {
-			t := c.validationTargetLocked(g)
-			if t == nil {
-				// No fresh voter exists. If no copy is in flight either,
-				// the electorate is exhausted: decide with the votes in
-				// hand rather than hang the sweep.
-				if g.holders == 0 && len(g.votes) > 0 && !c.eligibleVoterExistsLocked(g) {
-					c.decideVotesLocked(g)
-				}
-				break
-			}
-			c.issueLocked(t, g)
-		}
+	view := fleet.GranuleView{
+		VotesWanted: g.votesWanted,
+		VotesCast:   len(g.votes),
+		Holders:     g.holders,
+		Age:         c.tick - g.issuedTick,
 	}
-}
-
-// validationTargetLocked finds a live worker with free budget that has
-// never been issued g and has not voted on it.
-func (c *Coordinator) validationTargetLocked(g *granule) *remoteWorker {
 	for _, w := range c.workers {
-		if w.dead || len(w.inflight) >= c.opts.InFlight {
-			continue
+		if _, held := w.inflight[g.id]; held && g.holders == 1 {
+			// Suspicion hedges once, at onset. A hedge retried every tick
+			// would race the eviction deadline, whose re-queue is the
+			// backstop when no worker has budget now.
+			view.SoleHolderSuspect = w.suspect == c.tick
 		}
-		if g.issuedTo[w.name] || g.voted(w.name) {
-			continue
+		if !g.voted(w.name) {
+			view.Electorate++
 		}
-		return w
 	}
-	return nil
+	want, why := c.replicas.Copies(view)
+	if why == fleet.Exhausted {
+		c.decideVotesLocked(g)
+		return
+	}
+	if g.queued {
+		return
+	}
+	for _, w := range c.workers {
+		if g.holders >= want {
+			return
+		}
+		_, held := w.inflight[g.id]
+		if len(w.inflight) >= c.opts.InFlight ||
+			!c.replicas.Eligible(fleet.WorkerView{Holding: held, Voted: g.voted(w.name), Suspect: w.suspect != 0}) {
+			continue
+		}
+		if why != fleet.Validating {
+			if why == fleet.HedgeStraggler {
+				// Repeatedly sitting on granules past the straggle deadline
+				// is the timeout pattern the circuit breaker exists for.
+				for _, h := range c.workers {
+					if _, stale := h.inflight[g.id]; stale && c.quar.Strike(h.name, c.tick) {
+						c.tripLocked(h.name, "straggling granule re-issued")
+					}
+				}
+			}
+			c.stats.Duplicated++
+			c.log().Info("fabric: granule duplicated",
+				"granule", g.id, "kind", g.kind, "worker", w.name)
+		}
+		c.issueLocked(w, g)
+	}
 }
 
 // considerFallbackLocked engages the in-process drain when the fleet
@@ -1269,9 +1146,8 @@ func (c *Coordinator) fallbackDrain() {
 		}
 		c.mu.Lock()
 		c.stats.FallbackExecs++
-		c.tel.Fallback()
 		if g.resolved() {
-			c.tel.LateResult()
+			c.stats.LateResults++
 			c.mu.Unlock()
 			continue
 		}

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"lpm/internal/obs"
+	"lpm/internal/resilience/fleet"
 )
 
 // Toy granule kinds for harness tests. Registered once for the whole
@@ -347,6 +351,7 @@ func TestFabricRejectsBadHandshake(t *testing.T) {
 	defer lf.Close()
 	for _, bad := range []Msg{
 		{Type: MsgHello, Proto: ProtoVersion + 1, Worker: "future"},
+		{Type: MsgHello, Proto: 1, Worker: "past", Slots: 1},
 		{Type: MsgResult, ID: 1},
 	} {
 		conn, err := net.Dial("tcp", lf.C.Addr())
@@ -395,5 +400,76 @@ func TestWorkerDialRetry(t *testing.T) {
 	_ = c.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("worker exit: %v", err)
+	}
+}
+
+// TestFabricResumedCountersMatchStats resumes a coordinator from a
+// journal holding one quarantined worker and checks /metrics and
+// /api/v1/fleet cannot disagree: every published fabric.* counter equals
+// the Stats field it is published from, the carried quarantine included.
+func TestFabricResumedCountersMatchStats(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sched.journal")
+	j, err := fleet.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []fleet.Entry{
+		{Op: fleet.OpJoin, Worker: "liar"},
+		{Op: fleet.OpQuarantine, Worker: "liar", Detail: "divergent answer"},
+	} {
+		if err := j.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Heartbeats off so no ping lands between the two reads below.
+	c, err := Listen("127.0.0.1:0", Options{
+		StraggleAfter: -1, Heartbeat: -1, JournalPath: path, Obs: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	go func() { _ = RunWorker(ctx, c.Addr(), WorkerOptions{Name: "honest"}) }()
+	for i := 0; i < 3; i++ {
+		if _, err := submitDouble(ctx, t, c, "test.double", i, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	snap, st := c.ObsSnapshot(), c.Stats()
+	if st.Quarantined != 1 || st.Completed != 3 {
+		t.Fatalf("stats=%+v, want the carried quarantine and 3 completions", st)
+	}
+	for name, want := range map[string]int{
+		"fabric.workers_joined":        st.Joined,
+		"fabric.workers_died":          st.Died,
+		"fabric.granules_submitted":    st.Submitted,
+		"fabric.granules_completed":    st.Completed,
+		"fabric.granules_requeued":     st.Requeued,
+		"fabric.stragglers_duplicated": st.Duplicated,
+		"fabric.late_results_ignored":  st.LateResults,
+		"fabric.cache_probe_hits":      st.CacheHits,
+		"fabric.cache_probe_misses":    st.CacheMisses,
+		"fabric.heartbeats":            st.Heartbeats,
+		"fabric.workers_suspected":     st.Suspects,
+		"fabric.granules_retried":      st.Retried,
+		"fabric.workers_quarantined":   st.Quarantined,
+		"fabric.workers_readmitted":    st.Readmitted,
+		"fabric.granules_validated":    st.Validated,
+		"fabric.validations_divergent": st.Divergent,
+		"fabric.fallback_execs":        st.FallbackExecs,
+	} {
+		if m, ok := snap.Metric(name); !ok || snap.Counter(name) != uint64(want) {
+			t.Errorf("%s = %+v (present=%v), Stats says %d", name, m, ok, want)
+		}
+	}
+	if m, _ := snap.Metric("fabric.granule_seconds"); m.Hist == nil || m.Hist.Count != 3 {
+		t.Errorf("fabric.granule_seconds = %+v, want 3 observations", m)
 	}
 }

@@ -17,21 +17,12 @@ import (
 	"lpm/internal/resilience"
 )
 
-// ProtoVersion is the newest protocol this build speaks. The handshake
-// negotiates down: a coordinator accepts any hello from 1 up to its own
-// version and answers with the version the session will use (the
-// worker's), so old workers keep working across a fleet upgrade. A
-// hello from the *future* is refused — the coordinator cannot guess
-// what a newer worker means.
-//
-// Version 2 adds the ping/pong heartbeat pair (PingMS in the welcome
-// tells the worker its cadence) and the Transient/Busy/RTT fields. A
-// proto-1 session carries none of them: such workers send no pings and
-// are exempt from heartbeat health classification.
+// ProtoVersion is the one protocol this build speaks. The handshake
+// accepts exactly this version from both sides: a hello from any other
+// build is refused rather than guessed at, and every session carries
+// the ping/pong heartbeat pair (PingMS in the welcome tells the worker
+// its cadence) and the Transient/Busy/RTT fields.
 const ProtoVersion = 2
-
-// MinProtoVersion is the oldest protocol the coordinator still admits.
-const MinProtoVersion = 1
 
 // MaxFrame caps a frame's payload, inherited from the checkpoint
 // envelope: anything larger is corruption, not data.
@@ -55,11 +46,11 @@ const (
 	// MsgCacheValue is coordinator → worker: cache reply; Found reports
 	// whether Value holds a hit.
 	MsgCacheValue = "cachevalue"
-	// MsgPing is worker → coordinator (proto ≥ 2): periodic liveness
+	// MsgPing is worker → coordinator: periodic liveness
 	// proof carrying slot-occupancy and last measured round-trip
 	// telemetry. ID correlates the pong.
 	MsgPing = "ping"
-	// MsgPong is coordinator → worker (proto ≥ 2): ping acknowledgement
+	// MsgPong is coordinator → worker: ping acknowledgement
 	// echoing ID; the worker times it to measure RTT and counts missed
 	// pongs to detect a wedged session from its side.
 	MsgPong = "pong"
@@ -81,10 +72,10 @@ type Msg struct {
 	Value  json.RawMessage `json:"value,omitempty"`
 	Found  bool            `json:"found,omitempty"`
 	Error  string          `json:"error,omitempty"`
-	// Transient classifies Error on result/cachevalue frames (proto ≥ 2):
-	// true means a transport-shaped failure worth charging against the
-	// granule's retry budget, false a deterministic failure that will
-	// reproduce anywhere. Proto-1 peers omit it; absent means permanent.
+	// Transient classifies Error on result/cachevalue frames: true means
+	// a transport-shaped failure worth charging against the granule's
+	// retry budget, false (or absent) a deterministic failure that will
+	// reproduce anywhere.
 	Transient bool `json:"transient,omitempty"`
 	// Busy is the executing-granule count on ping frames.
 	Busy int `json:"busy,omitempty"`

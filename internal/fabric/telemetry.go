@@ -1,14 +1,11 @@
 package fabric
 
-// Fabric telemetry: the coordinator and worker publish their scheduling
-// and execution counters into an internal/obs registry so the fleet
-// control plane (cmd/lpmserve) can expose queue depth, re-issue churn
-// and cache efficiency on one Prometheus endpoint.
-//
-// Both telemetry types follow the obs nil-receiver contract: a nil
-// *Telemetry / *WorkerTelemetry (the default — no registry wired) makes
-// every probe a no-op branch, so the sharded determinism suites run the
-// exact same code paths byte-identically with observability off.
+// Fabric telemetry. The coordinator keeps one set of counts — Stats —
+// and Coordinator.ObsSnapshot publishes it into an internal/obs
+// registry at scrape time, so the fleet control plane (cmd/lpmserve)
+// can expose queue depth, re-issue churn and cache efficiency on one
+// Prometheus endpoint. Only the worker side, whose execution slots run
+// concurrently and have no Stats to publish from, keeps a probe set.
 
 import (
 	"sync"
@@ -17,217 +14,46 @@ import (
 	"lpm/internal/obs"
 )
 
-// Telemetry is the coordinator-side probe set. All updates happen under
-// the coordinator mutex, which also serialises access to the underlying
-// (unsynchronised) obs registry.
-type Telemetry struct {
-	reg *obs.Registry
-
-	workers  *obs.Gauge
-	pending  *obs.Gauge
-	inflight *obs.Gauge
-
-	joined      *obs.Counter
-	deaths      *obs.Counter
-	submitted   *obs.Counter
-	completed   *obs.Counter
-	requeued    *obs.Counter
-	duplicated  *obs.Counter
-	lateResults *obs.Counter
-	probeHits   *obs.Counter
-	probeMisses *obs.Counter
-
-	heartbeats  *obs.Counter
-	suspects    *obs.Counter
-	retried     *obs.Counter
-	quarantined *obs.Counter
-	readmitted  *obs.Counter
-	validated   *obs.Counter
-	divergent   *obs.Counter
-	fallback    *obs.Counter
-
-	latency *obs.Histogram
-}
-
-// NewTelemetry wires the coordinator probes into reg; a nil registry
-// returns a nil Telemetry, the zero-cost off switch.
-func NewTelemetry(reg *obs.Registry) *Telemetry {
+// ObsSnapshot publishes Stats and the queue shape into the Obs registry
+// and captures it (nil when no registry was configured). Stats is the
+// only count of fleet events; the fabric.* series are written here
+// (workerGone alone also zeroes its departed worker's in-flight gauge),
+// under the coordinator mutex that guards both, so the snapshot is
+// consistent and safe to call from serving goroutines.
+func (c *Coordinator) ObsSnapshot() *obs.Snapshot {
+	reg := c.opts.Obs
 	if reg == nil {
 		return nil
 	}
-	return &Telemetry{
-		reg:         reg,
-		workers:     reg.Gauge("fabric.workers"),
-		pending:     reg.Gauge("fabric.pending_depth"),
-		inflight:    reg.Gauge("fabric.inflight"),
-		joined:      reg.Counter("fabric.workers_joined"),
-		deaths:      reg.Counter("fabric.workers_died"),
-		submitted:   reg.Counter("fabric.granules_submitted"),
-		completed:   reg.Counter("fabric.granules_completed"),
-		requeued:    reg.Counter("fabric.granules_requeued"),
-		duplicated:  reg.Counter("fabric.stragglers_duplicated"),
-		lateResults: reg.Counter("fabric.late_results_ignored"),
-		probeHits:   reg.Counter("fabric.cache_probe_hits"),
-		probeMisses: reg.Counter("fabric.cache_probe_misses"),
-		heartbeats:  reg.Counter("fabric.heartbeats"),
-		suspects:    reg.Counter("fabric.workers_suspected"),
-		retried:     reg.Counter("fabric.granules_retried"),
-		quarantined: reg.Counter("fabric.workers_quarantined"),
-		readmitted:  reg.Counter("fabric.workers_readmitted"),
-		validated:   reg.Counter("fabric.granules_validated"),
-		divergent:   reg.Counter("fabric.validations_divergent"),
-		fallback:    reg.Counter("fabric.fallback_execs"),
-		latency:     reg.Histogram("fabric.granule_seconds", 0, 30, 120),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	inflight := 0
+	for _, w := range c.workers {
+		inflight += len(w.inflight)
+		reg.Gauge("fabric.worker." + promSafe(w.name) + ".inflight").Set(float64(len(w.inflight)))
 	}
-}
-
-// SyncQueue refreshes the queue-shape gauges after a scheduling change:
-// connected workers, pending-queue depth, total in-flight holdings, and
-// the per-worker in-flight gauges.
-func (t *Telemetry) SyncQueue(workers []*remoteWorker, pending int) {
-	if t == nil {
-		return
-	}
-	total := 0
-	for _, w := range workers {
-		n := len(w.inflight)
-		total += n
-		t.reg.Gauge("fabric.worker." + promSafe(w.name) + ".inflight").Set(float64(n))
-	}
-	t.workers.Set(float64(len(workers)))
-	t.pending.Set(float64(pending))
-	t.inflight.Set(float64(total))
-}
-
-// WorkerGone zeroes a dead worker's in-flight gauge and counts the
-// death plus the granules it alone held that went back on the queue.
-func (t *Telemetry) WorkerGone(name string, requeued int) {
-	if t == nil {
-		return
-	}
-	t.deaths.Inc()
-	t.requeued.Add(uint64(requeued))
-	t.reg.Gauge("fabric.worker." + promSafe(name) + ".inflight").Set(0)
-}
-
-// Joined counts a worker handshake.
-func (t *Telemetry) Joined() {
-	if t == nil {
-		return
-	}
-	t.joined.Inc()
-}
-
-// Submitted counts a distinct granule entering the queue.
-func (t *Telemetry) Submitted() {
-	if t == nil {
-		return
-	}
-	t.submitted.Inc()
-}
-
-// Completed records a granule resolving, with its issue-to-result wall
-// clock.
-func (t *Telemetry) Completed(latency time.Duration) {
-	if t == nil {
-		return
-	}
-	t.completed.Inc()
-	t.latency.Observe(latency.Seconds())
-}
-
-// LateResult counts a duplicate result ignored because the first copy
-// already won — the straggler first-result-wins race.
-func (t *Telemetry) LateResult() {
-	if t == nil {
-		return
-	}
-	t.lateResults.Inc()
-}
-
-// Duplicated counts a straggler duplication onto an idle worker.
-func (t *Telemetry) Duplicated() {
-	if t == nil {
-		return
-	}
-	t.duplicated.Inc()
-}
-
-// Heartbeat counts a worker ping frame.
-func (t *Telemetry) Heartbeat() {
-	if t == nil {
-		return
-	}
-	t.heartbeats.Inc()
-}
-
-// Suspect counts a healthy→suspect health transition.
-func (t *Telemetry) Suspect() {
-	if t == nil {
-		return
-	}
-	t.suspects.Inc()
-}
-
-// Retried counts a transient-failure re-queue charged to a granule's
-// retry budget.
-func (t *Telemetry) Retried() {
-	if t == nil {
-		return
-	}
-	t.retried.Inc()
-}
-
-// Quarantined counts a worker tripping the circuit breaker.
-func (t *Telemetry) Quarantined() {
-	if t == nil {
-		return
-	}
-	t.quarantined.Inc()
-}
-
-// Readmitted counts a worker readmitted after probation.
-func (t *Telemetry) Readmitted() {
-	if t == nil {
-		return
-	}
-	t.readmitted.Inc()
-}
-
-// Validated counts a cross-validated granule decided.
-func (t *Telemetry) Validated() {
-	if t == nil {
-		return
-	}
-	t.validated.Inc()
-}
-
-// Divergent counts a cross-validation that caught disagreeing answers.
-func (t *Telemetry) Divergent() {
-	if t == nil {
-		return
-	}
-	t.divergent.Inc()
-}
-
-// Fallback counts a granule executed in-process by the local fallback.
-func (t *Telemetry) Fallback() {
-	if t == nil {
-		return
-	}
-	t.fallback.Inc()
-}
-
-// CacheProbe records one shared-cache probe and whether it hit.
-func (t *Telemetry) CacheProbe(hit bool) {
-	if t == nil {
-		return
-	}
-	if hit {
-		t.probeHits.Inc()
-	} else {
-		t.probeMisses.Inc()
-	}
+	reg.Gauge("fabric.workers").Set(float64(len(c.workers)))
+	reg.Gauge("fabric.pending_depth").Set(float64(len(c.pending)))
+	reg.Gauge("fabric.inflight").Set(float64(inflight))
+	s := c.stats
+	reg.Counter("fabric.workers_joined").Set(uint64(s.Joined))
+	reg.Counter("fabric.workers_died").Set(uint64(s.Died))
+	reg.Counter("fabric.granules_submitted").Set(uint64(s.Submitted))
+	reg.Counter("fabric.granules_completed").Set(uint64(s.Completed))
+	reg.Counter("fabric.granules_requeued").Set(uint64(s.Requeued))
+	reg.Counter("fabric.stragglers_duplicated").Set(uint64(s.Duplicated))
+	reg.Counter("fabric.late_results_ignored").Set(uint64(s.LateResults))
+	reg.Counter("fabric.cache_probe_hits").Set(uint64(s.CacheHits))
+	reg.Counter("fabric.cache_probe_misses").Set(uint64(s.CacheMisses))
+	reg.Counter("fabric.heartbeats").Set(uint64(s.Heartbeats))
+	reg.Counter("fabric.workers_suspected").Set(uint64(s.Suspects))
+	reg.Counter("fabric.granules_retried").Set(uint64(s.Retried))
+	reg.Counter("fabric.workers_quarantined").Set(uint64(s.Quarantined))
+	reg.Counter("fabric.workers_readmitted").Set(uint64(s.Readmitted))
+	reg.Counter("fabric.granules_validated").Set(uint64(s.Validated))
+	reg.Counter("fabric.validations_divergent").Set(uint64(s.Divergent))
+	reg.Counter("fabric.fallback_execs").Set(uint64(s.FallbackExecs))
+	return reg.Snapshot()
 }
 
 // promSafe flattens a worker name (usually host:port) into a metric-name
@@ -248,11 +74,10 @@ func promSafe(name string) string {
 // WorkerTelemetry is the worker-side probe set: granule execution
 // latency and cache-probe efficiency. Unlike the coordinator, a worker
 // executes granules on concurrent slots, so this type carries its own
-// mutex around the unsynchronised registry. The nil receiver is the
-// off switch.
+// mutex around the unsynchronised registry's handles. The nil receiver
+// is the off switch; read the registry once RunWorker has returned.
 type WorkerTelemetry struct {
 	mu        sync.Mutex
-	reg       *obs.Registry
 	executed  *obs.Counter
 	failed    *obs.Counter
 	abandoned *obs.Counter
@@ -267,7 +92,6 @@ func NewWorkerTelemetry(reg *obs.Registry) *WorkerTelemetry {
 		return nil
 	}
 	return &WorkerTelemetry{
-		reg:       reg,
 		executed:  reg.Counter("worker.granules_executed"),
 		failed:    reg.Counter("worker.granules_failed"),
 		abandoned: reg.Counter("worker.granules_abandoned"),
@@ -308,15 +132,4 @@ func (w *WorkerTelemetry) ProbeHit() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.probeHits.Inc()
-}
-
-// Snapshot captures the worker probes; callers use it after RunWorker
-// returns (single-goroutine again) to log a shutdown summary.
-func (w *WorkerTelemetry) Snapshot() *obs.Snapshot {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.reg.Snapshot()
 }

@@ -6,7 +6,7 @@ package fabric
 // granule is a pure function of its spec — so killing one at any
 // instant loses nothing but time.
 //
-// On a proto-2 session the worker also heartbeats: periodic ping
+// The worker also heartbeats: periodic ping
 // frames carry slot occupancy and the last measured round trip, the
 // coordinator answers each with a pong, and a run of missed pongs
 // makes the worker abandon the session itself — its half of the
@@ -180,15 +180,14 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	if err != nil {
 		return fmt.Errorf("fabric: handshake: %w", err)
 	}
-	if welcome.Type != MsgWelcome || welcome.Proto < MinProtoVersion || welcome.Proto > ProtoVersion {
-		return fmt.Errorf("fabric: handshake: coordinator sent %q (proto %d), want %q (proto %d..%d)",
-			welcome.Type, welcome.Proto, MsgWelcome, MinProtoVersion, ProtoVersion)
+	if welcome.Type != MsgWelcome || welcome.Proto != ProtoVersion {
+		return fmt.Errorf("fabric: handshake: coordinator sent %q (proto %d), want %q (proto %d)",
+			welcome.Type, welcome.Proto, MsgWelcome, ProtoVersion)
 	}
-	w.proto = welcome.Proto
 	w.lastFrame.Store(time.Now().UnixNano())
 	w.log().Info("fabric: worker connected",
-		"worker", opts.Name, "coordinator", addr, "proto", w.proto, "slots", opts.Slots)
-	if w.proto >= 2 && welcome.PingMS > 0 {
+		"worker", opts.Name, "coordinator", addr, "slots", opts.Slots)
+	if welcome.PingMS > 0 {
 		w.loops.Add(1)
 		go w.heartbeatLoop(time.Duration(welcome.PingMS) * time.Millisecond)
 	}
@@ -231,7 +230,6 @@ func dialRetry(ctx context.Context, addr string, window time.Duration, policy fl
 type workerState struct {
 	opts   WorkerOptions
 	conn   net.Conn
-	proto  int
 	ctx    context.Context
 	cancel context.CancelFunc
 

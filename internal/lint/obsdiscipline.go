@@ -35,12 +35,13 @@ func runObsDiscipline(p *Pass) {
 	if matchAny(p.Pkg.Rel, []string{"internal/obs"}) {
 		checkNilGuards(p, func(string) bool { return true })
 	}
-	// The fabric and control-plane telemetry probe sets promise the
-	// same nil-receiver off switch the obs registry does; only those
-	// types carry the contract there, not the coordinators themselves.
-	if matchAny(p.Pkg.Rel, []string{"internal/fabric", "internal/ctrl"}) {
+	// The worker-side probe set and reprobe set promise the same
+	// nil-receiver off switch the obs registry does; only those types
+	// carry the contract there, not the coordinator (which publishes its
+	// Stats at snapshot time and has no probes).
+	if matchAny(p.Pkg.Rel, []string{"internal/fabric"}) {
 		checkNilGuards(p, func(recv string) bool {
-			return strings.HasSuffix(recv, "Telemetry") || recv == "ReprobeSet"
+			return recv == "WorkerTelemetry" || recv == "ReprobeSet"
 		})
 	}
 	if matchAny(p.Pkg.Rel, []string{"internal/sim", "internal/core"}) {
@@ -158,7 +159,7 @@ func checkNilGuards(p *Pass, wantType func(recvType string) bool) {
 }
 
 // recvDeclTypeName returns the declared receiver type's name from the
-// AST ("Telemetry" for `func (t *Telemetry) ...`), or "" when it is not
+// AST ("Counter" for `func (c *Counter) ...`), or "" when it is not
 // a plain (possibly pointered) identifier.
 func recvDeclTypeName(fd *ast.FuncDecl) string {
 	if len(fd.Recv.List) == 0 {

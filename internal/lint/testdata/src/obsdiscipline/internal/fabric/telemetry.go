@@ -1,59 +1,59 @@
-// Package fabric is a miniature of the sweep fabric's telemetry probe
-// sets: the nil-receiver guard rule extends here, but only to the
-// *Telemetry types and the ReprobeSet — the coordinator itself is never
-// nil by contract.
+// Package fabric is a miniature of the sweep fabric's worker-side probe
+// set: the nil-receiver guard rule extends here, but only to
+// WorkerTelemetry and the ReprobeSet — the coordinator publishes its
+// counters at snapshot time and is never nil by contract.
 package fabric
 
 import "lpm/internal/obs"
 
-// Telemetry is the coordinator-side probe set.
-type Telemetry struct {
-	reg   *obs.Registry
-	hits  *obs.Counter
-	total *obs.Counter
+// WorkerTelemetry is the worker-side probe set.
+type WorkerTelemetry struct {
+	reg      *obs.Registry
+	hits     *obs.Counter
+	executed *obs.Counter
 }
 
 // prefix namespaces the per-worker gauges.
 const prefix = "fabric.worker."
 
-// NewTelemetry wires the probes; nil registry, nil telemetry.
-func NewTelemetry(reg *obs.Registry) *Telemetry {
+// NewWorkerTelemetry wires the probes; nil registry, nil telemetry.
+func NewWorkerTelemetry(reg *obs.Registry) *WorkerTelemetry {
 	if reg == nil {
 		return nil
 	}
-	return &Telemetry{
-		reg:   reg,
-		hits:  reg.Counter("fabric.cache_probe_hits"),
-		total: reg.Counter("fabric.granules_completed"),
+	return &WorkerTelemetry{
+		reg:      reg,
+		hits:     reg.Counter("worker.cache_probe_hits"),
+		executed: reg.Counter("worker.granules_executed"),
 	}
 }
 
-// CacheProbe records one shared-cache probe — properly guarded.
-func (t *Telemetry) CacheProbe() {
+// ProbeHit records one shared-cache hit — properly guarded.
+func (t *WorkerTelemetry) ProbeHit() {
 	if t == nil {
 		return
 	}
 	t.hits.Add(1)
 }
 
-// SyncQueue refreshes per-worker gauges: a dynamic prefix with a
-// constant suffix is the accepted idiom.
-func (t *Telemetry) SyncQueue(worker string) {
+// Slot bumps a per-worker gauge: a dynamic prefix with a constant
+// suffix is the accepted idiom.
+func (t *WorkerTelemetry) Slot(worker string) {
 	if t == nil {
 		return
 	}
 	t.reg.Gauge(prefix + worker + ".inflight").Add(1)
 }
 
-// Completed counts a granule but forgets the guard: the probe must stay
+// Executed counts a granule but forgets the guard: the probe must stay
 // a no-op on the nil (telemetry-off) receiver.
-func (t *Telemetry) Completed() { // want "dereferences its receiver without the nil-receiver guard"
-	t.total.Add(1)
+func (t *WorkerTelemetry) Executed() { // want "dereferences its receiver without the nil-receiver guard"
+	t.executed.Add(1)
 }
 
 // Dynamic registers a fully dynamic metric name, which destabilises
 // snapshot ordering.
-func (t *Telemetry) Dynamic(name string) {
+func (t *WorkerTelemetry) Dynamic(name string) {
 	if t == nil {
 		return
 	}
@@ -64,7 +64,7 @@ func (t *Telemetry) Dynamic(name string) {
 type Coordinator struct{ pending int }
 
 // Submit dereferences its receiver unguarded — allowed, the rule only
-// covers the telemetry types.
+// covers the probe types.
 func (c *Coordinator) Submit() {
 	c.pending++
 }
