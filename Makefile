@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is the CI gate.
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check bench benchsmoke fuzz chaos chaos-net fabric-test ci golden diffgate race-serve serve-test
+.PHONY: all build test race vet lint fmt-check loc bench benchsmoke fuzz chaos chaos-net fabric-test ci golden diffgate race-serve serve-test
 
 all: build vet lint test race
 
@@ -32,6 +32,17 @@ lint:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Net non-test Go lines (ROADMAP aim 2: simplicity PRs report them in
+# CHANGES.md): wc -l over the non-test, non-testdata Go files outside
+# bench/, per directory — the root package, each internal/*, cmd and
+# examples — plus the total.
+loc:
+	@for d in . internal/* cmd examples; do \
+		depth=; [ $$d = . ] && depth="-maxdepth 1"; \
+		n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); \
+		printf '%7d  %s\n' $$n $$d; total=$$((total+n)); \
+	done; printf '%7d  total\n' $$total
 
 # One pass over every benchmark, reporting the reproduced paper metrics.
 bench:

@@ -75,7 +75,7 @@ func BenchmarkCaseStudyIAlgorithm(b *testing.B) {
 			var res CaseStudyIResult
 			for i := 0; i < b.N; i++ {
 				ResetSimCaches() // time the walk's simulations, not memo hits
-				res = CaseStudyI(g, benchScale())
+				res = mustCaseStudyI(b, g, benchScale())
 			}
 			b.ReportMetric(float64(res.Evaluations), "simulations")
 			b.ReportMetric(res.Algorithm.Final.LPMR1(), "finalLPMR1")
@@ -226,7 +226,7 @@ func benchTable1Batch(b *testing.B, workers int) {
 	var rows []Table1Row
 	for i := 0; i < b.N; i++ {
 		ResetSimCaches()
-		rows = Table1(QuickScale())
+		rows = mustTable1(b, QuickScale(), false)
 	}
 	b.ReportMetric(rows[0].M.LPMR1(), "LPMR1(A)")
 	b.ReportMetric(float64(ParallelWorkers()), "workers")
@@ -270,11 +270,11 @@ func BenchmarkParallelAloneIPCs(b *testing.B) { benchAloneIPCs(b, 0) }
 func BenchmarkMemoisedTable1(b *testing.B) {
 	defer ResetSimCaches()
 	ResetSimCaches()
-	Table1(QuickScale()) // warm the memo
+	mustTable1(b, QuickScale(), false) // warm the memo
 	b.ResetTimer()
 	var rows []Table1Row
 	for i := 0; i < b.N; i++ {
-		rows = Table1(QuickScale())
+		rows = mustTable1(b, QuickScale(), false)
 	}
 	b.ReportMetric(rows[0].M.LPMR1(), "LPMR1(A)")
 }
@@ -719,7 +719,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		}, step: func(ch *Chip) { ch.RunCycles(100) }},
 		{name: "functional", mk: func() *Chip {
 			ch := NewChip(SingleCore("429.mcf"))
-			ch.SetTier(FunctionalTier)
+			ch.SetTier(chip.TierFunctional)
 			if err := ch.RunFunctional(20000); err != nil {
 				t.Fatal(err)
 			}

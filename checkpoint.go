@@ -10,7 +10,10 @@ package lpm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 
 	"lpm/internal/parallel"
 	"lpm/internal/resilience"
@@ -67,4 +70,22 @@ func LoadMemoCheckpoint(path, key string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint %s: seed memos: %w", path, err)
 	}
 	return &ck, nil
+}
+
+// ResumeMemoCheckpoint is the CLIs' -checkpoint/-resume flag pair: seed
+// the memo caches from resume (a missing file is a cold start, noted on
+// stderr) and return the path to checkpoint to (-resume implies it).
+func ResumeMemoCheckpoint(ckpt, resume, key string, stderr io.Writer) (string, error) {
+	if resume != "" {
+		if _, err := LoadMemoCheckpoint(resume, key); err != nil {
+			if !errors.Is(err, fs.ErrNotExist) {
+				return "", fmt.Errorf("resume: %w", err)
+			}
+			fmt.Fprintf(stderr, "resume: %s not found, starting cold\n", resume)
+		}
+	}
+	if ckpt == "" {
+		ckpt = resume
+	}
+	return ckpt, nil
 }

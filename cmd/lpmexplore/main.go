@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -117,19 +116,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	// The run key ties a checkpoint to the flags that shape simulation
 	// results; -resume refuses a file produced under different ones.
-	ckptPath := *ckpt
-	if ckptPath == "" {
-		ckptPath = *resume
-	}
 	key := fmt.Sprintf("lpmexplore|%s|%s|%s|%d|%d|%d|obs=%v",
 		*workload, g.String(), *start, *warmup, *window, *maxSteps, *observe)
-	if *resume != "" {
-		if _, err := lpm.LoadMemoCheckpoint(*resume, key); err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				return fmt.Errorf("resume: %w", err)
-			}
-			fmt.Fprintf(stderr, "resume: %s not found, starting cold\n", *resume)
-		}
+	ckptPath, err := lpm.ResumeMemoCheckpoint(*ckpt, *resume, key, stderr)
+	if err != nil {
+		return err
 	}
 	if ckptPath != "" {
 		tgt.OnEvaluate = func(explore.Evaluation) {

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -113,14 +112,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	runExp("fig1", func() error { return fig1(p) })
-	runExp("table1", func() error { return table1(p, scale) })
-	runExp("casestudy1", func() error { return caseStudy1(p, scale) })
-	runExp("fig6", func() error { return fig67(p, scale, true) })
-	runExp("fig7", func() error { return fig67(p, scale, false) })
-	runExp("fig8", func() error { return fig8(p, scale) })
-	runExp("interval", func() error { return intervalStudy(p) })
-	runExp("identities", func() error { return identities(p, scale) })
-	runExp("timeline", func() error { return timeline(p, scale) })
+	runExp("table1", func() error { return table1(ctx, p, scale) })
+	runExp("casestudy1", func() error { return caseStudy1(ctx, p, scale) })
+	runExp("fig6", func() error { return fig67(ctx, p, scale, true) })
+	runExp("fig7", func() error { return fig67(ctx, p, scale, false) })
+	runExp("fig8", func() error { return fig8(ctx, p, scale) })
+	runExp("interval", func() error { return intervalStudy(ctx, p) })
+	runExp("identities", func() error { return identities(ctx, p, scale) })
+	runExp("timeline", func() error { return timeline(ctx, p, scale) })
 	if failed != nil {
 		return failed
 	}
@@ -163,22 +162,13 @@ func runJSON(ctx context.Context, experiment string, scale lpm.Scale, observe bo
 		IntervalSamples: intervalN,
 	}
 
-	ckptPath := ckpt
-	if ckptPath == "" {
-		ckptPath = resume
-	}
 	key := fmt.Sprintf("lpmreport|%+v|obs=%v|samples=%d", scale, observe, intervalN)
-	if resume != "" {
-		if _, err := lpm.LoadMemoCheckpoint(resume, key); err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				return fmt.Errorf("resume: %w", err)
-			}
-			fmt.Fprintf(stderr, "resume: %s not found, starting cold\n", resume)
-		}
+	ckptPath, err := lpm.ResumeMemoCheckpoint(ckpt, resume, key, stderr)
+	if err != nil {
+		return err
 	}
 
 	var rep *lpm.Report
-	var err error
 	if ckptPath == "" {
 		rep, err = lpm.BuildReportCtx(ctx, opts)
 	} else {
@@ -249,10 +239,22 @@ func fig1(p *cliutil.Printer) error {
 	return p.Err()
 }
 
-func table1(p *cliutil.Printer, s lpm.Scale) error {
+// cellErr turns a failed cell (cancelled or livelocked evaluation) into
+// the experiment's error; healthy cells return nil.
+func cellErr(name, msg string) error {
+	if msg == "" {
+		return nil
+	}
+	return fmt.Errorf("%s: %s", name, msg)
+}
+
+func table1(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
 	p.Println("Table I — LPMRs under configurations with incremental parallelism (410.bwaves-like):")
 	p.Printf("%-4s %-48s %-24s %-24s %s\n", "cfg", "point", "paper LPMR1/2/3", "measured LPMR1/2/3", "stall% of CPIexe")
-	for _, r := range lpm.Table1(s) {
+	for _, r := range lpm.Table1Ctx(ctx, s, false) {
+		if err := cellErr(r.Name, r.Err); err != nil {
+			return err
+		}
 		p.Printf("%-4s %-48s %4.1f / %4.1f / %4.1f       %5.2f / %5.2f / %5.2f     %5.1f%%\n",
 			r.Name, r.Point,
 			r.PaperLPMR[0], r.PaperLPMR[1], r.PaperLPMR[2],
@@ -262,9 +264,12 @@ func table1(p *cliutil.Printer, s lpm.Scale) error {
 	return p.Err()
 }
 
-func caseStudy1(p *cliutil.Printer, s lpm.Scale) error {
+func caseStudy1(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
 	for _, g := range []lpm.Grain{lpm.CoarseGrain, lpm.FineGrain} {
-		res := lpm.CaseStudyI(g, s)
+		res, err := lpm.CaseStudyICtx(ctx, g, s)
+		if err != nil {
+			return fmt.Errorf("%s: %w", g, err)
+		}
 		p.Printf("case study I, %s: steps=%d simulations=%d of %d (%.4f%%)\n",
 			g, len(res.Algorithm.Steps), res.Evaluations, res.SpaceSize,
 			100*float64(res.Evaluations)/float64(res.SpaceSize))
@@ -277,8 +282,8 @@ func caseStudy1(p *cliutil.Printer, s lpm.Scale) error {
 	return p.Err()
 }
 
-func fig67(p *cliutil.Printer, s lpm.Scale, apc1 bool) error {
-	res, err := lpm.Fig67(s)
+func fig67(ctx context.Context, p *cliutil.Printer, s lpm.Scale, apc1 bool) error {
+	res, err := lpm.Fig67Ctx(ctx, s)
 	if err != nil {
 		return err
 	}
@@ -305,8 +310,8 @@ func fig67(p *cliutil.Printer, s lpm.Scale, apc1 bool) error {
 	return p.Err()
 }
 
-func fig8(p *cliutil.Printer, s lpm.Scale) error {
-	rows, err := lpm.Fig8(s)
+func fig8(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
+	rows, err := lpm.Fig8Ctx(ctx, s)
 	if err != nil {
 		return err
 	}
@@ -317,17 +322,24 @@ func fig8(p *cliutil.Printer, s lpm.Scale) error {
 	return p.Err()
 }
 
-func intervalStudy(p *cliutil.Printer) error {
+func intervalStudy(ctx context.Context, p *cliutil.Printer) error {
+	rows, err := lpm.IntervalStudy(ctx, 0)
+	if err != nil {
+		return err
+	}
 	p.Println("Interval study — burst patterns perceived and processed timely (paper vs analytic vs simulated):")
-	for _, r := range lpm.IntervalStudy(0) {
+	for _, r := range rows {
 		p.Printf("  %-16s %.2f  vs  %.4f  vs  %.4f\n", r.Scenario, r.Paper, r.Analytic, r.Simulated)
 	}
 	return p.Err()
 }
 
-func timeline(p *cliutil.Printer, s lpm.Scale) error {
+func timeline(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
 	p.Println("Timeline — windowed LPMR1 over the measurement interval (410.bwaves-like):")
-	for _, r := range lpm.TimelineStudy(s) {
+	for _, r := range lpm.TimelineStudyCtx(ctx, s) {
+		if err := cellErr(r.Name, r.Err); err != nil {
+			return err
+		}
 		ser := r.M.Timeline
 		if ser == nil || len(ser.Windows) == 0 {
 			p.Printf("  %-4s (no windows)\n", r.Name)
@@ -345,13 +357,12 @@ func timeline(p *cliutil.Printer, s lpm.Scale) error {
 	return p.Err()
 }
 
-func identities(p *cliutil.Printer, s lpm.Scale) error {
-	reps, err := lpm.Identities(s)
-	if err != nil {
-		return err
-	}
+func identities(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
 	p.Println("Model identities on live simulations:")
-	for _, r := range reps {
+	for _, r := range lpm.IdentitiesCtx(ctx, s) {
+		if err := cellErr(r.Workload, r.Err); err != nil {
+			return err
+		}
 		p.Printf("  %-14s |C-AMAT-1/APC|=%.2g  Eq4 rel.err=%.1f%%  stall model=%.4f measured=%.4f\n",
 			r.Workload, r.CAMATvsInvAPC, 100*r.RecursionRelErr, r.StallModel, r.StallMeasured)
 	}

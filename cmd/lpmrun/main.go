@@ -102,39 +102,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg.L2 = chip.DefaultL2("L2", *l2Size)
 	cfg.L2.Banks = *l2Banks
 
-	gen := trace.NewSynthetic(prof)
-	cpiExe := chip.MeasureCPIexe(cfg.Cores[0].CPU, gen, uint64(cfg.Cores[0].L1.HitLatency), *instr)
-
-	ch := chip.New(cfg)
-	ch.SetContext(ctx)
-	if *watchdog > 0 {
-		ch.SetWatchdog(*watchdog)
-	}
-	if *metrics || *serve != "" {
-		ch.EnableObs()
-	}
-
 	var live *timeseries.Live
 	if *serve != "" {
 		live = timeseries.NewLive()
-	}
-	if *timeline || live != nil {
-		tcfg := timeseries.Config{Width: *tsWindow, Adaptive: *tsAdapt, CPIexe: cpiExe}
-		if live != nil {
-			// Windows (and the throttled aggregate snapshot) are handed
-			// off to the HTTP side as they close; the simulation itself
-			// stays single-goroutine. The final snapshot after Run keeps
-			// the end state exact.
-			snap := ctrl.ThrottleSnapshots(func() { live.PublishSnapshot(ch.ObsSnapshot()) })
-			tcfg.OnWindow = func(w timeseries.Window) {
-				live.Publish(w)
-				snap()
-			}
-		}
-		s := ch.EnableTimeseries(tcfg)
-		live.SetMeta(s.Width(), *tsAdapt)
-	}
-	if live != nil {
 		ln, err := net.Listen("tcp", *serve)
 		if err != nil {
 			return err
@@ -148,35 +118,47 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		p.Printf("serving /metrics and /timeline on http://%s\n", ln.Addr())
 	}
 
-	budget := (*warmup + *instr) * 600
-	runTarget := *warmup + *instr
-	if *warmFast {
-		ch.SetTier(chip.TierFunctional)
-		ch.RunFunctional(*warmup)
-		ch.SetTier(chip.TierDetailed)
-		runTarget = *instr
-	} else {
-		ch.RunUntilRetired(*warmup, budget)
+	// The run itself is the pipeline the control plane's SimRunner shares;
+	// windows and throttled snapshots reach the HTTP side through live
+	// while the simulation stays single-goroutine.
+	res, runErr := lpm.RunSingle(ctx, lpm.SingleRun{
+		Tool:         "lpmrun",
+		Workload:     *workload,
+		Config:       &cfg,
+		Instructions: *instr,
+		Warmup:       *warmup,
+		WarmupFast:   *warmFast,
+		Watchdog:     *watchdog,
+		Observe:      *metrics,
+		Timeline:     *timeline,
+		TSWindow:     *tsWindow,
+		Adaptive:     *tsAdapt,
+		Live:         live,
+	})
+	if res == nil {
+		return runErr
 	}
-	ch.ResetCounters()
-	ch.Run(runTarget, budget)
-	runErr := ch.Err()
-	live.PublishSnapshot(ch.ObsSnapshot())
 	live.Finish()
 
 	if *jsonOut {
-		return runJSON(stdout, *workload, *warmup, *instr, ch, cpiExe, runErr)
+		// An interrupted or livelocked run still emits a decodable
+		// document, and the process exits non-zero.
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(res.Report); err != nil {
+			return err
+		}
+		return runErr
 	}
 	if runErr != nil {
-		p.Printf("interrupted at cycle %d: %v\n", ch.Now(), runErr)
+		p.Printf("interrupted at cycle %d: %v\n", res.Chip.Now(), runErr)
 		if err := p.Err(); err != nil {
 			return err
 		}
 		return runErr
 	}
 
-	r := ch.Snapshot()
-	m := ch.Measure(0, cpiExe)
+	r, m, cpiExe := res.Chip.Snapshot(), res.M, res.M.CPIexe
 
 	p.Printf("workload   %s  (fmem=%.3f, footprint=%d KB)\n", *workload, m.Fmem, prof.Footprint/1024)
 	p.Printf("core       issue=%d IW=%d ROB=%d   CPIexe=%.3f  IPC=%.3f\n", *issue, *iw, *rob, cpiExe, m.IPC)
@@ -221,45 +203,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		time.Sleep(*hold)
 	}
 	return p.Err()
-}
-
-// runJSON emits the run as a minimal lpm-report/v2 document: one table1
-// row named after the workload. An interrupted or livelocked run still
-// produces a decodable document — the row carries the error, Partial is
-// set, and the process exits non-zero.
-func runJSON(stdout io.Writer, workload string, warmup, instr uint64, ch *chip.Chip, cpiExe float64, runErr error) error {
-	rep := &lpm.Report{
-		Schema: lpm.ReportSchema,
-		Tool:   "lpmrun",
-		Scale:  lpm.Scale{Warmup: warmup, Window: instr},
-	}
-	er := lpm.ExperimentReport{Name: "run"}
-	if runErr != nil {
-		// No Measure on an interrupted window: partial counters produce
-		// NaNs, which JSON cannot carry.
-		er.Table1 = []lpm.Table1JSON{{Name: workload, Err: runErr.Error()}}
-		rep.Partial = true
-		rep.Aborted = []string{"run"}
-	} else {
-		m := ch.Measure(0, cpiExe)
-		er.Table1 = []lpm.Table1JSON{{
-			Name:          workload,
-			LPMR:          [3]float64{m.LPMR1(), m.LPMR2(), m.LPMR3()},
-			IPC:           m.IPC,
-			CPIexe:        m.CPIexe,
-			Eta:           m.Eta(),
-			StallModel:    m.StallEq12(),
-			StallMeasured: m.MeasuredStall,
-			Layers:        m.Obs,
-		}}
-	}
-	rep.Experiments = append(rep.Experiments, er)
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	return runErr
 }
 
 // printTimeline renders the windowed series as a compact table: one row

@@ -245,3 +245,55 @@ func (w *syncWriter) string() string {
 	defer w.mu.Unlock()
 	return w.buf.String()
 }
+
+// TestJSONMatchesControlPlaneDocument: lpmrun and the control plane's
+// SimRunner are one pipeline (lpm.RunSingle), so for the same spec —
+// healthy, functionally warmed, or livelocked — `lpmrun -json` with the
+// control plane's instrumentation (-metrics -timeline) and the document
+// lpmserve hands out are the same bytes apart from the tool name.
+func TestJSONMatchesControlPlaneDocument(t *testing.T) {
+	reg := ctrl.NewRegistry(context.Background(), ctrl.Config{})
+	srv := httptest.NewServer(ctrl.NewAPIMux(reg))
+	defer srv.Close()
+	for i, tc := range []struct {
+		spec ctrl.RunSpec
+		args []string
+	}{
+		{ctrl.RunSpec{Workload: "403.gcc", Instructions: 2000, Warmup: 3000}, nil},
+		{ctrl.RunSpec{Workload: "429.mcf", Instructions: 2000, Warmup: 3000, WarmupFast: true, TSWindow: 256, Adaptive: true},
+			[]string{"-warmup-fast", "-tswindow", "256", "-tsadaptive"}},
+		{ctrl.RunSpec{Workload: "403.gcc", Instructions: 2000, Warmup: 3000, Watchdog: 1}, []string{"-watchdog", "1"}},
+	} {
+		args := append([]string{"-json", "-metrics", "-timeline", "-workload", tc.spec.Workload,
+			"-instructions", "2000", "-warmup", "3000"}, tc.args...)
+		var out, errb bytes.Buffer
+		cliErr := run(context.Background(), args, &out, &errb)
+		if (cliErr != nil) != (tc.spec.Watchdog > 0) {
+			t.Fatalf("case %d: lpmrun err = %v\n%s", i, cliErr, errb.String())
+		}
+
+		st, err := reg.Submit(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc []byte
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			resp, err := http.Get(srv.URL + "/api/v1/runs/" + st.ID + "/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc, _ = io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("case %d: no result document: %s", i, doc)
+			}
+		}
+		want := strings.Replace(out.String(), `"tool": "lpmrun"`, `"tool": "lpmserve"`, 1)
+		if got := string(doc) + "\n"; got != want {
+			t.Fatalf("case %d: documents differ\nlpmserve:\n%s\nlpmrun:\n%s", i, got, want)
+		}
+	}
+}

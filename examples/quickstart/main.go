@@ -24,11 +24,14 @@ func main() {
 	cfg := lpm.SingleCore(workload)
 	cpiExe := lpm.MeasureCPIexe(cfg.Cores[0].CPU, gen, 3, 20000)
 
-	// 3. Build the chip and run: warm up, reset counters, measure.
+	// 3. Build the chip and run the measured-window protocol: warm up
+	// 60000 instructions, reset counters, run a 20000-instruction window.
 	chip := lpm.NewChip(cfg)
-	chip.RunUntilRetired(60000, 50_000_000)
+	// (WarmUp's error is a cancelled context or tripped watchdog; this
+	// chip has neither attached.)
+	base, _ := chip.WarmUp(60000, lpm.WarmInstructions, false, 50_000_000)
 	chip.ResetCounters()
-	chip.Run(80000, 50_000_000)
+	chip.Run(base+20000, 50_000_000)
 
 	// 4. Read the measurement: all C-AMAT parameters at L1/L2, the memory
 	// APC, and the core's stall/overlap counters.

@@ -8,13 +8,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log"
 
 	"lpm"
-	"lpm/internal/core"
 	"lpm/internal/explore"
-	"lpm/internal/trace"
 )
 
 func main() {
@@ -25,19 +25,16 @@ func main() {
 		grain = lpm.FineGrain
 	}
 
-	space := explore.DefaultSpace()
 	start := explore.TableConfigs()["A"]
-	fmt.Printf("space: %d configurations; start: %s\n\n", space.Size(), start)
+	fmt.Printf("space: %d configurations; start: %s\n\n", explore.DefaultSpace().Size(), start)
 
-	target := explore.NewHardwareTarget(space, start, trace.MustProfile("410.bwaves"))
-	target.Warmup = 140000
-	target.Instructions = 15000
-
-	res, final := target.RunAlgorithm(core.AlgorithmConfig{
-		Grain:     grain,
-		SlackFrac: 0.5, // the paper's case study II uses delta = 50% of T1
-		MaxSteps:  32,
-	})
+	// Case study I: configuration A, the bwaves-like workload, the
+	// paper's delta = 50% of T1 slack, at most 32 steps.
+	cs, err := lpm.CaseStudyICtx(context.Background(), grain, lpm.QuickScale())
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, final := cs.Algorithm, cs.Final
 
 	for i, st := range res.Steps {
 		fmt.Printf("step %2d: %-26s LPMR1=%6.3f (T1=%.3f)  LPMR2=%6.3f\n",
@@ -51,7 +48,6 @@ func main() {
 		res.Steps[0].Before.LPMR1(), res.Final.LPMR1(),
 		res.Steps[0].Before.MeasuredStall, res.Final.MeasuredStall)
 	fmt.Printf("simulations: %d (%.4f%% of the space)  converged=%v met=%v\n",
-		target.Evaluations(),
-		100*float64(target.Evaluations())/float64(space.Size()),
+		cs.Evaluations, 100*float64(cs.Evaluations)/float64(cs.SpaceSize),
 		res.Converged, res.MetTarget)
 }

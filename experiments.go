@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"lpm/internal/analyzer"
 	"lpm/internal/core"
@@ -26,13 +25,9 @@ type Scale struct {
 	// Warmup and Window are per-run instruction budgets for single-core
 	// experiments (cycles for the multiprogram window).
 	Warmup, Window uint64
-	// WarmupFast runs every experiment's warm-up phase in the chip's
-	// functional tier (SetTier/RunFunctional): caches, directory state
-	// and DRAM rows are warmed at per-instruction cost and only the
-	// measured window runs cycle-accurately. Results are not
-	// bit-identical to the detailed-warm-up run — the warm microstate
-	// differs — so the flag joins every simulation memo key. omitempty
-	// keeps default-mode reports (and their goldens) byte-identical.
+	// WarmupFast runs every warm-up in the functional tier (see
+	// Chip.WarmUp) and joins every simulation memo key; omitempty keeps
+	// default-mode reports and their goldens byte-identical.
 	WarmupFast bool `json:",omitempty"`
 }
 
@@ -104,7 +99,6 @@ type Table1Row struct {
 	PaperLPMR [3]float64
 	// Err marks a failed cell (cancelled, livelocked, or panicked
 	// evaluation): M is zero and only the identifying fields are set.
-	// Healthy rows omit it, so existing documents are unchanged.
 	Err string `json:",omitempty"`
 }
 
@@ -117,117 +111,57 @@ var table1Paper = map[string][3]float64{
 	"E": {1.4, 1.9, 2.6},
 }
 
-// Table1 evaluates the five Table I configurations on the bwaves-like
-// workload and returns the rows in order A..E. The five simulations are
-// independent (one target, generator, and chip each), so they run as one
-// parallel batch.
-func Table1(s Scale) []Table1Row {
-	return table1(s, false)
+// newTarget returns the hardware target the Table I experiments share:
+// the default space on the bwaves-like workload at point p, under s.
+func newTarget(ctx context.Context, s Scale, p DesignPoint) *explore.HardwareTarget {
+	tgt := explore.NewHardwareTarget(explore.DefaultSpace(), p, trace.MustProfile("410.bwaves"))
+	tgt.Warmup = s.Warmup
+	tgt.Instructions = s.Window
+	tgt.WarmupFast = s.WarmupFast
+	tgt.Ctx = ctx
+	return tgt
 }
 
-// Table1Observed is Table1 with per-layer observability enabled: every
-// row's Measurement carries an obs.Snapshot of the measurement window.
-func Table1Observed(s Scale) []Table1Row {
-	return table1(s, true)
-}
-
-func table1(s Scale, observe bool) []Table1Row {
-	//lint:ignore ctxflow ctx-less compat wrapper; Table1Ctx is the interruptible form
-	rows := Table1Ctx(context.Background(), s, observe)
-	for _, r := range rows {
-		if r.Err != "" {
-			// Without a context there is no cancellation; any failure is
-			// a deterministic simulator fault the serial loop would also
-			// have raised — keep it loud.
-			panic(fmt.Errorf("table1 %s: %s", r.Name, r.Err))
-		}
-	}
-	return rows
-}
-
-// Table1Ctx is the failure-isolating form of Table1: each configuration
-// evaluates independently, and a cancelled, livelocked, or panicking
-// evaluation becomes a row with Err set instead of killing the batch.
-// Rows stay in A..E order; cells skipped by cancellation report the
-// context's error.
-func Table1Ctx(ctx context.Context, s Scale, observe bool) []Table1Row {
+// table1Cells measures the named Table I configurations on the
+// bwaves-like workload, each on a target adjusted by setup. The
+// simulations are independent (one target, generator, and chip each), so
+// they run as one parallel batch, and each is failure-isolated: a
+// cancelled, livelocked, or panicking evaluation becomes a row with Err
+// set instead of killing the batch, and cells skipped by cancellation
+// report the context's error. Rows stay in the order of names.
+func table1Cells(ctx context.Context, s Scale, names []string, setup func(*explore.HardwareTarget)) []Table1Row {
 	cfgs := explore.TableConfigs()
-	names := []string{"A", "B", "C", "D", "E"}
 	results := parallel.MapResults(ctx, names, func(ctx context.Context, n string) (Table1Row, error) {
-		tgt := explore.NewHardwareTarget(explore.DefaultSpace(), cfgs[n], trace.MustProfile("410.bwaves"))
-		tgt.Warmup = s.Warmup
-		tgt.Instructions = s.Window
-		tgt.WarmupFast = s.WarmupFast
-		tgt.Observe = observe
-		tgt.Ctx = ctx
-		return Table1Row{
-			Name:      n,
-			Point:     cfgs[n],
-			M:         tgt.Measure(),
-			PaperLPMR: table1Paper[n],
-		}, nil
+		tgt := newTarget(ctx, s, cfgs[n])
+		setup(tgt)
+		return Table1Row{Name: n, Point: cfgs[n], M: tgt.Measure(), PaperLPMR: table1Paper[n]}, nil
 	})
 	rows := make([]Table1Row, len(names))
 	for i, r := range results {
 		rows[i] = r.Val
 		if r.Err != nil {
-			rows[i] = Table1Row{Name: names[i], Point: cfgs[names[i]],
-				PaperLPMR: table1Paper[names[i]], Err: r.Err.Error()}
+			n := names[i]
+			rows[i] = Table1Row{Name: n, Point: cfgs[n], PaperLPMR: table1Paper[n], Err: r.Err.Error()}
 		}
 	}
 	return rows
 }
 
-// TimelineRow couples one Table I configuration with its cycle-windowed
-// time series over the measurement interval.
-type TimelineRow struct {
-	// Name is the configuration label.
-	Name string
-	// Point is the hardware configuration.
-	Point DesignPoint
-	// M is the measurement; M.Timeline carries the windowed series.
-	M Measurement
-	// Err marks a failed cell, as in Table1Row.
-	Err string `json:",omitempty"`
+// Table1Ctx evaluates the five Table I configurations and returns the
+// rows in order A..E; with observe set, every row's Measurement carries
+// an obs.Snapshot of the measurement window.
+func Table1Ctx(ctx context.Context, s Scale, observe bool) []Table1Row {
+	return table1Cells(ctx, s, []string{"A", "B", "C", "D", "E"},
+		func(t *explore.HardwareTarget) { t.Observe = observe })
 }
 
-// TimelineStudy measures the mismatched (A) and matched (E) ends of the
-// Table I spectrum with the cycle-windowed sampler attached, so reports
-// carry per-window C-AMAT/LPMR timelines showing *when* the mismatch
-// occurs, not just its average. The two simulations run as one parallel
-// batch.
-func TimelineStudy(s Scale) []TimelineRow {
-	//lint:ignore ctxflow ctx-less compat wrapper; TimelineStudyCtx is the interruptible form
-	rows := TimelineStudyCtx(context.Background(), s)
-	for _, r := range rows {
-		if r.Err != "" {
-			panic(fmt.Errorf("timeline %s: %s", r.Name, r.Err))
-		}
-	}
-	return rows
-}
-
-// TimelineStudyCtx is the failure-isolating form of TimelineStudy.
-func TimelineStudyCtx(ctx context.Context, s Scale) []TimelineRow {
-	cfgs := explore.TableConfigs()
-	names := []string{"A", "E"}
-	results := parallel.MapResults(ctx, names, func(ctx context.Context, n string) (TimelineRow, error) {
-		tgt := explore.NewHardwareTarget(explore.DefaultSpace(), cfgs[n], trace.MustProfile("410.bwaves"))
-		tgt.Warmup = s.Warmup
-		tgt.Instructions = s.Window
-		tgt.WarmupFast = s.WarmupFast
-		tgt.Timeline = true
-		tgt.Ctx = ctx
-		return TimelineRow{Name: n, Point: cfgs[n], M: tgt.Measure()}, nil
-	})
-	rows := make([]TimelineRow, len(names))
-	for i, r := range results {
-		rows[i] = r.Val
-		if r.Err != nil {
-			rows[i] = TimelineRow{Name: names[i], Point: cfgs[names[i]], Err: r.Err.Error()}
-		}
-	}
-	return rows
+// TimelineStudyCtx measures the mismatched (A) and matched (E) ends of
+// the Table I spectrum with the cycle-windowed sampler attached, so each
+// row's M.Timeline shows *when* the mismatch occurs, not just its
+// average.
+func TimelineStudyCtx(ctx context.Context, s Scale) []Table1Row {
+	return table1Cells(ctx, s, []string{"A", "E"},
+		func(t *explore.HardwareTarget) { t.Timeline = true })
 }
 
 // CaseStudyIResult summarises an LPM-guided design space exploration.
@@ -242,39 +176,18 @@ type CaseStudyIResult struct {
 	SpaceSize int
 }
 
-// newCaseStudyTarget returns the case study I hardware target: Table I's
-// configuration A over the default space on the bwaves-like workload.
-func newCaseStudyTarget(s Scale) *explore.HardwareTarget {
-	tgt := explore.NewHardwareTarget(explore.DefaultSpace(), explore.TableConfigs()["A"], trace.MustProfile("410.bwaves"))
-	tgt.Warmup = s.Warmup
-	tgt.Instructions = s.Window
-	tgt.WarmupFast = s.WarmupFast
-	return tgt
-}
-
 // caseStudyConfig is the algorithm parameterisation of case study I.
 func caseStudyConfig(grain Grain) core.AlgorithmConfig {
 	return core.AlgorithmConfig{Grain: grain, SlackFrac: 0.5, MaxSteps: 32}
 }
 
-// CaseStudyI runs the LPM algorithm from Table I's configuration A over
-// the default design space on the bwaves-like workload.
-func CaseStudyI(grain Grain, s Scale) CaseStudyIResult {
-	//lint:ignore ctxflow ctx-less compat wrapper; CaseStudyICtx is the interruptible form
-	r, err := CaseStudyICtx(context.Background(), grain, s)
-	if err != nil {
-		// Background context never cancels; a failure here is a
-		// deterministic simulator fault that should stay loud.
-		panic(err)
-	}
-	return r
-}
-
-// CaseStudyICtx is the interruptible form of CaseStudyI. On cancellation
-// or a simulator fault it returns the partial walk alongside the error:
-// Algorithm holds the steps completed before the interruption.
+// CaseStudyICtx runs the LPM algorithm from Table I's configuration A
+// over the default design space on the bwaves-like workload. On
+// cancellation or a simulator fault it returns the partial walk
+// alongside the error: Algorithm holds the steps completed before the
+// interruption.
 func CaseStudyICtx(ctx context.Context, grain Grain, s Scale) (CaseStudyIResult, error) {
-	tgt := newCaseStudyTarget(s)
+	tgt := newTarget(ctx, s, explore.TableConfigs()["A"])
 	res, final, err := tgt.RunAlgorithmCtx(ctx, caseStudyConfig(grain))
 	return CaseStudyIResult{
 		Algorithm:   res,
@@ -293,13 +206,7 @@ type Fig67Result struct {
 	Table *sched.ProfileTable
 }
 
-// Fig67 profiles every built-in workload at the four NUCA L1 sizes.
-func Fig67(s Scale) (Fig67Result, error) {
-	//lint:ignore ctxflow ctx-less compat wrapper; Fig67Ctx is the interruptible form
-	return Fig67Ctx(context.Background(), s)
-}
-
-// Fig67Ctx is the interruptible form of Fig67.
+// Fig67Ctx profiles every built-in workload at the four NUCA L1 sizes.
 func Fig67Ctx(ctx context.Context, s Scale) (Fig67Result, error) {
 	tbl, err := sched.BuildProfileTable(ctx, trace.ProfileNames(), chip.NUCAGroupSizes[:],
 		sched.ProfileOptions{Instructions: s.Window, Warmup: s.Warmup / 2, WarmupFast: s.WarmupFast})
@@ -330,21 +237,14 @@ var fig8Paper = map[string]float64{
 	"NUCA-SA(fg)": 0.9106,
 }
 
-// Fig8 evaluates the four policies of Fig. 8 (plus a PIE-like
+// Fig8Ctx evaluates the four policies of Fig. 8 (plus a PIE-like
 // related-work baseline) on the sixteen built-in workloads over the
 // Fig. 5 NUCA chip. The profiling and evaluation windows are pinned to
-// the repository's validated configuration rather than derived from s:
+// the repository's validated configuration, not derived from the scale:
 // the scheduler ranking is sensitive to the measurement protocol (see
 // EXPERIMENTS.md), so the harness always reports the deterministic,
 // test-covered setting.
-func Fig8(s Scale) ([]Fig8Row, error) {
-	//lint:ignore ctxflow ctx-less compat wrapper; Fig8Ctx is the interruptible form
-	return Fig8Ctx(context.Background(), s)
-}
-
-// Fig8Ctx is the interruptible form of Fig8.
-func Fig8Ctx(ctx context.Context, s Scale) ([]Fig8Row, error) {
-	_ = s
+func Fig8Ctx(ctx context.Context, _ Scale) ([]Fig8Row, error) {
 	names := trace.ProfileNames()
 	sizes := chip.NUCAGroupSizes[:]
 	tbl, err := sched.BuildProfileTable(ctx, names, sizes,
@@ -389,33 +289,24 @@ type IntervalRow struct {
 }
 
 // IntervalStudy evaluates the three scenarios the paper reports.
-func IntervalStudy(samples int) []IntervalRow {
+func IntervalStudy(ctx context.Context, samples int) ([]IntervalRow, error) {
 	if samples <= 0 {
 		samples = 200000
 	}
 	paper := []float64{0.96, 0.89, 0.73}
 	prof := interval.DefaultProfile()
-	type job struct {
-		i  int
-		sc interval.Scenario
-	}
-	jobs := make([]job, 0, 3)
-	for i, sc := range interval.PaperScenarios() {
-		jobs = append(jobs, job{i: i, sc: sc})
-	}
 	// Each scenario's Monte Carlo run is seeded independently.
-	rows, err := parallel.Map(jobs, func(j job) (IntervalRow, error) {
+	rows, err := parallel.MapCtx(ctx, interval.PaperScenarios(), func(_ context.Context, sc interval.Scenario) (IntervalRow, error) {
 		return IntervalRow{
-			Scenario:  j.sc.Name,
-			Analytic:  interval.PerceptionRate(prof, j.sc),
-			Simulated: interval.Simulate(prof, j.sc, samples, 42).Rate(),
-			Paper:     paper[j.i],
+			Scenario:  sc.Name,
+			Analytic:  interval.PerceptionRate(prof, sc),
+			Simulated: interval.Simulate(prof, sc, samples, IntervalSeed).Rate(),
 		}, nil
 	})
-	if err != nil {
-		panic(err)
+	for i := range rows {
+		rows[i].Paper = paper[i]
 	}
-	return rows
+	return rows, err
 }
 
 // ---------------------------------------------------------------------
@@ -443,28 +334,17 @@ type IdentityReport struct {
 	Err string `json:",omitempty"`
 }
 
-// Identities runs the identity checks on a set of representative
-// workloads.
-func Identities(s Scale, workloads ...string) ([]IdentityReport, error) {
-	//lint:ignore ctxflow ctx-less compat wrapper; IdentitiesCtx is the interruptible form
-	reports := IdentitiesCtx(context.Background(), s, workloads...)
-	for _, r := range reports {
-		if r.Err != "" {
-			return nil, fmt.Errorf("identities %s: %s", r.Workload, r.Err)
-		}
-	}
-	return reports, nil
-}
-
-// IdentitiesCtx is the failure-isolating form of Identities: each
-// workload's checks run independently, and a failed cell carries Err
-// instead of discarding the healthy ones.
+// IdentitiesCtx runs the identity checks on a set of representative
+// workloads. Each workload's checks run independently, and a failed
+// cell carries Err instead of discarding the healthy ones.
 func IdentitiesCtx(ctx context.Context, s Scale, workloads ...string) []IdentityReport {
 	if len(workloads) == 0 {
 		workloads = []string{"401.bzip2", "403.gcc", "429.mcf", "410.bwaves"}
 	}
 	// One full single-core simulation per workload, all independent.
-	results := parallel.MapResults(ctx, workloads, identityOne(s))
+	results := parallel.MapResults(ctx, workloads, func(ctx context.Context, name string) (IdentityReport, error) {
+		return identityOne(ctx, s, name)
+	})
 	reports := make([]IdentityReport, len(workloads))
 	for i, r := range results {
 		reports[i] = r.Val
@@ -475,59 +355,29 @@ func IdentitiesCtx(ctx context.Context, s Scale, workloads ...string) []Identity
 	return reports
 }
 
-// identityOne builds the per-workload identity check used by
-// IdentitiesCtx.
-func identityOne(s Scale) func(context.Context, string) (IdentityReport, error) {
-	return func(ctx context.Context, name string) (IdentityReport, error) {
-		prof, err := trace.ProfileByName(name)
-		if err != nil {
-			return IdentityReport{}, err
-		}
-		cfg := chip.SingleCore(name)
-		gen := trace.NewSynthetic(prof)
-		cpiExe := chip.MeasureCPIexe(cfg.Cores[0].CPU, gen, uint64(cfg.Cores[0].L1.HitLatency), s.Window)
-		ch := chip.New(cfg)
-		ch.SetContext(ctx)
-		runTarget := s.Warmup/2 + s.Window
-		if s.WarmupFast {
-			ch.SetTier(chip.TierFunctional)
-			ch.RunFunctional(s.Warmup / 2)
-			ch.SetTier(chip.TierDetailed)
-			runTarget = s.Window
-		} else {
-			ch.RunUntilRetired(s.Warmup/2, (s.Warmup+s.Window)*400)
-		}
-		ch.ResetCounters()
-		ch.Run(runTarget, (s.Warmup+s.Window)*400)
-		if err := ch.Err(); err != nil {
-			return IdentityReport{}, fmt.Errorf("identity %s: %w", name, err)
-		}
-		m := ch.Measure(0, cpiExe)
-		l1 := ch.Snapshot().Cores[0].L1
-
-		rep := IdentityReport{
-			Workload:      name,
-			PMR1:          m.PMR1,
-			StallModel:    m.StallEq12(),
-			StallMeasured: m.MeasuredStall,
-		}
-		if apc := l1.APC(); apc > 0 {
-			rep.CAMATvsInvAPC = math.Abs(l1.CAMAT() - 1/apc)
-		}
-		if m.CAMAT1 > 0 {
-			rec := core.RecursiveCAMAT(m.H1, m.CH1, m.PMR1, m.Eta1(), m.CAMAT2)
-			rep.RecursionRelErr = math.Abs(m.CAMAT1-rec) / m.CAMAT1
-		}
-		return rep, nil
+// identityOne is one workload's identity check: the single-run pipeline
+// on the default chip, then model predictions against its counters.
+func identityOne(ctx context.Context, s Scale, name string) (IdentityReport, error) {
+	res, err := RunSingle(ctx, SingleRun{Workload: name, Instructions: s.Window,
+		Warmup: s.Warmup / 2, WarmupFast: s.WarmupFast})
+	if err != nil {
+		return IdentityReport{}, fmt.Errorf("identity %s: %w", name, err)
 	}
-}
-
-// SortedWorkloads returns the built-in workload names sorted, a helper
-// for stable report output.
-func SortedWorkloads() []string {
-	names := trace.ProfileNames()
-	sort.Strings(names)
-	return names
+	m, l1 := res.M, res.Chip.Snapshot().Cores[0].L1
+	rep := IdentityReport{
+		Workload:      name,
+		PMR1:          m.PMR1,
+		StallModel:    m.StallEq12(),
+		StallMeasured: m.MeasuredStall,
+	}
+	if apc := l1.APC(); apc > 0 {
+		rep.CAMATvsInvAPC = math.Abs(l1.CAMAT() - 1/apc)
+	}
+	if m.CAMAT1 > 0 {
+		rec := core.RecursiveCAMAT(m.H1, m.CH1, m.PMR1, m.Eta1(), m.CAMAT2)
+		rep.RecursionRelErr = math.Abs(m.CAMAT1-rec) / m.CAMAT1
+	}
+	return rep, nil
 }
 
 // FormatLPMR renders a measurement's three LPMRs compactly.

@@ -93,12 +93,11 @@ type (
 	RoundRobinScheduler = sched.RoundRobin
 	NUCASAScheduler     = sched.NUCASA
 	PIEScheduler        = sched.PIE
-	// SchedEvalOptions parameterise an Hsp evaluation.
-	SchedEvalOptions = sched.EvalOptions
+	// SchedEvalOptions parameterise an Hsp evaluation;
+	// SchedProfileOptions the profiling runs.
+	SchedEvalOptions    = sched.EvalOptions
+	SchedProfileOptions = sched.ProfileOptions
 )
-
-// SchedProfileOptions parameterise profiling runs.
-type SchedProfileOptions = sched.ProfileOptions
 
 // SchedProfileOptionsQuick returns reduced profiling budgets for smoke
 // runs and tests.
@@ -107,14 +106,12 @@ func SchedProfileOptionsQuick() SchedProfileOptions {
 }
 
 // BuildSchedProfileTable profiles workloads standalone at each L1 size.
-func BuildSchedProfileTable(names []string, sizes []uint64, opt SchedProfileOptions) (*SchedProfileTable, error) {
-	//lint:ignore ctxflow ctx-less compat wrapper over the interruptible sched API
-	return sched.BuildProfileTable(context.Background(), names, sizes, opt)
+func BuildSchedProfileTable(ctx context.Context, names []string, sizes []uint64, opt SchedProfileOptions) (*SchedProfileTable, error) {
+	return sched.BuildProfileTable(ctx, names, sizes, opt)
 }
 
 // EvaluateScheduler runs a policy on the Fig. 5 NUCA chip and returns
 // its Hsp evaluation.
-func EvaluateScheduler(s Scheduler, workloads []string, sizes []uint64, opt SchedEvalOptions) (*SchedEvaluation, error) {
-	//lint:ignore ctxflow ctx-less compat wrapper over the interruptible sched API
-	return sched.Evaluate(context.Background(), s, workloads, sizes, opt)
+func EvaluateScheduler(ctx context.Context, s Scheduler, workloads []string, sizes []uint64, opt SchedEvalOptions) (*SchedEvaluation, error) {
+	return sched.Evaluate(ctx, s, workloads, sizes, opt)
 }

@@ -76,11 +76,11 @@ func TestExtensionsPhaseAPI(t *testing.T) {
 func TestExtensionsSchedulingAPI(t *testing.T) {
 	names := []string{"401.bzip2", "403.gcc", "429.mcf", "433.milc"}
 	sizes := []uint64{4096, 16384, 32768, 65536}
-	tbl, err := BuildSchedProfileTable(names, sizes, SchedProfileOptionsQuick())
+	tbl, err := BuildSchedProfileTable(bg, names, sizes, SchedProfileOptionsQuick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := EvaluateScheduler(NUCASAScheduler{Table: tbl, TolFrac: 0.1}, names, sizes,
+	ev, err := EvaluateScheduler(bg, NUCASAScheduler{Table: tbl, TolFrac: 0.1}, names, sizes,
 		SchedEvalOptions{WindowCycles: 30000, WarmupCycles: 15000})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestExtensionsSchedulingAPI(t *testing.T) {
 		t.Fatalf("Hsp = %v", ev.Hsp)
 	}
 	// PIE through the facade too.
-	ev2, err := EvaluateScheduler(PIEScheduler{Table: tbl}, names, sizes,
+	ev2, err := EvaluateScheduler(bg, PIEScheduler{Table: tbl}, names, sizes,
 		SchedEvalOptions{WindowCycles: 30000, WarmupCycles: 15000, AloneIPC: ev.IPCAlone})
 	if err != nil {
 		t.Fatal(err)

@@ -65,11 +65,11 @@ func firstDiffLine(a, b []byte) int {
 }
 
 func TestGoldenTable1(t *testing.T) {
-	goldenJSON(t, "table1_quick.json", Table1(QuickScale()))
+	goldenJSON(t, "table1_quick.json", mustTable1(t, QuickScale(), false))
 }
 
 func TestGoldenFig67(t *testing.T) {
-	res, err := Fig67(QuickScale())
+	res, err := Fig67Ctx(bg, QuickScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestGoldenFig67(t *testing.T) {
 func TestGoldenIntervalStudy(t *testing.T) {
 	// A reduced sample count keeps the Monte Carlo run fast; the fixed
 	// seed makes it reproducible at any count.
-	goldenJSON(t, "interval_50k.json", IntervalStudy(50000))
+	goldenJSON(t, "interval_50k.json", mustIntervalStudy(t, 50000))
 }
 
 // TestGoldenReport pins the lpm-report/v2 document shape itself: schema
@@ -87,7 +87,7 @@ func TestGoldenIntervalStudy(t *testing.T) {
 // experiments so the test exercises BuildReport end to end without
 // re-running the simulations pinned above.
 func TestGoldenReport(t *testing.T) {
-	rep, err := BuildReport(ReportOptions{
+	rep, err := BuildReportCtx(bg, ReportOptions{
 		Scale:           QuickScale(),
 		Experiments:     []string{"fig1", "interval"},
 		IntervalSamples: 50000,

@@ -563,3 +563,69 @@ func TestHTTPAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestDoneEventFollowsTerminalState: the SSE `done` event is the
+// client's cue to read the run's status and result, so the registry
+// must record the terminal state before it publishes `done`.
+func TestDoneEventFollowsTerminalState(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	awaitDone := func(ctx context.Context, sub *Subscriber) bool {
+		for {
+			e, _, ok := sub.Next(ctx)
+			if !ok || e.Type == "done" {
+				return ok
+			}
+		}
+	}
+
+	// Deterministic half: with the registry lock held, a finishing run
+	// cannot record its state — so it must not be able to publish `done`
+	// either. (The old order published first and then queued on the lock.)
+	run := &stubRunner{release: make(chan struct{})}
+	reg := NewRegistry(context.Background(), Config{Runner: run})
+	st, err := reg.Submit(RunSpec{Workload: "403.gcc"})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	_, hub, _ := reg.handles(st.ID)
+	sub := hub.Subscribe(0)
+	reg.mu.Lock()
+	close(run.release)
+	early, stop := context.WithTimeout(ctx, 100*time.Millisecond)
+	published := awaitDone(early, sub)
+	stop()
+	reg.mu.Unlock()
+	if published {
+		t.Fatal("done event published before the terminal state could be recorded")
+	}
+	if !awaitDone(ctx, sub) {
+		t.Fatal("stream ended without done")
+	}
+	sub.Close()
+
+	// Statistical half, as a client sees it: over many instant runs, each
+	// followed on its hub, the first status read after `done` has to be
+	// terminal — no re-read, no grace period.
+	reg = NewRegistry(context.Background(), Config{Runner: &stubRunner{windows: 1}})
+	for i := 0; i < 500; i++ {
+		st, err := reg.Submit(RunSpec{Workload: "403.gcc"})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		_, hub, _ := reg.handles(st.ID)
+		sub := hub.Subscribe(0)
+		if !awaitDone(ctx, sub) {
+			t.Fatalf("run %s: stream ended without done", st.ID)
+		}
+		sub.Close()
+		got, err := reg.Get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc, _, _ := reg.resultDoc(st.ID); got.State != StateDone || len(doc) == 0 {
+			t.Fatalf("run %s: state %q, %d-byte result on the first read after the done event",
+				st.ID, got.State, len(doc))
+		}
+	}
+}

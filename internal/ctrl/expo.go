@@ -52,26 +52,3 @@ func NewExpoMux(live *timeseries.Live) *http.ServeMux {
 	mux.HandleFunc("/timeline", TimelineHandler(live))
 	return mux
 }
-
-// SnapshotEvery is the serve paths' snapshot cadence in windows.
-// Scrapers poll /metrics at ~1 Hz while default-width windows close
-// every few hundred microseconds of wall-clock, so snapshotting the
-// whole registry on every window buys no freshness and costs ~2% of
-// the engine loop; every SnapshotEvery-th window keeps the live view
-// far fresher than any scrape interval.
-const SnapshotEvery = 16
-
-// ThrottleSnapshots returns a per-window hook that invokes publish on
-// the first window and every SnapshotEvery-th after it. Callers must
-// still publish a final snapshot when the run completes — the throttle
-// only covers the mid-run cadence. Single-goroutine, like the OnWindow
-// hook it is called from.
-func ThrottleSnapshots(publish func()) func() {
-	n := 0
-	return func() {
-		if n%SnapshotEvery == 0 {
-			publish()
-		}
-		n++
-	}
-}

@@ -46,7 +46,7 @@ var loadScale = lpm.Scale{Warmup: 12000, Window: 4000}
 // sharded: the Table I configuration sweep.
 func buildLoadDoc(t *testing.T) []byte {
 	t.Helper()
-	rep, err := lpm.BuildReport(lpm.ReportOptions{Scale: loadScale, Experiments: []string{"table1"}})
+	rep, err := lpm.BuildReportCtx(context.Background(), lpm.ReportOptions{Scale: loadScale, Experiments: []string{"table1"}})
 	if err != nil {
 		t.Fatalf("building report: %v", err)
 	}

@@ -234,12 +234,11 @@ func (g *Registry) startLocked(r *run) {
 	}()
 }
 
-// finish records a run's outcome and reschedules.
+// finish records a run's outcome, reschedules, and only then publishes
+// the end of the stream: a client that reads the run's status on the
+// heels of the SSE `done` event must find it terminal.
 func (g *Registry) finish(r *run, result json.RawMessage, err error, interrupted bool) {
-	r.live.Finish()
-	r.hub.Done()
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	r.finished = time.Now()
 	r.result = result
 	switch {
@@ -257,6 +256,9 @@ func (g *Registry) finish(r *run, result json.RawMessage, err error, interrupted
 	g.log().Info("ctrl: run finished",
 		"run", r.id, "tenant", r.spec.Tenant, "state", string(r.state), "error", r.errMsg)
 	g.scheduleLocked()
+	g.mu.Unlock()
+	r.live.Finish()
+	r.hub.Done()
 }
 
 // Cancel stops a run: pending runs resolve immediately, running runs

@@ -1,19 +1,15 @@
 package ctrl
 
-// SimRunner: the production Runner. One run is exactly lpmrun's
-// single-workload pipeline — default single-core chip, warm-up then
-// measured window, obs enabled, the windowed sampler publishing every
-// closed window — producing the same minimal lpm-report/v2 document
-// lpmrun -json emits.
+// SimRunner: the production Runner. One run is lpmrun's single-workload
+// pipeline — lpm.RunSingle on the default single-core chip, obs enabled,
+// the windowed sampler publishing every closed window — producing the
+// document lpmrun -json emits.
 
 import (
 	"context"
 	"encoding/json"
 
 	"lpm"
-	"lpm/internal/obs/timeseries"
-	"lpm/internal/sim/chip"
-	"lpm/internal/trace"
 )
 
 // SimRunner executes runs on the simulator.
@@ -21,76 +17,22 @@ type SimRunner struct{}
 
 // Run implements Runner.
 func (SimRunner) Run(ctx context.Context, spec RunSpec, pub *Publisher) (json.RawMessage, error) {
-	prof, err := trace.ProfileByName(spec.Workload)
-	if err != nil {
-		return nil, err
+	res, runErr := lpm.RunSingle(ctx, lpm.SingleRun{
+		Tool:         "lpmserve",
+		Workload:     spec.Workload,
+		Instructions: spec.Instructions,
+		Warmup:       spec.Warmup,
+		WarmupFast:   spec.WarmupFast,
+		Watchdog:     spec.Watchdog,
+		TSWindow:     spec.TSWindow,
+		Adaptive:     spec.Adaptive,
+		Live:         pub.live,
+		OnWindow:     pub.hub.Publish,
+	})
+	if res == nil {
+		return nil, runErr
 	}
-	cfg := chip.SingleCore(spec.Workload)
-	gen := trace.NewSynthetic(prof)
-	cpiExe := chip.MeasureCPIexe(cfg.Cores[0].CPU, gen, uint64(cfg.Cores[0].L1.HitLatency), spec.Instructions)
-
-	ch := chip.New(cfg)
-	ch.SetContext(ctx)
-	if spec.Watchdog > 0 {
-		ch.SetWatchdog(spec.Watchdog)
-	}
-	ch.EnableObs()
-	snap := ThrottleSnapshots(func() { pub.Snapshot(ch.ObsSnapshot()) })
-	tcfg := timeseries.Config{
-		Width:    spec.TSWindow,
-		Adaptive: spec.Adaptive,
-		CPIexe:   cpiExe,
-		OnWindow: func(w timeseries.Window) {
-			// Runs on the simulation goroutine; Publisher hands off to
-			// the synchronised Live/Hub pair. Snapshots are throttled —
-			// the final one after Run keeps the end state exact.
-			pub.Window(w)
-			snap()
-		},
-	}
-	s := ch.EnableTimeseries(tcfg)
-	pub.SetMeta(s.Width(), spec.Adaptive)
-
-	budget := (spec.Warmup + spec.Instructions) * 600
-	runTarget := spec.Warmup + spec.Instructions
-	if spec.WarmupFast {
-		ch.SetTier(chip.TierFunctional)
-		ch.RunFunctional(spec.Warmup)
-		ch.SetTier(chip.TierDetailed)
-		runTarget = spec.Instructions
-	} else {
-		ch.RunUntilRetired(spec.Warmup, budget)
-	}
-	ch.ResetCounters()
-	ch.Run(runTarget, budget)
-	runErr := ch.Err()
-	pub.Snapshot(ch.ObsSnapshot())
-
-	rep := &lpm.Report{
-		Schema: lpm.ReportSchema,
-		Tool:   "lpmserve",
-		Scale:  lpm.Scale{Warmup: spec.Warmup, Window: spec.Instructions},
-	}
-	er := lpm.ExperimentReport{Name: "run"}
-	if runErr != nil {
-		er.Table1 = []lpm.Table1JSON{{Name: spec.Workload, Err: runErr.Error()}}
-		rep.Partial = true
-		rep.Aborted = []string{"run"}
-	} else {
-		m := ch.Measure(0, cpiExe)
-		er.Table1 = []lpm.Table1JSON{{
-			Name:          spec.Workload,
-			LPMR:          [3]float64{m.LPMR1(), m.LPMR2(), m.LPMR3()},
-			IPC:           m.IPC,
-			CPIexe:        m.CPIexe,
-			Eta:           m.Eta(),
-			StallModel:    m.StallEq12(),
-			StallMeasured: m.MeasuredStall,
-			Layers:        m.Obs,
-		}}
-	}
-	rep.Experiments = append(rep.Experiments, er)
-	doc, err := json.MarshalIndent(rep, "", "  ")
+	doc, err := json.MarshalIndent(res.Report, "", "  ")
 	if err != nil {
 		return nil, err
 	}

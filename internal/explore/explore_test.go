@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"testing"
 
 	"lpm/internal/core"
@@ -159,7 +160,10 @@ func TestLPMAlgorithmExploresTinyFractionOfSpace(t *testing.T) {
 	tgt := NewHardwareTarget(DefaultSpace(), TableConfigs()["A"], trace.MustProfile("410.bwaves"))
 	tgt.Warmup = 100000
 	tgt.Instructions = 15000
-	res, final := tgt.RunAlgorithm(core.AlgorithmConfig{Grain: CoarseGrainCfg().Grain, MaxSteps: 24})
+	res, final, err := tgt.RunAlgorithmCtx(context.Background(), core.AlgorithmConfig{Grain: CoarseGrainCfg().Grain, MaxSteps: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tgt.Evaluations() == 0 {
 		t.Fatal("no evaluations")
 	}

@@ -7,7 +7,6 @@ package explore
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"lpm/internal/core"
@@ -48,11 +47,10 @@ func (s SimSpec) MemoKey() string {
 		s.Observe, s.Timeline, s.TimelineWindow, s.WarmupFast)
 }
 
-// RunSimSpec runs the cycle-level simulation the spec describes. It is
-// the pure function behind both the explore.sim memo and the fabric's
-// SimKind granule: it builds a fresh generator and chip per call and
-// touches no shared state, so concurrent calls are safe and results are
-// deterministic for a given spec.
+// RunSimSpec runs the cycle-level simulation the spec describes: it
+// builds a fresh generator and chip per call and touches no shared
+// state, so concurrent calls are safe and results are deterministic for
+// a given spec.
 func RunSimSpec(ctx context.Context, s SimSpec) (core.Measurement, error) {
 	budget := s.WatchdogCycles
 	if budget == 0 {
@@ -67,16 +65,8 @@ func RunSimSpec(ctx context.Context, s SimSpec) (core.Measurement, error) {
 	if s.Observe {
 		ch.EnableObs()
 	}
-	runTarget := s.Warmup + s.Instructions
-	if s.WarmupFast {
-		ch.SetTier(chip.TierFunctional)
-		ch.RunFunctional(s.Warmup)
-		ch.SetTier(chip.TierDetailed)
-		runTarget = s.Instructions // functionally-warmed cores retired nothing
-	} else {
-		ch.RunUntilRetired(s.Warmup, s.MaxCycles)
-	}
-	if err := ch.Err(); err != nil {
+	base, err := ch.WarmUp(s.Warmup, chip.WarmInstructions, s.WarmupFast, s.MaxCycles)
+	if err != nil {
 		return core.Measurement{}, fmt.Errorf("simulate %s: %w", s.Profile.Name, err)
 	}
 	ch.ResetCounters()
@@ -85,26 +75,17 @@ func RunSimSpec(ctx context.Context, s SimSpec) (core.Measurement, error) {
 		// the measured interval.
 		ch.EnableTimeseries(timeseries.Config{Width: s.TimelineWindow, CPIexe: cpiExe})
 	}
-	ch.Run(runTarget, s.MaxCycles)
+	ch.Run(base+s.Instructions, s.MaxCycles)
 	if err := ch.Err(); err != nil {
 		return core.Measurement{}, fmt.Errorf("simulate %s: %w", s.Profile.Name, err)
 	}
 	return ch.Measure(0, cpiExe), nil
 }
 
-// The granule executor: workers decode the spec and call the same pure
-// function the in-process path uses — there is exactly one simulation
-// code path whether a run is serial, parallel, or sharded.
-func init() {
-	fabric.RegisterKind(SimKind, func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
-		var s SimSpec
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return nil, fmt.Errorf("explore: decode %s spec: %w", SimKind, err)
-		}
-		m, err := RunSimSpec(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(m)
-	})
-}
+// simKind declares the design-point simulation once: the "explore.sim"
+// memo every HardwareTarget in the process shares (Table I, case study
+// I, the benchmarks and speculative frontier batches all draw from and
+// fill it), the lpmworker executor, and the dispatch between them —
+// there is exactly one simulation code path whether a run is serial,
+// parallel, or sharded.
+var simKind = fabric.NewKind(SimKind, RunSimSpec)

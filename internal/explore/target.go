@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"lpm/internal/core"
-	"lpm/internal/fabric"
 	"lpm/internal/faultinject"
 	"lpm/internal/parallel"
 	"lpm/internal/resilience"
@@ -34,14 +33,9 @@ type HardwareTarget struct {
 	// window, so caches reach steady state the way the paper's SimPoint
 	// samples do; 0 means 5 * Instructions.
 	Warmup uint64
-	// WarmupFast, when set, runs the warm-up in the chip's functional
-	// tier: the same Warmup instructions per core warm the cache
-	// hierarchy, directory and DRAM rows at per-instruction cost, then
-	// the measured window runs detailed. The measured numbers are not
-	// bit-identical to a detailed warm-up (the warm microstate differs),
-	// so the flag joins the memo key; the LPMR ordering the exploration
-	// consumes is preserved. Use it for frontier pruning and large
-	// sweeps where warm-up dominates wall-clock.
+	// WarmupFast runs the warm-up in the functional tier (see
+	// chip.WarmUp); the LPMR ordering the exploration consumes is
+	// preserved. It joins the memo key.
 	WarmupFast bool
 	// MaxCycles bounds each evaluation; 0 means (Warmup+Instructions)*400.
 	MaxCycles uint64
@@ -148,13 +142,6 @@ func (t *HardwareTarget) budgets() (instr, warm, maxCy uint64) {
 	return instr, warm, maxCy
 }
 
-// simMemo shares design-point simulation results across every
-// HardwareTarget in the process: Table1, CaseStudyI, the benchmarks, and
-// speculative frontier batches all draw from (and fill) the same pool.
-// The name makes it persist through ExportMemos — the checkpoint layer's
-// durable cache.
-var simMemo = parallel.NewNamedMemo[core.Measurement]("explore.sim")
-
 // DefaultWatchdogCycles is the evaluation watchdog's no-progress budget
 // when the target does not set one. Healthy simulations retire something
 // every few hundred cycles (a DRAM round trip); a million dead cycles is
@@ -171,14 +158,11 @@ func (t *HardwareTarget) ctx() context.Context {
 }
 
 // simulate runs the cycle-level simulation of point p under the target's
-// workload and budgets, memoised on the full input fingerprint. The
-// body is RunSimSpec — a pure function of the spec — either in-process
-// or, when a sweep fabric is active, dispatched to a worker; both paths
-// fill the same memo entry, so checkpoints and resumes are oblivious to
-// where a result was computed. A cancelled or livelocked run surfaces
-// as a resilience.Abort panic, since the core.Target interface has no
-// error channel; cancellations are not memoised, livelocks
-// (deterministic) are.
+// workload and budgets through simKind (memoised on the full input
+// fingerprint, sharded when a fabric is active). A cancelled or
+// livelocked run surfaces as a resilience.Abort panic, since the
+// core.Target interface has no error channel; cancellations are not
+// memoised, livelocks (deterministic) are.
 func (t *HardwareTarget) simulate(p Point) core.Measurement {
 	instr, warm, maxCy := t.budgets()
 	spec := SimSpec{
@@ -193,14 +177,7 @@ func (t *HardwareTarget) simulate(p Point) core.Measurement {
 		WarmupFast:     t.WarmupFast,
 		WatchdogCycles: t.WatchdogCycles,
 	}
-	key := spec.MemoKey()
-	m, err := simMemo.DoCtx(t.ctx(), key, func(ctx context.Context) (core.Measurement, error) {
-		var m core.Measurement
-		if sharded, err := fabric.Compute(ctx, SimKind, key, spec, &m); sharded {
-			return m, err
-		}
-		return RunSimSpec(ctx, spec)
-	})
+	m, err := simKind.Do(t.ctx(), spec)
 	if err != nil {
 		panic(resilience.Abort{Err: err})
 	}
@@ -341,18 +318,12 @@ func (t *HardwareTarget) ReduceOverprovision() bool {
 	return false
 }
 
-// RunAlgorithm drives the LPM algorithm over the target and returns its
-// result together with the final point.
-func (t *HardwareTarget) RunAlgorithm(cfg core.AlgorithmConfig) (core.Result, Point) {
-	res := core.Run(t, cfg)
-	return res, t.Current()
-}
-
-// RunAlgorithmCtx is RunAlgorithm under a cancellation context: it
-// recovers the resilience.Abort panics the evaluation path uses to
-// escape the error-less Target interface and returns them as ordinary
-// errors (errors.As reaches a *resilience.LivelockError through the
-// chain). Non-Abort panics — genuine bugs — keep propagating.
+// RunAlgorithmCtx drives the LPM algorithm over the target under a
+// cancellation context and returns its result together with the final
+// point. It recovers the resilience.Abort panics the evaluation path
+// uses to escape the error-less Target interface and returns them as
+// ordinary errors (errors.As reaches a *resilience.LivelockError through
+// the chain). Non-Abort panics — genuine bugs — keep propagating.
 func (t *HardwareTarget) RunAlgorithmCtx(ctx context.Context, cfg core.AlgorithmConfig) (res core.Result, p Point, err error) {
 	t.Ctx = ctx
 	defer func() {

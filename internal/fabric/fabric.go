@@ -35,6 +35,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"lpm/internal/parallel"
 )
 
 // Executor runs one granule kind: it receives the JSON spec and returns
@@ -43,10 +45,10 @@ import (
 // re-issue semantics both depend on it.
 type Executor func(ctx context.Context, spec json.RawMessage) (json.RawMessage, error)
 
-var kindRegistry struct {
+var kindRegistry = struct {
 	mu    sync.Mutex
 	kinds map[string]Executor
-}
+}{kinds: make(map[string]Executor)}
 
 // RegisterKind installs the executor for a granule kind. Packages that
 // own a memoised simulation register their kind at init time, so any
@@ -59,9 +61,6 @@ func RegisterKind(kind string, fn Executor) {
 	}
 	kindRegistry.mu.Lock()
 	defer kindRegistry.mu.Unlock()
-	if kindRegistry.kinds == nil {
-		kindRegistry.kinds = make(map[string]Executor)
-	}
 	if _, dup := kindRegistry.kinds[kind]; dup {
 		panic(fmt.Sprintf("fabric: kind %q registered twice", kind))
 	}
@@ -111,33 +110,60 @@ func Activate(c *Coordinator) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// Enabled reports whether a coordinator is active: the memoised
-// simulation paths use it to decide between local execution and a
-// fabric dispatch.
-func Enabled() bool { return active.Load() != nil }
+// Spec is a granule's portable input: every input of the simulation in
+// exported JSON-safe fields. MemoKey is its identity in the in-process
+// memo, the checkpoint files and the coordinator's result cache alike.
+type Spec interface{ MemoKey() string }
 
-// Compute dispatches one granule through the active coordinator:
-// spec is marshalled, submitted under (kind, key), and the result
-// unmarshalled into out. The bool reports whether a coordinator was
-// active at all — false means the caller must compute locally.
-// key is the granule's cache identity (the caller's memo key), so the
-// coordinator-side result cache and the driver-side memos agree on
-// what "the same simulation" means.
-func Compute(ctx context.Context, kind, key string, spec, out any) (bool, error) {
-	c := active.Load()
-	if c == nil {
-		return false, nil
-	}
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		return true, fmt.Errorf("fabric: marshal %s spec: %w", kind, err)
-	}
-	val, err := c.Submit(ctx, kind, key, raw)
-	if err != nil {
-		return true, err
-	}
-	if err := json.Unmarshal(val, out); err != nil {
-		return true, fmt.Errorf("fabric: unmarshal %s result: %w", kind, err)
-	}
-	return true, nil
+// Kind is one memoised, shardable simulation kind, declared once by
+// NewKind: the named memo, the worker-side executor and the driver-side
+// dispatch between them.
+type Kind[S Spec, R any] struct {
+	name string
+	run  func(context.Context, S) (R, error)
+	memo *parallel.Memo[R]
+}
+
+// NewKind registers run — a pure function of its spec — as granule kind
+// name's executor. The memo carries the same name, so checkpoints
+// persist it.
+func NewKind[S Spec, R any](name string, run func(context.Context, S) (R, error)) *Kind[S, R] {
+	RegisterKind(name, func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
+		var s S
+		if err := json.Unmarshal(raw, &s); err != nil {
+			return nil, fmt.Errorf("fabric: decode %s spec: %w", name, err)
+		}
+		r, err := run(ctx, s)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(r)
+	})
+	return &Kind[S, R]{name: name, run: run, memo: parallel.NewNamedMemo[R](name)}
+}
+
+// Do returns the memoised result for spec. A miss runs in-process or,
+// when a coordinator is active, as a granule submitted under the memo
+// key; both fill the same memo entry, so checkpoints and resumes are
+// oblivious to where a result was computed.
+func (k *Kind[S, R]) Do(ctx context.Context, spec S) (R, error) {
+	key := spec.MemoKey()
+	return k.memo.DoCtx(ctx, key, func(ctx context.Context) (out R, err error) {
+		c := active.Load()
+		if c == nil {
+			return k.run(ctx, spec)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			return out, fmt.Errorf("fabric: marshal %s spec: %w", k.name, err)
+		}
+		val, err := c.Submit(ctx, k.name, key, raw)
+		if err != nil {
+			return out, err
+		}
+		if err := json.Unmarshal(val, &out); err != nil {
+			return out, fmt.Errorf("fabric: unmarshal %s result: %w", k.name, err)
+		}
+		return out, nil
+	})
 }

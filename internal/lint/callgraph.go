@@ -70,7 +70,7 @@ func (n *FuncNode) Syntax() ast.Node {
 func (n *FuncNode) Pos() token.Pos { return n.Syntax().Pos() }
 
 // Name renders the function for call-chain messages: "(*Cache).Tick",
-// "sched.warmChip", or "func literal at file:line" for literals.
+// "sched.runWindow", or "func literal at file:line" for literals.
 func (n *FuncNode) Name() string {
 	if n.Obj == nil {
 		p := n.Pkg.Fset.Position(n.Lit.Pos())

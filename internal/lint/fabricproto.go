@@ -4,10 +4,11 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // analyzerFabricProto enforces the sharded-fabric purity contract: a
-// granule handler registered with fabric.RegisterKind must be a pure
+// granule handler (fabric.RegisterKind, fabric.NewKind) must be a pure
 // function of its (kind, key, spec) inputs. The coordinator memoises
 // and re-dispatches granules by content key — a handler that reads
 // captured mutable state, package-level mutable variables, the wall
@@ -19,9 +20,8 @@ import (
 //
 //   - mutable free variables captured by a handler literal;
 //   - reads of package-level mutable reference state (maps, slices,
-//     pointers, channels) outside internal/fabric and internal/parallel
-//     — the registry and memo machinery those packages own are the
-//     sanctioned exceptions;
+//     pointers, channels) outside internal/fabric and internal/parallel,
+//     whose registry and memo machinery are the sanctioned exceptions;
 //   - wall-clock/randomness reads and os/net I/O anywhere in the
 //     handler's reach.
 var analyzerFabricProto = &Analyzer{
@@ -78,36 +78,41 @@ type registeredHandler struct {
 	node *FuncNode
 }
 
-// registeredHandlers finds every fabric.RegisterKind call site in the
-// module and resolves its handler argument to a graph node: a function
-// literal, a named function, or a method value.
+// registeredHandlers finds every fabric.RegisterKind and fabric.NewKind
+// call in the module, package-level initialisers included (both take the
+// kind, then the function), and resolves the function argument to a
+// graph node: a literal, a named function, or a method value. The
+// fabric package is skipped: NewKind's run is checked at its call site.
 func registeredHandlers(p *ModulePass) []registeredHandler {
 	var out []registeredHandler
-	for _, n := range p.Graph.Nodes() {
-		info := n.Pkg.Info
-		inspectSameFunc(n.Body(), func(nd ast.Node) bool {
-			call, ok := nd.(*ast.CallExpr)
-			if !ok {
+	for _, pkg := range p.Mod.Packages {
+		if isFabricPkg(pkg.Types) {
+			continue
+		}
+		info := pkg.Info
+		for _, file := range pkg.Syntax {
+			ast.Inspect(file, func(nd ast.Node) bool {
+				call, ok := nd.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeFunc(info, call)
+				if fn == nil || !isFabricPkg(fn.Pkg()) || len(call.Args) < 2 ||
+					(fn.Name() != "RegisterKind" && fn.Name() != "NewKind") {
+					return true
+				}
+				kind := "?"
+				if tv, ok := info.Types[call.Args[0]]; ok && tv.Value != nil {
+					kind = constStringValue(tv)
+				}
+				if hn := handlerNode(p.Graph, info, call.Args[1]); hn != nil {
+					out = append(out, registeredHandler{kind: kind, node: hn})
+				} else {
+					p.Reportf(call.Args[1].Pos(), "fabric.RegisterKind handler for kind %q is not statically resolvable (stored function value) — register a literal or named function so purity can be checked", kind)
+				}
 				return true
-			}
-			fn := calleeFunc(info, call)
-			if fn == nil || fn.Name() != "RegisterKind" || !isFabricPkg(fn.Pkg()) {
-				return true
-			}
-			if len(call.Args) < 2 {
-				return true
-			}
-			kind := "?"
-			if tv, ok := info.Types[call.Args[0]]; ok && tv.Value != nil {
-				kind = constStringValue(tv)
-			}
-			if hn := handlerNode(p.Graph, info, call.Args[1]); hn != nil {
-				out = append(out, registeredHandler{kind: kind, node: hn})
-			} else {
-				p.Reportf(call.Args[1].Pos(), "fabric.RegisterKind handler for kind %q is not statically resolvable (stored function value) — register a literal or named function so purity can be checked", kind)
-			}
-			return true
-		})
+			})
+		}
 	}
 	return out
 }
@@ -117,12 +122,7 @@ func isFabricPkg(pkg *types.Package) bool {
 	if pkg == nil {
 		return false
 	}
-	path := pkg.Path()
-	return path == "internal/fabric" || hasSuffixPath(path, "/internal/fabric")
-}
-
-func hasSuffixPath(path, suffix string) bool {
-	return len(path) > len(suffix) && path[len(path)-len(suffix):] == suffix
+	return pkg.Path() == "internal/fabric" || strings.HasSuffix(pkg.Path(), "/internal/fabric")
 }
 
 // constStringValue renders a constant string type-and-value for

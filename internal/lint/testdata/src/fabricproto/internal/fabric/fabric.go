@@ -22,3 +22,15 @@ func CacheGet(key string) ([]byte, bool) {
 	v, ok := memo[key]
 	return v, ok
 }
+
+// NewKind is the typed declaration helper: it wraps run in an executor
+// and registers it. The wrapping literal captures run by design — the
+// analyzer checks run at the NewKind call site instead.
+func NewKind[S, R any](kind string, run func(context.Context, S) (R, error)) string {
+	RegisterKind(kind, func(ctx context.Context, spec []byte) ([]byte, error) {
+		var s S
+		_, err := run(ctx, s)
+		return spec, err
+	})
+	return kind
+}

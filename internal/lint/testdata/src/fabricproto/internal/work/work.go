@@ -74,3 +74,12 @@ func sub(spec []byte) ([]byte, error) {
 	_ = f.Close() // want "calls os.Close in fabric handler for kind \"deep\""
 	return spec, nil
 }
+
+// typedKind is declared through the generic helper in a package-level
+// initialiser, the way the real kinds are: the run function is the
+// handler, checked like a RegisterKind argument.
+var typedKind = fabric.NewKind("typed", typedClocky)
+
+func typedClocky(ctx context.Context, n int) (int, error) {
+	return n + time.Now().Nanosecond(), nil // want "time.Now reads the wall clock in fabric handler for kind \"typed\""
+}

@@ -32,11 +32,11 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapEmptyAndSingle(t *testing.T) {
-	out, err := Map(nil, func(int) (int, error) { return 0, nil })
+	out, err := MapPool(nil, nil, func(int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty Map = (%v, %v)", out, err)
 	}
-	out, err = Map([]int{41}, func(i int) (int, error) { return i + 1, nil })
+	out, err = MapPool(nil, []int{41}, func(i int) (int, error) { return i + 1, nil })
 	if err != nil || len(out) != 1 || out[0] != 42 {
 		t.Fatalf("single Map = (%v, %v)", out, err)
 	}

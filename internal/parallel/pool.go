@@ -1,7 +1,7 @@
 // Package parallel is the batch simulation runner shared by every
-// experiment driver: a bounded worker pool whose Map fans independent
-// jobs out over goroutines while preserving input order, plus a
-// content-keyed, single-flight result memo (memo.go) so repeated
+// experiment driver: a bounded worker pool whose Map* functions fan
+// independent jobs out over goroutines while preserving input order,
+// plus a content-keyed, single-flight result memo (memo.go) so repeated
 // evaluations of the same simulation are free across drivers.
 //
 // Every simulation in this repository is self-contained — each job
@@ -20,7 +20,7 @@ import (
 	"sync/atomic"
 )
 
-// Pool bounds the number of goroutines a Map call may use.
+// Pool bounds the number of goroutines a Map* call may use.
 type Pool struct {
 	workers int
 }
@@ -51,14 +51,10 @@ func SetWorkers(n int) { defaultPool.Store(NewPool(n)) }
 // Workers returns the default pool's concurrency bound.
 func Workers() int { return defaultPool.Load().Workers() }
 
-// Map runs fn over jobs on the default pool. See MapPool.
-func Map[I, O any](jobs []I, fn func(I) (O, error)) ([]O, error) {
-	return MapPool(defaultPool.Load(), jobs, fn)
-}
-
-// MapCtx is Map with cooperative cancellation: jobs already running
-// when ctx is cancelled finish (the drain), jobs not yet started are
-// skipped and report ctx's error.
+// MapCtx runs fn over jobs on the default pool (see MapPool) with
+// cooperative cancellation: jobs already running when ctx is cancelled
+// finish (the drain), jobs not yet started are skipped and report ctx's
+// error.
 func MapCtx[I, O any](ctx context.Context, jobs []I, fn func(context.Context, I) (O, error)) ([]O, error) {
 	return firstError(MapPoolResults(ctx, defaultPool.Load(), jobs, fn))
 }
@@ -92,7 +88,7 @@ func MapResults[I, O any](ctx context.Context, jobs []I, fn func(context.Context
 	return MapPoolResults(ctx, defaultPool.Load(), jobs, fn)
 }
 
-// MapPoolResults is the core runner behind Map, MapCtx and MapResults:
+// MapPoolResults is the core runner behind MapCtx, MapPool and MapResults:
 // input-ordered per-job results, recovered panics, cooperative
 // cancellation with drain semantics. A panic whose value is an error is
 // wrapped with %w so errors.As reaches structured errors (a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"lpm/internal/fabric"
 	"lpm/internal/parallel"
 	"lpm/internal/sim/chip"
 	"lpm/internal/stats"
@@ -21,10 +20,8 @@ type EvalOptions struct {
 	// WarmupCycles are discarded before the window; 0 means
 	// WindowCycles/2.
 	WarmupCycles uint64
-	// WarmupFast replaces the cycle-driven warm-up with the same number
-	// of functional-tier rounds (one instruction per core per round) —
-	// cheap hierarchy warming for policy sweeps. Joins the standalone-IPC
-	// memo key.
+	// WarmupFast runs the warm-up as functional-tier rounds (see
+	// chip.WarmUp). Joins the standalone-IPC memo key.
 	WarmupFast bool
 	// AloneIPC, when non-nil, supplies precomputed standalone IPCs
 	// (indexed like workloads); otherwise they are measured on a
@@ -58,11 +55,6 @@ type Evaluation struct {
 	Cycles uint64
 }
 
-// aloneMemo shares standalone-IPC runs across drivers: Fig. 8, lpmsched,
-// and the scheduler benchmarks all measure the same reference runs. The
-// name makes it persist through ExportMemos for checkpoint/resume.
-var aloneMemo = parallel.NewNamedMemo[float64]("sched.alone")
-
 // AloneIPCs measures each workload's standalone IPC on a reference core
 // whose L1 is the largest NUCA size, using exactly the same fixed-cycle
 // warmup/window protocol as the shared runs so the weighted speedups
@@ -78,35 +70,14 @@ func AloneIPCs(ctx context.Context, workloads []string, groupSizes []uint64, opt
 		if err != nil {
 			return 0, err
 		}
-		spec := AloneSpec{
+		return aloneKind.Do(ctx, AloneSpec{
 			Profile:      prof,
 			RefL1:        ref,
 			WindowCycles: opt.WindowCycles,
 			WarmupCycles: opt.WarmupCycles,
 			WarmupFast:   opt.WarmupFast,
-		}
-		key := spec.MemoKey()
-		return aloneMemo.DoCtx(ctx, key, func(ctx context.Context) (float64, error) {
-			var out float64
-			if sharded, err := fabric.Compute(ctx, AloneKind, key, spec, &out); sharded {
-				return out, err
-			}
-			return RunAloneSpec(ctx, spec)
 		})
 	})
-}
-
-// warmChip discards the warm-up period: cycle-accurately by default, or
-// as functional-tier rounds under WarmupFast (same count, one
-// instruction per core per round).
-func warmChip(ch *chip.Chip, opt EvalOptions) {
-	if opt.WarmupFast {
-		ch.SetTier(chip.TierFunctional)
-		ch.RunFunctional(opt.WarmupCycles)
-		ch.SetTier(chip.TierDetailed)
-		return
-	}
-	ch.RunCycles(opt.WarmupCycles)
 }
 
 // Evaluate runs the workloads under the given assignment on the Fig. 5
@@ -135,11 +106,7 @@ func Evaluate(ctx context.Context, s Scheduler, workloads []string, groupSizes [
 	cfg := nucaConfig(gens, groupSizes)
 	ch := chip.New(cfg)
 	ch.SetContext(ctx)
-	warmChip(ch, opt)
-	ch.ResetCounters()
-	start := ch.Now()
-	ch.RunCycles(opt.WindowCycles)
-	if err := ch.Err(); err != nil {
+	if err := runWindow(ch, opt.WarmupCycles, opt.WindowCycles, opt.WarmupFast); err != nil {
 		return nil, fmt.Errorf("evaluate %s: %w", s.Name(), err)
 	}
 	r := ch.Snapshot()
@@ -166,7 +133,7 @@ func Evaluate(ctx context.Context, s Scheduler, workloads []string, groupSizes [
 		IPCShared:  ipcShared,
 		IPCAlone:   alone,
 		Hsp:        stats.Hsp(ipcShared, alone),
-		Cycles:     ch.Now() - start,
+		Cycles:     opt.WindowCycles,
 	}, nil
 }
 

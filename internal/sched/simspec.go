@@ -8,7 +8,6 @@ package sched
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"lpm/internal/fabric"
@@ -46,18 +45,13 @@ func RunProfileSpec(ctx context.Context, s ProfileSpec) ([3]float64, error) {
 	cfg := chip.NUCASingle(trace.NewSynthetic(s.Profile), s.L1Size)
 	ch := chip.New(cfg)
 	ch.SetContext(ctx)
-	runTarget := opt.Warmup + opt.Instructions
-	if opt.WarmupFast {
-		ch.SetTier(chip.TierFunctional)
-		ch.RunFunctional(opt.Warmup)
-		ch.SetTier(chip.TierDetailed)
-		runTarget = opt.Instructions
-	} else {
-		ch.RunUntilRetired(opt.Warmup, opt.MaxCycles)
+	base, err := ch.WarmUp(opt.Warmup, chip.WarmInstructions, opt.WarmupFast, opt.MaxCycles)
+	if err == nil {
+		ch.ResetCounters()
+		ch.Run(base+opt.Instructions, opt.MaxCycles)
+		err = ch.Err()
 	}
-	ch.ResetCounters()
-	ch.Run(runTarget, opt.MaxCycles)
-	if err := ch.Err(); err != nil {
+	if err != nil {
 		return [3]float64{}, fmt.Errorf("profile %s @%d: %w", s.Profile.Name, s.L1Size, err)
 	}
 	r := ch.Snapshot()
@@ -85,40 +79,29 @@ func (s AloneSpec) MemoKey() string {
 func RunAloneSpec(ctx context.Context, s AloneSpec) (float64, error) {
 	ch := chip.New(chip.NUCASingle(trace.NewSynthetic(s.Profile), s.RefL1))
 	ch.SetContext(ctx)
-	warmChip(ch, EvalOptions{
-		WindowCycles: s.WindowCycles,
-		WarmupCycles: s.WarmupCycles,
-		WarmupFast:   s.WarmupFast,
-	})
-	ch.ResetCounters()
-	ch.RunCycles(s.WindowCycles)
-	if err := ch.Err(); err != nil {
+	if err := runWindow(ch, s.WarmupCycles, s.WindowCycles, s.WarmupFast); err != nil {
 		return 0, fmt.Errorf("alone-IPC %s: %w", s.Profile.Name, err)
 	}
 	return ch.Snapshot().Cores[0].CPU.IPC(), nil
 }
 
-func init() {
-	fabric.RegisterKind(ProfileKind, func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
-		var s ProfileSpec
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return nil, fmt.Errorf("sched: decode %s spec: %w", ProfileKind, err)
-		}
-		r, err := RunProfileSpec(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(r)
-	})
-	fabric.RegisterKind(AloneKind, func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
-		var s AloneSpec
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return nil, fmt.Errorf("sched: decode %s spec: %w", AloneKind, err)
-		}
-		r, err := RunAloneSpec(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(r)
-	})
+// runWindow is the shared runs' fixed-cycle protocol, used identically
+// by the 16-core evaluation and the standalone-IPC reference so the
+// weighted speedups compare like with like: warm up, zero the counters,
+// run exactly window cycles.
+func runWindow(ch *chip.Chip, warmup, window uint64, fast bool) error {
+	if _, err := ch.WarmUp(warmup, chip.WarmCycles, fast, 0); err != nil {
+		return err
+	}
+	ch.ResetCounters()
+	ch.RunCycles(window)
+	return ch.Err()
 }
+
+// The two kinds, declared once each: named memo (shared across Fig. 6,
+// Fig. 7, Fig. 8, lpmsched and the benchmarks, persisted through
+// ExportMemos), lpmworker executor, and the dispatch between them.
+var (
+	profileKind = fabric.NewKind(ProfileKind, RunProfileSpec)
+	aloneKind   = fabric.NewKind(AloneKind, RunAloneSpec)
+)

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 
-	"lpm/internal/fabric"
 	"lpm/internal/parallel"
 	"lpm/internal/trace"
 )
@@ -43,8 +42,8 @@ type ProfileOptions struct {
 	// MaxCycles bounds each run; 0 means (Warmup+Instructions)*600.
 	MaxCycles uint64
 	// WarmupFast runs the warm-up in the functional tier (see
-	// explore.HardwareTarget.WarmupFast); it is part of the memo key via
-	// the options fingerprint.
+	// chip.WarmUp); it is part of the memo key via the options
+	// fingerprint.
 	WarmupFast bool
 }
 
@@ -91,8 +90,7 @@ func BuildProfileTable(ctx context.Context, names []string, sizes []uint64, opt 
 		}
 	}
 	results, err := parallel.MapCtx(ctx, jobs, func(ctx context.Context, j job) ([3]float64, error) {
-		apc1, apc2, ipc, err := profileOne(ctx, j.prof, j.size, opt)
-		return [3]float64{apc1, apc2, ipc}, err
+		return profileKind.Do(ctx, ProfileSpec{Profile: j.prof, L1Size: j.size, Opt: opt})
 	})
 	if err != nil {
 		return nil, err
@@ -110,29 +108,6 @@ func BuildProfileTable(ctx context.Context, names []string, sizes []uint64, opt 
 		t.IPC[name] = ipc
 	}
 	return t, nil
-}
-
-// profileMemo shares profiling runs across drivers and benchmark
-// iterations: Fig. 6, Fig. 7, and the scheduler evaluations all profile
-// the same (workload, L1 size, options) tuples. The name makes it
-// persist through ExportMemos for checkpoint/resume.
-var profileMemo = parallel.NewNamedMemo[[3]float64]("sched.profile")
-
-// profileOne runs one workload alone at one L1 size on the NUCA reference
-// platform and returns (APC1, APC2, IPC) of the measured window. The body
-// is RunProfileSpec, in-process or dispatched over the sweep fabric;
-// either way the result fills the same memo entry.
-func profileOne(ctx context.Context, prof trace.Profile, l1Size uint64, opt ProfileOptions) (apc1, apc2, ipc float64, err error) {
-	spec := ProfileSpec{Profile: prof, L1Size: l1Size, Opt: opt.normalise()}
-	key := spec.MemoKey()
-	r, err := profileMemo.DoCtx(ctx, key, func(ctx context.Context) ([3]float64, error) {
-		var out [3]float64
-		if sharded, err := fabric.Compute(ctx, ProfileKind, key, spec, &out); sharded {
-			return out, err
-		}
-		return RunProfileSpec(ctx, spec)
-	})
-	return r[0], r[1], r[2], err
 }
 
 // sizeIndex locates size in t.Sizes.

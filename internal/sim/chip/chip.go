@@ -326,11 +326,9 @@ func (c *Chip) RunCycles(n uint64) {
 
 // RunUntilRetired advances until every active core has retired at least
 // minInstr instructions or maxCycles elapse, without halting fetch or
-// draining — the warm-up phase of an interval measurement. It returns the
-// cycles consumed.
-func (c *Chip) RunUntilRetired(minInstr uint64, maxCycles uint64) uint64 {
-	start := c.now
-	limit := start + maxCycles
+// draining — a detailed instruction-unit warm-up (see WarmUp).
+func (c *Chip) RunUntilRetired(minInstr uint64, maxCycles uint64) {
+	limit := c.now + maxCycles
 	for c.now < limit && c.runErr == nil {
 		done := true
 		for _, core := range c.cores {
@@ -345,7 +343,6 @@ func (c *Chip) RunUntilRetired(minInstr uint64, maxCycles uint64) uint64 {
 		c.tryFastForward(limit - 1)
 		c.Tick()
 	}
-	return c.now - start
 }
 
 // Run executes until every active core has retired at least minInstr

@@ -7,6 +7,45 @@ import (
 	"lpm/internal/sim/cpu"
 )
 
+// WarmUnit says what a warm-up length counts: retired instructions per
+// active core (the single-program experiments) or chip cycles (the
+// multiprogram shared runs).
+type WarmUnit uint8
+
+const (
+	WarmInstructions WarmUnit = iota
+	WarmCycles
+)
+
+// WarmUp is the first step of the measured-window protocol (DESIGN.md
+// §5): WarmUp, ResetCounters, Run(base+instr) or RunCycles(window),
+// Measure. A detailed warm-up runs the cycle-accurate engine until every
+// active core has retired n instructions (bounded by maxCycles), or for
+// exactly n cycles. A fast warm-up instead runs n functional-tier rounds
+// — one instruction per active core per round, in either unit — warming
+// caches, directory and DRAM rows at per-instruction cost; its warm
+// microstate differs, so results are deterministic but not bit-identical
+// to a detailed warm-up's, and the fast flag joins every caller's memo
+// key. base is the per-core retirement count left behind: n after a
+// detailed instruction warm-up, else 0 (functional execution retires
+// nothing; cycle-unit callers measure with RunCycles). err is the latched
+// run error — cancellation or a watchdog trip — after which there is no
+// window to measure.
+func (c *Chip) WarmUp(n uint64, unit WarmUnit, fast bool, maxCycles uint64) (base uint64, err error) {
+	switch {
+	case fast:
+		c.SetTier(TierFunctional)
+		_ = c.RunFunctional(n) // its error is the latched runErr returned below
+		c.SetTier(TierDetailed)
+	case unit == WarmCycles:
+		c.RunCycles(n)
+	default:
+		c.RunUntilRetired(n, maxCycles)
+		base = n
+	}
+	return base, c.runErr
+}
+
 // requestRate converts primary-miss counts into the LPM model's MR terms:
 // the fraction of a layer's accesses that become requests on the next
 // layer. Coalesced (secondary) misses never reach the next layer, so the

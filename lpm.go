@@ -165,18 +165,12 @@ type (
 	DRAMConfig = dram.Config
 	// ChipReport is a full-chip measurement snapshot.
 	ChipReport = chip.Report
-	// SimTier selects the chip's execution fidelity (detailed or
-	// functional); see Chip.SetTier and Chip.RunFunctional.
-	SimTier = chip.Tier
 )
 
-// The execution tiers.
+// The Chip.WarmUp units.
 const (
-	// DetailedTier is the cycle-accurate engine; the default.
-	DetailedTier = chip.TierDetailed
-	// FunctionalTier executes instruction streams for architectural
-	// warmth only (no timing, no counters, no observation).
-	FunctionalTier = chip.TierFunctional
+	WarmInstructions = chip.WarmInstructions
+	WarmCycles       = chip.WarmCycles
 )
 
 // NewChip builds a chip from cfg; it panics on invalid configuration.

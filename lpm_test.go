@@ -53,9 +53,8 @@ func TestWorkloadsEnumeration(t *testing.T) {
 	if _, err := NewWorkload("does-not-exist"); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	sorted := SortedWorkloads()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] > sorted[i] {
+	for i := 1; i < len(ws); i++ {
+		if ws[i-1] > ws[i] {
 			t.Fatal("not sorted")
 		}
 	}
@@ -68,7 +67,7 @@ func TestAMATHelper(t *testing.T) {
 }
 
 func TestTable1QuickShape(t *testing.T) {
-	rows := Table1(QuickScale())
+	rows := mustTable1(t, QuickScale(), false)
 	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -95,7 +94,7 @@ func TestTable1QuickShape(t *testing.T) {
 }
 
 func TestCaseStudyIQuick(t *testing.T) {
-	res := CaseStudyI(CoarseGrain, QuickScale())
+	res := mustCaseStudyI(t, CoarseGrain, QuickScale())
 	if res.Evaluations == 0 {
 		t.Fatal("no evaluations")
 	}
@@ -112,7 +111,7 @@ func TestCaseStudyIQuick(t *testing.T) {
 }
 
 func TestIntervalStudyMatchesPaper(t *testing.T) {
-	rows := IntervalStudy(100000)
+	rows := mustIntervalStudy(t, 100000)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -130,11 +129,10 @@ func TestIdentitiesOnLiveRuns(t *testing.T) {
 	// gcc and mcf are low-coalescing workloads, where Eq. (4)'s serving
 	// assumption (misses served at C-AMAT2 each) holds; streaming
 	// workloads coalesce heavily and violate it (see EXPERIMENTS.md).
-	reps, err := Identities(QuickScale(), "403.gcc", "429.mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reps {
+	for _, r := range IdentitiesCtx(bg, QuickScale(), "403.gcc", "429.mcf") {
+		if r.Err != "" {
+			t.Fatalf("identities %s: %s", r.Workload, r.Err)
+		}
 		// Eq. (3) is exact up to interval-boundary residue (accesses
 		// straddling the warm-up counter reset).
 		if r.CAMATvsInvAPC > 5e-3 {

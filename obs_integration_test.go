@@ -18,7 +18,7 @@ func TestResetSimCachesForcesResimulation(t *testing.T) {
 		t.Fatalf("reset left memo counters at hits=%d misses=%d", h, m)
 	}
 
-	first := Table1(s)
+	first := mustTable1(t, s, false)
 	_, misses1 := SimCacheStats()
 	if misses1 == 0 {
 		t.Fatal("first run after reset reported no memo misses")
@@ -26,7 +26,7 @@ func TestResetSimCachesForcesResimulation(t *testing.T) {
 
 	// A repeat run is served entirely from the memo: hits grow, misses
 	// do not.
-	second := Table1(s)
+	second := mustTable1(t, s, false)
 	hits2, misses2 := SimCacheStats()
 	if hits2 == 0 {
 		t.Fatal("repeat run reported no memo hits")
@@ -41,7 +41,7 @@ func TestResetSimCachesForcesResimulation(t *testing.T) {
 	// After a reset the same inputs miss again — re-simulation happened —
 	// and determinism means the results still match bit for bit.
 	ResetSimCaches()
-	third := Table1(s)
+	third := mustTable1(t, s, false)
 	hits3, misses3 := SimCacheStats()
 	if hits3 != 0 || misses3 == 0 {
 		t.Fatalf("post-reset run hits=%d misses=%d, want 0 hits and fresh misses", hits3, misses3)

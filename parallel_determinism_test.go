@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"lpm/internal/explore"
 	"lpm/internal/sched"
 	"lpm/internal/sim/chip"
 )
@@ -19,11 +20,11 @@ func TestParallelTable1MatchesSerialExactly(t *testing.T) {
 
 	ResetSimCaches()
 	SetWorkers(1)
-	serial := Table1(QuickScale())
+	serial := mustTable1(t, QuickScale(), false)
 
 	ResetSimCaches() // force real re-simulation, not memo hits
 	SetWorkers(4)
-	parallel := Table1(QuickScale())
+	parallel := mustTable1(t, QuickScale(), false)
 
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel Table1 diverged from serial baseline:\nserial:   %+v\nparallel: %+v",
@@ -32,7 +33,7 @@ func TestParallelTable1MatchesSerialExactly(t *testing.T) {
 
 	// A repeat run without resetting must serve from the memo and still
 	// be bit-identical.
-	memoised := Table1(QuickScale())
+	memoised := mustTable1(t, QuickScale(), false)
 	if !reflect.DeepEqual(parallel, memoised) {
 		t.Fatal("memoised Table1 diverged from the run that filled the cache")
 	}
@@ -50,11 +51,11 @@ func TestParallelObservedTable1SnapshotsMatchSerial(t *testing.T) {
 
 	ResetSimCaches()
 	SetWorkers(1)
-	serial := Table1Observed(s)
+	serial := mustTable1(t, s, true)
 
 	ResetSimCaches()
 	SetWorkers(4)
-	parallel := Table1Observed(s)
+	parallel := mustTable1(t, s, true)
 
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel observed Table1 diverged from serial baseline:\nserial:   %+v\nparallel: %+v",
@@ -80,7 +81,7 @@ func TestParallelObservedTable1SnapshotsMatchSerial(t *testing.T) {
 
 	// An unobserved run at the same scale must not be served the observed
 	// result: the Observe flag is part of the memo key.
-	plain := Table1(s)
+	plain := mustTable1(t, s, false)
 	for _, r := range plain {
 		if r.M.Obs != nil {
 			t.Fatalf("row %s: unobserved run returned a snapshot (memo key collision)", r.Name)
@@ -100,11 +101,11 @@ func TestParallelTimelinesMatchSerialExactly(t *testing.T) {
 
 	ResetSimCaches()
 	SetWorkers(1)
-	serial := TimelineStudy(s)
+	serial := mustTimeline(t, s)
 
 	ResetSimCaches()
 	SetWorkers(4)
-	parallel := TimelineStudy(s)
+	parallel := mustTimeline(t, s)
 
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel timelines diverged from serial baseline:\nserial:   %+v\nparallel: %+v",
@@ -118,7 +119,7 @@ func TestParallelTimelinesMatchSerialExactly(t *testing.T) {
 
 	// A plain run at the same scale must not be served the sampled
 	// result: the Timeline flag is part of the memo key.
-	for _, r := range Table1(s) {
+	for _, r := range mustTable1(t, s, false) {
 		if r.M.Timeline != nil {
 			t.Fatalf("row %s: plain run returned a timeline (memo key collision)", r.Name)
 		}
@@ -164,11 +165,14 @@ func TestSpeculativeExplorationMatchesSerialWalk(t *testing.T) {
 		// A reduced budget: determinism does not depend on the scale, and
 		// speculation multiplies the simulated points per step.
 		s := Scale{Warmup: 30000, Window: 8000}
-		tgt := newCaseStudyTarget(s)
+		tgt := newTarget(bg, s, explore.TableConfigs()["A"])
 		tgt.Speculate = speculate
 		cfg := caseStudyConfig(CoarseGrain)
 		cfg.MaxSteps = 6 // a 6-step walk already crosses several frontiers
-		res, final := tgt.RunAlgorithm(cfg)
+		res, final, err := tgt.RunAlgorithmCtx(bg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return CaseStudyIResult{
 			Algorithm:   res,
 			Final:       final,

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"lpm/internal/obs"
 	"lpm/internal/obs/timeseries"
@@ -124,6 +125,27 @@ type Table1JSON struct {
 	Err string `json:"err,omitempty"`
 }
 
+// table1Row renders one measured configuration — or, with errMsg set,
+// its failed cell — as a Table I row; the table1 experiment, lpmrun -json
+// and the control plane all build their rows here.
+func table1Row(name, point string, paper [3]float64, m Measurement, errMsg string) Table1JSON {
+	if errMsg != "" {
+		return Table1JSON{Name: name, Point: point, PaperLPMR: paper, Err: errMsg}
+	}
+	return Table1JSON{
+		Name:          name,
+		Point:         point,
+		LPMR:          [3]float64{m.LPMR1(), m.LPMR2(), m.LPMR3()},
+		PaperLPMR:     paper,
+		IPC:           m.IPC,
+		CPIexe:        m.CPIexe,
+		Eta:           m.Eta(),
+		StallModel:    m.StallEq12(),
+		StallMeasured: m.MeasuredStall,
+		Layers:        m.Obs,
+	}
+}
+
 // CaseStudyJSON summarises one grain's LPM-guided exploration.
 type CaseStudyJSON struct {
 	Grain       string  `json:"grain"`
@@ -150,7 +172,7 @@ type Fig67JSON struct {
 	IPC  map[string][]float64 `json:"ipc"`
 }
 
-// ReportOptions parameterise BuildReport.
+// ReportOptions parameterise BuildReportCtx.
 type ReportOptions struct {
 	// Scale sets the simulation budgets (zero value: FullScale).
 	Scale Scale
@@ -201,16 +223,9 @@ func DecodeReport(data []byte) (*Report, error) {
 	}
 }
 
-// BuildReport runs the selected experiments and assembles the versioned
-// JSON document.
-func BuildReport(opts ReportOptions) (*Report, error) {
-	//lint:ignore ctxflow ctx-less compat wrapper; BuildReportCtx is the interruptible form
-	return BuildReportCtx(context.Background(), opts)
-}
-
-// BuildReportCtx is the interruptible form of BuildReport. When ctx is
-// cancelled mid-run the function still returns a valid, decodable
-// document: Partial is set, Completed lists the experiments that
+// BuildReportCtx runs the selected experiments and assembles the
+// versioned JSON document. When ctx is cancelled mid-run the function
+// still returns a valid, decodable document: Partial is set, Completed lists the experiments that
 // finished, and Aborted lists the interrupted one (whose partial cells
 // are kept) plus everything not yet started. Deterministic per-cell
 // failures (livelocks, simulator faults) never abort the document — they
@@ -239,7 +254,7 @@ func BuildReportCtx(ctx context.Context, opts ReportOptions) (*Report, error) {
 		}
 		er, err := buildExperiment(ctx, name, s, opts)
 		if err != nil {
-			if !validExperiment(name) {
+			if !slices.Contains(ReportExperiments(), name) {
 				return nil, err
 			}
 			// A cancellation that surfaced as the experiment's error (for
@@ -264,16 +279,6 @@ func BuildReportCtx(ctx context.Context, opts ReportOptions) (*Report, error) {
 	return rep, nil
 }
 
-// validExperiment reports whether name is a known experiment key.
-func validExperiment(name string) bool {
-	for _, n := range ReportExperiments() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // buildExperiment runs one experiment and assembles its report entry.
 // Per-cell failures are recorded inside the payload; the returned error
 // covers unknown names and whole-experiment failures (and may accompany
@@ -295,25 +300,7 @@ func buildExperiment(ctx context.Context, name string, s Scale, opts ReportOptio
 		}
 	case "table1":
 		for _, r := range Table1Ctx(ctx, s, opts.Observe) {
-			if r.Err != "" {
-				er.Table1 = append(er.Table1, Table1JSON{
-					Name: r.Name, Point: r.Point.String(),
-					PaperLPMR: r.PaperLPMR, Err: r.Err,
-				})
-				continue
-			}
-			er.Table1 = append(er.Table1, Table1JSON{
-				Name:          r.Name,
-				Point:         r.Point.String(),
-				LPMR:          [3]float64{r.M.LPMR1(), r.M.LPMR2(), r.M.LPMR3()},
-				PaperLPMR:     r.PaperLPMR,
-				IPC:           r.M.IPC,
-				CPIexe:        r.M.CPIexe,
-				Eta:           r.M.Eta(),
-				StallModel:    r.M.StallEq12(),
-				StallMeasured: r.M.MeasuredStall,
-				Layers:        r.M.Obs,
-			})
+			er.Table1 = append(er.Table1, table1Row(r.Name, r.Point.String(), r.PaperLPMR, r.M, r.Err))
 		}
 	case "casestudy1":
 		for _, g := range []Grain{CoarseGrain, FineGrain} {
@@ -351,23 +338,18 @@ func buildExperiment(ctx context.Context, name string, s Scale, opts ReportOptio
 		}
 		er.Fig8 = rows
 	case "interval":
-		er.Interval = IntervalStudy(opts.IntervalSamples)
+		rows, err := IntervalStudy(ctx, opts.IntervalSamples)
+		if err != nil {
+			return er, fmt.Errorf("interval: %w", err)
+		}
+		er.Interval = rows
 	case "identities":
 		er.Identities = IdentitiesCtx(ctx, s)
 	case "timeline":
 		for _, r := range TimelineStudyCtx(ctx, s) {
-			if r.Err != "" {
-				er.Timeline = append(er.Timeline, TimelineJSON{
-					Name: r.Name, Point: r.Point.String(), Err: r.Err,
-				})
-				continue
-			}
-			er.Timeline = append(er.Timeline, TimelineJSON{
-				Name:   r.Name,
-				Point:  r.Point.String(),
-				CPIexe: r.M.CPIexe,
-				Series: r.M.Timeline,
-			})
+			// A failed cell has a zero M: cpi_exe 0, series null.
+			er.Timeline = append(er.Timeline, TimelineJSON{Name: r.Name, Point: r.Point.String(),
+				CPIexe: r.M.CPIexe, Series: r.M.Timeline, Err: r.Err})
 		}
 	default:
 		return er, fmt.Errorf("unknown experiment %q (valid: %v)", name, ReportExperiments())

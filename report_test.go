@@ -15,7 +15,7 @@ import (
 func reportScale() Scale { return Scale{Warmup: 6000, Window: 4000} }
 
 func TestDecodeReportRoundTripV2(t *testing.T) {
-	rep, err := BuildReport(ReportOptions{
+	rep, err := BuildReportCtx(bg, ReportOptions{
 		Scale:           QuickScale(),
 		Experiments:     []string{"fig1", "interval"},
 		IntervalSamples: 2000,
@@ -44,7 +44,7 @@ func TestDecodeReportRoundTripV2(t *testing.T) {
 }
 
 func TestDecodeReportAcceptsV1(t *testing.T) {
-	rep, err := BuildReport(ReportOptions{
+	rep, err := BuildReportCtx(bg, ReportOptions{
 		Scale:           QuickScale(),
 		Experiments:     []string{"fig1"},
 		IntervalSamples: 2000,
@@ -88,7 +88,7 @@ func TestDecodeReportRejectsUnknownSchema(t *testing.T) {
 }
 
 func TestReportTimelineExperiment(t *testing.T) {
-	rep, err := BuildReport(ReportOptions{
+	rep, err := BuildReportCtx(bg, ReportOptions{
 		Scale:       reportScale(),
 		Experiments: []string{"timeline"},
 	})

@@ -1,0 +1,119 @@
+package lpm
+
+import (
+	"context"
+
+	"lpm/internal/obs/timeseries"
+	"lpm/internal/sim/chip"
+	"lpm/internal/trace"
+)
+
+// SnapshotEvery is the live paths' snapshot cadence in windows: scrapers
+// poll at ~1 Hz while windows close every few hundred microseconds, so
+// snapshotting the registry on every window costs ~2% of the engine loop
+// for no freshness. A final snapshot keeps the end state exact.
+const SnapshotEvery = 16
+
+// SingleRun describes one run of the single-run pipeline: one workload
+// on a single-core chip, measured over one window. cmd/lpmrun and the
+// control plane's ctrl.SimRunner are both RunSingle; they differ only in
+// the fields they fill.
+type SingleRun struct {
+	// Tool is recorded in the document; Workload names the built-in
+	// profile; Config overrides the chip (nil = SingleCore(Workload)).
+	Tool, Workload string
+	Config         *ChipConfig
+	// Instructions is the measured window after Warmup discarded
+	// instructions (functional-tier with WarmupFast); Watchdog the
+	// no-progress cycle budget (0 = off).
+	Instructions, Warmup, Watchdog uint64
+	WarmupFast                     bool
+	// Observe attaches the metrics registry; Timeline the windowed
+	// sampler (base width TSWindow, phase-merged when Adaptive), attached
+	// before warm-up so a live view covers the whole run.
+	Observe, Timeline, Adaptive bool
+	TSWindow                    uint64
+	// Live, when non-nil, implies Observe and Timeline and receives the
+	// series header, every closed window, a metrics snapshot every
+	// SnapshotEvery-th window and a final one; OnWindow sees the same
+	// windows (the control plane's SSE hub). Both run on the simulation
+	// goroutine.
+	Live     *timeseries.Live
+	OnWindow func(timeseries.Window)
+}
+
+// SingleResult is a finished run: the chip (for callers that print more
+// than M), the window's measurement (zero when the run failed — partial
+// counters produce NaNs JSON cannot carry) and the run as a one-row
+// lpm-report/v2 document, which for a failed run carries the error in
+// the row and Partial.
+type SingleResult struct {
+	Chip   *Chip
+	M      Measurement
+	Report *Report
+}
+
+// RunSingle executes r: calibrate CPIexe, build the chip, attach the
+// requested hooks, warm up, reset, run the window, measure. A nil result
+// means the run never started (unknown workload); a cancelled or
+// livelocked run returns its result alongside the run error.
+func RunSingle(ctx context.Context, r SingleRun) (*SingleResult, error) {
+	prof, err := trace.ProfileByName(r.Workload)
+	if err != nil {
+		return nil, err
+	}
+	cfg := chip.SingleCore(r.Workload)
+	if r.Config != nil {
+		cfg = *r.Config
+	}
+	cpiExe := chip.MeasureCPIexe(cfg.Cores[0].CPU, trace.NewSynthetic(prof), uint64(cfg.Cores[0].L1.HitLatency), r.Instructions)
+
+	ch := chip.New(cfg)
+	ch.SetContext(ctx)
+	if r.Watchdog > 0 {
+		ch.SetWatchdog(r.Watchdog)
+	}
+	if r.Observe || r.Live != nil {
+		ch.EnableObs()
+	}
+	if r.Timeline || r.Live != nil {
+		tcfg := timeseries.Config{Width: r.TSWindow, Adaptive: r.Adaptive, CPIexe: cpiExe}
+		if r.Live != nil {
+			n := 0
+			tcfg.OnWindow = func(w timeseries.Window) {
+				r.Live.Publish(w)
+				if r.OnWindow != nil {
+					r.OnWindow(w)
+				}
+				if n%SnapshotEvery == 0 {
+					r.Live.PublishSnapshot(ch.ObsSnapshot())
+				}
+				n++
+			}
+		}
+		r.Live.SetMeta(ch.EnableTimeseries(tcfg).Width(), r.Adaptive)
+	}
+
+	budget := (r.Warmup + r.Instructions) * 600
+	base, runErr := ch.WarmUp(r.Warmup, chip.WarmInstructions, r.WarmupFast, budget)
+	ch.ResetCounters() // also closes the sampler's warm-up window
+	if runErr == nil {
+		ch.Run(base+r.Instructions, budget)
+		runErr = ch.Err()
+	}
+	r.Live.PublishSnapshot(ch.ObsSnapshot())
+
+	rep := &Report{Schema: ReportSchema, Tool: r.Tool, Scale: Scale{Warmup: r.Warmup, Window: r.Instructions}}
+	res := &SingleResult{Chip: ch, Report: rep}
+	errMsg := ""
+	if runErr != nil {
+		errMsg = runErr.Error()
+		rep.Partial = true
+		rep.Aborted = []string{"run"}
+	} else {
+		res.M = ch.Measure(0, cpiExe)
+	}
+	rep.Experiments = []ExperimentReport{{Name: "run",
+		Table1: []Table1JSON{table1Row(r.Workload, "", [3]float64{}, res.M, errMsg)}}}
+	return res, runErr
+}

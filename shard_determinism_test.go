@@ -31,7 +31,7 @@ var shardScale = Scale{Warmup: 20000, Window: 6000}
 // workloads at the four NUCA L1 sizes.
 func buildShardDoc(t *testing.T) []byte {
 	t.Helper()
-	rep, err := BuildReport(ReportOptions{
+	rep, err := BuildReportCtx(bg, ReportOptions{
 		Scale:       shardScale,
 		Experiments: []string{"table1", "fig67"},
 	})
@@ -173,5 +173,5 @@ func TestShardedTable1MatchesGolden(t *testing.T) {
 	ResetSimCaches()
 	lf := startFabric(t, 2)
 	defer closeFabric(t, lf)
-	goldenJSON(t, "table1_quick.json", Table1(QuickScale()))
+	goldenJSON(t, "table1_quick.json", mustTable1(t, QuickScale(), false))
 }
