@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is the CI gate.
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check loc bench benchsmoke fuzz chaos chaos-net fabric-test ci golden diffgate race-serve serve-test
+.PHONY: all build test race vet lint fmt-check loc bench benchsmoke ab fuzz chaos chaos-net fabric-test ci golden diffgate race-serve serve-test
 
 all: build vet lint test race
 
@@ -46,7 +46,7 @@ loc:
 
 # One pass over every benchmark, reporting the reproduced paper metrics.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/trace ./internal/stats ./internal/sim/dram
 
 # Smoke the layered benchmark (bench/, declared in BENCHMARK.json): every
 # workload runs once, briefly, and must emit its whole metric catalogue.
@@ -54,12 +54,23 @@ bench:
 benchsmoke:
 	$(GO) run ./bench -smoke
 
+# Paired parent/change comparison of one benchmark workload: PAIRS
+# alternating untraced runs of REF (exported under .bench_build/) and of
+# the working tree, then each side's median and quartiles, pairs won and
+# the gain/no-gain verdict (see scripts/ab.sh).
+REF ?= HEAD
+WORKLOAD ?= engine_cpu
+PAIRS ?= 10
+ab:
+	sh scripts/ab.sh $(REF) $(WORKLOAD) $(PAIRS)
+
 # Short fuzz smoke over the fuzz targets; the checked-in corpora under
 # testdata/fuzz/ replay in ordinary `go test` runs regardless.
 fuzz:
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 15s -run '^$$' ./internal/trace
 	$(GO) test -fuzz FuzzCacheConfigValidate -fuzztime 15s -run '^$$' ./internal/sim/cache
 	$(GO) test -fuzz FuzzFabricFrameDecode -fuzztime 15s -run '^$$' ./internal/fabric
+	$(GO) test -fuzz FuzzSamplerTables -fuzztime 15s -run '^$$' ./internal/stats
 
 # Sweep-fabric suite: the in-process coordinator/worker harness and the
 # sharded-vs-serial determinism properties under the race detector, plus

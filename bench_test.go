@@ -734,4 +734,17 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	// The trace generator refills a 64-instruction block inside Next; at
+	// 100 instructions a run every run crosses a refill, which the slow
+	// 429.mcf cycles above need not.
+	t.Run("generator-refill", func(t *testing.T) {
+		g := trace.NewSynthetic(trace.MustProfile("429.mcf"))
+		if avg := testing.AllocsPerRun(20, func() {
+			for i := 0; i < 100; i++ {
+				g.Next()
+			}
+		}); avg > 0 {
+			t.Fatalf("trace generator allocates %.2f times per 100 instructions; want 0", avg)
+		}
+	})
 }

@@ -112,6 +112,12 @@ type Chip struct {
 	tr     *obs.Tracer   // nil unless AttachTracer was called
 	ts     *tsState      // nil unless EnableTimeseries was called
 
+	// Fast-forward probe back-off (fastforward.go): consecutive failed
+	// probes and probes left to skip; ffJumped totals the cycles jumped
+	// and is read by the tests only.
+	ffFails, ffSkip uint8
+	ffJumped        uint64
+
 	// Hardened-execution state (watchdog.go): cancellation context, the
 	// watchdog's no-progress budget and last observation, and the
 	// latched run error that stops every run loop.

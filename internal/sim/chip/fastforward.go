@@ -11,7 +11,8 @@ package chip
 // approximate: every observable counter — stats, C-AMAT analyzer
 // classifications, stall attribution, occupancy histograms, watchdog
 // and context-poll timing — is bit-identical to the stepped run, which
-// the equivalence suite in fastforward_test.go enforces.
+// the equivalence suites in equivalence_test.go and fastforward_test.go
+// enforce.
 
 // component is one schedulable element of the chip: it ticks in
 // lockstep, and it cooperates with the fast-forward protocol.
@@ -66,29 +67,96 @@ func (c *Chip) buildSched() {
 // stepper as the reference.
 func (c *Chip) SetFastForward(on bool) { c.ffOff = !on }
 
+// Probe back-off: a probe that finds no jump has walked the schedule for
+// nothing, and on a compute-bound chip nearly every probe fails. From the
+// ffBackoffAfter-th consecutive failure on, every failed probe is
+// followed by ffBackoffSkip cycles stepped unprobed; only a jump resets
+// the count. Skipping a probe is stepping a cycle that might have been
+// jumped, and a jump is exact whenever it is taken, so when probes run
+// changes wall-clock only.
+const (
+	ffBackoffAfter = 4
+	ffBackoffSkip  = 8
+)
+
 // tryFastForward runs inside every run loop after the loop's exit
 // predicates and before the next Tick: if the whole chip is quiescent
-// it advances time in one jump to the earliest of the next component
-// event, the next sampler window close, the next context poll, the
-// next watchdog check, and the loop's own limit. Each cap is exclusive
-// (the jump stops the cycle before), so the event itself is handled by
-// an ordinary stepped Tick and observable behaviour cannot diverge
-// from the stepped run. Jumping before the predicates would be wrong —
-// they read state (Busy, Retired) that a jump deliberately freezes, so
-// the loop must get its chance to exit at exactly the stepped cycle.
+// it advances time in one jump (see jumpTarget for how far). Jumping
+// before the predicates would be wrong — they read state (Busy,
+// Retired) that a jump deliberately freezes, so the loop must get its
+// chance to exit at exactly the stepped cycle. This half is the guard,
+// small enough to inline into the run loops; fastForward does the work.
 func (c *Chip) tryFastForward(limit uint64) {
 	if c.ffOff || c.runErr != nil {
 		return
 	}
+	if c.ffSkip > 0 {
+		c.ffSkip--
+		return
+	}
+	c.fastForward(limit)
+}
+
+// fastForward probes for a jump and takes it.
+func (c *Chip) fastForward(limit uint64) {
+	now := c.now
+	target := c.jumpTarget(limit)
+	if target <= now {
+		if c.ffFails < ffBackoffAfter-1 {
+			c.ffFails++
+		} else {
+			c.ffSkip = ffBackoffSkip
+		}
+		return
+	}
+	c.ffFails = 0
+	n := target - now
+	c.ffJumped += n
+
+	// Bulk-accrue the jumped cycles. Components first (cores stamp
+	// their cycle class), then the sampler-side accounting that the
+	// stepped loop performs after all components tick: per-core stall
+	// attribution and occupancy sums, all constant across a quiescent
+	// run, then the sampler's intra-window cycle count.
+	for _, comp := range c.sched {
+		comp.AdvanceCycles(now, n)
+	}
+	if c.ts != nil {
+		ts := c.ts
+		for i, core := range c.cores {
+			ts.stall[i].ChargeN(c.classifyCoreCycle(core, i), n)
+			if core != nil {
+				ts.robOccSum[i] += uint64(core.ROBOccupancy()) * n
+			}
+			ts.l1OccSum[i] += uint64(c.l1s[i].OutstandingMisses()) * n
+		}
+		ts.l2OccSum += uint64(c.l2.OutstandingMisses()) * n
+		if c.l3 != nil {
+			ts.l3OccSum += uint64(c.l3.OutstandingMisses()) * n
+		}
+		ts.dramQSum += uint64(c.mem.QueuedRequests()) * n
+		ts.s.AdvanceCycles(n)
+	}
+	c.now = target
+}
+
+// jumpTarget returns the cycle a fast-forward from c.now may jump to, or
+// c.now when there is none: the earliest of the next component event,
+// the next sampler window close, the next context poll, the next
+// watchdog check, and the loop's own limit. Each cap is exclusive (the
+// jump stops the cycle before), so the event itself is handled by an
+// ordinary stepped Tick and observable behaviour cannot diverge from
+// the stepped run.
+func (c *Chip) jumpTarget(limit uint64) uint64 {
 	now := c.now
 	target := limit
 	for _, comp := range c.sched {
 		if !comp.Quiescent(now) {
-			return
+			return now
 		}
 		if e := comp.NextEvent(); e != noEvent {
 			if e <= now+1 {
-				return // due next cycle (or overdue): step it
+				return now // due next cycle (or overdue): step it
 			}
 			if e-1 < target {
 				target = e - 1
@@ -116,40 +184,11 @@ func (c *Chip) tryFastForward(limit uint64) {
 		// the stepped run exactly.
 		next := c.wdLastCycle + c.wdBudget/4
 		if next <= now {
-			return
+			return now
 		}
 		if next-1 < target {
 			target = next - 1
 		}
 	}
-	if target <= now {
-		return
-	}
-	n := target - now
-
-	// Bulk-accrue the jumped cycles. Components first (cores stamp
-	// their cycle class), then the sampler-side accounting that the
-	// stepped loop performs after all components tick: per-core stall
-	// attribution and occupancy sums, all constant across a quiescent
-	// run, then the sampler's intra-window cycle count.
-	for _, comp := range c.sched {
-		comp.AdvanceCycles(now, n)
-	}
-	if c.ts != nil {
-		ts := c.ts
-		for i, core := range c.cores {
-			ts.stall[i].ChargeN(c.classifyCoreCycle(core, i), n)
-			if core != nil {
-				ts.robOccSum[i] += uint64(core.ROBOccupancy()) * n
-			}
-			ts.l1OccSum[i] += uint64(c.l1s[i].OutstandingMisses()) * n
-		}
-		ts.l2OccSum += uint64(c.l2.OutstandingMisses()) * n
-		if c.l3 != nil {
-			ts.l3OccSum += uint64(c.l3.OutstandingMisses()) * n
-		}
-		ts.dramQSum += uint64(c.mem.QueuedRequests()) * n
-		ts.s.AdvanceCycles(n)
-	}
-	c.now = target
+	return max(target, now)
 }

@@ -184,6 +184,8 @@ func (s Stats) AvgReadLatency() float64 {
 type DRAM struct {
 	cfg      Config
 	channels []channel
+	queued   int    // requests waiting in channel queues, over all channels
+	busUntil uint64 // latest channel busUntil: no bus is busy from this cycle on
 	pend     []pending
 	now      uint64
 	st       Stats
@@ -266,28 +268,12 @@ func (d *DRAM) Stats() Stats { return d.st }
 func (d *DRAM) ResetCounters() { d.st = Stats{} }
 
 // Busy reports whether requests are queued or completions outstanding.
-func (d *DRAM) Busy() bool {
-	if len(d.pend) > 0 {
-		return true
-	}
-	for i := range d.channels {
-		if len(d.channels[i].queue) > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (d *DRAM) Busy() bool { return len(d.pend) > 0 || d.queued > 0 }
 
 // QueuedRequests returns the number of requests currently waiting in
 // channel queues — the bank-queue-depth probe of the time-series
 // sampler and the queueing signal of the stall attribution.
-func (d *DRAM) QueuedRequests() int {
-	n := 0
-	for i := range d.channels {
-		n += len(d.channels[i].queue)
-	}
-	return n
-}
+func (d *DRAM) QueuedRequests() int { return d.queued }
 
 // InFlight returns the number of scheduled completions not yet
 // delivered — requests DRAM is actively servicing.
@@ -303,13 +289,21 @@ func (d *DRAM) Request(cycle uint64, src int, block uint64, write bool, done fun
 		return false
 	}
 	ch.queue = append(ch.queue, request{block: block, write: write, src: src, done: done, at: cycle})
+	d.queued++
 	return true
 }
 
 // Tick advances the memory one cycle: fire due completions, then let each
-// channel start at most one request.
+// channel start at most one request. An idle controller — nothing queued,
+// nothing in service, every bus free — has no channel to walk.
 func (d *DRAM) Tick(cycle uint64) {
 	d.now = cycle
+	if d.queued == 0 && len(d.pend) == 0 && d.busUntil <= cycle {
+		if d.ob != nil {
+			d.ob.queueOcc.Observe(0)
+		}
+		return
+	}
 
 	// Completions.
 	if len(d.pend) > 0 {
@@ -329,22 +323,15 @@ func (d *DRAM) Tick(cycle uint64) {
 	active := len(d.pend) > 0
 	for ci := range d.channels {
 		d.serviceChannel(&d.channels[ci])
-		if len(d.channels[ci].queue) > 0 {
-			active = true
-		}
 		if d.channels[ci].busUntil > cycle {
 			d.st.BusBusyCycles++
 		}
 	}
-	if active {
+	if active || d.queued > 0 {
 		d.st.ActiveCycles++
 	}
 	if d.ob != nil {
-		queued := 0
-		for ci := range d.channels {
-			queued += len(d.channels[ci].queue)
-		}
-		d.ob.queueOcc.Observe(float64(queued))
+		d.ob.queueOcc.Observe(float64(d.queued))
 	}
 }
 
@@ -388,6 +375,7 @@ func (d *DRAM) serviceChannel(ch *channel) {
 	}
 	r := ch.queue[pick]
 	ch.queue = append(ch.queue[:pick], ch.queue[pick+1:]...)
+	d.queued--
 
 	b := &ch.banks[d.bankOf(r.block)]
 	row := d.rowOf(r.block)
@@ -414,6 +402,9 @@ func (d *DRAM) serviceChannel(ch *channel) {
 	ready += uint64(d.cfg.TBurst)
 	ch.busUntil = ready
 	b.busyUntil = ready
+	if ready > d.busUntil {
+		d.busUntil = ready
+	}
 
 	if r.done == nil {
 		// Writeback: completes silently once scheduled.

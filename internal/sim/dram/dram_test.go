@@ -256,3 +256,53 @@ func TestDDR3DefaultsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkDRAMIdleTick times the tick of a controller with nothing
+// queued, in service or on a bus — most cycles of a cache-resident
+// program. It must not depend on the channel count.
+func BenchmarkDRAMIdleTick(b *testing.B) {
+	cfg := DDR3("mem")
+	cfg.Channels = 8
+	d := New(cfg)
+	// One serviced read, then drain, so the device state is a used one.
+	d.Request(1, 0, 42, false, func(uint64) {})
+	cy := uint64(1)
+	for ; d.Busy() || cy < 200; cy++ {
+		d.Tick(cy)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cy++
+		d.Tick(cy)
+	}
+}
+
+// TestIdleTickKeepsBusAccounting: a writeback completes silently — no
+// completion stays scheduled — yet its burst holds the bus, so the idle
+// early-out of Tick must wait for the bus as well as the queues. The
+// counters of a multi-channel controller must match ticking every
+// channel every cycle, which the one-request arithmetic below spells out.
+func TestIdleTickKeepsBusAccounting(t *testing.T) {
+	c := DDR3("mem-test")
+	c.Channels = 8
+	d := New(c)
+	if !d.Request(1, 0, 5, true, nil) {
+		t.Fatal("writeback rejected")
+	}
+	if d.QueuedRequests() != 1 || !d.Busy() {
+		t.Fatalf("queued=%d busy=%v after one request", d.QueuedRequests(), d.Busy())
+	}
+	for cy := uint64(1); cy <= 300; cy++ {
+		d.Tick(cy)
+	}
+	// Serviced at cycle 1 on a closed row: the bus is held for
+	// TRCD+TCL+TBurst cycles from then, and the controller was active
+	// (a request queued at the start of the cycle) for none after it.
+	st := d.Stats()
+	if want := uint64(c.TRCD + c.TCL + c.TBurst); st.BusBusyCycles != want {
+		t.Fatalf("BusBusyCycles = %d, want %d", st.BusBusyCycles, want)
+	}
+	if st.Writes != 1 || st.ActiveCycles != 0 || d.QueuedRequests() != 0 || d.Busy() {
+		t.Fatalf("after drain: %+v queued=%d busy=%v", st, d.QueuedRequests(), d.Busy())
+	}
+}

@@ -10,12 +10,7 @@ package dram
 // Quiescent reports whether the next Tick would start no request.
 func (d *DRAM) Quiescent(now uint64) bool {
 	_ = now
-	for i := range d.channels {
-		if len(d.channels[i].queue) > 0 {
-			return false
-		}
-	}
-	return true
+	return d.queued == 0
 }
 
 // NextEvent returns the earliest scheduled completion cycle, or

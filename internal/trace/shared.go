@@ -14,8 +14,9 @@ func WithSharedRegion(g Generator, base, size uint64, frac float64, seed uint64)
 	if size == 0 || frac <= 0 {
 		return g
 	}
-	return &sharedGen{g: g, base: base, size: size, frac: frac, seed: seed,
-		rng: stats.NewRNG(seed ^ 0x5a4ed)}
+	s := &sharedGen{g: g, base: base, size: size, frac: frac, seed: seed}
+	s.rng.Reseed(seed ^ 0x5a4ed)
+	return s
 }
 
 type sharedGen struct {
@@ -23,7 +24,7 @@ type sharedGen struct {
 	base, size uint64
 	frac       float64
 	seed       uint64
-	rng        *stats.RNG
+	rng        stats.RNG
 }
 
 // Name implements Generator.
@@ -32,7 +33,7 @@ func (s *sharedGen) Name() string { return s.g.Name() }
 // Reset implements Generator.
 func (s *sharedGen) Reset() {
 	s.g.Reset()
-	s.rng = stats.NewRNG(s.seed ^ 0x5a4ed)
+	s.rng.Reseed(s.seed ^ 0x5a4ed)
 }
 
 // Next implements Generator.

@@ -8,15 +8,17 @@ import (
 // It implements Generator. Create with NewSynthetic.
 type Synthetic struct {
 	prof Profile
-	rng  *stats.RNG
+	rng  stats.RNG
 
 	// Samplers precomputed from the profile's constants (NewSynthetic),
-	// so the per-instruction path does no log/pow over fixed parameters.
-	// Each is stream-identical to the direct RNG call it replaces.
-	execLatG stats.GeomSampler // Geometric(1/ExecLat)
-	depDistG stats.GeomSampler // Geometric(1/DepDist)
-	hotZipf  stats.ZipfSampler // Zipf(hot blocks, 0.6)
-	hotBlks  int
+	// so the per-instruction path does no float math over fixed
+	// parameters. Each is stream-identical to the direct RNG call it
+	// replaces (see the package comment).
+	mem, burstMem    stats.BoolSampler  // Bool(MemFrac), Bool(burst-boosted MemFrac)
+	store, chase     stats.BoolSampler  // Bool(StoreFrac), Bool(ChaseFrac)
+	seq, hot         stats.BoolSampler  // Bool(SeqFrac), Bool(HotFrac)
+	execLat, depDist *stats.GeomSampler // Geometric(1/ExecLat), Geometric(1/DepDist); nil when unused
+	hotZipf          *stats.ZipfSampler // Zipf(hot blocks, 0.6); nil without a hot region
 
 	idx        uint64 // dynamic instruction index
 	seqCursor  uint64 // sequential sweep position
@@ -24,6 +26,12 @@ type Synthetic struct {
 	haveLoad   bool
 	phaseLeft  int  // instructions left in the current burst/gap phase
 	inBurst    bool // current phase is a memory burst
+
+	// Instructions are generated a block at a time (refill) and handed
+	// out by Next; the state above runs ahead of the consumer by the
+	// unread part of the block.
+	blk [64]Instr
+	pos int // next unread slot; len(blk) when the block is spent
 }
 
 // NewSynthetic returns a generator for the profile. It panics if the
@@ -35,19 +43,35 @@ func NewSynthetic(p Profile) *Synthetic {
 	if p.Stride == 0 {
 		p.Stride = 8
 	}
-	g := &Synthetic{prof: p}
+	g := &Synthetic{
+		prof:  p,
+		mem:   stats.NewBoolSampler(p.MemFrac),
+		store: stats.NewBoolSampler(p.StoreFrac),
+		chase: stats.NewBoolSampler(p.ChaseFrac),
+		seq:   stats.NewBoolSampler(p.SeqFrac),
+		hot:   stats.NewBoolSampler(p.HotFrac),
+	}
+	if p.BurstLen != 0 && p.GapLen != 0 {
+		// Boost memory intensity during the burst; the overall average
+		// stays near MemFrac because gaps are compute-only.
+		boosted := p.MemFrac * float64(p.BurstLen+p.GapLen) / float64(p.BurstLen)
+		if boosted > 0.95 {
+			boosted = 0.95
+		}
+		g.burstMem = stats.NewBoolSampler(boosted)
+	}
 	if p.ExecLat > 1 {
-		g.execLatG = stats.NewGeomSampler(1 / p.ExecLat)
+		g.execLat = stats.NewGeomSampler(1 / p.ExecLat)
 	}
 	if p.DepDist > 0 {
-		g.depDistG = stats.NewGeomSampler(1 / p.DepDist)
+		g.depDist = stats.NewGeomSampler(1 / p.DepDist)
 	}
 	if p.HotBytes > 0 {
-		g.hotBlks = int(p.HotBytes / 64)
-		if g.hotBlks < 1 {
-			g.hotBlks = 1
+		hotBlks := int(p.HotBytes / 64)
+		if hotBlks < 1 {
+			hotBlks = 1
 		}
-		g.hotZipf = stats.NewZipfSampler(g.hotBlks, 0.6)
+		g.hotZipf = stats.NewZipfSampler(hotBlks, 0.6)
 	}
 	g.Reset()
 	return g
@@ -61,13 +85,14 @@ func (g *Synthetic) Profile() Profile { return g.prof }
 
 // Reset implements Generator.
 func (g *Synthetic) Reset() {
-	g.rng = stats.NewRNG(g.prof.Seed ^ 0x15ecc0de ^ hashName(g.prof.Name))
+	g.rng.Reseed(g.prof.Seed ^ 0x15ecc0de ^ hashName(g.prof.Name))
 	g.idx = 0
 	g.seqCursor = 0
 	g.lastLoadAt = 0
 	g.haveLoad = false
 	g.inBurst = true
 	g.phaseLeft = g.prof.BurstLen
+	g.pos = len(g.blk)
 }
 
 // hashName folds a workload name into a seed component so that two
@@ -81,104 +106,93 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// memProbability returns the probability that the next instruction is a
-// memory access, accounting for burst phases.
-func (g *Synthetic) memProbability() float64 {
-	p := g.prof
-	if p.BurstLen == 0 || p.GapLen == 0 {
-		return p.MemFrac
-	}
-	if g.phaseLeft <= 0 {
-		g.inBurst = !g.inBurst
-		if g.inBurst {
-			g.phaseLeft = p.BurstLen
-		} else {
-			g.phaseLeft = p.GapLen
-		}
-	}
-	g.phaseLeft--
-	if g.inBurst {
-		// Boost memory intensity during the burst; the overall average
-		// stays near MemFrac because gaps are compute-only.
-		boosted := p.MemFrac * float64(p.BurstLen+p.GapLen) / float64(p.BurstLen)
-		if boosted > 0.95 {
-			boosted = 0.95
-		}
-		return boosted
-	}
-	return 0
-}
-
 // Next implements Generator.
 func (g *Synthetic) Next() Instr {
-	p := g.prof
-	defer func() { g.idx++ }()
-
-	if !g.rng.Bool(g.memProbability()) {
-		return g.computeInstr()
+	if g.pos == len(g.blk) {
+		g.refill()
 	}
-
-	in := Instr{Kind: Load, Lat: 1}
-	if g.rng.Bool(p.StoreFrac) {
-		in.Kind = Store
-	}
-	in.Addr = g.nextAddr()
-
-	// Pointer chasing: a load whose address depends on the previous load.
-	if in.Kind == Load && g.haveLoad && g.rng.Bool(p.ChaseFrac) {
-		dist := g.idx - g.lastLoadAt
-		if dist > 0 {
-			in.Dep = clampDep(dist)
-		}
-	}
-	if in.Kind == Load {
-		g.lastLoadAt = g.idx
-		g.haveLoad = true
-	}
+	in := g.blk[g.pos]
+	g.pos++
 	return in
 }
 
-// computeInstr emits a non-memory instruction with a plausible dependency
-// distance and latency.
-func (g *Synthetic) computeInstr() Instr {
-	p := g.prof
-	in := Instr{Kind: Compute, Lat: 1}
-	if p.ExecLat > 1 {
-		// Latency is 1 + geometric tail with the configured mean.
-		extra := g.execLatG.Sample(g.rng)
-		if extra > 30 {
-			extra = 30
+// refill generates the next len(blk) instructions. The xorshift state
+// and the profile's constants live in locals for the whole block.
+func (g *Synthetic) refill() {
+	rng := g.rng
+	idx := g.idx
+	bursty := g.prof.BurstLen != 0 && g.prof.GapLen != 0
+	stride, footprint := g.prof.Stride, g.prof.Footprint
+	for i := range g.blk {
+		// The probability that this instruction is a memory access:
+		// MemFrac, or under burst phases the boosted value / zero.
+		mem := g.mem
+		if bursty {
+			if g.phaseLeft <= 0 {
+				g.inBurst = !g.inBurst
+				if g.inBurst {
+					g.phaseLeft = g.prof.BurstLen
+				} else {
+					g.phaseLeft = g.prof.GapLen
+				}
+			}
+			g.phaseLeft--
+			mem = g.burstMem
+			if !g.inBurst {
+				mem = stats.BoolSampler{}
+			}
 		}
-		in.Lat = uint8(1 + extra)
-	}
-	if p.DepDist > 0 && g.idx > 0 {
-		// Dependency distance ~ 1 + geometric with mean DepDist.
-		d := uint64(1 + g.depDistG.Sample(g.rng))
-		if d > g.idx {
-			d = g.idx
+		in := Instr{Lat: 1}
+		switch {
+		case !mem.Sample(&rng):
+			// A non-memory instruction with a plausible latency and
+			// dependency distance.
+			if g.execLat != nil {
+				// Latency is 1 + geometric tail with the configured mean.
+				in.Lat = uint8(1 + min(g.execLat.Sample(&rng), 30))
+			}
+			if g.depDist != nil && idx > 0 {
+				// Dependency distance ~ 1 + geometric with mean DepDist.
+				in.Dep = clampDep(min(uint64(1+g.depDist.Sample(&rng)), idx))
+			}
+		case g.store.Sample(&rng):
+			in.Kind = Store
+			in.Addr = g.nextAddr(&rng, stride, footprint)
+		default:
+			in.Kind = Load
+			in.Addr = g.nextAddr(&rng, stride, footprint)
+			// Pointer chasing: a load whose address depends on the
+			// previous load.
+			if g.haveLoad && g.chase.Sample(&rng) && idx > g.lastLoadAt {
+				in.Dep = clampDep(idx - g.lastLoadAt)
+			}
+			g.lastLoadAt = idx
+			g.haveLoad = true
 		}
-		in.Dep = clampDep(d)
+		g.blk[i] = in
+		idx++
 	}
-	return in
+	g.rng = rng
+	g.idx = idx
+	g.pos = 0
 }
 
 // nextAddr draws the next memory address per the profile's locality mix.
-func (g *Synthetic) nextAddr() uint64 {
-	p := g.prof
-	if g.rng.Bool(p.SeqFrac) {
+func (g *Synthetic) nextAddr(rng *stats.RNG, stride, footprint uint64) uint64 {
+	if g.seq.Sample(rng) {
 		a := g.seqCursor
-		g.seqCursor = (g.seqCursor + p.Stride) % p.Footprint
+		g.seqCursor = (g.seqCursor + stride) % footprint
 		return a
 	}
-	if p.HotBytes > 0 && g.rng.Bool(p.HotFrac) {
+	if g.hotZipf != nil && g.hot.Sample(rng) {
 		// Hot region with mild Zipf skew over 64-byte blocks: hot enough
 		// to reward capacity that covers the region, flat enough that a
 		// fraction of the region is not a substitute for all of it.
-		b := g.hotZipf.Sample(g.rng)
-		return uint64(b)*64 + g.rng.Uint64n(64)&^0x7
+		b := g.hotZipf.Sample(rng)
+		return uint64(b)*64 + rng.Uint64n(64)&^0x7
 	}
 	// Cold uniform access over the whole footprint, 8-byte aligned.
-	return g.rng.Uint64n(p.Footprint) &^ 0x7
+	return rng.Uint64n(footprint) &^ 0x7
 }
 
 func clampDep(d uint64) uint32 {

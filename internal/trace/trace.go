@@ -13,6 +13,39 @@
 // Streams are reproducible: the same profile and seed always produce the
 // same trace. Traces can also be recorded to and replayed from a compact
 // binary format (see Writer and Reader).
+//
+// # How Synthetic generates
+//
+// The stream is defined by per-instruction draws — RNG.Bool, Geometric
+// and Zipf over the profile's constants — and Synthetic produces exactly
+// that stream, 64 instructions at a time, without the float math:
+//
+//   - Block refill. Next pops from a block the generator owns; when it
+//     is spent, refill generates the next 64 instructions in one loop
+//     with the xorshift state and the profile's constants in locals.
+//     The generator's state therefore runs up to 63 instructions ahead
+//     of its consumer; Reset discards the unread part, so Next and Reset
+//     mean what they always did and wrappers (WithOffset,
+//     WithSharedRegion, Phased) need not know.
+//   - Exact tables. RNG.Float64 is m/2^53 for the integer draw
+//     m = Uint64()>>11, so Bool(p) is the integer compare
+//     m < ceil(p·2^53), and Geometric and Zipf are non-decreasing step
+//     functions of m. The stats samplers tabulate the steps — thr[k] is
+//     the least m whose sample exceeds k — and each threshold is found
+//     by evaluating the reference expression itself on both sides of
+//     it, so a lookup returns what the expression returns whatever
+//     math.Log and math.Pow round to, given only that they are monotone
+//     (which the samplers' tests check around every threshold rather
+//     than assume). The geometric tables stop at 128 steps; the rare
+//     draw beyond takes the reference expression.
+//   - No draw outside (0,1). Bool(p) consumes no draw when p <= 0 or
+//     p >= 1, and the samplers keep that rule: a compute-only gap phase
+//     (p = 0) or HotFrac = 1 must not advance the stream, or every later
+//     instruction would change.
+//
+// stream_pin_test.go holds the per-instruction definition as a reference
+// generator and requires Synthetic to equal it for 2^20 instructions of
+// every built-in profile; testdata/stream_sha256.txt pins both.
 package trace
 
 import "fmt"
