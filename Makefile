@@ -46,7 +46,8 @@ loc:
 
 # One pass over every benchmark, reporting the reproduced paper metrics.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/trace ./internal/stats ./internal/sim/dram
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/trace ./internal/stats ./internal/analyzer \
+		./internal/sim/cache ./internal/sim/noc ./internal/sim/dram
 
 # Smoke the layered benchmark (bench/, declared in BENCHMARK.json): every
 # workload runs once, briefly, and must emit its whole metric catalogue.
@@ -69,6 +70,7 @@ ab:
 fuzz:
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 15s -run '^$$' ./internal/trace
 	$(GO) test -fuzz FuzzCacheConfigValidate -fuzztime 15s -run '^$$' ./internal/sim/cache
+	$(GO) test -fuzz FuzzHierarchyBackpressure -fuzztime 15s -run '^$$' ./internal/sim/chip
 	$(GO) test -fuzz FuzzFabricFrameDecode -fuzztime 15s -run '^$$' ./internal/fabric
 	$(GO) test -fuzz FuzzSamplerTables -fuzztime 15s -run '^$$' ./internal/stats
 

@@ -692,11 +692,82 @@ func BenchmarkChipCycle(b *testing.B) {
 	}
 }
 
+// cmpPrograms is the bench's engine_cmp mix: four programs, four copies
+// each, one per core of the Fig. 5 chip.
+var cmpPrograms = [4]string{"401.bzip2", "429.mcf", "433.milc", "403.gcc"}
+
+// cmpConfig is the engine_cmp chip of BENCHMARK.json (bench/engine.go):
+// NUCA16 behind the default NoC and the MSI directory, with 5% of every
+// core's accesses falling into one 256 KB region all sixteen share.
+func cmpConfig() chip.Config {
+	gens := make([]trace.Generator, 16)
+	for i := range gens {
+		prof := trace.MustProfile(cmpPrograms[i%4])
+		prof.Seed += uint64(i)
+		gens[i] = trace.NewSynthetic(prof)
+	}
+	cfg := chip.NUCA16(gens)
+	router := noc.Default(16)
+	cfg.NoC = &router
+	cfg.Coherent = true
+	cfg.CoherenceInvalLatency = 8
+	for i := range cfg.Cores {
+		cfg.Cores[i].Workload = trace.WithSharedRegion(cfg.Cores[i].Workload,
+			trace.GlobalBase, 256*chip.KB, 0.05, uint64(i)+1)
+	}
+	return cfg
+}
+
+// TestDirectoryOccupancyBounded: the directory forgets a block once no L1
+// holds or is fetching it, so on the engine_cmp chip its occupancy stays
+// within what the sixteen L1s can hold — their lines plus their MSHRs —
+// instead of growing with every block ever touched.
+func TestDirectoryOccupancyBounded(t *testing.T) {
+	t.Parallel()
+	cfg := cmpConfig()
+	bound := 0
+	for _, slot := range cfg.Cores {
+		bound += int(slot.L1.Size/slot.L1.BlockSize) + slot.L1.MSHRs
+	}
+	ch := NewChip(cfg)
+	for sample := 1; sample <= 20; sample++ {
+		ch.RunCycles(50_000)
+		if n := ch.Directory().Stats().TrackedBlocks; n > bound {
+			t.Fatalf("directory tracks %d blocks after %d cycles; the L1s hold at most %d", n, ch.Now(), bound)
+		}
+	}
+	if n := ch.Directory().Stats().TrackedBlocks; n < bound/8 {
+		t.Fatalf("directory tracks only %d blocks: the chip is not sharing the hierarchy", n)
+	}
+}
+
+// BenchmarkCMPChipCycle measures the per-cycle cost of the 16-core
+// coherent chip behind Fig. 6-8 (the engine_cmp shape), stepped and
+// fast-forwarding; -benchmem must read 0 allocs/op.
+func BenchmarkCMPChipCycle(b *testing.B) {
+	for _, ff := range []bool{false, true} {
+		name := "stepped"
+		if ff {
+			name = "fastforward"
+		}
+		b.Run(name, func(b *testing.B) {
+			ch := NewChip(cmpConfig())
+			ch.SetFastForward(ff)
+			ch.RunCycles(60000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			ch.RunCycles(uint64(b.N))
+		})
+	}
+}
+
 // TestSteadyStateZeroAlloc pins the allocation profile the per-cycle
 // optimisations bought: once warmed, neither the stepped nor the
 // fast-forwarding engine allocates per cycle (MSHRs, fill closures and
 // analyzer events all come from freelists), and the functional tier
-// does not allocate per round.
+// does not allocate per round. The cmp cases are the 16-core coherent
+// chip, the only shape that exercises the NoC's response hops and source
+// queues and the directory's entries.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -725,6 +796,17 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			}
 			return ch
 		}, step: func(ch *Chip) { _ = ch.RunFunctional(100) }},
+		{name: "cmp/stepped", mk: func() *Chip {
+			ch := NewChip(cmpConfig())
+			ch.SetFastForward(false)
+			ch.RunCycles(60000)
+			return ch
+		}, step: func(ch *Chip) { ch.RunCycles(100) }},
+		{name: "cmp/fastforward", mk: func() *Chip {
+			ch := NewChip(cmpConfig())
+			ch.RunCycles(60000)
+			return ch
+		}, step: func(ch *Chip) { ch.RunCycles(100) }},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,16 +23,19 @@ package analyzer
 // Analyzer.Start and thread it through ToMiss/Done. The zero value is
 // internal to the package; callers treat Access as opaque.
 type Access struct {
-	missing  bool
-	pure     bool
-	missIdx  int    // index in the outstanding-miss set while missing
+	missing  bool   // in the miss phase: between ToMiss and Done
+	pure     bool   // classified a pure miss; final once Done has run
+	pureAt   uint64 // the analyzer's pure-cycle clock when the miss phase began
 	missBeg  uint64 // cycle the miss phase began (for per-miss penalty)
 	hitBeg   uint64 // cycle the hit phase began
 	analyzer *Analyzer
 }
 
-// Pure reports whether the access has been classified a pure miss so far.
-func (ac *Access) Pure() bool { return ac.pure }
+// Pure reports whether the access has been classified a pure miss so far:
+// a pure-miss cycle has been counted since its miss phase began.
+func (ac *Access) Pure() bool {
+	return ac.pure || (ac.missing && ac.analyzer.pureClock > ac.pureAt)
+}
 
 // Missing reports whether the access is in its miss phase.
 func (ac *Access) Missing() bool { return ac.missing }
@@ -43,8 +46,14 @@ type Analyzer struct {
 	name string
 
 	// Live state (the detectors).
-	hitCount int       // HCD: accesses currently in their hit phase
-	missSet  []*Access // MCD: outstanding missed accesses
+	hitCount  int // HCD: accesses currently in their hit phase
+	missCount int // MCD: outstanding missed accesses
+
+	// pureClock counts every pure-miss cycle since construction; unlike
+	// cur.PureCycles it survives ResetCounters. Every outstanding miss
+	// experiences every pure-miss cycle, so a miss is pure iff the clock
+	// moved between its ToMiss and its Done — no per-cycle marking.
+	pureClock uint64
 
 	// free recycles completed Access records so a steady-state layer
 	// allocates nothing per access. A record is released by Done and
@@ -64,7 +73,7 @@ func (a *Analyzer) Name() string { return a.name }
 
 // InFlight returns the number of accesses currently tracked (hit phase +
 // outstanding misses).
-func (a *Analyzer) InFlight() int { return a.hitCount + len(a.missSet) }
+func (a *Analyzer) InFlight() int { return a.hitCount + a.missCount }
 
 // Start records that a new access has begun its hit phase at the given
 // cycle, and returns its record. Call Start when the access enters service
@@ -76,10 +85,10 @@ func (a *Analyzer) Start(cycle uint64) *Access {
 	if n := len(a.free); n > 0 {
 		ac := a.free[n-1]
 		a.free = a.free[:n-1]
-		*ac = Access{analyzer: a, hitBeg: cycle, missIdx: -1}
+		*ac = Access{analyzer: a, hitBeg: cycle}
 		return ac
 	}
-	return &Access{analyzer: a, hitBeg: cycle, missIdx: -1}
+	return &Access{analyzer: a, hitBeg: cycle}
 }
 
 // ToMiss records that the access finished its hit phase at cycle and
@@ -94,8 +103,8 @@ func (a *Analyzer) ToMiss(ac *Access, cycle uint64) {
 	}
 	ac.missing = true
 	ac.missBeg = cycle
-	ac.missIdx = len(a.missSet)
-	a.missSet = append(a.missSet, ac)
+	ac.pureAt = a.pureClock
+	a.missCount++
 }
 
 // Done records that the access completed at cycle: a hit completing its
@@ -110,13 +119,9 @@ func (a *Analyzer) Done(ac *Access, cycle uint64) {
 		a.free = append(a.free, ac)
 		return
 	}
-	// Remove from the outstanding-miss set (swap with last).
-	last := len(a.missSet) - 1
-	i := ac.missIdx
-	a.missSet[i] = a.missSet[last]
-	a.missSet[i].missIdx = i
-	a.missSet = a.missSet[:last]
-	ac.missIdx = -1
+	ac.pure = a.pureClock > ac.pureAt
+	ac.missing = false
+	a.missCount--
 
 	a.cur.Misses++
 	if cycle > ac.missBeg {
@@ -134,7 +139,7 @@ func (a *Analyzer) Done(ac *Access, cycle uint64) {
 func (a *Analyzer) Tick() {
 	a.cur.Cycles++
 	h := a.hitCount
-	m := len(a.missSet)
+	m := a.missCount
 	if h == 0 && m == 0 {
 		return
 	}
@@ -150,25 +155,22 @@ func (a *Analyzer) Tick() {
 			// Pure-miss cycle: no hit activity masks these misses.
 			a.cur.PureCycles++
 			a.cur.PureAccessCycles += uint64(m)
-			for _, ac := range a.missSet {
-				ac.pure = true
-			}
+			a.pureClock++
 		}
 	}
 }
 
 // TickN classifies n consecutive cycles during which the detector state
-// (hit count and outstanding-miss set) is known not to change — the
+// (hit count and outstanding-miss count) is known not to change — the
 // fast-forward bulk form of Tick. It is exactly equivalent to calling
-// Tick n times under that precondition, including the pure-miss flag
-// propagation (idempotent after the first cycle).
+// Tick n times under that precondition.
 func (a *Analyzer) TickN(n uint64) {
 	if n == 0 {
 		return
 	}
 	a.cur.Cycles += n
 	h := a.hitCount
-	m := len(a.missSet)
+	m := a.missCount
 	if h == 0 && m == 0 {
 		return
 	}
@@ -183,9 +185,7 @@ func (a *Analyzer) TickN(n uint64) {
 		if h == 0 {
 			a.cur.PureCycles += n
 			a.cur.PureAccessCycles += uint64(m) * n
-			for _, ac := range a.missSet {
-				ac.pure = true
-			}
+			a.pureClock += n
 		}
 	}
 }

@@ -125,12 +125,17 @@ type Cache struct {
 	blockBits uint
 	rng       *stats.RNG
 
-	now       uint64
-	input     []inputReq
+	now   uint64
+	input []inputReq
+	// pipe is the hit pipeline, a FIFO: pipe[pipeHead:] are the accesses
+	// in their hit phase, in start order. HitLatency is one constant per
+	// cache, so ready = start + HitLatency never decreases along it and
+	// only the head can be due.
 	pipe      []inflight
-	mshrs     map[uint64]*mshrEntry
-	srcMSHRs  map[int]int // outstanding primary misses per requestor
-	waiting   []inflight  // missed, waiting for an MSHR/target slot
+	pipeHead  int
+	mshrs     []*mshrEntry // outstanding missed blocks, at most cfg.MSHRs, unordered
+	srcMSHRs  []int        // outstanding primary misses per requestor that has an MSHRQuota
+	waiting   []inflight   // missed, waiting for an MSHR/target slot
 	issueQ    []*mshrEntry
 	wbQ       []uint64 // block addresses to write back
 	fills     []*mshrEntry
@@ -139,8 +144,9 @@ type Cache struct {
 
 	maxTargets int
 	maxInput   int
-	allWays    []int  // cached identity way list for unpartitioned sources
-	warmLower  Warmer // lower's functional-tier surface (nil if none)
+	allWays    []int        // cached identity way list for unpartitioned sources
+	warmLower  Warmer       // lower's functional-tier surface (nil if none)
+	cleanLower CleanEvictee // lower's clean-eviction surface (nil if none)
 
 	st Stats
 	ob *cacheObs   // nil unless AttachObs was called
@@ -247,8 +253,6 @@ func New(cfg Config) *Cache {
 		sets:       sets,
 		blockBits:  blockBits,
 		rng:        stats.NewRNG(cfg.Seed ^ 0xcac4e),
-		mshrs:      make(map[uint64]*mshrEntry, cfg.MSHRs),
-		srcMSHRs:   make(map[int]int),
 		maxTargets: maxTargets,
 		maxInput:   maxInput,
 	}
@@ -258,6 +262,7 @@ func New(cfg Config) *Cache {
 func (c *Cache) SetLower(l Lower) {
 	c.lower = l
 	c.warmLower, _ = l.(Warmer)
+	c.cleanLower, _ = l.(CleanEvictee)
 }
 
 // Config returns the cache's configuration.
@@ -279,7 +284,7 @@ func (c *Cache) ResetCounters() {
 // Busy reports whether any access, miss, fill or writeback is still in
 // flight; used to drain the hierarchy at end of simulation.
 func (c *Cache) Busy() bool {
-	return len(c.input) > 0 || len(c.pipe) > 0 || len(c.mshrs) > 0 ||
+	return len(c.input) > 0 || c.pipeHead < len(c.pipe) || len(c.mshrs) > 0 ||
 		len(c.waiting) > 0 || len(c.issueQ) > 0 || len(c.wbQ) > 0 ||
 		len(c.fills) > 0 || len(c.fillsNext) > 0
 }
@@ -293,7 +298,7 @@ func (c *Cache) OutstandingMisses() int { return len(c.mshrs) }
 // accesses this cycle (queued, in the hit pipeline, or parked awaiting
 // MSHR capacity) — distinguishing hit-path pressure from idle.
 func (c *Cache) ServiceActive() bool {
-	return len(c.input) > 0 || len(c.pipe) > 0 || len(c.waiting) > 0
+	return len(c.input) > 0 || c.pipeHead < len(c.pipe) || len(c.waiting) > 0
 }
 
 // block maps an address to its block address.
@@ -359,9 +364,12 @@ func (c *Cache) Tick(cycle uint64) {
 		c.install(m)
 	}
 
-	// 2. Retry accesses waiting for MSHR capacity (some may have freed, or
-	// their block may have been filled meanwhile).
-	if len(c.waiting) > 0 {
+	// 2. Retry accesses waiting for MSHR capacity. Only an install can
+	// let one through — it alone frees an MSHR or a target list, or makes
+	// the block present — so a cycle without a fill has nothing to retry.
+	// A configured quota is the exception: its refusals are counted
+	// (QuotaWaits) once per cycle waited.
+	if len(c.waiting) > 0 && (len(c.fills) > 0 || c.cfg.MSHRQuota != nil) {
 		c.retryWaiting()
 	}
 
@@ -392,6 +400,8 @@ func (c *Cache) install(m *mshrEntry) {
 		if set[victim].dirty {
 			c.st.Writebacks++
 			c.wbQ = append(c.wbQ, set[victim].tag)
+		} else if c.cleanLower != nil {
+			c.cleanLower.EvictClean(c.cfg.SrcID, set[victim].tag)
 		}
 	}
 	set[victim] = line{
@@ -409,9 +419,31 @@ func (c *Cache) install(m *mshrEntry) {
 			t.done(c.now)
 		}
 	}
-	delete(c.mshrs, m.block)
-	c.srcMSHRs[m.src]--
-	// The fill has fired and every target completed: recycle the entry.
+	c.freeMSHR(m)
+}
+
+// findMSHR returns the outstanding entry for block, or nil.
+func (c *Cache) findMSHR(block uint64) *mshrEntry {
+	for _, m := range c.mshrs {
+		if m.block == block {
+			return m
+		}
+	}
+	return nil
+}
+
+// freeMSHR retires m once its fill has fired and every target
+// completed, and recycles the entry.
+func (c *Cache) freeMSHR(m *mshrEntry) {
+	last := len(c.mshrs) - 1
+	for i, e := range c.mshrs {
+		if e == m {
+			c.mshrs[i] = c.mshrs[last]
+			break
+		}
+	}
+	c.mshrs = c.mshrs[:last]
+	c.countMSHR(m.src, -1)
 	c.mshrFree = append(c.mshrFree, m)
 }
 
@@ -494,19 +526,12 @@ func (c *Cache) lookup(block uint64, write bool) bool {
 	return false
 }
 
-// completeResolved retires pipeline entries whose hit operation resolves
-// this cycle.
+// completeResolved retires the pipeline entries whose hit operation
+// resolves this cycle: the due prefix of the FIFO.
 func (c *Cache) completeResolved() {
-	w := 0
-	for i := range c.pipe {
-		f := &c.pipe[i]
-		if f.ready != c.now {
-			if w != i {
-				c.pipe[w] = *f
-			}
-			w++
-			continue
-		}
+	for c.pipeHead < len(c.pipe) && c.pipe[c.pipeHead].ready == c.now {
+		f := &c.pipe[c.pipeHead]
+		c.pipeHead++
 		blk := c.block(f.addr)
 		if c.lookup(blk, f.write) {
 			c.st.Hits++
@@ -523,7 +548,9 @@ func (c *Cache) completeResolved() {
 			c.waiting = append(c.waiting, *f)
 		}
 	}
-	c.pipe = c.pipe[:w]
+	if c.pipeHead == len(c.pipe) {
+		c.pipe, c.pipeHead = c.pipe[:0], 0
+	}
 }
 
 // quotaFree reports whether requestor src may allocate another MSHR.
@@ -532,10 +559,29 @@ func (c *Cache) quotaFree(src int) bool {
 		return true
 	}
 	q, ok := c.cfg.MSHRQuota[src]
-	if !ok {
-		return true
+	return !ok || src >= len(c.srcMSHRs) || c.srcMSHRs[src] < q
+}
+
+// countMSHR adjusts src's outstanding primary misses. Only requestors
+// with a quota are counted (Validate keeps their ids non-negative).
+func (c *Cache) countMSHR(src, delta int) {
+	if _, ok := c.cfg.MSHRQuota[src]; !ok {
+		return
 	}
-	return c.srcMSHRs[src] < q
+	for len(c.srcMSHRs) <= src {
+		c.srcMSHRs = append(c.srcMSHRs, 0)
+	}
+	c.srcMSHRs[src] += delta
+}
+
+// allocMSHR claims an entry for block on behalf of src and queues its
+// fetch.
+func (c *Cache) allocMSHR(block uint64, src int) *mshrEntry {
+	m := c.newMSHR(block, src)
+	c.mshrs = append(c.mshrs, m)
+	c.issueQ = append(c.issueQ, m)
+	c.countMSHR(src, +1)
+	return m
 }
 
 // newMSHR claims a pooled entry (or builds one, with its permanent fill
@@ -560,7 +606,7 @@ func (c *Cache) newMSHR(block uint64, src int) *mshrEntry {
 // It returns false when no MSHR capacity is available.
 func (c *Cache) attachMiss(f inflight) bool {
 	blk := c.block(f.addr)
-	if m, ok := c.mshrs[blk]; ok {
+	if m := c.findMSHR(blk); m != nil {
 		if !c.cfg.Coalesce || len(m.targets) >= c.maxTargets {
 			return false
 		}
@@ -576,12 +622,9 @@ func (c *Cache) attachMiss(f inflight) bool {
 		c.st.QuotaWaits++
 		return false
 	}
-	m := c.newMSHR(blk, f.src)
+	m := c.allocMSHR(blk, f.src)
 	m.write = f.write
 	m.targets = append(m.targets, target{write: f.write, src: f.src, start: f.start, done: f.done, rec: f.rec})
-	c.mshrs[blk] = m
-	c.issueQ = append(c.issueQ, m)
-	c.srcMSHRs[f.src]++
 	c.st.PrimaryMisses++
 	c.issuePrefetches(blk, f.src)
 	return true
@@ -597,14 +640,10 @@ func (c *Cache) issuePrefetches(blk uint64, src int) {
 		if len(c.mshrs) >= c.cfg.MSHRs || !c.quotaFree(src) {
 			return
 		}
-		if _, pending := c.mshrs[pb]; pending || c.present(pb) {
+		if c.findMSHR(pb) != nil || c.present(pb) {
 			continue
 		}
-		m := c.newMSHR(pb, src)
-		m.prefetch = true
-		c.mshrs[pb] = m
-		c.issueQ = append(c.issueQ, m)
-		c.srcMSHRs[src]++
+		c.allocMSHR(pb, src).prefetch = true
 		c.st.Prefetches++
 	}
 }
@@ -652,18 +691,11 @@ func (c *Cache) startAccesses() {
 	}
 	started := 0
 	var bankBusy uint64 // bitmask for up to 64 banks; wider configs wrap
-	w := 0
-	for i := range c.input {
+	w, i := 0, 0
+	for ; i < len(c.input) && started < c.cfg.Ports; i++ {
 		req := &c.input[i]
-		if started >= c.cfg.Ports || req.at > c.now {
-			if w != i {
-				c.input[w] = *req
-			}
-			w++
-			continue
-		}
 		b := uint(c.bank(c.block(req.addr))) % 64
-		if bankBusy&(1<<b) != 0 {
+		if req.at > c.now || bankBusy&(1<<b) != 0 {
 			if w != i {
 				c.input[w] = *req
 			}
@@ -674,6 +706,11 @@ func (c *Cache) startAccesses() {
 		started++
 		c.st.Accesses++
 		rec := c.an.Start(c.now)
+		if c.pipeHead > 0 && len(c.pipe) == cap(c.pipe) {
+			// Reclaim the popped prefix rather than grow.
+			c.pipe = c.pipe[:copy(c.pipe, c.pipe[c.pipeHead:])]
+			c.pipeHead = 0
+		}
 		c.pipe = append(c.pipe, inflight{
 			addr:  req.addr,
 			write: req.write,
@@ -684,18 +721,20 @@ func (c *Cache) startAccesses() {
 			rec:   rec,
 		})
 	}
+	// Every port is taken (or the queue is exhausted): the rest waits.
+	w += copy(c.input[w:], c.input[i:])
 	c.input = c.input[:w]
 }
 
 // issueDown pushes pending block fetches, then writebacks, to the lower
 // layer until it refuses.
 func (c *Cache) issueDown() {
-	if c.lower == nil {
-		if len(c.issueQ) > 0 || len(c.wbQ) > 0 {
-			//lint:ignore hotpathalloc misconfiguration abort path; the panic ends the run
-			panic(fmt.Sprintf("cache %s: miss traffic with no lower layer", c.cfg.Name))
-		}
+	if len(c.issueQ) == 0 && len(c.wbQ) == 0 {
 		return
+	}
+	if c.lower == nil {
+		//lint:ignore hotpathalloc misconfiguration abort path; the panic ends the run
+		panic(fmt.Sprintf("cache %s: miss traffic with no lower layer", c.cfg.Name))
 	}
 	keepIssue := c.issueQ[:0]
 	for i, m := range c.issueQ {

@@ -141,6 +141,9 @@ func (c *Config) Validate() error {
 		}
 	}
 	for src, q := range c.MSHRQuota {
+		if src < 0 {
+			return fmt.Errorf("cache %s: MSHR quota for negative requestor %d", c.Name, src)
+		}
 		if q <= 0 {
 			return fmt.Errorf("cache %s: requestor %d has MSHR quota %d", c.Name, src, q)
 		}
@@ -159,6 +162,18 @@ func (c *Config) Sets() uint64 { return c.Size / (c.BlockSize * uint64(c.Assoc))
 // cycle; the caller must retry.
 type Lower interface {
 	Request(cycle uint64, src int, blockAddr uint64, write bool, done func(cycle uint64)) bool
+}
+
+// CleanEvictee is an optional surface of a Lower that tracks which upper
+// caches hold a block (a coherence directory). Dirty victims reach the
+// lower layer as writebacks; clean victims are otherwise dropped
+// silently, so without this call such a layer could never forget a
+// block. A cache tells a lower layer that implements it whenever a
+// valid, clean line leaves.
+type CleanEvictee interface {
+	// EvictClean reports that requestor src dropped its clean copy of
+	// block.
+	EvictClean(src int, block uint64)
 }
 
 // InsertPolicy selects where a filled block enters the replacement

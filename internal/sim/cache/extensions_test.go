@@ -38,6 +38,11 @@ func TestValidatePartitionAndQuota(t *testing.T) {
 		t.Error("zero quota accepted")
 	}
 	bad = testCfg()
+	bad.MSHRQuota = map[int]int{-1: 2}
+	if err := bad.Validate(); err == nil {
+		t.Error("quota for a negative requestor accepted")
+	}
+	bad = testCfg()
 	bad.Prefetch = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("negative prefetch accepted")

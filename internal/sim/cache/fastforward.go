@@ -1,20 +1,22 @@
 package cache
 
 // Fast-forward hooks (see chip/fastforward.go). A cache is quiescent
-// when nothing it does per cycle can change state: no queued input, no
-// parked misses to retry, nothing to issue downstream, and no fills to
-// install. The hit pipeline and outstanding MSHRs are allowed — the
+// when nothing it does per cycle can change state: no queued input,
+// nothing to issue downstream, and no fills to install. The hit
+// pipeline, outstanding MSHRs and parked misses are allowed — the
 // pipeline's resolution cycles are exposed via NextEvent (resolution is
-// an exact-cycle match, so the chip must never jump past one), and MSHR
+// an exact-cycle match, so the chip must never jump past one), MSHR
 // fills arrive through lower-layer callbacks that make the cache
-// non-quiescent the cycle they land.
+// non-quiescent the cycle they land, and a parked miss is retried only
+// in a cycle that installs a fill. Under an MSHR quota a parked miss is
+// retried, and its refusal counted, every cycle, so it is not allowed.
 
 // Quiescent reports whether the next Tick would only re-walk unchanged
 // state (no completions, starts, retries, installs, or downstream
 // issues).
 func (c *Cache) Quiescent(now uint64) bool {
 	_ = now
-	return len(c.input) == 0 && len(c.waiting) == 0 &&
+	return len(c.input) == 0 && (len(c.waiting) == 0 || c.cfg.MSHRQuota == nil) &&
 		len(c.issueQ) == 0 && len(c.wbQ) == 0 &&
 		len(c.fills) == 0 && len(c.fillsNext) == 0
 }
@@ -22,13 +24,10 @@ func (c *Cache) Quiescent(now uint64) bool {
 // NextEvent returns the earliest hit-pipeline resolution cycle, or
 // ^uint64(0) when the pipeline is empty.
 func (c *Cache) NextEvent() uint64 {
-	ev := ^uint64(0)
-	for i := range c.pipe {
-		if c.pipe[i].ready < ev {
-			ev = c.pipe[i].ready
-		}
+	if c.pipeHead == len(c.pipe) {
+		return ^uint64(0)
 	}
-	return ev
+	return c.pipe[c.pipeHead].ready
 }
 
 // AdvanceCycles accrues n quiescent cycles (now+1 .. now+n) in bulk:

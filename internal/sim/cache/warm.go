@@ -92,8 +92,14 @@ func (c *Cache) warmFill(stamp uint64, src int, blk uint64, write bool) {
 	}
 	set := c.sets[c.setIndex(blk)]
 	v := c.victim(set, src)
-	if set[v].valid && set[v].dirty && c.warmLower != nil {
-		c.warmLower.WarmWriteback(stamp, c.cfg.SrcID, set[v].tag)
+	if set[v].valid {
+		if set[v].dirty {
+			if c.warmLower != nil {
+				c.warmLower.WarmWriteback(stamp, c.cfg.SrcID, set[v].tag)
+			}
+		} else if c.cleanLower != nil {
+			c.cleanLower.EvictClean(c.cfg.SrcID, set[v].tag)
+		}
 	}
 	set[v] = line{tag: blk, valid: true, dirty: write, used: c.insertStamp()}
 }

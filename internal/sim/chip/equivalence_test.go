@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"lpm/internal/obs/timeseries"
+	"lpm/internal/sim/cache"
 	"lpm/internal/sim/chip"
+	"lpm/internal/sim/coherence"
+	"lpm/internal/sim/dram"
 	"lpm/internal/sim/noc"
 	"lpm/internal/trace"
 )
@@ -171,5 +174,144 @@ func TestEquivToggleMidRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatal("timeline diverged after mid-run toggle")
+	}
+}
+
+// hierarchyKnobs are the memory-hierarchy parameters the head-checked
+// queues, the retry gate and the DRAM stall stamp rely on being
+// arbitrary: every latency that orders a queue, every bound that makes a
+// layer refuse. TestEquivBackpressure pins one hostile setting;
+// FuzzHierarchyBackpressure searches the rest.
+type hierarchyKnobs struct {
+	cores                              int // active cores, coherent, sharing a region
+	l1Hit, l1Ports, l1MSHRs, l1Targets int
+	l2Hit, l2Ports, l2MSHRs, l2Input   int
+	nocLat, nocBW, nocDepth            int
+	banks, dramQueue                   int
+	tCL, tRCD, tRP, tBurst             int
+	invalLat                           uint64
+	fcfs                               bool
+	seed                               uint64
+}
+
+// config builds the chip: knobs.cores NUCA cores on mixed programs behind
+// the directory and the NoC, a fifth of their accesses falling into one
+// small shared region so stores invalidate and write fetches are delayed.
+func (k hierarchyKnobs) config() chip.Config {
+	names := []string{"429.mcf", "433.milc", "403.gcc", "410.bwaves"}
+	gens := make([]trace.Generator, k.cores)
+	for i := range gens {
+		prof := trace.MustProfile(names[i%len(names)])
+		prof.Seed += k.seed*16 + uint64(i)
+		gens[i] = trace.NewSynthetic(prof)
+	}
+	cfg := chip.NUCA16(gens)
+	for i := range cfg.Cores {
+		l1 := &cfg.Cores[i].L1
+		l1.HitLatency, l1.Ports, l1.MSHRs, l1.MSHRTargets = k.l1Hit, k.l1Ports, k.l1MSHRs, k.l1Targets
+		if i < k.cores {
+			cfg.Cores[i].Workload = trace.WithSharedRegion(cfg.Cores[i].Workload,
+				trace.GlobalBase, 8*chip.KB, 0.2, k.seed+uint64(i)+1)
+		}
+	}
+	cfg.L2.HitLatency, cfg.L2.Ports, cfg.L2.MSHRs, cfg.L2.InputQueue = k.l2Hit, k.l2Ports, k.l2MSHRs, k.l2Input
+	cfg.NoC = &noc.Config{Name: "noc", Latency: k.nocLat, Bandwidth: k.nocBW, QueueDepth: k.nocDepth, Sources: 16}
+	cfg.Coherent, cfg.CoherenceInvalLatency = true, k.invalLat
+	cfg.Mem.BanksPerChannel, cfg.Mem.QueueDepth = k.banks, k.dramQueue
+	cfg.Mem.TCL, cfg.Mem.TRCD, cfg.Mem.TRP, cfg.Mem.TBurst = k.tCL, k.tRCD, k.tRP, k.tBurst
+	cfg.Mem.Channels = 2
+	if k.fcfs {
+		cfg.Mem.Scheduler = dram.FCFS
+	}
+	return cfg
+}
+
+// hierarchyStats is every Stats struct on the chip: the Report plus the
+// interconnect and directory counters Snapshot leaves out.
+type hierarchyStats struct {
+	Report chip.Report
+	NoC    noc.Stats
+	Dir    coherence.Stats
+}
+
+func statsOf(ch *chip.Chip) hierarchyStats {
+	return hierarchyStats{ch.Snapshot(), ch.Router().Stats(), ch.Directory().Stats()}
+}
+
+// timeOrdered fails unless the live part of a head-indexed queue —
+// field[head:] of the struct s — is sorted by its key field. The queues
+// are unexported state of other packages; reflection reads them without
+// widening any API.
+func timeOrdered(t *testing.T, what string, s reflect.Value, field, head, key string) {
+	t.Helper()
+	q := s.FieldByName(field)
+	for i := int(s.FieldByName(head).Int()) + 1; i < q.Len(); i++ {
+		if q.Index(i).FieldByName(key).Uint() < q.Index(i-1).FieldByName(key).Uint() {
+			t.Fatalf("%s: %s[%d] is due before its predecessor", what, field, i)
+		}
+	}
+}
+
+// assertTimeOrdered checks the ordering invariant of every head-checked
+// queue on the chip (DESIGN.md section 9).
+func assertTimeOrdered(t *testing.T, ch *chip.Chip) {
+	t.Helper()
+	for i := range ch.Config().Cores {
+		timeOrdered(t, fmt.Sprintf("L1 %d", i), reflect.ValueOf(ch.L1(i)).Elem(), "pipe", "pipeHead", "ready")
+	}
+	timeOrdered(t, "L2", reflect.ValueOf(ch.L2()).Elem(), "pipe", "pipeHead", "ready")
+	router := reflect.ValueOf(ch.Router()).Elem()
+	timeOrdered(t, "router", router.FieldByName("inflight"), "buf", "head", "readyAt")
+	timeOrdered(t, "router", router.FieldByName("resp"), "buf", "head", "readyAt")
+	timeOrdered(t, "directory", reflect.ValueOf(ch.Directory()).Elem(), "delayed", "delayedHead", "at")
+}
+
+// checkHierarchyEquiv steps one chip cycle by cycle and fast-forwards its
+// twin, in chunks, requiring identical Stats everywhere and time-ordered
+// queues at every chunk boundary. It returns the final stats.
+func checkHierarchyEquiv(t *testing.T, k hierarchyKnobs, chunks int, chunk uint64) hierarchyStats {
+	t.Helper()
+	fast, step := chip.New(k.config()), chip.New(k.config())
+	step.SetFastForward(false)
+	for i := 0; i < chunks; i++ {
+		fast.RunCycles(chunk)
+		step.RunCycles(chunk)
+		if a, b := statsOf(fast), statsOf(step); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%+v: stats diverged by cycle %d\nff:   %+v\nstep: %+v", k, fast.Now(), a, b)
+		}
+		assertTimeOrdered(t, fast)
+		assertTimeOrdered(t, step)
+		if i == chunks/2 {
+			fast.ResetCounters()
+			step.ResetCounters()
+		}
+	}
+	return statsOf(step)
+}
+
+// TestEquivBackpressure: stepped ≡ fast-forward on a chip where every
+// refuse-and-retry path is hot — two-deep NoC and DRAM queues, a
+// four-entry L2 input queue, two MSHRs per L1 — with the ordering
+// invariants of the time-ordered queues asserted along the way.
+func TestEquivBackpressure(t *testing.T) {
+	t.Parallel()
+	k := hierarchyKnobs{
+		cores: 8,
+		l1Hit: 3, l1Ports: 2, l1MSHRs: 2, l1Targets: 2,
+		l2Hit: 30, l2Ports: 1, l2MSHRs: 64, l2Input: 4,
+		nocLat: 6, nocBW: 4, nocDepth: 2,
+		banks: 8, dramQueue: 2,
+		tCL: 33, tRCD: 33, tRP: 33, tBurst: 8,
+		invalLat: 8,
+	}
+	st := checkHierarchyEquiv(t, k, 150, 197)
+	var l1 cache.Stats
+	for _, c := range st.Report.Cores {
+		l1.MSHRWaits += c.L1Stats.MSHRWaits
+	}
+	if st.NoC.Rejected == 0 || st.Report.L2Stats.Rejected == 0 || st.Report.Mem.Rejected == 0 ||
+		l1.MSHRWaits == 0 || st.Dir.Invalidations == 0 {
+		t.Fatalf("a back-pressure path stayed cold: noc rejected %d, L2 rejected %d, DRAM rejected %d, L1 MSHR waits %d, invalidations %d",
+			st.NoC.Rejected, st.Report.L2Stats.Rejected, st.Report.Mem.Rejected, l1.MSHRWaits, st.Dir.Invalidations)
 	}
 }

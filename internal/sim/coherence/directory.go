@@ -26,7 +26,8 @@ type Invalidator interface {
 	Invalidate(blockAddr uint64) (present, dirty bool)
 }
 
-// entry is one tracked block's directory state.
+// entry is one tracked block's directory state. A block with no sharer
+// and no owner has no entry.
 type entry struct {
 	sharers uint64 // bitmask of L1s holding the block
 	owner   int    // index holding it modified; -1 when unowned
@@ -34,7 +35,8 @@ type entry struct {
 
 // Stats counts protocol events.
 type Stats struct {
-	// ReadFetches and WriteFetches count forwarded demand fetches.
+	// ReadFetches and WriteFetches count forwarded demand fetches: the
+	// ones the lower layer accepted, not the attempts it refused.
 	ReadFetches, WriteFetches uint64
 	// Invalidations counts copies killed by write fetches.
 	Invalidations uint64
@@ -54,13 +56,18 @@ type Stats struct {
 type Directory struct {
 	lower  cache.Lower
 	upper  []Invalidator
-	blocks map[uint64]*entry
+	blocks map[uint64]entry
 	st     Stats
 	// InvalidationLatency is charged (in cycles) to a write fetch that
 	// had to kill remote copies, by delaying its forward; 0 disables.
 	InvalidationLatency uint64
 
-	delayed []delayedReq
+	// delayed holds the write fetches waiting out their invalidation
+	// latency; delayed[delayedHead:] is live and ordered by at (the
+	// latency is one constant, and a refused forward re-queues in place
+	// for the next cycle, which no later entry precedes).
+	delayed     []delayedReq
+	delayedHead int
 }
 
 // delayedReq is a write fetch waiting out its invalidation latency.
@@ -78,7 +85,7 @@ func New(upper []Invalidator, lower cache.Lower) *Directory {
 	return &Directory{
 		lower:  lower,
 		upper:  upper,
-		blocks: make(map[uint64]*entry),
+		blocks: make(map[uint64]entry),
 	}
 }
 
@@ -93,17 +100,25 @@ func (d *Directory) Stats() Stats {
 func (d *Directory) ResetCounters() { d.st = Stats{} }
 
 // Busy reports whether delayed fetches are pending.
-func (d *Directory) Busy() bool { return len(d.delayed) > 0 }
+func (d *Directory) Busy() bool { return d.delayedHead < len(d.delayed) }
 
-// entryFor returns (allocating) the state of a block.
-func (d *Directory) entryFor(block uint64) *entry {
-	e, ok := d.blocks[block]
-	if !ok {
-		//lint:ignore hotpathalloc directory entry interning: one allocation per unique block, none once the footprint is warm
-		e = &entry{owner: -1}
-		d.blocks[block] = e
+// entryFor returns the state of a block; callers store it back with
+// setEntry after changing it.
+func (d *Directory) entryFor(block uint64) entry {
+	if e, ok := d.blocks[block]; ok {
+		return e
 	}
-	return e
+	return entry{owner: -1}
+}
+
+// setEntry records block's state, dropping the entry once nobody holds
+// the block.
+func (d *Directory) setEntry(block uint64, e entry) {
+	if e.sharers == 0 && e.owner == -1 {
+		delete(d.blocks, block)
+		return
+	}
+	d.blocks[block] = e
 }
 
 // Request implements cache.Lower.
@@ -116,13 +131,17 @@ func (d *Directory) Request(cycle uint64, src int, block uint64, write bool, don
 	if write {
 		delay := d.prepareWrite(cycle, src, block)
 		if delay > 0 {
+			if d.delayedHead > 0 && len(d.delayed) == cap(d.delayed) {
+				// Reclaim the popped prefix rather than grow.
+				d.delayed = d.delayed[:copy(d.delayed, d.delayed[d.delayedHead:])]
+				d.delayedHead = 0
+			}
 			d.delayed = append(d.delayed, delayedReq{
 				src: src, block: block, write: true, done: done, at: cycle + delay,
 			})
 			return true
 		}
-		d.st.WriteFetches++
-		return d.lower.Request(cycle, src, block, true, done)
+		return d.forward(cycle, src, block, true, done)
 	}
 	// Read fetch: register the sharer; a modified owner is downgraded
 	// (its dirty data flushed as a writeback).
@@ -139,8 +158,21 @@ func (d *Directory) Request(cycle uint64, src int, block uint64, write bool, don
 	if src >= 0 && src < 64 {
 		e.sharers |= 1 << uint(src)
 	}
-	d.st.ReadFetches++
-	return d.lower.Request(cycle, src, block, false, done)
+	d.setEntry(block, e)
+	return d.forward(cycle, src, block, false, done)
+}
+
+// forward sends a demand fetch down and counts it if accepted.
+func (d *Directory) forward(cycle uint64, src int, block uint64, write bool, done func(cycle uint64)) bool {
+	if !d.lower.Request(cycle, src, block, write, done) {
+		return false
+	}
+	if write {
+		d.st.WriteFetches++
+	} else {
+		d.st.ReadFetches++
+	}
+	return true
 }
 
 // prepareWrite invalidates every remote copy of block and returns the
@@ -169,6 +201,7 @@ func (d *Directory) prepareWrite(cycle uint64, src int, block uint64) uint64 {
 	} else {
 		e.sharers = 0
 	}
+	d.setEntry(block, e)
 	if killed {
 		return d.InvalidationLatency
 	}
@@ -195,31 +228,51 @@ func (d *Directory) release(src int, block uint64) {
 	if e.owner == src {
 		e.owner = -1
 	}
-	if e.sharers == 0 && e.owner == -1 {
-		delete(d.blocks, block)
+	d.setEntry(block, e)
+}
+
+// EvictClean implements cache.CleanEvictee: src silently dropped its
+// clean copy of block, so it is no longer a sharer. Without this the
+// directory would track every block any L1 ever read. An owner's entry
+// is left alone — a modified copy leaves as a writeback (release).
+// Exactness: a sharer bit only selects which caches a write fetch
+// invalidates, and invalidating a cache that does not hold the block
+// finds nothing and counts nothing, so dropping the bit of a cache that
+// no longer holds it changes no outcome; src has no fetch of block in
+// flight either, since a block being fetched is not resident to evict.
+func (d *Directory) EvictClean(src int, block uint64) {
+	e, ok := d.blocks[block]
+	if !ok || e.owner == src || src < 0 || src >= 64 {
+		return
 	}
+	e.sharers &^= 1 << uint(src)
+	d.setEntry(block, e)
 }
 
 // Tick forwards delayed write fetches whose invalidation latency
-// expired. Call it once per cycle, between the L1s and the lower layer.
+// expired, oldest first. Call it once per cycle, between the L1s and the
+// lower layer.
 func (d *Directory) Tick(cycle uint64) {
-	if len(d.delayed) == 0 {
+	if d.delayedHead == len(d.delayed) || d.delayed[d.delayedHead].at > cycle {
 		return
 	}
-	keep := d.delayed[:0]
-	for _, r := range d.delayed {
-		if r.at > cycle {
-			keep = append(keep, r)
-			continue
-		}
-		d.st.WriteFetches++
-		if !d.lower.Request(cycle, r.src, r.block, r.write, r.done) {
-			rr := r
-			rr.at = cycle + 1
-			keep = append(keep, rr)
+	// Refused forwards are collected at the front of the due prefix to
+	// retry next cycle, then moved up against the entries still waiting.
+	kept, i := d.delayedHead, d.delayedHead
+	for ; i < len(d.delayed) && d.delayed[i].at <= cycle; i++ {
+		r := d.delayed[i]
+		if !d.forward(cycle, r.src, r.block, r.write, r.done) {
+			r.at = cycle + 1
+			d.delayed[kept] = r
+			kept++
 		}
 	}
-	d.delayed = keep
+	n := kept - d.delayedHead
+	copy(d.delayed[i-n:i], d.delayed[d.delayedHead:kept])
+	d.delayedHead = i - n
+	if d.delayedHead == len(d.delayed) {
+		d.delayed, d.delayedHead = d.delayed[:0], 0
+	}
 }
 
 // String summarises the protocol counters.

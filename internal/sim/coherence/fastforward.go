@@ -7,24 +7,15 @@ package coherence
 // Tick accrues no per-cycle counters, so AdvanceCycles is a no-op.
 
 // Quiescent reports whether the next Tick would forward nothing.
-func (d *Directory) Quiescent(now uint64) bool {
-	for i := range d.delayed {
-		if d.delayed[i].at <= now+1 {
-			return false
-		}
-	}
-	return true
-}
+func (d *Directory) Quiescent(now uint64) bool { return d.NextEvent() > now+1 }
 
-// NextEvent returns the earliest delayed-fetch expiry, or ^uint64(0).
+// NextEvent returns the earliest delayed-fetch expiry — the head of the
+// time-ordered queue — or ^uint64(0).
 func (d *Directory) NextEvent() uint64 {
-	ev := ^uint64(0)
-	for i := range d.delayed {
-		if d.delayed[i].at < ev {
-			ev = d.delayed[i].at
-		}
+	if d.delayedHead == len(d.delayed) {
+		return ^uint64(0)
 	}
-	return ev
+	return d.delayed[d.delayedHead].at
 }
 
 // AdvanceCycles is a no-op: the directory has no per-cycle accounting.

@@ -52,6 +52,7 @@ func (d *Directory) WarmFetch(stamp uint64, src int, block uint64, write bool) {
 			e.sharers |= 1 << uint(src)
 		}
 	}
+	d.setEntry(block, e)
 	if w := d.warmDown(); w != nil {
 		w.WarmFetch(stamp, src, block, write)
 	}

@@ -96,9 +96,12 @@ func DDR3(name string) Config {
 	}
 }
 
-// request is one queued memory operation.
+// request is one queued memory operation. Its bank and row are worked
+// out once, on arrival, for the scheduler's scans.
 type request struct {
 	block uint64
+	row   uint64 // DRAM row holding block
+	bank  int    // bank within the channel
 	write bool
 	src   int
 	done  func(cycle uint64)
@@ -117,6 +120,11 @@ type channel struct {
 	queue    []request
 	banks    []bank
 	busUntil uint64
+	// stallUntil is set by a scan that found every queued request's bank
+	// busy: the earliest cycle one of those banks frees. Bank state
+	// changes only when this channel starts a request, so until then no
+	// scan can pick; an arrival (which may target a free bank) clears it.
+	stallUntil uint64
 }
 
 // pending is a scheduled completion.
@@ -187,6 +195,7 @@ type DRAM struct {
 	queued   int    // requests waiting in channel queues, over all channels
 	busUntil uint64 // latest channel busUntil: no bus is busy from this cycle on
 	pend     []pending
+	nextDone uint64 // earliest completion cycle in pend (valid while pend is non-empty)
 	now      uint64
 	st       Stats
 	ob       *dramObs
@@ -288,7 +297,11 @@ func (d *DRAM) Request(cycle uint64, src int, block uint64, write bool, done fun
 		d.st.Rejected++
 		return false
 	}
-	ch.queue = append(ch.queue, request{block: block, write: write, src: src, done: done, at: cycle})
+	ch.queue = append(ch.queue, request{
+		block: block, row: d.rowOf(block), bank: d.bankOf(block),
+		write: write, src: src, done: done, at: cycle,
+	})
+	ch.stallUntil = 0
 	d.queued++
 	return true
 }
@@ -305,19 +318,23 @@ func (d *DRAM) Tick(cycle uint64) {
 		return
 	}
 
-	// Completions.
-	if len(d.pend) > 0 {
+	// Completions, in scheduling order. pend is not ordered by
+	// completion cycle (channels finish independently), so it is walked
+	// — but only in a cycle where something is due.
+	if len(d.pend) > 0 && d.nextDone <= cycle {
 		keep := d.pend[:0]
+		next := ^uint64(0)
 		for _, p := range d.pend {
 			if p.at <= cycle {
-				if p.done != nil {
-					p.done(cycle)
-				}
-			} else {
-				keep = append(keep, p)
+				p.done(cycle)
+				continue
+			}
+			keep = append(keep, p)
+			if p.at < next {
+				next = p.at
 			}
 		}
-		d.pend = keep
+		d.pend, d.nextDone = keep, next
 	}
 
 	active := len(d.pend) > 0
@@ -347,41 +364,48 @@ func (d *DRAM) bankOf(block uint64) int {
 
 // serviceChannel starts at most one eligible request on ch.
 func (d *DRAM) serviceChannel(ch *channel) {
-	if len(ch.queue) == 0 {
+	if len(ch.queue) == 0 || d.now < ch.stallUntil {
 		return
 	}
 	pick := -1
 	if d.cfg.Scheduler == FRFCFS {
 		// Prefer the oldest row-buffer hit on a free bank.
-		for i, r := range ch.queue {
-			b := &ch.banks[d.bankOf(r.block)]
-			if b.busyUntil <= d.now && b.rowValid && b.openRow == d.rowOf(r.block) {
+		for i := range ch.queue {
+			r := &ch.queue[i]
+			b := &ch.banks[r.bank]
+			if b.busyUntil <= d.now && b.rowValid && b.openRow == r.row {
 				pick = i
 				break
 			}
 		}
 	}
 	if pick < 0 {
-		// Oldest request whose bank is free.
-		for i, r := range ch.queue {
-			if ch.banks[d.bankOf(r.block)].busyUntil <= d.now {
+		// Oldest request whose bank is free; failing that, the cycle
+		// the first of their banks frees.
+		free := ^uint64(0)
+		for i := range ch.queue {
+			bu := ch.banks[ch.queue[i].bank].busyUntil
+			if bu <= d.now {
 				pick = i
 				break
 			}
+			if bu < free {
+				free = bu
+			}
 		}
-	}
-	if pick < 0 {
-		return
+		if pick < 0 {
+			ch.stallUntil = free
+			return
+		}
 	}
 	r := ch.queue[pick]
 	ch.queue = append(ch.queue[:pick], ch.queue[pick+1:]...)
 	d.queued--
 
-	b := &ch.banks[d.bankOf(r.block)]
-	row := d.rowOf(r.block)
+	b := &ch.banks[r.bank]
 	var access int
 	switch {
-	case b.rowValid && b.openRow == row:
+	case b.rowValid && b.openRow == r.row:
 		d.st.RowHits++
 		access = d.cfg.TCL
 	case !b.rowValid:
@@ -391,7 +415,7 @@ func (d *DRAM) serviceChannel(ch *channel) {
 		d.st.RowConflicts++
 		access = d.cfg.TRP + d.cfg.TRCD + d.cfg.TCL
 	}
-	b.openRow, b.rowValid = row, true
+	b.openRow, b.rowValid = r.row, true
 
 	// The data burst occupies the shared channel bus after the bank
 	// access; bursts serialise on the bus.
@@ -417,6 +441,9 @@ func (d *DRAM) serviceChannel(ch *channel) {
 	d.st.Reads++
 	d.st.LatencySum += ready - r.at
 	d.tr.Emit(d.cfg.Name, "read", r.src, r.at, ready, r.block)
+	if len(d.pend) == 0 || ready < d.nextDone {
+		d.nextDone = ready
+	}
 	d.pend = append(d.pend, pending{done: r.done, at: ready})
 }
 

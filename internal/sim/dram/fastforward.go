@@ -16,13 +16,10 @@ func (d *DRAM) Quiescent(now uint64) bool {
 // NextEvent returns the earliest scheduled completion cycle, or
 // ^uint64(0) when none is outstanding.
 func (d *DRAM) NextEvent() uint64 {
-	ev := ^uint64(0)
-	for i := range d.pend {
-		if d.pend[i].at < ev {
-			ev = d.pend[i].at
-		}
+	if len(d.pend) == 0 {
+		return ^uint64(0)
 	}
-	return ev
+	return d.nextDone
 }
 
 // AdvanceCycles accrues n quiescent cycles (now+1 .. now+n) in bulk.

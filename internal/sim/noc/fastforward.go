@@ -9,37 +9,19 @@ package noc
 // Quiescent reports whether the next Tick would deliver, hand over, or
 // arbitrate nothing.
 func (r *Router) Quiescent(now uint64) bool {
-	for _, q := range r.queues {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	for i := range r.inflight {
-		if r.inflight[i].readyAt <= now+1 {
-			return false
-		}
-	}
-	for i := range r.resp {
-		if r.resp[i].readyAt <= now+1 {
-			return false
-		}
-	}
-	return true
+	return r.queued == 0 && r.NextEvent() > now+1
 }
 
 // NextEvent returns the earliest traversal completion in either
-// direction, or ^uint64(0).
+// direction — the head of one of the two time-ordered queues — or
+// ^uint64(0).
 func (r *Router) NextEvent() uint64 {
 	ev := ^uint64(0)
-	for i := range r.inflight {
-		if r.inflight[i].readyAt < ev {
-			ev = r.inflight[i].readyAt
-		}
+	if r.inflight.len() > 0 {
+		ev = r.inflight.front().readyAt
 	}
-	for i := range r.resp {
-		if r.resp[i].readyAt < ev {
-			ev = r.resp[i].readyAt
-		}
+	if r.resp.len() > 0 && r.resp.front().readyAt < ev {
+		ev = r.resp.front().readyAt
 	}
 	return ev
 }

@@ -66,19 +66,50 @@ func Default(sources int) Config {
 	}
 }
 
-// message is a request in flight through the router.
+// message is a request or a response in the router. A response uses
+// only done and readyAt.
 type message struct {
 	src     int
 	block   uint64
 	write   bool
 	done    func(cycle uint64)
+	arrived uint64 // cycle the request was queued
 	readyAt uint64 // cycle the message finishes traversing
 }
 
-// response is a completion in flight back to a requestor.
-type response struct {
-	done    func(cycle uint64)
-	readyAt uint64
+// fifo is a queue of messages popped at the head without giving the
+// backing array's capacity away: buf[head:] is the live content.
+type fifo struct {
+	buf  []message
+	head int
+}
+
+func (f *fifo) len() int { return len(f.buf) - f.head }
+
+func (f *fifo) front() *message { return &f.buf[f.head] }
+
+func (f *fifo) push(m message) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		// Reclaim the popped prefix rather than grow.
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	}
+	f.buf = append(f.buf, m)
+}
+
+func (f *fifo) pop() {
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+}
+
+// hop is the response leg of one forwarded request. It is bound to the
+// request when arbitration launches it, handed to the lower layer as
+// the request's completion, and recycled when that completion fires.
+type hop struct {
+	done func(cycle uint64) // the requestor's completion
+	fire func(cycle uint64) // built once per hop: queue the response, recycle
 }
 
 // Stats counts router events.
@@ -116,11 +147,16 @@ type Router struct {
 	cfg   Config
 	lower cache.Lower
 
-	queues   [][]message // per-source, waiting for arbitration
-	arrival  [][]uint64  // enqueue cycle per queued message
-	inflight []message   // traversing toward the lower layer
-	resp     []response  // traversing back up
-	rr       int         // round-robin arbitration cursor
+	queues []fifo // per-source, waiting for arbitration
+	queued int    // messages over all source queues
+	// inflight (toward the lower layer) and resp (back up) are ordered
+	// by readyAt: the latency is one constant and messages enter in
+	// cycle order, so only a prefix can be due. A hand-over the lower
+	// layer refuses stays where it is, at the front.
+	inflight fifo
+	resp     fifo
+	hopFree  []*hop // recycled response hops
+	rr       int    // round-robin arbitration cursor, in [0, Sources)
 	now      uint64
 
 	st Stats
@@ -164,11 +200,7 @@ func New(cfg Config) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Router{
-		cfg:     cfg,
-		queues:  make([][]message, cfg.Sources),
-		arrival: make([][]uint64, cfg.Sources),
-	}
+	return &Router{cfg: cfg, queues: make([]fifo, cfg.Sources)}
 }
 
 // SetLower connects the downstream layer.
@@ -184,28 +216,12 @@ func (r *Router) Stats() Stats { return r.st }
 func (r *Router) ResetCounters() { r.st = Stats{} }
 
 // Busy reports whether messages are queued or in flight.
-func (r *Router) Busy() bool {
-	if len(r.inflight) > 0 || len(r.resp) > 0 {
-		return true
-	}
-	for _, q := range r.queues {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (r *Router) Busy() bool { return r.Pending() > 0 }
 
 // Pending returns the number of messages currently queued or traversing
 // in either direction — the interconnect-occupancy probe of the
 // time-series sampler and the NoC signal of the stall attribution.
-func (r *Router) Pending() int {
-	n := len(r.inflight) + len(r.resp)
-	for _, q := range r.queues {
-		n += len(q)
-	}
-	return n
-}
+func (r *Router) Pending() int { return r.queued + r.inflight.len() + r.resp.len() }
 
 // queueFor clamps a source id onto the allocated queues.
 func (r *Router) queueFor(src int) int {
@@ -220,14 +236,35 @@ func (r *Router) queueFor(src int) int {
 
 // Request implements cache.Lower toward the upper caches.
 func (r *Router) Request(cycle uint64, src int, block uint64, write bool, done func(cycle uint64)) bool {
-	q := r.queueFor(src)
-	if len(r.queues[q]) >= r.cfg.QueueDepth {
+	q := &r.queues[r.queueFor(src)]
+	if q.len() >= r.cfg.QueueDepth {
 		r.st.Rejected++
 		return false
 	}
-	r.queues[q] = append(r.queues[q], message{src: src, block: block, write: write, done: done})
-	r.arrival[q] = append(r.arrival[q], cycle)
+	q.push(message{src: src, block: block, write: write, done: done, arrived: cycle})
+	r.queued++
 	return true
+}
+
+// bindHop returns the completion to hand the lower layer for a request
+// whose requestor completes through done: a pooled hop's fire.
+func (r *Router) bindHop(done func(cycle uint64)) func(cycle uint64) {
+	var h *hop
+	if n := len(r.hopFree); n > 0 {
+		h = r.hopFree[n-1]
+		r.hopFree = r.hopFree[:n-1]
+	} else {
+		//lint:ignore hotpathalloc hop pool warm-up; steady state reuses the hops recycled into hopFree
+		h = &hop{}
+		//lint:ignore hotpathalloc the fire closure is built once per pooled hop and reused for the hop's lifetime
+		h.fire = func(cy uint64) {
+			r.resp.push(message{done: h.done, readyAt: cy + uint64(r.cfg.Latency)})
+			r.st.Responses++
+			r.hopFree = append(r.hopFree, h)
+		}
+	}
+	h.done = done
+	return h.fire
 }
 
 // Tick advances the router one cycle: deliver responses and forwarded
@@ -236,62 +273,52 @@ func (r *Router) Tick(cycle uint64) {
 	r.now = cycle
 
 	// Deliver responses whose reverse traversal completed.
-	if len(r.resp) > 0 {
-		keep := r.resp[:0]
-		for _, p := range r.resp {
-			if p.readyAt <= cycle {
-				p.done(cycle)
-			} else {
-				keep = append(keep, p)
-			}
-		}
-		r.resp = keep
+	for r.resp.len() > 0 && r.resp.front().readyAt <= cycle {
+		done := r.resp.front().done
+		r.resp.pop()
+		done(cycle)
 	}
 
 	// Hand over requests whose forward traversal completed; on lower-
-	// layer backpressure they retry next cycle.
-	if len(r.inflight) > 0 {
-		keep := r.inflight[:0]
-		for _, m := range r.inflight {
-			if m.readyAt > cycle {
-				keep = append(keep, m)
-				continue
-			}
-			mm := m
-			var done func(uint64)
-			if m.done != nil {
-				//lint:ignore hotpathalloc response callback built only for forwarded requests carrying a completion, tied to miss traffic rather than cycles
-				done = func(cy uint64) {
-					r.resp = append(r.resp, response{done: mm.done, readyAt: cy + uint64(r.cfg.Latency)})
-					r.st.Responses++
-				}
-			}
-			if !r.lower.Request(cycle, m.src, m.block, m.write, done) {
-				keep = append(keep, m)
+	// layer backpressure they retry next cycle. The refused ones are
+	// collected at the front of the due prefix, then moved up against
+	// the messages still traversing.
+	if f := &r.inflight; f.len() > 0 && f.front().readyAt <= cycle {
+		kept, i := f.head, f.head
+		for ; i < len(f.buf) && f.buf[i].readyAt <= cycle; i++ {
+			m := &f.buf[i]
+			if !r.lower.Request(cycle, m.src, m.block, m.write, m.done) {
+				f.buf[kept] = *m
+				kept++
 			}
 		}
-		r.inflight = keep
+		n := kept - f.head
+		copy(f.buf[i-n:i], f.buf[f.head:kept])
+		f.head = i - n
+		if f.head == len(f.buf) {
+			f.buf, f.head = f.buf[:0], 0
+		}
 	}
 
 	// Arbitrate up to Bandwidth departures, round-robin over sources.
-	launched := 0
-	for scanned := 0; scanned < r.cfg.Sources && launched < r.cfg.Bandwidth; {
-		q := r.rr % r.cfg.Sources
-		if len(r.queues[q]) == 0 {
-			r.rr++
-			scanned++
+	for launched := 0; r.queued > 0 && launched < r.cfg.Bandwidth; {
+		q := &r.queues[r.rr]
+		if r.rr++; r.rr == r.cfg.Sources {
+			r.rr = 0
+		}
+		if q.len() == 0 {
 			continue
 		}
-		m := r.queues[q][0]
-		r.queues[q] = r.queues[q][1:]
-		waited := cycle - r.arrival[q][0]
-		r.arrival[q] = r.arrival[q][1:]
-		m.readyAt = cycle + uint64(r.cfg.Latency)
-		r.inflight = append(r.inflight, m)
+		m := *q.front()
+		q.pop()
+		r.queued--
 		r.st.Requests++
-		r.st.QueueCycleSum += waited
+		r.st.QueueCycleSum += cycle - m.arrived
+		m.readyAt = cycle + uint64(r.cfg.Latency)
+		if m.done != nil {
+			m.done = r.bindHop(m.done)
+		}
+		r.inflight.push(m)
 		launched++
-		r.rr++
-		scanned = 0 // a grant resets the empty-scan count
 	}
 }
