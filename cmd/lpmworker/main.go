@@ -9,6 +9,11 @@
 //	lpmworker [flags] host:port
 //	lpmworker -slots 4 -name rack3 127.0.0.1:7707
 //
+// -slots is the supply rate the worker announces: the coordinator hands
+// it at most slots+1 granules (one per slot, one prefetched behind them)
+// and fills the least-loaded worker first, so slots are the only
+// capacity knob in the fleet.
+//
 // The worker is stateless: every granule is a pure function of its
 // spec, so a worker may be killed, restarted, or added mid-run without
 // affecting results — only throughput. It exits 0 when the coordinator
@@ -69,7 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		name      = fs.String("name", "", "worker name in coordinator logs (default: local address)")
-		slots     = fs.Int("slots", runtime.GOMAXPROCS(0), "granules executed concurrently")
+		slots     = fs.Int("slots", runtime.GOMAXPROCS(0), "granules executed concurrently, 1..1024; the coordinator keeps slots+1 granules here (one prefetched)")
 		retry     = fs.Duration("retry", 10*time.Second, "keep retrying the initial dial for this long")
 		reconnect = fs.Int("reconnect", 2, "redial a broken (previously established) session up to this many times; 0 = exit on the first break")
 		noProbe   = fs.Bool("no-cache-probe", false, "skip the shared-cache probe before each granule")

@@ -5,7 +5,6 @@ import (
 
 	"lpm/internal/core"
 	"lpm/internal/faultinject"
-	"lpm/internal/parallel"
 	"lpm/internal/resilience"
 	"lpm/internal/trace"
 )
@@ -157,15 +156,11 @@ func (t *HardwareTarget) ctx() context.Context {
 	return context.Background()
 }
 
-// simulate runs the cycle-level simulation of point p under the target's
-// workload and budgets through simKind (memoised on the full input
-// fingerprint, sharded when a fabric is active). A cancelled or
-// livelocked run surfaces as a resilience.Abort panic, since the
-// core.Target interface has no error channel; cancellations are not
-// memoised, livelocks (deterministic) are.
-func (t *HardwareTarget) simulate(p Point) core.Measurement {
+// spec is the full input fingerprint of simulating point p under the
+// target's workload and budgets.
+func (t *HardwareTarget) spec(p Point) SimSpec {
 	instr, warm, maxCy := t.budgets()
-	spec := SimSpec{
+	return SimSpec{
 		Point:          p,
 		Profile:        t.Profile,
 		Instructions:   instr,
@@ -177,7 +172,15 @@ func (t *HardwareTarget) simulate(p Point) core.Measurement {
 		WarmupFast:     t.WarmupFast,
 		WatchdogCycles: t.WatchdogCycles,
 	}
-	m, err := simKind.Do(t.ctx(), spec)
+}
+
+// simulate runs the cycle-level simulation of point p through simKind
+// (memoised on spec(p), sharded when a fabric is active). A cancelled or
+// livelocked run surfaces as a resilience.Abort panic, since the
+// core.Target interface has no error channel; cancellations are not
+// memoised, livelocks (deterministic) are.
+func (t *HardwareTarget) simulate(p Point) core.Measurement {
+	m, err := simKind.Do(t.ctx(), t.spec(p))
 	if err != nil {
 		panic(resilience.Abort{Err: err})
 	}
@@ -211,17 +214,11 @@ func (t *HardwareTarget) Evaluate(p Point) core.Measurement {
 // deterministic failure itself, and cancellations must not poison the
 // memo (DoCtx already drops them).
 func (t *HardwareTarget) PreEvaluate(points []Point) {
-	_, _ = parallel.MapCtx(t.ctx(), points, func(_ context.Context, p Point) (struct{}, error) {
-		return struct{}{}, func() (err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					err = resilience.Recover(r)
-				}
-			}()
-			t.simulate(p)
-			return nil
-		}()
-	})
+	specs := make([]SimSpec, len(points))
+	for i, p := range points {
+		specs[i] = t.spec(p)
+	}
+	_, _ = simKind.DoAll(t.ctx(), specs)
 }
 
 // frontier returns the current point plus every configuration one

@@ -100,7 +100,6 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // never resolving.
 func TestChaosFabricPartitionDuringStragglerDuplication(t *testing.T) {
 	c, err := Listen("127.0.0.1:0", Options{
-		InFlight:      2,
 		StraggleAfter: 100 * time.Millisecond,
 		TickEvery:     5 * time.Millisecond,
 		Heartbeat:     25 * time.Millisecond,
@@ -160,7 +159,6 @@ func TestChaosFabricPartitionDuringStragglerDuplication(t *testing.T) {
 // finish the batch on the surviving worker.
 func TestChaosFabricHungTCPHeartbeatLoss(t *testing.T) {
 	c, err := Listen("127.0.0.1:0", Options{
-		InFlight:      2,
 		StraggleAfter: -1, // recovery must come from health, not stragglers
 		TickEvery:     5 * time.Millisecond,
 		Heartbeat:     20 * time.Millisecond,
@@ -224,7 +222,6 @@ func TestChaosFabricHungTCPHeartbeatLoss(t *testing.T) {
 // shared backoff policy) must restore capacity and drain the batch.
 func TestChaosFabricCorruptFrameReconnect(t *testing.T) {
 	c, err := Listen("127.0.0.1:0", Options{
-		InFlight:      2,
 		StraggleAfter: -1,
 		TickEvery:     5 * time.Millisecond,
 		Heartbeat:     20 * time.Millisecond,
@@ -302,7 +299,7 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 		After: 0, Times: 1, Msg: "chaos: worker lies once",
 	}))
 	c1, err := Listen("127.0.0.1:0", Options{
-		InFlight: 2, StraggleAfter: -1, ValidateEvery: 1, JournalPath: j1,
+		StraggleAfter: -1, ValidateEvery: 1, JournalPath: j1,
 	})
 	if err != nil {
 		restore()
@@ -362,7 +359,7 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 	// Phase 2: the successor replays the torn journal.
 	resumeStart := time.Now()
 	c2, err := Listen("127.0.0.1:0", Options{
-		InFlight: 2, StraggleAfter: -1, ValidateEvery: 1, JournalPath: j2,
+		StraggleAfter: -1, ValidateEvery: 1, JournalPath: j2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +420,7 @@ func TestChaosFabricLyingWorkerQuarantined(t *testing.T) {
 	}))()
 
 	lf, err := StartLocal(3, Options{
-		InFlight: 2, StraggleAfter: -1, ValidateEvery: 1,
+		StraggleAfter: -1, ValidateEvery: 1,
 	}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)

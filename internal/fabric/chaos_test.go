@@ -10,6 +10,7 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestChaosFabricWorkerKillMidGranule(t *testing.T) {
 		After: 2, Msg: "chaos: worker killed mid-granule",
 	}))()
 
-	lf, err := StartLocal(2, Options{InFlight: 2, StraggleAfter: -1}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestChaosFabricWorkerHangStragglerReissue(t *testing.T) {
 		After: 1, Msg: "chaos: worker hung mid-granule",
 	}))()
 
-	lf, err := StartLocal(2, Options{InFlight: 2, StraggleAfter: 100 * time.Millisecond}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(2, Options{StraggleAfter: 100 * time.Millisecond}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestChaosFabricTornResultFrame(t *testing.T) {
 		After: 1, Msg: "chaos: torn result frame",
 	}))()
 
-	lf, err := StartLocal(2, Options{InFlight: 2, StraggleAfter: -1}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestChaosFabricAllWorkersDieThenRejoin(t *testing.T) {
 		After: 0, Times: 2, Msg: "chaos: every worker killed",
 	}))()
 
-	lf, err := StartLocal(2, Options{InFlight: 2, StraggleAfter: -1}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,5 +161,67 @@ func TestChaosFabricAllWorkersDieThenRejoin(t *testing.T) {
 	}
 	if st := lf.C.Stats(); st.Completed != 6 {
 		t.Fatalf("completed=%d, want 6", st.Completed)
+	}
+}
+
+// TestChaosFabricCancelledSessionStartsNothing speaks the coordinator's
+// side of the wire to one 1-slot worker and hands it a burst of granules
+// in one segment, under a kill rule that would fire for every one of
+// them. The first to take the slot is killed, ending the session and
+// freeing the slot; any other that reaches its select after that finds a
+// free slot AND a cancelled session, and must not start: it would burn a
+// simulation on a dead connection and — as here — consume a failpoint
+// hit meant for another worker, the
+// TestChaosFabricAllWorkersDieThenRejoin flake. Each late arrival is a
+// coin flip in broken code, so a burst makes a lucky pass vanishingly
+// rare on a multi-core host.
+func TestChaosFabricCancelledSessionStartsNothing(t *testing.T) {
+	const burst = 16
+	segment, err := EncodeFrame(Msg{Type: MsgWelcome, Proto: ProtoVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= burst; id++ {
+		frame, err := EncodeFrame(Msg{Type: MsgWork, ID: id, Kind: "test.sleep",
+			Key: fmt.Sprint("burst|", id), Spec: []byte(`{"X":1,"MS":5}`)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		segment = append(segment, frame...)
+	}
+	for round := 0; round < 200; round++ {
+		restore := faultinject.Arm(faultinject.NewPlan(int64(round), faultinject.Rule{
+			Point: "fabric.worker.kill", Match: "test.sleep",
+			Times: burst, Msg: "chaos: session killed with granules queued behind it",
+		}))
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		exited := make(chan error, 1)
+		go func() {
+			exited <- RunWorker(context.Background(), ln.Addr().String(), WorkerOptions{Slots: 1, NoCacheProbe: true})
+		}()
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := ReadFrame(conn); err != nil || m.Type != MsgHello {
+			t.Fatalf("handshake: %v / %+v", err, m)
+		}
+		if _, err := conn.Write(segment); err != nil {
+			t.Fatal(err)
+		}
+		// RunWorker returns once every execution goroutine has.
+		if err := <-exited; err != nil {
+			t.Fatalf("worker exit: %v", err)
+		}
+		hits := faultinject.Hits("fabric.worker.kill")
+		restore()
+		_ = conn.Close()
+		_ = ln.Close()
+		if hits != 1 {
+			t.Fatalf("round %d: kill point hit %d times, want 1: a granule started on a cancelled session", round, hits)
+		}
 	}
 }

@@ -22,8 +22,6 @@ type ShardFlags struct {
 	Addr string
 	// Min makes the run wait for this many workers before simulating.
 	Min int
-	// InFlight is the per-worker in-flight granule budget.
-	InFlight int
 	// Straggle is the age after which a held granule is duplicated
 	// onto an idle worker; negative disables straggler re-issue.
 	Straggle time.Duration
@@ -51,7 +49,6 @@ func BindShardFlags(fs *flag.FlagSet) *ShardFlags {
 	sf := &ShardFlags{}
 	fs.StringVar(&sf.Addr, "shard", "", "listen address for sweep-fabric workers (e.g. 127.0.0.1:0); empty = no sharding")
 	fs.IntVar(&sf.Min, "shard-min", 1, "wait for this many workers before starting (with -shard)")
-	fs.IntVar(&sf.InFlight, "shard-inflight", 0, "per-worker in-flight granule budget (0 = default 2)")
 	fs.DurationVar(&sf.Straggle, "shard-straggle", 0, "re-issue granules held longer than this to idle workers (0 = default 30s, negative = off)")
 	fs.StringVar(&sf.AddrFile, "shard-addr-file", "", "write the bound coordinator address to this file (with -shard)")
 	fs.DurationVar(&sf.Heartbeat, "shard-heartbeat", 0, "worker ping cadence (0 = default 250ms, negative = off)")
@@ -74,7 +71,6 @@ func (sf *ShardFlags) Start(ctx context.Context, log *slog.Logger, reg *obs.Regi
 		return func() {}, nil, nil
 	}
 	c, err = Listen(sf.Addr, Options{
-		InFlight:           sf.InFlight,
 		StraggleAfter:      sf.Straggle,
 		Heartbeat:          sf.Heartbeat,
 		JournalPath:        sf.Journal,

@@ -56,10 +56,6 @@ var ErrCoordinatorClosed = errors.New("fabric: coordinator closed")
 
 // Options configure a coordinator.
 type Options struct {
-	// InFlight is the per-worker in-flight budget: how many granules a
-	// worker may hold at once. Defaults to 2 — one executing, one
-	// queued behind it so the worker never idles waiting on the wire.
-	InFlight int
 	// StraggleAfter is how long a granule may be held without a result
 	// before it is duplicated onto an idle worker. 0 means the 30s
 	// default; negative disables straggler re-issue.
@@ -197,7 +193,7 @@ func (g *granule) voted(name string) bool {
 type remoteWorker struct {
 	name     string
 	conn     net.Conn
-	slots    int // worker-declared execution concurrency (informational)
+	slots    int // worker-declared execution concurrency, 1..maxSlots: its supply rate
 	inflight map[uint64]*granule
 	outbox   chan Msg
 	dead     bool
@@ -213,6 +209,7 @@ type Coordinator struct {
 	ln            net.Listener
 	retry         fleet.RetryPolicy
 	replicas      fleet.ReplicaPolicy
+	dispatch      fleet.DispatchPolicy
 	latency       *obs.Histogram // issue-to-result wall clock; nil without Options.Obs
 	fallbackTicks uint64         // 0 = local fallback disabled
 
@@ -224,6 +221,7 @@ type Coordinator struct {
 	order    []*granule // submission order, pruned of resolved granules each tick; the placement pass walks this, never a map
 	pending  []*granule // dispatch queue, ascending id
 	workers  []*remoteWorker
+	loads    []fleet.WorkerLoad // pickLocked's scratch view of workers
 	stats    Stats
 	health   *fleet.HealthTracker
 	quar     *fleet.Quarantine
@@ -240,9 +238,6 @@ type Coordinator struct {
 // Listen starts a coordinator on addr (e.g. "127.0.0.1:0") and begins
 // accepting workers immediately. Close releases everything.
 func Listen(addr string, opts Options) (*Coordinator, error) {
-	if opts.InFlight <= 0 {
-		opts.InFlight = 2
-	}
 	if opts.StraggleAfter == 0 {
 		opts.StraggleAfter = 30 * time.Second
 	}
@@ -542,56 +537,51 @@ func (c *Coordinator) enqueueLocked(g *granule) {
 	c.pending[i] = g
 }
 
-// popReadyLocked removes and returns the lowest-id pending granule that
-// is ready (past its backoff) and issuable to w (not already held by
-// it). Resolved granules encountered on the way are dropped. Returns
-// nil when nothing qualifies. A nil w (the fallback drain) ignores both
-// the holder check and backoff — in-process execution is the last
-// resort and waiting out a remote-flakiness backoff would be pointless.
-func (c *Coordinator) popReadyLocked(w *remoteWorker) *granule {
-	for i := 0; i < len(c.pending); {
-		g := c.pending[i]
-		if g.resolved() {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			g.queued = false
-			continue
-		}
-		if w != nil {
-			if g.readyTick > c.tick {
-				i++
-				continue
-			}
-			if _, held := w.inflight[g.id]; held {
-				i++
-				continue
-			}
-			if g.votesWanted > 1 && g.voted(w.name) {
-				// A re-queued cross-validated granule must not go back to
-				// a worker whose vote is already in; re-executing there
-				// cannot advance the election.
-				i++
-				continue
-			}
-		}
-		c.pending = append(c.pending[:i], c.pending[i+1:]...)
-		g.queued = false
-		return g
-	}
-	return nil
+// unqueueLocked removes and returns pending[i].
+func (c *Coordinator) unqueueLocked(i int) *granule {
+	g := c.pending[i]
+	c.pending = append(c.pending[:i], c.pending[i+1:]...)
+	g.queued = false
+	return g
 }
 
-// dispatchLocked hands pending granules to workers with free budget,
-// lowest id first, walking workers in join order.
+// dispatchLocked issues ready pending granules (past their backoff),
+// lowest id first, each to the worker pickLocked names, while any worker
+// has budget left. A granule no free worker may take is passed over, not
+// waited on; resolved granules met on the way are dropped.
 func (c *Coordinator) dispatchLocked() {
+	free := 0
 	for _, w := range c.workers {
-		for len(w.inflight) < c.opts.InFlight {
-			g := c.popReadyLocked(w)
-			if g == nil {
-				break
-			}
-			c.issueLocked(w, g)
+		free += c.dispatch.Budget(w.slots) - len(w.inflight)
+	}
+	for i := 0; free > 0 && i < len(c.pending); {
+		g := c.pending[i]
+		if g.resolved() {
+			c.unqueueLocked(i)
+		} else if g.readyTick > c.tick {
+			i++
+		} else if w := c.pickLocked(g, false); w != nil {
+			c.issueLocked(w, c.unqueueLocked(i))
+			free--
+		} else {
+			i++
 		}
 	}
+}
+
+// pickLocked asks the dispatch policy which worker takes a copy of g — never
+// a holder or a voter, and an extra copy (vote or hedge) never a suspect.
+func (c *Coordinator) pickLocked(g *granule, extra bool) *remoteWorker {
+	c.loads = c.loads[:0]
+	for _, w := range c.workers {
+		_, held := w.inflight[g.id]
+		ok := c.replicas.Eligible(fleet.WorkerView{Holding: held, Voted: g.voted(w.name), Suspect: extra && w.suspect != 0})
+		c.loads = append(c.loads, fleet.WorkerLoad{Slots: w.slots, Held: len(w.inflight), Skip: !ok})
+	}
+	if i := c.dispatch.Pick(c.loads); i >= 0 {
+		return c.workers[i]
+	}
+	return nil
 }
 
 // issueLocked sends g to w and records the holding.
@@ -641,9 +631,8 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	if hello.Proto != ProtoVersion {
-		c.log().Warn("fabric: rejecting worker: protocol mismatch",
-			"worker", hello.Worker, "proto", hello.Proto, "want", ProtoVersion)
+	if err := checkHello(hello); err != nil {
+		c.log().Warn("fabric: rejecting worker", "worker", hello.Worker, "reason", err.Error())
 		_ = conn.Close()
 		return
 	}
@@ -653,7 +642,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		conn:     conn,
 		slots:    hello.Slots,
 		inflight: make(map[uint64]*granule),
-		outbox:   make(chan Msg, 4*c.opts.InFlight+16),
+		outbox:   make(chan Msg, 4*c.dispatch.Budget(hello.Slots)+16),
 	}
 	pingMS := int64(0)
 	if c.opts.Heartbeat > 0 {
@@ -1029,9 +1018,9 @@ func (c *Coordinator) classifyHealthLocked() {
 // placeLocked is the one "run this granule somewhere else too"
 // decision: it shows the replica policy g's votes, live holders, age
 // and sole holder's health, and issues the copies the policy finds
-// missing to eligible workers with free budget, in join order. A
-// queued granule is left to dispatch — the queue is its one place —
-// unless it holds votes an exhausted electorate must settle.
+// missing to the workers pickLocked names. A queued granule is left to
+// dispatch — the queue is its one place — unless it holds votes an
+// exhausted electorate must settle.
 func (c *Coordinator) placeLocked(g *granule) {
 	if g.queued && len(g.votes) == 0 {
 		return
@@ -1061,14 +1050,10 @@ func (c *Coordinator) placeLocked(g *granule) {
 	if g.queued {
 		return
 	}
-	for _, w := range c.workers {
-		if g.holders >= want {
+	for g.holders < want {
+		w := c.pickLocked(g, true)
+		if w == nil {
 			return
-		}
-		_, held := w.inflight[g.id]
-		if len(w.inflight) >= c.opts.InFlight ||
-			!c.replicas.Eligible(fleet.WorkerView{Holding: held, Voted: g.voted(w.name), Suspect: w.suspect != 0}) {
-			continue
 		}
 		if why != fleet.Validating {
 			if why == fleet.HedgeStraggler {
@@ -1123,14 +1108,15 @@ func (c *Coordinator) fallbackDrain() {
 		default:
 		}
 		c.mu.Lock()
-		if c.stats.Workers > 0 {
-			c.fallback = false
-			c.idle = 0
-			c.mu.Unlock()
-			return
+		// The last resort takes the lowest id and ignores retry backoff:
+		// waiting out remote flakiness in-process would be pointless.
+		var g *granule
+		for g == nil && c.stats.Workers == 0 && len(c.pending) > 0 {
+			if h := c.unqueueLocked(0); !h.resolved() {
+				g = h
+			}
 		}
-		g := c.popReadyLocked(nil)
-		if g == nil {
+		if g == nil { // drained, or a worker joined and the fleet takes over
 			c.fallback = false
 			c.idle = 0
 			c.mu.Unlock()

@@ -147,9 +147,30 @@ func NewKind[S Spec, R any](name string, run func(context.Context, S) (R, error)
 // key; both fill the same memo entry, so checkpoints and resumes are
 // oblivious to where a result was computed.
 func (k *Kind[S, R]) Do(ctx context.Context, spec S) (R, error) {
+	return k.do(ctx, active.Load(), spec)
+}
+
+// DoAll is Do over a batch: input-ordered results and the
+// lowest-indexed error, as parallel.MapCtx reports them. In-process it
+// runs on the default pool, bounded by -workers; with a coordinator
+// active the whole batch is outstanding there at once (a blocked Submit
+// costs a goroutine, not a CPU), so the coordinator's queue, not this
+// host's core count, is where demand meets the fleet's supply.
+func (k *Kind[S, R]) DoAll(ctx context.Context, specs []S) ([]R, error) {
+	c := active.Load()
+	if c == nil {
+		return parallel.MapCtx(ctx, specs, k.Do)
+	}
+	// One goroutine per spec, so ctx only has to reach the Submits.
+	return parallel.MapPool(parallel.NewPool(len(specs)), specs, func(spec S) (R, error) {
+		return k.do(ctx, c, spec)
+	})
+}
+
+// do is Do against an explicit coordinator (nil = in-process).
+func (k *Kind[S, R]) do(ctx context.Context, c *Coordinator, spec S) (R, error) {
 	key := spec.MemoKey()
 	return k.memo.DoCtx(ctx, key, func(ctx context.Context) (out R, err error) {
-		c := active.Load()
 		if c == nil {
 			return k.run(ctx, spec)
 		}

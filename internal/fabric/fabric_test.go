@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"lpm/internal/obs"
+	"lpm/internal/parallel"
 	"lpm/internal/resilience/fleet"
 )
 
@@ -27,6 +29,42 @@ import (
 // duplicates and re-issues stay sound.
 var testExecCount atomic.Int64 // test.double/test.sleep invocations
 
+// testRunning/testPeak gauge how many sleeping toy granules execute at
+// once, for the slots and whole-batch tests (which reset the peak).
+var testRunning, testPeak atomic.Int64
+
+// sleepGauged sleeps ms under the concurrency gauge.
+func sleepGauged(ctx context.Context, ms int) error {
+	n := testRunning.Add(1)
+	defer testRunning.Add(-1)
+	for peak := testPeak.Load(); n > peak && !testPeak.CompareAndSwap(peak, n); peak = testPeak.Load() {
+	}
+	select {
+	case <-time.After(time.Duration(ms) * time.Millisecond):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// batchSpec is the typed form of test.sleep, for Kind.DoAll.
+type batchSpec struct{ X, MS int }
+
+func (s batchSpec) MemoKey() string { return fmt.Sprintf("test.batch|%d|%d", s.X, s.MS) }
+
+// failSpec is the typed form of test.fail.
+type failSpec struct{ Text string }
+
+func (s failSpec) MemoKey() string { return "test.failing|" + s.Text }
+
+var failKind = NewKind("test.failing", func(_ context.Context, s failSpec) (int, error) {
+	return 0, errors.New(s.Text)
+})
+
+var batchKind = NewKind("test.batch", func(ctx context.Context, s batchSpec) (int, error) {
+	return 2 * s.X, sleepGauged(ctx, s.MS)
+})
+
 func init() {
 	double := func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
 		var s struct {
@@ -38,10 +76,8 @@ func init() {
 		}
 		testExecCount.Add(1)
 		if s.MS > 0 {
-			select {
-			case <-time.After(time.Duration(s.MS) * time.Millisecond):
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			if err := sleepGauged(ctx, s.MS); err != nil {
+				return nil, err
 			}
 		}
 		return json.Marshal(2 * s.X)
@@ -248,9 +284,10 @@ func TestFabricJoinLeave(t *testing.T) {
 }
 
 // TestFabricInFlightBudget holds one slow worker and checks the
-// coordinator never hands it more than its in-flight budget.
+// coordinator never hands it more than its derived budget: its
+// execution slots plus one prefetched granule.
 func TestFabricInFlightBudget(t *testing.T) {
-	lf, err := StartLocal(1, Options{InFlight: 2, StraggleAfter: -1}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +312,7 @@ func TestFabricInFlightBudget(t *testing.T) {
 		}
 		lf.C.mu.Unlock()
 		if over > 0 {
-			t.Fatalf("worker holds %d granules, budget is 2", over)
+			t.Fatalf("1-slot worker holds %d granules, budget is 2", over)
 		}
 		st := lf.C.Stats()
 		if st.Completed == 8 {
@@ -286,6 +323,105 @@ func TestFabricInFlightBudget(t *testing.T) {
 	wg.Wait()
 	if st := lf.C.Stats(); st.Completed != 8 {
 		t.Fatalf("completed=%d, want 8", st.Completed)
+	}
+}
+
+// TestFabricSlotsAreUsed starts one worker with four slots: the
+// coordinator must keep all four executing (the fixed budget of 2 it
+// had before the budget was derived from the hello ran two) and prefetch
+// exactly one behind them.
+func TestFabricSlotsAreUsed(t *testing.T) {
+	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{Slots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	testPeak.Store(0)
+	held := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		runChaosBatch(t, lf, 16, 40)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case <-time.After(time.Millisecond):
+			lf.C.mu.Lock()
+			for _, w := range lf.C.workers {
+				held = max(held, len(w.inflight))
+			}
+			lf.C.mu.Unlock()
+		}
+	}
+	if peak := testPeak.Load(); peak != 4 {
+		t.Errorf("4-slot worker executed at most %d granules at once, want 4", peak)
+	}
+	if held != 5 {
+		t.Errorf("4-slot worker held at most %d granules, want its budget of 5", held)
+	}
+}
+
+// TestKindDoAllKeepsTheWholeBatchOutstanding is the request side of the
+// match: with a coordinator active a batch is bounded by the fleet's
+// slots, not by this process's -workers; with none, by -workers.
+func TestKindDoAllKeepsTheWholeBatchOutstanding(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(2)
+	const sleepMS = 40
+	specs := func(base, n int) []batchSpec {
+		out := make([]batchSpec, n)
+		for i := range out {
+			out[i] = batchSpec{X: base + i, MS: sleepMS}
+		}
+		return out
+	}
+	check := func(base int, got []int, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got {
+			if v != 2*(base+i) {
+				t.Fatalf("result %d = %d, want %d (input order)", i, v, 2*(base+i))
+			}
+		}
+	}
+
+	// No coordinator: local execution keeps its -workers bound.
+	testPeak.Store(0)
+	got, err := batchKind.DoAll(context.Background(), specs(1000, 8))
+	check(1000, got, err)
+	if peak := testPeak.Load(); peak != 2 {
+		t.Errorf("in-process DoAll ran %d jobs at once, want Workers() = 2", peak)
+	}
+
+	// 4 workers x 2 slots: 32 granules take about 32/8 sleeps, not 32/2.
+	lf, err := StartLocal(4, Options{StraggleAfter: -1}, WorkerOptions{Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	testPeak.Store(0)
+	start := time.Now()
+	got, err = batchKind.DoAll(context.Background(), specs(2000, 32))
+	elapsed := time.Since(start)
+	check(2000, got, err)
+	if peak := testPeak.Load(); peak != 8 {
+		t.Errorf("sharded DoAll ran %d granules at once, want the fleet's 8 slots", peak)
+	}
+	if limit := 32 / 2 * sleepMS * time.Millisecond; elapsed >= limit {
+		t.Errorf("sharded DoAll took %v, want well under the %v a 2-outstanding driver needs", elapsed, limit)
+	}
+	if st := lf.C.Stats(); st.Submitted != 32 || st.Duplicated != 0 {
+		t.Errorf("stats=%+v, want 32 granules submitted, none duplicated", st)
+	}
+
+	// The lowest-indexed error wins, whatever order the fleet answers in.
+	_, err = failKind.DoAll(context.Background(), []failSpec{{"b"}, {"a"}})
+	if err == nil || err.Error() != "b" {
+		t.Errorf("DoAll error = %v, want the first spec's", err)
 	}
 }
 
@@ -340,9 +476,10 @@ func TestFabricCacheProtocol(t *testing.T) {
 	}
 }
 
-// TestFabricRejectsBadHandshake proves a wrong-protocol hello and a
-// non-hello first frame are both turned away without disturbing the
-// coordinator.
+// TestFabricRejectsBadHandshake proves a wrong-protocol hello, a hello
+// announcing a slot count outside 1..maxSlots (it would size the
+// worker's budget and outbox) and a non-hello first frame are all turned
+// away without disturbing the coordinator.
 func TestFabricRejectsBadHandshake(t *testing.T) {
 	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
@@ -352,6 +489,9 @@ func TestFabricRejectsBadHandshake(t *testing.T) {
 	for _, bad := range []Msg{
 		{Type: MsgHello, Proto: ProtoVersion + 1, Worker: "future"},
 		{Type: MsgHello, Proto: 1, Worker: "past", Slots: 1},
+		{Type: MsgHello, Proto: ProtoVersion, Worker: "no-slots"},
+		{Type: MsgHello, Proto: ProtoVersion, Worker: "negative", Slots: -1},
+		{Type: MsgHello, Proto: ProtoVersion, Worker: "huge", Slots: 1 << 31},
 		{Type: MsgResult, ID: 1},
 	} {
 		conn, err := net.Dial("tcp", lf.C.Addr())
@@ -471,5 +611,69 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 	}
 	if m, _ := snap.Metric("fabric.granule_seconds"); m.Hist == nil || m.Hist.Count != 3 {
 		t.Errorf("fabric.granule_seconds = %+v, want 3 observations", m)
+	}
+}
+
+// BenchmarkDispatch pins the cost of the placement pick where it is
+// paid: under the coordinator mutex, once per result. 64 workers of 1-4
+// slots are kept at budget over a 4,096-granule backlog; one iteration
+// is a submission, a result frame (resolve, free the holder, dispatch
+// the next granule to the least-loaded worker) and the work frame that
+// dispatch issues.
+func BenchmarkDispatch(b *testing.B) {
+	const workers, backlog = 64, 4096
+	c, err := Listen("127.0.0.1:0", Options{StraggleAfter: -1, Heartbeat: -1, TickEvery: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	submit := func() {
+		g := &granule{id: c.nextID, kind: "bench", key: fmt.Sprint(c.nextID), done: make(chan struct{})}
+		c.nextID++
+		c.byKey[g.key], c.byID[g.id] = g, g
+		c.enqueueLocked(g)
+	}
+	c.mu.Lock()
+	for i := 0; i < workers; i++ {
+		near, far := net.Pipe()
+		defer far.Close()
+		c.workers = append(c.workers, &remoteWorker{
+			name: fmt.Sprint("w", i), conn: near, slots: 1 + i%4,
+			inflight: make(map[uint64]*granule), outbox: make(chan Msg, 8),
+		})
+		c.stats.Workers++
+		for k := 0; k < c.dispatch.Budget(1+i%4); k++ {
+			submit()
+		}
+	}
+	for i := 0; i < backlog; i++ {
+		submit()
+	}
+	c.dispatchLocked()
+	c.mu.Unlock()
+	for _, w := range c.workers {
+		for len(w.outbox) > 0 {
+			<-w.outbox
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := c.workers[i%workers]
+		var id uint64
+		for id = range w.inflight {
+			break
+		}
+		c.mu.Lock()
+		submit()
+		c.mu.Unlock()
+		c.handleResult(w, Msg{Type: MsgResult, ID: id, Value: json.RawMessage("1")})
+		if m := <-w.outbox; m.Type != MsgWork {
+			b.Fatalf("iteration %d: %q frame, want the next work frame", i, m.Type)
+		}
+	}
+	b.StopTimer()
+	if c.stats.Completed != b.N || len(c.pending) != backlog {
+		b.Fatalf("completed=%d pending=%d, want %d and a steady backlog of %d", c.stats.Completed, len(c.pending), b.N, backlog)
 	}
 }

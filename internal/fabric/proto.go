@@ -28,6 +28,20 @@ const ProtoVersion = 2
 // envelope: anything larger is corruption, not data.
 const MaxFrame = resilience.MaxCheckpointPayload
 
+// maxSlots bounds the slots a hello may announce: they set the worker's
+// dispatch budget and outbox size, so a value outside 1..maxSlots is
+// refused, never clamped.
+const maxSlots = 1024
+
+// checkHello validates the handshake fields the coordinator acts on.
+func checkHello(m Msg) error {
+	if m.Proto != ProtoVersion || m.Slots < 1 || m.Slots > maxSlots {
+		return fmt.Errorf("hello announces protocol %d and %d slots, want protocol %d and 1..%d slots",
+			m.Proto, m.Slots, ProtoVersion, maxSlots)
+	}
+	return nil
+}
+
 // Message types. The protocol is deliberately small: a handshake pair,
 // a work/result pair, and a cache query pair.
 const (

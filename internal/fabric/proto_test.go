@@ -174,3 +174,41 @@ func FuzzFabricFrameDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestCheckHello pins the handshake validation: the slot count sizes a
+// worker's dispatch budget and outbox, so a hello announcing anything
+// outside 1..maxSlots is refused with a reason, never clamped — the
+// values survive the wire exactly as sent.
+func TestCheckHello(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		slots int
+		want  string // substring of the refusal; "" = accepted
+	}{
+		{"one slot", 1, ""},
+		{"the upper bound", maxSlots, ""},
+		{"zero (the field omitted)", 0, "and 0 slots, want protocol 2 and 1..1024 slots"},
+		{"negative", -1, "and -1 slots"},
+		{"2^31", 1 << 31, "and 2147483648 slots"},
+		{"one past the bound", maxSlots + 1, "and 1025 slots"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, Msg{Type: MsgHello, Proto: ProtoVersion, Worker: "w", Slots: tc.slots}); err != nil {
+			t.Fatal(err)
+		}
+		hello, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = checkHello(hello)
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: refused: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: got %v, want a refusal containing %q", tc.name, err, tc.want)
+		}
+	}
+	if err := checkHello(Msg{Type: MsgHello, Proto: ProtoVersion + 1, Slots: 1}); err == nil {
+		t.Error("a hello from another protocol version was accepted")
+	}
+}

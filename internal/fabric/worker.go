@@ -51,7 +51,8 @@ type WorkerOptions struct {
 	// Name identifies the worker in coordinator logs; defaults to the
 	// local connection address.
 	Name string
-	// Slots is how many granules execute concurrently; defaults to 1.
+	// Slots is how many granules execute concurrently (default 1, at most
+	// maxSlots): the supply rate the coordinator's dispatch matches.
 	Slots int
 	// NoCacheProbe disables the shared-cache round trip before each
 	// execution. The probe is how re-issued granules whose result
@@ -150,6 +151,9 @@ func (s *ReprobeSet) Len() int {
 func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	if opts.Slots <= 0 {
 		opts.Slots = 1
+	}
+	if opts.Slots > maxSlots {
+		return fmt.Errorf("%w: not dialling with %d slots, the protocol bound is %d", ErrDial, opts.Slots, maxSlots)
 	}
 	conn, err := dialRetry(ctx, addr, opts.DialRetry, opts.retryPolicy())
 	if err != nil {
@@ -348,6 +352,11 @@ func (w *workerState) readLoop() error {
 					return
 				}
 				defer func() { <-sem }()
+				// The execution that freed the slot may have killed the
+				// session, and select picks at random when both are ready.
+				if w.ctx.Err() != nil {
+					return
+				}
 				w.execute(m)
 			}(m)
 		case MsgCacheValue:

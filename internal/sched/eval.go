@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"lpm/internal/parallel"
 	"lpm/internal/sim/chip"
 	"lpm/internal/stats"
 	"lpm/internal/trace"
@@ -60,24 +59,27 @@ type Evaluation struct {
 // warmup/window protocol as the shared runs so the weighted speedups
 // compare like with like. The result is the denominator of the weighted
 // speedups; it is scheduling-invariant. The per-workload runs are
-// independent simulations, so they fan out over the parallel runner and
-// are memoised on the (profile, reference size, window) fingerprint.
+// independent simulations, so they go out as one batch (the parallel
+// runner, or the whole fleet when sharded) and are memoised on the
+// (profile, reference size, window) fingerprint.
 func AloneIPCs(ctx context.Context, workloads []string, groupSizes []uint64, opt EvalOptions) ([]float64, error) {
 	opt = opt.normalise()
 	ref := groupSizes[len(groupSizes)-1]
-	return parallel.MapCtx(ctx, workloads, func(ctx context.Context, name string) (float64, error) {
+	specs := make([]AloneSpec, len(workloads))
+	for i, name := range workloads {
 		prof, err := trace.ProfileByName(name)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return aloneKind.Do(ctx, AloneSpec{
+		specs[i] = AloneSpec{
 			Profile:      prof,
 			RefL1:        ref,
 			WindowCycles: opt.WindowCycles,
 			WarmupCycles: opt.WarmupCycles,
 			WarmupFast:   opt.WarmupFast,
-		})
-	})
+		}
+	}
+	return aloneKind.DoAll(ctx, specs)
 }
 
 // Evaluate runs the workloads under the given assignment on the Fig. 5

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 
-	"lpm/internal/parallel"
 	"lpm/internal/trace"
 )
 
@@ -63,9 +62,9 @@ func (o ProfileOptions) normalise() ProfileOptions {
 // BuildProfileTable measures every workload alone on a single-core chip
 // at every L1 size in sizes. This is the paper's per-application
 // profiling pass (its Fig. 6 and Fig. 7 data). The len(names)*len(sizes)
-// runs are independent, so they fan out over the parallel runner; each
-// run builds its own generator and chip, and results land back in input
-// order.
+// runs are independent, so they go out as one batch — over the parallel
+// runner, or over the whole fleet when sharded; each run builds its own
+// generator and chip, and results land back in input order.
 func BuildProfileTable(ctx context.Context, names []string, sizes []uint64, opt ProfileOptions) (*ProfileTable, error) {
 	opt = opt.normalise()
 	t := &ProfileTable{
@@ -75,23 +74,17 @@ func BuildProfileTable(ctx context.Context, names []string, sizes []uint64, opt 
 		APC2:      make(map[string][]float64, len(names)),
 		IPC:       make(map[string][]float64, len(names)),
 	}
-	type job struct {
-		prof trace.Profile
-		size uint64
-	}
-	jobs := make([]job, 0, len(names)*len(sizes))
+	specs := make([]ProfileSpec, 0, len(names)*len(sizes))
 	for _, name := range names {
 		prof, err := trace.ProfileByName(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, size := range sizes {
-			jobs = append(jobs, job{prof: prof, size: size})
+			specs = append(specs, ProfileSpec{Profile: prof, L1Size: size, Opt: opt})
 		}
 	}
-	results, err := parallel.MapCtx(ctx, jobs, func(ctx context.Context, j job) ([3]float64, error) {
-		return profileKind.Do(ctx, ProfileSpec{Profile: j.prof, L1Size: j.size, Opt: opt})
-	})
+	results, err := profileKind.DoAll(ctx, specs)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lpm/internal/fabric"
+	"lpm/internal/obs"
 	"lpm/internal/sched"
 	"lpm/internal/sim/chip"
 )
@@ -87,6 +88,97 @@ func TestShardedReportMatchesSerialAtEveryWorkerCount(t *testing.T) {
 					n, firstDiffLine(sharded, serial))
 			}
 		})
+	}
+	// Unequal supply rates: the dispatch pick orders workers by
+	// held/slots, so budgets of 2, 3 and 5 fill at different speeds.
+	t.Run("slots=1,2,4", func(t *testing.T) {
+		ResetSimCaches()
+		lf, executed := startFabricWithSlots(t, 1, 2, 4)
+		sharded := buildShardDoc(t)
+		closeFabric(t, lf)
+		if !bytes.Equal(serial, sharded) {
+			t.Fatalf("heterogeneous-slot sharded report diverged from serial baseline near line %d",
+				firstDiffLine(sharded, serial))
+		}
+		if n := executed(); n[0] == 0 || n[1] == 0 || n[2] == 0 {
+			t.Fatalf("granules executed per worker = %v: a worker sat idle through the whole run", n)
+		}
+	})
+}
+
+// startFabricWithSlots brings up an in-process coordinator with one
+// worker per slot count. The returned func reports how many granules
+// each worker executed; call it after closeFabric (worker telemetry is
+// read once the workers have exited).
+func startFabricWithSlots(t *testing.T, slots ...int) (*fabric.LocalFabric, func() []uint64) {
+	t.Helper()
+	lf := startFabric(t, 0)
+	regs := make([]*obs.Registry, len(slots))
+	for i, n := range slots {
+		regs[i] = obs.NewRegistry()
+		lf.AddWorker(fabric.WorkerOptions{Slots: n, Obs: fabric.NewWorkerTelemetry(regs[i])})
+	}
+	if err := lf.C.WaitWorkers(bg, len(slots)); err != nil {
+		t.Fatal(err)
+	}
+	return lf, func() []uint64 {
+		executed := make([]uint64, len(regs))
+		for i, reg := range regs {
+			executed[i] = reg.Snapshot().Counter("worker.granules_executed")
+		}
+		return executed
+	}
+}
+
+// TestShardedFig8UsesEveryWorker runs the sweep_real shape — Fig. 8's
+// 80 granules (the profile table and the alone IPCs, at Fig8Ctx's pinned
+// windows; its five 16-core evaluations are not granules) over two
+// 1-slot workers — and checks what the join-order fill got wrong: with
+// both batches outstanding at the coordinator, both workers execute (one
+// ran all 80 before), nothing is duplicated to get there, and the values
+// are the serial ones.
+func TestShardedFig8UsesEveryWorker(t *testing.T) {
+	defer func() { SetWorkers(0); ResetSimCaches() }()
+	names, sizes := Workloads(), chip.NUCAGroupSizes[:]
+	run := func() []byte {
+		tbl, err := sched.BuildProfileTable(bg, names, sizes, sched.ProfileOptions{Instructions: 10000, Warmup: 25000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := sched.AloneIPCs(bg, names, sizes, sched.EvalOptions{WindowCycles: 80000, WarmupCycles: 40000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(struct {
+			Table *sched.ProfileTable
+			Alone []float64
+		}{tbl, alone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	ResetSimCaches()
+	SetWorkers(2)
+	serial := run()
+
+	ResetSimCaches()
+	lf, executed := startFabricWithSlots(t, 1, 1)
+	sharded := run()
+	st := lf.C.Stats()
+	closeFabric(t, lf)
+	if !bytes.Equal(serial, sharded) {
+		t.Fatalf("sharded Fig. 8 granules diverged from serial:\nserial:  %s\nsharded: %s", serial, sharded)
+	}
+	if want := len(names) * (len(sizes) + 1); st.Submitted != want {
+		t.Fatalf("submitted=%d granules, want %d", st.Submitted, want)
+	}
+	if n := executed(); n[0] == 0 || n[1] == 0 || n[0]+n[1] != uint64(st.Submitted) {
+		t.Fatalf("granules executed per worker = %v of %d submitted, want both working and each granule run once", n, st.Submitted)
+	}
+	if st.Duplicated != 0 || st.Requeued != 0 {
+		t.Fatalf("stats=%+v, want no duplicated or re-queued granule", st)
 	}
 }
 
