@@ -19,7 +19,6 @@ import (
 	"lpm/internal/sched"
 	"lpm/internal/sim/cache"
 	"lpm/internal/sim/chip"
-	"lpm/internal/sim/cpu"
 	"lpm/internal/sim/dram"
 	"lpm/internal/sim/noc"
 	"lpm/internal/trace"
@@ -425,99 +424,6 @@ func BenchmarkAblationSchedulerTwoFold(b *testing.B) {
 				hsp = ev.Hsp
 			}
 			b.ReportMetric(hsp, "Hsp")
-		})
-	}
-}
-
-// BenchmarkAblationL2Insertion contrasts MRU vs BIP insertion in the
-// shared L2 under a reuse + streaming co-run: selective insertion keeps
-// the reused working set resident ("selective cache replacement", the
-// paper's future work).
-func BenchmarkAblationL2Insertion(b *testing.B) {
-	for _, ins := range []cache.InsertPolicy{cache.MRUInsert, cache.BIPInsert} {
-		ins := ins
-		b.Run(ins.String(), func(b *testing.B) {
-			var ipcReuse float64
-			for i := 0; i < b.N; i++ {
-				gens := []trace.Generator{
-					trace.NewSynthetic(trace.MustProfile("403.gcc")),  // reuse
-					trace.NewSynthetic(trace.MustProfile("433.milc")), // stream
-					trace.NewSynthetic(trace.MustProfile("470.lbm")),  // stream
-					trace.NewSynthetic(trace.MustProfile("429.mcf")),  // stream-ish
-				}
-				cfg := chip.NUCA16(gens)
-				cfg.L2.Insert = ins
-				cfg.L2.Size = 1 * chip.MB // tight LLC: streams can hurt reuse
-				ch := chip.New(cfg)
-				ch.RunCycles(40000)
-				ch.ResetCounters()
-				ch.RunCycles(80000)
-				ipcReuse = ch.Snapshot().Cores[0].CPU.IPC()
-			}
-			b.ReportMetric(ipcReuse, "gccIPC")
-		})
-	}
-}
-
-// BenchmarkAblationPrefetch contrasts next-line prefetching degrees on
-// the streaming bwaves workload.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for _, degree := range []int{0, 1, 2, 4} {
-		degree := degree
-		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
-			var ipc, useful float64
-			for i := 0; i < b.N; i++ {
-				cfg := chip.SingleCore("410.bwaves")
-				cfg.Cores[0].L1.Prefetch = degree
-				ch := chip.New(cfg)
-				ch.RunCycles(30000)
-				ch.ResetCounters()
-				ch.RunCycles(60000)
-				r := ch.Snapshot()
-				ipc = r.Cores[0].CPU.IPC()
-				if p := r.Cores[0].L1Stats.Prefetches; p > 0 {
-					useful = float64(r.Cores[0].L1Stats.PrefetchUseful) / float64(p)
-				}
-			}
-			b.ReportMetric(ipc, "IPC")
-			b.ReportMetric(useful, "usefulFrac")
-		})
-	}
-}
-
-// BenchmarkSMTConcurrency regenerates the §II claim that SMT raises hit
-// and miss concurrency: the L1's C_H, C_M and APC for 1 vs 2 hardware
-// threads of a pointer-chasing workload on one core.
-func BenchmarkSMTConcurrency(b *testing.B) {
-	for _, threads := range []int{1, 2, 4} {
-		threads := threads
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			var ch, cm, apc float64
-			for i := 0; i < b.N; i++ {
-				l1 := cache.New(cache.Config{
-					Name: "L1", Size: 32 << 10, BlockSize: 64, Assoc: 4,
-					HitLatency: 3, Ports: 4, Banks: 8, MSHRs: 16, Coalesce: true,
-				})
-				lower := &dram.Fixed{Latency: 30}
-				l1.SetLower(lower)
-				gens := make([]trace.Generator, threads)
-				for t := range gens {
-					p := trace.MustProfile("429.mcf")
-					p.Seed = uint64(t + 1)
-					gens[t] = trace.WithOffset(trace.NewSynthetic(p), uint64(t)<<33)
-				}
-				s := cpu.NewSMT(cpu.Config{Name: "smt", IssueWidth: 4, ROBSize: 48, IWSize: 48, LSQSize: 24}, gens, l1)
-				for cy := uint64(1); cy <= 300000 && s.Retired() < 20000; cy++ {
-					s.Tick(cy)
-					l1.Tick(cy)
-					lower.Tick(cy)
-				}
-				p := l1.Analyzer().Snapshot()
-				ch, cm, apc = p.CH(), p.CM(), p.APC()
-			}
-			b.ReportMetric(ch, "C_H")
-			b.ReportMetric(cm, "C_M")
-			b.ReportMetric(apc, "APC")
 		})
 	}
 }

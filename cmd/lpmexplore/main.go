@@ -22,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 
 	"lpm"
@@ -48,32 +46,17 @@ func main() {
 	}
 }
 
-// startPprof serves net/http/pprof on addr in the background; an empty
-// addr disables it.
-func startPprof(addr string, stderr io.Writer) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(stderr, "pprof: %v\n", err)
-		}
-	}()
-}
-
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fset := flag.NewFlagSet("lpmexplore", flag.ContinueOnError)
 	fset.SetOutput(stderr)
 	var (
-		workload  = fset.String("workload", "410.bwaves", "built-in workload profile")
-		grain     = fset.String("grain", "fine", "stall target: fine (1%) or coarse (10%)")
-		warmup    = fset.Uint64("warmup", 250000, "warm-up instructions per evaluation")
-		window    = fset.Uint64("window", 30000, "measured instructions per evaluation")
-		start     = fset.String("start", "A", "starting Table I configuration (A..E)")
-		maxSteps  = fset.Int("maxsteps", 32, "algorithm step bound")
-		workers   = fset.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		speculate = fset.Bool("speculate", false,
-			"pre-evaluate the one-step knob frontier in parallel at each new point (same walk, more total simulation, less wall-clock)")
+		workload = fset.String("workload", "410.bwaves", "built-in workload profile")
+		grain    = fset.String("grain", "fine", "stall target: fine (1%) or coarse (10%)")
+		warmup   = fset.Uint64("warmup", 250000, "warm-up instructions per evaluation")
+		window   = fset.Uint64("window", 30000, "measured instructions per evaluation")
+		start    = fset.String("start", "A", "starting Table I configuration (A..E)")
+		maxSteps = fset.Int("maxsteps", 32, "algorithm step bound")
+		workers  = fset.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		jsonOut  = fset.Bool("json", false, "emit a versioned lpm-explore/v1 JSON document on stdout")
 		observe  = fset.Bool("observe", false, "attach per-layer metrics snapshots to every measurement")
 		ckpt     = fset.String("checkpoint", "", "persist every simulation result to this file (atomic rewrite per evaluation; survives kill -9)")
@@ -86,7 +69,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	parallel.SetWorkers(*workers)
-	startPprof(*pprofCfg, stderr)
+	cliutil.StartPprof(*pprofCfg, stderr)
 	stopShard, _, err := shard.Start(ctx, cliutil.NewLogger(stderr, "text"), nil)
 	if err != nil {
 		return err
@@ -110,7 +93,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	tgt := explore.NewHardwareTarget(space, startPt, prof)
 	tgt.Warmup = *warmup
 	tgt.Instructions = *window
-	tgt.Speculate = *speculate
 	tgt.Observe = *observe
 	tgt.WatchdogCycles = *watchdog
 

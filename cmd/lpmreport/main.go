@@ -18,8 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strings"
 
@@ -39,19 +37,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// startPprof serves net/http/pprof on addr in the background; an empty
-// addr disables it.
-func startPprof(addr string, stderr io.Writer) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(stderr, "pprof: %v\n", err)
-		}
-	}()
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -75,7 +60,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	lpm.SetWorkers(*workers)
-	startPprof(*pprofCfg, stderr)
+	cliutil.StartPprof(*pprofCfg, stderr)
 	stopShard, _, err := shard.Start(ctx, cliutil.NewLogger(stderr, "text"), nil)
 	if err != nil {
 		return err

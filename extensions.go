@@ -3,36 +3,15 @@ package lpm
 import (
 	"context"
 
-	"lpm/internal/phase"
 	"lpm/internal/sched"
 	"lpm/internal/sim/coherence"
-	"lpm/internal/sim/cpu"
 	"lpm/internal/sim/noc"
 	"lpm/internal/trace"
 )
 
-// This file re-exports the extension surface — SMT, the interconnect,
-// coherence, phase detection, scheduling — so downstream users reach
+// This file re-exports the extension surface — workload composition,
+// the interconnect, coherence, scheduling — so downstream users reach
 // everything through the single public package.
-
-// SMT and workload composition.
-type (
-	// SMTCore is a simultaneous-multithreading core (paper §II: SMT
-	// raises C_H and C_M).
-	SMTCore = cpu.SMT
-	// PhasedWorkload switches behaviour profiles via a Markov chain.
-	PhasedWorkload = trace.Phased
-)
-
-// NewSMT builds an SMT core over per-thread workloads.
-func NewSMT(cfg CPUConfig, gens []Workload, mem cpu.MemPort) *SMTCore {
-	return cpu.NewSMT(cfg, gens, mem)
-}
-
-// NewPhasedWorkload builds a Markov-phased workload.
-func NewPhasedWorkload(name string, profiles []WorkloadProfile, trans [][]float64, dwell int, seed uint64) *PhasedWorkload {
-	return trace.NewPhased(name, profiles, trans, dwell, seed)
-}
 
 // WithOffset relocates a workload's private addresses (disjoint address
 // spaces for co-runners); addresses at or above GlobalBase pass through.
@@ -59,28 +38,6 @@ type (
 
 // DefaultNoC returns the default fabric for the given requestor count.
 func DefaultNoC(sources int) NoCConfig { return noc.Default(sources) }
-
-// Phase detection.
-type (
-	// PhaseSignature is one interval's behaviour vector.
-	PhaseSignature = phase.Signature
-	// PhaseDetector classifies interval signatures online.
-	PhaseDetector = phase.Detector
-	// PhaseTracker adds change detection and per-phase config memory.
-	PhaseTracker = phase.Tracker
-)
-
-// NewPhaseDetector returns a detector (0 for the default threshold).
-func NewPhaseDetector(threshold float64) *PhaseDetector { return phase.NewDetector(threshold) }
-
-// NewPhaseTracker wraps a detector (nil for defaults).
-func NewPhaseTracker(det *PhaseDetector) *PhaseTracker { return phase.NewTracker(det) }
-
-// PhaseSignatureFromLPM builds the standard signature from interval
-// measurements.
-func PhaseSignatureFromLPM(fmem, mr1, pmr1, ch, cm, ipc float64) PhaseSignature {
-	return phase.FromLPM(fmem, mr1, pmr1, ch, cm, ipc)
-}
 
 // Scheduling (case study II).
 type (

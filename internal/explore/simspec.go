@@ -84,8 +84,7 @@ func RunSimSpec(ctx context.Context, s SimSpec) (core.Measurement, error) {
 
 // simKind declares the design-point simulation once: the "explore.sim"
 // memo every HardwareTarget in the process shares (Table I, case study
-// I, the benchmarks and speculative frontier batches all draw from and
-// fill it), the lpmworker executor, and the dispatch between them —
-// there is exactly one simulation code path whether a run is serial,
-// parallel, or sharded.
+// I and the benchmarks all draw from and fill it), the lpmworker
+// executor, and the dispatch between them — there is exactly one
+// simulation code path whether a run is serial, parallel, or sharded.
 var simKind = fabric.NewKind(SimKind, RunSimSpec)

@@ -38,13 +38,6 @@ type HardwareTarget struct {
 	WarmupFast bool
 	// MaxCycles bounds each evaluation; 0 means (Warmup+Instructions)*400.
 	MaxCycles uint64
-	// Speculate, when set, makes each Measure cache miss pre-evaluate the
-	// whole one-step frontier (every single-knob bump and the
-	// ReduceOverprovision drops) in one parallel batch, so the serial
-	// LPMR-reduction loop afterwards consumes memoised results. The walk,
-	// its measurements, and the Evaluations() count are bit-identical to
-	// the non-speculative run; only wall-clock changes.
-	Speculate bool
 	// Observe, when set, enables the chip's metrics registry for every
 	// evaluation so each Measurement carries a per-layer obs.Snapshot.
 	// The flag is part of the memo key: observed and unobserved runs
@@ -115,9 +108,6 @@ func (t *HardwareTarget) History() []Evaluation { return t.history }
 func (t *HardwareTarget) Measure() core.Measurement {
 	if m, ok := t.cache[t.ix]; ok {
 		return m
-	}
-	if t.Speculate {
-		t.PreEvaluate(t.frontier())
 	}
 	m := t.Evaluate(t.Current())
 	t.cache[t.ix] = m
@@ -205,40 +195,6 @@ func (t *HardwareTarget) Evaluate(p Point) core.Measurement {
 		t.OnEvaluate(ev)
 	}
 	return m
-}
-
-// PreEvaluate warms the shared memo with the given points in one
-// parallel batch. It records nothing in the target's history or
-// evaluation count — it only moves simulation work off the serial path.
-// Speculative errors are dropped: the serial walk re-encounters any
-// deterministic failure itself, and cancellations must not poison the
-// memo (DoCtx already drops them).
-func (t *HardwareTarget) PreEvaluate(points []Point) {
-	specs := make([]SimSpec, len(points))
-	for i, p := range points {
-		specs[i] = t.spec(p)
-	}
-	_, _ = simKind.DoAll(t.ctx(), specs)
-}
-
-// frontier returns the current point plus every configuration one
-// algorithm step away: each single-knob bump (the OptimizeL1/OptimizeL2
-// candidates) and each single-knob drop ReduceOverprovision may take.
-func (t *HardwareTarget) frontier() []Point {
-	points := []Point{t.Current()}
-	for k := 0; k < 6; k++ {
-		ix := t.ix
-		if ix[k]+1 < t.menuLen(k) {
-			ix[k]++
-			points = append(points, t.Space.At(ix))
-		}
-		if k < 4 && t.ix[k] > 0 { // drops only touch the four L1-layer knobs
-			ix = t.ix
-			ix[k]--
-			points = append(points, t.Space.At(ix))
-		}
-	}
-	return points
 }
 
 // menuLen returns the menu length of parameter k.

@@ -34,7 +34,7 @@ type memoEntry[V any] struct {
 // calls with the same key run the function once and share the result.
 // The experiment drivers keep one Memo per simulation kind (design-point
 // runs, profiling runs, alone-IPC runs), so a point evaluated by Table1
-// is free when CaseStudyI or a speculative frontier batch revisits it.
+// is free when CaseStudyI revisits it.
 type Memo[V any] struct {
 	name    string // non-empty for checkpointable memos (NewNamedMemo)
 	mu      sync.Mutex

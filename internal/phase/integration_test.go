@@ -11,7 +11,9 @@ import (
 // TestPhaseDetectionOnSimulatedIntervals drives a two-phase workload
 // through the full simulator, measures per-interval signatures with the
 // analyzers (exactly what an online LPM deployment would do), and checks
-// that the detector recovers the phase structure.
+// that the detector recovers the phase structure and flags the changes
+// between alternating dwells — the classification the adaptive
+// timeseries windows split and merge on.
 func TestPhaseDetectionOnSimulatedIntervals(t *testing.T) {
 	mem := trace.MustProfile("429.mcf")
 	cpu := trace.MustProfile("444.namd")
@@ -23,9 +25,10 @@ func TestPhaseDetectionOnSimulatedIntervals(t *testing.T) {
 	cfg.Cores[0].Workload = gen
 	ch := chip.New(cfg)
 
-	tr := phase.NewTracker(phase.NewDetector(0.15))
+	det := phase.NewDetector(0.15)
 	var truth []int // generator phase at each interval end
 	var assigned []int
+	changes := 0
 
 	// 14 intervals of one dwell each (interval boundaries aligned with
 	// phase boundaries, the easy case an online deployment approximates).
@@ -37,16 +40,19 @@ func TestPhaseDetectionOnSimulatedIntervals(t *testing.T) {
 		m := ch.Measure(0, 1)
 		l1 := ch.Snapshot().Cores[0].L1
 		sig := phase.FromLPM(m.Fmem, m.MR1, m.PMR1, l1.CH(), l1.CM(), m.IPC)
-		id, _ := tr.Observe(sig)
+		id := det.Classify(sig)
+		if len(assigned) > 0 && id != assigned[len(assigned)-1] {
+			changes++
+		}
 		assigned = append(assigned, id)
 		ch.ResetCounters()
 	}
 
-	if tr.Phases() < 2 {
-		t.Fatalf("detector found %d phases, want >= 2 (%v)", tr.Phases(), assigned)
+	if det.Phases() < 2 {
+		t.Fatalf("detector found %d phases, want >= 2 (%v)", det.Phases(), assigned)
 	}
-	if tr.Phases() > 4 {
-		t.Fatalf("detector fragmented into %d phases (%v)", tr.Phases(), assigned)
+	if det.Phases() > 4 {
+		t.Fatalf("detector fragmented into %d phases (%v)", det.Phases(), assigned)
 	}
 	// Intervals with the same ground-truth phase must mostly agree, and
 	// the two ground-truth phases must not map to a single detected
@@ -69,7 +75,7 @@ func TestPhaseDetectionOnSimulatedIntervals(t *testing.T) {
 	if crossSame > agree {
 		t.Fatalf("phases not separated: truth=%v assigned=%v", truth, assigned)
 	}
-	if tr.Changes == 0 {
+	if changes == 0 {
 		t.Fatal("no phase changes detected across alternating dwells")
 	}
 }

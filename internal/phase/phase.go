@@ -10,15 +10,10 @@
 //   - Detector: an online classifier that matches each new interval
 //     against known phases (by normalised Manhattan distance) and opens
 //     a new phase when nothing matches — in the spirit of SimPoint-style
-//     phase classification, but cheap enough to run every interval;
-//   - Tracker: detects phase *changes*, the trigger for re-running the
-//     LPM algorithm, and remembers the best configuration per phase.
+//     phase classification, but cheap enough to run every interval.
 package phase
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Signature is one measurement interval's behaviour vector. Any
 // non-negative features work as long as their meaning is stable across
@@ -132,59 +127,4 @@ func (d *Detector) Centroid(id int) Signature {
 		return nil
 	}
 	return d.phases[id].centroid.clone()
-}
-
-// Tracker combines a Detector with change detection and a per-phase
-// configuration memory: the full online-adaptation loop around the LPM
-// algorithm. Config values are opaque to the tracker (e.g. an
-// explore.Point).
-type Tracker struct {
-	det     *Detector
-	last    int
-	started bool
-	configs map[int]interface{}
-	// Changes counts phase transitions observed.
-	Changes uint64
-	// Intervals counts signatures observed.
-	Intervals uint64
-}
-
-// NewTracker wraps a detector (nil for defaults).
-func NewTracker(det *Detector) *Tracker {
-	if det == nil {
-		det = NewDetector(0)
-	}
-	return &Tracker{det: det, configs: make(map[int]interface{})}
-}
-
-// Observe classifies the interval and reports (phase id, whether this is
-// a phase CHANGE relative to the previous interval). The first interval
-// is not a change.
-func (t *Tracker) Observe(s Signature) (id int, changed bool) {
-	t.Intervals++
-	id = t.det.Classify(s)
-	if t.started && id != t.last {
-		t.Changes++
-		changed = true
-	}
-	t.started = true
-	t.last = id
-	return id, changed
-}
-
-// Remember stores the best-known configuration for a phase; Recall
-// retrieves it (nil if none). Together they realise the "adapt
-// immediately on re-entering a known phase" optimisation: the LPM
-// algorithm only has to run for genuinely new phases.
-func (t *Tracker) Remember(id int, cfg interface{}) { t.configs[id] = cfg }
-
-// Recall returns the stored configuration for a phase.
-func (t *Tracker) Recall(id int) interface{} { return t.configs[id] }
-
-// Phases returns the number of distinct phases seen.
-func (t *Tracker) Phases() int { return t.det.Phases() }
-
-// String summarises the tracker.
-func (t *Tracker) String() string {
-	return fmt.Sprintf("phases=%d intervals=%d changes=%d", t.Phases(), t.Intervals, t.Changes)
 }

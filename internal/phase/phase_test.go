@@ -81,49 +81,3 @@ func TestDetectorMaxPhases(t *testing.T) {
 		t.Fatalf("phases = %d exceeds cap", d.Phases())
 	}
 }
-
-func TestTrackerChangeDetection(t *testing.T) {
-	tr := NewTracker(nil)
-	a := FromLPM(0.45, 0.30, 0.20, 1.2, 3.0, 0.3)
-	b := FromLPM(0.20, 0.01, 0.002, 2.5, 1.0, 2.8)
-
-	if _, changed := tr.Observe(a); changed {
-		t.Fatal("first interval cannot be a change")
-	}
-	if _, changed := tr.Observe(a); changed {
-		t.Fatal("same phase flagged as change")
-	}
-	id2, changed := tr.Observe(b)
-	if !changed {
-		t.Fatal("phase switch not detected")
-	}
-	if _, changed := tr.Observe(b); changed {
-		t.Fatal("stable new phase flagged")
-	}
-	idA, changed := tr.Observe(a)
-	if !changed {
-		t.Fatal("return to old phase not flagged")
-	}
-	if idA == id2 {
-		t.Fatal("phases collapsed")
-	}
-	if tr.Changes != 2 || tr.Intervals != 5 {
-		t.Fatalf("changes=%d intervals=%d", tr.Changes, tr.Intervals)
-	}
-}
-
-func TestTrackerConfigurationMemory(t *testing.T) {
-	tr := NewTracker(nil)
-	a := FromLPM(0.45, 0.30, 0.20, 1.2, 3.0, 0.3)
-	id, _ := tr.Observe(a)
-	if tr.Recall(id) != nil {
-		t.Fatal("unremembered phase has config")
-	}
-	tr.Remember(id, "config-D")
-	if tr.Recall(id) != "config-D" {
-		t.Fatal("recall failed")
-	}
-	if tr.String() == "" {
-		t.Fatal("empty string")
-	}
-}

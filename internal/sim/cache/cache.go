@@ -10,18 +10,17 @@ import (
 
 // line is one cache line's metadata.
 type line struct {
-	tag        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool   // filled by the prefetcher, not yet demand-touched
-	used       uint64 // LRU touch stamp, or fill stamp under FIFO
+	tag   uint64
+	valid bool
+	dirty bool
+	used  uint64 // LRU touch stamp, or fill stamp under FIFO
 }
 
 // inputReq is a request accepted from above but not yet in service.
 type inputReq struct {
 	addr  uint64
 	write bool
-	src   int    // upstream requestor (keys partitioning)
+	src   int    // upstream requestor (event tracing)
 	at    uint64 // earliest service cycle
 	done  func(cycle uint64)
 }
@@ -48,12 +47,10 @@ type target struct {
 
 // mshrEntry tracks one outstanding missed block.
 type mshrEntry struct {
-	block    uint64
-	targets  []target
-	src      int // requestor of the primary miss
-	issued   bool
-	write    bool // a store is among the targets: fill installs dirty
-	prefetch bool // allocated by the prefetcher, no demand targets
+	block   uint64
+	targets []target
+	issued  bool
+	write   bool // a store is among the targets: fill installs dirty
 	// fill is the downstream completion callback, built once per entry
 	// (entries are pooled): it parks the entry for installation at the
 	// start of the next cycle.
@@ -83,13 +80,6 @@ type Stats struct {
 	Writebacks uint64
 	// Evictions counts total evictions of valid lines.
 	Evictions uint64
-	// Prefetches counts prefetch fetches issued; PrefetchUseful the
-	// prefetched lines later touched by a demand access.
-	Prefetches     uint64
-	PrefetchUseful uint64
-	// QuotaWaits counts misses parked because their requestor exhausted
-	// its MSHR quota.
-	QuotaWaits uint64
 	// Invalidations counts lines removed by coherence actions.
 	Invalidations uint64
 }
@@ -98,19 +88,16 @@ type Stats struct {
 // cumulative counters (o must be an earlier snapshot of the same cache).
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{
-		Accesses:       s.Accesses - o.Accesses,
-		Hits:           s.Hits - o.Hits,
-		Misses:         s.Misses - o.Misses,
-		Coalesced:      s.Coalesced - o.Coalesced,
-		PrimaryMisses:  s.PrimaryMisses - o.PrimaryMisses,
-		MSHRWaits:      s.MSHRWaits - o.MSHRWaits,
-		Rejected:       s.Rejected - o.Rejected,
-		Writebacks:     s.Writebacks - o.Writebacks,
-		Evictions:      s.Evictions - o.Evictions,
-		Prefetches:     s.Prefetches - o.Prefetches,
-		PrefetchUseful: s.PrefetchUseful - o.PrefetchUseful,
-		QuotaWaits:     s.QuotaWaits - o.QuotaWaits,
-		Invalidations:  s.Invalidations - o.Invalidations,
+		Accesses:      s.Accesses - o.Accesses,
+		Hits:          s.Hits - o.Hits,
+		Misses:        s.Misses - o.Misses,
+		Coalesced:     s.Coalesced - o.Coalesced,
+		PrimaryMisses: s.PrimaryMisses - o.PrimaryMisses,
+		MSHRWaits:     s.MSHRWaits - o.MSHRWaits,
+		Rejected:      s.Rejected - o.Rejected,
+		Writebacks:    s.Writebacks - o.Writebacks,
+		Evictions:     s.Evictions - o.Evictions,
+		Invalidations: s.Invalidations - o.Invalidations,
 	}
 }
 
@@ -134,7 +121,6 @@ type Cache struct {
 	pipe      []inflight
 	pipeHead  int
 	mshrs     []*mshrEntry // outstanding missed blocks, at most cfg.MSHRs, unordered
-	srcMSHRs  []int        // outstanding primary misses per requestor that has an MSHRQuota
 	waiting   []inflight   // missed, waiting for an MSHR/target slot
 	issueQ    []*mshrEntry
 	wbQ       []uint64 // block addresses to write back
@@ -144,7 +130,6 @@ type Cache struct {
 
 	maxTargets int
 	maxInput   int
-	allWays    []int        // cached identity way list for unpartitioned sources
 	warmLower  Warmer       // lower's functional-tier surface (nil if none)
 	cleanLower CleanEvictee // lower's clean-eviction surface (nil if none)
 
@@ -155,8 +140,8 @@ type Cache struct {
 
 // cacheObs holds the cache's registered metric handles.
 type cacheObs struct {
-	accesses, hits, misses, primaryMisses, coalesced, mshrWaits, quotaWaits,
-	rejected, writebacks, evictions, prefetches, prefetchUseful, invalidations *obs.Counter
+	accesses, hits, misses, primaryMisses, coalesced, mshrWaits,
+	rejected, writebacks, evictions, invalidations *obs.Counter
 	missRate *obs.Gauge
 	mshrOcc  *obs.Histogram
 }
@@ -173,21 +158,18 @@ func (c *Cache) AttachObs(r *obs.Registry, prefix string) {
 		buckets = 32
 	}
 	c.ob = &cacheObs{
-		accesses:       r.Counter(prefix + ".accesses"),
-		hits:           r.Counter(prefix + ".hits"),
-		misses:         r.Counter(prefix + ".misses"),
-		primaryMisses:  r.Counter(prefix + ".primary_misses"),
-		coalesced:      r.Counter(prefix + ".coalesced"),
-		mshrWaits:      r.Counter(prefix + ".mshr_waits"),
-		quotaWaits:     r.Counter(prefix + ".quota_waits"),
-		rejected:       r.Counter(prefix + ".rejected"),
-		writebacks:     r.Counter(prefix + ".writebacks"),
-		evictions:      r.Counter(prefix + ".evictions"),
-		prefetches:     r.Counter(prefix + ".prefetches"),
-		prefetchUseful: r.Counter(prefix + ".prefetch_useful"),
-		invalidations:  r.Counter(prefix + ".invalidations"),
-		missRate:       r.Gauge(prefix + ".miss_rate"),
-		mshrOcc:        r.Histogram(prefix+".mshr_occupancy", 0, float64(c.cfg.MSHRs+1), buckets),
+		accesses:      r.Counter(prefix + ".accesses"),
+		hits:          r.Counter(prefix + ".hits"),
+		misses:        r.Counter(prefix + ".misses"),
+		primaryMisses: r.Counter(prefix + ".primary_misses"),
+		coalesced:     r.Counter(prefix + ".coalesced"),
+		mshrWaits:     r.Counter(prefix + ".mshr_waits"),
+		rejected:      r.Counter(prefix + ".rejected"),
+		writebacks:    r.Counter(prefix + ".writebacks"),
+		evictions:     r.Counter(prefix + ".evictions"),
+		invalidations: r.Counter(prefix + ".invalidations"),
+		missRate:      r.Gauge(prefix + ".miss_rate"),
+		mshrOcc:       r.Histogram(prefix+".mshr_occupancy", 0, float64(c.cfg.MSHRs+1), buckets),
 	}
 }
 
@@ -208,12 +190,9 @@ func (c *Cache) PublishObs() {
 	c.ob.primaryMisses.Set(c.st.PrimaryMisses)
 	c.ob.coalesced.Set(c.st.Coalesced)
 	c.ob.mshrWaits.Set(c.st.MSHRWaits)
-	c.ob.quotaWaits.Set(c.st.QuotaWaits)
 	c.ob.rejected.Set(c.st.Rejected)
 	c.ob.writebacks.Set(c.st.Writebacks)
 	c.ob.evictions.Set(c.st.Evictions)
-	c.ob.prefetches.Set(c.st.Prefetches)
-	c.ob.prefetchUseful.Set(c.st.PrefetchUseful)
 	c.ob.invalidations.Set(c.st.Invalidations)
 	if done := c.st.Hits + c.st.Misses; done > 0 {
 		c.ob.missRate.Set(float64(c.st.Misses) / float64(done))
@@ -367,9 +346,7 @@ func (c *Cache) Tick(cycle uint64) {
 	// 2. Retry accesses waiting for MSHR capacity. Only an install can
 	// let one through — it alone frees an MSHR or a target list, or makes
 	// the block present — so a cycle without a fill has nothing to retry.
-	// A configured quota is the exception: its refusals are counted
-	// (QuotaWaits) once per cycle waited.
-	if len(c.waiting) > 0 && (len(c.fills) > 0 || c.cfg.MSHRQuota != nil) {
+	if len(c.waiting) > 0 && len(c.fills) > 0 {
 		c.retryWaiting()
 	}
 
@@ -394,7 +371,7 @@ func (c *Cache) Tick(cycle uint64) {
 // targets.
 func (c *Cache) install(m *mshrEntry) {
 	set := c.sets[c.setIndex(m.block)]
-	victim := c.victim(set, m.src)
+	victim := c.victim(set)
 	if set[victim].valid {
 		c.st.Evictions++
 		if set[victim].dirty {
@@ -404,13 +381,7 @@ func (c *Cache) install(m *mshrEntry) {
 			c.cleanLower.EvictClean(c.cfg.SrcID, set[victim].tag)
 		}
 	}
-	set[victim] = line{
-		tag:        m.block,
-		valid:      true,
-		dirty:      m.write,
-		prefetched: m.prefetch,
-		used:       c.insertStamp(),
-	}
+	set[victim] = line{tag: m.block, valid: true, dirty: m.write, used: c.now}
 	for _, t := range m.targets {
 		c.an.Done(t.rec, c.now)
 		c.st.Misses++
@@ -443,65 +414,29 @@ func (c *Cache) freeMSHR(m *mshrEntry) {
 		}
 	}
 	c.mshrs = c.mshrs[:last]
-	c.countMSHR(m.src, -1)
 	c.mshrFree = append(c.mshrFree, m)
 }
 
-// insertStamp realises the insertion policy: MRU fills look
-// just-touched; LIP fills look least recent; BIP promotes 1/32 of fills.
-func (c *Cache) insertStamp() uint64 {
-	switch c.cfg.Insert {
-	case LIPInsert:
-		return 0
-	case BIPInsert:
-		if c.rng.Intn(32) == 0 {
-			return c.now
-		}
-		return 0
-	default:
-		return c.now
-	}
-}
-
-// victim picks the way to replace in set on behalf of requestor src,
-// honouring way partitioning when configured.
-func (c *Cache) victim(set []line, src int) int {
-	ways := c.waysFor(src)
-	for _, i := range ways {
+// victim picks the way to replace in set.
+func (c *Cache) victim(set []line) int {
+	for i := range set {
 		if !set[i].valid {
 			return i
 		}
 	}
 	switch c.cfg.Repl {
 	case RandomRepl:
-		return ways[c.rng.Intn(len(ways))]
+		return c.rng.Intn(len(set))
 	default: // LRU and FIFO both evict the smallest stamp; they differ in
 		// whether lookups touch the stamp.
-		best := ways[0]
-		for _, i := range ways[1:] {
+		best := 0
+		for i := 1; i < len(set); i++ {
 			if set[i].used < set[best].used {
 				best = i
 			}
 		}
 		return best
 	}
-}
-
-// waysFor returns the way indices requestor src may replace into.
-func (c *Cache) waysFor(src int) []int {
-	if c.cfg.PartitionWays != nil {
-		if ws, ok := c.cfg.PartitionWays[src]; ok {
-			return ws
-		}
-	}
-	if c.allWays == nil {
-		//lint:ignore hotpathalloc one-time lazy init; the slice is cached on the Cache for every later cycle
-		c.allWays = make([]int, c.cfg.Assoc)
-		for i := range c.allWays {
-			c.allWays[i] = i
-		}
-	}
-	return c.allWays
 }
 
 // lookup probes the tag array; on a hit it applies the policy's touch and
@@ -515,10 +450,6 @@ func (c *Cache) lookup(block uint64, write bool) bool {
 			}
 			if write {
 				set[i].dirty = true
-			}
-			if set[i].prefetched {
-				set[i].prefetched = false
-				c.st.PrefetchUseful++
 			}
 			return true
 		}
@@ -553,50 +484,19 @@ func (c *Cache) completeResolved() {
 	}
 }
 
-// quotaFree reports whether requestor src may allocate another MSHR.
-func (c *Cache) quotaFree(src int) bool {
-	if c.cfg.MSHRQuota == nil {
-		return true
-	}
-	q, ok := c.cfg.MSHRQuota[src]
-	return !ok || src >= len(c.srcMSHRs) || c.srcMSHRs[src] < q
-}
-
-// countMSHR adjusts src's outstanding primary misses. Only requestors
-// with a quota are counted (Validate keeps their ids non-negative).
-func (c *Cache) countMSHR(src, delta int) {
-	if _, ok := c.cfg.MSHRQuota[src]; !ok {
-		return
-	}
-	for len(c.srcMSHRs) <= src {
-		c.srcMSHRs = append(c.srcMSHRs, 0)
-	}
-	c.srcMSHRs[src] += delta
-}
-
-// allocMSHR claims an entry for block on behalf of src and queues its
-// fetch.
-func (c *Cache) allocMSHR(block uint64, src int) *mshrEntry {
-	m := c.newMSHR(block, src)
-	c.mshrs = append(c.mshrs, m)
-	c.issueQ = append(c.issueQ, m)
-	c.countMSHR(src, +1)
-	return m
-}
-
 // newMSHR claims a pooled entry (or builds one, with its permanent fill
 // closure) and resets it for the given block.
-func (c *Cache) newMSHR(block uint64, src int) *mshrEntry {
+func (c *Cache) newMSHR(block uint64) *mshrEntry {
 	if n := len(c.mshrFree); n > 0 {
 		m := c.mshrFree[n-1]
 		c.mshrFree = c.mshrFree[:n-1]
-		m.block, m.src = block, src
-		m.issued, m.write, m.prefetch = false, false, false
+		m.block = block
+		m.issued, m.write = false, false
 		m.targets = m.targets[:0]
 		return m
 	}
 	//lint:ignore hotpathalloc MSHR pool warm-up; steady state reuses freed entries from mshrFree above
-	m := &mshrEntry{block: block, src: src}
+	m := &mshrEntry{block: block}
 	//lint:ignore hotpathalloc the fill closure is built once per pooled MSHR and reused for the entry's lifetime
 	m.fill = func(uint64) { c.fillsNext = append(c.fillsNext, m) }
 	return m
@@ -618,45 +518,13 @@ func (c *Cache) attachMiss(f inflight) bool {
 	if len(c.mshrs) >= c.cfg.MSHRs {
 		return false
 	}
-	if !c.quotaFree(f.src) {
-		c.st.QuotaWaits++
-		return false
-	}
-	m := c.allocMSHR(blk, f.src)
+	m := c.newMSHR(blk)
 	m.write = f.write
 	m.targets = append(m.targets, target{write: f.write, src: f.src, start: f.start, done: f.done, rec: f.rec})
+	c.mshrs = append(c.mshrs, m)
+	c.issueQ = append(c.issueQ, m)
 	c.st.PrimaryMisses++
-	c.issuePrefetches(blk, f.src)
 	return true
-}
-
-// issuePrefetches allocates next-line prefetch MSHRs for the blocks
-// following a demand primary miss. Prefetches are skipped when the block
-// is already present or pending, when MSHRs (or the requestor's quota)
-// run out, and never trigger further prefetching.
-func (c *Cache) issuePrefetches(blk uint64, src int) {
-	for d := 1; d <= c.cfg.Prefetch; d++ {
-		pb := blk + uint64(d)
-		if len(c.mshrs) >= c.cfg.MSHRs || !c.quotaFree(src) {
-			return
-		}
-		if c.findMSHR(pb) != nil || c.present(pb) {
-			continue
-		}
-		c.allocMSHR(pb, src).prefetch = true
-		c.st.Prefetches++
-	}
-}
-
-// present probes the tag array without touching replacement state.
-func (c *Cache) present(block uint64) bool {
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			return true
-		}
-	}
-	return false
 }
 
 // retryWaiting re-attempts MSHR attachment for accesses parked after a

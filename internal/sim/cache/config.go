@@ -13,9 +13,7 @@
 // cycles per the paper's Fig. 1 semantics.
 package cache
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // ReplPolicy selects a replacement policy.
 type ReplPolicy uint8
@@ -80,24 +78,10 @@ type Config struct {
 	Coalesce bool
 	// Repl selects the replacement policy.
 	Repl ReplPolicy
-	// Insert selects the fill insertion policy (MRU conventional; LIP or
-	// BIP protect reused sets from streaming pollution — the paper's
-	// "selective cache replacement" future-work direction).
-	Insert InsertPolicy
 	// SrcID identifies this cache to the layer below (e.g. the core
-	// index of a private L1); it keys partitioning decisions there.
+	// index of a private L1): the requestor a directory records as a
+	// sharer and a NoC routes responses to.
 	SrcID int
-	// PartitionWays, when non-nil, restricts each requestor to a set of
-	// ways (way partitioning of a shared cache). Requestors absent from
-	// the map use every way.
-	PartitionWays map[int][]int
-	// MSHRQuota, when non-nil, bounds outstanding primary misses per
-	// requestor (the paper's "memory parallelism partition" direction).
-	// Requestors absent from the map are bounded only by MSHRs.
-	MSHRQuota map[int]int
-	// Prefetch enables a next-line prefetcher of the given degree: each
-	// demand primary miss to block B also fetches B+1..B+Prefetch.
-	Prefetch int
 	// Seed feeds the random replacement policy.
 	Seed uint64
 }
@@ -127,26 +111,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cache %s: MSHRs %d", c.Name, c.MSHRs)
 	case c.MSHRTargets < 0 || c.InputQueue < 0:
 		return fmt.Errorf("cache %s: negative queue bound", c.Name)
-	case c.Prefetch < 0:
-		return fmt.Errorf("cache %s: negative prefetch degree", c.Name)
-	}
-	for src, ways := range c.PartitionWays {
-		if len(ways) == 0 {
-			return fmt.Errorf("cache %s: requestor %d partitioned to zero ways", c.Name, src)
-		}
-		for _, w := range ways {
-			if w < 0 || w >= c.Assoc {
-				return fmt.Errorf("cache %s: requestor %d assigned way %d of %d", c.Name, src, w, c.Assoc)
-			}
-		}
-	}
-	for src, q := range c.MSHRQuota {
-		if src < 0 {
-			return fmt.Errorf("cache %s: MSHR quota for negative requestor %d", c.Name, src)
-		}
-		if q <= 0 {
-			return fmt.Errorf("cache %s: requestor %d has MSHR quota %d", c.Name, src, q)
-		}
 	}
 	return nil
 }
@@ -174,36 +138,4 @@ type CleanEvictee interface {
 	// EvictClean reports that requestor src dropped its clean copy of
 	// block.
 	EvictClean(src int, block uint64)
-}
-
-// InsertPolicy selects where a filled block enters the replacement
-// order — the "selective cache replacement" direction of the paper's
-// future work. Streaming fills inserted near the LRU position cannot
-// evict a reused working set.
-type InsertPolicy uint8
-
-// Insertion policies.
-const (
-	// MRUInsert is conventional insertion at the most recent position.
-	MRUInsert InsertPolicy = iota
-	// LIPInsert inserts at the LRU position; a block must be re-touched
-	// to be promoted.
-	LIPInsert
-	// BIPInsert inserts at LRU except for a 1/32 fraction promoted to
-	// MRU (bimodal insertion), adapting to mixed reuse.
-	BIPInsert
-)
-
-// String implements fmt.Stringer.
-func (p InsertPolicy) String() string {
-	switch p {
-	case MRUInsert:
-		return "MRU"
-	case LIPInsert:
-		return "LIP"
-	case BIPInsert:
-		return "BIP"
-	default:
-		return fmt.Sprintf("InsertPolicy(%d)", uint8(p))
-	}
 }

@@ -8,16 +8,14 @@ package cache
 // an exact-cycle match, so the chip must never jump past one), MSHR
 // fills arrive through lower-layer callbacks that make the cache
 // non-quiescent the cycle they land, and a parked miss is retried only
-// in a cycle that installs a fill. Under an MSHR quota a parked miss is
-// retried, and its refusal counted, every cycle, so it is not allowed.
+// in a cycle that installs a fill.
 
 // Quiescent reports whether the next Tick would only re-walk unchanged
 // state (no completions, starts, retries, installs, or downstream
 // issues).
 func (c *Cache) Quiescent(now uint64) bool {
 	_ = now
-	return len(c.input) == 0 && (len(c.waiting) == 0 || c.cfg.MSHRQuota == nil) &&
-		len(c.issueQ) == 0 && len(c.wbQ) == 0 &&
+	return len(c.input) == 0 && len(c.issueQ) == 0 && len(c.wbQ) == 0 &&
 		len(c.fills) == 0 && len(c.fillsNext) == 0
 }
 

@@ -40,24 +40,23 @@ func (f *fuzzLower) Tick(cycle uint64) {
 // bounded burst of accesses without panicking or losing completions.
 func FuzzCacheConfigValidate(f *testing.F) {
 	// Realistic geometries.
-	f.Add("L1", uint64(32*1024), uint64(64), 8, 3, 2, 4, 8, 8, 16, 0, true, uint8(0), uint8(0))
-	f.Add("L2", uint64(4*1024*1024), uint64(64), 16, 20, 4, 8, 32, 8, 24, 1, true, uint8(1), uint8(1))
+	f.Add("L1", uint64(32*1024), uint64(64), 8, 3, 2, 4, 8, 8, 16, true, uint8(0))
+	f.Add("L2", uint64(4*1024*1024), uint64(64), 16, 20, 4, 8, 32, 8, 24, true, uint8(1))
 	// Degenerate and adversarial geometries.
-	f.Add("", uint64(0), uint64(0), 0, 0, 0, 0, 0, -1, -1, -1, false, uint8(3), uint8(9))
-	f.Add("x", uint64(1), uint64(3), 1, 1, 1, 1, 1, 0, 0, 0, false, uint8(2), uint8(2))
-	f.Add("tiny", uint64(64), uint64(64), 1, 1, 1, 1, 1, 1, 1, 0, true, uint8(0), uint8(1))
-	f.Add("big", uint64(1<<62), uint64(1<<32), 2, 1, 1, 1, 1, 0, 0, 0, true, uint8(0), uint8(0))
+	f.Add("", uint64(0), uint64(0), 0, 0, 0, 0, 0, -1, -1, false, uint8(3))
+	f.Add("x", uint64(1), uint64(3), 1, 1, 1, 1, 1, 0, 0, false, uint8(2))
+	f.Add("tiny", uint64(64), uint64(64), 1, 1, 1, 1, 1, 1, 1, true, uint8(0))
+	f.Add("big", uint64(1<<62), uint64(1<<32), 2, 1, 1, 1, 1, 0, 0, true, uint8(0))
 
 	f.Fuzz(func(t *testing.T, name string, size, blockSize uint64,
-		assoc, hitLat, ports, banks, mshrs, mshrTargets, inputQueue, prefetch int,
-		coalesce bool, repl, insert uint8) {
+		assoc, hitLat, ports, banks, mshrs, mshrTargets, inputQueue int,
+		coalesce bool, repl uint8) {
 
 		cfg := Config{
 			Name: name, Size: size, BlockSize: blockSize, Assoc: assoc,
 			HitLatency: hitLat, Ports: ports, Banks: banks, MSHRs: mshrs,
 			MSHRTargets: mshrTargets, InputQueue: inputQueue,
-			Prefetch: prefetch, Coalesce: coalesce,
-			Repl: ReplPolicy(repl % 3), Insert: InsertPolicy(insert % 3),
+			Coalesce: coalesce, Repl: ReplPolicy(repl % 3),
 		}
 		if err := cfg.Validate(); err != nil {
 			return // rejected: exactly what Validate is for
@@ -70,7 +69,7 @@ func FuzzCacheConfigValidate(f *testing.F) {
 		// fuzzer; the interesting behaviour is the small-geometry
 		// edge cases anyway.
 		if cfg.Sets() > 1<<14 || cfg.Assoc > 64 || cfg.MSHRs > 256 ||
-			cfg.Ports > 64 || cfg.Banks > 256 || cfg.Prefetch > 16 ||
+			cfg.Ports > 64 || cfg.Banks > 256 ||
 			cfg.HitLatency > 1024 || cfg.MSHRTargets > 256 || cfg.InputQueue > 1024 {
 			return
 		}

@@ -17,8 +17,6 @@ type propConfig struct {
 	HitLat   uint8
 	Coalesce bool
 	Repl     uint8
-	Insert   uint8
-	Prefetch uint8
 }
 
 func (p propConfig) build() Config {
@@ -38,8 +36,6 @@ func (p propConfig) build() Config {
 		MSHRs:      int(p.MSHRs%8 + 1),
 		Coalesce:   p.Coalesce,
 		Repl:       ReplPolicy(p.Repl % 3),
-		Insert:     InsertPolicy(p.Insert % 3),
-		Prefetch:   int(p.Prefetch % 3),
 	}
 }
 
@@ -99,8 +95,6 @@ func TestPropertyCacheInvariants(t *testing.T) {
 		case p.PureMisses > p.Misses:
 			return false
 		case p.ActiveCycles != p.HitActiveCycles+p.PureCycles:
-			return false
-		case st.PrefetchUseful > st.Prefetches:
 			return false
 		}
 		// Eq. (3) exactly, on the drained layer.

@@ -9,20 +9,18 @@ import (
 
 // refCache is the cache's miss path as it stood while every cycle
 // re-scanned it: the hit pipeline is walked and compacted whole, the MSHR
-// file and the per-requestor counts are maps, and parked misses are
-// retried every cycle. Those methods are kept verbatim as the oracle for
+// file is a map, and parked misses are retried every cycle. Those methods are kept verbatim as the oracle for
 // TestCacheMatchesScanReference; everything the rewrite left alone (tag
 // array, replacement, input queue, downstream issue) is the embedded
 // Cache's, whose own pipe and mshrs fields stay unused here.
 type refCache struct {
 	*Cache
-	pipe     []inflight
-	mshrs    map[uint64]*mshrEntry
-	srcMSHRs map[int]int
+	pipe  []inflight
+	mshrs map[uint64]*mshrEntry
 }
 
 func newRefCache(cfg Config) *refCache {
-	return &refCache{Cache: New(cfg), mshrs: make(map[uint64]*mshrEntry), srcMSHRs: make(map[int]int)}
+	return &refCache{Cache: New(cfg), mshrs: make(map[uint64]*mshrEntry)}
 }
 
 func (c *refCache) Tick(cycle uint64) {
@@ -42,7 +40,7 @@ func (c *refCache) Tick(cycle uint64) {
 
 func (c *refCache) install(m *mshrEntry) {
 	set := c.sets[c.setIndex(m.block)]
-	victim := c.victim(set, m.src)
+	victim := c.victim(set)
 	if set[victim].valid {
 		c.st.Evictions++
 		if set[victim].dirty {
@@ -50,13 +48,7 @@ func (c *refCache) install(m *mshrEntry) {
 			c.wbQ = append(c.wbQ, set[victim].tag)
 		}
 	}
-	set[victim] = line{
-		tag:        m.block,
-		valid:      true,
-		dirty:      m.write,
-		prefetched: m.prefetch,
-		used:       c.insertStamp(),
-	}
+	set[victim] = line{tag: m.block, valid: true, dirty: m.write, used: c.now}
 	for _, t := range m.targets {
 		c.an.Done(t.rec, c.now)
 		c.st.Misses++
@@ -65,7 +57,6 @@ func (c *refCache) install(m *mshrEntry) {
 		}
 	}
 	delete(c.mshrs, m.block)
-	c.srcMSHRs[m.src]--
 	c.mshrFree = append(c.mshrFree, m)
 }
 
@@ -98,17 +89,6 @@ func (c *refCache) completeResolved() {
 	c.pipe = c.pipe[:w]
 }
 
-func (c *refCache) quotaFree(src int) bool {
-	if c.cfg.MSHRQuota == nil {
-		return true
-	}
-	q, ok := c.cfg.MSHRQuota[src]
-	if !ok {
-		return true
-	}
-	return c.srcMSHRs[src] < q
-}
-
 func (c *refCache) attachMiss(f inflight) bool {
 	blk := c.block(f.addr)
 	if m, ok := c.mshrs[blk]; ok {
@@ -123,37 +103,13 @@ func (c *refCache) attachMiss(f inflight) bool {
 	if len(c.mshrs) >= c.cfg.MSHRs {
 		return false
 	}
-	if !c.quotaFree(f.src) {
-		c.st.QuotaWaits++
-		return false
-	}
-	m := c.newMSHR(blk, f.src)
+	m := c.newMSHR(blk)
 	m.write = f.write
 	m.targets = append(m.targets, target{write: f.write, src: f.src, start: f.start, done: f.done, rec: f.rec})
 	c.mshrs[blk] = m
 	c.issueQ = append(c.issueQ, m)
-	c.srcMSHRs[f.src]++
 	c.st.PrimaryMisses++
-	c.issuePrefetches(blk, f.src)
 	return true
-}
-
-func (c *refCache) issuePrefetches(blk uint64, src int) {
-	for d := 1; d <= c.cfg.Prefetch; d++ {
-		pb := blk + uint64(d)
-		if len(c.mshrs) >= c.cfg.MSHRs || !c.quotaFree(src) {
-			return
-		}
-		if _, pending := c.mshrs[pb]; pending || c.present(pb) {
-			continue
-		}
-		m := c.newMSHR(pb, src)
-		m.prefetch = true
-		c.mshrs[pb] = m
-		c.issueQ = append(c.issueQ, m)
-		c.srcMSHRs[src]++
-		c.st.Prefetches++
-	}
 }
 
 func (c *refCache) retryWaiting() {
@@ -297,16 +253,9 @@ func TestCacheMatchesScanReference(t *testing.T) {
 		"base":        func(*Config) {},
 		"no-coalesce": func(c *Config) { c.Coalesce = false },
 		"one-target":  func(c *Config) { c.MSHRTargets = 1 },
-		"quota":       func(c *Config) { c.MSHRQuota = map[int]int{0: 1, 2: 2}; c.MSHRs = 4 },
-		"quota-no-coalesce": func(c *Config) {
-			c.MSHRQuota = map[int]int{1: 1}
-			c.Coalesce = false
-		},
-		"prefetch":    func(c *Config) { c.Prefetch = 2; c.MSHRs = 5 },
 		"one-mshr":    func(c *Config) { c.MSHRs = 1; c.HitLatency = 1; c.Ports = 4 },
 		"deep-pipe":   func(c *Config) { c.HitLatency = 12; c.Ports = 3; c.InputQueue = 16 },
-		"random-bip":  func(c *Config) { c.Repl = RandomRepl; c.Insert = BIPInsert; c.Seed = 9 },
-		"partitioned": func(c *Config) { c.PartitionWays = map[int][]int{0: {0}, 1: {1, 2}} },
+		"random":      func(c *Config) { c.Repl = RandomRepl; c.Seed = 9 },
 	}
 	for name, mutate := range variants {
 		name, mutate := name, mutate
@@ -338,7 +287,7 @@ func compareWithReference(t *testing.T, cfg Config, seed int64) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	id := 0
-	var waited, quotaWaited bool
+	var waited bool
 	for cycle := uint64(1); cycle <= 9000; cycle++ {
 		// Bursts against a 64-block footprint (twice the cache), with a
 		// hot block so misses pile onto one MSHR; idle stretches let the
@@ -409,7 +358,6 @@ func compareWithReference(t *testing.T, cfg Config, seed int64) {
 			ref.ResetCounters()
 		}
 		waited = waited || got.Stats().MSHRWaits > 0
-		quotaWaited = quotaWaited || got.Stats().QuotaWaits > 0
 	}
 	if !reflect.DeepEqual(sides[0].log, sides[1].log) {
 		t.Fatalf("seed %d: completion sequences differ (%d vs %d events)%s", seed, len(sides[0].log), len(sides[1].log), firstDiff(sides[0].log, sides[1].log))
@@ -420,8 +368,8 @@ func compareWithReference(t *testing.T, cfg Config, seed int64) {
 	if got.Busy() {
 		t.Fatalf("seed %d: cache still busy after the stream drained", seed)
 	}
-	if !waited || (cfg.MSHRQuota != nil && !quotaWaited) || len(sides[0].log) < 1000 {
-		t.Fatalf("seed %d: weak stream: parked=%v quota-parked=%v completions=%d", seed, waited, quotaWaited, len(sides[0].log))
+	if !waited || len(sides[0].log) < 1000 {
+		t.Fatalf("seed %d: weak stream: parked=%v completions=%d", seed, waited, len(sides[0].log))
 	}
 }
 

@@ -29,22 +29,23 @@ type Warmer interface {
 func (c *Cache) WarmAccess(stamp uint64, addr uint64, write bool) bool {
 	c.now = stamp
 	blk := c.block(addr)
-	if c.warmLookup(blk, write) {
+	if c.lookup(blk, write) {
 		return true
 	}
-	c.warmFill(stamp, c.cfg.SrcID, blk, write)
+	c.warmFill(stamp, blk, write)
 	return false
 }
 
 // WarmFetch implements Warmer for a cache serving as a lower layer.
 func (c *Cache) WarmFetch(stamp uint64, src int, block uint64, write bool) {
+	_ = src
 	c.now = stamp
 	addr := block << c.blockBits
 	blk := c.block(addr)
-	if c.warmLookup(blk, write) {
+	if c.lookup(blk, write) {
 		return
 	}
-	c.warmFill(stamp, src, blk, write)
+	c.warmFill(stamp, blk, write)
 }
 
 // WarmWriteback implements Warmer: update the block in place when
@@ -65,33 +66,14 @@ func (c *Cache) WarmWriteback(stamp uint64, src int, block uint64) {
 	}
 }
 
-// warmLookup probes the tag array applying the replacement policy's
-// touch, like lookup, without the prefetch-usefulness accounting.
-func (c *Cache) warmLookup(block uint64, write bool) bool {
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			if c.cfg.Repl == LRU {
-				set[i].used = c.now
-			}
-			if write {
-				set[i].dirty = true
-			}
-			set[i].prefetched = false
-			return true
-		}
-	}
-	return false
-}
-
 // warmFill fetches block from below and installs it, evicting (and
 // warm-writing-back) a victim as the detailed fill path would.
-func (c *Cache) warmFill(stamp uint64, src int, blk uint64, write bool) {
+func (c *Cache) warmFill(stamp uint64, blk uint64, write bool) {
 	if c.warmLower != nil {
 		c.warmLower.WarmFetch(stamp, c.cfg.SrcID, blk, write)
 	}
 	set := c.sets[c.setIndex(blk)]
-	v := c.victim(set, src)
+	v := c.victim(set)
 	if set[v].valid {
 		if set[v].dirty {
 			if c.warmLower != nil {
@@ -101,5 +83,5 @@ func (c *Cache) warmFill(stamp uint64, src int, blk uint64, write bool) {
 			c.cleanLower.EvictClean(c.cfg.SrcID, set[v].tag)
 		}
 	}
-	set[v] = line{tag: blk, valid: true, dirty: write, used: c.insertStamp()}
+	set[v] = line{tag: blk, valid: true, dirty: write, used: c.now}
 }

@@ -172,10 +172,10 @@ func (b BoolSampler) Sample(r *RNG) bool {
 
 // stepTable tabulates a non-decreasing integer function f of the draw m
 // with f(0) = 0. thr[k] is the least m with f(m) > k, found by
-// evaluating f itself (leastAbove), so a lookup is exact whatever f's
-// floating point rounds to, given only that f is monotone; the last
-// entry is the sentinel draws, which no m reaches. guide[m>>shift] is f
-// at the first m of the bucket, leaving lookup a step or two.
+// evaluating f itself (leastAbove); the last entry is the sentinel
+// draws, which no m reaches. guide[m>>shift] is f at the first m of the
+// bucket, leaving lookup a step or two. A step lookup of len(thr)-1
+// means "at least that": the caller evaluates f itself there.
 type stepTable struct {
 	thr   []uint64
 	guide []uint32
@@ -183,7 +183,11 @@ type stepTable struct {
 }
 
 // newStepTable tabulates f's first max steps (fewer when f has fewer).
-// guess(k) estimates thr[k]; it only seeds the search.
+// guess(k) estimates thr[k]; it only seeds the search. f's floating
+// point need not be monotone: where f steps back down beside a threshold
+// the table would disagree with it, so each threshold's neighbours are
+// checked against f, and a table that disagrees anywhere is cut to no
+// steps at all, leaving every draw to f.
 func newStepTable(f func(m uint64) int, guess func(k int) float64, max int) stepTable {
 	t := stepTable{thr: make([]uint64, 0, max+1)}
 	for k := 0; k < max; k++ {
@@ -206,6 +210,14 @@ func newStepTable(f func(m uint64) int, guess func(k int) float64, max int) step
 			k++
 		}
 		t.guide[b] = uint32(k)
+	}
+	last := len(t.thr) - 1
+	for _, at := range t.thr[:last] {
+		for m := at - 1; m <= at+1 && m < draws; m++ {
+			if got := t.steps(m); got < last && f(m) != got {
+				return newStepTable(f, guess, 0)
+			}
+		}
 	}
 	return t
 }
@@ -263,10 +275,10 @@ func (t *stepTable) steps(m uint64) int {
 
 // samplerMemo shares table samplers between generators: a report builds
 // hundreds of generators over a dozen distinct parameters, a table costs
-// kilobytes, and verifying one Zipf step costs two math.Pow (~150 ns,
-// so ~0.2 ms for a 60 KB hot region). A sampler is immutable once built,
-// so sharing one cannot change any stream; the entry bound keeps
-// arbitrary parameters from growing the memo.
+// kilobytes, and finding and checking one Zipf step costs five or six
+// math.Pow (~0.45 ms for a 60 KB hot region). A sampler is immutable
+// once built, so sharing one cannot change any stream; the entry bound
+// keeps arbitrary parameters from growing the memo.
 type samplerMemo[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*V
@@ -408,7 +420,11 @@ func (z *ZipfSampler) Sample(r *RNG) int {
 	if z.n <= 1 {
 		return 0
 	}
-	return z.tab.steps(r.Uint64() >> 11)
+	m := r.Uint64() >> 11
+	if k := z.tab.steps(m); k < len(z.tab.thr)-1 {
+		return k
+	}
+	return z.ref(m)
 }
 
 // Perm fills dst with a uniformly random permutation of [0, len(dst)).

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"lpm/internal/explore"
 	"lpm/internal/sched"
 	"lpm/internal/sim/chip"
 )
@@ -150,42 +149,5 @@ func TestParallelAloneIPCsMatchesSerialExactly(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel AloneIPCs diverged from serial baseline:\nserial:   %v\nparallel: %v",
 			serial, parallel)
-	}
-}
-
-// Speculative frontier pre-evaluation trades extra simulations for
-// wall-clock; the walk it feeds must be unchanged — same steps, same
-// final point, same per-point measurements, same Evaluations() count.
-func TestSpeculativeExplorationMatchesSerialWalk(t *testing.T) {
-	defer func() { SetWorkers(0); ResetSimCaches() }()
-
-	run := func(speculate bool, workers int) CaseStudyIResult {
-		ResetSimCaches()
-		SetWorkers(workers)
-		// A reduced budget: determinism does not depend on the scale, and
-		// speculation multiplies the simulated points per step.
-		s := Scale{Warmup: 30000, Window: 8000}
-		tgt := newTarget(bg, s, explore.TableConfigs()["A"])
-		tgt.Speculate = speculate
-		cfg := caseStudyConfig(CoarseGrain)
-		cfg.MaxSteps = 6 // a 6-step walk already crosses several frontiers
-		res, final, err := tgt.RunAlgorithmCtx(bg, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return CaseStudyIResult{
-			Algorithm:   res,
-			Final:       final,
-			Evaluations: tgt.Evaluations(),
-			SpaceSize:   0,
-		}
-	}
-
-	serial := run(false, 1)
-	speculative := run(true, 4)
-
-	if !reflect.DeepEqual(serial, speculative) {
-		t.Fatalf("speculative walk diverged:\nserial:      %+v\nspeculative: %+v",
-			serial, speculative)
 	}
 }
