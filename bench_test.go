@@ -598,6 +598,12 @@ func BenchmarkChipCycle(b *testing.B) {
 	}
 }
 
+// bzip2Config is the engine_cpu chip of BENCHMARK.json (bench/engine.go):
+// 401.bzip2 on the one-core NUCA platform with a 64 KB L1.
+func bzip2Config() chip.Config {
+	return chip.NUCASingle(trace.NewSynthetic(trace.MustProfile("401.bzip2")), 64*chip.KB)
+}
+
 // cmpPrograms is the bench's engine_cmp mix: four programs, four copies
 // each, one per core of the Fig. 5 chip.
 var cmpPrograms = [4]string{"401.bzip2", "429.mcf", "433.milc", "403.gcc"}
@@ -671,9 +677,10 @@ func BenchmarkCMPChipCycle(b *testing.B) {
 // optimisations bought: once warmed, neither the stepped nor the
 // fast-forwarding engine allocates per cycle (MSHRs, fill closures and
 // analyzer events all come from freelists), and the functional tier
-// does not allocate per round. The cmp cases are the 16-core coherent
-// chip, the only shape that exercises the NoC's response hops and source
-// queues and the directory's entries.
+// does not allocate per round. The bzip2 cases are the cache-resident
+// one-core NUCA platform, where the core does most of a cycle; the cmp
+// cases are the 16-core coherent chip, the only shape that exercises the
+// NoC's response hops and source queues and the directory's entries.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
@@ -702,6 +709,17 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			}
 			return ch
 		}, step: func(ch *Chip) { _ = ch.RunFunctional(100) }},
+		{name: "bzip2/stepped", mk: func() *Chip {
+			ch := NewChip(bzip2Config())
+			ch.SetFastForward(false)
+			ch.RunCycles(20000)
+			return ch
+		}, step: func(ch *Chip) { ch.RunCycles(100) }},
+		{name: "bzip2/fastforward", mk: func() *Chip {
+			ch := NewChip(bzip2Config())
+			ch.RunCycles(20000)
+			return ch
+		}, step: func(ch *Chip) { ch.RunCycles(100) }},
 		{name: "cmp/stepped", mk: func() *Chip {
 			ch := NewChip(cmpConfig())
 			ch.SetFastForward(false)

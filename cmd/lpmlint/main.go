@@ -9,11 +9,9 @@
 //	lpmlint internal/sim/...             # one subtree
 //	lpmlint -enable determinism ./...    # one analyzer
 //	lpmlint -disable errcheck ./...      # all but one
-//	lpmlint -scope floateq=internal/core ./...
 //	lpmlint -list                        # describe the analyzers
 //	lpmlint -format=json ./...           # machine-readable findings
 //	lpmlint -format=github ./...         # GitHub Actions annotations
-//	lpmlint -workers 4 ./...             # bound the analysis fan-out
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load/type errors.
 // Suppress a single finding with `//lint:ignore analyzer reason` on or
@@ -60,22 +58,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		dir     = fs.String("C", ".", "module root directory (containing go.mod)")
-		tags    = fs.String("tags", "", "comma-separated build tags for //go:build evaluation")
 		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 		disable = fs.String("disable", "", "comma-separated analyzers to skip")
 		list    = fs.Bool("list", false, "describe the registered analyzers and exit")
 		format  = fs.String("format", "text", "output format: text, json, or github (Actions annotations)")
-		workers = fs.Int("workers", 0, "max concurrent analysis goroutines (0 = GOMAXPROCS)")
 	)
-	scopes := map[string][]string{}
-	fs.Func("scope", "analyzer=path[,path] — override an analyzer's default path scoping (repeatable)", func(v string) error {
-		name, paths, ok := strings.Cut(v, "=")
-		if !ok || name == "" || paths == "" {
-			return fmt.Errorf("-scope wants analyzer=path[,path], got %q", v)
-		}
-		scopes[name] = append(scopes[name], splitList(paths)...)
-		return nil
-	})
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -106,12 +93,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	diags, err := lint.Run(lint.Config{
 		Dir:     *dir,
-		Tags:    splitList(*tags),
 		Enable:  splitList(*enable),
 		Disable: splitList(*disable),
-		Scopes:  scopes,
 		Paths:   paths,
-		Workers: *workers,
 	})
 	if err != nil {
 		return err

@@ -15,7 +15,7 @@ func TestRunCleanRepo(t *testing.T) {
 		t.Skip("loads and type-checks the whole module")
 	}
 	var out, errBuf bytes.Buffer
-	if err := run(context.Background(), []string{"-C", "../..", "./..."}, &out, &errBuf); err != nil {
+	if err := run(context.Background(), []string{"-C", "../..", ".", "./cmd/...", "./internal/...", "./examples/..."}, &out, &errBuf); err != nil {
 		t.Fatalf("lpmlint on the repo: %v\nstdout:\n%sstderr:\n%s", err, out.String(), errBuf.String())
 	}
 	if out.Len() != 0 {

@@ -36,7 +36,6 @@ func serialValue(t *testing.T, kind string, x, ms int) json.RawMessage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore ctxflow serial baseline runs outside any fabric session
 	v, err := exec(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("serial %s(%d): %v", kind, x, err)
@@ -48,7 +47,6 @@ func serialValue(t *testing.T, kind string, x, ms int) json.RawMessage {
 // asserts every result is byte-identical to the serial baseline.
 func runIdenticalBatch(t *testing.T, c *Coordinator, kind string, n, sleepMS int) {
 	t.Helper()
-	//lint:ignore ctxflow test batch root; the timeout bounds the whole drain
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -117,7 +115,6 @@ func TestChaosFabricPartitionDuringStragglerDuplication(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	//lint:ignore ctxflow test fixture root context; cancelled on cleanup
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	go func() { _ = RunWorker(ctx, proxy.Addr(), WorkerOptions{Name: "proxied", Slots: 1}) }()
@@ -174,7 +171,6 @@ func TestChaosFabricHungTCPHeartbeatLoss(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	//lint:ignore ctxflow test fixture root context; cancelled on cleanup
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	go func() { _ = RunWorker(ctx, proxy.Addr(), WorkerOptions{Name: "hung", Slots: 1}) }()
@@ -237,7 +233,6 @@ func TestChaosFabricCorruptFrameReconnect(t *testing.T) {
 	}
 	defer proxy.Close()
 
-	//lint:ignore ctxflow test fixture root context; cancelled on cleanup
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	policy := fleet.Defaults(99)
@@ -305,7 +300,6 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 		restore()
 		t.Fatal(err)
 	}
-	//lint:ignore ctxflow test fixture root context; cancelled on cleanup
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	ctx1, cancel1 := context.WithCancel(ctx)

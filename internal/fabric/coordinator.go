@@ -612,7 +612,6 @@ func (c *Coordinator) sendLocked(w *remoteWorker, m Msg) {
 func (c *Coordinator) acceptLoop() {
 	defer c.loops.Done()
 	for {
-		//lint:ignore ctxflow Close() closes the listener, which fails this Accept
 		conn, err := c.ln.Accept()
 		if err != nil {
 			return // listener closed (Close) or terminally broken
@@ -686,7 +685,6 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		"remote", fmt.Sprint(conn.RemoteAddr()))
 
 	for {
-		//lint:ignore ctxflow Close() and workerGone close the conn, which fails this read
 		m, err := ReadFrame(conn)
 		if err != nil {
 			c.workerGone(w, err)

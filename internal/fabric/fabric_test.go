@@ -245,6 +245,28 @@ func TestFabricWaitsForFirstWorker(t *testing.T) {
 	}
 }
 
+// TestFabricCancelledIdleWorkerExits cancels an idle worker while its
+// coordinator stays up with heartbeats off, so no frame arrives and no
+// eviction closes the link: only the worker's own cancellation path can
+// unblock its frame read, and StopWorker must return promptly.
+func TestFabricCancelledIdleWorkerExits(t *testing.T) {
+	lf, err := StartLocal(1, Options{StraggleAfter: -1, Heartbeat: -1}, WorkerOptions{Name: "idle"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	stopped := make(chan error, 1)
+	go func() { stopped <- lf.StopWorker("idle-1") }()
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled worker still blocked reading from a live coordinator")
+	}
+}
+
 // TestFabricJoinLeave runs a batch while a worker joins mid-run and
 // another leaves mid-run; every granule must still resolve correctly.
 func TestFabricJoinLeave(t *testing.T) {

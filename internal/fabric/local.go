@@ -114,7 +114,6 @@ func (lf *LocalFabric) Close() error {
 	var firstErr error
 	for _, lw := range workers {
 		lw.cancel()
-		//lint:ignore ctxflow the cancel on the previous line unblocks the worker; done closes as it exits
 		<-lw.done
 		if lw.err != nil && firstErr == nil && !errors.Is(lw.err, context.Canceled) {
 			firstErr = fmt.Errorf("fabric: local worker %q: %w", lw.name, lw.err)

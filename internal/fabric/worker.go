@@ -331,7 +331,6 @@ func (w *workerState) pongReceived(m Msg) {
 func (w *workerState) readLoop() error {
 	sem := make(chan struct{}, w.opts.Slots)
 	for {
-		//lint:ignore ctxflow context.AfterFunc at dial time closes the conn on cancellation, failing this read
 		m, err := ReadFrame(w.conn)
 		if err != nil {
 			return err
@@ -365,7 +364,6 @@ func (w *workerState) readLoop() error {
 			delete(w.pending, m.ID)
 			w.mu.Unlock()
 			if ch != nil {
-				//lint:ignore ctxflow pending reply channels are buffered (cap 1); the send cannot block
 				ch <- m
 			}
 		case MsgPong:

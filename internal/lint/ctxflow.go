@@ -18,42 +18,40 @@ import (
 //  3. Passing a nil literal where a context.Context parameter is
 //     expected is always wrong (callees may not nil-check).
 //  4. A function that receives a context but never mentions it while
-//     calling ctx-capable module functions is dropping cancellation on
-//     the floor; thread it through.
-//  5. In internal/fabric — the layer that owns network blocking — a
-//     for-loop performing blocking channel or frame I/O must carry a
-//     cancellation path: a select with a case receiving from a
-//     struct{} channel (ctx.Done(), a closed chan). Loops ranging over
-//     a channel are exempt (they end when the producer closes it).
+//     calling a callee whose signature takes one is dropping
+//     cancellation on the floor; thread it through.
 //
-// Rules 1-4 apply module-wide; rule 5 is scoped to internal/fabric,
-// where the protocol loops live.
+// Each function body and each function literal is checked on its own.
 var analyzerCtxFlow = &Analyzer{
-	Name:      "ctxflow",
-	Doc:       "context.Context must thread through call chains: no Background()/TODO() outside main, no nil contexts, fabric loops must select on cancellation",
-	RunModule: runCtxFlow,
+	Name: "ctxflow",
+	Doc:  "context.Context must thread through call chains: no Background()/TODO() outside main, no shadowing, no nil contexts, no dropped ctx parameters",
+	Run:  runCtxFlow,
 }
 
-// fabricScope is the subtree rule 5 (blocking-loop cancellation)
-// applies to.
-const fabricScope = "internal/fabric"
-
-func runCtxFlow(p *ModulePass) {
-	for _, n := range p.Graph.Nodes() {
-		checkCtxRoots(p, n)
-		checkCtxThreading(p, n)
-		if matchRel(n.Pkg.Rel, fabricScope) {
-			checkFabricLoops(p, n)
-		}
+func runCtxFlow(p *Pass) {
+	for _, f := range p.Pkg.Syntax {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkCtxFunc(p, fn.Name.Name, fn.Pos(), fn.Type, fn.Body)
+				}
+			case *ast.FuncLit:
+				checkCtxFunc(p, "func literal", fn.Pos(), fn.Type, fn.Body)
+			}
+			return true
+		})
 	}
 }
 
-// checkCtxRoots applies rules 1-3 to one function body.
-func checkCtxRoots(p *ModulePass, n *FuncNode) {
-	info := n.Pkg.Info
-	isMain := n.Pkg.Types.Name() == "main"
-	hasCtxParam := factsOf(n).AcceptsCtx
-	inspectSameFunc(n.Body(), func(nd ast.Node) bool {
+// checkCtxFunc applies rules 1-4 to one function body; nested literals
+// get their own visit.
+func checkCtxFunc(p *Pass, name string, pos token.Pos, ft *ast.FuncType, body *ast.BlockStmt) {
+	info := p.Pkg.Info
+	ctxVars := ctxParams(info, ft)
+	isMain := p.Pkg.Types.Name() == "main"
+	var ctxCallee ast.Expr // the first callee whose signature takes a context
+	inspectSameFunc(body, func(nd ast.Node) bool {
 		call, ok := nd.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -62,207 +60,81 @@ func checkCtxRoots(p *ModulePass, n *FuncNode) {
 		if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
 			(fn.Name() == "Background" || fn.Name() == "TODO") {
 			switch {
-			case hasCtxParam:
+			case len(ctxVars) > 0:
 				p.Reportf(call.Pos(), "context.%s() shadows the context.Context this function already receives — thread the parameter instead", fn.Name())
 			case !isMain:
 				p.Reportf(call.Pos(), "context.%s() mints a root context in library code — accept a context.Context and thread the caller's instead", fn.Name())
 			}
 			return true
 		}
-		// Rule 3: nil passed where a context is expected.
-		sigTV, ok := info.Types[call.Fun]
-		if !ok || sigTV.IsType() {
+		tv, ok := info.Types[call.Fun]
+		if !ok || tv.IsType() {
 			return true
 		}
-		sig, ok := sigTV.Type.Underlying().(*types.Signature)
-		if !ok || sig.Params() == nil {
-			return true
-		}
-		for i, arg := range call.Args {
-			if i >= sig.Params().Len() {
-				break
-			}
-			if !isContextType(sig.Params().At(i).Type()) {
-				continue
-			}
-			if at, ok := info.Types[arg]; ok && at.IsNil() {
-				p.Reportf(arg.Pos(), "nil passed as context.Context — use the caller's context (or context.Background() at a main entry point)")
-			}
-		}
-		return true
-	})
-}
-
-// checkCtxThreading applies rule 4: a function that accepts a context,
-// never mentions it, yet calls module functions that take one.
-func checkCtxThreading(p *ModulePass, n *FuncNode) {
-	facts := factsOf(n)
-	if !facts.AcceptsCtx || facts.UsesCtx {
-		return
-	}
-	for _, site := range n.Calls {
-		for _, t := range site.Targets {
-			if factsOf(t).AcceptsCtx {
-				p.Reportf(n.Pos(), "%s receives a context.Context it never uses, yet calls ctx-capable %s — thread the context through (or drop the parameter)",
-					n.Name(), t.Name())
-				return
-			}
-		}
-	}
-}
-
-// checkFabricLoops applies rule 5 to one fabric function: every
-// for-loop doing blocking channel/frame I/O needs a cancellation
-// select in the loop.
-func checkFabricLoops(p *ModulePass, n *FuncNode) {
-	body := n.Body()
-	if body == nil {
-		return
-	}
-	info := n.Pkg.Info
-	inspectSameFunc(body, func(nd ast.Node) bool {
-		var loopBody *ast.BlockStmt
-		switch l := nd.(type) {
-		case *ast.ForStmt:
-			loopBody = l.Body
-		case *ast.RangeStmt:
-			if t, ok := info.Types[l.X]; ok {
-				if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-					return true // range-over-channel ends on close: canonical shutdown
-				}
-			}
-			loopBody = l.Body
-		default:
-			return true
-		}
-		checkOneLoop(p, info, loopBody)
-		return true
-	})
-}
-
-// checkOneLoop flags blocking operations in a loop body that has no
-// cancellation select. Nested function literals run on their own
-// goroutines' terms and are skipped; nested loops are visited by the
-// outer walk and get their own check.
-func checkOneLoop(p *ModulePass, info *types.Info, body *ast.BlockStmt) {
-	hasCancel := false
-	// The comm statements of each select are the select's own channel
-	// ops, not naked blocking ops.
-	comm := make(map[ast.Stmt]bool)
-	inspectSameFunc(body, func(nd ast.Node) bool {
-		sel, ok := nd.(*ast.SelectStmt)
+		sig, ok := tv.Type.Underlying().(*types.Signature)
 		if !ok {
 			return true
 		}
-		for _, cl := range sel.Body.List {
-			cc := cl.(*ast.CommClause)
-			if cc.Comm != nil {
-				comm[cc.Comm] = true
+		for i := 0; i < sig.Params().Len(); i++ {
+			if !isContextType(sig.Params().At(i).Type()) {
+				continue
 			}
-			if commIsCancellation(info, cc.Comm) {
-				hasCancel = true
+			if ctxCallee == nil {
+				ctxCallee = call.Fun
 			}
-		}
-		return true
-	})
-	if hasCancel {
-		return
-	}
-	// Scan this loop's own statements; nested loops are visited by the
-	// enclosing walk and get their own independent check.
-	inspectSameLoop(body, func(nd ast.Node) bool {
-		switch op := nd.(type) {
-		case *ast.SendStmt:
-			if !comm[op] {
-				p.Reportf(op.Pos(), "blocking channel send in a fabric loop with no cancellation path — select on it together with ctx.Done() (or a closed chan struct{})")
-			}
-		case *ast.UnaryExpr:
-			if op.Op == token.ARROW && !recvInComm(comm, op) {
-				p.Reportf(op.Pos(), "blocking channel receive in a fabric loop with no cancellation path — select on it together with ctx.Done() (or a closed chan struct{})")
-			}
-		case *ast.SelectStmt:
-			if !selectHasDefault(op) {
-				p.Reportf(op.Pos(), "blocking select in a fabric loop has no cancellation case — add one receiving from ctx.Done() (or a closed chan struct{})")
-			}
-		case *ast.CallExpr:
-			if fn := calleeFunc(info, op); fn != nil && blockingFrameFuncs[fn.Name()] {
-				p.Reportf(op.Pos(), "blocking %s in a fabric loop with no cancellation path — pair the loop with a ctx.Done() watcher that unblocks it (e.g. context.AfterFunc closing the conn)", fn.Name())
+			// Rule 3: nil passed where a context is expected.
+			if i < len(call.Args) {
+				if at, ok := info.Types[call.Args[i]]; ok && at.IsNil() {
+					p.Reportf(call.Args[i].Pos(), "nil passed as context.Context — use the caller's context (or context.Background() at a main entry point)")
+				}
 			}
 		}
 		return true
 	})
-}
-
-// inspectSameLoop walks a loop body calling f on every node but does
-// not descend into nested function literals or nested loops.
-func inspectSameLoop(body *ast.BlockStmt, f func(ast.Node) bool) {
-	ast.Inspect(body, func(m ast.Node) bool {
-		switch m.(type) {
-		case *ast.FuncLit, *ast.ForStmt, *ast.RangeStmt:
-			return false
-		}
-		return f(m)
-	})
-}
-
-// blockingFrameFuncs are the fabric wire primitives (and listener
-// accept) that block indefinitely on a healthy-but-quiet peer.
-var blockingFrameFuncs = map[string]bool{
-	"ReadFrame": true, "WriteFrame": true, "Accept": true,
-}
-
-// commIsCancellation reports whether a select comm clause receives from
-// a struct{} channel — the shape of ctx.Done() and closed-signal chans.
-func commIsCancellation(info *types.Info, comm ast.Stmt) bool {
-	var recv *ast.UnaryExpr
-	switch s := comm.(type) {
-	case *ast.ExprStmt:
-		recv, _ = ast.Unparen(s.X).(*ast.UnaryExpr)
-	case *ast.AssignStmt:
-		if len(s.Rhs) == 1 {
-			recv, _ = ast.Unparen(s.Rhs[0]).(*ast.UnaryExpr)
-		}
+	// Rule 4: a received context that is never mentioned, not even by a
+	// nested literal, while a callee wants one.
+	if len(ctxVars) > 0 && ctxCallee != nil && !mentionsAny(info, body, ctxVars) {
+		p.Reportf(pos, "%s receives a context.Context it never uses, yet calls ctx-capable %s — thread the context through (or drop the parameter)",
+			name, types.ExprString(ctxCallee))
 	}
-	if recv == nil || recv.Op != token.ARROW {
-		return false
-	}
-	t, ok := info.Types[recv.X]
+}
+
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
-	ch, ok := t.Type.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, ok := ch.Elem().Underlying().(*types.Struct)
-	return ok && st.NumFields() == 0
+	obj := named.Obj()
+	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
-// recvInComm reports whether the receive expression is (part of) a
-// select comm statement rather than a naked blocking receive.
-func recvInComm(comm map[ast.Stmt]bool, recv *ast.UnaryExpr) bool {
-	for stmt := range comm {
-		found := false
-		ast.Inspect(stmt, func(nd ast.Node) bool {
-			if nd == ast.Node(recv) {
-				found = true
+// ctxParams collects the *types.Var objects of ft's context.Context
+// parameters.
+func ctxParams(info *types.Info, ft *ast.FuncType) []*types.Var {
+	var out []*types.Var
+	for _, field := range ft.Params.List {
+		for _, name := range field.Names {
+			if v, ok := info.Defs[name].(*types.Var); ok && isContextType(v.Type()) {
+				out = append(out, v)
 			}
-			return !found
-		})
-		if found {
-			return true
 		}
 	}
-	return false
+	return out
 }
 
-// selectHasDefault reports whether the select has a default clause
-// (making it non-blocking).
-func selectHasDefault(sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		if cl.(*ast.CommClause).Comm == nil {
-			return true
+// mentionsAny reports whether body refers to any of vars.
+func mentionsAny(info *types.Info, body *ast.BlockStmt, vars []*types.Var) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			for _, v := range vars {
+				if info.Uses[id] == v {
+					found = true
+				}
+			}
 		}
-	}
-	return false
+		return !found
+	})
+	return found
 }

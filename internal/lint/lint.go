@@ -75,18 +75,12 @@ type Analyzer struct {
 	// Doc is a one-line description printed by `lpmlint -list`.
 	Doc string
 	// Paths are module-relative path prefixes the analyzer is scoped to
-	// by default ("internal/sim" covers internal/sim/...). The special
-	// pattern "." means the module root package only. An empty list
-	// applies the analyzer to every package.
+	// ("internal/sim" covers internal/sim/...); "." means the module
+	// root package only. An empty list applies the analyzer to every
+	// package.
 	Paths []string
 	// Run inspects one type-checked package and reports findings.
-	// Exactly one of Run and RunModule is set.
 	Run func(*Pass)
-	// RunModule inspects the whole module at once — the interprocedural
-	// analyzers that follow facts across the call graph. Module
-	// analyzers scope themselves by their roots; Paths only narrows
-	// where their findings may land.
-	RunModule func(*ModulePass)
 }
 
 // Analyzers returns the full analyzer table in registration order.
@@ -98,14 +92,12 @@ func Analyzers() []*Analyzer {
 		analyzerObsDiscipline,
 		analyzerTierDiscipline,
 		analyzerErrcheck,
-		analyzerHotPathAlloc,
 		analyzerCtxFlow,
-		analyzerFabricProto,
 		analyzerRetryDiscipline,
 	}
 }
 
-// analyzerByName resolves a -enable/-disable/-scope name.
+// analyzerByName resolves a -enable/-disable or //lint:ignore name.
 func analyzerByName(name string) *Analyzer {
 	for _, a := range Analyzers() {
 		if a.Name == name {
@@ -128,28 +120,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Pkg.Fset.Position(pos),
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass hands the whole loaded module (and its call graph) to one
-// interprocedural analyzer.
-type ModulePass struct {
-	// Mod is the loaded module.
-	Mod *Module
-	// Graph is the module's call graph (built once, shared by every
-	// module analyzer in the run).
-	Graph *CallGraph
-
-	analyzer *Analyzer
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Mod.Fset.Position(pos),
 		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -185,7 +155,7 @@ func typeIsFloat(t types.Type) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-// funcFor returns the object a call expression's callee resolves to, or
+// calleeFunc returns the object a call expression's callee resolves to, or
 // nil for calls through non-selector/ident expressions (function
 // values, conversions).
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

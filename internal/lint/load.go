@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build/constraint"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -22,9 +23,7 @@ type Package struct {
 	Path string
 	// Rel is the module-relative directory ("" for the root package).
 	Rel string
-	// Dir is the absolute directory.
-	Dir string
-	// Fset is the module-wide file set (shared across packages).
+	// Fset is the process-wide file set (shared across packages).
 	Fset *token.FileSet
 	// Syntax holds the parsed files, sorted by filename.
 	Syntax []*ast.File
@@ -32,64 +31,39 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// Key is the content key the load cache stored this package under.
-	Key string
-
 	// srcLines maps each file's path to its source split into lines,
 	// used by the suppression-directive scanner.
 	srcLines map[string][]string
-
-	// facts is the lazily-built per-function fact table (facts.go).
-	factsOnce sync.Once
-	facts     map[ast.Node]*FuncFacts
+	// imports are the module-internal import paths, sorted.
+	imports []string
 }
 
-// Module is the loaded module: every non-test package, type-checked in
-// dependency order against a shared file set.
-type Module struct {
-	// Root is the absolute module root directory.
-	Root string
-	// Path is the module path from go.mod.
-	Path string
-	// Fset is the shared file set.
-	Fset *token.FileSet
-	// Packages lists every package in dependency order.
-	Packages []*Package
-
-	graphOnce sync.Once
-	graph     *CallGraph
+// loader is the process-wide type-checking state: one file set, through
+// which every loaded Package's positions resolve, and one stdlib source
+// importer, whose package cache spares later loads in the same process
+// (the fixture tests) from re-checking the standard library. mu
+// serialises type-checking: the importer and the checker share it.
+var loader struct {
+	mu   sync.Mutex
+	fset *token.FileSet
+	std  types.Importer
 }
 
-// sourceFile is one buildable file's name and raw bytes.
-type sourceFile struct {
-	name string // base name
-	path string // absolute path
-	src  []byte
-}
-
-// dirInfo is the pre-parse view of one package directory: enough to
-// compute content keys and the dependency order without type-checking.
-type dirInfo struct {
-	rel     string
-	dir     string
-	path    string // import path
-	files   []sourceFile
-	imports []string // module-internal import paths
-	key     string   // filled in topo order
+func init() {
+	loader.fset = token.NewFileSet()
+	loader.std = importer.ForCompiler(loader.fset, "source", nil)
 }
 
 // Load parses and type-checks every package under root (the directory
-// containing go.mod). Test files (*_test.go), testdata, vendor and
-// hidden directories are skipped: the linted surface is the shipped
-// tree. tags are extra build tags for //go:build evaluation.
-//
-// Results are cached process-wide, content-keyed per package (see
-// cache.go): an unchanged package — same files, tags and dependency
-// keys — is returned from cache without re-parsing or re-type-checking.
+// containing go.mod), returning them in dependency order. Test files
+// (*_test.go), testdata, vendor and hidden directories are skipped: the
+// linted surface is the shipped tree. `//go:build` lines and
+// _GOOS/_GOARCH file names are evaluated against the host platform and
+// the gc compiler.
 //
 // Load fails if any file does not parse or any package does not
 // type-check — the lint gate presumes a compiling tree.
-func Load(root string, tags []string) (*Module, error) {
+func Load(root string) ([]*Package, error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -98,84 +72,43 @@ func Load(root string, tags []string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	tagSet := buildTagSet(tags)
-
 	dirs, err := packageDirs(absRoot)
 	if err != nil {
 		return nil, err
 	}
-	var infos []*dirInfo
-	byPath := make(map[string]*dirInfo)
+	var pkgs []*Package
+	byPath := make(map[string]*Package)
 	for _, dir := range dirs {
-		di, err := scanDir(absRoot, modPath, dir, tagSet)
+		pkg, err := parseDir(absRoot, modPath, dir)
 		if err != nil {
 			return nil, err
 		}
-		if di == nil {
+		if pkg == nil {
 			continue // no buildable files
 		}
-		infos = append(infos, di)
-		byPath[di.path] = di
+		pkgs = append(pkgs, pkg)
+		byPath[pkg.Path] = pkg
 	}
-	ordered, err := topoSort(infos, byPath)
+	ordered, err := topoSort(pkgs, byPath)
 	if err != nil {
 		return nil, err
 	}
 
-	cache := cacheState()
-	loaded := make(map[string]*Package, len(ordered))
-	mod := &Module{Root: absRoot, Path: modPath, Fset: cache.fset}
-	for _, di := range ordered {
-		var depKeys []string
-		for _, imp := range di.imports {
-			if dep, ok := byPath[imp]; ok {
-				depKeys = append(depKeys, dep.key)
-			}
-		}
-		di.key = contentKey(modPath, di.rel, tags, di.files, depKeys)
-		cache.mu.Lock()
-		cache.loads++
-		cache.mu.Unlock()
-		pkg, err := cache.pkgs.Do(di.key, func() (*Package, error) {
-			cache.mu.Lock()
-			defer cache.mu.Unlock()
-			cache.hits-- // balance the unconditional hit below
-			return typeCheck(cache, modPath, di, loaded)
-		})
-		if err != nil {
+	loader.mu.Lock()
+	defer loader.mu.Unlock()
+	imp := &moduleImporter{modPath: modPath, deps: make(map[string]*types.Package, len(ordered))}
+	for _, pkg := range ordered {
+		if err := typeCheck(pkg, imp); err != nil {
 			return nil, err
 		}
-		cache.mu.Lock()
-		cache.hits++
-		cache.mu.Unlock()
-		loaded[di.path] = pkg
-		mod.Packages = append(mod.Packages, pkg)
+		imp.deps[pkg.Path] = pkg.Types
 	}
-	return mod, nil
+	return ordered, nil
 }
 
-// typeCheck parses and type-checks one package (a cache miss) against
-// its already-loaded dependencies. Called with the cache lock held.
-func typeCheck(cache *loadState, modPath string, di *dirInfo, deps map[string]*Package) (*Package, error) {
-	pkg := &Package{
-		Path: di.path, Rel: di.rel, Dir: di.dir, Fset: cache.fset, Key: di.key,
-		srcLines: make(map[string][]string, len(di.files)),
-	}
-	pkgName := ""
-	for _, sf := range di.files {
-		f, err := parser.ParseFile(cache.fset, sf.path, sf.src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		} else if f.Name.Name != pkgName {
-			return nil, fmt.Errorf("lint: %s: mixed package names %q and %q", di.dir, pkgName, f.Name.Name)
-		}
-		pkg.Syntax = append(pkg.Syntax, f)
-		pkg.srcLines[sf.path] = strings.Split(string(sf.src), "\n")
-	}
-
+// typeCheck type-checks one parsed package against its already-checked
+// dependencies. Called with loader.mu held.
+func typeCheck(pkg *Package, imp types.Importer) error {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -184,20 +117,36 @@ func typeCheck(cache *loadState, modPath string, di *dirInfo, deps map[string]*P
 	}
 	var typeErrs []string
 	conf := types.Config{
-		Importer: &lockedImporter{modPath: modPath, deps: deps, std: cache.std},
+		Importer: imp,
 		Error: func(err error) {
 			if len(typeErrs) < 20 {
 				typeErrs = append(typeErrs, err.Error())
 			}
 		},
 	}
-	tpkg, _ := conf.Check(di.path, cache.fset, pkg.Syntax, info)
+	tpkg, _ := conf.Check(pkg.Path, loader.fset, pkg.Syntax, info)
 	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("lint: type errors:\n  %s", strings.Join(typeErrs, "\n  "))
+		return fmt.Errorf("lint: type errors:\n  %s", strings.Join(typeErrs, "\n  "))
 	}
 	pkg.Types = tpkg
 	pkg.Info = info
-	return pkg, nil
+	return nil
+}
+
+// moduleImporter resolves module-internal paths to the packages checked
+// so far and everything else through the shared source importer.
+type moduleImporter struct {
+	modPath string
+	deps    map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if path == m.modPath || strings.HasPrefix(path, m.modPath+"/") {
+		if p, ok := m.deps[path]; ok {
+			return p, nil
+		}
+	}
+	return loader.std.Import(path)
 }
 
 // modulePath reads the module path from root/go.mod.
@@ -244,10 +193,10 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// scanDir reads dir's buildable non-test files and their import lists
-// (an imports-only parse — the full parse happens on a cache miss).
-// Returns nil if the directory holds no buildable files.
-func scanDir(root, modPath, dir string, tags map[string]bool) (*dirInfo, error) {
+// parseDir parses dir's buildable non-test files and collects their
+// module-internal imports. Returns nil if the directory holds no
+// buildable files.
+func parseDir(root, modPath, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -265,8 +214,7 @@ func scanDir(root, modPath, dir string, tags map[string]bool) (*dirInfo, error) 
 		importPath = modPath + "/" + rel
 	}
 
-	di := &dirInfo{rel: rel, dir: dir, path: importPath}
-	impFset := token.NewFileSet()
+	pkg := &Package{Path: importPath, Rel: rel, Fset: loader.fset, srcLines: make(map[string][]string)}
 	seen := map[string]bool{}
 	for _, e := range entries {
 		name := e.Name()
@@ -282,14 +230,18 @@ func scanDir(root, modPath, dir string, tags map[string]bool) (*dirInfo, error) 
 		if err != nil {
 			return nil, err
 		}
-		if !constraintsSatisfied(src, tags) {
+		if !constraintsSatisfied(src) {
 			continue
 		}
-		di.files = append(di.files, sourceFile{name: name, path: full, src: src})
-		f, err := parser.ParseFile(impFset, full, src, parser.ImportsOnly)
+		f, err := parser.ParseFile(loader.fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			continue // the full parse on the miss path reports it
+			return nil, fmt.Errorf("lint: %w", err)
 		}
+		if len(pkg.Syntax) > 0 && f.Name.Name != pkg.Syntax[0].Name.Name {
+			return nil, fmt.Errorf("lint: %s: mixed package names %q and %q", dir, pkg.Syntax[0].Name.Name, f.Name.Name)
+		}
+		pkg.Syntax = append(pkg.Syntax, f)
+		pkg.srcLines[full] = strings.Split(string(src), "\n")
 		for _, imp := range f.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -297,36 +249,36 @@ func scanDir(root, modPath, dir string, tags map[string]bool) (*dirInfo, error) 
 			}
 			if (p == modPath || strings.HasPrefix(p, modPath+"/")) && !seen[p] {
 				seen[p] = true
-				di.imports = append(di.imports, p)
+				pkg.imports = append(pkg.imports, p)
 			}
 		}
 	}
-	if len(di.files) == 0 {
+	if len(pkg.Syntax) == 0 {
 		return nil, nil
 	}
-	sort.Strings(di.imports)
-	return di, nil
+	sort.Strings(pkg.imports)
+	return pkg, nil
 }
 
 // topoSort orders packages so every module-internal dependency precedes
 // its dependents.
-func topoSort(infos []*dirInfo, byPath map[string]*dirInfo) ([]*dirInfo, error) {
+func topoSort(pkgs []*Package, byPath map[string]*Package) ([]*Package, error) {
 	const (
 		unvisited = 0
 		visiting  = 1
 		done      = 2
 	)
-	state := make(map[string]int, len(infos))
-	ordered := make([]*dirInfo, 0, len(infos))
-	var visit func(p *dirInfo) error
-	visit = func(p *dirInfo) error {
-		switch state[p.path] {
+	state := make(map[string]int, len(pkgs))
+	ordered := make([]*Package, 0, len(pkgs))
+	var visit func(p *Package) error
+	visit = func(p *Package) error {
+		switch state[p.Path] {
 		case done:
 			return nil
 		case visiting:
-			return fmt.Errorf("lint: import cycle through %s", p.path)
+			return fmt.Errorf("lint: import cycle through %s", p.Path)
 		}
-		state[p.path] = visiting
+		state[p.Path] = visiting
 		for _, dep := range p.imports {
 			if d, ok := byPath[dep]; ok {
 				if err := visit(d); err != nil {
@@ -334,11 +286,11 @@ func topoSort(infos []*dirInfo, byPath map[string]*dirInfo) ([]*dirInfo, error) 
 				}
 			}
 		}
-		state[p.path] = done
+		state[p.Path] = done
 		ordered = append(ordered, p)
 		return nil
 	}
-	for _, p := range infos {
+	for _, p := range pkgs {
 		if err := visit(p); err != nil {
 			return nil, err
 		}
@@ -346,25 +298,17 @@ func topoSort(infos []*dirInfo, byPath map[string]*dirInfo) ([]*dirInfo, error) 
 	return ordered, nil
 }
 
-// buildTagSet assembles the tag universe for //go:build evaluation:
-// user tags plus the host GOOS/GOARCH and compiler.
-func buildTagSet(tags []string) map[string]bool {
-	set := map[string]bool{runtime.GOOS: true, runtime.GOARCH: true, "gc": true}
-	if runtime.GOOS == "linux" {
-		set["unix"] = true
-	}
-	for _, t := range tags {
-		if t = strings.TrimSpace(t); t != "" {
-			set[t] = true
-		}
-	}
-	return set
+// hostTags is the tag universe for //go:build evaluation: the host
+// GOOS/GOARCH and the compiler.
+var hostTags = map[string]bool{
+	runtime.GOOS: true, runtime.GOARCH: true, "gc": true,
+	"unix": runtime.GOOS == "linux",
 }
 
 // constraintsSatisfied evaluates a file's //go:build line (if any,
-// before the package clause) against the tag set. Release tags
-// ("go1.N") always evaluate true.
-func constraintsSatisfied(src []byte, tags map[string]bool) bool {
+// before the package clause) against hostTags. Release tags ("go1.N")
+// always evaluate true.
+func constraintsSatisfied(src []byte) bool {
 	for _, line := range strings.Split(string(src), "\n") {
 		trimmed := strings.TrimSpace(line)
 		if strings.HasPrefix(trimmed, "package ") {
@@ -381,7 +325,7 @@ func constraintsSatisfied(src []byte, tags map[string]bool) bool {
 			if strings.HasPrefix(tag, "go1.") {
 				return true
 			}
-			return tags[tag]
+			return hostTags[tag]
 		})
 	}
 	return true

@@ -109,11 +109,23 @@ func isNetRetryTarget(fn *types.Func) bool {
 	if pkg.Path() == "net" {
 		return strings.HasPrefix(fn.Name(), "Dial") || fn.Name() == "Listen" || fn.Name() == "Accept"
 	}
-	if isFabricPkg(pkg) {
+	if p := pkg.Path(); p == "internal/fabric" || strings.HasSuffix(p, "/internal/fabric") {
 		switch fn.Name() {
 		case "ReadFrame", "WriteFrame", "RunWorker":
 			return true
 		}
 	}
 	return false
+}
+
+// inspectSameLoop walks a loop body calling f on every node but does
+// not descend into nested function literals or nested loops.
+func inspectSameLoop(body *ast.BlockStmt, f func(ast.Node) bool) {
+	ast.Inspect(body, func(m ast.Node) bool {
+		switch m.(type) {
+		case *ast.FuncLit, *ast.ForStmt, *ast.RangeStmt:
+			return false
+		}
+		return f(m)
+	})
 }

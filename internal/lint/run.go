@@ -13,36 +13,26 @@ type Config struct {
 	// Dir is the module root (a directory containing go.mod). Empty
 	// means the current directory.
 	Dir string
-	// Tags are extra build tags for //go:build evaluation (-tags).
-	Tags []string
 	// Enable, when non-empty, restricts the run to the named analyzers.
 	Enable []string
 	// Disable removes the named analyzers from the run.
 	Disable []string
-	// Scopes overrides an analyzer's default path scoping with
-	// module-relative prefixes, e.g. {"determinism": {"internal/sim"}}.
-	Scopes map[string][]string
 	// Paths, when non-empty, restricts linted packages to these
 	// module-relative prefixes ("." is the root package).
 	Paths []string
-	// Workers bounds the analysis fan-out (per-package passes run
-	// concurrently on an internal/parallel pool); <= 0 means
-	// GOMAXPROCS.
-	Workers int
 }
 
 // Run loads the module and applies every selected analyzer, returning
-// the surviving findings sorted by position. Per-package analyzers run
-// concurrently across packages on an internal/parallel pool; module
-// (interprocedural) analyzers share one call graph. Suppressions
-// (//lint:ignore) are applied here; malformed and unused directives
-// surface as "lint" findings.
+// the surviving findings sorted by position. Packages are analysed
+// concurrently on a GOMAXPROCS-wide internal/parallel pool.
+// Suppressions (//lint:ignore) are applied here; malformed and unused
+// directives surface as "lint" findings.
 func Run(cfg Config) ([]Diagnostic, error) {
 	dir := cfg.Dir
 	if dir == "" {
 		dir = "."
 	}
-	mod, err := Load(dir, cfg.Tags)
+	pkgs, err := Load(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -55,70 +45,27 @@ func Run(cfg Config) ([]Diagnostic, error) {
 	// directive could name actually ran.
 	fullSuite := len(analyzers) == len(Analyzers())
 
-	selected := make([]*Package, 0, len(mod.Packages))
-	selectedDirs := make(map[string]bool)
-	for _, pkg := range mod.Packages {
-		if matchAny(pkg.Rel, normalizePaths(cfg.Paths)) {
+	paths := normalizePaths(cfg.Paths)
+	var selected []*Package
+	for _, pkg := range pkgs {
+		if matchAny(pkg.Rel, paths) {
 			selected = append(selected, pkg)
-			selectedDirs[pkg.Dir] = true
 		}
 	}
 
-	var pkgAnalyzers, modAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			modAnalyzers = append(modAnalyzers, a)
-		} else {
-			pkgAnalyzers = append(pkgAnalyzers, a)
-		}
-	}
-
-	pool := parallel.NewPool(cfg.Workers)
-
-	// Per-package passes fan out across packages; each package's
-	// findings stay in their own slice, so the merge below (input
-	// order) is deterministic regardless of scheduling.
-	perPkg, err := parallel.MapPool(pool, selected, func(pkg *Package) ([]Diagnostic, error) {
+	// Each package's findings stay in their own slice, so the merge
+	// below (input order) is deterministic regardless of scheduling.
+	perPkg, err := parallel.MapPool(parallel.NewPool(0), selected, func(pkg *Package) ([]Diagnostic, error) {
 		var diags []Diagnostic
-		for _, a := range pkgAnalyzers {
-			paths := a.Paths
-			if override, ok := cfg.Scopes[a.Name]; ok {
-				paths = override
+		for _, a := range analyzers {
+			if matchAny(pkg.Rel, a.Paths) {
+				a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &diags})
 			}
-			if !matchAny(pkg.Rel, paths) {
-				continue
-			}
-			a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &diags})
 		}
 		return diags, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	// Module analyzers share one call graph; they fan out across
-	// analyzers rather than packages.
-	var modDiags []Diagnostic
-	if len(modAnalyzers) > 0 {
-		graph := mod.Graph()
-		perAnalyzer, err := parallel.MapPool(pool, modAnalyzers, func(a *Analyzer) ([]Diagnostic, error) {
-			var diags []Diagnostic
-			a.RunModule(&ModulePass{Mod: mod, Graph: graph, analyzer: a, diags: &diags})
-			return diags, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, ds := range perAnalyzer {
-			for _, d := range ds {
-				// A module analyzer may blame a frame outside the
-				// selected packages; keep the run scoped to what the
-				// caller asked to lint.
-				if selectedDirs[filepath.Dir(d.Pos.Filename)] {
-					modDiags = append(modDiags, d)
-				}
-			}
-		}
 	}
 
 	// Apply per-file suppressions; malformed directives report here.
@@ -137,7 +84,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 			orderedSups = append(orderedSups, fs)
 		}
 	}
-	apply := func(ds []Diagnostic) {
+	for _, ds := range perPkg {
 		for _, d := range ds {
 			if fs, ok := sups[d.Pos.Filename]; ok && fs.suppress(d) {
 				continue
@@ -145,10 +92,6 @@ func Run(cfg Config) ([]Diagnostic, error) {
 			out = append(out, d)
 		}
 	}
-	for _, ds := range perPkg {
-		apply(ds)
-	}
-	apply(modDiags)
 	if fullSuite {
 		for _, fs := range orderedSups {
 			for _, s := range fs.all {
@@ -171,11 +114,6 @@ func selectAnalyzers(cfg Config) ([]*Analyzer, error) {
 	for _, name := range append(append([]string{}, cfg.Enable...), cfg.Disable...) {
 		if analyzerByName(name) == nil {
 			return nil, fmt.Errorf("lint: unknown analyzer %q (known: %s)", name, analyzerNames())
-		}
-	}
-	for name := range cfg.Scopes {
-		if analyzerByName(name) == nil {
-			return nil, fmt.Errorf("lint: -scope names unknown analyzer %q (known: %s)", name, analyzerNames())
 		}
 	}
 	disabled := make(map[string]bool, len(cfg.Disable))

@@ -495,9 +495,7 @@ func (c *Cache) newMSHR(block uint64) *mshrEntry {
 		m.targets = m.targets[:0]
 		return m
 	}
-	//lint:ignore hotpathalloc MSHR pool warm-up; steady state reuses freed entries from mshrFree above
 	m := &mshrEntry{block: block}
-	//lint:ignore hotpathalloc the fill closure is built once per pooled MSHR and reused for the entry's lifetime
 	m.fill = func(uint64) { c.fillsNext = append(c.fillsNext, m) }
 	return m
 }
@@ -601,7 +599,6 @@ func (c *Cache) issueDown() {
 		return
 	}
 	if c.lower == nil {
-		//lint:ignore hotpathalloc misconfiguration abort path; the panic ends the run
 		panic(fmt.Sprintf("cache %s: miss traffic with no lower layer", c.cfg.Name))
 	}
 	keepIssue := c.issueQ[:0]

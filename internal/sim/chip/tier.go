@@ -66,7 +66,6 @@ func (c *Chip) SetTier(t Tier) {
 // point is used in the functional tier; op names the offender.
 func (c *Chip) requireDetailed(op string) {
 	if c.tier != TierDetailed {
-		//lint:ignore hotpathalloc misuse abort path; the panic ends the run
 		panic("chip: " + op + " requires the detailed tier; call SetTier(TierDetailed) first")
 	}
 }

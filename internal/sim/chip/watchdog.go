@@ -72,12 +72,10 @@ func (c *Chip) checkProgress() {
 // attached — the per-core stall attribution accumulated since the last
 // window plus the last closed timeline window.
 func (c *Chip) livelockError() *resilience.LivelockError {
-	//lint:ignore hotpathalloc livelock trip path; the simulation is aborting and the bundle is the product
 	e := &resilience.LivelockError{
-		Workload: c.cfg.Name,
-		Cycle:    c.now,
-		Budget:   c.wdBudget,
-		//lint:ignore hotpathalloc livelock trip path; the simulation is aborting
+		Workload:  c.cfg.Name,
+		Cycle:     c.now,
+		Budget:    c.wdBudget,
 		Occupancy: make(map[string]uint64),
 	}
 	for _, core := range c.cores {
@@ -88,7 +86,6 @@ func (c *Chip) livelockError() *resilience.LivelockError {
 		e.Retired = append(e.Retired, r)
 	}
 	for i, l1 := range c.l1s {
-		//lint:ignore hotpathalloc livelock trip path; the simulation is aborting
 		e.Occupancy[fmt.Sprintf("l1.%d.mshr_occupancy", i)] = uint64(l1.OutstandingMisses())
 	}
 	e.Occupancy["l2.mshr_occupancy"] = uint64(c.l2.OutstandingMisses())
@@ -101,7 +98,6 @@ func (c *Chip) livelockError() *resilience.LivelockError {
 	e.Occupancy["dram.queue_depth"] = uint64(c.mem.QueuedRequests())
 	e.Occupancy["dram.in_flight"] = uint64(c.mem.InFlight())
 	if c.ts != nil {
-		//lint:ignore hotpathalloc livelock trip path; the simulation is aborting
 		e.Stalls = append([]timeseries.StallTree(nil), c.ts.stall...)
 		if series := c.ts.s.Series(); len(series.Windows) > 0 {
 			w := series.Windows[len(series.Windows)-1]

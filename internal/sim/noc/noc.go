@@ -254,9 +254,7 @@ func (r *Router) bindHop(done func(cycle uint64)) func(cycle uint64) {
 		h = r.hopFree[n-1]
 		r.hopFree = r.hopFree[:n-1]
 	} else {
-		//lint:ignore hotpathalloc hop pool warm-up; steady state reuses the hops recycled into hopFree
 		h = &hop{}
-		//lint:ignore hotpathalloc the fire closure is built once per pooled hop and reused for the hop's lifetime
 		h.fire = func(cy uint64) {
 			r.resp.push(message{done: h.done, readyAt: cy + uint64(r.cfg.Latency)})
 			r.st.Responses++
