@@ -46,7 +46,7 @@ loc:
 # One pass over every benchmark, reporting the reproduced paper metrics.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/trace ./internal/stats ./internal/analyzer \
-		./internal/sim/cache ./internal/sim/noc ./internal/sim/dram ./internal/fabric
+		./internal/sim/cache ./internal/sim/noc ./internal/sim/dram ./internal/fabric ./internal/ctrl
 
 # Smoke the layered benchmark (bench/, declared in BENCHMARK.json): every
 # workload runs once, briefly, and must emit its whole metric catalogue.

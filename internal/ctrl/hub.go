@@ -9,6 +9,7 @@ package ctrl
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,10 +50,17 @@ type Hub struct {
 // NewHub returns an empty hub.
 func NewHub() *Hub { return &Hub{} }
 
-// Publish fans one window out to every subscriber and appends it to the
-// catch-up history.
-func (h *Hub) Publish(w timeseries.Window) {
-	h.broadcast(Event{Type: "window", Window: &w})
+// Publish fans a copy of one window out to every subscriber and appends
+// it to the catch-up history; see publish.
+func (h *Hub) Publish(w timeseries.Window) { h.publish(&w) }
+
+// publish fans one window out by reference: the catch-up history and
+// every subscriber ring hold w itself, so the caller must never write
+// *w again. SimRunner passes the sampler's stored windows, which are
+// immutable once emitted, so a run's windows exist once however many
+// views hold them.
+func (h *Hub) publish(w *timeseries.Window) {
+	h.broadcast(Event{Type: "window", Window: w})
 }
 
 // Done marks the run finished: subscribers receive a final "done" event
@@ -115,15 +123,14 @@ func (h *Hub) SubscribeAfter(ring int, after uint64) *Subscriber {
 	return s
 }
 
-// unsubscribe removes s; idempotent.
+// unsubscribe removes s; idempotent. slices.Delete zeroes the vacated
+// tail slot, so a closed subscriber and its ring are not kept reachable
+// for as long as the hub lives.
 func (h *Hub) unsubscribe(s *Subscriber) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i, sub := range h.subs {
-		if sub == s {
-			h.subs = append(h.subs[:i], h.subs[i+1:]...)
-			return
-		}
+	if i := slices.Index(h.subs, s); i >= 0 {
+		h.subs = slices.Delete(h.subs, i, i+1)
 	}
 }
 

@@ -40,10 +40,11 @@ type Publisher struct {
 // SetMeta stamps the timeline series header.
 func (p *Publisher) SetMeta(width uint64, adaptive bool) { p.live.SetMeta(width, adaptive) }
 
-// Window publishes one closed timeline window.
+// Window publishes one closed timeline window: one copy, shared by the
+// Live and the Hub.
 func (p *Publisher) Window(w timeseries.Window) {
-	p.live.Publish(w)
-	p.hub.Publish(w)
+	p.live.PublishShared(&w)
+	p.hub.publish(&w)
 }
 
 // Snapshot publishes the latest aggregate metrics snapshot.
@@ -313,14 +314,13 @@ func (g *Registry) List() RunList {
 
 // statusLocked renders r as API status; call with g.mu held.
 func (g *Registry) statusLocked(r *run) RunStatus {
-	ser, _ := r.live.Timeline()
 	return RunStatus{
 		API:       APIVersion,
 		ID:        r.id,
 		State:     r.state,
 		Spec:      r.spec,
 		Error:     r.errMsg,
-		Windows:   len(ser.Windows),
+		Windows:   r.live.Len(),
 		Submitted: r.submitted,
 		Started:   r.started,
 		Finished:  r.finished,

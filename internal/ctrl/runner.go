@@ -27,7 +27,7 @@ func (SimRunner) Run(ctx context.Context, spec RunSpec, pub *Publisher) (json.Ra
 		TSWindow:     spec.TSWindow,
 		Adaptive:     spec.Adaptive,
 		Live:         pub.live,
-		OnWindow:     pub.hub.Publish,
+		OnWindow:     pub.hub.publish,
 	})
 	if res == nil {
 		return nil, runErr

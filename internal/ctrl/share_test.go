@@ -1,0 +1,192 @@
+package ctrl
+
+// One copy per window: the sampler's stored windows are shared by
+// reference between a run's Live and its Hub (history and subscriber
+// rings), so these tests pin what that sharing relies on and what it
+// must not leak — a window is never written after it is published, a
+// closed subscriber is released, and status reads do not copy the
+// timeline.
+
+import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"lpm/internal/obs/timeseries"
+)
+
+// TestAdaptiveRunConcurrentSSE runs a real adaptive simulation while an
+// SSE client and a /timeline poller read it. Adaptive merges re-emit the
+// newest window; every version the client receives must be internally
+// consistent (each core's stall tree sums to the window's cycles), and
+// under -race the merge must not write memory a reader is encoding.
+func TestAdaptiveRunConcurrentSSE(t *testing.T) {
+	reg := NewRegistry(context.Background(), Config{MaxConcurrent: 1})
+	srv := httptest.NewServer(NewAPIMux(reg))
+	defer srv.Close()
+	defer reg.Drain()
+	st, err := reg.Submit(RunSpec{Workload: "433.milc", Instructions: 4000, Warmup: 12000, TSWindow: 256, Adaptive: true})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	base := srv.URL + "/api/v1/runs/" + st.ID
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // poll /timeline until the run reports done
+		defer wg.Done()
+		for i := 0; i < 10000; i++ {
+			resp, err := http.Get(base + "/timeline")
+			if err != nil {
+				t.Errorf("GET timeline: %v", err)
+				return
+			}
+			var doc TimelineDoc
+			err = json.NewDecoder(resp.Body).Decode(&doc)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("timeline: %v", err)
+				return
+			}
+			if doc.Done {
+				return
+			}
+		}
+	}()
+
+	resp, err := http.Get(base + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	versions, merges := 0, 0
+	lastIndex := -1
+	event := ""
+	for sc.Scan() {
+		line := sc.Text()
+		if ev, ok := strings.CutPrefix(line, "event: "); ok {
+			event = ev
+			if ev == "done" {
+				break
+			}
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok || event != "window" {
+			continue
+		}
+		var w timeseries.Window
+		if err := json.Unmarshal([]byte(data), &w); err != nil {
+			t.Fatalf("window event: %v", err)
+		}
+		for core, tree := range w.Stall {
+			if tree.Total() != w.Cycles() {
+				t.Fatalf("window %d [%d,%d) core %d: stall total %d != %d cycles",
+					w.Index, w.Start, w.End, core, tree.Total(), w.Cycles())
+			}
+		}
+		if w.Index == lastIndex {
+			merges++
+		}
+		lastIndex = w.Index
+		versions++
+	}
+	wg.Wait()
+	if event != "done" {
+		t.Fatalf("stream ended before done: %v", sc.Err())
+	}
+	if merges == 0 {
+		t.Fatalf("%d window events and no re-emitted (merged) window: the test exercises nothing", versions)
+	}
+	if st := waitState(t, reg, st.ID, StateDone); st.Windows == 0 {
+		t.Fatalf("done run reports no windows: %+v", st)
+	}
+}
+
+// TestClosedSubscriberIsCollected: unsubscribing must drop the hub's
+// last reference to the subscriber and its ring, even though the hub
+// itself (like every run's hub in the registry) stays alive.
+func TestClosedSubscriberIsCollected(t *testing.T) {
+	hub := NewHub()
+	keep := hub.Subscribe(0)
+	defer keep.Close()
+	collected := make(chan struct{})
+	func() {
+		sub := hub.Subscribe(0)
+		runtime.SetFinalizer(sub, func(*Subscriber) { close(collected) })
+		hub.Publish(timeseries.Window{Index: 0})
+		sub.Close() // the newest subscriber: its slot is the slice's tail
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if n := hub.subscribers(); n != 1 {
+				t.Fatalf("%d subscribers after close, want 1", n)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("closed subscriber still reachable from its hub")
+}
+
+// TestGetDoesNotCopyTimeline: a status read counts windows; it must not
+// allocate in proportion to them (it runs under the registry mutex on
+// every submit, GET, cancel and list).
+func TestGetDoesNotCopyTimeline(t *testing.T) {
+	allocs := func(windows int) float64 {
+		reg := NewRegistry(context.Background(), Config{Runner: &stubRunner{windows: windows}})
+		defer reg.Drain()
+		st, err := reg.Submit(RunSpec{Workload: "403.gcc"})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if got := waitState(t, reg, st.ID, StateDone).Windows; got != windows {
+			t.Fatalf("status reports %d windows, want %d", got, windows)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := reg.Get(st.ID); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if none, many := allocs(0), allocs(1000); many != none {
+		t.Fatalf("Get allocates %v times on a 1000-window run, %v on an empty one", many, none)
+	}
+}
+
+// BenchmarkPublisherWindow is the per-window cost of a run's publish
+// path with one SSE subscriber draining it: what B/op and allocs/op
+// report is what each window adds to a run the registry keeps forever
+// (the window itself, its Live slot, its hub history entry).
+func BenchmarkPublisherWindow(b *testing.B) {
+	pub := &Publisher{live: timeseries.NewLive(), hub: NewHub()}
+	sub := pub.hub.Subscribe(0)
+	defer sub.Close()
+	ctx := context.Background()
+	w := timeseries.Window{
+		CPU:    make([]timeseries.CPUSample, 1),
+		Cache:  []timeseries.CacheSample{{Level: "l1.0"}, {Level: "l2"}},
+		Stall:  make([]timeseries.StallTree, 1),
+		Probes: make([]timeseries.ProbeValue, 5),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Index = i
+		w.Start, w.End = uint64(i)*2048, uint64(i+1)*2048
+		pub.Window(w)
+		if _, _, ok := sub.Next(ctx); !ok {
+			b.Fatal("subscriber ended")
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package timeseries
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"lpm/internal/obs"
@@ -16,34 +18,55 @@ import (
 //
 // The nil *Live is valid and ignores every call, so wiring it through
 // OnWindow costs nothing when serving is off.
+//
+// Windows are held by pointer and never written after publication, so
+// the sampler, Live and the control plane's SSE hub share one copy of
+// each window.
 type Live struct {
 	mu       sync.Mutex
-	series   Series
-	byIndex  map[int]int // window index -> position in series.Windows
+	header   Series    // Version, Width, Adaptive; Windows stays nil
+	windows  []*Window // ascending Index
 	snapshot *obs.Snapshot
 	done     bool
 }
 
 // NewLive returns an empty live publisher.
-func NewLive() *Live {
-	return &Live{byIndex: make(map[int]int)}
-}
+func NewLive() *Live { return &Live{} }
 
-// Publish records a closed (or re-merged) window. Re-publishing an
-// index replaces the previous version — adaptive samplers re-emit a
-// window each time a merge extends it.
-func (l *Live) Publish(w Window) {
+// Publish records a copy of a closed (or re-merged) window; see
+// PublishShared.
+func (l *Live) Publish(w Window) { l.PublishShared(&w) }
+
+// PublishShared records a closed (or re-merged) window by reference:
+// the caller must never write *w again, which the sampler guarantees
+// for every window it hands to Config.OnWindow. Re-publishing an index
+// replaces the previous version — adaptive samplers re-emit the newest
+// window each time a merge extends it, and a retried run re-emits its
+// timeline from index 0.
+func (l *Live) PublishShared(w *Window) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if pos, ok := l.byIndex[w.Index]; ok {
-		l.series.Windows[pos] = w
+	i, found := slices.BinarySearchFunc(l.windows, w.Index, func(p *Window, index int) int {
+		return cmp.Compare(p.Index, index)
+	})
+	if found {
+		l.windows[i] = w
 		return
 	}
-	l.byIndex[w.Index] = len(l.series.Windows)
-	l.series.Windows = append(l.series.Windows, w)
+	l.windows = slices.Insert(l.windows, i, w)
+}
+
+// Len returns the number of published windows, without copying them.
+func (l *Live) Len() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.windows)
 }
 
 // PublishSnapshot records the latest aggregate metrics snapshot.
@@ -64,9 +87,9 @@ func (l *Live) SetMeta(width uint64, adaptive bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.series.Version = SeriesVersion
-	l.series.Width = width
-	l.series.Adaptive = adaptive
+	l.header.Version = SeriesVersion
+	l.header.Width = width
+	l.header.Adaptive = adaptive
 }
 
 // Finish marks the run complete (reported by Timeline consumers).
@@ -87,8 +110,8 @@ func (l *Live) Timeline() (Series, bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.series
-	s.Windows = append([]Window(nil), l.series.Windows...)
+	s := l.header
+	s.Windows = copyWindows(l.windows)
 	return s, l.done
 }
 

@@ -20,6 +20,7 @@
 package timeseries
 
 import (
+	"slices"
 	"sort"
 
 	"lpm/internal/analyzer"
@@ -54,8 +55,12 @@ type Config struct {
 	// (Eq. 9-11 need the perfect-cache CPI calibration constant).
 	CPIexe float64
 	// OnWindow, when non-nil, receives every closed window in order —
-	// the live-export hook. It runs on the simulation goroutine.
-	OnWindow func(Window)
+	// the live-export hook. It runs on the simulation goroutine. The
+	// window is the sampler's own stored copy, and the sampler never
+	// writes it again (an adaptive merge builds a new window), so the
+	// receiver may keep and share the pointer; it must not write
+	// through it.
+	OnWindow func(*Window)
 }
 
 // probe is one named instantaneous gauge sampled at window boundaries.
@@ -72,9 +77,9 @@ type Sampler struct {
 	cfg     Config
 	collect func(cycles uint64) Window
 	det     *phase.Detector
-	probes  []probe
+	probes  []probe // sorted by name
 
-	windows   []Window
+	windows   []*Window
 	winCycles uint64
 	dropped   uint64
 	lastPhase int
@@ -130,13 +135,14 @@ func (s *Sampler) SetCollector(collect func(cycles uint64) Window) {
 // boundary (e.g. an occupancy or a derived gauge). Names must be
 // program constants or constant-suffixed (prefix + ".name") so series
 // stay stable across runs — enforced by lpmlint's obsdiscipline rule.
-// Registration order is deterministic; probe values are sorted by name
-// in each window.
+// Probes are kept sorted by name (equal names in registration order),
+// which is the order their values take in each window.
 func (s *Sampler) Track(name string, fn func() float64) {
 	if s == nil {
 		return
 	}
-	s.probes = append(s.probes, probe{name: name, fn: fn})
+	i := sort.Search(len(s.probes), func(i int) bool { return s.probes[i].name > name })
+	s.probes = slices.Insert(s.probes, i, probe{name: name, fn: fn})
 }
 
 // Tick advances the sampler one cycle; on a base-window boundary it
@@ -190,7 +196,10 @@ func (s *Sampler) Flush(cycle uint64) {
 }
 
 // close builds the window ending at cycle (inclusive), derives its
-// model quantities, classifies its phase, and appends or merges it.
+// model quantities, classifies its phase, and appends or merges it. A
+// window is immutable once stored: a merge replaces the newest window
+// with a new one rather than writing into it, because OnWindow
+// receivers share the stored pointer.
 func (s *Sampler) close(cycle uint64) {
 	if s.collect == nil {
 		s.winCycles = 0
@@ -208,25 +217,26 @@ func (s *Sampler) close(cycle uint64) {
 	w.finalize(s.cfg.CPIexe)
 
 	if s.cfg.Adaptive && len(s.windows) > 0 {
-		last := &s.windows[len(s.windows)-1]
+		last := s.windows[len(s.windows)-1]
 		if last.Phase == w.Phase && last.End == w.Start {
-			last.merge(w)
-			last.finalize(s.cfg.CPIexe)
+			m := last.merged(&w)
+			m.finalize(s.cfg.CPIexe)
+			s.windows[len(s.windows)-1] = m
 			if s.cfg.OnWindow != nil {
-				s.cfg.OnWindow(*last)
+				s.cfg.OnWindow(m)
 			}
 			return
 		}
 	}
 	w.Index = s.nextIndex()
-	s.windows = append(s.windows, w)
+	s.windows = append(s.windows, &w)
 	if len(s.windows) > s.maxWindows() {
 		over := len(s.windows) - s.maxWindows()
 		s.dropped += uint64(over)
-		s.windows = append(s.windows[:0], s.windows[over:]...)
+		s.windows = slices.Delete(s.windows, 0, over)
 	}
 	if s.cfg.OnWindow != nil {
-		s.cfg.OnWindow(w)
+		s.cfg.OnWindow(&w)
 	}
 }
 
@@ -244,11 +254,10 @@ func (s *Sampler) sampleProbes() []ProbeValue {
 	if len(s.probes) == 0 {
 		return nil
 	}
-	vals := make([]ProbeValue, 0, len(s.probes))
-	for _, p := range s.probes {
-		vals = append(vals, ProbeValue{Name: p.name, Value: p.fn()})
+	vals := make([]ProbeValue, len(s.probes))
+	for i, p := range s.probes {
+		vals[i] = ProbeValue{Name: p.name, Value: p.fn()}
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Name < vals[j].Name })
 	return vals
 }
 
@@ -270,7 +279,20 @@ func (s *Sampler) Series() Series {
 		Width:    s.Width(),
 		Adaptive: s.cfg.Adaptive,
 		Dropped:  s.dropped,
-		Windows:  append([]Window(nil), s.windows...),
+		Windows:  copyWindows(s.windows),
+	}
+	return out
+}
+
+// copyWindows returns the stored windows as values (nil when there are
+// none, so an empty timeline still encodes as "windows": null).
+func copyWindows(ws []*Window) []Window {
+	if len(ws) == 0 {
+		return nil
+	}
+	out := make([]Window, len(ws))
+	for i, w := range ws {
+		out[i] = *w
 	}
 	return out
 }
@@ -580,29 +602,37 @@ func (w *Window) finalize(cpiExe float64) {
 	w.Derived = d
 }
 
-// merge folds o (the next contiguous window) into w: counters sum,
-// stall trees sum, probes take o's (latest) values. The caller
-// re-finalizes afterwards.
-func (w *Window) merge(o Window) {
-	w.End = o.End
-	for i := range w.CPU {
+// merged returns w extended by o (the next contiguous window): counters
+// sum, stall trees sum, probes take o's (latest) values. The sums land in
+// fresh slices — w may already be published, and its readers must never
+// see it change. The caller re-finalizes the result.
+func (w *Window) merged(o *Window) *Window {
+	m := *w
+	m.End = o.End
+	m.CPU = slices.Clone(w.CPU)
+	for i := range m.CPU {
 		if i < len(o.CPU) {
-			w.CPU[i].add(o.CPU[i])
+			m.CPU[i].add(o.CPU[i])
 		}
 	}
-	for i := range w.Cache {
+	m.Cache = slices.Clone(w.Cache)
+	for i := range m.Cache {
 		if i < len(o.Cache) {
-			w.Cache[i].add(o.Cache[i])
+			m.Cache[i].add(o.Cache[i])
 		}
 	}
-	w.DRAM.add(o.DRAM)
+	m.DRAM.add(o.DRAM)
 	if w.NoC != nil && o.NoC != nil {
-		w.NoC.add(*o.NoC)
+		noc := *w.NoC
+		noc.add(*o.NoC)
+		m.NoC = &noc
 	}
-	for i := range w.Stall {
+	m.Stall = slices.Clone(w.Stall)
+	for i := range m.Stall {
 		if i < len(o.Stall) {
-			w.Stall[i].Add(o.Stall[i])
+			m.Stall[i].Add(o.Stall[i])
 		}
 	}
-	w.Probes = o.Probes
+	m.Probes = o.Probes
+	return &m
 }

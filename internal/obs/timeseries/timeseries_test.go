@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -222,7 +223,7 @@ func TestTrackProbesSampledSorted(t *testing.T) {
 
 func TestOnWindowHookFires(t *testing.T) {
 	var seen []Window
-	s := New(Config{Width: 10, OnWindow: func(w Window) { seen = append(seen, w) }})
+	s := New(Config{Width: 10, OnWindow: func(w *Window) { seen = append(seen, *w) }})
 	s.SetCollector(fakeCollector(10))
 	for cy := uint64(0); cy < 25; cy++ {
 		s.Tick(cy)
@@ -233,6 +234,91 @@ func TestOnWindowHookFires(t *testing.T) {
 	}
 	if seen[2].End != 25 {
 		t.Fatalf("last hooked window ends at %d, want 25", seen[2].End)
+	}
+}
+
+// TestEmittedWindowsAreImmutable: OnWindow receivers keep the pointer
+// they are handed (Live, the SSE hub's history and rings), so an
+// adaptive merge must build a new window rather than add into the one
+// already emitted. Every emitted version must still conserve its stall
+// cycles and encode to the same JSON after the run as when it was
+// emitted.
+func TestEmittedWindowsAreImmutable(t *testing.T) {
+	type emitted struct {
+		w    *Window
+		json []byte
+	}
+	var seen []emitted
+	behaviour := uint64(8)
+	s := New(Config{Width: 50, Adaptive: true, CPIexe: 0.5, OnWindow: func(w *Window) {
+		b, err := json.Marshal(w)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		seen = append(seen, emitted{w, b})
+	}})
+	s.SetCollector(func(cycles uint64) Window {
+		w := fakeCollector(behaviour)(cycles)
+		w.NoC = &NoCSample{Requests: cycles, QueueCycleSum: 2 * cycles}
+		return w
+	})
+	s.Track("x.probe", func() float64 { return float64(behaviour) })
+	for cy := uint64(0); cy < 400; cy++ {
+		if cy == 200 {
+			behaviour = 1 // a new phase: the second window opens
+		}
+		s.Tick(cy)
+	}
+	s.Flush(399)
+
+	if len(seen) != 8 || s.Windows() != 2 {
+		t.Fatalf("emitted %d versions of %d windows, want 8 of 2", len(seen), s.Windows())
+	}
+	if first := seen[0].w; first.Start != 0 || first.End != 50 {
+		t.Fatalf("first emitted version is [%d,%d) after the run, want [0,50)", first.Start, first.End)
+	}
+	for i, e := range seen {
+		if got, want := e.w.AggregateStall().Total(), e.w.Cycles(); got != want {
+			t.Errorf("version %d (window %d, [%d,%d)): stall total %d != %d cycles",
+				i, e.w.Index, e.w.Start, e.w.End, got, want)
+		}
+		if e.w.NoC.Requests != e.w.Cycles() {
+			t.Errorf("version %d: NoC requests %d != %d cycles", i, e.w.NoC.Requests, e.w.Cycles())
+		}
+		b, err := json.Marshal(e.w)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		if string(b) != string(e.json) {
+			t.Errorf("version %d (window %d) changed after it was emitted:\nthen %s\nnow  %s", i, e.w.Index, e.json, b)
+		}
+	}
+	// The stored series is the newest version of each window.
+	ser := s.Series()
+	if last := seen[len(seen)-1].w; ser.Windows[1].End != last.End || ser.Windows[1].Index != last.Index {
+		t.Fatalf("stored window [%d,%d) is not the last emitted version [%d,%d)",
+			ser.Windows[1].Start, ser.Windows[1].End, last.Start, last.End)
+	}
+}
+
+// TestTrackSortsAtRegistration: probes registered out of order sample
+// sorted by name.
+func TestTrackSortsAtRegistration(t *testing.T) {
+	s := New(Config{Width: 10})
+	s.SetCollector(fakeCollector(10))
+	for _, name := range []string{"noc.pending", "cpu.1.rob_occupancy", "l2.mshr_occupancy", "cpu.0.rob_occupancy"} {
+		s.Track(name, func() float64 { return 0 })
+	}
+	for cy := uint64(0); cy < 10; cy++ {
+		s.Tick(cy)
+	}
+	var got []string
+	for _, p := range s.Series().Windows[0].Probes {
+		got = append(got, p.Name)
+	}
+	want := []string{"cpu.0.rob_occupancy", "cpu.1.rob_occupancy", "l2.mshr_occupancy", "noc.pending"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("probe order %v, want %v", got, want)
 	}
 }
 
@@ -362,4 +448,32 @@ func TestLiveConcurrentReaders(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestLivePublishSharedKeepsPointer: PublishShared stores the caller's
+// window itself; re-publishing any index replaces it in place, so a
+// retried run that re-emits its timeline from index 0 overwrites rather
+// than duplicates.
+func TestLivePublishSharedKeepsPointer(t *testing.T) {
+	l := NewLive()
+	ws := make([]*Window, 3)
+	for i := range ws {
+		ws[i] = &Window{Index: i, Start: uint64(i) * 10, End: uint64(i+1) * 10}
+		l.PublishShared(ws[i])
+	}
+	if l.windows[1] != ws[1] {
+		t.Fatal("PublishShared copied the window")
+	}
+	again := &Window{Index: 0, Start: 0, End: 20}
+	l.PublishShared(again)
+	if l.Len() != 3 || l.windows[0] != again {
+		t.Fatalf("re-publishing index 0: %d windows, first %+v", l.Len(), *l.windows[0])
+	}
+	ser, _ := l.Timeline()
+	if len(ser.Windows) != 3 || ser.Windows[0].End != 20 || ser.Windows[2].Index != 2 {
+		t.Fatalf("timeline after re-publish: %+v", ser.Windows)
+	}
+	if (*Live)(nil).Len() != 0 {
+		t.Fatal("nil Live has a length")
+	}
 }

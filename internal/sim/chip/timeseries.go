@@ -68,7 +68,11 @@ func (c *Chip) EnableTimeseries(cfg timeseries.Config) *timeseries.Sampler {
 	}
 	c.ts = ts
 	ts.rebase(c)
-	s.SetCollector(c.tsCollect)
+	l1Levels := make([]string, len(c.l1s))
+	for i := range l1Levels {
+		l1Levels[i] = fmt.Sprintf("l1.%d", i)
+	}
+	s.SetCollector(func(cycles uint64) timeseries.Window { return c.tsCollect(cycles, l1Levels) })
 	for i, core := range c.cores {
 		if core == nil {
 			continue
@@ -79,7 +83,7 @@ func (c *Chip) EnableTimeseries(cfg timeseries.Config) *timeseries.Sampler {
 	}
 	for i, l1 := range c.l1s {
 		ll := l1
-		s.Track(fmt.Sprintf("l1.%d", i)+".mshr_occupancy", func() float64 { return float64(ll.OutstandingMisses()) })
+		s.Track(l1Levels[i]+".mshr_occupancy", func() float64 { return float64(ll.OutstandingMisses()) })
 	}
 	s.Track("l2.mshr_occupancy", func() float64 { return float64(c.l2.OutstandingMisses()) })
 	if c.l3 != nil {
@@ -202,10 +206,13 @@ func (c *Chip) classifyCoreCycle(core *cpu.Core, i int) int {
 
 // tsCollect is the sampler's collector: it builds one Window from the
 // counter deltas since the previous collect, then re-anchors the
-// baselines and zeroes the accumulators.
-func (c *Chip) tsCollect(cycles uint64) timeseries.Window {
+// baselines and zeroes the accumulators. l1Levels are the L1 instance
+// labels, built once at attach. Every slice is allocated at its final
+// length.
+func (c *Chip) tsCollect(cycles uint64, l1Levels []string) timeseries.Window {
 	ts := c.ts
 	var w timeseries.Window
+	w.CPU = make([]timeseries.CPUSample, len(c.cores))
 	for i, core := range c.cores {
 		var cs cpu.Stats
 		if core != nil {
@@ -228,11 +235,16 @@ func (c *Chip) tsCollect(cycles uint64) timeseries.Window {
 		if cycles > 0 {
 			samp.IPC = float64(cs.Instructions) / float64(cycles)
 		}
-		w.CPU = append(w.CPU, samp)
+		w.CPU[i] = samp
 		ts.robOccSum[i] = 0
 	}
+	levels := len(c.l1s) + 1
+	if c.l3 != nil {
+		levels++
+	}
+	w.Cache = make([]timeseries.CacheSample, 0, levels)
 	for i, l1 := range c.l1s {
-		w.Cache = append(w.Cache, tsCacheSample(fmt.Sprintf("l1.%d", i), l1, &ts.prevL1P[i], &ts.prevL1S[i], &ts.l1OccSum[i]))
+		w.Cache = append(w.Cache, tsCacheSample(l1Levels[i], l1, &ts.prevL1P[i], &ts.prevL1S[i], &ts.l1OccSum[i]))
 	}
 	w.Cache = append(w.Cache, tsCacheSample("l2", c.l2, &ts.prevL2P, &ts.prevL2S, &ts.l2OccSum))
 	if c.l3 != nil {
@@ -268,10 +280,9 @@ func (c *Chip) tsCollect(cycles uint64) timeseries.Window {
 		}
 	}
 
-	w.Stall = append([]timeseries.StallTree(nil), ts.stall...)
-	for i := range ts.stall {
-		ts.stall[i] = timeseries.StallTree{}
-	}
+	w.Stall = make([]timeseries.StallTree, len(ts.stall))
+	copy(w.Stall, ts.stall)
+	clear(ts.stall)
 	return w
 }
 

@@ -37,9 +37,10 @@ type SingleRun struct {
 	// series header, every closed window, a metrics snapshot every
 	// SnapshotEvery-th window and a final one; OnWindow sees the same
 	// windows (the control plane's SSE hub). Both run on the simulation
-	// goroutine.
+	// goroutine and receive the sampler's stored window itself, which
+	// is never written again: they share it and must not write it.
 	Live     *timeseries.Live
-	OnWindow func(timeseries.Window)
+	OnWindow func(*timeseries.Window)
 }
 
 // SingleResult is a finished run: the chip (for callers that print more
@@ -80,8 +81,8 @@ func RunSingle(ctx context.Context, r SingleRun) (*SingleResult, error) {
 		tcfg := timeseries.Config{Width: r.TSWindow, Adaptive: r.Adaptive, CPIexe: cpiExe}
 		if r.Live != nil {
 			n := 0
-			tcfg.OnWindow = func(w timeseries.Window) {
-				r.Live.Publish(w)
+			tcfg.OnWindow = func(w *timeseries.Window) {
+				r.Live.PublishShared(w)
 				if r.OnWindow != nil {
 					r.OnWindow(w)
 				}
