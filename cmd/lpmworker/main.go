@@ -26,9 +26,9 @@
 //
 // Diagnostics are structured (log/slog) on stderr — text by default,
 // JSON with -log json. On SIGTERM mid-granule the worker logs the
-// granule key it is abandoning, and if an established session breaks
-// (-reconnect > 0) it redials and re-probes the shared cache for those
-// keys instead of silently re-simulating them.
+// granule key it is abandoning (the coordinator re-issues it), and if
+// an established session breaks (-reconnect > 0) it redials; a session
+// under the same -name that the coordinator still holds is replaced.
 package main
 
 import (
@@ -77,7 +77,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		slots     = fs.Int("slots", runtime.GOMAXPROCS(0), "granules executed concurrently, 1..1024; the coordinator keeps slots+1 granules here (one prefetched)")
 		retry     = fs.Duration("retry", 10*time.Second, "keep retrying the initial dial for this long")
 		reconnect = fs.Int("reconnect", 2, "redial a broken (previously established) session up to this many times; 0 = exit on the first break")
-		noProbe   = fs.Bool("no-cache-probe", false, "skip the shared-cache probe before each granule")
 		seed      = fs.Uint64("seed", 0, "seed for the deterministic retry-jitter stream")
 		quiet     = fs.Bool("quiet", false, "suppress structured progress logging on stderr")
 		logFmt    = fs.String("log", "text", "log format on stderr: text or json")
@@ -100,20 +99,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		log = cliutil.NewLogger(stderr, *logFmt)
 	}
 	reg := obs.NewRegistry()
-	policy := fleet.Defaults(*seed)
 	opts := fabric.WorkerOptions{
-		Name:         *name,
-		Slots:        *slots,
-		NoCacheProbe: *noProbe,
-		DialRetry:    *retry,
-		Retry:        policy,
-		Seed:         *seed,
-		Log:          log,
-		Obs:          fabric.NewWorkerTelemetry(reg),
-		// One reprobe set across every session of this process: keys
-		// abandoned when a session broke are re-probed against the
-		// shared cache after the reconnect.
-		Reprobe: fabric.NewReprobeSet(),
+		Name:      *name,
+		Slots:     *slots,
+		DialRetry: *retry,
+		Seed:      *seed,
+		Log:       log,
+		Obs:       fabric.NewWorkerTelemetry(reg),
 	}
 
 	var err error
@@ -131,12 +123,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			break
 		}
 		log.Warn("fabric: session broke; reconnecting",
-			"attempt", attempt+1, "of", *reconnect,
-			"abandoned_keys", opts.Reprobe.Len(), "err", err.Error())
+			"attempt", attempt+1, "of", *reconnect, "err", err.Error())
 		// Pace the redial with the shared backoff policy: seeded jitter,
 		// capped exponential — the same discipline every fabric retry
 		// loop follows.
-		if serr := policy.Sleep(ctx, attempt); serr != nil {
+		if serr := fleet.Defaults(*seed).Sleep(ctx, attempt); serr != nil {
 			break
 		}
 	}
@@ -154,7 +145,6 @@ func logWorkerSummary(log *slog.Logger, s *obs.Snapshot) {
 		"executed", s.Counter("worker.granules_executed"),
 		"failed", s.Counter("worker.granules_failed"),
 		"abandoned", s.Counter("worker.granules_abandoned"),
-		"cache_probe_hits", s.Counter("worker.cache_probe_hits"),
 	}
 	if lat.Hist != nil && lat.Hist.Count > 0 {
 		attrs = append(attrs,

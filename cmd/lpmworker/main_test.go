@@ -21,7 +21,7 @@ func TestWorkerHelpExitsClean(t *testing.T) {
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-help: err = %v, want flag.ErrHelp (which main exits 0 on)", err)
 	}
-	for _, flagName := range []string{"-slots", "-name", "-retry", "-no-cache-probe"} {
+	for _, flagName := range []string{"-slots", "-name", "-retry", "-reconnect"} {
 		if !strings.Contains(errb.String(), flagName) {
 			t.Fatalf("-help output lacks %s:\n%s", flagName, errb.String())
 		}

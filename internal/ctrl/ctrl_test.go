@@ -17,7 +17,6 @@ import (
 
 	"lpm/internal/obs"
 	"lpm/internal/obs/timeseries"
-	"lpm/internal/resilience/fleet"
 )
 
 // stubRunner publishes `windows` timeline windows, then blocks until
@@ -121,6 +120,16 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Fatal("empty spec accepted")
 	}
 	reg.Drain()
+
+	// A failing runner ends its run failed, with the runner's error text.
+	bad := NewRegistry(context.Background(), Config{Runner: &stubRunner{windows: 1, fail: true}})
+	if _, err := bad.Submit(RunSpec{Workload: "403.gcc"}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitState(t, bad, "r-1", StateFailed); st.Error != "stub: injected failure" {
+		t.Fatalf("failed run error: %q", st.Error)
+	}
+	bad.Drain()
 }
 
 func TestTenantBudgetScheduling(t *testing.T) {
@@ -374,73 +383,6 @@ func TestSSEReconnectResumesAfterLastEventID(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed Last-Event-ID: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// flakyRunner fails transiently the first `failures` times, then runs
-// the embedded stub.
-type flakyRunner struct {
-	stubRunner
-	mu       sync.Mutex
-	failures int
-	attempts int
-}
-
-func (f *flakyRunner) Run(ctx context.Context, spec RunSpec, pub *Publisher) (json.RawMessage, error) {
-	f.mu.Lock()
-	f.attempts++
-	fail := f.attempts <= f.failures
-	f.mu.Unlock()
-	if fail {
-		return nil, &fleet.RemoteError{Text: "stub: connection reset", Transient: true}
-	}
-	return f.stubRunner.Run(ctx, spec, pub)
-}
-
-func TestRunRetryTransient(t *testing.T) {
-	fast := fleet.RetryPolicy{Base: time.Millisecond, Cap: time.Millisecond, Multiplier: 2}
-	run := &flakyRunner{stubRunner: stubRunner{windows: 1}, failures: 2}
-	reg := NewRegistry(context.Background(), Config{
-		Runner: run, MaxConcurrent: 1, Retry: fast, RetryBudget: 3,
-	})
-	if _, err := reg.Submit(RunSpec{Workload: "403.gcc"}); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitState(t, reg, "r-1", StateDone)
-	reg.Drain()
-	if run.attempts != 3 {
-		t.Fatalf("attempts=%d, want 3 (2 transient failures + 1 success)", run.attempts)
-	}
-
-	// A permanent failure must not burn retries.
-	perm := &flakyRunner{stubRunner: stubRunner{windows: 1, fail: true}}
-	reg2 := NewRegistry(context.Background(), Config{
-		Runner: perm, MaxConcurrent: 1, Retry: fast, RetryBudget: 3,
-	})
-	if _, err := reg2.Submit(RunSpec{Workload: "403.gcc"}); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitState(t, reg2, "r-1", StateFailed)
-	reg2.Drain()
-	if perm.attempts != 1 {
-		t.Fatalf("permanent failure retried: attempts=%d, want 1", perm.attempts)
-	}
-
-	// A run that exhausts its budget fails with the transient error.
-	burn := &flakyRunner{stubRunner: stubRunner{windows: 1}, failures: 99}
-	reg3 := NewRegistry(context.Background(), Config{
-		Runner: burn, MaxConcurrent: 1, Retry: fast, RetryBudget: 2,
-	})
-	if _, err := reg3.Submit(RunSpec{Workload: "403.gcc"}); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	st := waitState(t, reg3, "r-1", StateFailed)
-	reg3.Drain()
-	if burn.attempts != 3 {
-		t.Fatalf("budget 2: attempts=%d, want 3", burn.attempts)
-	}
-	if !strings.Contains(st.Error, "connection reset") {
-		t.Fatalf("exhausted run error: %q", st.Error)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"lpm/internal/obs"
 	"lpm/internal/obs/timeseries"
 	"lpm/internal/parallel"
-	"lpm/internal/resilience/fleet"
 )
 
 // Runner executes one run, publishing progress through pub. It returns
@@ -72,16 +71,6 @@ type Config struct {
 	// telemetry to the fleet /metrics endpoint (and, when it also
 	// implements FleetSource, its health document to /api/v1/fleet).
 	Fabric SnapshotSource
-	// Retry paces transient run-failure retries. The zero value adopts
-	// fleet.Defaults(0) — the same capped-exponential, seeded-jitter
-	// discipline every fabric retry loop follows.
-	Retry fleet.RetryPolicy
-	// RetryBudget is how many times a run that failed transiently
-	// (fleet.IsTransient — e.g. the sweep fabric's connection broke) is
-	// re-executed before the failure is final. 0 disables retries: a
-	// re-execution re-publishes the run's timeline from scratch, so it
-	// is opt-in.
-	RetryBudget int
 }
 
 // FleetSource exposes the sweep fabric's health document — the
@@ -119,7 +108,6 @@ type Registry struct {
 	perTenant map[string]int
 	nextID    int
 	rejected  uint64 // submissions refused at validation
-	retried   uint64 // transient run failures re-executed
 	obs       *obs.Registry
 	wg        sync.WaitGroup
 }
@@ -136,9 +124,6 @@ func NewRegistry(ctx context.Context, cfg Config) *Registry {
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = SimRunner{}
-	}
-	if cfg.Retry == (fleet.RetryPolicy{}) {
-		cfg.Retry = fleet.Defaults(0)
 	}
 	return &Registry{
 		cfg:       cfg,
@@ -209,24 +194,7 @@ func (g *Registry) startLocked(r *run) {
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		pub := &Publisher{live: r.live, hub: r.hub}
-		var result json.RawMessage
-		var err error
-		for attempt := 0; ; attempt++ {
-			result, err = g.cfg.Runner.Run(rctx, r.spec, pub)
-			if err == nil || rctx.Err() != nil ||
-				attempt >= g.cfg.RetryBudget || !fleet.IsTransient(err) {
-				break
-			}
-			g.mu.Lock()
-			g.retried++
-			g.mu.Unlock()
-			g.log().Warn("ctrl: run failed transiently; retrying",
-				"run", r.id, "attempt", attempt+1, "of", g.cfg.RetryBudget, "err", err.Error())
-			if serr := g.cfg.Retry.Sleep(rctx, attempt); serr != nil {
-				break
-			}
-		}
+		result, err := g.cfg.Runner.Run(rctx, r.spec, &Publisher{live: r.live, hub: r.hub})
 		// Read the context before cancelling it: interrupted-ness is what
 		// separates a cancelled run from a failed one.
 		interrupted := rctx.Err() != nil
@@ -393,7 +361,6 @@ func (g *Registry) fleetSnapshots() (*obs.Snapshot, []runExpo) {
 	g.obs.Counter("ctrl.runs_failed").Set(failed)
 	g.obs.Counter("ctrl.runs_cancelled").Set(cancelled)
 	g.obs.Counter("ctrl.runs_rejected").Set(g.rejected)
-	g.obs.Counter("ctrl.runs_retried").Set(g.retried)
 	g.obs.Counter("ctrl.sse_events_dropped").Set(dropped)
 	ctrlSnap := g.obs.Snapshot()
 	g.mu.Unlock()

@@ -200,7 +200,7 @@ func TestChaosFabricCancelledSessionStartsNothing(t *testing.T) {
 		}
 		exited := make(chan error, 1)
 		go func() {
-			exited <- RunWorker(context.Background(), ln.Addr().String(), WorkerOptions{Slots: 1, NoCacheProbe: true})
+			exited <- RunWorker(context.Background(), ln.Addr().String(), WorkerOptions{Slots: 1})
 		}()
 		conn, err := ln.Accept()
 		if err != nil {

@@ -28,20 +28,12 @@ type ShardFlags struct {
 	// AddrFile, when set, receives the bound listen address — how
 	// scripts using ":0" learn the port to hand their workers.
 	AddrFile string
-	// Heartbeat is the worker ping cadence (0 = default 250ms,
-	// negative = heartbeats and health classification off).
-	Heartbeat time.Duration
 	// Journal is the path of the coordinator scheduling journal; empty
 	// disables journaling.
 	Journal string
 	// Validate samples cross-validation: every Kth granule runs
 	// redundantly on two workers. 0 disables.
 	Validate int
-	// Seed seeds the retry policy's deterministic jitter.
-	Seed uint64
-	// Fallback is how long the coordinator waits with pending work and
-	// zero workers before degrading to in-process execution; 0 off.
-	Fallback time.Duration
 }
 
 // BindShardFlags registers the -shard* flags on fs.
@@ -51,11 +43,8 @@ func BindShardFlags(fs *flag.FlagSet) *ShardFlags {
 	fs.IntVar(&sf.Min, "shard-min", 1, "wait for this many workers before starting (with -shard)")
 	fs.DurationVar(&sf.Straggle, "shard-straggle", 0, "re-issue granules held longer than this to idle workers (0 = default 30s, negative = off)")
 	fs.StringVar(&sf.AddrFile, "shard-addr-file", "", "write the bound coordinator address to this file (with -shard)")
-	fs.DurationVar(&sf.Heartbeat, "shard-heartbeat", 0, "worker ping cadence (0 = default 250ms, negative = off)")
 	fs.StringVar(&sf.Journal, "shard-journal", "", "append scheduling decisions to this journal; a pre-existing journal is replayed on start")
 	fs.IntVar(&sf.Validate, "shard-validate", 0, "cross-validate every Kth granule on two workers (0 = off)")
-	fs.Uint64Var(&sf.Seed, "shard-seed", 0, "seed for the deterministic retry-jitter stream")
-	fs.DurationVar(&sf.Fallback, "shard-fallback", 0, "degrade to in-process execution after this long with no workers (0 = off)")
 	return sf
 }
 
@@ -71,14 +60,11 @@ func (sf *ShardFlags) Start(ctx context.Context, log *slog.Logger, reg *obs.Regi
 		return func() {}, nil, nil
 	}
 	c, err = Listen(sf.Addr, Options{
-		StraggleAfter:      sf.Straggle,
-		Heartbeat:          sf.Heartbeat,
-		JournalPath:        sf.Journal,
-		ValidateEvery:      sf.Validate,
-		Seed:               sf.Seed,
-		LocalFallbackAfter: sf.Fallback,
-		Log:                log,
-		Obs:                reg,
+		StraggleAfter: sf.Straggle,
+		JournalPath:   sf.Journal,
+		ValidateEvery: sf.Validate,
+		Log:           log,
+		Obs:           reg,
 	})
 	if err != nil {
 		return nil, nil, err

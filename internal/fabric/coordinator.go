@@ -3,8 +3,7 @@ package fabric
 // The coordinator side of the fabric: owns the granule queue, the
 // shared result cache, and every connected worker. All state lives
 // under one mutex; the only goroutines are the TCP accept loop, one
-// reader and one writer per connection, the tick loop, and (when the
-// whole fleet is gone) the local-fallback drain.
+// reader and one writer per connection, and the tick loop.
 //
 // Scheduling invariants:
 //
@@ -54,6 +53,10 @@ import (
 // down with the granule still unresolved.
 var ErrCoordinatorClosed = errors.New("fabric: coordinator closed")
 
+// retryBudget is how many times a granule that failed with a *transient*
+// remote error is re-queued before the failure is accepted.
+const retryBudget = 3
+
 // Options configure a coordinator.
 type Options struct {
 	// StraggleAfter is how long a granule may be held without a result
@@ -69,22 +72,9 @@ type Options struct {
 	// (and with them health classification).
 	Heartbeat time.Duration
 	// Health classifies worker silence in ticks; the zero value means
-	// the default (suspect after 1s of silence, dead after 5s at the
-	// default tick).
+	// the default (suspect after 80 ticks, dead after 400: 2s and 10s at
+	// the default tick).
 	Health fleet.HealthPolicy
-	// Retry is the shared deterministic backoff policy for transient
-	// granule retries. The zero value means fleet defaults seeded by
-	// Seed.
-	Retry fleet.RetryPolicy
-	// Seed seeds the default retry policy's jitter stream.
-	Seed uint64
-	// RetryBudget is how many times a granule that failed with a
-	// *transient* remote error is re-queued before the failure is
-	// accepted. 0 means the default 3; negative disables retries.
-	RetryBudget int
-	// Quarantine is the circuit-breaker policy; the zero value means
-	// the default (3 strikes, 400-tick probation).
-	Quarantine fleet.QuarantinePolicy
 	// ValidateEvery samples cross-validation: every Kth granule (by id)
 	// is executed redundantly on two workers and the answers compared;
 	// divergence re-runs on a third worker and quarantines the outlier.
@@ -95,12 +85,6 @@ type Options struct {
 	// pre-existing journal is replayed first: quarantine decisions and
 	// per-granule retry charges carry across a coordinator restart.
 	JournalPath string
-	// LocalFallbackAfter degrades to in-process execution when the
-	// coordinator has had pending granules and zero live workers for
-	// this long: the sweep finishes on the coordinator's own CPU rather
-	// than hanging. 0 disables fallback; execution hands back to the
-	// fleet as soon as a worker joins.
-	LocalFallbackAfter time.Duration
 	// Log receives structured coordinator diagnostics (worker joins,
 	// deaths, re-issues) with worker/granule attrs; nil discards them.
 	Log *slog.Logger
@@ -112,24 +96,22 @@ type Options struct {
 
 // Stats is a snapshot of coordinator counters for tests and the CLIs.
 type Stats struct {
-	Workers       int // currently connected workers
-	Joined        int // handshakes accepted over the coordinator's lifetime
-	Submitted     int // distinct granules submitted
-	Completed     int // granules resolved
-	Requeued      int // granules re-queued after a worker died holding them
-	Duplicated    int // straggler/suspect duplicates issued
-	CacheHits     int // worker cache probes answered from the shared cache
-	Heartbeats    int // ping frames received
-	Suspects      int // healthy→suspect transitions
-	Retried       int // transient-failure re-queues charged to retry budgets
-	Quarantined   int // workers tripped into quarantine
-	Readmitted    int // workers readmitted after probation
-	Validated     int // cross-validated granules decided
-	Divergent     int // cross-validations that caught disagreeing answers
-	FallbackExecs int // granules executed in-process by the local fallback
-	Died          int // worker sessions torn down
-	LateResults   int // results ignored because the first copy already won
-	CacheMisses   int // worker cache probes the shared cache could not answer
+	Workers     int // currently connected workers
+	Joined      int // handshakes accepted over the coordinator's lifetime
+	Submitted   int // distinct granules submitted
+	Completed   int // granules resolved
+	Requeued    int // granules re-queued after a worker died holding them
+	Duplicated  int // straggler/suspect duplicates issued
+	CacheHits   int // Submit calls answered by an already-resolved granule
+	Heartbeats  int // ping frames received
+	Suspects    int // healthy→suspect transitions
+	Retried     int // transient-failure re-queues charged to retry budgets
+	Quarantined int // workers tripped into quarantine
+	Readmitted  int // workers readmitted after probation
+	Validated   int // cross-validated granules decided
+	Divergent   int // cross-validations that caught disagreeing answers
+	Died        int // worker sessions torn down
+	LateResults int // results ignored because the first copy already won
 }
 
 // vote is one worker's answer to a cross-validated granule.
@@ -205,30 +187,27 @@ type remoteWorker struct {
 // Coordinator accepts workers and brokers granules between Submit
 // callers and the worker fleet.
 type Coordinator struct {
-	opts          Options
-	ln            net.Listener
-	retry         fleet.RetryPolicy
-	replicas      fleet.ReplicaPolicy
-	dispatch      fleet.DispatchPolicy
-	latency       *obs.Histogram // issue-to-result wall clock; nil without Options.Obs
-	fallbackTicks uint64         // 0 = local fallback disabled
+	opts     Options
+	ln       net.Listener
+	retry    fleet.RetryPolicy
+	replicas fleet.ReplicaPolicy
+	dispatch fleet.DispatchPolicy
+	latency  *obs.Histogram // issue-to-result wall clock; nil without Options.Obs
 
-	mu       sync.Mutex
-	tick     uint64
-	nextID   uint64
-	byKey    map[string]*granule
-	byID     map[uint64]*granule
-	order    []*granule // submission order, pruned of resolved granules each tick; the placement pass walks this, never a map
-	pending  []*granule // dispatch queue, ascending id
-	workers  []*remoteWorker
-	loads    []fleet.WorkerLoad // pickLocked's scratch view of workers
-	stats    Stats
-	health   *fleet.HealthTracker
-	quar     *fleet.Quarantine
-	journal  *fleet.Journal
-	resumed  *fleet.JournalState // state recovered from a pre-existing journal
-	idle     uint64              // consecutive ticks with pending work and no workers
-	fallback bool                // local-fallback drain engaged
+	mu      sync.Mutex
+	tick    uint64
+	nextID  uint64
+	byKey   map[string]*granule
+	byID    map[uint64]*granule
+	order   []*granule // submission order, pruned of resolved granules each tick; the placement pass walks this, never a map
+	pending []*granule // dispatch queue, ascending id
+	workers []*remoteWorker
+	loads   []fleet.WorkerLoad // pickLocked's scratch view of workers
+	stats   Stats
+	health  *fleet.HealthTracker
+	quar    *fleet.Quarantine
+	journal *fleet.Journal
+	resumed *fleet.JournalState // state recovered from a pre-existing journal
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -255,17 +234,6 @@ func Listen(addr string, opts Options) (*Coordinator, error) {
 		// hung TCP session is still caught in seconds.
 		opts.Health = fleet.HealthPolicy{SuspectAfter: 80, DeadAfter: 400}
 	}
-	if opts.RetryBudget == 0 {
-		opts.RetryBudget = 3
-	}
-	if opts.Quarantine == (fleet.QuarantinePolicy{}) {
-		opts.Quarantine = fleet.DefaultQuarantinePolicy()
-	}
-	retry := opts.Retry
-	if retry == (fleet.RetryPolicy{}) {
-		retry = fleet.Defaults(opts.Seed)
-		retry.Cap = 2 * time.Second
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: listen %s: %w", addr, err)
@@ -273,19 +241,19 @@ func Listen(addr string, opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:   opts,
 		ln:     ln,
-		retry:  retry,
+		retry:  fleet.Defaults(0),
 		byKey:  make(map[string]*granule),
 		byID:   make(map[uint64]*granule),
 		health: fleet.NewHealthTracker(opts.Health),
-		quar:   fleet.NewQuarantine(opts.Quarantine),
+		// Three strikes trip the breaker into a 400-tick (~10s at the
+		// default tick) probation.
+		quar:   fleet.NewQuarantine(fleet.QuarantinePolicy{TripAfter: 3, Probation: 400}),
 		closed: make(chan struct{}),
 	}
+	c.retry.Cap = 2 * time.Second
 	c.latency = opts.Obs.Histogram("fabric.granule_seconds", 0, 30, 120)
 	if opts.StraggleAfter > 0 {
 		c.replicas.StraggleAfter = ticksFor(opts.StraggleAfter, opts.TickEvery)
-	}
-	if opts.LocalFallbackAfter > 0 {
-		c.fallbackTicks = ticksFor(opts.LocalFallbackAfter, opts.TickEvery)
 	}
 	if opts.JournalPath != "" {
 		if err := c.openJournal(); err != nil {
@@ -407,7 +375,6 @@ type FleetSnapshot struct {
 	Workers     []WorkerHealth `json:"workers"`
 	Quarantined []string       `json:"quarantined"`
 	Pending     int            `json:"pending"`
-	Fallback    bool           `json:"fallback"`
 	Stats       Stats          `json:"stats"`
 }
 
@@ -419,7 +386,6 @@ func (c *Coordinator) FleetStats() FleetSnapshot {
 		Tick:        c.tick,
 		Quarantined: c.quar.Snapshot(),
 		Pending:     len(c.pending),
-		Fallback:    c.fallback,
 		Stats:       c.stats,
 	}
 	sort.Strings(snap.Quarantined)
@@ -511,6 +477,8 @@ func (c *Coordinator) Submit(ctx context.Context, kind, key string, spec json.Ra
 		c.journalLocked(fleet.Entry{Op: fleet.OpSubmit, Kind: kind, Key: key})
 		c.enqueueLocked(g)
 		c.dispatchLocked()
+	} else if g.resolved() {
+		c.stats.CacheHits++
 	}
 	c.mu.Unlock()
 
@@ -671,6 +639,15 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		c.stats.Readmitted++
 		c.journalLocked(fleet.Entry{Op: fleet.OpReadmit, Worker: w.name})
 	}
+	// Health, votes and quarantine are keyed by name, so a hello naming a
+	// connected worker replaces that session (typically its own stale
+	// one, after a redial) instead of sharing its identity.
+	for _, old := range c.workers {
+		if old.name == w.name {
+			c.workerGoneLocked(old, errors.New("replaced by a new session under the same name"))
+			break
+		}
+	}
 	c.workers = append(c.workers, w)
 	c.stats.Workers++
 	c.stats.Joined++
@@ -693,8 +670,6 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		switch m.Type {
 		case MsgResult:
 			c.handleResult(w, m)
-		case MsgCacheGet:
-			c.handleCacheGet(w, m)
 		case MsgPing:
 			c.handlePing(w, m)
 		default:
@@ -758,7 +733,7 @@ func (c *Coordinator) handleResult(w *remoteWorker, m Msg) {
 		c.handleVoteLocked(w, g, m)
 		return
 	}
-	if m.Error != "" && m.Transient && c.opts.RetryBudget > 0 && g.retries < c.opts.RetryBudget {
+	if m.Error != "" && m.Transient && g.retries < retryBudget {
 		c.retryLocked(g, m.Error)
 		return
 	}
@@ -882,32 +857,18 @@ func (c *Coordinator) tripLocked(name, reason string) {
 	}
 }
 
-// handleCacheGet answers a worker's probe of the shared result cache:
-// the coordinator's resolved granules ARE the cache (they are what the
-// driver's content-keyed memos produced and consumed).
-func (c *Coordinator) handleCacheGet(w *remoteWorker, m Msg) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.health.Observe(w.name, c.tick)
-	reply := Msg{Type: MsgCacheValue, ID: m.ID}
-	if g, ok := c.byKey[m.Key]; ok && g.resolved() {
-		reply.Found = true
-		reply.Value = g.value
-		reply.Error = g.errText
-		reply.Transient = g.transient
-		c.stats.CacheHits++
-	} else {
-		c.stats.CacheMisses++
-	}
-	c.sendLocked(w, reply)
-}
-
-// workerGone removes a dead worker: closes its connection and outbox,
-// re-queues every granule it alone held, and re-dispatches. Idempotent.
+// workerGone is workerGoneLocked for callers not holding the mutex.
 func (c *Coordinator) workerGone(w *remoteWorker, cause error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.workerGoneLocked(w, cause)
+}
+
+// workerGoneLocked removes a dead worker: closes its connection and
+// outbox, re-queues every granule it alone held, and re-dispatches.
+// Idempotent.
+func (c *Coordinator) workerGoneLocked(w *remoteWorker, cause error) {
 	if w.dead {
-		c.mu.Unlock()
 		return
 	}
 	w.dead = true
@@ -946,15 +907,14 @@ func (c *Coordinator) workerGone(w *remoteWorker, cause error) {
 	}
 	w.inflight = nil
 	c.dispatchLocked()
-	c.mu.Unlock()
 	c.log().Warn("fabric: worker gone",
 		"worker", w.name, "cause", fmt.Sprint(cause), "requeued", requeued)
 }
 
 // tickLoop advances the coordinator's logical clock and runs every
 // deadline-driven duty on it: heartbeat health classification, replica
-// placement, backoff expiry, and local-fallback engagement. One loop,
-// one clock, so every deadline in the fleet is measured the same way.
+// placement, and backoff expiry. One loop, one clock, so every deadline
+// in the fleet is measured the same way.
 func (c *Coordinator) tickLoop() {
 	defer c.loops.Done()
 	ticker := time.NewTicker(c.opts.TickEvery)
@@ -984,7 +944,6 @@ func (c *Coordinator) onTick() {
 	c.order = live
 	// Backoffs expire on ticks; give newly ready granules a chance.
 	c.dispatchLocked()
-	c.considerFallbackLocked()
 	c.mu.Unlock()
 }
 
@@ -1068,79 +1027,6 @@ func (c *Coordinator) placeLocked(g *granule) {
 				"granule", g.id, "kind", g.kind, "worker", w.name)
 		}
 		c.issueLocked(w, g)
-	}
-}
-
-// considerFallbackLocked engages the in-process drain when the fleet
-// has been gone with work pending for LocalFallbackAfter.
-func (c *Coordinator) considerFallbackLocked() {
-	if c.fallbackTicks == 0 || c.fallback {
-		return
-	}
-	if c.stats.Workers > 0 || len(c.pending) == 0 {
-		c.idle = 0
-		return
-	}
-	c.idle++
-	if c.idle < c.fallbackTicks {
-		return
-	}
-	c.fallback = true
-	c.journalLocked(fleet.Entry{Op: fleet.OpFallback, Detail: "no workers, executing in-process"})
-	c.log().Warn("fabric: no workers, degrading to in-process execution",
-		"pending", len(c.pending))
-	c.loops.Add(1)
-	go c.fallbackDrain()
-}
-
-// fallbackDrain executes pending granules in-process, in id order,
-// until the queue empties or a worker joins (the fleet takes back
-// over). Runs the same registered executors the workers run, so values
-// are bit-identical to remote execution.
-func (c *Coordinator) fallbackDrain() {
-	defer c.loops.Done()
-	for {
-		select {
-		case <-c.closed:
-			return
-		default:
-		}
-		c.mu.Lock()
-		// The last resort takes the lowest id and ignores retry backoff:
-		// waiting out remote flakiness in-process would be pointless.
-		var g *granule
-		for g == nil && c.stats.Workers == 0 && len(c.pending) > 0 {
-			if h := c.unqueueLocked(0); !h.resolved() {
-				g = h
-			}
-		}
-		if g == nil { // drained, or a worker joined and the fleet takes over
-			c.fallback = false
-			c.idle = 0
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-
-		var value json.RawMessage
-		exec, err := lookupKind(g.kind)
-		if err == nil {
-			//lint:ignore ctxflow the coordinator owns this drain goroutine; Close() resolves pending granules, which ends the loop between executions
-			value, err = runExecutor(context.Background(), exec, Msg{Kind: g.kind, Spec: g.spec})
-		}
-		c.mu.Lock()
-		c.stats.FallbackExecs++
-		if g.resolved() {
-			c.stats.LateResults++
-			c.mu.Unlock()
-			continue
-		}
-		if err != nil {
-			c.resolveLocked(g, nil, err.Error(), fleet.IsTransient(err))
-		} else {
-			c.resolveLocked(g, value, "", false)
-		}
-		c.mu.Unlock()
 	}
 }
 

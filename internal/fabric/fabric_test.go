@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"strings"
@@ -24,10 +25,13 @@ import (
 //	test.double  {"X":n}            -> 2n
 //	test.sleep   {"X":n,"MS":d}     -> 2n after d milliseconds
 //	test.fail    {"Text":s}         -> error with text s
+//	test.flaky   {}                 -> transient error (a broken stream)
 //
 // Like the real kinds they are pure functions of the spec, so straggler
 // duplicates and re-issues stay sound.
 var testExecCount atomic.Int64 // test.double/test.sleep invocations
+
+var testFlakyCount atomic.Int64 // test.flaky invocations
 
 // testRunning/testPeak gauge how many sleeping toy granules execute at
 // once, for the slots and whole-batch tests (which reset the peak).
@@ -90,6 +94,10 @@ func init() {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%s", s.Text)
+	})
+	RegisterKind("test.flaky", func(context.Context, json.RawMessage) (json.RawMessage, error) {
+		testFlakyCount.Add(1)
+		return nil, fmt.Errorf("flaky link: %w", io.ErrUnexpectedEOF)
 	})
 }
 
@@ -195,6 +203,28 @@ func TestFabricErrorText(t *testing.T) {
 	_, err = lf.C.Submit(context.Background(), "test.fail", "fail|1", spec)
 	if err == nil || err.Error() != "simulate 410.bwaves: livelock at cycle 99" {
 		t.Fatalf("got %v, want the worker's error text verbatim", err)
+	}
+}
+
+// TestFabricTransientRetryBudget proves a granule failing transiently
+// is re-queued retryBudget times, behind the backoff, and then resolves
+// with the failure, its transience intact.
+func TestFabricTransientRetryBudget(t *testing.T) {
+	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	before := testFlakyCount.Load()
+	_, err = lf.C.Submit(context.Background(), "test.flaky", "flaky|1", json.RawMessage(`{}`))
+	if !fleet.IsTransient(err) || err.Error() != "flaky link: unexpected EOF" {
+		t.Fatalf("got %v, want the worker's transient error", err)
+	}
+	if runs := testFlakyCount.Load() - before; runs != retryBudget+1 {
+		t.Fatalf("executions=%d, want %d (1 + the retry budget)", runs, retryBudget+1)
+	}
+	if st := lf.C.Stats(); st.Retried != retryBudget || st.Completed != 1 {
+		t.Fatalf("stats=%+v, want %d retries and 1 completion", st, retryBudget)
 	}
 }
 
@@ -447,54 +477,85 @@ func TestKindDoAllKeepsTheWholeBatchOutstanding(t *testing.T) {
 	}
 }
 
-// TestFabricCacheProtocol speaks the wire protocol directly as a bare
-// worker: handshake, then a cacheget for a key the coordinator has
-// already resolved must come back Found with the cached value — the
-// shared-memo-over-the-network backend the workers reuse.
-func TestFabricCacheProtocol(t *testing.T) {
+// TestFabricCacheHits proves the coordinator's resolved granules are a
+// shared result cache: a Submit under an already-resolved key is
+// answered without a second execution and counted as a cache hit.
+func TestFabricCacheHits(t *testing.T) {
 	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lf.Close()
-	ctx := context.Background()
-	if got, err := submitDouble(ctx, t, lf.C, "test.double", 8, 0); err != nil || got != 16 {
-		t.Fatalf("priming submit: got %d, %v", got, err)
+	before := testExecCount.Load()
+	for i := 0; i < 2; i++ {
+		if got, err := submitDouble(context.Background(), t, lf.C, "test.double", 8, 0); err != nil || got != 16 {
+			t.Fatalf("submit %d: got %d, %v; want 16", i, got, err)
+		}
+	}
+	if execs := testExecCount.Load() - before; execs != 1 {
+		t.Fatalf("executions=%d, want 1", execs)
+	}
+	if st := lf.C.Stats(); st.Submitted != 1 || st.CacheHits != 1 {
+		t.Fatalf("stats=%+v, want 1 granule submitted and 1 cache hit", st)
+	}
+}
+
+// TestFabricSameNameReplacesSession: health, votes and quarantine are
+// keyed by worker name, so a hello naming a connected worker must
+// replace that session — its granule re-queued onto the newcomer —
+// rather than join as a second worker sharing one identity.
+func TestFabricSameNameReplacesSession(t *testing.T) {
+	c, err := Listen("127.0.0.1:0", Options{StraggleAfter: -1, Heartbeat: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", c.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if err := WriteFrame(conn, Msg{Type: MsgHello, Proto: ProtoVersion, Worker: "rack3", Slots: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := ReadFrame(conn); err != nil || m.Type != MsgWelcome {
+			t.Fatalf("handshake: %v / %+v", err, m)
+		}
+		return conn
+	}
+	first := hello()
+	defer first.Close()
+	result := make(chan error, 1)
+	go func() {
+		raw, err := c.Submit(context.Background(), "test.double", "rack3|4", json.RawMessage(`{"X":4}`))
+		if err == nil && string(raw) != "8" {
+			err = fmt.Errorf("got %s, want 8", raw)
+		}
+		result <- err
+	}()
+	if m, err := ReadFrame(first); err != nil || m.Type != MsgWork {
+		t.Fatalf("first session: %v / %+v, want the work frame", err, m)
 	}
 
-	conn, err := net.Dial("tcp", lf.C.Addr())
-	if err != nil {
+	second := hello()
+	defer second.Close()
+	work, err := ReadFrame(second)
+	if err != nil || work.Type != MsgWork || work.Key != "rack3|4" {
+		t.Fatalf("second session: %v / %+v, want the re-queued granule", err, work)
+	}
+	if m, err := ReadFrame(first); err == nil {
+		t.Fatalf("replaced session still open: read %+v", m)
+	}
+	if st := c.Stats(); st.Workers != 1 || st.Joined != 2 || st.Died != 1 || st.Requeued != 1 {
+		t.Fatalf("stats=%+v, want one live worker after one replaced session and one re-queue", st)
+	}
+	if err := WriteFrame(second, Msg{Type: MsgResult, ID: work.ID, Value: json.RawMessage("8")}); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := WriteFrame(conn, Msg{Type: MsgHello, Proto: ProtoVersion, Worker: "probe", Slots: 1}); err != nil {
+	if err := <-result; err != nil {
 		t.Fatal(err)
-	}
-	if m, err := ReadFrame(conn); err != nil || m.Type != MsgWelcome {
-		t.Fatalf("handshake: %v / %+v", err, m)
-	}
-	if err := WriteFrame(conn, Msg{Type: MsgCacheGet, ID: 99, Key: "test.double|8|0"}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != MsgCacheValue || reply.ID != 99 || !reply.Found || string(reply.Value) != "16" {
-		t.Fatalf("cache reply: %+v, want Found with value 16", reply)
-	}
-	if err := WriteFrame(conn, Msg{Type: MsgCacheGet, ID: 100, Key: "no-such-key"}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err = ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Found {
-		t.Fatalf("cache reply for unknown key: %+v, want miss", reply)
-	}
-	if st := lf.C.Stats(); st.CacheHits != 1 {
-		t.Fatalf("cache hits=%d, want 1", st.CacheHits)
 	}
 }
 
@@ -511,6 +572,7 @@ func TestFabricRejectsBadHandshake(t *testing.T) {
 	for _, bad := range []Msg{
 		{Type: MsgHello, Proto: ProtoVersion + 1, Worker: "future"},
 		{Type: MsgHello, Proto: 1, Worker: "past", Slots: 1},
+		{Type: MsgHello, Proto: 2, Worker: "cache-probing", Slots: 1},
 		{Type: MsgHello, Proto: ProtoVersion, Worker: "no-slots"},
 		{Type: MsgHello, Proto: ProtoVersion, Worker: "negative", Slots: -1},
 		{Type: MsgHello, Proto: ProtoVersion, Worker: "huge", Slots: 1 << 31},
@@ -566,9 +628,11 @@ func TestWorkerDialRetry(t *testing.T) {
 }
 
 // TestFabricResumedCountersMatchStats resumes a coordinator from a
-// journal holding one quarantined worker and checks /metrics and
-// /api/v1/fleet cannot disagree: every published fabric.* counter equals
-// the Stats field it is published from, the carried quarantine included.
+// journal holding one quarantined worker and a retried granule, among
+// the "fallback" records older coordinators wrote, and checks /metrics
+// and /api/v1/fleet cannot disagree: every published fabric.* counter
+// equals the Stats field it is published from, the carried quarantine
+// included.
 func TestFabricResumedCountersMatchStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sched.journal")
 	j, err := fleet.OpenJournal(path)
@@ -577,7 +641,13 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 	}
 	for _, e := range []fleet.Entry{
 		{Op: fleet.OpJoin, Worker: "liar"},
+		{Op: fleet.OpSubmit, Kind: "test.double", Key: "test.double|0|0"},
+		{Op: fleet.OpIssue, Kind: "test.double", Key: "test.double|0|0", Worker: "liar"},
+		{Op: fleet.OpRequeue, Kind: "test.double", Key: "test.double|0|0", Retries: 2, Detail: "transient: reset"},
 		{Op: fleet.OpQuarantine, Worker: "liar", Detail: "divergent answer"},
+		{Op: fleet.OpGone, Worker: "liar", Detail: "quarantined"},
+		{Op: "fallback", Detail: "no workers, executing in-process"},
+		{Op: fleet.OpComplete, Kind: "test.double", Key: "test.double|0|0"},
 	} {
 		if err := j.Append(e); err != nil {
 			t.Fatal(err)
@@ -598,15 +668,19 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	go func() { _ = RunWorker(ctx, c.Addr(), WorkerOptions{Name: "honest"}) }()
-	for i := 0; i < 3; i++ {
-		if _, err := submitDouble(ctx, t, c, "test.double", i, 0); err != nil {
+	// The fourth submit repeats the first key: a cache hit.
+	for i := 0; i < 4; i++ {
+		if _, err := submitDouble(ctx, t, c, "test.double", i%3, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if got := c.Resumed().Retries[fleet.GranuleKey("test.double", "test.double|0|0")]; got != 2 {
+		t.Errorf("carried retry charge=%d, want 2", got)
+	}
 
 	snap, st := c.ObsSnapshot(), c.Stats()
-	if st.Quarantined != 1 || st.Completed != 3 {
-		t.Fatalf("stats=%+v, want the carried quarantine and 3 completions", st)
+	if st.Quarantined != 1 || st.Completed != 3 || st.CacheHits != 1 {
+		t.Fatalf("stats=%+v, want the carried quarantine, 3 completions and 1 cache hit", st)
 	}
 	for name, want := range map[string]int{
 		"fabric.workers_joined":        st.Joined,
@@ -616,8 +690,7 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 		"fabric.granules_requeued":     st.Requeued,
 		"fabric.stragglers_duplicated": st.Duplicated,
 		"fabric.late_results_ignored":  st.LateResults,
-		"fabric.cache_probe_hits":      st.CacheHits,
-		"fabric.cache_probe_misses":    st.CacheMisses,
+		"fabric.cache_hits":            st.CacheHits,
 		"fabric.heartbeats":            st.Heartbeats,
 		"fabric.workers_suspected":     st.Suspects,
 		"fabric.granules_retried":      st.Retried,
@@ -625,7 +698,6 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 		"fabric.workers_readmitted":    st.Readmitted,
 		"fabric.granules_validated":    st.Validated,
 		"fabric.validations_divergent": st.Divergent,
-		"fabric.fallback_execs":        st.FallbackExecs,
 	} {
 		if m, ok := snap.Metric(name); !ok || snap.Counter(name) != uint64(want) {
 			t.Errorf("%s = %+v (present=%v), Stats says %d", name, m, ok, want)

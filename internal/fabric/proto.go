@@ -22,7 +22,7 @@ import (
 // build is refused rather than guessed at, and every session carries
 // the ping/pong heartbeat pair (PingMS in the welcome tells the worker
 // its cadence) and the Transient/Busy/RTT fields.
-const ProtoVersion = 2
+const ProtoVersion = 3
 
 // MaxFrame caps a frame's payload, inherited from the checkpoint
 // envelope: anything larger is corruption, not data.
@@ -43,7 +43,7 @@ func checkHello(m Msg) error {
 }
 
 // Message types. The protocol is deliberately small: a handshake pair,
-// a work/result pair, and a cache query pair.
+// a work/result pair, and a heartbeat pair.
 const (
 	// MsgHello is worker → coordinator: first frame on a connection,
 	// declaring protocol version, worker name, and slot count.
@@ -54,12 +54,6 @@ const (
 	MsgWork = "work"
 	// MsgResult is worker → coordinator: a granule's value or error.
 	MsgResult = "result"
-	// MsgCacheGet is worker → coordinator: probe the shared result
-	// cache before computing (ID correlates the reply).
-	MsgCacheGet = "cacheget"
-	// MsgCacheValue is coordinator → worker: cache reply; Found reports
-	// whether Value holds a hit.
-	MsgCacheValue = "cachevalue"
 	// MsgPing is worker → coordinator: periodic liveness
 	// proof carrying slot-occupancy and last measured round-trip
 	// telemetry. ID correlates the pong.
@@ -84,9 +78,8 @@ type Msg struct {
 	Key    string          `json:"key,omitempty"`
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Value  json.RawMessage `json:"value,omitempty"`
-	Found  bool            `json:"found,omitempty"`
 	Error  string          `json:"error,omitempty"`
-	// Transient classifies Error on result/cachevalue frames: true means
+	// Transient classifies Error on result frames: true means
 	// a transport-shaped failure worth charging against the granule's
 	// retry budget, false (or absent) a deterministic failure that will
 	// reproduce anywhere.

@@ -23,9 +23,9 @@ func sampleMsgs() []Msg {
 		{Type: MsgWork, ID: 7, Kind: "explore.sim", Key: "k|1|2", Spec: json.RawMessage(`{"Point":{"IssueWidth":2}}`)},
 		{Type: MsgResult, ID: 7, Value: json.RawMessage(`{"CPIexe":0.5}`)},
 		{Type: MsgResult, ID: 9, Error: "simulate 410.bwaves: livelock"},
-		{Type: MsgCacheGet, ID: 3, Key: "k|a"},
-		{Type: MsgCacheValue, ID: 3, Found: true, Value: json.RawMessage(`1.25`)},
-		{Type: MsgCacheValue, ID: 4},
+		{Type: MsgResult, ID: 11, Error: "worker w0: connection reset", Transient: true},
+		{Type: MsgPing, ID: 3, Busy: 2, RTT: 150},
+		{Type: MsgPong, ID: 3},
 	}
 }
 
@@ -187,7 +187,7 @@ func TestCheckHello(t *testing.T) {
 	}{
 		{"one slot", 1, ""},
 		{"the upper bound", maxSlots, ""},
-		{"zero (the field omitted)", 0, "and 0 slots, want protocol 2 and 1..1024 slots"},
+		{"zero (the field omitted)", 0, "and 0 slots, want protocol 3 and 1..1024 slots"},
 		{"negative", -1, "and -1 slots"},
 		{"2^31", 1 << 31, "and 2147483648 slots"},
 		{"one past the bound", maxSlots + 1, "and 1025 slots"},

@@ -43,8 +43,7 @@ func (c *Coordinator) ObsSnapshot() *obs.Snapshot {
 	reg.Counter("fabric.granules_requeued").Set(uint64(s.Requeued))
 	reg.Counter("fabric.stragglers_duplicated").Set(uint64(s.Duplicated))
 	reg.Counter("fabric.late_results_ignored").Set(uint64(s.LateResults))
-	reg.Counter("fabric.cache_probe_hits").Set(uint64(s.CacheHits))
-	reg.Counter("fabric.cache_probe_misses").Set(uint64(s.CacheMisses))
+	reg.Counter("fabric.cache_hits").Set(uint64(s.CacheHits))
 	reg.Counter("fabric.heartbeats").Set(uint64(s.Heartbeats))
 	reg.Counter("fabric.workers_suspected").Set(uint64(s.Suspects))
 	reg.Counter("fabric.granules_retried").Set(uint64(s.Retried))
@@ -52,7 +51,6 @@ func (c *Coordinator) ObsSnapshot() *obs.Snapshot {
 	reg.Counter("fabric.workers_readmitted").Set(uint64(s.Readmitted))
 	reg.Counter("fabric.granules_validated").Set(uint64(s.Validated))
 	reg.Counter("fabric.validations_divergent").Set(uint64(s.Divergent))
-	reg.Counter("fabric.fallback_execs").Set(uint64(s.FallbackExecs))
 	return reg.Snapshot()
 }
 
@@ -72,16 +70,15 @@ func promSafe(name string) string {
 }
 
 // WorkerTelemetry is the worker-side probe set: granule execution
-// latency and cache-probe efficiency. Unlike the coordinator, a worker
-// executes granules on concurrent slots, so this type carries its own
-// mutex around the unsynchronised registry's handles. The nil receiver
-// is the off switch; read the registry once RunWorker has returned.
+// latency and counts. Unlike the coordinator, a worker executes
+// granules on concurrent slots, so this type carries its own mutex
+// around the unsynchronised registry's handles. The nil receiver is the
+// off switch; read the registry once RunWorker has returned.
 type WorkerTelemetry struct {
 	mu        sync.Mutex
 	executed  *obs.Counter
 	failed    *obs.Counter
 	abandoned *obs.Counter
-	probeHits *obs.Counter
 	latency   *obs.Histogram
 }
 
@@ -95,7 +92,6 @@ func NewWorkerTelemetry(reg *obs.Registry) *WorkerTelemetry {
 		executed:  reg.Counter("worker.granules_executed"),
 		failed:    reg.Counter("worker.granules_failed"),
 		abandoned: reg.Counter("worker.granules_abandoned"),
-		probeHits: reg.Counter("worker.cache_probe_hits"),
 		latency:   reg.Histogram("worker.granule_seconds", 0, 30, 120),
 	}
 }
@@ -122,14 +118,4 @@ func (w *WorkerTelemetry) Abandoned() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.abandoned.Inc()
-}
-
-// ProbeHit records a shared-cache probe answered with a result.
-func (w *WorkerTelemetry) ProbeHit() {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.probeHits.Inc()
 }

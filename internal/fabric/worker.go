@@ -48,100 +48,28 @@ const missedPongLimit = 16
 
 // WorkerOptions configure RunWorker.
 type WorkerOptions struct {
-	// Name identifies the worker in coordinator logs; defaults to the
-	// local connection address.
+	// Name identifies the worker to the coordinator — logs, health and
+	// quarantine; a session under a connected worker's name replaces
+	// that one. Defaults to the local connection address.
 	Name string
 	// Slots is how many granules execute concurrently (default 1, at most
 	// maxSlots): the supply rate the coordinator's dispatch matches.
 	Slots int
-	// NoCacheProbe disables the shared-cache round trip before each
-	// execution. The probe is how re-issued granules whose result
-	// already landed (a straggler duplicate won) avoid recomputation.
-	NoCacheProbe bool
 	// DialRetry keeps retrying a failed dial for this long before
 	// giving up, so workers may be launched before their coordinator.
 	// 0 fails fast on the first refused connection. Attempts are spaced
-	// by Retry's seeded backoff schedule.
+	// by fleet.Defaults(Seed)'s backoff schedule.
 	DialRetry time.Duration
-	// Retry is the deterministic backoff policy behind dial retries and
-	// cache-probe re-sends. The zero value means fleet defaults seeded
-	// by Seed.
-	Retry fleet.RetryPolicy
-	// Seed seeds the default retry policy's jitter stream; give each
-	// worker a distinct seed so a killed fleet does not re-dial in
-	// lockstep.
+	// Seed seeds the dial-retry jitter stream; give each worker a
+	// distinct seed so a killed fleet does not re-dial in lockstep.
 	Seed uint64
 	// Log receives structured worker diagnostics with granule attrs;
 	// nil discards them.
 	Log *slog.Logger
 	// Obs, when set, receives worker telemetry: granule execution
-	// latency histograms, cache-probe hits, abandoned-granule counts.
-	// Nil keeps every probe a nil-receiver no-op.
+	// latency histograms and executed/failed/abandoned counts. Nil keeps
+	// every probe a nil-receiver no-op.
 	Obs *WorkerTelemetry
-	// Reprobe carries granule keys this process abandoned mid-execution
-	// (shutdown or a broken connection). When the coordinator re-issues
-	// one of them on a later connection, the worker probes the shared
-	// cache even under NoCacheProbe instead of silently re-simulating —
-	// a straggler duplicate may already have resolved it. Nil disables
-	// the bookkeeping.
-	Reprobe *ReprobeSet
-}
-
-// retryPolicy resolves the effective backoff policy.
-func (o WorkerOptions) retryPolicy() fleet.RetryPolicy {
-	if o.Retry == (fleet.RetryPolicy{}) {
-		p := fleet.Defaults(o.Seed)
-		p.Base = 100 * time.Millisecond
-		p.Cap = 2 * time.Second
-		return p
-	}
-	return o.Retry
-}
-
-// ReprobeSet is a concurrency-safe set of granule keys whose execution
-// this process abandoned. It outlives individual RunWorker sessions so
-// a reconnecting worker remembers what it walked away from.
-type ReprobeSet struct {
-	mu   sync.Mutex
-	keys map[string]struct{}
-}
-
-// NewReprobeSet returns an empty set.
-func NewReprobeSet() *ReprobeSet { return &ReprobeSet{keys: make(map[string]struct{})} }
-
-// Add records an abandoned granule key. Nil-safe.
-func (s *ReprobeSet) Add(key string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.keys[key] = struct{}{}
-}
-
-// Take reports whether key was abandoned earlier and removes it — each
-// abandonment forces exactly one cache re-probe. Nil-safe.
-func (s *ReprobeSet) Take(key string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.keys[key]
-	if ok {
-		delete(s.keys, key)
-	}
-	return ok
-}
-
-// Len returns the number of keys currently recorded. Nil-safe.
-func (s *ReprobeSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.keys)
 }
 
 // RunWorker connects to a coordinator at addr and serves granules until
@@ -155,7 +83,7 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	if opts.Slots > maxSlots {
 		return fmt.Errorf("%w: not dialling with %d slots, the protocol bound is %d", ErrDial, opts.Slots, maxSlots)
 	}
-	conn, err := dialRetry(ctx, addr, opts.DialRetry, opts.retryPolicy())
+	conn, err := dialRetry(ctx, addr, opts.DialRetry, fleet.Defaults(opts.Seed))
 	if err != nil {
 		return fmt.Errorf("%w: coordinator %s: %v", ErrDial, addr, err)
 	}
@@ -167,7 +95,6 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	w := &workerState{
 		opts:     opts,
 		conn:     conn,
-		pending:  make(map[uint64]chan Msg),
 		pingSent: make(map[uint64]time.Time),
 	}
 	w.ctx, w.cancel = context.WithCancel(ctx)
@@ -248,7 +175,6 @@ type workerState struct {
 	lastFrame atomic.Int64  // UnixNano of the last inbound frame
 
 	mu       sync.Mutex
-	pending  map[uint64]chan Msg  // cacheget correlation, keyed by granule id
 	pingSent map[uint64]time.Time // outstanding pings, for RTT measurement
 }
 
@@ -326,8 +252,7 @@ func (w *workerState) pongReceived(m Msg) {
 }
 
 // readLoop demultiplexes coordinator frames: work starts an execution
-// slot, cache replies route to the waiting execution, pongs feed the
-// heartbeat accounting.
+// slot, pongs feed the heartbeat accounting.
 func (w *workerState) readLoop() error {
 	sem := make(chan struct{}, w.opts.Slots)
 	for {
@@ -339,9 +264,9 @@ func (w *workerState) readLoop() error {
 		switch m.Type {
 		case MsgWork:
 			// The slot is acquired inside the goroutine, never here: the
-			// read loop must keep draining frames (cache replies in
-			// particular) even when every slot is busy, or an execution
-			// waiting on its cache probe would deadlock the connection.
+			// read loop must keep draining frames (pongs in particular)
+			// even when every slot is busy, or a long granule would starve
+			// the heartbeat and the session would look wedged.
 			w.execs.Add(1)
 			go func(m Msg) {
 				defer w.execs.Done()
@@ -358,14 +283,6 @@ func (w *workerState) readLoop() error {
 				}
 				w.execute(m)
 			}(m)
-		case MsgCacheValue:
-			w.mu.Lock()
-			ch := w.pending[m.ID]
-			delete(w.pending, m.ID)
-			w.mu.Unlock()
-			if ch != nil {
-				ch <- m
-			}
 		case MsgPong:
 			w.pongReceived(m)
 		default:
@@ -397,25 +314,6 @@ func (w *workerState) execute(m Msg) {
 		return
 	}
 
-	// An earlier session of this process may have walked away from this
-	// very granule (shutdown mid-execution). In that case probe the
-	// shared cache even when probes are off: a straggler duplicate may
-	// already have resolved it, and re-simulating would silently burn
-	// the work the re-issue machinery just saved.
-	reprobe := w.opts.Reprobe.Take(m.Key)
-	if reprobe {
-		w.log().Info("fabric: re-probing shared cache for previously abandoned granule",
-			"worker", w.opts.Name, "granule", m.ID, "kind", m.Kind, "key", m.Key)
-	}
-	if !w.opts.NoCacheProbe || reprobe {
-		if hit, reply := w.cacheProbe(m); hit {
-			w.opts.Obs.ProbeHit()
-			_ = w.send(Msg{Type: MsgResult, ID: m.ID,
-				Value: reply.Value, Error: reply.Error, Transient: reply.Transient})
-			return
-		}
-	}
-
 	result := Msg{Type: MsgResult, ID: m.ID}
 	start := time.Now()
 	exec, err := lookupKind(m.Kind)
@@ -425,10 +323,7 @@ func (w *workerState) execute(m Msg) {
 	if err != nil {
 		if w.ctx.Err() != nil {
 			// Shutting down; a partial result must not be sent. Say so
-			// loudly and remember the key — if this process reconnects
-			// and is handed the granule again, it re-probes the shared
-			// cache first instead of silently re-simulating.
-			w.opts.Reprobe.Add(m.Key)
+			// loudly — the coordinator re-issues the granule elsewhere.
 			w.opts.Obs.Abandoned()
 			w.log().Warn("fabric: abandoning granule mid-execution on shutdown",
 				"worker", w.opts.Name, "granule", m.ID, "kind", m.Kind, "key", m.Key)
@@ -467,52 +362,6 @@ func runExecutor(ctx context.Context, exec Executor, m Msg) (value []byte, err e
 		}
 	}()
 	return exec(ctx, m.Spec)
-}
-
-// cacheProbeAttempts bounds probe re-sends before degrading to local
-// computation — the probe is an optimisation, never a dependency.
-const cacheProbeAttempts = 3
-
-// cacheProbe asks the coordinator's shared result cache for this
-// granule's key; false means compute locally (a probe that fails in
-// transit just degrades to computing, never to a missing result). A
-// reply lost on a flaky link is re-requested on the shared backoff
-// schedule before giving up.
-func (w *workerState) cacheProbe(m Msg) (bool, Msg) {
-	policy := w.opts.retryPolicy()
-	for attempt := 0; attempt < cacheProbeAttempts; attempt++ {
-		ch := make(chan Msg, 1)
-		w.mu.Lock()
-		w.pending[m.ID] = ch
-		w.mu.Unlock()
-		if err := w.send(Msg{Type: MsgCacheGet, ID: m.ID, Key: m.Key}); err != nil {
-			return false, Msg{}
-		}
-		// Wait generously relative to the backoff schedule; a healthy
-		// round trip answers in microseconds.
-		wait := time.NewTimer(10 * policy.Delay(attempt))
-		select {
-		case reply := <-ch:
-			wait.Stop()
-			return reply.Found, reply
-		case <-w.ctx.Done():
-			wait.Stop()
-			w.dropProbe(m.ID)
-			return false, Msg{}
-		case <-wait.C:
-			w.dropProbe(m.ID)
-		}
-	}
-	w.log().Warn("fabric: cache probe unanswered, computing locally",
-		"worker", w.opts.Name, "granule", m.ID, "key", m.Key)
-	return false, Msg{}
-}
-
-// dropProbe deregisters a probe whose reply is no longer awaited.
-func (w *workerState) dropProbe(id uint64) {
-	w.mu.Lock()
-	delete(w.pending, id)
-	w.mu.Unlock()
 }
 
 // log returns the worker's structured logger (discard when none was

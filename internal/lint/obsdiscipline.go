@@ -35,14 +35,12 @@ func runObsDiscipline(p *Pass) {
 	if matchAny(p.Pkg.Rel, []string{"internal/obs"}) {
 		checkNilGuards(p, func(string) bool { return true })
 	}
-	// The worker-side probe set and reprobe set promise the same
-	// nil-receiver off switch the obs registry does; only those types
-	// carry the contract there, not the coordinator (which publishes its
-	// Stats at snapshot time and has no probes).
+	// The worker-side probe set promises the same nil-receiver off
+	// switch the obs registry does; only that type carries the contract
+	// there, not the coordinator (which publishes its Stats at snapshot
+	// time and has no probes).
 	if matchAny(p.Pkg.Rel, []string{"internal/fabric"}) {
-		checkNilGuards(p, func(recv string) bool {
-			return recv == "WorkerTelemetry" || recv == "ReprobeSet"
-		})
+		checkNilGuards(p, func(recv string) bool { return recv == "WorkerTelemetry" })
 	}
 	if matchAny(p.Pkg.Rel, []string{"internal/sim", "internal/core"}) {
 		checkNoGoroutines(p)

@@ -1,16 +1,16 @@
 // Package fabric is a miniature of the sweep fabric's worker-side probe
 // set: the nil-receiver guard rule extends here, but only to
-// WorkerTelemetry and the ReprobeSet — the coordinator publishes its
-// counters at snapshot time and is never nil by contract.
+// WorkerTelemetry — the coordinator publishes its counters at snapshot
+// time and is never nil by contract.
 package fabric
 
 import "lpm/internal/obs"
 
 // WorkerTelemetry is the worker-side probe set.
 type WorkerTelemetry struct {
-	reg      *obs.Registry
-	hits     *obs.Counter
-	executed *obs.Counter
+	reg       *obs.Registry
+	abandoned *obs.Counter
+	executed  *obs.Counter
 }
 
 // prefix namespaces the per-worker gauges.
@@ -22,18 +22,18 @@ func NewWorkerTelemetry(reg *obs.Registry) *WorkerTelemetry {
 		return nil
 	}
 	return &WorkerTelemetry{
-		reg:      reg,
-		hits:     reg.Counter("worker.cache_probe_hits"),
-		executed: reg.Counter("worker.granules_executed"),
+		reg:       reg,
+		abandoned: reg.Counter("worker.granules_abandoned"),
+		executed:  reg.Counter("worker.granules_executed"),
 	}
 }
 
-// ProbeHit records one shared-cache hit — properly guarded.
-func (t *WorkerTelemetry) ProbeHit() {
+// Abandoned records one granule dropped on shutdown — properly guarded.
+func (t *WorkerTelemetry) Abandoned() {
 	if t == nil {
 		return
 	}
-	t.hits.Add(1)
+	t.abandoned.Add(1)
 }
 
 // Slot bumps a per-worker gauge: a dynamic prefix with a constant
@@ -64,24 +64,7 @@ func (t *WorkerTelemetry) Dynamic(name string) {
 type Coordinator struct{ pending int }
 
 // Submit dereferences its receiver unguarded — allowed, the rule only
-// covers the probe types.
+// covers the probe type.
 func (c *Coordinator) Submit() {
 	c.pending++
-}
-
-// ReprobeSet remembers abandoned granule keys; it shares the
-// nil-receiver contract so an unwired worker pays nothing.
-type ReprobeSet struct{ keys map[string]struct{} }
-
-// Add records a key — properly guarded.
-func (s *ReprobeSet) Add(key string) {
-	if s == nil {
-		return
-	}
-	s.keys[key] = struct{}{}
-}
-
-// Len forgets the guard.
-func (s *ReprobeSet) Len() int { // want "dereferences its receiver without the nil-receiver guard"
-	return len(s.keys)
 }

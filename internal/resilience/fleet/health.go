@@ -46,14 +46,6 @@ type HealthPolicy struct {
 	DeadAfter uint64
 }
 
-// DefaultHealthPolicy: suspect after 8 silent ticks, dead after 24. At
-// the coordinator's default 25ms tick that is 200ms to suspicion and
-// 600ms to eviction — several missed heartbeats each, so one delayed
-// ping never trips it.
-func DefaultHealthPolicy() HealthPolicy {
-	return HealthPolicy{SuspectAfter: 8, DeadAfter: 24}
-}
-
 // Classify returns the state of a worker last heard from at lastSeen
 // when the clock reads now. Pure: same inputs, same answer.
 func (p HealthPolicy) Classify(lastSeen, now uint64) HealthState {

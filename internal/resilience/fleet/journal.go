@@ -1,8 +1,8 @@
 package fleet
 
 // Coordinator scheduling journal. Every scheduling decision — granule
-// submitted/issued/completed/re-queued, worker joined/lost/quarantined,
-// fallback engaged — is appended as one LPMCKPT1-framed JSON record and
+// submitted/issued/completed/re-queued, worker joined/lost/quarantined/
+// readmitted — is appended as one LPMCKPT1-framed JSON record and
 // fsynced before the decision takes effect downstream. kill -9 of the
 // coordinator then loses nothing that matters: a successor replays the
 // journal, rebuilds quarantine and retry state, skips keys the result
@@ -24,7 +24,8 @@ import (
 )
 
 // Journal operation codes. Kept short: a large sweep writes one record
-// per scheduling decision.
+// per scheduling decision. Replay skips codes it does not fold, such as
+// the "fallback" records older coordinators wrote.
 const (
 	OpSubmit     = "submit"     // granule entered the queue
 	OpIssue      = "issue"      // granule sent to a worker
@@ -34,7 +35,6 @@ const (
 	OpGone       = "gone"       // worker session torn down
 	OpQuarantine = "quarantine" // worker tripped the breaker
 	OpReadmit    = "readmit"    // probation expired, worker readmitted
-	OpFallback   = "fallback"   // coordinator degraded to in-process execution
 )
 
 // Entry is one journal record. Seq is a strictly increasing sequence
@@ -101,14 +101,6 @@ func (j *Journal) Append(e Entry) error {
 		return fmt.Errorf("journal %s: %w", j.path, err)
 	}
 	return nil
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
 }
 
 // Close releases the file handle.
@@ -186,12 +178,6 @@ type JournalState struct {
 	// Retries maps granule kind+"\x00"+key to the retry count charged
 	// so far, so budgets carry across the restart.
 	Retries map[string]int
-	// Completed holds kind+"\x00"+key for granules whose results were
-	// accepted — the successor skips re-running these if the result
-	// checkpoint confirms it has their values.
-	Completed map[string]bool
-	// LastSeq is the sequence number of the final replayed record.
-	LastSeq uint64
 }
 
 // GranuleKey builds the kind+key composite used by JournalState maps.
@@ -200,16 +186,10 @@ func GranuleKey(kind, key string) string { return kind + "\x00" + key }
 // RecoverState folds a replayed journal into the successor's starting
 // state. Pure: the fold is a deterministic function of the entries.
 func RecoverState(entries []Entry) *JournalState {
-	st := &JournalState{
-		Retries:   make(map[string]int),
-		Completed: make(map[string]bool),
-	}
+	st := &JournalState{Retries: make(map[string]int)}
 	quarantined := make(map[string]bool)
 	for _, e := range entries {
-		st.LastSeq = e.Seq
 		switch e.Op {
-		case OpComplete:
-			st.Completed[GranuleKey(e.Kind, e.Key)] = true
 		case OpRequeue:
 			k := GranuleKey(e.Kind, e.Key)
 			if e.Retries > st.Retries[k] {

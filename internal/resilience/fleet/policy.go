@@ -28,8 +28,8 @@ import (
 // math/rand — so retry timing is reproducible and lint-enforceable.
 //
 // The zero value is not useful; call Defaults (or fill every field) and
-// share one policy across the dial, reconnect, cache-probe, and
-// granule-requeue paths so the whole fleet backs off coherently.
+// share one policy across the dial, reconnect and granule-requeue paths
+// so the whole fleet backs off coherently.
 type RetryPolicy struct {
 	// Base is the delay before the first retry (attempt 0).
 	Base time.Duration
@@ -45,9 +45,6 @@ type RetryPolicy struct {
 	// Seed selects the jitter stream. Two workers with different seeds
 	// spread apart; the same seed replays the same schedule.
 	Seed uint64
-	// MaxAttempts bounds Retry (and callers implementing their own
-	// loops); 0 means no attempt bound (the caller's deadline decides).
-	MaxAttempts int
 }
 
 // Defaults returns the fleet-wide standard policy: 50ms doubling to a
@@ -133,24 +130,6 @@ func (p RetryPolicy) Sleep(ctx context.Context, attempt int) error {
 		return ctx.Err()
 	case <-t:
 		return nil
-	}
-}
-
-// Retry runs op until it succeeds, fails permanently, exhausts
-// MaxAttempts, or ctx ends, sleeping the policy's schedule between
-// attempts. Transience is decided by IsTransient.
-func (p RetryPolicy) Retry(ctx context.Context, op func(ctx context.Context) error) error {
-	for attempt := 0; ; attempt++ {
-		err := op(ctx)
-		if err == nil || !IsTransient(err) || ctx.Err() != nil {
-			return err
-		}
-		if p.MaxAttempts > 0 && attempt+1 >= p.MaxAttempts {
-			return err
-		}
-		if serr := p.Sleep(ctx, attempt); serr != nil {
-			return err
-		}
 	}
 }
 

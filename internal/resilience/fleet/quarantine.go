@@ -25,12 +25,6 @@ type QuarantinePolicy struct {
 	Probation uint64
 }
 
-// DefaultQuarantinePolicy: three strikes, 400-tick (~10s at the default
-// 25ms tick) probation.
-func DefaultQuarantinePolicy() QuarantinePolicy {
-	return QuarantinePolicy{TripAfter: 3, Probation: 400}
-}
-
 // Quarantine tracks strikes and active quarantine windows by worker
 // name.
 type Quarantine struct {

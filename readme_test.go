@@ -1,11 +1,14 @@
 package lpm
 
 import (
+	"flag"
 	"os"
 	"reflect"
 	"regexp"
 	"sort"
 	"testing"
+
+	"lpm/internal/fabric"
 )
 
 // TestReadmeListsEveryCommandAndExample: the README's tool and example
@@ -37,4 +40,35 @@ func TestReadmeListsEveryCommandAndExample(t *testing.T) {
 	if !reflect.DeepEqual(listed, dirs) {
 		t.Fatalf("README tables list %v; the tree has %v", listed, dirs)
 	}
+}
+
+// TestReadmeNamesExactlyTheShardFlags: every -shard* token in the README
+// is a flag fabric.BindShardFlags registers, and every one it registers
+// is named there, so a deleted flag cannot linger in the docs.
+func TestReadmeNamesExactlyTheShardFlags(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?:^|[^\w-])-(shard[\w-]*)`).FindAllSubmatch(readme, -1) {
+		named[string(m[1])] = true
+	}
+	fs := flag.NewFlagSet("shard", flag.ContinueOnError)
+	fabric.BindShardFlags(fs)
+	registered := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
+	if !reflect.DeepEqual(named, registered) {
+		t.Fatalf("README names -%v; BindShardFlags registers -%v", keys(named), keys(registered))
+	}
+}
+
+// keys returns m's keys, sorted.
+func keys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
