@@ -294,7 +294,7 @@ func BenchmarkAblationPureVsConventionalMiss(b *testing.B) {
 		ch := chip.New(cfg)
 		ch.RunUntilRetired(benchScale().Warmup, 80_000_000)
 		ch.ResetCounters()
-		ch.Run(benchScale().Warmup+benchScale().Window, 80_000_000)
+		ch.Run(benchScale().Window, 80_000_000)
 		m := ch.Measure(0, cpiExe)
 		l1 := ch.Snapshot().Cores[0].L1
 		measured := m.MeasuredStall

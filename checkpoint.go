@@ -21,7 +21,7 @@ import (
 
 // CheckpointSchema versions the checkpoint payload (the envelope framing
 // is versioned separately by resilience's magic).
-const CheckpointSchema = "lpm-checkpoint/v1"
+const CheckpointSchema = "lpm-checkpoint/v2"
 
 // Checkpoint is the JSON payload carried inside a resilience envelope.
 type Checkpoint struct {

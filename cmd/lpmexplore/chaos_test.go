@@ -132,6 +132,24 @@ func TestChaosResumeRefusesMismatchedFlags(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesV1Checkpoint: a v1 checkpoint holds results whose
+// instruction-unit windows re-ran the warm-up, so -resume must refuse it
+// rather than seed the memos with them. The schema is checked before the
+// run key.
+func TestResumeRefusesV1Checkpoint(t *testing.T) {
+	t.Cleanup(parallel.ResetAllMemos)
+	parallel.ResetAllMemos()
+	ckpt := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := resilience.SaveCheckpoint(ckpt, lpm.Checkpoint{Schema: "lpm-checkpoint/v1", Tool: "lpmexplore"}); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	err := run(context.Background(), chaosArgs("-resume", ckpt), &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), `unsupported schema "lpm-checkpoint/v1"`) {
+		t.Fatalf("resume from a v1 checkpoint: err = %v, want an unsupported schema refusal", err)
+	}
+}
+
 func TestChaosCancelledContextStillEmitsPartialDoc(t *testing.T) {
 	t.Cleanup(parallel.ResetAllMemos)
 	parallel.ResetAllMemos()

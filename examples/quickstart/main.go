@@ -29,9 +29,9 @@ func main() {
 	chip := lpm.NewChip(cfg)
 	// (WarmUp's error is a cancelled context or tripped watchdog; this
 	// chip has neither attached.)
-	base, _ := chip.WarmUp(60000, lpm.WarmInstructions, false, 50_000_000)
+	_ = chip.WarmUp(60000, lpm.WarmInstructions, false, 50_000_000)
 	chip.ResetCounters()
-	chip.Run(base+20000, 50_000_000)
+	chip.Run(20000, 50_000_000)
 
 	// 4. Read the measurement: all C-AMAT parameters at L1/L2, the memory
 	// APC, and the core's stall/overlap counters.

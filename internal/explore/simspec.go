@@ -65,8 +65,7 @@ func RunSimSpec(ctx context.Context, s SimSpec) (core.Measurement, error) {
 	if s.Observe {
 		ch.EnableObs()
 	}
-	base, err := ch.WarmUp(s.Warmup, chip.WarmInstructions, s.WarmupFast, s.MaxCycles)
-	if err != nil {
+	if err := ch.WarmUp(s.Warmup, chip.WarmInstructions, s.WarmupFast, s.MaxCycles); err != nil {
 		return core.Measurement{}, fmt.Errorf("simulate %s: %w", s.Profile.Name, err)
 	}
 	ch.ResetCounters()
@@ -75,7 +74,7 @@ func RunSimSpec(ctx context.Context, s SimSpec) (core.Measurement, error) {
 		// the measured interval.
 		ch.EnableTimeseries(timeseries.Config{Width: s.TimelineWindow, CPIexe: cpiExe})
 	}
-	ch.Run(base+s.Instructions, s.MaxCycles)
+	ch.Run(s.Instructions, s.MaxCycles)
 	if err := ch.Err(); err != nil {
 		return core.Measurement{}, fmt.Errorf("simulate %s: %w", s.Profile.Name, err)
 	}

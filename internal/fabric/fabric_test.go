@@ -573,6 +573,7 @@ func TestFabricRejectsBadHandshake(t *testing.T) {
 		{Type: MsgHello, Proto: ProtoVersion + 1, Worker: "future"},
 		{Type: MsgHello, Proto: 1, Worker: "past", Slots: 1},
 		{Type: MsgHello, Proto: 2, Worker: "cache-probing", Slots: 1},
+		{Type: MsgHello, Proto: 3, Worker: "warm-up-in-window", Slots: 1},
 		{Type: MsgHello, Proto: ProtoVersion, Worker: "no-slots"},
 		{Type: MsgHello, Proto: ProtoVersion, Worker: "negative", Slots: -1},
 		{Type: MsgHello, Proto: ProtoVersion, Worker: "huge", Slots: 1 << 31},

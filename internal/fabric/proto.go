@@ -22,7 +22,7 @@ import (
 // build is refused rather than guessed at, and every session carries
 // the ping/pong heartbeat pair (PingMS in the welcome tells the worker
 // its cadence) and the Transient/Busy/RTT fields.
-const ProtoVersion = 3
+const ProtoVersion = 4
 
 // MaxFrame caps a frame's payload, inherited from the checkpoint
 // envelope: anything larger is corruption, not data.

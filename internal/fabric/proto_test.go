@@ -187,7 +187,7 @@ func TestCheckHello(t *testing.T) {
 	}{
 		{"one slot", 1, ""},
 		{"the upper bound", maxSlots, ""},
-		{"zero (the field omitted)", 0, "and 0 slots, want protocol 3 and 1..1024 slots"},
+		{"zero (the field omitted)", 0, "and 0 slots, want protocol 4 and 1..1024 slots"},
 		{"negative", -1, "and -1 slots"},
 		{"2^31", 1 << 31, "and 2147483648 slots"},
 		{"one past the bound", maxSlots + 1, "and 1025 slots"},

@@ -45,10 +45,10 @@ func RunProfileSpec(ctx context.Context, s ProfileSpec) ([3]float64, error) {
 	cfg := chip.NUCASingle(trace.NewSynthetic(s.Profile), s.L1Size)
 	ch := chip.New(cfg)
 	ch.SetContext(ctx)
-	base, err := ch.WarmUp(opt.Warmup, chip.WarmInstructions, opt.WarmupFast, opt.MaxCycles)
+	err := ch.WarmUp(opt.Warmup, chip.WarmInstructions, opt.WarmupFast, opt.MaxCycles)
 	if err == nil {
 		ch.ResetCounters()
-		ch.Run(base+opt.Instructions, opt.MaxCycles)
+		ch.Run(opt.Instructions, opt.MaxCycles)
 		err = ch.Err()
 	}
 	if err != nil {
@@ -90,7 +90,7 @@ func RunAloneSpec(ctx context.Context, s AloneSpec) (float64, error) {
 // weighted speedups compare like with like: warm up, zero the counters,
 // run exactly window cycles.
 func runWindow(ch *chip.Chip, warmup, window uint64, fast bool) error {
-	if _, err := ch.WarmUp(warmup, chip.WarmCycles, fast, 0); err != nil {
+	if err := ch.WarmUp(warmup, chip.WarmCycles, fast, 0); err != nil {
 		return err
 	}
 	ch.ResetCounters()

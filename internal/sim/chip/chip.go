@@ -352,9 +352,9 @@ func (c *Chip) RunUntilRetired(minInstr uint64, maxCycles uint64) {
 }
 
 // Run executes until every active core has retired at least minInstr
-// instructions (then halts fetch and drains in-flight work), or until
-// maxCycles elapse. It returns the number of cycles consumed and whether
-// all cores reached the target.
+// instructions since the last ResetCounters (then halts fetch and drains
+// in-flight work), or until maxCycles elapse. It returns the number of
+// cycles consumed and whether all cores reached the target.
 func (c *Chip) Run(minInstr uint64, maxCycles uint64) (cycles uint64, completed bool) {
 	start := c.now
 	limit := start + maxCycles

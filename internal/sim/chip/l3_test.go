@@ -71,7 +71,7 @@ func TestL3AbsorbsL2Misses(t *testing.T) {
 		ch := New(cfg)
 		ch.RunUntilRetired(400000, 200_000_000)
 		ch.ResetCounters()
-		ch.Run(430000, 200_000_000)
+		ch.Run(30000, 200_000_000)
 		return ch.Mem().Stats().Reads
 	}
 	with, without := run(true), run(false)

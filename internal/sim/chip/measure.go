@@ -18,20 +18,19 @@ const (
 )
 
 // WarmUp is the first step of the measured-window protocol (DESIGN.md
-// §5): WarmUp, ResetCounters, Run(base+instr) or RunCycles(window),
-// Measure. A detailed warm-up runs the cycle-accurate engine until every
-// active core has retired n instructions (bounded by maxCycles), or for
-// exactly n cycles. A fast warm-up instead runs n functional-tier rounds
-// — one instruction per active core per round, in either unit — warming
+// §5): WarmUp, ResetCounters, Run(instr) or RunCycles(window), Measure.
+// A detailed warm-up runs the cycle-accurate engine until every active
+// core has retired n instructions (bounded by maxCycles), or for exactly
+// n cycles. A fast warm-up instead runs n functional-tier rounds — one
+// instruction per active core per round, in either unit — warming
 // caches, directory and DRAM rows at per-instruction cost; its warm
 // microstate differs, so results are deterministic but not bit-identical
 // to a detailed warm-up's, and the fast flag joins every caller's memo
-// key. base is the per-core retirement count left behind: n after a
-// detailed instruction warm-up, else 0 (functional execution retires
-// nothing; cycle-unit callers measure with RunCycles). err is the latched
-// run error — cancellation or a watchdog trip — after which there is no
-// window to measure.
-func (c *Chip) WarmUp(n uint64, unit WarmUnit, fast bool, maxCycles uint64) (base uint64, err error) {
+// key. In every mode the ResetCounters that follows zeroes the
+// retirement count Run reads, so Run(instr) measures instr instructions.
+// The error is the latched run error — cancellation or a watchdog trip —
+// after which there is no window to measure.
+func (c *Chip) WarmUp(n uint64, unit WarmUnit, fast bool, maxCycles uint64) error {
 	switch {
 	case fast:
 		c.SetTier(TierFunctional)
@@ -41,9 +40,8 @@ func (c *Chip) WarmUp(n uint64, unit WarmUnit, fast bool, maxCycles uint64) (bas
 		c.RunCycles(n)
 	default:
 		c.RunUntilRetired(n, maxCycles)
-		base = n
 	}
-	return base, c.runErr
+	return c.runErr
 }
 
 // requestRate converts primary-miss counts into the LPM model's MR terms:

@@ -96,10 +96,10 @@ func RunSingle(ctx context.Context, r SingleRun) (*SingleResult, error) {
 	}
 
 	budget := (r.Warmup + r.Instructions) * 600
-	base, runErr := ch.WarmUp(r.Warmup, chip.WarmInstructions, r.WarmupFast, budget)
+	runErr := ch.WarmUp(r.Warmup, chip.WarmInstructions, r.WarmupFast, budget)
 	ch.ResetCounters() // also closes the sampler's warm-up window
 	if runErr == nil {
-		ch.Run(base+r.Instructions, budget)
+		ch.Run(r.Instructions, budget)
 		runErr = ch.Err()
 	}
 	r.Live.PublishSnapshot(ch.ObsSnapshot())
