@@ -46,7 +46,7 @@ loc:
 # One pass over every benchmark, reporting the reproduced paper metrics.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/trace ./internal/stats ./internal/analyzer \
-		./internal/sim/cache ./internal/sim/noc ./internal/sim/dram ./internal/fabric ./internal/ctrl
+		./internal/sim/cache ./internal/sim/chip ./internal/sim/noc ./internal/sim/dram ./internal/fabric ./internal/ctrl
 
 # Smoke the layered benchmark (bench/, declared in BENCHMARK.json): every
 # workload runs once, briefly, and must emit its whole metric catalogue.
@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz FuzzHierarchyBackpressure -fuzztime 15s -run '^$$' ./internal/sim/chip
 	$(GO) test -fuzz FuzzFabricFrameDecode -fuzztime 15s -run '^$$' ./internal/fabric
 	$(GO) test -fuzz FuzzSamplerTables -fuzztime 15s -run '^$$' ./internal/stats
+	$(GO) test -fuzz FuzzReplayJournal -fuzztime 15s -run '^$$' ./internal/resilience/fleet
 
 # Sweep-fabric suite: the in-process coordinator/worker harness and the
 # sharded-vs-serial determinism properties under the race detector, plus

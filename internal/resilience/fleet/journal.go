@@ -65,15 +65,27 @@ type Journal struct {
 
 // OpenJournal opens (creating if needed) an append-only journal at
 // path. Appends continue the sequence after any records already present
-// — a resumed coordinator reuses the same file.
+// — a resumed coordinator reuses the same file. A torn tail is cut off
+// first: a record appended after it would sit behind a bad frame, and
+// the next replay would fail there.
 func OpenJournal(path string) (*Journal, error) {
-	entries, err := ReplayJournal(path)
+	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("journal %s: %w", path, err)
+	}
+	entries, committed, err := replay(path, data)
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal %s: %w", path, err)
+	}
+	if committed < len(data) {
+		if err := f.Truncate(int64(committed)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal %s: cutting the torn tail: %w", path, err)
+		}
 	}
 	j := &Journal{f: f, path: path}
 	if n := len(entries); n > 0 {
@@ -122,6 +134,13 @@ func ReplayJournal(path string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
+	entries, _, err := replay(path, data)
+	return entries, err
+}
+
+// replay decodes the records of a journal's bytes and returns them with
+// the length of the committed prefix, where a torn tail (if any) begins.
+func replay(path string, data []byte) ([]Entry, int, error) {
 	var entries []Entry
 	off := 0
 	for off < len(data) {
@@ -132,7 +151,7 @@ func ReplayJournal(path string) ([]Entry, error) {
 		}
 		payloadLen, err := resilience.ParseEnvelopeHeader(rest[:resilience.EnvelopeHeaderSize])
 		if err != nil {
-			return nil, fmt.Errorf("journal %s: record %d: %w", path, len(entries)+1, err)
+			return nil, 0, fmt.Errorf("journal %s: record %d: %w", path, len(entries)+1, err)
 		}
 		frameLen := resilience.EnvelopeHeaderSize + payloadLen
 		if len(rest) < frameLen {
@@ -146,26 +165,26 @@ func ReplayJournal(path string) ([]Entry, error) {
 				// scrambled — the record never fully committed.
 				break
 			}
-			return nil, fmt.Errorf("journal %s: record %d: %w", path, len(entries)+1, err)
+			return nil, 0, fmt.Errorf("journal %s: record %d: %w", path, len(entries)+1, err)
 		}
 		var e Entry
 		if err := json.Unmarshal(payload, &e); err != nil {
-			return nil, fmt.Errorf("journal %s: record %d: %w: %v",
+			return nil, 0, fmt.Errorf("journal %s: record %d: %w: %v",
 				path, len(entries)+1, resilience.ErrCorruptCheckpoint, err)
 		}
 		if len(entries) == 0 {
 			if e.Seq != 1 {
-				return nil, fmt.Errorf("journal %s: first record has seq %d, want 1",
-					path, e.Seq)
+				return nil, 0, fmt.Errorf("journal %s: %w: first record has seq %d, want 1",
+					path, resilience.ErrCorruptCheckpoint, e.Seq)
 			}
 		} else if prev := entries[len(entries)-1].Seq; e.Seq != prev+1 {
-			return nil, fmt.Errorf("journal %s: record %d: seq %d follows %d",
-				path, len(entries)+1, e.Seq, prev)
+			return nil, 0, fmt.Errorf("journal %s: record %d: %w: seq %d follows %d",
+				path, len(entries)+1, resilience.ErrCorruptCheckpoint, e.Seq, prev)
 		}
 		entries = append(entries, e)
 		off += frameLen
 	}
-	return entries, nil
+	return entries, off, nil
 }
 
 // JournalState is the scheduling state recovered from a replayed

@@ -8,13 +8,32 @@ import (
 	"lpm/internal/stats"
 )
 
-// line is one cache line's metadata.
+// line is one way of the tag store, 16 bytes: the tag word packs the
+// block address above the dirty and valid bits (block<<2 | dirty<<1 |
+// valid), which Config.Validate's BlockSize >= 4 keeps from overflowing.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU touch stamp, or fill stamp under FIFO
+	tag  uint64
+	used uint64 // LRU touch stamp, or fill stamp under FIFO
 }
+
+// Tag-word layout: the state bits, and the shift that puts the block
+// address above them.
+const (
+	validBit = 1
+	dirtyBit = 2
+	tagShift = 2
+)
+
+// tagWord packs a valid line's tag word.
+func tagWord(block uint64, dirty bool) uint64 {
+	if dirty {
+		return block<<tagShift | dirtyBit | validBit
+	}
+	return block<<tagShift | validBit
+}
+
+// block returns the block address a line holds.
+func (l *line) block() uint64 { return l.tag >> tagShift }
 
 // inputReq is a request accepted from above but not yet in service.
 type inputReq struct {
@@ -108,7 +127,9 @@ type Cache struct {
 	cfg       Config
 	an        *analyzer.Analyzer
 	lower     Lower
-	sets      [][]line
+	lines     []line // the tag store, set-major: set s is lines[s*assoc:][:assoc]
+	nSets     uint64
+	assoc     uint64
 	blockBits uint
 	rng       *stats.RNG
 
@@ -209,11 +230,6 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.Sets()
-	sets := make([][]line, nSets)
-	lines := make([]line, nSets*uint64(cfg.Assoc))
-	for i := range sets {
-		sets[i], lines = lines[:cfg.Assoc:cfg.Assoc], lines[cfg.Assoc:]
-	}
 	blockBits := uint(0)
 	for b := cfg.BlockSize; b > 1; b >>= 1 {
 		blockBits++
@@ -229,7 +245,9 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:        cfg,
 		an:         analyzer.New(cfg.Name),
-		sets:       sets,
+		lines:      make([]line, nSets*uint64(cfg.Assoc)),
+		nSets:      nSets,
+		assoc:      uint64(cfg.Assoc),
 		blockBits:  blockBits,
 		rng:        stats.NewRNG(cfg.Seed ^ 0xcac4e),
 		maxTargets: maxTargets,
@@ -284,7 +302,25 @@ func (c *Cache) ServiceActive() bool {
 func (c *Cache) block(addr uint64) uint64 { return addr >> c.blockBits }
 
 // setIndex maps a block address to its set.
-func (c *Cache) setIndex(block uint64) uint64 { return block % uint64(len(c.sets)) }
+func (c *Cache) setIndex(block uint64) uint64 { return block % c.nSets }
+
+// set returns the ways of the set block maps to.
+func (c *Cache) set(block uint64) []line {
+	s := c.setIndex(block) * c.assoc
+	return c.lines[s : s+c.assoc]
+}
+
+// find returns the valid way holding block, or nil.
+func (c *Cache) find(block uint64) *line {
+	set := c.set(block)
+	want := block<<tagShift | validBit
+	for i := range set {
+		if set[i].tag&^dirtyBit == want {
+			return &set[i]
+		}
+	}
+	return nil
+}
 
 // bank maps a block address to its bank.
 func (c *Cache) bank(block uint64) int { return int(block % uint64(c.cfg.Banks)) }
@@ -323,12 +359,9 @@ func (c *Cache) Request(cycle uint64, src int, blockAddr uint64, write bool, don
 // acceptWriteback absorbs a dirty block from above: update in place on
 // presence, otherwise pass it down (non-inclusive hierarchy).
 func (c *Cache) acceptWriteback(blockAddr uint64) {
-	set := c.sets[c.setIndex(blockAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == blockAddr {
-			set[i].dirty = true
-			return
-		}
+	if l := c.find(blockAddr); l != nil {
+		l.tag |= dirtyBit
+		return
 	}
 	c.wbQ = append(c.wbQ, blockAddr)
 }
@@ -370,18 +403,17 @@ func (c *Cache) Tick(cycle uint64) {
 // install writes a filled block into its set and completes all coalesced
 // targets.
 func (c *Cache) install(m *mshrEntry) {
-	set := c.sets[c.setIndex(m.block)]
-	victim := c.victim(set)
-	if set[victim].valid {
+	v := c.victim(c.set(m.block))
+	if v.tag&validBit != 0 {
 		c.st.Evictions++
-		if set[victim].dirty {
+		if v.tag&dirtyBit != 0 {
 			c.st.Writebacks++
-			c.wbQ = append(c.wbQ, set[victim].tag)
+			c.wbQ = append(c.wbQ, v.block())
 		} else if c.cleanLower != nil {
-			c.cleanLower.EvictClean(c.cfg.SrcID, set[victim].tag)
+			c.cleanLower.EvictClean(c.cfg.SrcID, v.block())
 		}
 	}
-	set[victim] = line{tag: m.block, valid: true, dirty: m.write, used: c.now}
+	*v = line{tag: tagWord(m.block, m.write), used: c.now}
 	for _, t := range m.targets {
 		c.an.Done(t.rec, c.now)
 		c.st.Misses++
@@ -418,15 +450,15 @@ func (c *Cache) freeMSHR(m *mshrEntry) {
 }
 
 // victim picks the way to replace in set.
-func (c *Cache) victim(set []line) int {
+func (c *Cache) victim(set []line) *line {
 	for i := range set {
-		if !set[i].valid {
-			return i
+		if set[i].tag&validBit == 0 {
+			return &set[i]
 		}
 	}
 	switch c.cfg.Repl {
 	case RandomRepl:
-		return c.rng.Intn(len(set))
+		return &set[c.rng.Intn(len(set))]
 	default: // LRU and FIFO both evict the smallest stamp; they differ in
 		// whether lookups touch the stamp.
 		best := 0
@@ -435,21 +467,23 @@ func (c *Cache) victim(set []line) int {
 				best = i
 			}
 		}
-		return best
+		return &set[best]
 	}
 }
 
 // lookup probes the tag array; on a hit it applies the policy's touch and
-// returns true.
+// returns true. It scans the set itself rather than through find, which
+// keeps it under the inlining budget: it is the hit path.
 func (c *Cache) lookup(block uint64, write bool) bool {
-	set := c.sets[c.setIndex(block)]
+	set := c.set(block)
+	want := block<<tagShift | validBit
 	for i := range set {
-		if set[i].valid && set[i].tag == block {
+		if set[i].tag&^dirtyBit == want {
 			if c.cfg.Repl == LRU {
 				set[i].used = c.now
 			}
 			if write {
-				set[i].dirty = true
+				set[i].tag |= dirtyBit
 			}
 			return true
 		}
@@ -631,27 +665,18 @@ func (c *Cache) issueDown() {
 // complete with the timing already committed, matching the usual
 // race-window abstraction of block-granularity protocols.
 func (c *Cache) Invalidate(blockAddr uint64) (present, dirty bool) {
-	set := c.sets[c.setIndex(blockAddr)]
-	for i := range set {
-		if set[i].valid && set[i].tag == blockAddr {
-			present, dirty = true, set[i].dirty
-			set[i] = line{}
-			c.st.Invalidations++
-			return present, dirty
-		}
+	l := c.find(blockAddr)
+	if l == nil {
+		return false, false
 	}
-	return false, false
+	dirty = l.tag&dirtyBit != 0
+	*l = line{}
+	c.st.Invalidations++
+	return true, dirty
 }
 
 // Contains reports whether the block holding addr is present (test hook;
 // does not touch replacement state).
 func (c *Cache) Contains(addr uint64) bool {
-	blk := c.block(addr)
-	set := c.sets[c.setIndex(blk)]
-	for i := range set {
-		if set[i].valid && set[i].tag == blk {
-			return true
-		}
-	}
-	return false
+	return c.find(c.block(addr)) != nil
 }

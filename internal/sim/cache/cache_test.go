@@ -75,6 +75,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Name = "" },
 		func(c *Config) { c.Size = 0 },
 		func(c *Config) { c.BlockSize = 48 },
+		func(c *Config) { c.BlockSize = 2 },
 		func(c *Config) { c.Size = 100 },
 		func(c *Config) { c.Assoc = 0 },
 		func(c *Config) { c.Assoc = 1024 }, // fewer than one set

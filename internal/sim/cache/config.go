@@ -48,7 +48,7 @@ type Config struct {
 	Name string
 	// Size is the total capacity.
 	Size uint64
-	// BlockSize is the line size.
+	// BlockSize is the line size: a power of two, at least 4.
 	BlockSize uint64
 	// Assoc is the number of ways per set. Size/(BlockSize*Assoc) sets
 	// must come out a power of two... (not required; any positive count
@@ -95,6 +95,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cache %s: zero size", c.Name)
 	case c.BlockSize == 0 || c.BlockSize&(c.BlockSize-1) != 0:
 		return fmt.Errorf("cache %s: block size %d not a power of two", c.Name, c.BlockSize)
+	case c.BlockSize < 1<<tagShift:
+		// The tag word keeps two state bits below the block address.
+		return fmt.Errorf("cache %s: block size %d below %d bytes", c.Name, c.BlockSize, 1<<tagShift)
 	case c.Size%c.BlockSize != 0:
 		return fmt.Errorf("cache %s: size %d not a multiple of block size %d", c.Name, c.Size, c.BlockSize)
 	case c.Assoc <= 0:

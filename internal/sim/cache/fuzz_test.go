@@ -47,6 +47,8 @@ func FuzzCacheConfigValidate(f *testing.F) {
 	f.Add("x", uint64(1), uint64(3), 1, 1, 1, 1, 1, 0, 0, false, uint8(2))
 	f.Add("tiny", uint64(64), uint64(64), 1, 1, 1, 1, 1, 1, 1, true, uint8(0))
 	f.Add("big", uint64(1<<62), uint64(1<<32), 2, 1, 1, 1, 1, 0, 0, true, uint8(0))
+	f.Add("b2", uint64(64), uint64(2), 2, 1, 1, 1, 1, 0, 0, true, uint8(2))  // rejected: the tag word needs BlockSize >= 4
+	f.Add("b4", uint64(84), uint64(4), 3, 1, 1, 1, 1, 0, 0, false, uint8(1)) // 7 sets of 3 ways
 
 	f.Fuzz(func(t *testing.T, name string, size, blockSize uint64,
 		assoc, hitLat, ports, banks, mshrs, mshrTargets, inputQueue int,
@@ -100,6 +102,34 @@ func FuzzCacheConfigValidate(f *testing.F) {
 		}
 		if completed != accepted {
 			t.Fatalf("completed %d of %d accepted accesses: %+v", completed, accepted, cfg)
+		}
+
+		// The tag word must hold any block of the 64-bit address space:
+		// a block filled through the functional path is present, and its
+		// partners in the top address bits, unless filled too, are not (a
+		// tag that dropped those bits would alias them).
+		if cfg.Sets()*uint64(cfg.Assoc) > 4096 {
+			return
+		}
+		w := New(cfg)
+		filled := map[uint64]bool{}
+		x := size ^ blockSize<<32 ^ uint64(assoc)<<48
+		for i := uint64(0); i < 256; i++ {
+			x += 0x9e3779b97f4a7c15 // splitmix64 step
+			addr := x ^ x>>31
+			if i < 4 {
+				addr = [...]uint64{^uint64(0), 1 << 63, 1<<62 - 1, 1 << 62}[i]
+			}
+			w.WarmAccess(i, addr, i%3 == 0)
+			filled[addr/blockSize] = true
+			if !w.Contains(addr) {
+				t.Fatalf("block of %#x absent right after its fill: %+v", addr, cfg)
+			}
+			for _, alias := range [...]uint64{addr ^ 1<<63, addr ^ 1<<62, addr ^ 3<<62} {
+				if !filled[alias/blockSize] && w.Contains(alias) {
+					t.Fatalf("%#x never filled but present after filling %#x: %+v", alias, addr, cfg)
+				}
+			}
 		}
 	})
 }

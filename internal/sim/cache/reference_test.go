@@ -39,16 +39,15 @@ func (c *refCache) Tick(cycle uint64) {
 }
 
 func (c *refCache) install(m *mshrEntry) {
-	set := c.sets[c.setIndex(m.block)]
-	victim := c.victim(set)
-	if set[victim].valid {
+	v := c.victim(c.set(m.block))
+	if v.tag&validBit != 0 {
 		c.st.Evictions++
-		if set[victim].dirty {
+		if v.tag&dirtyBit != 0 {
 			c.st.Writebacks++
-			c.wbQ = append(c.wbQ, set[victim].tag)
+			c.wbQ = append(c.wbQ, v.block())
 		}
 	}
-	set[victim] = line{tag: m.block, valid: true, dirty: m.write, used: c.now}
+	*v = line{tag: tagWord(m.block, m.write), used: c.now}
 	for _, t := range m.targets {
 		c.an.Done(t.rec, c.now)
 		c.st.Misses++

@@ -54,12 +54,9 @@ func (c *Cache) WarmFetch(stamp uint64, src int, block uint64, write bool) {
 func (c *Cache) WarmWriteback(stamp uint64, src int, block uint64) {
 	_ = src
 	c.now = stamp
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
-			set[i].dirty = true
-			return
-		}
+	if l := c.find(block); l != nil {
+		l.tag |= dirtyBit
+		return
 	}
 	if c.warmLower != nil {
 		c.warmLower.WarmWriteback(stamp, c.cfg.SrcID, block)
@@ -72,16 +69,15 @@ func (c *Cache) warmFill(stamp uint64, blk uint64, write bool) {
 	if c.warmLower != nil {
 		c.warmLower.WarmFetch(stamp, c.cfg.SrcID, blk, write)
 	}
-	set := c.sets[c.setIndex(blk)]
-	v := c.victim(set)
-	if set[v].valid {
-		if set[v].dirty {
+	v := c.victim(c.set(blk))
+	if v.tag&validBit != 0 {
+		if v.tag&dirtyBit != 0 {
 			if c.warmLower != nil {
-				c.warmLower.WarmWriteback(stamp, c.cfg.SrcID, set[v].tag)
+				c.warmLower.WarmWriteback(stamp, c.cfg.SrcID, v.block())
 			}
 		} else if c.cleanLower != nil {
-			c.cleanLower.EvictClean(c.cfg.SrcID, set[v].tag)
+			c.cleanLower.EvictClean(c.cfg.SrcID, v.block())
 		}
 	}
-	set[v] = line{tag: blk, valid: true, dirty: write, used: c.now}
+	*v = line{tag: tagWord(blk, write), used: c.now}
 }

@@ -258,3 +258,26 @@ func TestAggregateL1SumsCores(t *testing.T) {
 		t.Fatal("aggregate does not sum per-core completions")
 	}
 }
+
+// chipSink keeps BenchmarkChipNew's chips live.
+var chipSink *Chip
+
+// BenchmarkChipNew measures building a chip, in B/op: the tag store of
+// the 8 MB NUCA L2 is nearly all of it.
+func BenchmarkChipNew(b *testing.B) {
+	gen := trace.NewSynthetic(trace.MustProfile("401.bzip2"))
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"NUCASingle", NUCASingle(gen, 32*KB)},
+		{"NUCA16", NUCA16([]trace.Generator{gen})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				chipSink = New(bc.cfg)
+			}
+		})
+	}
+}
