@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFabricFrameDecode -fuzztime 15s -run '^$$' ./internal/fabric
 	$(GO) test -fuzz FuzzSamplerTables -fuzztime 15s -run '^$$' ./internal/stats
 	$(GO) test -fuzz FuzzReplayJournal -fuzztime 15s -run '^$$' ./internal/resilience/fleet
+	$(GO) test -fuzz FuzzDecodeReport -fuzztime 15s -run '^$$' .
 
 # Sweep-fabric suite: the in-process coordinator/worker harness and the
 # sharded-vs-serial determinism properties under the race detector, plus
@@ -99,9 +100,10 @@ chaos:
 chaos-net:
 	$(GO) test -race -count=1 -run '^TestChaosFabric' ./internal/fabric
 
-# Regenerate the golden files after an intentional model/simulator change.
+# Regenerate the golden files (the JSON payloads and the lpmreport and
+# lpmexplore text) after an intentional model/simulator change.
 golden:
-	$(GO) test -run Golden -update .
+	$(GO) test -run Golden -update . ./cmd/lpmreport ./cmd/lpmexplore
 
 # Golden-report regression gate: rebuild the pinned fig1+interval report
 # fresh and structurally diff it against the checked-in golden with

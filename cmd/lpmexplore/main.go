@@ -80,9 +80,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	g := core.FineGrain
-	if *grain == "coarse" {
+	var g core.Grain
+	switch *grain {
+	case "fine":
+		g = core.FineGrain
+	case "coarse":
 		g = core.CoarseGrain
+	default:
+		return fmt.Errorf("unknown grain %q (valid: fine, coarse)", *grain)
 	}
 	startPt, ok := explore.TableConfigs()[*start]
 	if !ok {
@@ -118,12 +123,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	res, final, runErr := tgt.RunAlgorithmCtx(ctx, core.AlgorithmConfig{Grain: g, SlackFrac: 0.5, MaxSteps: *maxSteps})
 
+	rep := lpm.NewExploreReport(*workload, g.String(), *start, tgt, res, final)
+	if runErr != nil {
+		rep.Partial = true
+		rep.Error = runErr.Error()
+	}
 	if *jsonOut {
-		rep := lpm.NewExploreReport(*workload, g.String(), *start, tgt, res, final)
-		if runErr != nil {
-			rep.Partial = true
-			rep.Error = runErr.Error()
-		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
@@ -132,29 +137,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return runErr
 	}
 
-	for i, st := range res.Steps {
+	for i, st := range rep.Steps {
 		t2 := "-"
 		if st.T2Valid {
 			t2 = fmt.Sprintf("%.3f", st.T2)
 		}
 		pr.Printf("step %2d  case %-26s LPMR1=%.3f LPMR2=%.3f  T1=%.3f T2=%s  stall=%.4f\n",
-			i+1, st.Case, st.Before.LPMR1(), st.Before.LPMR2(), st.T1, t2, st.Before.MeasuredStall)
+			i+1, st.Case, st.LPMR[0], st.LPMR[1], st.T1, t2, st.Stall)
 	}
-	if runErr != nil {
-		pr.Println()
-		pr.Printf("interrupted after %d steps (%d simulations): %v\n",
-			len(res.Steps), tgt.Evaluations(), runErr)
+	pr.Println()
+	if rep.Partial {
+		pr.Printf("interrupted after %d steps (%d simulations): %s\n", len(rep.Steps), rep.Evaluations, rep.Error)
 		if err := pr.Err(); err != nil {
 			return err
 		}
 		return runErr
 	}
-	pr.Println()
-	pr.Printf("final configuration: %s  (cost %.0f)\n", final, final.Cost())
+	pr.Printf("final configuration: %s  (cost %.0f)\n", rep.FinalPoint, rep.FinalCost)
 	pr.Printf("final: %s  stall=%.4f (%.2f%% of CPIexe)\n",
-		res.Final, res.Final.MeasuredStall, 100*res.Final.MeasuredStall/res.Final.CPIexe)
+		rep.Final, rep.Final.MeasuredStall, 100*rep.Final.MeasuredStall/rep.Final.CPIexe)
 	pr.Printf("converged=%v metTarget=%v  simulations=%d (%.4f%% of the space)\n",
-		res.Converged, res.MetTarget, tgt.Evaluations(),
-		100*float64(tgt.Evaluations())/float64(space.Size()))
+		rep.Converged, rep.MetTarget, rep.Evaluations, 100*float64(rep.Evaluations)/float64(rep.SpaceSize))
 	return pr.Err()
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,5 +66,36 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-workload", "no.such"}, &out, &errb); err == nil {
 		t.Fatal("unknown workload did not error")
+	}
+	err := run(context.Background(), []string{"-grain", "Coarse"}, &out, &errb)
+	if err == nil || !strings.Contains(err.Error(), "fine") || !strings.Contains(err.Error(), "coarse") {
+		t.Fatalf("-grain Coarse: err = %v, want an error naming fine and coarse", err)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/explore.txt")
+
+// TestGoldenExploreText pins a short coarse-grain walk's text byte for
+// byte; `go test -run Golden -update` rewrites it after an intentional
+// change.
+func TestGoldenExploreText(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-warmup", "20000", "-window", "5000", "-maxsteps", "6", "-grain", "coarse", "-start", "C"}
+	if err := run(context.Background(), args, &out, &errb); err != nil {
+		t.Fatalf("run: %v\n%s", err, errb.String())
+	}
+	path := filepath.Join("testdata", "explore.txt")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("text drifted from %s (rerun with -update if intentional):\n%s", path, out.String())
 	}
 }

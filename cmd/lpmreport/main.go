@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"lpm"
@@ -51,7 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		jsonOut   = fset.Bool("json", false, "emit a versioned lpm-report/v2 JSON document on stdout")
 		observe   = fset.Bool("observe", false, "attach per-layer metrics snapshots to Table I rows (JSON output)")
 		intervalN = fset.Int("interval-samples", 0, "interval study Monte Carlo sample count (0 = default)")
-		ckpt      = fset.String("checkpoint", "", "persist simulation results to this file after every experiment (JSON mode; atomic rewrite)")
+		ckpt      = fset.String("checkpoint", "", "persist simulation results to this file after every experiment (atomic rewrite)")
 		resume    = fset.String("resume", "", "seed the simulation cache from this checkpoint before running (missing file = cold start; implies -checkpoint)")
 		pprofCfg  = fset.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
@@ -72,117 +73,87 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		scale = lpm.QuickScale()
 	}
 	scale.WarmupFast = *warmFast
-
-	if *jsonOut {
-		return runJSON(ctx, *experiment, scale, *observe, *intervalN, *ckpt, *resume, stdout, stderr)
+	opts := lpm.ReportOptions{Scale: scale, Observe: *observe, IntervalSamples: *intervalN}
+	key := fmt.Sprintf("lpmreport|%+v|obs=%v|samples=%d", scale, *observe, *intervalN)
+	ckptPath, err := lpm.ResumeMemoCheckpoint(*ckpt, *resume, key, stderr)
+	if err != nil {
+		return err
 	}
 
-	selected := map[string]bool{}
-	for _, name := range strings.Split(*experiment, ",") {
-		selected[strings.TrimSpace(name)] = true
+	names := strings.Split(*experiment, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
 	}
-
 	p := cliutil.NewPrinter(stdout)
-	var failed error
-	runExp := func(name string, f func() error) {
-		if failed != nil || (!selected["all"] && !selected[name]) {
-			return
-		}
-		p.Printf("==== %s ====\n", name)
-		if err := f(); err != nil {
-			failed = fmt.Errorf("%s: %w", name, err)
-			return
-		}
-		p.Println()
+	var done func(lpm.ExperimentReport) error
+	if !*jsonOut {
+		done = func(er lpm.ExperimentReport) error { return render(p, names, er) }
 	}
-
-	runExp("fig1", func() error { return fig1(p) })
-	runExp("table1", func() error { return table1(ctx, p, scale) })
-	runExp("casestudy1", func() error { return caseStudy1(ctx, p, scale) })
-	runExp("fig6", func() error { return fig67(ctx, p, scale, true) })
-	runExp("fig7", func() error { return fig67(ctx, p, scale, false) })
-	runExp("fig8", func() error { return fig8(ctx, p, scale) })
-	runExp("interval", func() error { return intervalStudy(ctx, p) })
-	runExp("identities", func() error { return identities(ctx, p, scale) })
-	runExp("timeline", func() error { return timeline(ctx, p, scale) })
-	if failed != nil {
-		return failed
+	rep, err := buildReport(ctx, opts, experiments(names, !*jsonOut), ckptPath, key, stderr, done)
+	if err != nil {
+		return err
+	}
+	if *jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
+			return err
+		}
+	}
+	if rep != nil && rep.Partial {
+		return fmt.Errorf("interrupted: completed %v, aborted %v", rep.Completed, rep.Aborted)
 	}
 	return p.Err()
 }
 
-// runJSON emits the machine-readable report. The text report's fig6 and
-// fig7 views share one profiling table, so both keys select the fig67
-// experiment here. With a checkpoint path, the experiments run one at a
-// time and the memo caches are persisted after each, so a killed run
-// resumes without redoing finished experiments' simulations; the merged
-// document is identical to a single uncheckpointed run.
-func runJSON(ctx context.Context, experiment string, scale lpm.Scale, observe bool, intervalN int, ckpt, resume string, stdout, stderr io.Writer) error {
-	var want []string
-	seen := map[string]bool{}
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			want = append(want, name)
-		}
-	}
-	for _, name := range strings.Split(experiment, ",") {
-		switch name = strings.TrimSpace(name); name {
-		case "all":
-			want = nil
-			seen = nil
-		case "fig6", "fig7":
-			add("fig67")
-		default:
-			add(name)
-		}
-		if seen == nil {
-			break
-		}
-	}
-	opts := lpm.ReportOptions{
-		Scale:           scale,
-		Experiments:     want,
-		Observe:         observe,
-		IntervalSamples: intervalN,
-	}
-
-	key := fmt.Sprintf("lpmreport|%+v|obs=%v|samples=%d", scale, observe, intervalN)
-	ckptPath, err := lpm.ResumeMemoCheckpoint(ckpt, resume, key, stderr)
-	if err != nil {
-		return err
-	}
-
-	var rep *lpm.Report
-	if ckptPath == "" {
-		rep, err = lpm.BuildReportCtx(ctx, opts)
-	} else {
-		rep, err = buildCheckpointed(ctx, opts, ckptPath, key, stderr)
-	}
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if rep.Partial {
-		return fmt.Errorf("interrupted: completed %v, aborted %v", rep.Completed, rep.Aborted)
-	}
-	return nil
+// views are the text report's sections in print order, each naming the
+// report experiment it renders; fig6 and fig7 are two views of the one
+// fig67 profiling table.
+var views = []struct{ name, exp string }{
+	{"fig1", "fig1"}, {"table1", "table1"}, {"casestudy1", "casestudy1"},
+	{"fig6", "fig67"}, {"fig7", "fig67"}, {"fig8", "fig8"},
+	{"interval", "interval"}, {"identities", "identities"}, {"timeline", "timeline"},
 }
 
-// buildCheckpointed runs the report one experiment at a time, saving the
-// memo caches after each, and merges the per-experiment documents into
-// one. Because every payload is a pure function of (scale, options) via
-// the memoised simulations, the merged document matches what a single
-// BuildReportCtx call would have produced.
-func buildCheckpointed(ctx context.Context, opts lpm.ReportOptions, path, key string, stderr io.Writer) (*lpm.Report, error) {
-	want := opts.Experiments
-	if len(want) == 0 {
-		want = lpm.ReportExperiments()
+// experiments resolves the -experiment names to the report experiments
+// to build; "all" selects every one. The text report prints in report
+// order and an unknown name selects nothing; the JSON document keeps
+// request order and passes an unknown name on for BuildReportCtx to
+// reject.
+func experiments(names []string, text bool) []string {
+	if slices.Contains(names, "all") {
+		return lpm.ReportExperiments()
 	}
+	var want []string
+	add := func(exp string) {
+		if !slices.Contains(want, exp) {
+			want = append(want, exp)
+		}
+	}
+	if text {
+		for _, v := range views {
+			if slices.Contains(names, v.name) {
+				add(v.exp)
+			}
+		}
+		return want
+	}
+	for _, name := range names {
+		if name == "fig6" || name == "fig7" {
+			name = "fig67"
+		}
+		add(name)
+	}
+	return want
+}
+
+// buildReport runs want one experiment at a time, hands each finished
+// experiment to done (nil in JSON mode; its error stops the run), saves
+// the memo caches after each when path is set, and merges the documents.
+// Every payload is a pure function of (scale, options) via the memoised
+// simulations, so the merge matches one BuildReportCtx call over want,
+// and a killed run resumes without redoing finished experiments.
+func buildReport(ctx context.Context, opts lpm.ReportOptions, want []string, path, key string, stderr io.Writer, done func(lpm.ExperimentReport) error) (*lpm.Report, error) {
 	var rep *lpm.Report
 	for i, name := range want {
 		one := opts
@@ -196,88 +167,105 @@ func buildCheckpointed(ctx context.Context, opts lpm.ReportOptions, path, key st
 		} else {
 			rep.Experiments = append(rep.Experiments, r.Experiments...)
 		}
-		if err := lpm.SaveMemoCheckpoint(path, "lpmreport", key); err != nil {
-			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
+		if path != "" {
+			if err := lpm.SaveMemoCheckpoint(path, "lpmreport", key); err != nil {
+				fmt.Fprintf(stderr, "checkpoint: %v\n", err)
+			}
 		}
 		if r.Partial {
 			rep.Partial = true
-			rep.Completed = append([]string(nil), want[:i]...)
-			rep.Completed = append(rep.Completed, r.Completed...)
+			rep.Completed = append(want[:i:i], r.Completed...)
 			rep.Aborted = append(r.Aborted, want[i+1:]...)
 			break
+		}
+		if done != nil {
+			if err := done(r.Experiments[0]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return rep, nil
 }
 
-func fig1(p *cliutil.Printer) error {
-	pt := lpm.Fig1()
-	ref := lpm.Fig1Reference()
-	p.Println("Fig. 1 worked example (paper vs measured):")
-	p.Printf("  C-AMAT  %.3f  vs  %.3f\n", ref.CAMAT, pt.CAMAT())
-	p.Printf("  AMAT    %.3f  vs  %.3f\n", ref.AMAT, pt.AMAT())
-	p.Printf("  C_H     %.3f  vs  %.3f\n", ref.CH, pt.CH())
-	p.Printf("  C_M     %.3f  vs  %.3f\n", ref.CM, pt.CM())
-	p.Printf("  pAMP    %.3f  vs  %.3f\n", ref.PAMP, pt.PAMP())
-	p.Printf("  pMR     %.3f  vs  %.3f\n", ref.PMR, pt.PMR())
-	p.Printf("  1/APC = %.3f (Eq. 3 check)\n", 1/pt.APC())
+// render prints the selected text views of one finished experiment. A
+// failed experiment or cell ends its section with the error, after the
+// rows before it.
+func render(p *cliutil.Printer, names []string, er lpm.ExperimentReport) error {
+	for _, v := range views {
+		if v.exp != er.Name || !(slices.Contains(names, v.name) || slices.Contains(names, "all")) {
+			continue
+		}
+		p.Printf("==== %s ====\n", v.name)
+		if er.Err != "" {
+			return errors.New(er.Err)
+		}
+		var err error
+		switch v.name {
+		case "fig1":
+			fig1(p, er.Fig1)
+		case "table1":
+			err = table1(p, er.Table1)
+		case "casestudy1":
+			caseStudy1(p, er.CaseStudy1)
+		case "fig6", "fig7":
+			fig67(p, er.Fig67, v.name == "fig6")
+		case "fig8":
+			fig8(p, er.Fig8)
+		case "interval":
+			intervalStudy(p, er.Interval)
+		case "identities":
+			err = identities(p, er.Identities)
+		case "timeline":
+			err = timeline(p, er.Timeline)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", v.name, err)
+		}
+		p.Println()
+	}
 	return p.Err()
 }
 
-// cellErr turns a failed cell (cancelled or livelocked evaluation) into
-// the experiment's error; healthy cells return nil.
-func cellErr(name, msg string) error {
-	if msg == "" {
-		return nil
-	}
-	return fmt.Errorf("%s: %s", name, msg)
+func fig1(p *cliutil.Printer, f *lpm.Fig1JSON) {
+	ref, m := f.Paper, f.Measured
+	p.Println("Fig. 1 worked example (paper vs measured):")
+	p.Printf("  C-AMAT  %.3f  vs  %.3f\n", ref.CAMAT, m.CAMAT)
+	p.Printf("  AMAT    %.3f  vs  %.3f\n", ref.AMAT, m.AMAT)
+	p.Printf("  C_H     %.3f  vs  %.3f\n", ref.CH, m.CH)
+	p.Printf("  C_M     %.3f  vs  %.3f\n", ref.CM, m.CM)
+	p.Printf("  pAMP    %.3f  vs  %.3f\n", ref.PAMP, m.PAMP)
+	p.Printf("  pMR     %.3f  vs  %.3f\n", ref.PMR, m.PMR)
+	p.Printf("  1/APC = %.3f (Eq. 3 check)\n", f.InvAPC)
 }
 
-func table1(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
+func table1(p *cliutil.Printer, rows []lpm.Table1JSON) error {
 	p.Println("Table I — LPMRs under configurations with incremental parallelism (410.bwaves-like):")
 	p.Printf("%-4s %-48s %-24s %-24s %s\n", "cfg", "point", "paper LPMR1/2/3", "measured LPMR1/2/3", "stall% of CPIexe")
-	for _, r := range lpm.Table1Ctx(ctx, s, false) {
-		if err := cellErr(r.Name, r.Err); err != nil {
-			return err
+	for _, r := range rows {
+		if r.Err != "" {
+			return fmt.Errorf("%s: %s", r.Name, r.Err)
 		}
 		p.Printf("%-4s %-48s %4.1f / %4.1f / %4.1f       %5.2f / %5.2f / %5.2f     %5.1f%%\n",
-			r.Name, r.Point,
-			r.PaperLPMR[0], r.PaperLPMR[1], r.PaperLPMR[2],
-			r.M.LPMR1(), r.M.LPMR2(), r.M.LPMR3(),
-			100*r.M.MeasuredStall/r.M.CPIexe)
+			r.Name, r.Point, r.PaperLPMR[0], r.PaperLPMR[1], r.PaperLPMR[2],
+			r.LPMR[0], r.LPMR[1], r.LPMR[2], 100*r.StallMeasured/r.CPIexe)
 	}
-	return p.Err()
+	return nil
 }
 
-func caseStudy1(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
-	for _, g := range []lpm.Grain{lpm.CoarseGrain, lpm.FineGrain} {
-		res, err := lpm.CaseStudyICtx(ctx, g, s)
-		if err != nil {
-			return fmt.Errorf("%s: %w", g, err)
-		}
+func caseStudy1(p *cliutil.Printer, rows []lpm.CaseStudyJSON) {
+	for _, c := range rows {
 		p.Printf("case study I, %s: steps=%d simulations=%d of %d (%.4f%%)\n",
-			g, len(res.Algorithm.Steps), res.Evaluations, res.SpaceSize,
-			100*float64(res.Evaluations)/float64(res.SpaceSize))
-		p.Printf("  final point: %s (cost %.0f)\n", res.Final, res.Final.Cost())
+			c.Grain, c.Steps, c.Evaluations, c.SpaceSize, 100*float64(c.Evaluations)/float64(c.SpaceSize))
+		p.Printf("  final point: %s (cost %.0f)\n", c.FinalPoint, c.FinalCost)
 		p.Printf("  final LPMR1=%.3f stall=%.4f (%.2f%% of CPIexe) converged=%v met=%v\n",
-			res.Algorithm.Final.LPMR1(), res.Algorithm.Final.MeasuredStall,
-			100*res.Algorithm.Final.MeasuredStall/res.Algorithm.Final.CPIexe,
-			res.Algorithm.Converged, res.Algorithm.MetTarget)
+			c.FinalLPMR1, c.FinalStall, 100*c.FinalStall/c.FinalCPIexe, c.Converged, c.MetTarget)
 	}
-	return p.Err()
 }
 
-func fig67(ctx context.Context, p *cliutil.Printer, s lpm.Scale, apc1 bool) error {
-	res, err := lpm.Fig67Ctx(ctx, s)
-	if err != nil {
-		return err
-	}
-	t := res.Table
-	which := "APC1 (Fig. 6: L1 supply rate)"
-	data := t.APC1
+func fig67(p *cliutil.Printer, t *lpm.Fig67JSON, apc1 bool) {
+	which, data := "APC1 (Fig. 6: L1 supply rate)", t.APC1
 	if !apc1 {
-		which = "APC2 (Fig. 7: L2 demand)"
-		data = t.APC2
+		which, data = "APC2 (Fig. 7: L2 demand)", t.APC2
 	}
 	p.Printf("%s per private L1 data cache size:\n", which)
 	p.Printf("%-16s", "workload")
@@ -292,64 +280,47 @@ func fig67(ctx context.Context, p *cliutil.Printer, s lpm.Scale, apc1 bool) erro
 		}
 		p.Println()
 	}
-	return p.Err()
 }
 
-func fig8(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
-	rows, err := lpm.Fig8Ctx(ctx, s)
-	if err != nil {
-		return err
-	}
+func fig8(p *cliutil.Printer, rows []lpm.Fig8Row) {
 	p.Println("Fig. 8 — Hsp of scheduling schemes on the NUCA 16-core CMP (paper vs measured):")
 	for _, r := range rows {
 		p.Printf("  %-12s %.4f  vs  %.4f\n", r.Scheduler, r.PaperHsp, r.Hsp)
 	}
-	return p.Err()
 }
 
-func intervalStudy(ctx context.Context, p *cliutil.Printer) error {
-	rows, err := lpm.IntervalStudy(ctx, 0)
-	if err != nil {
-		return err
-	}
+func intervalStudy(p *cliutil.Printer, rows []lpm.IntervalRow) {
 	p.Println("Interval study — burst patterns perceived and processed timely (paper vs analytic vs simulated):")
 	for _, r := range rows {
 		p.Printf("  %-16s %.2f  vs  %.4f  vs  %.4f\n", r.Scenario, r.Paper, r.Analytic, r.Simulated)
 	}
-	return p.Err()
 }
 
-func timeline(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
+func timeline(p *cliutil.Printer, rows []lpm.TimelineJSON) error {
 	p.Println("Timeline — windowed LPMR1 over the measurement interval (410.bwaves-like):")
-	for _, r := range lpm.TimelineStudyCtx(ctx, s) {
-		if err := cellErr(r.Name, r.Err); err != nil {
-			return err
+	for _, r := range rows {
+		if r.Err != "" {
+			return fmt.Errorf("%s: %s", r.Name, r.Err)
 		}
-		ser := r.M.Timeline
-		if ser == nil || len(ser.Windows) == 0 {
+		if r.Series == nil || len(r.Series.Windows) == 0 {
 			p.Printf("  %-4s (no windows)\n", r.Name)
 			continue
 		}
-		lpmr1 := ser.LPMR1Series()
-		lo, hi := lpmr1[0], lpmr1[0]
-		for _, v := range lpmr1 {
-			lo = min(lo, v)
-			hi = max(hi, v)
-		}
+		lpmr1 := r.Series.LPMR1Series()
 		p.Printf("  cfg %-4s windows=%-4d width=%-6d LPMR1 min=%.2f max=%.2f (mean %.2f)\n",
-			r.Name, len(ser.Windows), ser.Width, lo, hi, r.M.LPMR1())
+			r.Name, len(r.Series.Windows), r.Series.Width, slices.Min(lpmr1), slices.Max(lpmr1), r.LPMR1)
 	}
-	return p.Err()
+	return nil
 }
 
-func identities(ctx context.Context, p *cliutil.Printer, s lpm.Scale) error {
+func identities(p *cliutil.Printer, rows []lpm.IdentityReport) error {
 	p.Println("Model identities on live simulations:")
-	for _, r := range lpm.IdentitiesCtx(ctx, s) {
-		if err := cellErr(r.Workload, r.Err); err != nil {
-			return err
+	for _, r := range rows {
+		if r.Err != "" {
+			return fmt.Errorf("%s: %s", r.Workload, r.Err)
 		}
 		p.Printf("  %-14s |C-AMAT-1/APC|=%.2g  Eq4 rel.err=%.1f%%  stall model=%.4f measured=%.4f\n",
 			r.Workload, r.CAMATvsInvAPC, 100*r.RecursionRelErr, r.StallModel, r.StallMeasured)
 	}
-	return p.Err()
+	return nil
 }

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -84,5 +88,107 @@ func TestRunErrors(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "====") {
 		t.Fatalf("unknown experiment ran something:\n%s", out.String())
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.txt")
+
+// TestGoldenQuickText pins the whole -quick text report byte for byte;
+// `go test -run Golden -update` rewrites it after an intentional change.
+func TestGoldenQuickText(t *testing.T) {
+	var out, errb bytes.Buffer
+	if err := run(context.Background(), []string{"-quick"}, &out, &errb); err != nil {
+		t.Fatalf("run: %v\n%s", err, errb.String())
+	}
+	path := filepath.Join("testdata", "quick.txt")
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("text report drifted from %s (rerun with -update if intentional):\n%s", path, out.String())
+	}
+}
+
+// The text report renders the JSON document's interval payload, so the
+// sample count reaches it as it reaches -json.
+func TestRunTextIntervalSamples(t *testing.T) {
+	args := []string{"-experiment", "interval", "-interval-samples", "5000"}
+	var text, doc, errb bytes.Buffer
+	if err := run(context.Background(), args, &text, &errb); err != nil {
+		t.Fatalf("text run: %v\n%s", err, errb.String())
+	}
+	if err := run(context.Background(), append(args, "-json"), &doc, &errb); err != nil {
+		t.Fatalf("json run: %v\n%s", err, errb.String())
+	}
+	rep, err := lpm.DecodeReport(doc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Experiments) != 1 || len(rep.Experiments[0].Interval) == 0 {
+		t.Fatalf("experiments = %+v", rep.Experiments)
+	}
+	for _, r := range rep.Experiments[0].Interval {
+		if want := fmt.Sprintf("vs  %.4f\n", r.Simulated); !strings.Contains(text.String(), want) {
+			t.Fatalf("%s: text lacks the 5000-sample value %q:\n%s", r.Scenario, want, text.String())
+		}
+	}
+}
+
+// cancelWriter cancels the run's context on its first write, as a SIGINT
+// arriving while the first section prints would.
+type cancelWriter struct {
+	bytes.Buffer
+	cancel context.CancelFunc
+}
+
+func (w *cancelWriter) Write(b []byte) (int, error) {
+	w.cancel()
+	return w.Buffer.Write(b)
+}
+
+func TestRunTextInterrupted(t *testing.T) {
+	var fig1, errb bytes.Buffer
+	if err := run(context.Background(), []string{"-quick", "-experiment", "fig1"}, &fig1, &errb); err != nil {
+		t.Fatalf("fig1 run: %v\n%s", err, errb.String())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &cancelWriter{cancel: cancel}
+	err := run(ctx, []string{"-quick", "-experiment", "fig1,table1"}, w, &errb)
+	if want := "interrupted: completed [fig1], aborted [table1]"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if !bytes.Equal(w.Bytes(), fig1.Bytes()) {
+		t.Fatalf("interrupted run printed more than the fig1 section:\n%s", w.String())
+	}
+}
+
+// The per-experiment build loop must merge into exactly the document one
+// BuildReportCtx call over the same list produces.
+func TestRunJSONMatchesSingleBuild(t *testing.T) {
+	exps := []string{"fig1", "table1", "timeline"}
+	var out, errb bytes.Buffer
+	if err := run(context.Background(), []string{"-json", "-quick", "-experiment", strings.Join(exps, ",")}, &out, &errb); err != nil {
+		t.Fatalf("run: %v\n%s", err, errb.String())
+	}
+	rep, err := lpm.BuildReportCtx(context.Background(), lpm.ReportOptions{Scale: lpm.QuickScale(), Experiments: exps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Fatalf("merged document differs from one BuildReportCtx call:\n--- cli\n%s--- single\n%s", out.String(), want.String())
 	}
 }

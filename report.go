@@ -3,9 +3,9 @@ package lpm
 // This file defines the machine-readable run output: versioned JSON
 // documents mirroring the experiment harnesses, consumed by
 // `lpmreport -json` and `lpmexplore -json` so downstream tooling can
-// diff runs. The text reports remain the human-facing view; the JSON
-// schema is the stable contract (bump the schema string on any
-// incompatible shape change).
+// diff runs. The human-facing text reports are renderings of these same
+// documents; the JSON schema is the stable contract (bump the schema
+// string on any incompatible shape change).
 
 import (
 	"context"
@@ -88,6 +88,9 @@ type TimelineJSON struct {
 	Point string `json:"point"`
 	// CPIexe is the perfect-cache CPI the per-window LPMRs divide by.
 	CPIexe float64 `json:"cpi_exe"`
+	// LPMR1 is the whole interval's LPMR1, the mean the windows vary
+	// around.
+	LPMR1 float64 `json:"lpmr1"`
 	// Series is the windowed C-AMAT/LPMR timeline with per-core stall
 	// attribution.
 	Series *timeseries.Series `json:"series"`
@@ -156,6 +159,7 @@ type CaseStudyJSON struct {
 	FinalCost   float64 `json:"final_cost"`
 	FinalLPMR1  float64 `json:"final_lpmr1"`
 	FinalStall  float64 `json:"final_stall"`
+	FinalCPIexe float64 `json:"final_cpi_exe"`
 	Converged   bool    `json:"converged"`
 	MetTarget   bool    `json:"met_target"`
 }
@@ -317,6 +321,7 @@ func buildExperiment(ctx context.Context, name string, s Scale, opts ReportOptio
 				FinalCost:   res.Final.Cost(),
 				FinalLPMR1:  res.Algorithm.Final.LPMR1(),
 				FinalStall:  res.Algorithm.Final.MeasuredStall,
+				FinalCPIexe: res.Algorithm.Final.CPIexe,
 				Converged:   res.Algorithm.Converged,
 				MetTarget:   res.Algorithm.MetTarget,
 			})
@@ -347,9 +352,9 @@ func buildExperiment(ctx context.Context, name string, s Scale, opts ReportOptio
 		er.Identities = IdentitiesCtx(ctx, s)
 	case "timeline":
 		for _, r := range TimelineStudyCtx(ctx, s) {
-			// A failed cell has a zero M: cpi_exe 0, series null.
+			// A failed cell has a zero M: cpi_exe and lpmr1 0, series null.
 			er.Timeline = append(er.Timeline, TimelineJSON{Name: r.Name, Point: r.Point.String(),
-				CPIexe: r.M.CPIexe, Series: r.M.Timeline, Err: r.Err})
+				CPIexe: r.M.CPIexe, LPMR1: r.M.LPMR1(), Series: r.M.Timeline, Err: r.Err})
 		}
 	default:
 		return er, fmt.Errorf("unknown experiment %q (valid: %v)", name, ReportExperiments())

@@ -1,7 +1,11 @@
 package lpm
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,4 +168,45 @@ func TestReportExperimentsIncludeTimeline(t *testing.T) {
 	if !strings.Contains(strings.Join(ReportExperiments(), ","), "timeline") {
 		t.Fatal("timeline missing from ReportExperiments")
 	}
+}
+
+// FuzzDecodeReport hammers the report decoder lpmdiff runs on
+// user-supplied files: arbitrary bytes either decode or return an error,
+// never panic, and an accepted document survives re-encoding — its
+// encoding decodes to a Report that re-encodes to the same bytes and
+// decodes deep-equal again. The comparison starts from the first
+// re-encoding because an input may spell an empty payload list
+// ("interval": []) that the encoder's omitempty drops: the decoded
+// Report then holds an empty slice where the re-decoded one holds nil.
+func FuzzDecodeReport(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "report_fig1_interval.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := DecodeReport(data)
+		if err != nil {
+			return
+		}
+		enc1, rep1 := reencode(t, rep)
+		enc2, rep2 := reencode(t, rep1)
+		if !bytes.Equal(enc1, enc2) || !reflect.DeepEqual(rep1, rep2) {
+			t.Fatalf("report changed across re-encoding:\n%s\n%s", enc1, enc2)
+		}
+	})
+}
+
+// reencode encodes an accepted report and decodes the encoding again.
+func reencode(t *testing.T, rep *Report) ([]byte, *Report) {
+	t.Helper()
+	enc, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("accepted report does not re-encode: %v", err)
+	}
+	again, err := DecodeReport(enc)
+	if err != nil {
+		t.Fatalf("re-encoded report rejected: %v\n%s", err, enc)
+	}
+	return enc, again
 }
