@@ -13,10 +13,12 @@
 //     cycle.
 //
 // From the raw counters the analyzer derives all C-AMAT parameters:
-// H, C_H, C_M, C_m, MR, pMR, AMP, pAMP, APC — and thus C-AMAT (Eq. 2),
-// AMAT (Eq. 1) and η (Eq. 4). The definitions are arranged so that the
-// identity C-AMAT = 1/APC (Eq. 3) holds exactly; package tests verify it
-// on the paper's worked example and by property testing.
+// H, C_H, C_M, C_m, MR, pMR, AMP, pAMP, APC — and thus C-AMAT (Eq. 2)
+// and AMAT (Eq. 1); η (Eq. 4) is core.Eta1 over these ingredients. The
+// definitions are arranged so that the identity C-AMAT = 1/APC (Eq. 3)
+// holds exactly; package tests verify it on the paper's worked example
+// and by property testing. Hierarchy stacks the layers' counters into the
+// LPM request chain and derives Eqs. (9)-(11) from them.
 package analyzer
 
 // Access is the analyzer's per-access record. Obtain one from

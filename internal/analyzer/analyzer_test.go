@@ -78,23 +78,38 @@ func TestFig1GoldenExample(t *testing.T) {
 
 func TestFig1EtaValue(t *testing.T) {
 	p := driveFig1()
-	// η = (pAMP/AMP) * (Cm/CM). Cm = 4 miss access-cycles / 3 miss-active
+	// η = (pAMP/AMP) * (Cm/CM) = (2/2) * ((4/3)/1) is core.Eta1 over
+	// these four ingredients; Cm = 4 miss access-cycles / 3 miss-active
 	// cycles.
-	want := (2.0 / 2.0) * ((4.0 / 3.0) / 1.0)
-	if math.Abs(p.Eta()-want) > 1e-12 {
-		t.Fatalf("eta = %v, want %v", p.Eta(), want)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"pAMP", p.PAMP(), 2},
+		{"AMP", p.AMP(), 2},
+		{"Cm", p.Cm(), 4.0 / 3.0},
+		{"CM", p.CM(), 1},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12 {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 
 func TestEmptyParamsAreZeroNotNaN(t *testing.T) {
 	var p Params
+	var h Hierarchy
 	for name, v := range map[string]float64{
 		"H": p.H(), "CH": p.CH(), "CM": p.CM(), "Cm": p.Cm(),
 		"MR": p.MR(), "pMR": p.PMR(), "AMP": p.AMP(), "pAMP": p.PAMP(),
-		"APC": p.APC(), "CAMAT": p.CAMAT(), "AMAT": p.AMAT(), "Eta": p.Eta(),
+		"APC": p.APC(), "CAMAT": p.CAMAT(), "AMAT": p.AMAT(),
+		"Hierarchy.Fmem": h.Fmem(), "Hierarchy.MR(0)": h.MR(0),
+		"Hierarchy.MemCAMAT": h.MemCAMAT(),
+		"LPMR(cpiExe=0)":     LPMR(h.MemCAMAT(), h.Fmem(), 0, h.MR(0), h.MR(1)),
+		"LPMR(cpiExe=1)":     LPMR(h.MemCAMAT(), h.Fmem(), 1, h.MR(0), h.MR(1)),
 	} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("%s = %v on empty params", name, v)
+		if v != 0 { // also catches NaN and ±Inf
+			t.Errorf("%s = %v on empty counters, want 0", name, v)
 		}
 	}
 }

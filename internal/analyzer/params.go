@@ -89,16 +89,6 @@ func (p Params) CAMAT() float64 {
 // AMAT evaluates Eq. (1): H + MR * AMP, ignoring all concurrency.
 func (p Params) AMAT() float64 { return p.H() + p.MR()*p.AMP() }
 
-// Eta is the concurrency/locality trimming factor η of Eq. (4):
-// (pAMP/AMP) * (C_m/C_M). It is 0 when the layer has no misses.
-func (p Params) Eta() float64 {
-	amp, cm := p.AMP(), p.CM()
-	if amp == 0 || cm == 0 {
-		return 0
-	}
-	return (p.PAMP() / amp) * (p.Cm() / cm)
-}
-
 // String renders the principal parameters for reports.
 func (p Params) String() string {
 	return fmt.Sprintf(
@@ -146,4 +136,57 @@ func (p Params) Add(q Params) Params {
 		PureAccessCycles: p.PureAccessCycles + q.PureAccessCycles,
 		MissPenaltySum:   p.MissPenaltySum + q.MissPenaltySum,
 	}
+}
+
+// Level is one cache layer of a Hierarchy: its counters plus its primary
+// misses (MSHR allocations), the misses that reach the next layer.
+type Level struct {
+	Params
+	Primary uint64
+}
+
+// Hierarchy is one interval's counters along the LPM request chain, the
+// one place f_mem, the primary-miss MRs and memory's 1/APC_3 are derived
+// (DESIGN.md §6 note 1). Levels runs L1 (private L1s summed), L2, then
+// the optional L3; MemServed counts memory reads plus writes.
+type Hierarchy struct {
+	Instructions, MemInstructions uint64
+	Levels                        []Level
+	MemServed, MemActiveCycles    uint64
+}
+
+// Fmem is the fraction of instructions that access memory.
+func (h Hierarchy) Fmem() float64 { return ratio(h.MemInstructions, h.Instructions) }
+
+// MR is level i's request rate, primary misses per completed access (0
+// past the last level). Coalesced misses never reach level i+1, so the
+// conventional miss rate would overstate its demand.
+func (h Hierarchy) MR(i int) float64 {
+	if i >= len(h.Levels) {
+		return 0
+	}
+	return ratio(h.Levels[i].Primary, h.Levels[i].Completed)
+}
+
+// MemCAMAT is main memory's C-AMAT, 1/APC_3 (Eq. 3), or 0 when idle.
+func (h Hierarchy) MemCAMAT() float64 {
+	if apc := ratio(h.MemServed, h.MemActiveCycles); apc > 0 {
+		return 1 / apc
+	}
+	return 0
+}
+
+// LPMR evaluates Eqs. (9)-(11), C-AMAT · f_mem · MR_1 ··· MR_k / CPI_exe,
+// where mrs are the request rates of the layers above. It multiplies
+// left to right and divides last, so every caller gets the same bits,
+// and is 0 without a positive CPI_exe.
+func LPMR(camat, fmem, cpiExe float64, mrs ...float64) float64 {
+	if cpiExe <= 0 {
+		return 0
+	}
+	v := camat * fmem
+	for _, mr := range mrs {
+		v *= mr
+	}
+	return v / cpiExe
 }

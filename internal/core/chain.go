@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"lpm/internal/analyzer"
+)
 
 // This file generalises the three-layer LPM formulation to an arbitrary
 // hierarchy depth — the paper notes that "the extension to additional
@@ -54,15 +58,18 @@ func (c Chain) Validate() error {
 // paper's LPMR1), generalising Eqs. (9)-(11):
 //
 //	LPMR_{i+1} = C-AMAT_{i+1} · f_mem · MR_1 ··· MR_i / CPI_exe
+//
+// It is analyzer.LPMR over the layers above i, so LPMR(k) equals the
+// Measurement's LPMR(k+1) bit for bit on the same inputs.
 func (c Chain) LPMR(i int) float64 {
-	if i < 0 || i >= len(c.Layers) || c.CPIexe <= 0 {
+	if i < 0 || i >= len(c.Layers) {
 		return 0
 	}
-	ratio := c.Layers[i].CAMAT * c.Fmem / c.CPIexe
-	for j := 0; j < i; j++ {
-		ratio *= c.Layers[j].MR
+	mrs := make([]float64, i)
+	for j := range mrs {
+		mrs[j] = c.Layers[j].MR
 	}
-	return ratio
+	return analyzer.LPMR(c.Layers[i].CAMAT, c.Fmem, c.CPIexe, mrs...)
 }
 
 // LPMRs returns every layer's matching ratio.
@@ -85,19 +92,6 @@ func (c Chain) BottleneckLayer() int {
 		}
 	}
 	return best
-}
-
-// ChainFromMeasurement lifts a three-layer Measurement into a Chain.
-func ChainFromMeasurement(m Measurement) Chain {
-	return Chain{
-		CPIexe: m.CPIexe,
-		Fmem:   m.Fmem,
-		Layers: []Layer{
-			{Name: "L1", CAMAT: m.CAMAT1, MR: m.MR1},
-			{Name: "L2", CAMAT: m.CAMAT2, MR: m.MR2},
-			{Name: "MM", CAMAT: m.CAMAT3},
-		},
-	}
 }
 
 // Sensitivity reports the partial derivative of C-AMAT (Eq. 2) with

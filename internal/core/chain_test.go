@@ -45,20 +45,30 @@ func TestChainValidate(t *testing.T) {
 	}
 }
 
+// chainFromMeasurement lifts a three-layer Measurement into a Chain.
+func chainFromMeasurement(m Measurement) Chain {
+	return Chain{
+		CPIexe: m.CPIexe,
+		Fmem:   m.Fmem,
+		Layers: []Layer{
+			{Name: "L1", CAMAT: m.CAMAT1, MR: m.MR1},
+			{Name: "L2", CAMAT: m.CAMAT2, MR: m.MR2},
+			{Name: "MM", CAMAT: m.CAMAT3},
+		},
+	}
+}
+
 func TestChainMatchesThreeLayerFormulas(t *testing.T) {
 	m := sampleMeasurement()
-	ch := ChainFromMeasurement(m)
+	ch := chainFromMeasurement(m)
 	if err := ch.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ch.LPMR(0)-m.LPMR1()) > 1e-12 {
-		t.Fatalf("LPMR(0) %v vs LPMR1 %v", ch.LPMR(0), m.LPMR1())
-	}
-	if math.Abs(ch.LPMR(1)-m.LPMR2()) > 1e-12 {
-		t.Fatalf("LPMR(1) %v vs LPMR2 %v", ch.LPMR(1), m.LPMR2())
-	}
-	if math.Abs(ch.LPMR(2)-m.LPMR3()) > 1e-12 {
-		t.Fatalf("LPMR(2) %v vs LPMR3 %v", ch.LPMR(2), m.LPMR3())
+	// One derivation (analyzer.LPMR) behind both: equal bit for bit.
+	for i, want := range []float64{m.LPMR1(), m.LPMR2(), m.LPMR3()} {
+		if got := ch.LPMR(i); got != want {
+			t.Fatalf("LPMR(%d) %v vs LPMR%d %v", i, got, i+1, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"lpm/internal/analyzer"
 	"lpm/internal/obs"
 	"lpm/internal/obs/timeseries"
 )
@@ -23,7 +24,8 @@ type Measurement struct {
 	// CAMAT1/2/3 are the layers' concurrent average access times; layer 3
 	// (main memory) is 1/APC_3.
 	CAMAT1, CAMAT2, CAMAT3 float64
-	// MR1, MR2 are conventional miss rates of L1 and L2.
+	// MR1, MR2 are L1's and L2's request rates: primary misses per
+	// access (DESIGN.md §6 note 1), as analyzer.Hierarchy.MR derives them.
 	MR1, MR2 float64
 	// PMR1 is L1's pure miss rate.
 	PMR1 float64
@@ -51,28 +53,13 @@ type Measurement struct {
 
 // LPMR1 evaluates Eq. (9): the request/supply mismatch between the
 // computing units and L1.
-func (m Measurement) LPMR1() float64 {
-	if m.CPIexe <= 0 {
-		return 0
-	}
-	return m.CAMAT1 * m.Fmem / m.CPIexe
-}
+func (m Measurement) LPMR1() float64 { return analyzer.LPMR(m.CAMAT1, m.Fmem, m.CPIexe) }
 
 // LPMR2 evaluates Eq. (10): the mismatch between L1 and the LLC.
-func (m Measurement) LPMR2() float64 {
-	if m.CPIexe <= 0 {
-		return 0
-	}
-	return m.CAMAT2 * m.Fmem * m.MR1 / m.CPIexe
-}
+func (m Measurement) LPMR2() float64 { return analyzer.LPMR(m.CAMAT2, m.Fmem, m.CPIexe, m.MR1) }
 
 // LPMR3 evaluates Eq. (11): the mismatch between the LLC and main memory.
-func (m Measurement) LPMR3() float64 {
-	if m.CPIexe <= 0 {
-		return 0
-	}
-	return m.CAMAT3 * m.Fmem * m.MR1 * m.MR2 / m.CPIexe
-}
+func (m Measurement) LPMR3() float64 { return analyzer.LPMR(m.CAMAT3, m.Fmem, m.CPIexe, m.MR1, m.MR2) }
 
 // Eta1 returns η₁ of Eq. (4) from the measured L1 parameters.
 func (m Measurement) Eta1() float64 { return Eta1(m.PAMP1, m.AMP1, m.Cm1, m.CM1) }

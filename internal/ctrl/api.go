@@ -70,6 +70,16 @@ type RunSpec struct {
 	Watchdog uint64 `json:"watchdog,omitempty"`
 }
 
+// MaxRunInstructions caps a spec's Instructions and its Warmup each.
+// A run cannot be cancelled during its CPI_exe calibration, so an
+// unbounded budget would hold a run slot for as long as the client
+// asked; 10^8 is 400 times the full-scale warm-up.
+const MaxRunInstructions = 100_000_000
+
+// MaxSpecBytes bounds a submitted RunSpec body; a spec is a few hundred
+// bytes.
+const MaxSpecBytes = 64 << 10
+
 // Normalize fills defaults and validates the spec. It is called once at
 // submit time so a bad request fails the API call, not the run.
 func (s *RunSpec) Normalize() error {
@@ -81,6 +91,10 @@ func (s *RunSpec) Normalize() error {
 	}
 	if _, err := trace.ProfileByName(s.Workload); err != nil {
 		return fmt.Errorf("ctrl: %w", err)
+	}
+	if s.Instructions > MaxRunInstructions || s.Warmup > MaxRunInstructions {
+		return fmt.Errorf("ctrl: instructions %d / warmup %d over the cap of %d each",
+			s.Instructions, s.Warmup, MaxRunInstructions)
 	}
 	if s.Instructions == 0 {
 		s.Instructions = 30000

@@ -21,6 +21,8 @@ package ctrl
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -30,7 +32,16 @@ func NewAPIMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		var spec RunSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+		if err != nil {
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, status, "read run spec: "+err.Error())
+			return
+		}
+		if err := json.Unmarshal(body, &spec); err != nil {
 			writeErr(w, http.StatusBadRequest, "decode run spec: "+err.Error())
 			return
 		}

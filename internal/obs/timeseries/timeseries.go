@@ -22,6 +22,7 @@ package timeseries
 import (
 	"slices"
 	"sort"
+	"strings"
 
 	"lpm/internal/analyzer"
 	"lpm/internal/phase"
@@ -210,11 +211,11 @@ func (s *Sampler) close(cycle uint64) {
 	w.Start = w.End - s.winCycles
 	s.winCycles = 0
 	w.Probes = s.sampleProbes()
+	w.finalize(s.cfg.CPIexe)
 	w.Phase = -1
 	if s.det != nil {
 		w.Phase = s.det.Classify(w.signature())
 	}
-	w.finalize(s.cfg.CPIexe)
 
 	if s.cfg.Adaptive && len(s.windows) > 0 {
 		last := s.windows[len(s.windows)-1]
@@ -313,19 +314,11 @@ type Series struct {
 }
 
 // LPMR1Series extracts the per-window LPMR1 values (a convenience for
-// plots and diffs); LPMR2Series and LPMR3Series mirror it.
-func (s Series) LPMR1Series() []float64 { return s.extract(func(d Derived) float64 { return d.LPMR1 }) }
-
-// LPMR2Series extracts the per-window LPMR2 values.
-func (s Series) LPMR2Series() []float64 { return s.extract(func(d Derived) float64 { return d.LPMR2 }) }
-
-// LPMR3Series extracts the per-window LPMR3 values.
-func (s Series) LPMR3Series() []float64 { return s.extract(func(d Derived) float64 { return d.LPMR3 }) }
-
-func (s Series) extract(f func(Derived) float64) []float64 {
+// plots and diffs).
+func (s Series) LPMR1Series() []float64 {
 	out := make([]float64, len(s.Windows))
 	for i, w := range s.Windows {
-		out[i] = f(w.Derived)
+		out[i] = w.Derived.LPMR1
 	}
 	return out
 }
@@ -430,15 +423,6 @@ type DRAMSample struct {
 	QueueOccupancySum uint64 `json:"queue_occupancy_sum"`
 }
 
-// RowHitRate returns row hits over all row outcomes in the window.
-func (s DRAMSample) RowHitRate() float64 {
-	total := s.RowHits + s.RowMisses + s.RowConflicts
-	if total == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(total)
-}
-
 // add accumulates o into s (window merging).
 func (s *DRAMSample) add(o DRAMSample) {
 	s.Reads += o.Reads
@@ -528,77 +512,59 @@ func (w Window) AggregateStall() StallTree {
 }
 
 // signature builds the phase-classification vector from the window's
-// aggregate behaviour (the same features phase.FromLPM standardises).
+// aggregate behaviour (the same features phase.FromLPM standardises);
+// it reads the finalized Derived view.
 func (w Window) signature() phase.Signature {
-	var instr, mem uint64
-	for _, c := range w.CPU {
-		instr += c.Instructions
-		mem += c.MemInstructions
-	}
-	l1, _, _ := w.layerParams()
-	fmem := 0.0
-	if instr > 0 {
-		fmem = float64(mem) / float64(instr)
-	}
-	ipc := 0.0
-	if cy := w.Cycles(); cy > 0 {
-		ipc = float64(instr) / float64(cy)
-	}
-	return phase.FromLPM(fmem, l1.MR(), l1.PMR(), l1.CH(), l1.CM(), ipc)
+	l1 := w.Hierarchy().Levels[0]
+	return phase.FromLPM(w.Derived.Fmem, l1.MR(), l1.PMR(), l1.CH(), l1.CM(), w.Derived.IPC)
 }
 
-// layerParams aggregates the window's cache samples into the L1 (all
-// private caches summed), L2 and optional L3 views, plus the layer
-// primary-miss counts via pm1/pm2.
-func (w Window) layerParams() (l1, l2 analyzer.Params, pm [2]uint64) {
+// Hierarchy returns the window's counters as the LPM request chain: the
+// cores' retirements summed, the L1 (every private cache summed), L2 and
+// optional L3 levels, and memory. Summed over contiguous windows it
+// reproduces the counters the chip's Measure reads over the same span.
+func (w Window) Hierarchy() analyzer.Hierarchy {
+	var h analyzer.Hierarchy
+	for _, c := range w.CPU {
+		h.Instructions += c.Instructions
+		h.MemInstructions += c.MemInstructions
+	}
+	h.Levels = make([]analyzer.Level, 2, 3)
 	for _, cs := range w.Cache {
+		l := analyzer.Level{Params: cs.Params, Primary: cs.PrimaryMisses}
 		switch {
-		case len(cs.Level) >= 2 && cs.Level[:2] == "l1":
-			l1 = l1.Add(cs.Params)
-			pm[0] += cs.PrimaryMisses
+		case strings.HasPrefix(cs.Level, "l1"):
+			h.Levels[0].Params = h.Levels[0].Add(l.Params)
+			h.Levels[0].Primary += l.Primary
 		case cs.Level == "l2":
-			l2 = cs.Params
-			pm[1] = cs.PrimaryMisses
+			h.Levels[1] = l
+		case cs.Level == "l3":
+			h.Levels = append(h.Levels, l)
 		}
 	}
-	return l1, l2, pm
+	h.MemServed = w.DRAM.Reads + w.DRAM.Writes
+	h.MemActiveCycles = w.DRAM.ActiveCycles
+	return h
 }
 
 // finalize recomputes the Derived view from the raw samples; the
 // sampler calls it on close and after every merge.
 func (w *Window) finalize(cpiExe float64) {
-	var instr, mem uint64
-	for _, c := range w.CPU {
-		instr += c.Instructions
-		mem += c.MemInstructions
+	h := w.Hierarchy()
+	d := Derived{
+		Fmem:   h.Fmem(),
+		CAMAT1: h.Levels[0].CAMAT(),
+		CAMAT2: h.Levels[1].CAMAT(),
+		CAMAT3: h.MemCAMAT(),
+		MR1:    h.MR(0),
+		MR2:    h.MR(1),
 	}
-	d := Derived{}
 	if cy := w.Cycles(); cy > 0 {
-		d.IPC = float64(instr) / float64(cy)
+		d.IPC = float64(h.Instructions) / float64(cy)
 	}
-	if instr > 0 {
-		d.Fmem = float64(mem) / float64(instr)
-	}
-	l1, l2, pm := w.layerParams()
-	d.CAMAT1 = l1.CAMAT()
-	d.CAMAT2 = l2.CAMAT()
-	if l1.Completed > 0 {
-		d.MR1 = float64(pm[0]) / float64(l1.Completed)
-	}
-	if l2.Completed > 0 {
-		d.MR2 = float64(pm[1]) / float64(l2.Completed)
-	}
-	if w.DRAM.ActiveCycles > 0 {
-		apc3 := float64(w.DRAM.Reads+w.DRAM.Writes) / float64(w.DRAM.ActiveCycles)
-		if apc3 > 0 {
-			d.CAMAT3 = 1 / apc3
-		}
-	}
-	if cpiExe > 0 {
-		d.LPMR1 = d.CAMAT1 * d.Fmem / cpiExe
-		d.LPMR2 = d.CAMAT2 * d.Fmem * d.MR1 / cpiExe
-		d.LPMR3 = d.CAMAT3 * d.Fmem * d.MR1 * d.MR2 / cpiExe
-	}
+	d.LPMR1 = analyzer.LPMR(d.CAMAT1, d.Fmem, cpiExe)
+	d.LPMR2 = analyzer.LPMR(d.CAMAT2, d.Fmem, cpiExe, d.MR1)
+	d.LPMR3 = analyzer.LPMR(d.CAMAT3, d.Fmem, cpiExe, d.MR1, d.MR2)
 	w.Derived = d
 }
 

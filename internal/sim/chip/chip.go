@@ -469,16 +469,6 @@ func (c *Chip) Snapshot() Report {
 	return r
 }
 
-// AggregateL1 sums all per-core L1 analyzer parameters, the chip-wide L1
-// view used when reporting a single LPMR per configuration.
-func (r Report) AggregateL1() analyzer.Params {
-	var sum analyzer.Params
-	for _, cr := range r.Cores {
-		sum = sum.Add(cr.L1)
-	}
-	return sum
-}
-
 // MeasureCPIexe runs cfg's core alone against a perfect memory with the
 // given hit latency for n instructions and returns cycles per instruction
 // — CPI_exe of Eq. (5). The generator is Reset before and after.

@@ -245,20 +245,6 @@ func TestMeasureCPIexe(t *testing.T) {
 	}
 }
 
-func TestAggregateL1SumsCores(t *testing.T) {
-	gens := []trace.Generator{
-		trace.NewSynthetic(trace.MustProfile("401.bzip2")),
-		trace.NewSynthetic(trace.MustProfile("403.gcc")),
-	}
-	ch := New(NUCA16(gens))
-	ch.Run(5000, 5_000_000)
-	r := ch.Snapshot()
-	agg := r.AggregateL1()
-	if agg.Completed != r.Cores[0].L1.Completed+r.Cores[1].L1.Completed {
-		t.Fatal("aggregate does not sum per-core completions")
-	}
-}
-
 // chipSink keeps BenchmarkChipNew's chips live.
 var chipSink *Chip
 

@@ -1,9 +1,12 @@
 package chip
 
 import (
+	"fmt"
+
 	"lpm/internal/analyzer"
 	"lpm/internal/core"
 	"lpm/internal/obs/timeseries"
+	"lpm/internal/sim/cache"
 	"lpm/internal/sim/cpu"
 )
 
@@ -44,28 +47,56 @@ func (c *Chip) WarmUp(n uint64, unit WarmUnit, fast bool, maxCycles uint64) erro
 	return c.runErr
 }
 
-// requestRate converts primary-miss counts into the LPM model's MR terms:
-// the fraction of a layer's accesses that become requests on the next
-// layer. Coalesced (secondary) misses never reach the next layer, so the
-// conventional per-access miss rate would overstate downstream demand.
-func requestRate(primary, completed uint64) float64 {
-	if completed == 0 {
-		return 0
+// counters reads the LPM request chain's raw counters for the cores in
+// slots: their CPU counters summed (Cycles is the longest core's), their
+// private L1s summed, then the shared L2, the optional L3 and memory.
+func (c *Chip) counters(slots []int) (cpu.Stats, analyzer.Hierarchy) {
+	var cs cpu.Stats
+	var l1 analyzer.Level
+	for _, i := range slots {
+		if cr := c.cores[i]; cr != nil {
+			s := cr.Stats()
+			cs.Cycles = max(cs.Cycles, s.Cycles)
+			cs.Instructions += s.Instructions
+			cs.MemInstructions += s.MemInstructions
+			cs.MemStallCycles += s.MemStallCycles
+			cs.MemActiveCycles += s.MemActiveCycles
+			cs.OverlapCycles += s.OverlapCycles
+		}
+		l1.Params = l1.Add(c.l1s[i].Analyzer().Snapshot())
+		l1.Primary += c.l1s[i].Stats().PrimaryMisses
 	}
-	return float64(primary) / float64(completed)
+	level := func(cc *cache.Cache) analyzer.Level {
+		return analyzer.Level{Params: cc.Analyzer().Snapshot(), Primary: cc.Stats().PrimaryMisses}
+	}
+	h := analyzer.Hierarchy{
+		Instructions:    cs.Instructions,
+		MemInstructions: cs.MemInstructions,
+		Levels:          []analyzer.Level{l1, level(c.l2)},
+	}
+	if c.l3 != nil {
+		h.Levels = append(h.Levels, level(c.l3))
+	}
+	ms := c.mem.Stats()
+	h.MemServed, h.MemActiveCycles = ms.Reads+ms.Writes, ms.ActiveCycles
+	return cs, h
 }
 
-// measurementFrom assembles a core.Measurement from one CPU's counters, an
-// L1 view, the shared L2 view and the memory APC.
-func measurementFrom(cs cpu.Stats, l1, l2 analyzer.Params, mr1, mr2, apc3, cpiExe float64) core.Measurement {
-	m := core.Measurement{
+// measure assembles the three-layer measurement of the cores in slots
+// against the shared L2 and memory (an L3, when present, is not one of
+// the Measurement's three layers).
+func (c *Chip) measure(slots []int, cpiExe float64) core.Measurement {
+	cs, h := c.counters(slots)
+	l1, l2 := h.Levels[0], h.Levels[1]
+	return core.Measurement{
 		CPIexe:        cpiExe,
-		Fmem:          cs.Fmem(),
+		Fmem:          h.Fmem(),
 		OverlapRatio:  cs.OverlapRatio(),
 		CAMAT1:        l1.CAMAT(),
 		CAMAT2:        l2.CAMAT(),
-		MR1:           mr1,
-		MR2:           mr2,
+		CAMAT3:        h.MemCAMAT(),
+		MR1:           h.MR(0),
+		MR2:           h.MR(1),
 		PMR1:          l1.PMR(),
 		H1:            l1.H(),
 		CH1:           l1.CH(),
@@ -75,11 +106,9 @@ func measurementFrom(cs cpu.Stats, l1, l2 analyzer.Params, mr1, mr2, apc3, cpiEx
 		CM1:           l1.CM(),
 		IPC:           cs.IPC(),
 		MeasuredStall: cs.DataStallPerInstr(),
+		Obs:           c.ObsSnapshot(),
+		Timeline:      c.timelineSeries(),
 	}
-	if apc3 > 0 {
-		m.CAMAT3 = 1 / apc3
-	}
-	return m
 }
 
 // Measure returns core i's LPM measurement. cpiExe must come from a
@@ -88,18 +117,7 @@ func measurementFrom(cs cpu.Stats, l1, l2 analyzer.Params, mr1, mr2, apc3, cpiEx
 // cores.
 func (c *Chip) Measure(i int, cpiExe float64) core.Measurement {
 	c.requireDetailed("Measure")
-	var cs cpu.Stats
-	if c.cores[i] != nil {
-		cs = c.cores[i].Stats()
-	}
-	l1 := c.l1s[i].Analyzer().Snapshot()
-	l2 := c.l2.Analyzer().Snapshot()
-	mr1 := requestRate(c.l1s[i].Stats().PrimaryMisses, l1.Completed)
-	mr2 := requestRate(c.l2.Stats().PrimaryMisses, l2.Completed)
-	m := measurementFrom(cs, l1, l2, mr1, mr2, c.mem.Stats().APC(), cpiExe)
-	m.Obs = c.ObsSnapshot()
-	m.Timeline = c.timelineSeries()
-	return m
+	return c.measure([]int{i}, cpiExe)
 }
 
 // timelineSeries flushes and copies the attached sampler's series (nil
@@ -119,31 +137,13 @@ func (c *Chip) timelineSeries() *timeseries.Series {
 // mix.
 func (c *Chip) MeasureAggregate(cpiExe float64) core.Measurement {
 	c.requireDetailed("MeasureAggregate")
-	var cs cpu.Stats
-	var l1 analyzer.Params
-	var primary1 uint64
+	var slots []int
 	for i, cr := range c.cores {
-		if cr == nil {
-			continue
+		if cr != nil {
+			slots = append(slots, i)
 		}
-		s := cr.Stats()
-		cs.Cycles = max(cs.Cycles, s.Cycles)
-		cs.Instructions += s.Instructions
-		cs.MemInstructions += s.MemInstructions
-		cs.StallCycles += s.StallCycles
-		cs.MemStallCycles += s.MemStallCycles
-		cs.MemActiveCycles += s.MemActiveCycles
-		cs.OverlapCycles += s.OverlapCycles
-		l1 = l1.Add(c.l1s[i].Analyzer().Snapshot())
-		primary1 += c.l1s[i].Stats().PrimaryMisses
 	}
-	l2 := c.l2.Analyzer().Snapshot()
-	mr1 := requestRate(primary1, l1.Completed)
-	mr2 := requestRate(c.l2.Stats().PrimaryMisses, l2.Completed)
-	m := measurementFrom(cs, l1, l2, mr1, mr2, c.mem.Stats().APC(), cpiExe)
-	m.Obs = c.ObsSnapshot()
-	m.Timeline = c.timelineSeries()
-	return m
+	return c.measure(slots, cpiExe)
 }
 
 // MeasureChain returns the generalised multi-level chain view for core i:
@@ -152,32 +152,11 @@ func (c *Chip) MeasureAggregate(cpiExe float64) core.Measurement {
 // arbitrary-depth LPMR computation.
 func (c *Chip) MeasureChain(i int, cpiExe float64) core.Chain {
 	c.requireDetailed("MeasureChain")
-	var cs cpu.Stats
-	if c.cores[i] != nil {
-		cs = c.cores[i].Stats()
+	_, h := c.counters([]int{i})
+	ch := core.Chain{CPIexe: cpiExe, Fmem: h.Fmem()}
+	for j, l := range h.Levels {
+		ch.Layers = append(ch.Layers, core.Layer{Name: fmt.Sprintf("L%d", j+1), CAMAT: l.CAMAT(), MR: h.MR(j)})
 	}
-	l1 := c.l1s[i].Analyzer().Snapshot()
-	l2 := c.l2.Analyzer().Snapshot()
-	ch := core.Chain{
-		CPIexe: cpiExe,
-		Fmem:   cs.Fmem(),
-		Layers: []core.Layer{
-			{Name: "L1", CAMAT: l1.CAMAT(), MR: requestRate(c.l1s[i].Stats().PrimaryMisses, l1.Completed)},
-			{Name: "L2", CAMAT: l2.CAMAT(), MR: requestRate(c.l2.Stats().PrimaryMisses, l2.Completed)},
-		},
-	}
-	if c.l3 != nil {
-		l3 := c.l3.Analyzer().Snapshot()
-		ch.Layers = append(ch.Layers, core.Layer{
-			Name:  "L3",
-			CAMAT: l3.CAMAT(),
-			MR:    requestRate(c.l3.Stats().PrimaryMisses, l3.Completed),
-		})
-	}
-	mm := core.Layer{Name: "MM"}
-	if apc := c.mem.Stats().APC(); apc > 0 {
-		mm.CAMAT = 1 / apc
-	}
-	ch.Layers = append(ch.Layers, mm)
+	ch.Layers = append(ch.Layers, core.Layer{Name: "MM", CAMAT: h.MemCAMAT()})
 	return ch
 }

@@ -2,8 +2,12 @@ package chip
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"lpm/internal/analyzer"
+	"lpm/internal/core"
+	"lpm/internal/obs/timeseries"
 	"lpm/internal/trace"
 )
 
@@ -111,4 +115,114 @@ func TestMeasureIdleCore(t *testing.T) {
 	if m.LPMR1() != 0 || m.Fmem != 0 {
 		t.Fatal("idle core should measure zeros")
 	}
+}
+
+// sumHierarchy adds the windows' request-chain counters level by level.
+func sumHierarchy(ws []timeseries.Window) analyzer.Hierarchy {
+	var sum analyzer.Hierarchy
+	for _, w := range ws {
+		h := w.Hierarchy()
+		sum.Instructions += h.Instructions
+		sum.MemInstructions += h.MemInstructions
+		sum.MemServed += h.MemServed
+		sum.MemActiveCycles += h.MemActiveCycles
+		if sum.Levels == nil {
+			sum.Levels = make([]analyzer.Level, len(h.Levels))
+		}
+		for i, l := range h.Levels {
+			sum.Levels[i].Params = sum.Levels[i].Add(l.Params)
+			sum.Levels[i].Primary += l.Primary
+		}
+	}
+	return sum
+}
+
+// TestWindowsSumToMeasure pins the one derivation of the LPM model from
+// counters. A sampler attached after ResetCounters tiles the measured
+// window, so its windows' Hierarchy counters must sum to exactly the
+// counters Measure reads; the analyzer's derivation over that sum must
+// give Measure's model fields bit for bit; and MeasureChain's LPMRs must
+// equal Measure's three.
+func TestWindowsSumToMeasure(t *testing.T) {
+	check := func(t *testing.T, ch *Chip, m core.Measurement, slots []int) {
+		t.Helper()
+		ser := m.Timeline
+		if ser == nil || len(ser.Windows) == 0 || ser.Dropped != 0 {
+			t.Fatalf("timeline does not cover the window: %+v", ser)
+		}
+		sum := sumHierarchy(ser.Windows)
+		if _, want := ch.counters(slots); !reflect.DeepEqual(sum, want) {
+			t.Fatalf("windows sum to\n%+v\nMeasure read\n%+v", sum, want)
+		}
+		l1, l2 := sum.Levels[0], sum.Levels[1]
+		fmem, mr1, mr2 := sum.Fmem(), sum.MR(0), sum.MR(1)
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"Fmem", fmem, m.Fmem},
+			{"CAMAT1", l1.CAMAT(), m.CAMAT1},
+			{"CAMAT2", l2.CAMAT(), m.CAMAT2},
+			{"CAMAT3", sum.MemCAMAT(), m.CAMAT3},
+			{"MR1", mr1, m.MR1},
+			{"MR2", mr2, m.MR2},
+			{"PMR1", l1.PMR(), m.PMR1},
+			{"H1", l1.H(), m.H1},
+			{"CH1", l1.CH(), m.CH1},
+			{"PAMP1", l1.PAMP(), m.PAMP1},
+			{"AMP1", l1.AMP(), m.AMP1},
+			{"Cm1", l1.Cm(), m.Cm1},
+			{"CM1", l1.CM(), m.CM1},
+			{"LPMR1", analyzer.LPMR(l1.CAMAT(), fmem, m.CPIexe), m.LPMR1()},
+			{"LPMR2", analyzer.LPMR(l2.CAMAT(), fmem, m.CPIexe, mr1), m.LPMR2()},
+			{"LPMR3", analyzer.LPMR(sum.MemCAMAT(), fmem, m.CPIexe, mr1, mr2), m.LPMR3()},
+		} {
+			if f.got != f.want {
+				t.Errorf("%s: windows give %v, Measure %v", f.name, f.got, f.want)
+			}
+		}
+		if m.LPMR3() == 0 {
+			t.Error("no memory traffic: the check is vacuous")
+		}
+	}
+	tscfg := timeseries.Config{Width: 512, MaxWindows: 1 << 20}
+
+	for i, p := range []string{"401.bzip2", "403.gcc", "416.gamess", "429.mcf", "433.milc"} {
+		t.Run(p, func(t *testing.T) {
+			cfg := SingleCore(p)
+			cpiExe := MeasureCPIexe(cfg.Cores[0].CPU, trace.NewSynthetic(trace.MustProfile(p)), 3, 10000)
+			ch := New(cfg)
+			if err := ch.WarmUp(10000, WarmInstructions, false, 20_000_000); err != nil {
+				t.Fatal(err)
+			}
+			ch.ResetCounters()
+			c := tscfg
+			c.Adaptive, c.CPIexe = i%2 == 1, cpiExe
+			ch.EnableTimeseries(c)
+			ch.Run(15000, 20_000_000)
+			m := ch.Measure(0, cpiExe)
+			check(t, ch, m, []int{0})
+			if got, want := ch.MeasureChain(0, cpiExe).LPMRs(), []float64{m.LPMR1(), m.LPMR2(), m.LPMR3()}; !reflect.DeepEqual(got, want) {
+				t.Errorf("MeasureChain LPMRs %v, Measure %v", got, want)
+			}
+		})
+	}
+
+	t.Run("NUCA16", func(t *testing.T) {
+		names := []string{"401.bzip2", "403.gcc", "429.mcf", "433.milc"}
+		gens := make([]trace.Generator, 16)
+		slots := make([]int, len(gens))
+		for i := range gens {
+			gens[i] = trace.NewSynthetic(trace.MustProfile(names[i%len(names)]))
+			slots[i] = i
+		}
+		ch := New(NUCA16(gens))
+		if err := ch.WarmUp(5000, WarmCycles, false, 0); err != nil {
+			t.Fatal(err)
+		}
+		ch.ResetCounters()
+		ch.EnableTimeseries(tscfg)
+		ch.RunCycles(15000)
+		check(t, ch, ch.MeasureAggregate(0.5), slots) // any positive CPIexe calibrates the check
+	})
 }

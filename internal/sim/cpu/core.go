@@ -152,15 +152,6 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instructions)
 }
 
-// Fmem returns the fraction of retired instructions accessing memory
-// (the paper's f_mem).
-func (s Stats) Fmem() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return float64(s.MemInstructions) / float64(s.Instructions)
-}
-
 // OverlapRatio returns the computation/memory overlap ratio of Eq. (8):
 // overlapped cycles over total memory access cycles.
 func (s Stats) OverlapRatio() float64 {

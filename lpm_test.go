@@ -167,8 +167,10 @@ func TestChainThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := ch.Measure(0, cpiExe)
-	if math.Abs(chain.LPMR(0)-m.LPMR1()) > 1e-9 {
-		t.Fatalf("chain LPMR(0) %v != LPMR1 %v", chain.LPMR(0), m.LPMR1())
+	for i, want := range []float64{m.LPMR1(), m.LPMR2(), m.LPMR3()} {
+		if got := chain.LPMR(i); got != want {
+			t.Fatalf("chain LPMR(%d) %v != LPMR%d %v", i, got, i+1, want)
+		}
 	}
 	if b := chain.BottleneckLayer(); b < 0 || b > 2 {
 		t.Fatalf("bottleneck %d", b)
