@@ -1,7 +1,7 @@
 # Build/test entry points; `make ci` is the CI gate.
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check loc bench benchsmoke ab fuzz chaos chaos-net fabric-test ci golden diffgate race-serve serve-test
+.PHONY: all build test race vet lint fmt-check loc reach bench benchsmoke ab fuzz chaos chaos-net fabric-test ci golden diffgate race-serve serve-test
 
 all: build vet lint test race
 
@@ -42,6 +42,13 @@ loc:
 		n=$$(find $$d $$depth -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); \
 		printf '%7d  %s\n' $$n $$d; total=$$((total+n)); \
 	done; printf '%7d  total\n' $$total
+
+# Reach audit (scripts/reach.sh): run every documented user path and the
+# bench packages under coverage and list the non-test functions none of
+# them reaches — the candidates a simplicity change re-measures instead
+# of re-reading. A few minutes; not part of ci.
+reach:
+	sh scripts/reach.sh
 
 # One pass over every benchmark, reporting the reproduced paper metrics.
 bench:

@@ -16,6 +16,7 @@ import (
 	"lpm/internal/explore"
 	"lpm/internal/interval"
 	"lpm/internal/obs/timeseries"
+	"lpm/internal/parallel"
 	"lpm/internal/sched"
 	"lpm/internal/sim/cache"
 	"lpm/internal/sim/chip"
@@ -228,7 +229,7 @@ func benchTable1Batch(b *testing.B, workers int) {
 		rows = mustTable1(b, QuickScale(), false)
 	}
 	b.ReportMetric(rows[0].M.LPMR1(), "LPMR1(A)")
-	b.ReportMetric(float64(ParallelWorkers()), "workers")
+	b.ReportMetric(float64(parallel.Workers()), "workers")
 }
 
 // BenchmarkSerialTable1 is the single-worker baseline.
@@ -255,7 +256,7 @@ func benchAloneIPCs(b *testing.B, workers int) {
 		}
 	}
 	b.ReportMetric(alone[0], "IPC[0]")
-	b.ReportMetric(float64(ParallelWorkers()), "workers")
+	b.ReportMetric(float64(parallel.Workers()), "workers")
 }
 
 // BenchmarkSerialAloneIPCs is the single-worker baseline.

@@ -67,6 +67,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-nosuchflag"}, &out, &errb); err == nil {
 		t.Fatal("unknown flag did not error")
 	}
+	// Budgets over the cap are refused before anything runs: a warm-up
+	// this large would wrap the run's cycle budget, and the window would
+	// be measured after a truncated warm-up.
+	for _, args := range [][]string{
+		{"-workload", "401.bzip2", "-instructions", "1000", "-warmup", "30744573456182587"},
+		{"-workload", "401.bzip2", "-instructions", "100000001", "-warmup", "1000"},
+	} {
+		out.Reset()
+		if err := run(context.Background(), args, &out, &errb); err == nil || !strings.Contains(err.Error(), "over the cap") {
+			t.Fatalf("run %v: err %v, want the over-cap error (stdout %q)", args, err, out.String())
+		}
+	}
 }
 
 func TestRunTimelineSummary(t *testing.T) {

@@ -2,19 +2,20 @@ package lpm
 
 import (
 	"testing"
+
+	"lpm/internal/sched"
+	"lpm/internal/sim/chip"
+	"lpm/internal/sim/noc"
+	"lpm/internal/trace"
 )
 
 func TestExtensionsCoherentNoCChip(t *testing.T) {
-	gens := make([]Workload, 16)
+	gens := make([]trace.Generator, 16)
 	for i, name := range []string{"456.hmmer", "444.namd"} {
-		g, err := NewWorkload(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens[i] = WithSharedRegion(g, GlobalBase, 8192, 0.2, uint64(i+1))
+		gens[i] = trace.WithSharedRegion(trace.NewSynthetic(trace.MustProfile(name)), trace.GlobalBase, 8192, 0.2, uint64(i+1))
 	}
-	cfg := NUCA16(gens)
-	n := DefaultNoC(16)
+	cfg := chip.NUCA16(gens)
+	n := noc.Default(16)
 	cfg.NoC = &n
 	cfg.Coherent = true
 	cfg.CoherenceInvalLatency = 8
@@ -34,21 +35,20 @@ func TestExtensionsCoherentNoCChip(t *testing.T) {
 func TestExtensionsSchedulingAPI(t *testing.T) {
 	names := []string{"401.bzip2", "403.gcc", "429.mcf", "433.milc"}
 	sizes := []uint64{4096, 16384, 32768, 65536}
-	tbl, err := BuildSchedProfileTable(bg, names, sizes, SchedProfileOptionsQuick())
+	tbl, err := sched.BuildProfileTable(bg, names, sizes, sched.ProfileOptions{Instructions: 6000, Warmup: 15000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := EvaluateScheduler(bg, NUCASAScheduler{Table: tbl, TolFrac: 0.1}, names, sizes,
-		SchedEvalOptions{WindowCycles: 30000, WarmupCycles: 15000})
+	ev, err := sched.Evaluate(bg, sched.NUCASA{Table: tbl, TolFrac: 0.1}, names, sizes,
+		sched.EvalOptions{WindowCycles: 30000, WarmupCycles: 15000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev.Hsp <= 0 {
 		t.Fatalf("Hsp = %v", ev.Hsp)
 	}
-	// PIE through the facade too.
-	ev2, err := EvaluateScheduler(bg, PIEScheduler{Table: tbl}, names, sizes,
-		SchedEvalOptions{WindowCycles: 30000, WarmupCycles: 15000, AloneIPC: ev.IPCAlone})
+	ev2, err := sched.Evaluate(bg, sched.PIE{Table: tbl}, names, sizes,
+		sched.EvalOptions{WindowCycles: 30000, WarmupCycles: 15000, AloneIPC: ev.IPCAlone})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,6 @@ func (ac *Access) Pure() bool {
 	return ac.pure || (ac.missing && ac.analyzer.pureClock > ac.pureAt)
 }
 
-// Missing reports whether the access is in its miss phase.
-func (ac *Access) Missing() bool { return ac.missing }
-
 // Analyzer measures one layer of a memory hierarchy. The zero value is
 // unusable; create with New.
 type Analyzer struct {

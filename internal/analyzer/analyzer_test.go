@@ -114,6 +114,15 @@ func TestEmptyParamsAreZeroNotNaN(t *testing.T) {
 	}
 }
 
+// LPMR generalises Eqs. (9)-(11) to any depth: the ratio of a layer
+// below an L3 carries the request rates of the three layers above it.
+func TestLPMRFourLevels(t *testing.T) {
+	want := 120 * 0.4 * 0.1 * 0.3 * 0.5 / 0.5
+	if got := LPMR(120, 0.4, 0.5, 0.1, 0.3, 0.5); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("LPMR over three request rates = %v, want %v", got, want)
+	}
+}
+
 func TestAllHitsNoPureMisses(t *testing.T) {
 	a := New("L1")
 	var recs []*Access

@@ -9,7 +9,6 @@ package cliutil
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -89,9 +88,6 @@ func (f *AtomicFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Name returns the destination path the Commit will publish.
-func (f *AtomicFile) Name() string { return f.path }
-
 // Size returns the number of bytes written so far.
 func (f *AtomicFile) Size() int64 { return f.size }
 
@@ -161,10 +157,4 @@ func (f *AtomicFile) Abort() {
 	if !f.direct {
 		_ = os.Remove(f.tmp.Name())
 	}
-}
-
-// CopyTo streams r into the atomic file, a convenience for
-// encoder-driven producers.
-func (f *AtomicFile) CopyTo(r io.Reader) (int64, error) {
-	return io.Copy(f, r)
 }

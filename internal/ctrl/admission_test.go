@@ -13,6 +13,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"lpm"
 )
 
 // submit POSTs body to a fresh registry's API mux with a stub runner,
@@ -54,11 +56,11 @@ func TestSubmitAdmissionCaps(t *testing.T) {
 		want int
 	}{
 		{"at cap", fmt.Sprintf(`{"workload":"403.gcc","instructions":%d,"warmup":%d}`,
-			MaxRunInstructions, MaxRunInstructions), http.StatusAccepted},
+			lpm.MaxRunInstructions, lpm.MaxRunInstructions), http.StatusAccepted},
 		{"instructions over cap", fmt.Sprintf(`{"workload":"403.gcc","instructions":%d}`,
-			MaxRunInstructions+1), http.StatusBadRequest},
+			lpm.MaxRunInstructions+1), http.StatusBadRequest},
 		{"warmup over cap", fmt.Sprintf(`{"workload":"403.gcc","warmup":%d}`,
-			MaxRunInstructions+1), http.StatusBadRequest},
+			lpm.MaxRunInstructions+1), http.StatusBadRequest},
 		{"1e16 instructions", `{"workload":"403.gcc","instructions":10000000000000000}`, http.StatusBadRequest},
 		{"oversize body", `{"workload":"403.gcc","tenant":"` + strings.Repeat("a", MaxSpecBytes) + `"}`,
 			http.StatusRequestEntityTooLarge},

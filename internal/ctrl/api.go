@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"time"
 
+	"lpm"
 	"lpm/internal/obs/timeseries"
 	"lpm/internal/trace"
 )
@@ -70,12 +71,6 @@ type RunSpec struct {
 	Watchdog uint64 `json:"watchdog,omitempty"`
 }
 
-// MaxRunInstructions caps a spec's Instructions and its Warmup each.
-// A run cannot be cancelled during its CPI_exe calibration, so an
-// unbounded budget would hold a run slot for as long as the client
-// asked; 10^8 is 400 times the full-scale warm-up.
-const MaxRunInstructions = 100_000_000
-
 // MaxSpecBytes bounds a submitted RunSpec body; a spec is a few hundred
 // bytes.
 const MaxSpecBytes = 64 << 10
@@ -92,9 +87,11 @@ func (s *RunSpec) Normalize() error {
 	if _, err := trace.ProfileByName(s.Workload); err != nil {
 		return fmt.Errorf("ctrl: %w", err)
 	}
-	if s.Instructions > MaxRunInstructions || s.Warmup > MaxRunInstructions {
+	// The run would refuse the spec too; refusing it here makes it a
+	// 400 at submit time instead of a failed run.
+	if s.Instructions > lpm.MaxRunInstructions || s.Warmup > lpm.MaxRunInstructions {
 		return fmt.Errorf("ctrl: instructions %d / warmup %d over the cap of %d each",
-			s.Instructions, s.Warmup, MaxRunInstructions)
+			s.Instructions, s.Warmup, lpm.MaxRunInstructions)
 	}
 	if s.Instructions == 0 {
 		s.Instructions = 30000

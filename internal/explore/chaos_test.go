@@ -124,7 +124,7 @@ func TestChaosCancelMidWalkDrainsAndReruns(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled walk: err = %v, want context.Canceled", err)
 	}
-	if got := len(tgt.History()); got != 2 {
+	if got := len(tgt.history); got != 2 {
 		t.Fatalf("history after cancel holds %d evaluations, want exactly the 2 drained ones", got)
 	}
 

@@ -200,10 +200,10 @@ func TestEvaluationHistoryRecorded(t *testing.T) {
 	if tgt.Evaluations() != 1 {
 		t.Fatalf("evaluations = %d, want 1 (memoised)", tgt.Evaluations())
 	}
-	if len(tgt.History()) != 1 {
-		t.Fatalf("history = %d", len(tgt.History()))
+	if len(tgt.history) != 1 {
+		t.Fatalf("history = %d", len(tgt.history))
 	}
-	if tgt.History()[0].Point != TableConfigs()["A"] {
+	if tgt.history[0].Point != TableConfigs()["A"] {
 		t.Fatal("history records wrong point")
 	}
 }

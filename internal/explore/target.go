@@ -100,9 +100,6 @@ func (t *HardwareTarget) Current() Point { return t.Space.At(t.ix) }
 // Measure).
 func (t *HardwareTarget) Evaluations() int { return t.evals }
 
-// History returns every simulated point in order.
-func (t *HardwareTarget) History() []Evaluation { return t.history }
-
 // Measure implements core.Target by simulating the current point (with
 // memoisation: revisiting a point is free, like re-reading counters).
 func (t *HardwareTarget) Measure() core.Measurement {

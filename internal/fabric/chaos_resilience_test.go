@@ -386,7 +386,7 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 	if d := time.Since(resumeStart); d > 2*time.Second {
 		t.Fatalf("successor Listen to first completion took %v, want under 2s", d)
 	}
-	rs := c2.Resumed()
+	rs := resumedState(c2)
 	if rs == nil {
 		t.Fatal("successor recovered no journal state")
 	}

@@ -347,15 +347,6 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// Resumed returns the scheduling state recovered from a pre-existing
-// journal (nil on a cold start), for drivers and tests that want to
-// know what carried across.
-func (c *Coordinator) Resumed() *fleet.JournalState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resumed
-}
-
 // WorkerHealth is one worker's row in a fleet snapshot.
 type WorkerHealth struct {
 	Name     string `json:"name"`

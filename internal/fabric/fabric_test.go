@@ -675,7 +675,7 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Resumed().Retries[fleet.GranuleKey("test.double", "test.double|0|0")]; got != 2 {
+	if got := resumedState(c).Retries[fleet.GranuleKey("test.double", "test.double|0|0")]; got != 2 {
 		t.Errorf("carried retry charge=%d, want 2", got)
 	}
 
@@ -771,4 +771,12 @@ func BenchmarkDispatch(b *testing.B) {
 	if c.stats.Completed != b.N || len(c.pending) != backlog {
 		b.Fatalf("completed=%d pending=%d, want %d and a steady backlog of %d", c.stats.Completed, len(c.pending), b.N, backlog)
 	}
+}
+
+// resumedState reads the scheduling state the coordinator recovered from
+// a pre-existing journal (nil on a cold start).
+func resumedState(c *Coordinator) *fleet.JournalState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resumed
 }

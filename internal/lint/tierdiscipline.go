@@ -33,8 +33,6 @@ var analyzerTierDiscipline = &Analyzer{
 var detailedOnly = map[string]bool{
 	"Tick":             true,
 	"Measure":          true,
-	"MeasureAggregate": true,
-	"MeasureChain":     true,
 	"Snapshot":         true,
 	"EnableTimeseries": true,
 }
@@ -44,8 +42,6 @@ var detailedOnly = map[string]bool{
 var observationCalls = map[string]bool{
 	"Snapshot":         true,
 	"Measure":          true,
-	"MeasureAggregate": true,
-	"MeasureChain":     true,
 	"EnableTimeseries": true,
 }
 

@@ -95,14 +95,6 @@ func New(cfg Config) *Sampler {
 	return s
 }
 
-// Config returns the sampler's configuration (zero value on nil).
-func (s *Sampler) Config() Config {
-	if s == nil {
-		return Config{}
-	}
-	return s.cfg
-}
-
 // Width returns the effective base window width.
 func (s *Sampler) Width() uint64 {
 	if s == nil {
@@ -321,15 +313,6 @@ func (s Series) LPMR1Series() []float64 {
 		out[i] = w.Derived.LPMR1
 	}
 	return out
-}
-
-// TotalCycles returns the cycles covered by the series.
-func (s Series) TotalCycles() uint64 {
-	var n uint64
-	for _, w := range s.Windows {
-		n += w.Cycles()
-	}
-	return n
 }
 
 // ProbeValue is one named probe's value in a window.

@@ -120,11 +120,3 @@ func (d *Detector) Classify(s Signature) int {
 	d.phases = append(d.phases, phaseState{centroid: s.clone(), count: 1})
 	return len(d.phases) - 1
 }
-
-// Centroid returns a copy of phase id's centroid (nil if unknown).
-func (d *Detector) Centroid(id int) Signature {
-	if id < 0 || id >= len(d.phases) {
-		return nil
-	}
-	return d.phases[id].centroid.clone()
-}

@@ -61,12 +61,9 @@ func TestDetectorCentroidTracksMembers(t *testing.T) {
 	d := NewDetector(0.5)
 	id := d.Classify(Signature{1, 1})
 	d.Classify(Signature{3, 3})
-	c := d.Centroid(id)
+	c := d.phases[id].centroid
 	if math.Abs(c[0]-2) > 1e-12 || math.Abs(c[1]-2) > 1e-12 {
 		t.Fatalf("centroid = %v, want [2 2]", c)
-	}
-	if d.Centroid(99) != nil {
-		t.Fatal("unknown centroid should be nil")
 	}
 }
 

@@ -109,7 +109,6 @@ type Chip struct {
 	ffOff  bool          // true disables quiescent-cycle fast-forward
 	tier   Tier          // execution fidelity (tier.go)
 	reg    *obs.Registry // nil unless EnableObs was called
-	tr     *obs.Tracer   // nil unless AttachTracer was called
 	ts     *tsState      // nil unless EnableTimeseries was called
 
 	// Fast-forward probe back-off (fastforward.go): consecutive failed
@@ -230,14 +229,9 @@ func (c *Chip) EnableObs() *obs.Registry {
 	return c.reg
 }
 
-// Registry returns the chip's metrics registry (nil unless EnableObs was
-// called).
-func (c *Chip) Registry() *obs.Registry { return c.reg }
-
 // AttachTracer routes memory-request lifecycle events from every cache
 // level and the DRAM into t. Pass nil to detach.
 func (c *Chip) AttachTracer(t *obs.Tracer) {
-	c.tr = t
 	for _, l1 := range c.l1s {
 		l1.AttachTracer(t)
 	}
@@ -247,9 +241,6 @@ func (c *Chip) AttachTracer(t *obs.Tracer) {
 	}
 	c.mem.AttachTracer(t)
 }
-
-// Tracer returns the attached event tracer (nil when tracing is off).
-func (c *Chip) Tracer() *obs.Tracer { return c.tr }
 
 // ObsSnapshot publishes every component's accumulated stats into the
 // registry and captures a snapshot. It returns nil when observability is

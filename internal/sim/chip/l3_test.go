@@ -3,6 +3,7 @@ package chip
 import (
 	"testing"
 
+	"lpm/internal/analyzer"
 	"lpm/internal/trace"
 )
 
@@ -80,32 +81,33 @@ func TestL3AbsorbsL2Misses(t *testing.T) {
 	}
 }
 
-func TestMeasureChainDepth(t *testing.T) {
+// TestHierarchyDepthWithL3: the optional L3 joins the request chain the
+// model reads, between the L2 and memory, and every layer's LPMR over it
+// is defined.
+func TestHierarchyDepthWithL3(t *testing.T) {
 	gen := trace.NewSynthetic(trace.MustProfile("403.gcc"))
 	cfg := threeLevelConfig("403.gcc")
 	cpiExe := MeasureCPIexe(cfg.Cores[0].CPU, gen, 3, 15000)
 	ch := New(cfg)
 	ch.Run(20000, 20_000_000)
-	chain := ch.MeasureChain(0, cpiExe)
-	if len(chain.Layers) != 4 {
-		t.Fatalf("chain depth %d, want 4 (L1,L2,L3,MM)", len(chain.Layers))
+	_, h := ch.counters([]int{0})
+	if len(h.Levels) != 3 {
+		t.Fatalf("%d cache levels, want 3 (L1,L2,L3)", len(h.Levels))
 	}
-	if err := chain.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// LPMRs must be positive and generally decreasing down the request
-	// chain for a filtered hierarchy... at minimum, defined everywhere.
-	for i, v := range chain.LPMRs() {
-		if v < 0 {
-			t.Fatalf("LPMR(%d) = %v", i, v)
+	var mrs []float64
+	for j, l := range h.Levels {
+		if v := analyzer.LPMR(l.CAMAT(), h.Fmem(), cpiExe, mrs...); v < 0 {
+			t.Fatalf("LPMR%d = %v", j+1, v)
 		}
+		mrs = append(mrs, h.MR(j))
 	}
-	// Two-level chips produce three layers.
-	cfg2 := SingleCore("403.gcc")
-	ch2 := New(cfg2)
+	if v := analyzer.LPMR(h.MemCAMAT(), h.Fmem(), cpiExe, mrs...); v <= 0 {
+		t.Fatalf("memory LPMR = %v, want positive", v)
+	}
+	// Two-level chips read two cache levels.
+	ch2 := New(SingleCore("403.gcc"))
 	ch2.Run(10000, 20_000_000)
-	chain2 := ch2.MeasureChain(0, cpiExe)
-	if len(chain2.Layers) != 3 {
-		t.Fatalf("chain depth %d, want 3", len(chain2.Layers))
+	if _, h2 := ch2.counters([]int{0}); len(h2.Levels) != 2 {
+		t.Fatalf("%d cache levels, want 2", len(h2.Levels))
 	}
 }

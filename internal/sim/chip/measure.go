@@ -1,8 +1,6 @@
 package chip
 
 import (
-	"fmt"
-
 	"lpm/internal/analyzer"
 	"lpm/internal/core"
 	"lpm/internal/obs/timeseries"
@@ -129,34 +127,4 @@ func (c *Chip) timelineSeries() *timeseries.Series {
 	c.ts.s.Flush(c.now)
 	ser := c.ts.s.Series()
 	return &ser
-}
-
-// MeasureAggregate returns a chip-wide measurement: per-core CPU counters
-// summed, per-core L1 analyzers summed, against the shared L2 and memory.
-// cpiExe should be the (instruction-weighted) perfect-cache CPI of the
-// mix.
-func (c *Chip) MeasureAggregate(cpiExe float64) core.Measurement {
-	c.requireDetailed("MeasureAggregate")
-	var slots []int
-	for i, cr := range c.cores {
-		if cr != nil {
-			slots = append(slots, i)
-		}
-	}
-	return c.measure(slots, cpiExe)
-}
-
-// MeasureChain returns the generalised multi-level chain view for core i:
-// L1, L2, the optional L3, and main memory, with per-layer C-AMATs and
-// primary-miss forwarding ratios — the input to core.Chain's
-// arbitrary-depth LPMR computation.
-func (c *Chip) MeasureChain(i int, cpiExe float64) core.Chain {
-	c.requireDetailed("MeasureChain")
-	_, h := c.counters([]int{i})
-	ch := core.Chain{CPIexe: cpiExe, Fmem: h.Fmem()}
-	for j, l := range h.Levels {
-		ch.Layers = append(ch.Layers, core.Layer{Name: fmt.Sprintf("L%d", j+1), CAMAT: l.CAMAT(), MR: h.MR(j)})
-	}
-	ch.Layers = append(ch.Layers, core.Layer{Name: "MM", CAMAT: h.MemCAMAT()})
-	return ch
 }

@@ -87,27 +87,6 @@ func TestRecursionIdentityOnMeasuredData(t *testing.T) {
 	}
 }
 
-func TestMeasureAggregateConsistency(t *testing.T) {
-	gens := []trace.Generator{
-		trace.NewSynthetic(trace.MustProfile("401.bzip2")),
-		trace.NewSynthetic(trace.MustProfile("433.milc")),
-	}
-	ch := New(NUCA16(gens))
-	ch.Run(10000, 10_000_000)
-	agg := ch.MeasureAggregate(0.5)
-	m0 := ch.Measure(0, 0.5)
-	m1 := ch.Measure(1, 0.5)
-	// Aggregate fmem must lie between the two cores'.
-	lo, hi := math.Min(m0.Fmem, m1.Fmem), math.Max(m0.Fmem, m1.Fmem)
-	if agg.Fmem < lo-1e-9 || agg.Fmem > hi+1e-9 {
-		t.Fatalf("aggregate fmem %v outside [%v, %v]", agg.Fmem, lo, hi)
-	}
-	// Shared-layer quantities match the per-core view.
-	if agg.CAMAT2 != m0.CAMAT2 || agg.MR2 != m0.MR2 {
-		t.Fatal("aggregate L2 view differs from per-core view")
-	}
-}
-
 func TestMeasureIdleCore(t *testing.T) {
 	ch := New(NUCA16(nil))
 	ch.RunCycles(100)
@@ -141,8 +120,7 @@ func sumHierarchy(ws []timeseries.Window) analyzer.Hierarchy {
 // counters. A sampler attached after ResetCounters tiles the measured
 // window, so its windows' Hierarchy counters must sum to exactly the
 // counters Measure reads; the analyzer's derivation over that sum must
-// give Measure's model fields bit for bit; and MeasureChain's LPMRs must
-// equal Measure's three.
+// give Measure's model fields bit for bit.
 func TestWindowsSumToMeasure(t *testing.T) {
 	check := func(t *testing.T, ch *Chip, m core.Measurement, slots []int) {
 		t.Helper()
@@ -202,9 +180,6 @@ func TestWindowsSumToMeasure(t *testing.T) {
 			ch.Run(15000, 20_000_000)
 			m := ch.Measure(0, cpiExe)
 			check(t, ch, m, []int{0})
-			if got, want := ch.MeasureChain(0, cpiExe).LPMRs(), []float64{m.LPMR1(), m.LPMR2(), m.LPMR3()}; !reflect.DeepEqual(got, want) {
-				t.Errorf("MeasureChain LPMRs %v, Measure %v", got, want)
-			}
 		})
 	}
 
@@ -223,6 +198,6 @@ func TestWindowsSumToMeasure(t *testing.T) {
 		ch.ResetCounters()
 		ch.EnableTimeseries(tscfg)
 		ch.RunCycles(15000)
-		check(t, ch, ch.MeasureAggregate(0.5), slots) // any positive CPIexe calibrates the check
+		check(t, ch, ch.measure(slots, 0.5), slots) // any positive CPIexe calibrates the check
 	})
 }

@@ -123,8 +123,6 @@ func TestTierGuards(t *testing.T) {
 	mustPanic(t, "Tick requires the detailed tier", func() { ch.Tick() })
 	mustPanic(t, "Snapshot requires the detailed tier", func() { ch.Snapshot() })
 	mustPanic(t, "Measure requires the detailed tier", func() { ch.Measure(0, 1) })
-	mustPanic(t, "MeasureAggregate requires the detailed tier", func() { ch.MeasureAggregate(1) })
-	mustPanic(t, "MeasureChain requires the detailed tier", func() { ch.MeasureChain(0, 1) })
 	mustPanic(t, "EnableTimeseries requires the detailed tier", func() { ch.EnableTimeseries(timeseries.Config{Width: 1024, MaxWindows: 4}) })
 
 	ch.SetTier(chip.TierDetailed)

@@ -267,9 +267,6 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// Config returns the configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // Stats returns the event counters.
 func (d *DRAM) Stats() Stats { return d.st }
 

@@ -206,9 +206,6 @@ func New(cfg Config) *Router {
 // SetLower connects the downstream layer.
 func (r *Router) SetLower(l cache.Lower) { r.lower = l }
 
-// Config returns the router's configuration.
-func (r *Router) Config() Config { return r.cfg }
-
 // Stats returns the event counters.
 func (r *Router) Stats() Stats { return r.st }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -161,58 +162,6 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestRunningBasics(t *testing.T) {
-	var s Running
-	for _, x := range []float64{1, 2, 3, 4} {
-		s.Add(x)
-	}
-	if s.N() != 4 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if s.Mean() != 2.5 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-	if s.Min() != 1 || s.Max() != 4 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if math.Abs(s.Variance()-1.25) > 1e-12 {
-		t.Fatalf("variance = %v", s.Variance())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var s Running
-	if s.Mean() != 0 || s.Variance() != 0 || s.N() != 0 {
-		t.Fatal("zero-value Running not zero")
-	}
-}
-
-func TestRunningMatchesDirectComputation(t *testing.T) {
-	f := func(xs []float64) bool {
-		var s Running
-		var sum float64
-		ok := true
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				return true // skip pathological inputs
-			}
-		}
-		for _, x := range xs {
-			s.Add(x)
-			sum += x
-		}
-		if len(xs) > 0 {
-			mean := sum / float64(len(xs))
-			scale := math.Max(1, math.Abs(mean))
-			ok = math.Abs(s.Mean()-mean)/scale < 1e-9
-		}
-		return ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	for i := 0; i < 10; i++ {
@@ -224,8 +173,8 @@ func TestHistogramBasics(t *testing.T) {
 		t.Fatalf("total = %d", h.Total())
 	}
 	for i := 0; i < 10; i++ {
-		if h.Count(i) != 1 {
-			t.Fatalf("bucket %d = %d", i, h.Count(i))
+		if h.buckets[i] != 1 {
+			t.Fatalf("bucket %d = %d", i, h.buckets[i])
 		}
 	}
 }
@@ -233,25 +182,81 @@ func TestHistogramBasics(t *testing.T) {
 func TestHistogramUpperEdge(t *testing.T) {
 	h := NewHistogram(0, 1, 3)
 	h.Add(math.Nextafter(1, 0)) // just below hi
-	if h.Count(2) != 1 {
+	if h.buckets[2] != 1 {
 		t.Fatal("upper edge fell out of last bucket")
 	}
 }
 
+// sortedQuantile is the reference for Quantiles3: sort the samples, take
+// the floor(q·n)-th smallest, and report the bucket it landed in as the
+// histogram does — its midpoint, lo for underflow, hi for overflow or
+// when q = 1 runs past the last sample.
+func sortedQuantile(samples []float64, lo, hi float64, n int, q float64) float64 {
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	idx := int(math.Min(math.Max(q, 0), 1) * float64(len(s)))
+	if idx >= len(s) {
+		return hi
+	}
+	x := s[idx]
+	switch {
+	case x < lo:
+		return lo
+	case x >= hi:
+		return hi
+	}
+	w := (hi - lo) / float64(n)
+	b := min(int((x-lo)/w), n-1)
+	return lo + (float64(b)+0.5)*w
+}
+
 func TestHistogramQuantile(t *testing.T) {
+	if a, b, c := NewHistogram(0, 1, 4).Quantiles3(0.5, 0.9, 0.99); a != 0 || b != 0 || c != 0 {
+		t.Fatalf("empty histogram quantiles = %v %v %v, want zeros", a, b, c)
+	}
+
 	h := NewHistogram(0, 100, 100)
 	for i := 0; i < 100; i++ {
 		h.Add(float64(i))
 	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median = %v", med)
+	// Out-of-range quantiles clamp: q < 0 reads the smallest bucket, q > 1
+	// the hi bound, exactly like q = 0 and q = 1.
+	lo, mid, hi := h.Quantiles3(-0.5, 0.5, 1.5)
+	if wlo, wmid, whi := h.Quantiles3(0, 0.5, 1); lo != wlo || mid != wmid || hi != whi {
+		t.Fatalf("Quantiles3(-0.5, 0.5, 1.5) = %v %v %v, want %v %v %v", lo, mid, hi, wlo, wmid, whi)
 	}
-	if q := h.Quantile(0); q > 5 {
-		t.Fatalf("q0 = %v", q)
+	if lo != 0.5 || mid != 50.5 || hi != 100 {
+		t.Fatalf("Quantiles3(0, 0.5, 1) = %v %v %v, want 0.5 50.5 100", lo, mid, hi)
 	}
-	if q := h.Quantile(1); q < 95 {
-		t.Fatalf("q1 = %v", q)
+
+	// Underflow reports lo and overflow hi.
+	u := NewHistogram(10, 20, 10)
+	for _, x := range []float64{-5, 1, 2, 15, 30, 40, 50} {
+		u.Add(x)
+	}
+	if a, b, c := u.Quantiles3(0, 0.5, 0.9); a != 10 || b != 15.5 || c != 20 {
+		t.Fatalf("under/overflow quantiles = %v %v %v, want 10 15.5 20", a, b, c)
+	}
+
+	// Random samples spilling over both ends: every triple matches the
+	// sort-based reference.
+	r := NewRNG(7)
+	const lo2, hi2, n2 = 0.0, 50.0, 25
+	g := NewHistogram(lo2, hi2, n2)
+	var samples []float64
+	for i := 0; i < 1000; i++ {
+		x := r.Float64()*70 - 10
+		g.Add(x)
+		samples = append(samples, x)
+	}
+	for _, qs := range [][3]float64{{0.5, 0.9, 0.99}, {0, 0.01, 0.1}, {0.25, 0.5, 0.75}, {0.9, 0.999, 1}, {0.3, 0.3, 0.3}} {
+		got := [3]float64{}
+		got[0], got[1], got[2] = g.Quantiles3(qs[0], qs[1], qs[2])
+		for k, q := range qs {
+			if want := sortedQuantile(samples, lo2, hi2, n2, q); got[k] != want {
+				t.Errorf("Quantiles3%v[%d] = %v, sort-based q%v = %v", qs, k, got[k], q, want)
+			}
+		}
 	}
 }
 
@@ -302,7 +307,11 @@ func TestHarmonicLEGeometricLEArithmetic(t *testing.T) {
 			sum += x
 		}
 		am := sum / float64(len(xs))
-		gm := GeometricMean(xs)
+		var logSum float64
+		for _, x := range xs {
+			logSum += math.Log(x)
+		}
+		gm := math.Exp(logSum / float64(len(xs)))
 		hm := HarmonicMean(xs)
 		const eps = 1e-9
 		return hm <= gm*(1+eps) && gm <= am*(1+eps)
@@ -337,24 +346,6 @@ func TestHspPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Hsp([]float64{1}, []float64{1, 2})
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-	// Median must not modify its input.
-	in := []float64{9, 1, 5}
-	Median(in)
-	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Fatal("Median modified input")
-	}
 }
 
 func TestWeightedSpeedupZeroAlone(t *testing.T) {

@@ -31,7 +31,6 @@ type Writer struct {
 	w        *bufio.Writer
 	prevAddr uint64
 	buf      []byte
-	count    uint64
 }
 
 // NewWriter writes the header for a trace named name and returns the
@@ -75,13 +74,9 @@ func (tw *Writer) Write(in Instr) error {
 	if in.Lat > 1 {
 		tw.buf = binary.AppendUvarint(tw.buf, uint64(in.Lat))
 	}
-	tw.count++
 	_, err := tw.w.Write(tw.buf)
 	return err
 }
-
-// Count returns the number of instructions written.
-func (tw *Writer) Count() uint64 { return tw.count }
 
 // Flush flushes buffered output to the underlying writer.
 func (tw *Writer) Flush() error { return tw.w.Flush() }

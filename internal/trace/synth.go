@@ -80,9 +80,6 @@ func NewSynthetic(p Profile) *Synthetic {
 // Name implements Generator.
 func (g *Synthetic) Name() string { return g.prof.Name }
 
-// Profile returns a copy of the generator's profile.
-func (g *Synthetic) Profile() Profile { return g.prof }
-
 // Reset implements Generator.
 func (g *Synthetic) Reset() {
 	g.rng.Reseed(g.prof.Seed ^ 0x15ecc0de ^ hashName(g.prof.Name))

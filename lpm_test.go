@@ -3,6 +3,8 @@ package lpm
 import (
 	"math"
 	"testing"
+
+	"lpm/internal/trace"
 )
 
 func TestFig1MatchesPaperExactly(t *testing.T) {
@@ -46,7 +48,7 @@ func TestPublicChipWorkflow(t *testing.T) {
 }
 
 func TestWorkloadsEnumeration(t *testing.T) {
-	ws := Workloads()
+	ws := trace.ProfileNames()
 	if len(ws) != 16 {
 		t.Fatalf("%d workloads", len(ws))
 	}
@@ -57,12 +59,6 @@ func TestWorkloadsEnumeration(t *testing.T) {
 		if ws[i-1] > ws[i] {
 			t.Fatal("not sorted")
 		}
-	}
-}
-
-func TestAMATHelper(t *testing.T) {
-	if AMAT(3, 0.4, 2) != 3.8 {
-		t.Fatal("AMAT helper wrong")
 	}
 }
 
@@ -150,41 +146,6 @@ func TestIdentitiesOnLiveRuns(t *testing.T) {
 				t.Errorf("%s: model stall %.3f vs measured %.3f", r.Workload, r.StallModel, r.StallMeasured)
 			}
 		}
-	}
-}
-
-func TestChainThroughPublicAPI(t *testing.T) {
-	cfg := SingleCore("403.gcc")
-	gen, _ := NewWorkload("403.gcc")
-	cpiExe := MeasureCPIexe(cfg.Cores[0].CPU, gen, 3, 10000)
-	ch := NewChip(cfg)
-	ch.Run(15000, 10_000_000)
-	chain := ch.MeasureChain(0, cpiExe)
-	if len(chain.Layers) != 3 {
-		t.Fatalf("depth %d", len(chain.Layers))
-	}
-	if err := chain.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	m := ch.Measure(0, cpiExe)
-	for i, want := range []float64{m.LPMR1(), m.LPMR2(), m.LPMR3()} {
-		if got := chain.LPMR(i); got != want {
-			t.Fatalf("chain LPMR(%d) %v != LPMR%d %v", i, got, i+1, want)
-		}
-	}
-	if b := chain.BottleneckLayer(); b < 0 || b > 2 {
-		t.Fatalf("bottleneck %d", b)
-	}
-}
-
-func TestSensitivityAPI(t *testing.T) {
-	c := CAMAT{H: 3, CH: 2.5, PMR: 0.2, PAMP: 2, CM: 1}
-	s := Sensitivities(c)
-	if s.DH <= 0 || s.DCH >= 0 {
-		t.Fatal("gradient signs wrong")
-	}
-	if BestLever(c) == "" {
-		t.Fatal("no lever")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"lpm/internal/sched"
 	"lpm/internal/sim/chip"
+	"lpm/internal/trace"
 )
 
 // The parallel runner must be invisible in the results: every simulation
@@ -128,7 +129,7 @@ func TestParallelTimelinesMatchSerialExactly(t *testing.T) {
 func TestParallelAloneIPCsMatchesSerialExactly(t *testing.T) {
 	defer func() { SetWorkers(0); ResetSimCaches() }()
 
-	names := Workloads()
+	names := trace.ProfileNames()
 	sizes := chip.NUCAGroupSizes[:]
 	opt := sched.EvalOptions{WindowCycles: 20000, WarmupCycles: 10000}
 

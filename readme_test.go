@@ -2,10 +2,15 @@ package lpm
 
 import (
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
+	"strings"
 	"testing"
 
 	"lpm/internal/fabric"
@@ -60,6 +65,58 @@ func TestReadmeNamesExactlyTheShardFlags(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
 	if !reflect.DeepEqual(named, registered) {
 		t.Fatalf("README names -%v; BindShardFlags registers -%v", keys(named), keys(registered))
+	}
+}
+
+// TestDocsNameOnlyExportedFacade: every lpm.X in README.md, DESIGN.md and
+// EXPERIMENTS.md is an exported identifier of the root package's
+// non-test files, so a deleted facade name cannot linger in the docs.
+func TestDocsNameOnlyExportedFacade(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					exported[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						exported[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							exported[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	ref := regexp.MustCompile(`\blpm\.([A-Z]\w*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllSubmatch(text, -1) {
+			if name := string(m[1]); !exported[name] {
+				t.Errorf("%s names lpm.%s, which the root package does not export", doc, name)
+			}
+		}
 	}
 }
 

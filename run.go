@@ -2,6 +2,7 @@ package lpm
 
 import (
 	"context"
+	"fmt"
 
 	"lpm/internal/obs/timeseries"
 	"lpm/internal/sim/chip"
@@ -13,6 +14,14 @@ import (
 // snapshotting the registry on every window costs ~2% of the engine loop
 // for no freshness. A final snapshot keeps the end state exact.
 const SnapshotEvery = 16
+
+// MaxRunInstructions caps a single run's Instructions and its Warmup
+// each. The run's cycle budget is 600 cycles per instruction, which a
+// larger count could wrap, and a run cannot be cancelled during its
+// CPI_exe calibration, so an unbounded budget would hold a control-plane
+// run slot for as long as a client asked; 10^8 is 400 times the
+// full-scale warm-up.
+const MaxRunInstructions = 100_000_000
 
 // SingleRun describes one run of the single-run pipeline: one workload
 // on a single-core chip, measured over one window. cmd/lpmrun and the
@@ -56,12 +65,17 @@ type SingleResult struct {
 
 // RunSingle executes r: calibrate CPIexe, build the chip, attach the
 // requested hooks, warm up, reset, run the window, measure. A nil result
-// means the run never started (unknown workload); a cancelled or
-// livelocked run returns its result alongside the run error.
+// means the run never started (unknown workload, or Instructions or
+// Warmup over MaxRunInstructions); a cancelled or livelocked run returns
+// its result alongside the run error.
 func RunSingle(ctx context.Context, r SingleRun) (*SingleResult, error) {
 	prof, err := trace.ProfileByName(r.Workload)
 	if err != nil {
 		return nil, err
+	}
+	if r.Instructions > MaxRunInstructions || r.Warmup > MaxRunInstructions {
+		return nil, fmt.Errorf("lpm: instructions %d / warmup %d over the cap of %d each",
+			r.Instructions, r.Warmup, MaxRunInstructions)
 	}
 	cfg := chip.SingleCore(r.Workload)
 	if r.Config != nil {

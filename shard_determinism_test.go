@@ -13,6 +13,7 @@ import (
 	"lpm/internal/obs"
 	"lpm/internal/sched"
 	"lpm/internal/sim/chip"
+	"lpm/internal/trace"
 )
 
 // Sharding must be invisible in the results: a run fanned out over
@@ -139,7 +140,7 @@ func startFabricWithSlots(t *testing.T, slots ...int) (*fabric.LocalFabric, func
 // are the serial ones.
 func TestShardedFig8UsesEveryWorker(t *testing.T) {
 	defer func() { SetWorkers(0); ResetSimCaches() }()
-	names, sizes := Workloads(), chip.NUCAGroupSizes[:]
+	names, sizes := trace.ProfileNames(), chip.NUCAGroupSizes[:]
 	run := func() []byte {
 		tbl, err := sched.BuildProfileTable(bg, names, sizes, sched.ProfileOptions{Instructions: 10000, Warmup: 25000})
 		if err != nil {
@@ -224,7 +225,7 @@ func TestShardedReportSurvivesWorkerJoinLeave(t *testing.T) {
 func TestShardedAloneIPCsMatchSerialExactly(t *testing.T) {
 	defer func() { SetWorkers(0); ResetSimCaches() }()
 
-	names := Workloads()
+	names := trace.ProfileNames()
 	sizes := chip.NUCAGroupSizes[:]
 	opt := sched.EvalOptions{WindowCycles: 20000, WarmupCycles: 10000}
 
