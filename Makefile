@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCacheConfigValidate -fuzztime 15s -run '^$$' ./internal/sim/cache
 	$(GO) test -fuzz FuzzHierarchyBackpressure -fuzztime 15s -run '^$$' ./internal/sim/chip
 	$(GO) test -fuzz FuzzFabricFrameDecode -fuzztime 15s -run '^$$' ./internal/fabric
+	$(GO) test -fuzz FuzzCoordinator -fuzztime 15s -run '^$$' ./internal/fabric
 	$(GO) test -fuzz FuzzSamplerTables -fuzztime 15s -run '^$$' ./internal/stats
 	$(GO) test -fuzz FuzzReplayJournal -fuzztime 15s -run '^$$' ./internal/resilience/fleet
 	$(GO) test -fuzz FuzzDecodeReport -fuzztime 15s -run '^$$' .

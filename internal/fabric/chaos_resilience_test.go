@@ -103,7 +103,7 @@ func TestChaosFabricPartitionDuringStragglerDuplication(t *testing.T) {
 		Heartbeat:     25 * time.Millisecond,
 		// Health stays far behind the straggler deadline so recovery is
 		// attributable to duplication, not eviction.
-		Health: fleet.HealthPolicy{SuspectAfter: 40, DeadAfter: 1 << 20},
+		Health: HealthPolicy{SuspectAfter: 40, DeadAfter: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestChaosFabricHungTCPHeartbeatLoss(t *testing.T) {
 		StraggleAfter: -1, // recovery must come from health, not stragglers
 		TickEvery:     5 * time.Millisecond,
 		Heartbeat:     20 * time.Millisecond,
-		Health:        fleet.HealthPolicy{SuspectAfter: 20, DeadAfter: 50},
+		Health:        HealthPolicy{SuspectAfter: 20, DeadAfter: 50},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestChaosFabricCorruptFrameReconnect(t *testing.T) {
 		StraggleAfter: -1,
 		TickEvery:     5 * time.Millisecond,
 		Heartbeat:     20 * time.Millisecond,
-		Health:        fleet.HealthPolicy{SuspectAfter: 40, DeadAfter: 200},
+		Health:        HealthPolicy{SuspectAfter: 40, DeadAfter: 200},
 	})
 	if err != nil {
 		t.Fatal(err)

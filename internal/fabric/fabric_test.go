@@ -357,7 +357,7 @@ func TestFabricInFlightBudget(t *testing.T) {
 	for time.Now().Before(deadline) {
 		lf.C.mu.Lock()
 		var over int
-		for _, w := range lf.C.workers {
+		for _, w := range lf.C.s.sessions {
 			if len(w.inflight) > 2 {
 				over = len(w.inflight)
 			}
@@ -401,7 +401,7 @@ func TestFabricSlotsAreUsed(t *testing.T) {
 			running = false
 		case <-time.After(time.Millisecond):
 			lf.C.mu.Lock()
-			for _, w := range lf.C.workers {
+			for _, w := range lf.C.s.sessions {
 				held = max(held, len(w.inflight))
 			}
 			lf.C.mu.Unlock()
@@ -419,6 +419,10 @@ func TestFabricSlotsAreUsed(t *testing.T) {
 // match: with a coordinator active a batch is bounded by the fleet's
 // slots, not by this process's -workers; with none, by -workers.
 func TestKindDoAllKeepsTheWholeBatchOutstanding(t *testing.T) {
+	// An earlier run in this process (go test -count=N) filled the
+	// kinds' memos; without a reset every Do below is a hit and nothing
+	// executes.
+	parallel.ResetAllMemos()
 	defer parallel.SetWorkers(0)
 	parallel.SetWorkers(2)
 	const sleepMS = 40
@@ -723,53 +727,50 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 	defer c.Close()
 	submit := func() {
-		g := &granule{id: c.nextID, kind: "bench", key: fmt.Sprint(c.nextID), done: make(chan struct{})}
-		c.nextID++
-		c.byKey[g.key], c.byID[g.id] = g, g
-		c.enqueueLocked(g)
+		g := &granule{id: c.s.nextID, kind: "bench", key: fmt.Sprint(c.s.nextID), done: make(chan struct{})}
+		c.s.nextID++
+		c.s.byKey[g.key], c.s.byID[g.id] = g, g
+		c.s.enqueue(g)
 	}
 	c.mu.Lock()
 	for i := 0; i < workers; i++ {
 		near, far := net.Pipe()
 		defer far.Close()
-		c.workers = append(c.workers, &remoteWorker{
-			name: fmt.Sprint("w", i), conn: near, slots: 1 + i%4,
-			inflight: make(map[uint64]*granule), outbox: make(chan Msg, 8),
-		})
-		c.stats.Workers++
-		for k := 0; k < c.dispatch.Budget(1+i%4); k++ {
+		c.s.hello(&session{name: fmt.Sprint("w", i), slots: 1 + i%4,
+			link: &link{conn: near, outbox: make(chan Msg, 8)}})
+		for k := 0; k < budget(1+i%4); k++ {
 			submit()
 		}
 	}
 	for i := 0; i < backlog; i++ {
 		submit()
 	}
-	c.dispatchLocked()
+	c.s.dispatch()
 	c.mu.Unlock()
-	for _, w := range c.workers {
-		for len(w.outbox) > 0 {
-			<-w.outbox
+	for _, w := range c.s.sessions {
+		for len(w.link.outbox) > 0 {
+			<-w.link.outbox
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := c.workers[i%workers]
+		w := c.s.sessions[i%workers]
 		var id uint64
 		for id = range w.inflight {
 			break
 		}
 		c.mu.Lock()
 		submit()
+		c.s.result(w, Msg{Type: MsgResult, ID: id, Value: json.RawMessage("1")})
 		c.mu.Unlock()
-		c.handleResult(w, Msg{Type: MsgResult, ID: id, Value: json.RawMessage("1")})
-		if m := <-w.outbox; m.Type != MsgWork {
+		if m := <-w.link.outbox; m.Type != MsgWork {
 			b.Fatalf("iteration %d: %q frame, want the next work frame", i, m.Type)
 		}
 	}
 	b.StopTimer()
-	if c.stats.Completed != b.N || len(c.pending) != backlog {
-		b.Fatalf("completed=%d pending=%d, want %d and a steady backlog of %d", c.stats.Completed, len(c.pending), b.N, backlog)
+	if c.s.stats.Completed != b.N || len(c.s.pending) != backlog {
+		b.Fatalf("completed=%d pending=%d, want %d and a steady backlog of %d", c.s.stats.Completed, len(c.s.pending), b.N, backlog)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // ObsSnapshot publishes Stats and the queue shape into the Obs registry
 // and captures it (nil when no registry was configured). Stats is the
 // only count of fleet events; the fabric.* series are written here
-// (workerGone alone also zeroes its departed worker's in-flight gauge),
+// (dropping a session also zeroes its departed worker's in-flight gauge),
 // under the coordinator mutex that guards both, so the snapshot is
 // consistent and safe to call from serving goroutines.
 func (c *Coordinator) ObsSnapshot() *obs.Snapshot {
@@ -28,14 +28,14 @@ func (c *Coordinator) ObsSnapshot() *obs.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	inflight := 0
-	for _, w := range c.workers {
+	for _, w := range c.s.sessions {
 		inflight += len(w.inflight)
 		reg.Gauge("fabric.worker." + promSafe(w.name) + ".inflight").Set(float64(len(w.inflight)))
 	}
-	reg.Gauge("fabric.workers").Set(float64(len(c.workers)))
-	reg.Gauge("fabric.pending_depth").Set(float64(len(c.pending)))
+	reg.Gauge("fabric.workers").Set(float64(len(c.s.sessions)))
+	reg.Gauge("fabric.pending_depth").Set(float64(len(c.s.pending)))
 	reg.Gauge("fabric.inflight").Set(float64(inflight))
-	s := c.stats
+	s := c.s.stats
 	reg.Counter("fabric.workers_joined").Set(uint64(s.Joined))
 	reg.Counter("fabric.workers_died").Set(uint64(s.Died))
 	reg.Counter("fabric.granules_submitted").Set(uint64(s.Submitted))

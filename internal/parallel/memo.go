@@ -173,12 +173,19 @@ func (m *Memo[V]) Reset() {
 	m.hits, m.misses = 0, 0
 }
 
-// resettable lets the registry hold memos of different value types.
-type resettable interface{ Reset() }
+// registered is what the registry needs of a memo, whatever its value
+// type: every *Memo[V] satisfies it.
+type registered interface {
+	Reset()
+	Stats() (hits, misses int64)
+	Name() string
+	export() (json.RawMessage, error)
+	load(json.RawMessage) error
+}
 
 var registry struct {
 	mu    sync.Mutex
-	memos []resettable
+	memos []registered
 }
 
 // ResetAllMemos clears every Memo created through NewMemo — the
@@ -192,8 +199,7 @@ func ResetAllMemos() {
 	}
 }
 
-// export marshals the memo's completed entries; part of the porter
-// interface behind ExportMemos.
+// export marshals the memo's completed entries for ExportMemos.
 func (m *Memo[V]) export() (json.RawMessage, error) {
 	return json.Marshal(m.Snapshot())
 }
@@ -208,13 +214,6 @@ func (m *Memo[V]) load(data json.RawMessage) error {
 	return nil
 }
 
-// porter lets the registry export/import memos of different value
-// types.
-type porter interface {
-	export() (json.RawMessage, error)
-	load(json.RawMessage) error
-}
-
 // ExportMemos snapshots every named memo into a name → entries map,
 // the payload the checkpoint layer persists.
 func ExportMemos() (map[string]json.RawMessage, error) {
@@ -222,19 +221,14 @@ func ExportMemos() (map[string]json.RawMessage, error) {
 	defer registry.mu.Unlock()
 	out := make(map[string]json.RawMessage)
 	for _, m := range registry.memos {
-		name := memoName(m)
-		if name == "" {
+		if m.Name() == "" {
 			continue
 		}
-		p, ok := m.(porter)
-		if !ok {
-			continue
-		}
-		data, err := p.export()
+		data, err := m.export()
 		if err != nil {
-			return nil, fmt.Errorf("parallel: export memo %q: %w", name, err)
+			return nil, fmt.Errorf("parallel: export memo %q: %w", m.Name(), err)
 		}
-		out[name] = data
+		out[m.Name()] = data
 	}
 	return out, nil
 }
@@ -246,41 +240,19 @@ func ImportMemos(snap map[string]json.RawMessage) error {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	for _, m := range registry.memos {
-		name := memoName(m)
-		if name == "" {
+		data, ok := snap[m.Name()]
+		if m.Name() == "" || !ok {
 			continue
 		}
-		data, ok := snap[name]
-		if !ok {
-			continue
-		}
-		p, ok := m.(porter)
-		if !ok {
-			continue
-		}
-		if err := p.load(data); err != nil {
-			return fmt.Errorf("parallel: import memo %q: %w", name, err)
+		if err := m.load(data); err != nil {
+			return fmt.Errorf("parallel: import memo %q: %w", m.Name(), err)
 		}
 	}
 	return nil
 }
 
-// named lets the registry read the name across value types.
-type named interface{ Name() string }
-
 // Name returns the memo's checkpoint name ("" for anonymous memos).
 func (m *Memo[V]) Name() string { return m.name }
-
-func memoName(m resettable) string {
-	if n, ok := m.(named); ok {
-		return n.Name()
-	}
-	return ""
-}
-
-// statser lets the registry aggregate counters across memos of different
-// value types.
-type statser interface{ Stats() (int64, int64) }
 
 // MemoStats sums hit and miss counts over every Memo created through
 // NewMemo — the process-wide view the observability facade publishes.
@@ -288,11 +260,9 @@ func MemoStats() (hits, misses int64) {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	for _, m := range registry.memos {
-		if s, ok := m.(statser); ok {
-			h, mi := s.Stats()
-			hits += h
-			misses += mi
-		}
+		h, mi := m.Stats()
+		hits += h
+		misses += mi
 	}
 	return hits, misses
 }

@@ -121,100 +121,6 @@ func TestRemoteErrorTextVerbatim(t *testing.T) {
 	}
 }
 
-func TestHealthClassification(t *testing.T) {
-	t.Parallel()
-	p := HealthPolicy{SuspectAfter: 4, DeadAfter: 10}
-	h := NewHealthTracker(p)
-	h.Observe("w1", 100)
-	cases := []struct {
-		now  uint64
-		want HealthState
-	}{
-		{100, Healthy}, {103, Healthy}, {104, Suspect}, {109, Suspect},
-		{110, Dead}, {500, Dead},
-	}
-	for _, tc := range cases {
-		if got := h.State("w1", tc.now); got != tc.want {
-			t.Errorf("tick %d: state=%v, want %v", tc.now, got, tc.want)
-		}
-	}
-	// Fresh proof of life resets the clock.
-	h.Observe("w1", 120)
-	if got := h.State("w1", 122); got != Healthy {
-		t.Fatalf("after re-observe: %v, want healthy", got)
-	}
-	// Unknown workers are healthy until first observation.
-	if got := h.State("ghost", 999); got != Healthy {
-		t.Fatalf("unknown worker: %v, want healthy", got)
-	}
-	h.Forget("w1")
-	if got := h.State("w1", 999); got != Healthy {
-		t.Fatalf("forgotten worker: %v, want healthy", got)
-	}
-}
-
-func TestHealthDisabled(t *testing.T) {
-	t.Parallel()
-	h := NewHealthTracker(HealthPolicy{})
-	h.Observe("w", 0)
-	if got := h.State("w", 1<<40); got != Healthy {
-		t.Fatalf("disabled policy: %v, want healthy", got)
-	}
-}
-
-func TestQuarantineStrikesAndProbation(t *testing.T) {
-	t.Parallel()
-	q := NewQuarantine(QuarantinePolicy{TripAfter: 3, Probation: 50})
-	if q.Strike("w", 10) || q.Strike("w", 11) {
-		t.Fatal("tripped before the threshold")
-	}
-	if !q.Strike("w", 12) {
-		t.Fatal("third strike did not trip")
-	}
-	if !q.Blocked("w", 12) || !q.Blocked("w", 61) {
-		t.Fatal("not blocked during probation")
-	}
-	if q.Blocked("w", 62) {
-		t.Fatal("still blocked after probation expired")
-	}
-	if q.Strikes("w") != 0 {
-		t.Fatalf("strikes=%d after readmission, want clean slate", q.Strikes("w"))
-	}
-}
-
-func TestQuarantineNowAndPermanent(t *testing.T) {
-	t.Parallel()
-	q := NewQuarantine(QuarantinePolicy{TripAfter: 3, Probation: 0})
-	if !q.QuarantineNow("liar", 5) {
-		t.Fatal("QuarantineNow did not trip")
-	}
-	if q.QuarantineNow("liar", 6) {
-		t.Fatal("second QuarantineNow reported a fresh trip")
-	}
-	if !q.Blocked("liar", 1<<40) {
-		t.Fatal("permanent quarantine expired")
-	}
-}
-
-func TestQuarantineSnapshotRestore(t *testing.T) {
-	t.Parallel()
-	q := NewQuarantine(QuarantinePolicy{TripAfter: 1, Probation: 100})
-	q.Strike("a", 10)
-	q.Strike("b", 20)
-	snap := q.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot %v, want 2 names", snap)
-	}
-	q2 := NewQuarantine(QuarantinePolicy{TripAfter: 1, Probation: 100})
-	q2.Restore(snap, 0)
-	if !q2.Blocked("a", 50) || !q2.Blocked("b", 99) {
-		t.Fatal("restored quarantine not blocking")
-	}
-	if q2.Blocked("a", 100) {
-		t.Fatal("restored probation did not expire")
-	}
-}
-
 func TestJournalRoundTrip(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "sched.journal")
@@ -381,20 +287,6 @@ func TestJournalMissingFile(t *testing.T) {
 
 func TestNilReceivers(t *testing.T) {
 	t.Parallel()
-	var h *HealthTracker
-	h.Observe("w", 1)
-	h.Forget("w")
-	if h.State("w", 1) != Healthy {
-		t.Fatal("nil tracker not healthy")
-	}
-	var q *Quarantine
-	if q.Strike("w", 1) || q.Blocked("w", 1) || q.QuarantineNow("w", 1) {
-		t.Fatal("nil quarantine tripped")
-	}
-	q.Restore([]string{"w"}, 1)
-	if q.Snapshot() != nil || q.Strikes("w") != 0 {
-		t.Fatal("nil quarantine returned state")
-	}
 	var j *Journal
 	if err := j.Append(Entry{}); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,15 @@
-// Package fleet is the resilience layer under the sweep fabric and the
-// control plane: one shared retry/backoff policy, a heartbeat health
-// state machine, a circuit-breaker quarantine with probation, and an
-// append-only scheduling journal — the pieces that let a distributed
-// sweep survive slow, flaky, and lying workers (and a murdered
-// coordinator) without perturbing bit-identical results.
+// Package fleet holds what the sweep fabric and the control plane share
+// for surviving slow, flaky and lying workers (and a murdered
+// coordinator) without perturbing bit-identical results: one seeded
+// retry/backoff policy, the remote-error classification, and the
+// append-only scheduling journal with its replay. The scheduling
+// decisions themselves — dispatch, replicas, health, quarantine — live
+// in the fabric's scheduler, which journals them here.
 //
-// Everything here that makes a *decision* is a pure function of its
-// inputs: backoff delays derive from (seed, attempt) through splitmix64,
-// health states from tick counts, quarantine trips from strike counts.
-// No wall clocks, no global RNG — the chaos suite replays every scenario
-// deterministically, and `lpmlint` enforces the discipline.
+// The backoff delay is a pure function of (seed, attempt) through
+// splitmix64: no wall clocks, no global RNG, so the chaos suite replays
+// every scenario deterministically, and `lpmlint` enforces the
+// discipline.
 package fleet
 
 import (
