@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReplayJournal -fuzztime 15s -run '^$$' ./internal/resilience/fleet
 	$(GO) test -fuzz FuzzDecodeReport -fuzztime 15s -run '^$$' .
 	$(GO) test -fuzz FuzzSubmitRunSpec -fuzztime 15s -run '^$$' ./internal/ctrl
+	$(GO) test -fuzz FuzzHub -fuzztime 15s -run '^$$' ./internal/ctrl
 
 # Sweep-fabric suite: the in-process coordinator/worker harness and the
 # sharded-vs-serial determinism properties under the race detector, plus

@@ -102,26 +102,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfg.L2 = chip.DefaultL2("L2", *l2Size)
 	cfg.L2.Banks = *l2Banks
 
-	var live *timeseries.Live
-	if *serve != "" {
-		live = timeseries.NewLive()
-		ln, err := net.Listen("tcp", *serve)
-		if err != nil {
-			return err
-		}
-		// The exposition handlers live in internal/ctrl, shared with the
-		// lpmserve control plane's per-run endpoints: one code path, one
-		// output format.
-		srv := &http.Server{Handler: ctrl.NewExpoMux(live)}
-		defer srv.Close()
-		go func() { _ = srv.Serve(ln) }()
-		p.Printf("serving /metrics and /timeline on http://%s\n", ln.Addr())
-	}
-
 	// The run itself is the pipeline the control plane's SimRunner shares;
-	// windows and throttled snapshots reach the HTTP side through live
-	// while the simulation stays single-goroutine.
-	res, runErr := lpm.RunSingle(ctx, lpm.SingleRun{
+	// with -serve, windows and throttled snapshots reach the HTTP side
+	// through a ctrl.Hub while the simulation stays single-goroutine.
+	single := lpm.SingleRun{
 		Tool:         "lpmrun",
 		Workload:     *workload,
 		Config:       &cfg,
@@ -133,12 +117,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Timeline:     *timeline,
 		TSWindow:     *tsWindow,
 		Adaptive:     *tsAdapt,
-		Live:         live,
-	})
+	}
+	var hub *ctrl.Hub
+	if *serve != "" {
+		hub = ctrl.NewHub()
+		single.Live = hub // only a non-nil hub: a typed nil is not a nil LiveSink
+		ln, err := net.Listen("tcp", *serve)
+		if err != nil {
+			return err
+		}
+		// The exposition handlers live in internal/ctrl, shared with the
+		// lpmserve control plane's per-run endpoints: one code path, one
+		// output format.
+		srv := &http.Server{Handler: ctrl.NewExpoMux(hub)}
+		defer srv.Close()
+		go func() { _ = srv.Serve(ln) }()
+		p.Printf("serving /metrics and /timeline on http://%s\n", ln.Addr())
+	}
+
+	res, runErr := lpm.RunSingle(ctx, single)
 	if res == nil {
 		return runErr
 	}
-	live.Finish()
+	if hub != nil {
+		hub.Done()
+	}
 
 	if *jsonOut {
 		// An interrupted or livelocked run still emits a decodable
@@ -198,7 +201,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		p.Println()
 		printTimeline(p, m.Timeline)
 	}
-	if live != nil && *hold > 0 {
+	if hub != nil && *hold > 0 {
 		p.Printf("holding exposition server for %s\n", *hold)
 		time.Sleep(*hold)
 	}

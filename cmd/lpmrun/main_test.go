@@ -99,8 +99,8 @@ func TestRunTimelineSummary(t *testing.T) {
 // it, including concurrent scrapes while windows are still being
 // published — the race-detector CI job leans on this test.
 func TestServeEndpoints(t *testing.T) {
-	live := timeseries.NewLive()
-	srv := httptest.NewServer(ctrl.NewExpoMux(live))
+	hub := ctrl.NewHub()
+	srv := httptest.NewServer(ctrl.NewExpoMux(hub))
 	defer srv.Close()
 
 	get := func(path string) (string, string) {
@@ -140,9 +140,9 @@ func TestServeEndpoints(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			w := timeseries.Window{Index: i, Start: uint64(i * 100), End: uint64(i*100 + 100)}
 			w.Derived.LPMR1 = 1 + float64(i)
-			live.Publish(w)
+			hub.Publish(w)
 		}
-		live.Finish()
+		hub.Done()
 	}()
 	for i := 0; i < 20; i++ {
 		get("/metrics")

@@ -99,15 +99,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	defer stopShard()
 
-	cfg := ctrl.Config{
+	reg := ctrl.NewRegistry(ctx, ctrl.Config{
 		MaxConcurrent: *maxRuns,
 		TenantBudget:  *budget,
 		Log:           log,
-	}
-	if coord != nil {
-		cfg.Fabric = coord
-	}
-	reg := ctrl.NewRegistry(ctx, cfg)
+		Fabric:        coord,
+	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

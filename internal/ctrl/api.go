@@ -8,12 +8,13 @@
 // aggregating every run's observability snapshot plus the sweep
 // fabric's coordinator telemetry.
 //
-// The package deliberately reuses the observability substrate the rest
-// of the repo already has: each run publishes through a
-// timeseries.Live (the same synchronised hand-off lpmrun -serve uses —
-// expo.go here hosts those handlers so both binaries share one code
-// path), and all control-plane metrics live in an internal/obs
-// registry guarded by the registry mutex.
+// Each run publishes into one Hub, the run's only stream: its series
+// header, seq-stamped window history (bounded by
+// timeseries.DefaultMaxWindows), latest obs snapshot and finished flag.
+// SSE, /timeline and /metrics all read it; lpmrun -serve publishes into
+// a Hub too, and expo.go here hosts the handlers both binaries share.
+// All control-plane metrics live in an internal/obs registry guarded by
+// the registry mutex.
 package ctrl
 
 import (
@@ -148,6 +149,8 @@ type TimelineDoc struct {
 	Schema string `json:"schema"`
 	// Done reports whether the simulation has finished.
 	Done bool `json:"done"`
-	// Series is the windowed timeline published so far.
+	// Series is the windowed timeline published so far: the newest
+	// timeseries.DefaultMaxWindows windows, older ones counted in
+	// Series.Dropped.
 	Series timeseries.Series `json:"series"`
 }

@@ -32,19 +32,19 @@ type stubRunner struct {
 	started []string
 }
 
-func (s *stubRunner) Run(ctx context.Context, spec RunSpec, pub *Publisher) (json.RawMessage, error) {
+func (s *stubRunner) Run(ctx context.Context, spec RunSpec, hub *Hub) (json.RawMessage, error) {
 	s.mu.Lock()
 	s.started = append(s.started, spec.Workload)
 	s.mu.Unlock()
-	pub.SetMeta(512, false)
+	hub.SetMeta(512, false)
 	reg := obs.NewRegistry()
 	windows := reg.Counter("stub.windows")
 	for i := 0; i < s.windows; i++ {
 		w := timeseries.Window{Index: i, Start: uint64(i) * 512, End: uint64(i+1) * 512}
 		w.Derived.LPMR1 = 1 + float64(i)
-		pub.Window(w)
+		hub.Publish(w)
 		windows.Inc()
-		pub.Snapshot(reg.Snapshot())
+		hub.PublishSnapshot(reg.Snapshot())
 		if s.delay > 0 {
 			select {
 			case <-time.After(s.delay):
@@ -530,7 +530,7 @@ func TestDoneEventFollowsTerminalState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	_, hub, _ := reg.handles(st.ID)
+	hub, _ := reg.handles(st.ID)
 	sub := hub.Subscribe(0)
 	reg.mu.Lock()
 	close(run.release)
@@ -555,7 +555,7 @@ func TestDoneEventFollowsTerminalState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
-		_, hub, _ := reg.handles(st.ID)
+		hub, _ := reg.handles(st.ID)
 		sub := hub.Subscribe(0)
 		if !awaitDone(ctx, sub) {
 			t.Fatalf("run %s: stream ended without done", st.ID)

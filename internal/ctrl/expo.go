@@ -9,20 +9,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-
-	"lpm/internal/obs/timeseries"
 )
 
 // MetricsHandler serves the run's latest metrics snapshot plus its
 // timeline series in Prometheus text exposition format 0.0.4.
-func MetricsHandler(live *timeseries.Live) http.HandlerFunc {
+func MetricsHandler(hub *Hub) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
-		if err := live.Snapshot().WritePromText(&buf); err != nil {
+		if err := hub.Snapshot().WritePromText(&buf); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		ser, _ := live.Timeline()
+		ser, _ := hub.Timeline()
 		if err := ser.WritePromText(&buf); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -34,11 +32,12 @@ func MetricsHandler(live *timeseries.Live) http.HandlerFunc {
 	}
 }
 
-// TimelineHandler serves the run's full windowed series as a
-// lpm-timeline/v1 JSON document.
-func TimelineHandler(live *timeseries.Live) http.HandlerFunc {
+// TimelineHandler serves the run's retained windowed series (the
+// newest timeseries.DefaultMaxWindows windows, older ones counted in
+// dropped) as a lpm-timeline/v1 JSON document.
+func TimelineHandler(hub *Hub) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ser, done := live.Timeline()
+		ser, done := hub.Timeline()
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(TimelineDoc{Schema: TimelineSchema, Done: done, Series: ser})
 	}
@@ -46,9 +45,9 @@ func TimelineHandler(live *timeseries.Live) http.HandlerFunc {
 
 // NewExpoMux builds the single-run serving mux lpmrun -serve exposes:
 // /metrics and /timeline.
-func NewExpoMux(live *timeseries.Live) *http.ServeMux {
+func NewExpoMux(hub *Hub) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", MetricsHandler(live))
-	mux.HandleFunc("/timeline", TimelineHandler(live))
+	mux.HandleFunc("/metrics", MetricsHandler(hub))
+	mux.HandleFunc("/timeline", TimelineHandler(hub))
 	return mux
 }

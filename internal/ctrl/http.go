@@ -72,23 +72,23 @@ func NewAPIMux(reg *Registry) *http.ServeMux {
 		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /api/v1/runs/{id}/timeline", func(w http.ResponseWriter, r *http.Request) {
-		live, _, ok := reg.handles(r.PathValue("id"))
+		hub, ok := reg.handles(r.PathValue("id"))
 		if !ok {
 			writeErr(w, http.StatusNotFound, "no such run")
 			return
 		}
-		TimelineHandler(live)(w, r)
+		TimelineHandler(hub)(w, r)
 	})
 	mux.HandleFunc("GET /api/v1/runs/{id}/metrics", func(w http.ResponseWriter, r *http.Request) {
-		live, _, ok := reg.handles(r.PathValue("id"))
+		hub, ok := reg.handles(r.PathValue("id"))
 		if !ok {
 			writeErr(w, http.StatusNotFound, "no such run")
 			return
 		}
-		MetricsHandler(live)(w, r)
+		MetricsHandler(hub)(w, r)
 	})
 	mux.HandleFunc("GET /api/v1/runs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		_, hub, ok := reg.handles(r.PathValue("id"))
+		hub, ok := reg.handles(r.PathValue("id"))
 		if !ok {
 			writeErr(w, http.StatusNotFound, "no such run")
 			return
@@ -109,13 +109,17 @@ func NewAPIMux(reg *Registry) *http.ServeMux {
 		_, _ = w.Write(doc)
 	})
 	mux.HandleFunc("GET /api/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		fs, ok := reg.cfg.Fabric.(FleetSource)
-		if !ok {
+		if reg.cfg.Fabric == nil {
 			writeErr(w, http.StatusNotFound, "no sweep fabric attached")
 			return
 		}
+		b, err := json.Marshal(reg.cfg.Fabric.FleetStats())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(fs.FleetStatsJSON())
+		_, _ = w.Write(b)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer

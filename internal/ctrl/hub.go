@@ -1,11 +1,14 @@
 package ctrl
 
-// The per-run event hub: timeline windows fan out to SSE subscribers
-// through bounded per-subscriber rings. A slow consumer overruns its
-// own ring — oldest events drop and are counted — while the simulation
-// and every other subscriber proceed untouched. This is the
-// backpressure contract of the streaming endpoint: the control plane
-// never lets an HTTP client slow a run down.
+// The per-run stream: one Hub holds everything a run publishes while it
+// executes — the series header, the seq-stamped window history, the
+// latest metrics snapshot and the finished flag — and serves every
+// reader from it. SSE subscribers are pushed events through bounded
+// per-subscriber rings: a slow consumer overruns its own ring — oldest
+// events drop and are counted — while the simulation and every other
+// subscriber proceed untouched. /timeline and /metrics pull the newest
+// version of each window from the same history. The history itself is
+// bounded by timeseries.DefaultMaxWindows, the sampler's own bound.
 
 import (
 	"context"
@@ -13,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lpm/internal/obs"
 	"lpm/internal/obs/timeseries"
 )
 
@@ -33,38 +37,97 @@ type Event struct {
 	Window *timeseries.Window `json:"window,omitempty"`
 }
 
-// Hub fans a run's events out to its subscribers and retains history so
-// a late subscriber catches up from the start of the run.
+// Hub is a run's one stream: it fans the run's events out to its
+// subscribers, retains the newest timeseries.DefaultMaxWindows of them
+// so a late subscriber catches up, and answers the /timeline and
+// /metrics pulls from that same history.
 type Hub struct {
-	mu      sync.Mutex
-	seq     uint64
-	history []Event
-	done    bool
-	subs    []*Subscriber
+	mu       sync.Mutex
+	header   timeseries.Series // Version, Width, Adaptive; Windows stays nil
+	seq      uint64
+	history  []Event // window events only, consecutive seqs, oldest first
+	windows  int     // distinct windows ever published
+	evicted  uint64  // windows no longer in history (Series.Dropped)
+	snapshot *obs.Snapshot
+	done     bool
+	subs     []*Subscriber
 
-	// dropped totals ring overruns across every subscriber the hub ever
-	// had; with len(subs) it is what the fleet /metrics publishes.
+	// dropped totals events subscribers missed — ring overruns and
+	// catch-ups that began before the oldest retained event — across
+	// every subscriber the hub ever had; with len(subs) it is what the
+	// fleet /metrics publishes.
 	dropped atomic.Uint64
 }
 
 // NewHub returns an empty hub.
 func NewHub() *Hub { return &Hub{} }
 
-// Publish fans a copy of one window out to every subscriber and appends
-// it to the catch-up history; see publish.
-func (h *Hub) Publish(w timeseries.Window) { h.publish(&w) }
+// SetMeta stamps the series header (width/adaptive) so Timeline copies
+// carry the sampler's configuration.
+func (h *Hub) SetMeta(width uint64, adaptive bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.header.Version = timeseries.SeriesVersion
+	h.header.Width = width
+	h.header.Adaptive = adaptive
+}
 
-// publish fans one window out by reference: the catch-up history and
-// every subscriber ring hold w itself, so the caller must never write
-// *w again. SimRunner passes the sampler's stored windows, which are
-// immutable once emitted, so a run's windows exist once however many
-// views hold them.
-func (h *Hub) publish(w *timeseries.Window) {
-	h.broadcast(Event{Type: "window", Window: w})
+// PublishSnapshot records the latest aggregate metrics snapshot.
+func (h *Hub) PublishSnapshot(s *obs.Snapshot) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.snapshot = s
+}
+
+// Snapshot returns the last published metrics snapshot (nil if none).
+func (h *Hub) Snapshot() *obs.Snapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.snapshot
+}
+
+// Publish fans a copy of one window out; see PublishShared.
+func (h *Hub) Publish(w timeseries.Window) { h.PublishShared(&w) }
+
+// PublishShared appends one closed (or re-merged) window to the history
+// and fans it out by reference: the history and every subscriber ring
+// hold w itself, so the caller must never write *w again, which the
+// sampler guarantees for every window it hands to Config.OnWindow. A
+// window with the newest window's index is a new version of it (an
+// adaptive merge extending it) and gets its own event. Past the bound
+// the oldest event drops; a window drops from the timeline once none of
+// its versions remain. Publishing to a finished hub is a no-op.
+func (h *Hub) PublishShared(w *timeseries.Window) {
+	h.mu.Lock()
+	if h.done {
+		h.mu.Unlock()
+		return
+	}
+	if n := len(h.history); n == 0 || h.history[n-1].Window.Index != w.Index {
+		h.windows++
+	}
+	h.seq++
+	e := Event{Seq: h.seq, Type: "window", Window: w}
+	h.history = append(h.history, e)
+	if len(h.history) > timeseries.DefaultMaxWindows {
+		// Clearing the slot before re-slicing lets the window go; the
+		// next append that outgrows the backing array copies only the
+		// retained events, so eviction is O(1) amortised.
+		old := h.history[0].Window.Index
+		h.history[0] = Event{}
+		h.history = h.history[1:]
+		if h.history[0].Window.Index != old {
+			h.evicted++
+		}
+	}
+	subs := slices.Clone(h.subs)
+	h.mu.Unlock()
+	h.push(subs, e)
 }
 
 // Done marks the run finished: subscribers receive a final "done" event
-// and future subscribers see it immediately after catch-up.
+// and future subscribers receive it right after catch-up, whatever
+// sequence number they resume after.
 func (h *Hub) Done() {
 	h.mu.Lock()
 	if h.done {
@@ -72,22 +135,46 @@ func (h *Hub) Done() {
 		return
 	}
 	h.done = true
+	h.seq++
+	e := Event{Seq: h.seq, Type: "done"}
+	subs := slices.Clone(h.subs)
 	h.mu.Unlock()
-	h.broadcast(Event{Type: "done"})
+	h.push(subs, e)
 }
 
-// broadcast stamps the next sequence number, appends to history and
-// pushes to every subscriber ring, accounting aggregate drops.
-func (h *Hub) broadcast(e Event) {
-	h.mu.Lock()
-	h.seq++
-	e.Seq = h.seq
-	h.history = append(h.history, e)
-	subs := append([]*Subscriber(nil), h.subs...)
-	h.mu.Unlock()
+// push delivers e to subs, accounting ring overruns.
+func (h *Hub) push(subs []*Subscriber, e Event) {
 	for _, s := range subs {
 		h.dropped.Add(s.push(e))
 	}
+}
+
+// Len returns the number of windows published so far, without copying
+// them; it counts windows the bound has dropped from the timeline.
+func (h *Hub) Len() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.windows
+}
+
+// Timeline returns a consistent copy of the retained series — the
+// newest version of each window in the history, Dropped counting the
+// windows evicted before them — and whether the run has finished.
+func (h *Hub) Timeline() (timeseries.Series, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.header
+	s.Dropped = h.evicted
+	if n := h.windows - int(h.evicted); n > 0 {
+		s.Windows = make([]timeseries.Window, 0, n)
+	}
+	for i, e := range h.history {
+		if i+1 < len(h.history) && h.history[i+1].Window.Index == e.Window.Index {
+			continue // superseded by a newer version
+		}
+		s.Windows = append(s.Windows, *e.Window)
+	}
+	return s, h.done
 }
 
 // Subscribe registers a new subscriber with a ring of the given
@@ -98,11 +185,13 @@ func (h *Hub) Subscribe(ring int) *Subscriber { return h.SubscribeAfter(ring, 0)
 
 // SubscribeAfter is Subscribe with bounded catch-up: only history past
 // sequence number `after` preloads, so a client reconnecting with the
-// last `id:` it saw never receives a duplicated window. Catch-up and
-// registration happen under one hub lock acquisition, with the preload
-// before the subscriber becomes visible to broadcast — an event
-// published concurrently lands exactly once, in order: either in the
-// catch-up (it was already history) or pushed live afterwards.
+// last `id:` it saw never receives a duplicated window. Events past
+// `after` that the history bound already dropped count as drops before
+// the first preloaded event. Catch-up and registration happen under one
+// hub lock acquisition, with the preload before the subscriber becomes
+// visible to publishers — an event published concurrently lands exactly
+// once, in order: either in the catch-up (it was already history) or
+// pushed live afterwards.
 func (h *Hub) SubscribeAfter(ring int, after uint64) *Subscriber {
 	if ring <= 0 {
 		ring = DefaultRing
@@ -114,10 +203,20 @@ func (h *Hub) SubscribeAfter(ring int, after uint64) *Subscriber {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, e := range h.history {
-		if e.Seq > after {
-			h.dropped.Add(s.push(e))
+	catchup := h.history
+	if len(catchup) > 0 {
+		if before := catchup[0].Seq - 1; after < before {
+			s.dropped = before - after
+			h.dropped.Add(s.dropped)
+		} else {
+			catchup = catchup[min(after-before, uint64(len(catchup))):]
 		}
+	}
+	for _, e := range catchup {
+		h.dropped.Add(s.push(e))
+	}
+	if h.done {
+		h.dropped.Add(s.push(Event{Seq: h.seq, Type: "done"}))
 	}
 	h.subs = append(h.subs, s)
 	return s

@@ -32,10 +32,10 @@ import (
 )
 
 // runnerFunc adapts a function to the Runner interface.
-type runnerFunc func(ctx context.Context, spec RunSpec, pub *Publisher) (json.RawMessage, error)
+type runnerFunc func(ctx context.Context, spec RunSpec, hub *Hub) (json.RawMessage, error)
 
-func (f runnerFunc) Run(ctx context.Context, spec RunSpec, pub *Publisher) (json.RawMessage, error) {
-	return f(ctx, spec, pub)
+func (f runnerFunc) Run(ctx context.Context, spec RunSpec, hub *Hub) (json.RawMessage, error) {
+	return f(ctx, spec, hub)
 }
 
 // loadScale keeps the serial/sharded comparison affordable under the
@@ -87,11 +87,11 @@ func TestServeLoadShardedDeterminism(t *testing.T) {
 	// so the storm overlaps live publication.
 	burst := &stubRunner{windows: 600}
 	stream := &stubRunner{windows: 600, delay: time.Millisecond}
-	run := runnerFunc(func(ctx context.Context, spec RunSpec, pub *Publisher) (json.RawMessage, error) {
+	run := runnerFunc(func(ctx context.Context, spec RunSpec, hub *Hub) (json.RawMessage, error) {
 		if spec.Workload == "403.gcc" {
-			return burst.Run(ctx, spec, pub)
+			return burst.Run(ctx, spec, hub)
 		}
-		return stream.Run(ctx, spec, pub)
+		return stream.Run(ctx, spec, hub)
 	})
 	reg := NewRegistry(context.Background(), Config{
 		Runner:        run,

@@ -2,7 +2,7 @@ package ctrl
 
 // The run registry and scheduler: runs queue at submit, start when both
 // the global concurrency budget and the submitting tenant's budget have
-// room, and publish their timelines through a Live/Hub pair while they
+// room, and publish their timelines through their Hub while they
 // execute. One mutex guards all registry state including the obs
 // registry the ctrl.* metrics are published into from that state at
 // scrape time — the same single-count, publish-under-lock discipline
@@ -17,43 +17,17 @@ import (
 	"time"
 
 	"lpm/internal/cliutil"
+	"lpm/internal/fabric"
 	"lpm/internal/obs"
-	"lpm/internal/obs/timeseries"
 	"lpm/internal/parallel"
 )
 
-// Runner executes one run, publishing progress through pub. It returns
+// Runner executes one run, publishing its series header, windows and
+// metrics snapshots to hub; the registry marks the hub done. It returns
 // the run's final report document (lpm-report/v2 JSON) or an error.
 // SimRunner is the production implementation; tests substitute stubs.
 type Runner interface {
-	Run(ctx context.Context, spec RunSpec, pub *Publisher) (json.RawMessage, error)
-}
-
-// Publisher is a run's outbound progress path: windows land in the
-// Live (for /timeline and /metrics pulls) and the Hub (for SSE pushes).
-type Publisher struct {
-	live *timeseries.Live
-	hub  *Hub
-}
-
-// SetMeta stamps the timeline series header.
-func (p *Publisher) SetMeta(width uint64, adaptive bool) { p.live.SetMeta(width, adaptive) }
-
-// Window publishes one closed timeline window: one copy, shared by the
-// Live and the Hub.
-func (p *Publisher) Window(w timeseries.Window) {
-	p.live.PublishShared(&w)
-	p.hub.publish(&w)
-}
-
-// Snapshot publishes the latest aggregate metrics snapshot.
-func (p *Publisher) Snapshot(s *obs.Snapshot) { p.live.PublishSnapshot(s) }
-
-// SnapshotSource exposes a consistent observability snapshot — the
-// fabric Coordinator satisfies it, letting the fleet endpoint fold the
-// sweep fabric's telemetry into one scrape.
-type SnapshotSource interface {
-	ObsSnapshot() *obs.Snapshot
+	Run(ctx context.Context, spec RunSpec, hub *Hub) (json.RawMessage, error)
 }
 
 // Config parameterises a Registry.
@@ -68,16 +42,9 @@ type Config struct {
 	// Log receives structured scheduler diagnostics (nil discards).
 	Log *slog.Logger
 	// Fabric, when non-nil, contributes the sweep-fabric coordinator's
-	// telemetry to the fleet /metrics endpoint (and, when it also
-	// implements FleetSource, its health document to /api/v1/fleet).
-	Fabric SnapshotSource
-}
-
-// FleetSource exposes the sweep fabric's health document — the
-// fabric Coordinator satisfies it. Kept as a json.RawMessage so the
-// control plane stays decoupled from the fabric's types.
-type FleetSource interface {
-	FleetStatsJSON() json.RawMessage
+	// telemetry to the fleet /metrics endpoint and its health document
+	// to /api/v1/fleet.
+	Fabric *fabric.Coordinator
 }
 
 // run is the registry's record of one submission.
@@ -87,7 +54,6 @@ type run struct {
 	state  RunState
 	errMsg string
 
-	live   *timeseries.Live
 	hub    *Hub
 	cancel context.CancelFunc
 	result json.RawMessage
@@ -153,7 +119,6 @@ func (g *Registry) Submit(spec RunSpec) (RunStatus, error) {
 		id:        fmt.Sprintf("r-%d", g.nextID),
 		spec:      spec,
 		state:     StatePending,
-		live:      timeseries.NewLive(),
 		hub:       NewHub(),
 		submitted: time.Now(),
 	}
@@ -194,7 +159,7 @@ func (g *Registry) startLocked(r *run) {
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
-		result, err := g.cfg.Runner.Run(rctx, r.spec, &Publisher{live: r.live, hub: r.hub})
+		result, err := g.cfg.Runner.Run(rctx, r.spec, r.hub)
 		// Read the context before cancelling it: interrupted-ness is what
 		// separates a cancelled run from a failed one.
 		interrupted := rctx.Err() != nil
@@ -226,7 +191,6 @@ func (g *Registry) finish(r *run, result json.RawMessage, err error, interrupted
 		"run", r.id, "tenant", r.spec.Tenant, "state", string(r.state), "error", r.errMsg)
 	g.scheduleLocked()
 	g.mu.Unlock()
-	r.live.Finish()
 	r.hub.Done()
 }
 
@@ -288,22 +252,22 @@ func (g *Registry) statusLocked(r *run) RunStatus {
 		State:     r.state,
 		Spec:      r.spec,
 		Error:     r.errMsg,
-		Windows:   r.live.Len(),
+		Windows:   r.hub.Len(),
 		Submitted: r.submitted,
 		Started:   r.started,
 		Finished:  r.finished,
 	}
 }
 
-// handles returns a run's live/hub pair for the HTTP layer.
-func (g *Registry) handles(id string) (*timeseries.Live, *Hub, bool) {
+// handles returns a run's hub for the HTTP layer.
+func (g *Registry) handles(id string) (*Hub, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	r, ok := g.runs[id]
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
-	return r.live, r.hub, true
+	return r.hub, true
 }
 
 // result returns a finished run's report document.
@@ -328,20 +292,20 @@ type runExpo struct {
 }
 
 // fleetSnapshots captures, under one lock acquisition, the control
-// plane's own snapshot and the identity of every run; per-run live
-// snapshots are then pulled outside g.mu (Live carries its own lock).
+// plane's own snapshot and the identity of every run; per-run
+// snapshots are then pulled outside g.mu (each Hub carries its own lock).
 // The ctrl.* series are published here and nowhere else, from the run
 // table and its hubs: the registry's state is the only count.
 func (g *Registry) fleetSnapshots() (*obs.Snapshot, []runExpo) {
 	g.mu.Lock()
 	rs := make([]runExpo, 0, len(g.order))
-	lives := make([]*timeseries.Live, 0, len(g.order))
+	hubs := make([]*Hub, 0, len(g.order))
 	var done, failed, cancelled, dropped uint64
 	subs := 0
 	for _, id := range g.order {
 		r := g.runs[id]
 		rs = append(rs, runExpo{id: r.id, tenant: r.spec.Tenant})
-		lives = append(lives, r.live)
+		hubs = append(hubs, r.hub)
 		switch r.state {
 		case StateDone:
 			done++
@@ -365,7 +329,7 @@ func (g *Registry) fleetSnapshots() (*obs.Snapshot, []runExpo) {
 	ctrlSnap := g.obs.Snapshot()
 	g.mu.Unlock()
 	for i := range rs {
-		rs[i].snap = lives[i].Snapshot()
+		rs[i].snap = hubs[i].Snapshot()
 	}
 	return ctrlSnap, rs
 }

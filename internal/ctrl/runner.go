@@ -16,7 +16,7 @@ import (
 type SimRunner struct{}
 
 // Run implements Runner.
-func (SimRunner) Run(ctx context.Context, spec RunSpec, pub *Publisher) (json.RawMessage, error) {
+func (SimRunner) Run(ctx context.Context, spec RunSpec, hub *Hub) (json.RawMessage, error) {
 	res, runErr := lpm.RunSingle(ctx, lpm.SingleRun{
 		Tool:         "lpmserve",
 		Workload:     spec.Workload,
@@ -26,8 +26,7 @@ func (SimRunner) Run(ctx context.Context, spec RunSpec, pub *Publisher) (json.Ra
 		Watchdog:     spec.Watchdog,
 		TSWindow:     spec.TSWindow,
 		Adaptive:     spec.Adaptive,
-		Live:         pub.live,
-		OnWindow:     pub.hub.publish,
+		Live:         hub,
 	})
 	if res == nil {
 		return nil, runErr

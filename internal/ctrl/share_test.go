@@ -1,8 +1,8 @@
 package ctrl
 
 // One copy per window: the sampler's stored windows are shared by
-// reference between a run's Live and its Hub (history and subscriber
-// rings), so these tests pin what that sharing relies on and what it
+// reference between a run's Hub history and its subscriber rings, so
+// these tests pin what that sharing relies on and what it
 // must not leak — a window is never written after it is published, a
 // closed subscriber is released, and status reads do not copy the
 // timeline.
@@ -166,11 +166,12 @@ func TestGetDoesNotCopyTimeline(t *testing.T) {
 
 // BenchmarkPublisherWindow is the per-window cost of a run's publish
 // path with one SSE subscriber draining it: what B/op and allocs/op
-// report is what each window adds to a run the registry keeps forever
-// (the window itself, its Live slot, its hub history entry).
+// report is what each window adds to a run the registry keeps (the
+// window itself and its hub history entry, up to the history bound;
+// past it, -benchtime 200000x measures eviction too).
 func BenchmarkPublisherWindow(b *testing.B) {
-	pub := &Publisher{live: timeseries.NewLive(), hub: NewHub()}
-	sub := pub.hub.Subscribe(0)
+	hub := NewHub()
+	sub := hub.Subscribe(0)
 	defer sub.Close()
 	ctx := context.Background()
 	w := timeseries.Window{
@@ -184,7 +185,7 @@ func BenchmarkPublisherWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.Index = i
 		w.Start, w.End = uint64(i)*2048, uint64(i+1)*2048
-		pub.Window(w)
+		hub.Publish(w)
 		if _, _, ok := sub.Next(ctx); !ok {
 			b.Fatal("subscriber ended")
 		}

@@ -236,16 +236,6 @@ func (c *Coordinator) FleetStats() FleetSnapshot {
 	return snap
 }
 
-// FleetStatsJSON renders FleetStats as JSON — the decoupled shape the
-// control plane's /api/v1/fleet endpoint serves (ctrl.FleetSource).
-func (c *Coordinator) FleetStatsJSON() json.RawMessage {
-	b, err := json.Marshal(c.FleetStats())
-	if err != nil {
-		return json.RawMessage(`{"error":"fleet snapshot marshal failed"}`)
-	}
-	return b
-}
-
 // WaitWorkers blocks until at least n workers are connected, ctx
 // cancels, or the coordinator closes.
 func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {

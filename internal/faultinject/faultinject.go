@@ -23,6 +23,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"lpm/internal/stats"
 )
 
 // ErrInjected is the sentinel every injected fault wraps; recovery code
@@ -89,14 +91,8 @@ func NewPlan(seed int64, rules ...Rule) *Plan {
 	return p
 }
 
-// next64 is a splitmix64 step — deterministic, seedable, stdlib-free.
-func (p *Plan) next64() uint64 {
-	p.rng += 0x9e3779b97f4a7c15
-	z := p.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// next64 is a splitmix64 step — deterministic and seedable.
+func (p *Plan) next64() uint64 { return stats.SplitMix64(&p.rng) }
 
 // armed holds the active plan; nil in production.
 var armed atomic.Pointer[Plan]

@@ -15,8 +15,9 @@
 // Like the rest of the observability layer, the sampler is zero-cost
 // when disabled: a nil *Sampler ignores every call, so an unobserved
 // chip pays one predictable branch per cycle. A Sampler is owned by a
-// single simulation goroutine and is not synchronised; Live (live.go) is
-// the synchronised hand-off point for serving windows mid-run.
+// single simulation goroutine and is not synchronised; serving windows
+// mid-run goes through Config.OnWindow to the control plane's ctrl.Hub,
+// which owns the synchronisation.
 package timeseries
 
 import (

@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"lpm/internal/analyzer"
-	"lpm/internal/obs"
 )
 
 // fakeCollector returns a collector producing one-core windows whose
@@ -235,7 +233,7 @@ func TestOnWindowHookFires(t *testing.T) {
 }
 
 // TestEmittedWindowsAreImmutable: OnWindow receivers keep the pointer
-// they are handed (Live, the SSE hub's history and rings), so an
+// they are handed (the control plane's hub history and SSE rings), so an
 // adaptive merge must build a new window rather than add into the one
 // already emitted. Every emitted version must still conserve its stall
 // cycles and encode to the same JSON after the run as when it was
@@ -370,108 +368,6 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 	}
 	if back.Windows[0].Derived.LPMR1 != ser.Windows[0].Derived.LPMR1 {
 		t.Fatalf("derived values drifted through JSON")
-	}
-}
-
-func TestLivePublishAndTimeline(t *testing.T) {
-	l := NewLive()
-	l.SetMeta(128, true)
-	l.Publish(Window{Index: 0, Start: 0, End: 128})
-	l.Publish(Window{Index: 1, Start: 128, End: 256})
-	// Re-publishing an index replaces (adaptive merges re-emit).
-	l.Publish(Window{Index: 1, Start: 128, End: 512})
-	ser, done := l.Timeline()
-	if done {
-		t.Fatalf("run reported done before Finish")
-	}
-	if len(ser.Windows) != 2 {
-		t.Fatalf("timeline has %d windows, want 2", len(ser.Windows))
-	}
-	if ser.Windows[1].End != 512 {
-		t.Fatalf("re-publish did not replace: end=%d", ser.Windows[1].End)
-	}
-	if ser.Width != 128 || !ser.Adaptive || ser.Version != SeriesVersion {
-		t.Fatalf("meta not carried: %+v", ser)
-	}
-	l.Finish()
-	if _, done := l.Timeline(); !done {
-		t.Fatalf("Finish not reported")
-	}
-	snap := &obs.Snapshot{Version: obs.SnapshotVersion}
-	l.PublishSnapshot(snap)
-	if l.Snapshot() != snap {
-		t.Fatalf("snapshot not stored")
-	}
-}
-
-func TestLiveNilIsNoOp(t *testing.T) {
-	var l *Live
-	l.SetMeta(1, false)
-	l.Publish(Window{})
-	l.PublishSnapshot(nil)
-	l.Finish()
-	if s, done := l.Timeline(); done || len(s.Windows) != 0 {
-		t.Fatalf("nil live not inert")
-	}
-	if l.Snapshot() != nil {
-		t.Fatalf("nil live returned snapshot")
-	}
-}
-
-func TestLiveConcurrentReaders(t *testing.T) {
-	l := NewLive()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			l.Publish(Window{Index: i, Start: uint64(i) * 10, End: uint64(i+1) * 10})
-		}
-		l.Finish()
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			ser, done := l.Timeline()
-			for j, w := range ser.Windows {
-				if w.Index != j {
-					t.Errorf("torn read: window %d has index %d", j, w.Index)
-					return
-				}
-			}
-			if done {
-				return
-			}
-		}
-	}()
-	wg.Wait()
-}
-
-// TestLivePublishSharedKeepsPointer: PublishShared stores the caller's
-// window itself; re-publishing any index replaces it in place, so a
-// retried run that re-emits its timeline from index 0 overwrites rather
-// than duplicates.
-func TestLivePublishSharedKeepsPointer(t *testing.T) {
-	l := NewLive()
-	ws := make([]*Window, 3)
-	for i := range ws {
-		ws[i] = &Window{Index: i, Start: uint64(i) * 10, End: uint64(i+1) * 10}
-		l.PublishShared(ws[i])
-	}
-	if l.windows[1] != ws[1] {
-		t.Fatal("PublishShared copied the window")
-	}
-	again := &Window{Index: 0, Start: 0, End: 20}
-	l.PublishShared(again)
-	if l.Len() != 3 || l.windows[0] != again {
-		t.Fatalf("re-publishing index 0: %d windows, first %+v", l.Len(), *l.windows[0])
-	}
-	ser, _ := l.Timeline()
-	if len(ser.Windows) != 3 || ser.Windows[0].End != 20 || ser.Windows[2].Index != 2 {
-		t.Fatalf("timeline after re-publish: %+v", ser.Windows)
-	}
-	if (*Live)(nil).Len() != 0 {
-		t.Fatal("nil Live has a length")
 	}
 }
 

@@ -19,6 +19,8 @@ import (
 	"net"
 	"syscall"
 	"time"
+
+	"lpm/internal/stats"
 )
 
 // RetryPolicy is the shared deterministic backoff schedule: capped
@@ -57,15 +59,6 @@ func Defaults(seed uint64) RetryPolicy {
 		Jitter:     0.5,
 		Seed:       seed,
 	}
-}
-
-// splitmix64 is the deterministic jitter stream step (same generator
-// the fault-injection plans use).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Delay returns the backoff before retry number attempt (0-based). It
@@ -109,7 +102,8 @@ func (p RetryPolicy) Delay(attempt int) time.Duration {
 	if j > 0 {
 		// Draw in [0,1) from the (seed, attempt) cell of the stream, so
 		// each attempt's jitter is independent but replayable.
-		draw := float64(splitmix64(p.Seed^(uint64(attempt)+1)*0x9e3779b97f4a7c15)>>11) / float64(1<<53)
+		cell := p.Seed ^ (uint64(attempt)+1)*0x9e3779b97f4a7c15
+		draw := float64(stats.SplitMix64(&cell)>>11) / float64(1<<53)
 		d = d * (1 - j*draw)
 	}
 	if d < 1 {

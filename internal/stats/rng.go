@@ -23,8 +23,10 @@ type RNG struct {
 	s0, s1 uint64
 }
 
-// splitmix64 advances the seed mixer and returns the next mixed value.
-func splitmix64(x *uint64) uint64 {
+// SplitMix64 advances the seed mixer *x and returns the next mixed
+// value. It is the repo's one splitmix64 step: RNG seeding, fleet retry
+// jitter and fault-injection plans all draw from it.
+func SplitMix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
 	z := *x
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -42,8 +44,8 @@ func NewRNG(seed uint64) *RNG {
 // Reseed resets the generator to the stream determined by seed.
 func (r *RNG) Reseed(seed uint64) {
 	sm := seed
-	r.s0 = splitmix64(&sm)
-	r.s1 = splitmix64(&sm)
+	r.s0 = SplitMix64(&sm)
+	r.s1 = SplitMix64(&sm)
 	if r.s0 == 0 && r.s1 == 0 {
 		r.s0 = 1 // xorshift state must be non-zero
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"lpm/internal/obs"
 	"lpm/internal/obs/timeseries"
 	"lpm/internal/sim/chip"
 	"lpm/internal/trace"
@@ -44,12 +45,19 @@ type SingleRun struct {
 	TSWindow                    uint64
 	// Live, when non-nil, implies Observe and Timeline and receives the
 	// series header, every closed window, a metrics snapshot every
-	// SnapshotEvery-th window and a final one; OnWindow sees the same
-	// windows (the control plane's SSE hub). Both run on the simulation
-	// goroutine and receive the sampler's stored window itself, which
-	// is never written again: they share it and must not write it.
-	Live     *timeseries.Live
-	OnWindow func(*timeseries.Window)
+	// SnapshotEvery-th window and a final one. It is called on the
+	// simulation goroutine and receives the sampler's stored window
+	// itself, which is never written again: it shares it and must not
+	// write it.
+	Live LiveSink
+}
+
+// LiveSink receives a run's progress while it executes; ctrl.Hub is the
+// implementation behind lpmrun -serve and every lpmserve run.
+type LiveSink interface {
+	SetMeta(width uint64, adaptive bool)
+	PublishShared(w *timeseries.Window)
+	PublishSnapshot(s *obs.Snapshot)
 }
 
 // SingleResult is a finished run: the chip (for callers that print more
@@ -97,16 +105,16 @@ func RunSingle(ctx context.Context, r SingleRun) (*SingleResult, error) {
 			n := 0
 			tcfg.OnWindow = func(w *timeseries.Window) {
 				r.Live.PublishShared(w)
-				if r.OnWindow != nil {
-					r.OnWindow(w)
-				}
 				if n%SnapshotEvery == 0 {
 					r.Live.PublishSnapshot(ch.ObsSnapshot())
 				}
 				n++
 			}
 		}
-		r.Live.SetMeta(ch.EnableTimeseries(tcfg).Width(), r.Adaptive)
+		s := ch.EnableTimeseries(tcfg)
+		if r.Live != nil {
+			r.Live.SetMeta(s.Width(), r.Adaptive)
+		}
 	}
 
 	budget := (r.Warmup + r.Instructions) * 600
@@ -116,7 +124,9 @@ func RunSingle(ctx context.Context, r SingleRun) (*SingleResult, error) {
 		ch.Run(r.Instructions, budget)
 		runErr = ch.Err()
 	}
-	r.Live.PublishSnapshot(ch.ObsSnapshot())
+	if r.Live != nil {
+		r.Live.PublishSnapshot(ch.ObsSnapshot())
+	}
 
 	rep := &Report{Schema: ReportSchema, Tool: r.Tool, Scale: Scale{Warmup: r.Warmup, Window: r.Instructions}}
 	res := &SingleResult{Chip: ch, Report: rep}
