@@ -130,9 +130,10 @@ race-serve:
 	$(GO) test -race -run 'TestServeEndpoints|TestRunServeMidRun' ./cmd/lpmrun
 
 # Fleet control-plane suite: the run registry/scheduler, SSE hub
-# backpressure, the serve lifecycle, and the sharded load test (1k
-# concurrent scrapes + 100 SSE subscribers against a byte-identical
-# sharded sweep), all under the race detector.
+# backpressure, the serve lifecycle and flag errors, and the load test
+# (1k concurrent scrapes + 100 SSE subscribers while a sweep sharded
+# over an in-process loopback fabric stays byte-identical to serial),
+# all under the race detector.
 serve-test:
 	$(GO) test -race -count=1 ./internal/ctrl ./cmd/lpmserve ./internal/resilience
 

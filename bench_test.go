@@ -55,7 +55,10 @@ func BenchmarkTable1ConfigurationsAtoE(b *testing.B) {
 					explore.TableConfigs()[name], trace.MustProfile("410.bwaves"))
 				tgt.Warmup = benchScale().Warmup
 				tgt.Instructions = benchScale().Window
-				m = tgt.Measure()
+				var err error
+				if m, err = tgt.Measure(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(m.LPMR1(), "LPMR1")
 			b.ReportMetric(m.LPMR2(), "LPMR2")
@@ -371,7 +374,10 @@ func BenchmarkAblationMatchOrder(b *testing.B) {
 		if reversed {
 			t = reversedTarget{tgt}
 		}
-		res := core.Run(t, core.AlgorithmConfig{Grain: core.CoarseGrain, MaxSteps: 32})
+		res, err := core.Run(context.Background(), t, core.AlgorithmConfig{Grain: core.CoarseGrain, MaxSteps: 32})
+		if err != nil {
+			b.Fatal(err)
+		}
 		return tgt.Evaluations(), 100 * res.Final.MeasuredStall / res.Final.CPIexe
 	}
 	for _, reversed := range []bool{false, true} {

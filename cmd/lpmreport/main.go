@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	lpm.SetWorkers(*workers)
 	cliutil.StartPprof(*pprofCfg, stderr)
-	stopShard, _, err := shard.Start(ctx, cliutil.NewLogger(stderr, "text"), nil)
+	stopShard, err := shard.Start(ctx, cliutil.NewLogger(stderr, "text"))
 	if err != nil {
 		return err
 	}

@@ -3,25 +3,20 @@
 // list, inspect and cancel runs over the versioned lpm-ctrl/v1 JSON
 // API, stream each run's timeline windows over SSE as they close, and
 // scrape one fleet-wide Prometheus endpoint carrying every run's
-// observability snapshot plus — when sharding is on — the sweep-fabric
-// coordinator's telemetry.
+// observability snapshot.
 //
 // Usage:
 //
 //	lpmserve -addr localhost:9090
-//	lpmserve -addr :9090 -tenant-budget 1 -max-concurrent 4
-//	lpmserve -addr :9090 -shard 127.0.0.1:0 -log json
+//	lpmserve -addr :9090 -tenant-budget 1 -max-concurrent 4 -log json
 //
 //	curl -d '{"workload":"403.gcc","tenant":"acme"}' http://localhost:9090/api/v1/runs
 //	curl -N http://localhost:9090/api/v1/runs/r-1/events
 //	curl http://localhost:9090/metrics
 //
 // Runs execute on the in-process simulator under internal/parallel's
-// worker budget; with -shard the server also hosts a sweep-fabric
-// coordinator so lpmworker processes can contribute capacity, and the
-// fabric's queue/straggler/cache telemetry joins the fleet scrape.
-// SIGINT/SIGTERM drain in-flight requests and running simulations for
-// -grace before exiting.
+// worker budget. SIGINT/SIGTERM drain in-flight requests and running
+// simulations for -grace before exiting.
 package main
 
 import (
@@ -37,15 +32,8 @@ import (
 
 	"lpm/internal/cliutil"
 	"lpm/internal/ctrl"
-	"lpm/internal/fabric"
-	"lpm/internal/obs"
 	"lpm/internal/parallel"
 	"lpm/internal/resilience"
-
-	// Fabric granule executors, so a -shard lpmserve can coordinate
-	// the same kinds the batch CLIs do.
-	_ "lpm/internal/explore"
-	_ "lpm/internal/sched"
 )
 
 func main() {
@@ -71,39 +59,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		grace   = fs.Duration("grace", 10*time.Second, "drain window for in-flight requests and runs on shutdown")
 		logFmt  = fs.String("log", "text", "log format on stderr: text or json")
 	)
-	shard := fabric.BindShardFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	// A control plane must come up serving even before any worker has
-	// joined; only an explicit -shard-min should gate startup.
-	minSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "shard-min" {
-			minSet = true
-		}
-	})
-	if !minSet {
-		shard.Min = 0
+		// The flag set has printed the error and the usage: exit 2.
+		return flag.ErrHelp
 	}
 	parallel.SetWorkers(*workers)
 	log := cliutil.NewLogger(stderr, *logFmt)
-
-	var fabricObs *obs.Registry
-	if shard.Addr != "" {
-		fabricObs = obs.NewRegistry()
-	}
-	stopShard, coord, err := shard.Start(ctx, log, fabricObs)
-	if err != nil {
-		return err
-	}
-	defer stopShard()
 
 	reg := ctrl.NewRegistry(ctx, ctrl.Config{
 		MaxConcurrent: *maxRuns,
 		TenantBudget:  *budget,
 		Log:           log,
-		Fabric:        coord,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

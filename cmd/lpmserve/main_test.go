@@ -4,17 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"lpm/internal/ctrl"
-	"lpm/internal/fabric"
-	"lpm/internal/obs"
 )
 
 // syncWriter shares a buffer between the server goroutine and the
@@ -144,72 +143,25 @@ func TestServeRunLifecycle(t *testing.T) {
 	}
 }
 
-// TestServeShardedFleetMetrics starts the control plane with a fabric
-// coordinator attached, joins one in-process worker, and checks the
-// coordinator's telemetry shows up on the fleet endpoint.
-func TestServeShardedFleetMetrics(t *testing.T) {
-	dir := t.TempDir()
-	addrFile := dir + "/coord.addr"
-	url, shutdown := startServe(t, []string{
-		"-addr", "127.0.0.1:0", "-grace", "5s",
-		"-shard", "127.0.0.1:0", "-shard-addr-file", addrFile,
-	})
-
-	// Join a worker so fabric.workers lands at 1 on the fleet scrape.
-	coordAddr := waitFile(t, addrFile)
-	wctx, wcancel := context.WithCancel(context.Background())
-	wdone := make(chan error, 1)
-	go func() {
-		wdone <- fabric.RunWorker(wctx, coordAddr, fabric.WorkerOptions{
-			Slots: 1, DialRetry: 5 * time.Second,
-			Obs: fabric.NewWorkerTelemetry(obs.NewRegistry()),
-		})
-	}()
-	defer func() { wcancel(); <-wdone }()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(url + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fleet, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if strings.Contains(string(fleet), `lpm_fabric_workers{component="fabric"} 1`) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fabric telemetry never reached the fleet endpoint:\n%.2000s", fleet)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	if err := shutdown(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-}
-
-// waitFile polls until path exists and returns its trimmed contents.
-func waitFile(t *testing.T, path string) string {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			return strings.TrimSpace(string(b))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("%s never appeared", path)
-	return ""
-}
-
-// TestServeFlagErrors pins CLI error paths.
+// TestServeFlagErrors pins CLI error paths. A flag error is
+// flag.ErrHelp, which main turns into exit status 2. lpmserve hosts no
+// sweep-fabric coordinator, so -shard is an unknown flag; the context
+// is cancelled so a server that did accept it stops at once.
 func TestServeFlagErrors(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run(context.Background(), []string{"-nosuchflag"}, &out, &errb); err == nil {
-		t.Fatal("unknown flag did not error")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-nosuchflag"},
+		{"-addr", "127.0.0.1:0", "-shard", "127.0.0.1:0"},
+	} {
+		var out, errb bytes.Buffer
+		err := run(ctx, args, &out, &errb)
+		if !errors.Is(err, flag.ErrHelp) || !strings.Contains(errb.String(), "flag provided but not defined") {
+			t.Errorf("%v: err=%v, stderr %q; want the unknown-flag error and exit 2", args, err, errb.String())
+		}
 	}
-	if err := run(context.Background(), []string{"-addr", "256.0.0.1:bogus"}, &out, &errb); err == nil {
-		t.Fatal("bad listen address did not error")
+	var out, errb bytes.Buffer
+	if err := run(context.Background(), []string{"-addr", "256.0.0.1:bogus"}, &out, &errb); err == nil || errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("bad listen address: err=%v, want a listen error (exit 1)", err)
 	}
 }

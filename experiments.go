@@ -113,12 +113,11 @@ var table1Paper = map[string][3]float64{
 
 // newTarget returns the hardware target the Table I experiments share:
 // the default space on the bwaves-like workload at point p, under s.
-func newTarget(ctx context.Context, s Scale, p DesignPoint) *explore.HardwareTarget {
+func newTarget(s Scale, p DesignPoint) *explore.HardwareTarget {
 	tgt := explore.NewHardwareTarget(explore.DefaultSpace(), p, trace.MustProfile("410.bwaves"))
 	tgt.Warmup = s.Warmup
 	tgt.Instructions = s.Window
 	tgt.WarmupFast = s.WarmupFast
-	tgt.Ctx = ctx
 	return tgt
 }
 
@@ -132,9 +131,10 @@ func newTarget(ctx context.Context, s Scale, p DesignPoint) *explore.HardwareTar
 func table1Cells(ctx context.Context, s Scale, names []string, setup func(*explore.HardwareTarget)) []Table1Row {
 	cfgs := explore.TableConfigs()
 	results := parallel.MapResults(ctx, names, func(ctx context.Context, n string) (Table1Row, error) {
-		tgt := newTarget(ctx, s, cfgs[n])
+		tgt := newTarget(s, cfgs[n])
 		setup(tgt)
-		return Table1Row{Name: n, Point: cfgs[n], M: tgt.Measure(), PaperLPMR: table1Paper[n]}, nil
+		m, err := tgt.Measure(ctx)
+		return Table1Row{Name: n, Point: cfgs[n], M: m, PaperLPMR: table1Paper[n]}, err
 	})
 	rows := make([]Table1Row, len(names))
 	for i, r := range results {
@@ -187,7 +187,7 @@ func caseStudyConfig(grain Grain) core.AlgorithmConfig {
 // alongside the error: Algorithm holds the steps completed before the
 // interruption.
 func CaseStudyICtx(ctx context.Context, grain Grain, s Scale) (CaseStudyIResult, error) {
-	tgt := newTarget(ctx, s, explore.TableConfigs()["A"])
+	tgt := newTarget(s, explore.TableConfigs()["A"])
 	res, final, err := tgt.RunAlgorithmCtx(ctx, caseStudyConfig(grain))
 	return CaseStudyIResult{
 		Algorithm:   res,

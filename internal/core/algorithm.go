@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 )
 
@@ -37,8 +38,9 @@ func (g Grain) String() string {
 // reconfigurable architecture (case study I), a scheduling assignment
 // (case study II), or anything else that can re-measure itself.
 type Target interface {
-	// Measure returns the current interval's measurement.
-	Measure() Measurement
+	// Measure returns the current interval's measurement, or the error
+	// that prevented it (a cancelled or livelocked simulation).
+	Measure(ctx context.Context) (Measurement, error)
 	// OptimizeL1 applies one step that improves layer-1 matching
 	// (e.g. more ports/IW/ROB/issue width). It reports false when the
 	// design space is exhausted in that direction.
@@ -117,14 +119,13 @@ type AlgorithmConfig struct {
 	SlackFrac float64
 	// MaxSteps bounds iterations; 0 means 64.
 	MaxSteps int
-	// DisableReduce skips Case III even with slack set (ablation).
-	DisableReduce bool
 }
 
 // Run executes the LPMR-reduction algorithm of Fig. 3 against t. The
 // algorithm measures, derives thresholds, and dispatches among the four
-// cases until convergence or step exhaustion.
-func Run(t Target, cfg AlgorithmConfig) Result {
+// cases until convergence or step exhaustion. A failed measurement ends
+// the run: the steps taken so far come back with the error.
+func Run(ctx context.Context, t Target, cfg AlgorithmConfig) (Result, error) {
 	maxSteps := cfg.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 64
@@ -133,7 +134,10 @@ func Run(t Target, cfg AlgorithmConfig) Result {
 	delta := cfg.Grain.DeltaPct()
 
 	for len(res.Steps) < maxSteps {
-		m := t.Measure()
+		m, err := t.Measure(ctx)
+		if err != nil {
+			return res, err
+		}
 		res.Final = m
 		t1 := m.T1(delta)
 		t2, t2ok := m.T2(delta)
@@ -151,7 +155,7 @@ func Run(t Target, cfg AlgorithmConfig) Result {
 			if !okL1 && !okL2 {
 				res.Converged = true
 				res.MetTarget = false
-				return res
+				return res, nil
 			}
 		case lpmr1 > t1:
 			// Case II: only the L1 layer mismatches.
@@ -160,29 +164,36 @@ func Run(t Target, cfg AlgorithmConfig) Result {
 			if !t.OptimizeL1() {
 				res.Converged = true
 				res.MetTarget = false
-				return res
+				return res, nil
 			}
-		case !cfg.DisableReduce && slack > 0 && lpmr1+slack < t1:
+		case slack > 0 && lpmr1+slack < t1:
 			// Case III: hardware overprovisioned beyond δ.
 			step.Case = CaseReduce
 			res.Steps = append(res.Steps, step)
 			if !t.ReduceOverprovision() {
 				res.Converged = true
 				res.MetTarget = true
-				res.Final = t.Measure()
-				return res
+				m, err := t.Measure(ctx)
+				if err != nil {
+					return res, err
+				}
+				res.Final = m
+				return res, nil
 			}
 		default:
-			// Case IV: T1 >= LPMR1 >= T1-δ (or reduction disabled).
+			// Case IV: T1 >= LPMR1 >= T1-δ (or no slack to reduce).
 			step.Case = CaseDone
 			res.Steps = append(res.Steps, step)
 			res.Converged = true
 			res.MetTarget = true
-			return res
+			return res, nil
 		}
 	}
-	m := t.Measure()
+	m, err := t.Measure(ctx)
+	if err != nil {
+		return res, err
+	}
 	res.Final = m
 	res.MetTarget = m.LPMR1() <= m.T1(delta)
-	return res
+	return res, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 )
 
@@ -16,9 +18,16 @@ type mockTarget struct {
 	reduceLeft       int
 	l1Calls, l2Calls int
 	reduceCalls      int
+	measures         int
+	failAt           int // the measurement (1-based) that fails; 0 = none
 }
 
-func (m *mockTarget) Measure() Measurement {
+var errMeasure = errors.New("measurement failed")
+
+func (m *mockTarget) Measure(context.Context) (Measurement, error) {
+	if m.measures++; m.measures == m.failAt {
+		return Measurement{}, errMeasure
+	}
 	return Measurement{
 		CPIexe:       1,
 		Fmem:         1,
@@ -33,7 +42,17 @@ func (m *mockTarget) Measure() Measurement {
 		AMP1:         1,
 		Cm1:          1,
 		CM1:          1,
+	}, nil
+}
+
+// runOK runs the algorithm and fails the test on an error.
+func runOK(t *testing.T, tgt Target, cfg AlgorithmConfig) Result {
+	t.Helper()
+	res, err := Run(context.Background(), tgt, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
 func (m *mockTarget) OptimizeL1() bool {
@@ -76,7 +95,7 @@ func TestAlgorithmCaseSequenceBothThenL1(t *testing.T) {
 		l1Step: 0.85, l2Step: 0.6,
 		l1Left: 100, l2Left: 100,
 	}
-	res := Run(tgt, AlgorithmConfig{Grain: FineGrain})
+	res := runOK(t, tgt, AlgorithmConfig{Grain: FineGrain})
 	if !res.Converged || !res.MetTarget {
 		t.Fatalf("converged=%v met=%v", res.Converged, res.MetTarget)
 	}
@@ -120,7 +139,7 @@ func TestAlgorithmOverprovisionReduction(t *testing.T) {
 		camat1: 0.2, camat2: 0.1,
 		reduceStep: 1.5, reduceLeft: 100,
 	}
-	res := Run(tgt, AlgorithmConfig{Grain: FineGrain, SlackFrac: 0.5})
+	res := runOK(t, tgt, AlgorithmConfig{Grain: FineGrain, SlackFrac: 0.5})
 	if !res.Converged || !res.MetTarget {
 		t.Fatalf("converged=%v met=%v", res.Converged, res.MetTarget)
 	}
@@ -133,23 +152,22 @@ func TestAlgorithmOverprovisionReduction(t *testing.T) {
 	}
 }
 
-func TestAlgorithmReduceDisabled(t *testing.T) {
-	tgt := &mockTarget{camat1: 0.2, camat2: 0.1, reduceStep: 1.5, reduceLeft: 100}
-	res := Run(tgt, AlgorithmConfig{Grain: FineGrain, SlackFrac: 0.5, DisableReduce: true})
-	if tgt.reduceCalls != 0 {
-		t.Fatal("reduced despite DisableReduce")
+// TestAlgorithmMeasureErrorEndsRun: a failed measurement stops the
+// walk and comes back as the error, with the steps taken before it.
+func TestAlgorithmMeasureErrorEndsRun(t *testing.T) {
+	tgt := &mockTarget{camat1: 8, camat2: 2, l1Step: 0.85, l2Step: 0.6, l1Left: 100, l2Left: 100, failAt: 3}
+	res, err := Run(context.Background(), tgt, AlgorithmConfig{Grain: FineGrain})
+	if !errors.Is(err, errMeasure) {
+		t.Fatalf("err = %v, want the measurement's error", err)
 	}
-	if !res.Converged || !res.MetTarget {
-		t.Fatal("should converge immediately via Case IV")
-	}
-	if len(res.Steps) != 1 || res.Steps[0].Case != CaseDone {
-		t.Fatalf("steps = %+v", res.Steps)
+	if len(res.Steps) != 2 || res.Converged {
+		t.Fatalf("steps=%d converged=%v, want the 2 steps before the failure and no convergence", len(res.Steps), res.Converged)
 	}
 }
 
 func TestAlgorithmExhaustedDesignSpace(t *testing.T) {
 	tgt := &mockTarget{camat1: 50, camat2: 50, l1Step: 0.99, l2Step: 0.99, l1Left: 2, l2Left: 2}
-	res := Run(tgt, AlgorithmConfig{Grain: FineGrain})
+	res := runOK(t, tgt, AlgorithmConfig{Grain: FineGrain})
 	if res.MetTarget {
 		t.Fatal("cannot meet target with 2 weak steps")
 	}
@@ -160,7 +178,7 @@ func TestAlgorithmExhaustedDesignSpace(t *testing.T) {
 
 func TestAlgorithmMaxStepsBound(t *testing.T) {
 	tgt := &mockTarget{camat1: 1e9, camat2: 1e9, l1Step: 0.999, l2Step: 0.999, l1Left: 1 << 30, l2Left: 1 << 30}
-	res := Run(tgt, AlgorithmConfig{Grain: FineGrain, MaxSteps: 7})
+	res := runOK(t, tgt, AlgorithmConfig{Grain: FineGrain, MaxSteps: 7})
 	if len(res.Steps) != 7 {
 		t.Fatalf("steps = %d, want 7", len(res.Steps))
 	}
@@ -173,8 +191,8 @@ func TestAlgorithmCoarseGrainStopsEarlier(t *testing.T) {
 	mk := func() *mockTarget {
 		return &mockTarget{camat1: 50, camat2: 0.01, l1Step: 0.8, l1Left: 100, l2Left: 100}
 	}
-	fine := Run(mk(), AlgorithmConfig{Grain: FineGrain})
-	coarse := Run(mk(), AlgorithmConfig{Grain: CoarseGrain})
+	fine := runOK(t, mk(), AlgorithmConfig{Grain: FineGrain})
+	coarse := runOK(t, mk(), AlgorithmConfig{Grain: CoarseGrain})
 	if !fine.MetTarget || !coarse.MetTarget {
 		t.Fatal("both grains should converge")
 	}
@@ -197,7 +215,7 @@ func TestGrainDeltas(t *testing.T) {
 
 func TestAlgorithmRecordsThresholds(t *testing.T) {
 	tgt := &mockTarget{camat1: 5, camat2: 2, l1Step: 0.5, l2Step: 0.5, l1Left: 100, l2Left: 100}
-	res := Run(tgt, AlgorithmConfig{Grain: FineGrain})
+	res := runOK(t, tgt, AlgorithmConfig{Grain: FineGrain})
 	for i, s := range res.Steps {
 		if s.T1 <= 0 {
 			t.Fatalf("step %d: T1 = %v", i, s.T1)

@@ -5,8 +5,7 @@
 // budget, live timeline streaming over SSE with bounded per-subscriber
 // rings (slow consumers drop windows, with drop accounting, instead of
 // stalling the simulation), and a single fleet-wide Prometheus endpoint
-// aggregating every run's observability snapshot plus the sweep
-// fabric's coordinator telemetry.
+// aggregating every run's observability snapshot.
 //
 // Each run publishes into one Hub, the run's only stream: its series
 // header, seq-stamped window history (bounded by

@@ -489,8 +489,6 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("result: %s", body)
 	}
 	get("/api/v1/runs/r-99", http.StatusNotFound)
-	// No sweep fabric attached: the fleet health endpoint is a 404.
-	get("/api/v1/fleet", http.StatusNotFound)
 
 	// Fleet metrics: control-plane series plus run-labeled series.
 	fleet := get("/metrics", http.StatusOK)

@@ -10,13 +10,11 @@ package ctrl
 //	GET  /api/v1/runs/{id}/metrics  per-run Prometheus text
 //	GET  /api/v1/runs/{id}/events   SSE window stream
 //	GET  /api/v1/runs/{id}/result   final lpm-report/v2 document
-//	GET  /api/v1/fleet              sweep-fabric health (workers, quarantine, stats)
 //	GET  /metrics                   fleet-wide Prometheus text
 //
-// The fleet endpoint renders, in one scrape: the control plane's own
-// ctrl.* series (unlabeled), every run's latest obs snapshot labeled
-// run/tenant, and — when a sweep fabric is attached — the coordinator's
-// fabric.* telemetry labeled component="fabric".
+// The fleet endpoint renders, in one scrape, the control plane's own
+// ctrl.* series (unlabeled) and every run's latest obs snapshot labeled
+// run/tenant.
 
 import (
 	"bytes"
@@ -108,19 +106,6 @@ func NewAPIMux(reg *Registry) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(doc)
 	})
-	mux.HandleFunc("GET /api/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		if reg.cfg.Fabric == nil {
-			writeErr(w, http.StatusNotFound, "no sweep fabric attached")
-			return
-		}
-		b, err := json.Marshal(reg.cfg.Fabric.FleetStats())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(b)
-	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		var buf bytes.Buffer
 		seen := make(map[string]bool)
@@ -132,12 +117,6 @@ func NewAPIMux(reg *Registry) *http.ServeMux {
 		for _, re := range runs {
 			labels := `run="` + promLabel(re.id) + `",tenant="` + promLabel(re.tenant) + `"`
 			if err := re.snap.WritePromLabeled(&buf, labels, seen); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
-		if reg.cfg.Fabric != nil {
-			if err := reg.cfg.Fabric.ObsSnapshot().WritePromLabeled(&buf, `component="fabric"`, seen); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}

@@ -5,8 +5,7 @@ package ctrl
 // room, and publish their timelines through their Hub while they
 // execute. One mutex guards all registry state including the obs
 // registry the ctrl.* metrics are published into from that state at
-// scrape time — the same single-count, publish-under-lock discipline
-// the fabric coordinator uses.
+// scrape time, so the run table is the only count of runs.
 
 import (
 	"context"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"lpm/internal/cliutil"
-	"lpm/internal/fabric"
 	"lpm/internal/obs"
 	"lpm/internal/parallel"
 )
@@ -41,10 +39,6 @@ type Config struct {
 	Runner Runner
 	// Log receives structured scheduler diagnostics (nil discards).
 	Log *slog.Logger
-	// Fabric, when non-nil, contributes the sweep-fabric coordinator's
-	// telemetry to the fleet /metrics endpoint and its health document
-	// to /api/v1/fleet.
-	Fabric *fabric.Coordinator
 }
 
 // run is the registry's record of one submission.

@@ -33,18 +33,6 @@ func newChaosTarget(t *testing.T, workload string) *HardwareTarget {
 	return tgt
 }
 
-// measureRecovered is the driver-boundary idiom: Measure escapes the
-// error-less core.Target interface by panicking resilience.Abort, and
-// the caller recovers it back into an error.
-func measureRecovered(tgt *HardwareTarget) (m core.Measurement, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = resilience.Recover(r)
-		}
-	}()
-	return tgt.Measure(), nil
-}
-
 func TestChaosWatchdogLivelockIsolation(t *testing.T) {
 	t.Cleanup(parallel.ResetAllMemos)
 	parallel.ResetAllMemos()
@@ -57,9 +45,8 @@ func TestChaosWatchdogLivelockIsolation(t *testing.T) {
 	res := parallel.MapResults(context.Background(), workloads,
 		func(ctx context.Context, name string) (core.Measurement, error) {
 			tgt := newChaosTarget(t, name)
-			tgt.Ctx = ctx
 			tgt.WatchdogCycles = budgets[name]
-			return tgt.Measure(), nil // Abort panics are recovered by MapResults
+			return tgt.Measure(ctx)
 		})
 
 	victim, healthy := res[0], res[1]
@@ -89,7 +76,7 @@ func TestChaosWatchdogLivelockIsolation(t *testing.T) {
 	// same point fails from the cache with the same structured error.
 	tgt := newChaosTarget(t, "410.bwaves")
 	tgt.WatchdogCycles = 1
-	_, err := measureRecovered(tgt)
+	_, err := tgt.Measure(context.Background())
 	var ll2 *resilience.LivelockError
 	if !errors.As(err, &ll2) || ll2.Cycle != ll.Cycle {
 		t.Fatalf("memoised livelock replay = %v, want the original trip at cycle %d", err, ll.Cycle)

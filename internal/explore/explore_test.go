@@ -141,7 +141,11 @@ func TestStallShapeAtoD(t *testing.T) {
 		tgt := NewHardwareTarget(DefaultSpace(), TableConfigs()[name], trace.MustProfile("410.bwaves"))
 		tgt.Warmup = 150000
 		tgt.Instructions = 25000
-		return tgt.Measure()
+		m, err := tgt.Measure(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 	a, d := eval("A"), eval("D")
 	if d.LPMR1() >= a.LPMR1()*0.8 {
@@ -195,8 +199,11 @@ func TestEvaluationHistoryRecorded(t *testing.T) {
 	tgt := NewHardwareTarget(DefaultSpace(), TableConfigs()["A"], trace.MustProfile("410.bwaves"))
 	tgt.Warmup = 20000
 	tgt.Instructions = 5000
-	tgt.Measure()
-	tgt.Measure() // memoised: no second simulation
+	for i := 0; i < 2; i++ { // the second is memoised: no second simulation
+		if _, err := tgt.Measure(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if tgt.Evaluations() != 1 {
 		t.Fatalf("evaluations = %d, want 1 (memoised)", tgt.Evaluations())
 	}

@@ -5,7 +5,6 @@ import (
 
 	"lpm/internal/core"
 	"lpm/internal/faultinject"
-	"lpm/internal/resilience"
 	"lpm/internal/trace"
 )
 
@@ -51,14 +50,9 @@ type HardwareTarget struct {
 	// TimelineWindow overrides the sampler's base window width in cycles
 	// (0 = the sampler default); only meaningful with Timeline set.
 	TimelineWindow uint64
-	// Ctx, when non-nil, cancels in-flight simulations cooperatively:
-	// a cancelled evaluation surfaces as an error from RunAlgorithmCtx
-	// (via the resilience.Abort panic carrier) instead of a result.
-	// Neither Ctx nor WatchdogCycles joins the memo key — they cannot
-	// change a successful measurement.
-	Ctx context.Context
 	// WatchdogCycles is the no-progress budget armed on every evaluation
-	// chip; 0 uses DefaultWatchdogCycles.
+	// chip; 0 uses DefaultWatchdogCycles. It does not join the memo key:
+	// it cannot change a successful measurement.
 	WatchdogCycles uint64
 	// OnEvaluate, when non-nil, runs after every recorded evaluation —
 	// the checkpoint layer's hook for persisting the memo and frontier
@@ -102,13 +96,17 @@ func (t *HardwareTarget) Evaluations() int { return t.evals }
 
 // Measure implements core.Target by simulating the current point (with
 // memoisation: revisiting a point is free, like re-reading counters).
-func (t *HardwareTarget) Measure() core.Measurement {
+// ctx cancels the simulation cooperatively.
+func (t *HardwareTarget) Measure(ctx context.Context) (core.Measurement, error) {
 	if m, ok := t.cache[t.ix]; ok {
-		return m
+		return m, nil
 	}
-	m := t.Evaluate(t.Current())
+	m, err := t.Evaluate(ctx, t.Current())
+	if err != nil {
+		return m, err
+	}
 	t.cache[t.ix] = m
-	return m
+	return m, nil
 }
 
 // budgets resolves the per-run instruction and cycle budgets.
@@ -134,15 +132,6 @@ func (t *HardwareTarget) budgets() (instr, warm, maxCy uint64) {
 // a livelock, not a slow phase.
 const DefaultWatchdogCycles = 1_000_000
 
-// ctx returns the cancellation context, defaulting to Background.
-func (t *HardwareTarget) ctx() context.Context {
-	if t.Ctx != nil {
-		return t.Ctx
-	}
-	//lint:ignore ctxflow documented default when the optional Ctx field is unset
-	return context.Background()
-}
-
 // spec is the full input fingerprint of simulating point p under the
 // target's workload and budgets.
 func (t *HardwareTarget) spec(p Point) SimSpec {
@@ -161,37 +150,30 @@ func (t *HardwareTarget) spec(p Point) SimSpec {
 	}
 }
 
-// simulate runs the cycle-level simulation of point p through simKind
-// (memoised on spec(p), sharded when a fabric is active). A cancelled or
-// livelocked run surfaces as a resilience.Abort panic, since the
-// core.Target interface has no error channel; cancellations are not
-// memoised, livelocks (deterministic) are.
-func (t *HardwareTarget) simulate(p Point) core.Measurement {
-	m, err := simKind.Do(t.ctx(), t.spec(p))
-	if err != nil {
-		panic(resilience.Abort{Err: err})
-	}
-	return m
-}
-
-// Evaluate simulates an arbitrary point and returns its measurement.
-// Evaluations() and History() record the call whether or not the result
-// came from the shared memo, so the reported simulation counts match the
-// serial, memo-cold walk exactly. The faultinject point "explore.evaluate"
-// (detail: workload name) lets the chaos tests kill a specific workload's
-// evaluation mid-walk.
-func (t *HardwareTarget) Evaluate(p Point) core.Measurement {
+// Evaluate simulates an arbitrary point through simKind (memoised on
+// spec(p), sharded when a fabric is active) and returns its measurement.
+// A cancelled or livelocked simulation returns its error and is not
+// recorded; cancellations are not memoised, livelocks (deterministic)
+// are. Evaluations() and History() record the call whether or not the
+// result came from the shared memo, so the reported simulation counts
+// match the serial, memo-cold walk exactly. The faultinject point
+// "explore.evaluate" (detail: workload name) lets the chaos tests kill
+// a specific workload's evaluation mid-walk.
+func (t *HardwareTarget) Evaluate(ctx context.Context, p Point) (core.Measurement, error) {
 	if err := faultinject.Hit("explore.evaluate", t.Profile.Name); err != nil {
-		panic(resilience.Abort{Err: err})
+		return core.Measurement{}, err
 	}
-	m := t.simulate(p)
+	m, err := simKind.Do(ctx, t.spec(p))
+	if err != nil {
+		return m, err
+	}
 	t.evals++
 	ev := Evaluation{Point: p, M: m}
 	t.history = append(t.history, ev)
 	if t.OnEvaluate != nil {
 		t.OnEvaluate(ev)
 	}
-	return m
+	return m, nil
 }
 
 // menuLen returns the menu length of parameter k.
@@ -270,18 +252,10 @@ func (t *HardwareTarget) ReduceOverprovision() bool {
 
 // RunAlgorithmCtx drives the LPM algorithm over the target under a
 // cancellation context and returns its result together with the final
-// point. It recovers the resilience.Abort panics the evaluation path
-// uses to escape the error-less Target interface and returns them as
-// ordinary errors (errors.As reaches a *resilience.LivelockError through
-// the chain). Non-Abort panics — genuine bugs — keep propagating.
-func (t *HardwareTarget) RunAlgorithmCtx(ctx context.Context, cfg core.AlgorithmConfig) (res core.Result, p Point, err error) {
-	t.Ctx = ctx
-	defer func() {
-		p = t.Current()
-		if r := recover(); r != nil {
-			err = resilience.Recover(r)
-		}
-	}()
-	res = core.Run(t, cfg)
-	return res, t.Current(), nil
+// point. A failed evaluation ends the walk: the steps taken so far come
+// back with its error (errors.As reaches a *resilience.LivelockError
+// through the chain).
+func (t *HardwareTarget) RunAlgorithmCtx(ctx context.Context, cfg core.AlgorithmConfig) (core.Result, Point, error) {
+	res, err := core.Run(ctx, t, cfg)
+	return res, t.Current(), err
 }

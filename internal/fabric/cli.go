@@ -11,8 +11,6 @@ import (
 	"log/slog"
 	"os"
 	"time"
-
-	"lpm/internal/obs"
 )
 
 // ShardFlags holds the parsed -shard* flag family.
@@ -51,28 +49,25 @@ func BindShardFlags(fs *flag.FlagSet) *ShardFlags {
 // Start brings sharding up per the flags: starts the coordinator,
 // publishes its address, activates it process-wide, and waits for the
 // minimum worker count. The returned stop func tears all of it down;
-// with sharding disabled it is a cheap no-op and the returned
-// coordinator is nil. log receives structured coordinator diagnostics
-// (nil discards them); reg, when non-nil, receives the coordinator's
-// fabric telemetry for fleet exposition.
-func (sf *ShardFlags) Start(ctx context.Context, log *slog.Logger, reg *obs.Registry) (stop func(), c *Coordinator, err error) {
+// with sharding disabled it is a cheap no-op. log receives structured
+// coordinator diagnostics (nil discards them).
+func (sf *ShardFlags) Start(ctx context.Context, log *slog.Logger) (stop func(), err error) {
 	if sf.Addr == "" {
-		return func() {}, nil, nil
+		return func() {}, nil
 	}
-	c, err = Listen(sf.Addr, Options{
+	c, err := Listen(sf.Addr, Options{
 		StraggleAfter: sf.Straggle,
 		JournalPath:   sf.Journal,
 		ValidateEvery: sf.Validate,
 		Log:           log,
-		Obs:           reg,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if sf.AddrFile != "" {
 		if err := os.WriteFile(sf.AddrFile, []byte(c.Addr()+"\n"), 0o644); err != nil {
 			_ = c.Close()
-			return nil, nil, fmt.Errorf("fabric: publish coordinator address: %w", err)
+			return nil, fmt.Errorf("fabric: publish coordinator address: %w", err)
 		}
 	}
 	if log != nil {
@@ -83,11 +78,11 @@ func (sf *ShardFlags) Start(ctx context.Context, log *slog.Logger, reg *obs.Regi
 		if err := c.WaitWorkers(ctx, sf.Min); err != nil {
 			restore()
 			_ = c.Close()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	return func() {
 		restore()
 		_ = c.Close()
-	}, c, nil
+	}, nil
 }

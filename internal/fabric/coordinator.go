@@ -20,11 +20,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
-	"lpm/internal/obs"
 	"lpm/internal/resilience/fleet"
 )
 
@@ -63,10 +61,6 @@ type Options struct {
 	// Log receives structured coordinator diagnostics (worker joins,
 	// deaths, re-issues) with worker/granule attrs; nil discards them.
 	Log *slog.Logger
-	// Obs, when set, receives the coordinator's fabric telemetry —
-	// queue depth, per-worker in-flight, re-queue and straggler churn,
-	// cache hit rate — published from Stats by ObsSnapshot.
-	Obs *obs.Registry
 }
 
 // link is a session's transport: its socket and the frames its
@@ -79,9 +73,8 @@ type link struct {
 // Coordinator accepts workers and brokers granules between Submit
 // callers and the worker fleet.
 type Coordinator struct {
-	opts    Options
-	ln      net.Listener
-	latency *obs.Histogram // issue-to-result wall clock; nil without Options.Obs
+	opts Options
+	ln   net.Listener
 
 	mu          sync.Mutex
 	s           *scheduler
@@ -118,7 +111,6 @@ func Listen(addr string, opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("fabric: listen %s: %w", addr, err)
 	}
 	c := &Coordinator{opts: opts, ln: ln, closed: make(chan struct{})}
-	c.latency = opts.Obs.Histogram("fabric.granule_seconds", 0, 30, 120)
 	c.s = newScheduler(c, opts)
 	if opts.JournalPath != "" {
 		if err := c.openJournal(); err != nil {
@@ -185,57 +177,6 @@ func (c *Coordinator) Stats() Stats {
 	return c.s.stats
 }
 
-// WorkerHealth is one worker's row in a fleet snapshot.
-type WorkerHealth struct {
-	Name     string `json:"name"`
-	Proto    int    `json:"proto"`
-	State    string `json:"state"`
-	InFlight int    `json:"inflight"`
-	Busy     int    `json:"busy"`
-	RTTMicro int64  `json:"rtt_micros"`
-	Strikes  int    `json:"strikes"`
-}
-
-// FleetSnapshot is the JSON shape the control plane serves for the
-// fleet's health: per-worker state plus the quarantine roster and the
-// coordinator counters.
-type FleetSnapshot struct {
-	Tick        uint64         `json:"tick"`
-	Workers     []WorkerHealth `json:"workers"`
-	Quarantined []string       `json:"quarantined"`
-	Pending     int            `json:"pending"`
-	Stats       Stats          `json:"stats"`
-}
-
-// FleetStats captures the fleet's health under the coordinator mutex.
-func (c *Coordinator) FleetStats() FleetSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.s
-	snap := FleetSnapshot{
-		Tick:        s.tick,
-		Quarantined: make([]string, 0, len(s.until)),
-		Pending:     len(s.pending),
-		Stats:       s.stats,
-	}
-	for name := range s.until {
-		snap.Quarantined = append(snap.Quarantined, name)
-	}
-	sort.Strings(snap.Quarantined)
-	for _, w := range s.sessions {
-		snap.Workers = append(snap.Workers, WorkerHealth{
-			Name:     w.name,
-			Proto:    ProtoVersion,
-			State:    s.healthOf(w),
-			InFlight: len(w.inflight),
-			Busy:     w.busy,
-			RTTMicro: w.rtt,
-			Strikes:  s.strikes[w.name],
-		})
-	}
-	return snap
-}
-
 // WaitWorkers blocks until at least n workers are connected, ctx
 // cancels, or the coordinator closes.
 func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {
@@ -254,10 +195,10 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {
 	}
 }
 
-// Submit resolves one granule: an existing result (or in-flight
-// computation) under the same key is shared single-flight, otherwise
-// the granule is queued for dispatch. Blocks until the granule
-// resolves, ctx cancels, or the coordinator closes. Remote failures
+// Submit resolves one granule: a computation still running under the
+// same key is shared single-flight, otherwise the granule is queued for
+// dispatch. Blocks until the granule resolves, ctx cancels, or the
+// coordinator closes. Remote failures
 // come back as *fleet.RemoteError carrying the worker-side error text
 // verbatim — a sharded run's error cells match a serial run's
 // byte-for-byte — plus the transience classification for retry-aware
@@ -281,33 +222,24 @@ func (c *Coordinator) Submit(ctx context.Context, kind, key string, spec json.Ra
 }
 
 // send is the port's frame path: m joins w's outbox unless it is full.
-// A work frame stamps its granule's wall-clock issue time, which
-// resolve turns into the latency histogram.
 func (c *Coordinator) send(w *session, m Msg) bool {
 	select {
 	case w.link.outbox <- m:
+		return true
 	default:
 		return false
 	}
-	if m.Type == MsgWork {
-		c.s.byID[m.ID].issuedAt = time.Now()
-	}
-	return true
 }
 
-// drop is the port's close path: the writer drains and exits, the
-// reader's next read fails, and the session's in-flight gauge reads 0.
+// drop is the port's close path: the writer drains and exits and the
+// reader's next read fails.
 func (c *Coordinator) drop(w *session, _ error) {
 	close(w.link.outbox)
 	_ = w.link.conn.Close()
-	c.opts.Obs.Gauge("fabric.worker." + promSafe(w.name) + ".inflight").Set(0)
 }
 
 // resolve is the port's wake-up: every Submit waiting on g returns.
-func (c *Coordinator) resolve(g *granule) {
-	close(g.done)
-	c.latency.Observe(time.Since(g.issuedAt).Seconds())
-}
+func (c *Coordinator) resolve(g *granule) { close(g.done) }
 
 // journal is the port's journal path (a no-op without one); append
 // failures are logged, not fatal — losing the journal degrades resume,

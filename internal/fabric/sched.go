@@ -16,7 +16,11 @@ package fabric
 //   - an unresolved granule sits in the pending queue (id order) or in
 //     ≥1 sessions' holdings, never both — or, when it already holds
 //     votes, in neither until the placement pass finds it a voter;
-//   - holders equals the number of sessions holding the granule;
+//   - holders equals the number of sessions holding the granule; a
+//     copy outlives its granule's resolution until its holder answers
+//     or goes, so a slot stays taken while the worker still runs it;
+//   - only unresolved granules are known by key: a resolved one lives
+//     on only in its Submit callers and in stale copies' holdings;
 //   - the queue is popped lowest-id-first among ready granules (a
 //     transient-retry backoff delays readiness), so earlier submissions
 //     are never starved by later ones;
@@ -86,7 +90,7 @@ type Stats struct {
 	Completed   int // granules resolved
 	Requeued    int // granules re-queued after a worker died holding them
 	Duplicated  int // straggler/suspect duplicates issued
-	CacheHits   int // Submit calls answered by an already-resolved granule
+	CacheHits   int // Submit calls that joined a granule still running
 	Heartbeats  int // ping frames received
 	Suspects    int // healthy→suspect transitions
 	Retried     int // transient-failure re-queues charged to retry budgets
@@ -95,7 +99,7 @@ type Stats struct {
 	Validated   int // cross-validated granules decided
 	Divergent   int // cross-validations that caught disagreeing answers
 	Died        int // worker sessions torn down
-	LateResults int // results ignored because the first copy already won
+	LateResults int // a held copy's result ignored because another copy already won
 }
 
 // vote is one worker's answer to a cross-validated granule.
@@ -125,12 +129,11 @@ type granule struct {
 	resolved  bool
 	transient bool // errText's classification, carried into Submit's error
 
-	queued     bool      // sitting in the pending queue
-	holders    int       // sessions currently holding it
-	issuedAt   time.Time // last issuance on the wall clock, stamped by the port's send
-	issuedTick uint64    // last issuance on the logical clock, for straggler aging
-	readyTick  uint64    // dispatch not before this tick (transient-retry backoff)
-	retries    int       // transient failures charged so far
+	queued     bool   // sitting in the pending queue
+	holders    int    // sessions currently holding it
+	issuedTick uint64 // last issuance on the logical clock, for straggler aging
+	readyTick  uint64 // dispatch not before this tick (transient-retry backoff)
+	retries    int    // transient failures charged so far
 
 	votesWanted int    // cross-validation copies required (0/1 = none)
 	votes       []vote // answers received, in arrival order
@@ -153,8 +156,6 @@ type session struct {
 	inflight map[uint64]*granule
 	lastSeen uint64 // tick of the last frame received
 	suspect  uint64 // tick the worker turned suspect; 0 while healthy
-	busy     int    // executing granules, from the last ping
-	rtt      int64  // last reported ping round trip, microseconds
 
 	dropped bool  // decided gone: ineligible, removed at the end of the step
 	cause   error // why it was dropped
@@ -179,12 +180,11 @@ type scheduler struct {
 
 	tick     uint64
 	nextID   uint64
-	byKey    map[string]*granule
-	byID     map[uint64]*granule
-	order    []*granule // submission order, pruned of resolved granules each tick; the placement pass walks this, never a map
-	pending  []*granule // dispatch queue, ascending id
-	sessions []*session // live sessions in join order
-	dropping []*session // decided gone this step, not yet removed
+	byKey    map[string]*granule // unresolved granules, for single-flight Submit
+	order    []*granule          // submission order, pruned of resolved granules each tick; the placement pass walks this, never a map
+	pending  []*granule          // dispatch queue, ascending id
+	sessions []*session          // live sessions in join order
+	dropping []*session          // decided gone this step, not yet removed
 
 	strikes map[string]int
 	until   map[string]uint64 // quarantined names → tick their probation ends
@@ -202,7 +202,6 @@ func newScheduler(p port, opts Options) *scheduler {
 		retry:         fleet.Defaults(0),
 		tickEvery:     opts.TickEvery,
 		byKey:         make(map[string]*granule),
-		byID:          make(map[uint64]*granule),
 		strikes:       make(map[string]int),
 		until:         make(map[string]uint64),
 	}
@@ -232,12 +231,10 @@ func (s *scheduler) restore(st *fleet.JournalState) {
 }
 
 // submit returns the granule under key, creating and dispatching it
-// when the key is new: an existing result or computation is shared.
+// unless a computation of key is still running, which is shared.
 func (s *scheduler) submit(kind, key string, spec json.RawMessage) *granule {
 	if g, ok := s.byKey[key]; ok {
-		if g.resolved {
-			s.stats.CacheHits++
-		}
+		s.stats.CacheHits++
 		return g
 	}
 	g := &granule{id: s.nextID, kind: kind, key: key, spec: spec, done: make(chan struct{})}
@@ -247,7 +244,6 @@ func (s *scheduler) submit(kind, key string, spec json.RawMessage) *granule {
 	}
 	g.retries = s.carried[fleet.GranuleKey(kind, key)]
 	s.byKey[key] = g
-	s.byID[g.id] = g
 	s.order = append(s.order, g)
 	s.stats.Submitted++
 	s.journal(fleet.Entry{Op: fleet.OpSubmit, Kind: kind, Key: key})
@@ -289,9 +285,10 @@ func (s *scheduler) hello(w *session) bool {
 	return true
 }
 
-// result takes a granule's answer from w. Late duplicates (straggler
-// copies, results racing a death notice) are ignored: the first result
-// wins, and purity makes every duplicate identical anyway.
+// result takes a granule's answer from w, which must hold it: a frame
+// for anything else is ignored. A late copy (a straggler duplicate, a
+// cross-validation copy past the quorum) only frees its slot: the first
+// result wins, and purity makes every duplicate identical anyway.
 // Cross-validated granules collect votes instead; transient failures
 // inside the retry budget go back on the queue behind a backoff. A
 // dropped session's frames are not answers.
@@ -300,7 +297,7 @@ func (s *scheduler) result(w *session, m Msg) {
 		return
 	}
 	w.lastSeen = s.tick
-	if g, ok := s.byID[m.ID]; ok {
+	if g, ok := w.inflight[m.ID]; ok {
 		s.answer(w, g, m)
 	}
 	s.reap()
@@ -308,10 +305,8 @@ func (s *scheduler) result(w *session, m Msg) {
 
 // answer frees w's holding of g and applies w's result to it.
 func (s *scheduler) answer(w *session, g *granule, m Msg) {
-	if _, held := w.inflight[g.id]; held {
-		delete(w.inflight, g.id)
-		g.holders--
-	}
+	delete(w.inflight, g.id)
+	g.holders--
 	switch {
 	case g.resolved:
 		s.stats.LateResults++
@@ -325,8 +320,8 @@ func (s *scheduler) answer(w *session, g *granule, m Msg) {
 	}
 }
 
-// ping refreshes w's liveness and telemetry and answers with a pong so
-// the worker can detect a wedged session from its side.
+// ping refreshes w's liveness and answers with a pong so the worker can
+// detect a wedged session from its side.
 func (s *scheduler) ping(w *session, m Msg) {
 	if w.dropped {
 		return
@@ -336,8 +331,6 @@ func (s *scheduler) ping(w *session, m Msg) {
 		w.suspect = 0
 		s.log.Info("fabric: suspect worker recovered", "worker", w.name)
 	}
-	w.busy = m.Busy
-	w.rtt = m.RTT
 	s.stats.Heartbeats++
 	s.send(w, Msg{Type: MsgPong, ID: m.ID})
 	s.reap()
@@ -510,21 +503,16 @@ func (s *scheduler) retryLater(g *granule, cause string) {
 	s.dispatch()
 }
 
-// resolve makes g final, frees it from every holder, wakes its
-// waiters and re-dispatches.
+// resolve makes g final, forgets its key, wakes its waiters and
+// re-dispatches. Other holders keep their copies until they answer.
 func (s *scheduler) resolve(g *granule, value json.RawMessage, errText string, transient bool) {
 	g.resolved = true
 	g.value = value
 	g.errText = errText
 	g.transient = transient
+	delete(s.byKey, g.key)
 	s.stats.Completed++
 	s.journal(fleet.Entry{Op: fleet.OpComplete, Kind: g.kind, Key: g.key})
-	for _, w := range s.sessions {
-		if _, held := w.inflight[g.id]; held {
-			delete(w.inflight, g.id)
-			g.holders--
-		}
-	}
 	s.port.resolve(g)
 	s.dispatch()
 }

@@ -44,7 +44,7 @@ func (r *recorder) send(w *session, m Msg) bool {
 		if r.quarantined[w] {
 			r.fail("work frame for granule %d reached %s after its quarantine", m.ID, w.name)
 		}
-		if g := r.s.byID[m.ID]; g == nil || g.resolved {
+		if g := w.inflight[m.ID]; g == nil || g.resolved {
 			r.fail("work frame issued for resolved granule %d", m.ID)
 		}
 	}
@@ -129,7 +129,7 @@ func newGranule(s *scheduler, votesWanted int, votedBy ...string) *granule {
 		g.votes = append(g.votes, vote{worker: name, value: []byte("1")})
 	}
 	s.nextID++
-	s.byKey[g.key], s.byID[g.id] = g, g
+	s.byKey[g.key] = g
 	s.order = append(s.order, g)
 	return g
 }
@@ -364,6 +364,35 @@ func TestSchedReplica(t *testing.T) {
 		}
 		r.check(t)
 	}
+}
+
+// TestSchedLateCopyHoldsItsSlot: the coordinator forgets a granule's key
+// once it resolves, but a second copy stays in its holder's holdings,
+// taking a slot, until that holder answers; the answer frees the slot
+// and counts as a late result. A result for a granule the sender does
+// not hold is ignored.
+func TestSchedLateCopyHoldsItsSlot(t *testing.T) {
+	s, r := newTestSched(testOptions(), 64)
+	a := join(t, s, "a", 1)
+	b := join(t, s, "b", 1)
+	g := s.submit("test", "k", nil)
+	s.issue(b, g) // a hedge copy
+	s.result(a, Msg{Type: MsgResult, ID: g.id, Value: []byte("1")})
+	if _, known := s.byKey["k"]; !g.resolved || known {
+		t.Fatalf("resolved=%v, known by key=%v; want resolved and forgotten", g.resolved, known)
+	}
+	if _, held := b.inflight[g.id]; !held || g.holders != 1 {
+		t.Fatalf("b's copy released before b answered: held=%v holders=%d", held, g.holders)
+	}
+	s.result(b, Msg{Type: MsgResult, ID: g.id, Value: []byte("1")})
+	if len(b.inflight) != 0 || g.holders != 0 || s.stats.LateResults != 1 {
+		t.Fatalf("after b's answer: held %d, holders %d, late results %d; want 0, 0, 1", len(b.inflight), g.holders, s.stats.LateResults)
+	}
+	s.result(b, Msg{Type: MsgResult, ID: g.id, Value: []byte("2")})
+	if s.stats.LateResults != 1 || s.stats.Completed != 1 || string(g.value) != "1" {
+		t.Fatalf("an unheld result counted: %+v, value %s", s.stats, g.value)
+	}
+	r.check(t)
 }
 
 // TestSchedHealthClassification walks one session through silence:
@@ -656,7 +685,7 @@ func fuzzBody(t *testing.T, data []byte) {
 	opts := testOptions()
 	opts.ValidateEvery = int(data[0] % 3)
 	s, r := newTestSched(opts, 4+int(data[0]/3%6))
-	z := &fuzzRun{t: t, s: s, r: r, data: data[1:]}
+	z := &fuzzRun{t: t, s: s, r: r, data: data[1:], gs: make(map[uint64]*granule)}
 	for steps := 0; len(z.data) > 0 && steps < 400; steps++ {
 		z.step()
 		z.check()
@@ -670,9 +699,10 @@ type fuzzRun struct {
 	s    *scheduler
 	r    *recorder
 	data []byte
-	all  []*session         // every session ever admitted, gone ones included
-	todo map[*session][]Msg // work frames a session's worker has received
-	last map[*session]Msg   // each session's last result, for duplicates
+	all  []*session          // every session ever admitted, gone ones included
+	gs   map[uint64]*granule // every granule ever submitted, resolved ones included
+	todo map[*session][]Msg  // work frames a session's worker has received
+	last map[*session]Msg    // each session's last result, for duplicates
 }
 
 func (z *fuzzRun) next() int {
@@ -723,7 +753,7 @@ func (z *fuzzRun) answer(w *session, how int) {
 	m := Msg{Type: MsgResult, ID: id}
 	switch how {
 	case 0:
-		m.Value = honest(z.s.byID[id].key)
+		m.Value = honest(z.gs[id].key)
 	case 1:
 		m.Value = []byte(strconv.Quote("lie by " + w.name))
 	case 2:
@@ -747,7 +777,8 @@ func (z *fuzzRun) step() {
 	s := z.s
 	switch op := z.next() % 10; op {
 	case 0:
-		s.submit("test", fmt.Sprint("k", z.next()%12), nil)
+		g := s.submit("test", fmt.Sprint("k", z.next()%12), nil)
+		z.gs[g.id] = g
 	case 1:
 		w := &session{name: fmt.Sprint("w", z.next()%3), slots: 1 + z.next()%3}
 		if z.live() < 4 && s.hello(w) {
@@ -790,7 +821,7 @@ func (z *fuzzRun) drain() {
 			z.t.Fatalf("drain worker %s refused", w.name)
 		}
 	}
-	for round := 0; round < 1000 && len(z.r.resolved) < len(s.byID); round++ {
+	for round := 0; round < 1000 && len(z.r.resolved) < len(z.gs); round++ {
 		for _, w := range honestWorkers {
 			// The writer keeps up: the outbox empties before every answer.
 			for z.r.take(w); len(w.inflight) > 0; z.r.take(w) {
@@ -801,7 +832,7 @@ func (z *fuzzRun) drain() {
 		s.onTick()
 		z.check()
 	}
-	for id, g := range s.byID {
+	for id, g := range z.gs {
 		if !g.resolved {
 			z.t.Fatalf("granule %d (%s) never resolved: queued=%v holders=%d votes=%d", id, g.key, g.queued, g.holders, len(g.votes))
 		}
@@ -822,7 +853,10 @@ func (z *fuzzRun) check() {
 	for _, g := range s.pending {
 		queued[g.id] = true
 	}
-	for id, g := range s.byID {
+	for id, g := range z.gs {
+		if known, ok := s.byKey[g.key]; g.resolved == (ok && known == g) {
+			t.Fatalf("granule %d: resolved=%v, but known by key: %v", id, g.resolved, ok && known == g)
+		}
 		holding := 0
 		for _, w := range s.sessions {
 			if w.dropped {
@@ -871,10 +905,12 @@ func (z *fuzzRun) check() {
 	if strings.Join(roster, ",") != strings.Join(st.Quarantined, ",") {
 		t.Fatalf("quarantine roster %v, journal recovers %v", roster, st.Quarantined)
 	}
+	// A key resubmitted after it resolved is a new granule with a fresh
+	// budget; the journal keeps the highest charge any of them reached.
 	charges := make(map[string]int)
-	for _, g := range s.byID {
-		if g.retries > 0 {
-			charges[fleet.GranuleKey(g.kind, g.key)] = g.retries
+	for _, g := range z.gs {
+		if k := fleet.GranuleKey(g.kind, g.key); g.retries > charges[k] {
+			charges[k] = g.retries
 		}
 	}
 	if !reflect.DeepEqual(charges, st.Retries) {

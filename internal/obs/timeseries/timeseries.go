@@ -48,9 +48,6 @@ type Config struct {
 	// Adaptive merges consecutive base windows that classify into the
 	// same phase, yielding variable-length phase-aligned windows.
 	Adaptive bool
-	// PhaseThreshold is the phase detector's distance threshold in
-	// adaptive mode (0 = the detector's default).
-	PhaseThreshold float64
 	// MaxWindows bounds stored windows (0 = DefaultMaxWindows).
 	MaxWindows int
 	// CPIexe, when positive, enables the per-window LPMR derivation
@@ -91,7 +88,7 @@ type Sampler struct {
 func New(cfg Config) *Sampler {
 	s := &Sampler{cfg: cfg, lastPhase: -1}
 	if cfg.Adaptive {
-		s.det = phase.NewDetector(cfg.PhaseThreshold)
+		s.det = phase.NewDetector(0) // the detector's default threshold
 	}
 	return s
 }

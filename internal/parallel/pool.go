@@ -91,8 +91,7 @@ func MapResults[I, O any](ctx context.Context, jobs []I, fn func(context.Context
 // MapPoolResults is the core runner behind MapCtx, MapPool and MapResults:
 // input-ordered per-job results, recovered panics, cooperative
 // cancellation with drain semantics. A panic whose value is an error is
-// wrapped with %w so errors.As reaches structured errors (a
-// *resilience.LivelockError travelling inside an Abort); other panic
+// wrapped with %w so errors.As reaches structured errors; other panic
 // values keep their stack trace, since they are genuine bugs.
 func MapPoolResults[I, O any](ctx context.Context, p *Pool, jobs []I, fn func(context.Context, I) (O, error)) []JobResult[O] {
 	if p == nil {

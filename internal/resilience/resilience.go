@@ -1,8 +1,7 @@
 // Package resilience is the hardened-execution layer of the LPM
 // reproduction: cooperative cancellation wired to SIGINT/SIGTERM, a
 // structured livelock error carrying the simulator's own diagnostics,
-// an error-valued panic carrier for interfaces that cannot return
-// errors, and a durable checkpoint envelope (magic + length + CRC64)
+// and a durable checkpoint envelope (magic + length + CRC64)
 // for the memo cache and exploration frontier.
 //
 // The design premise is that a multi-hour sweep must never die with
@@ -25,34 +24,4 @@ import (
 // so a stuck drain can still be interrupted.
 func WithSignals(ctx context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-}
-
-// Abort carries an error across API layers that cannot return one —
-// core.Target.Measure is the canonical case: a cancelled or livelocked
-// simulation panics with Abort{Err} and the driver boundary recovers
-// it back into an ordinary error with Recover.
-type Abort struct{ Err error }
-
-// Error makes Abort itself an error, so a recover that stores the raw
-// panic value still formats usefully.
-func (a Abort) Error() string { return a.Err.Error() }
-
-// Unwrap exposes the carried error to errors.Is / errors.As.
-func (a Abort) Unwrap() error { return a.Err }
-
-// Recover converts a recovered panic value into the carried error if it
-// is an Abort, and re-panics otherwise. Use as
-//
-//	defer func() {
-//		if r := recover(); r != nil {
-//			err = resilience.Recover(r)
-//		}
-//	}()
-//
-// Genuine bugs (non-Abort panics) keep crashing loudly.
-func Recover(r any) error {
-	if a, ok := r.(Abort); ok {
-		return a.Err
-	}
-	panic(r)
 }

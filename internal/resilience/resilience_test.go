@@ -11,45 +11,12 @@ import (
 	"lpm/internal/faultinject"
 )
 
-func TestAbortRoundTrip(t *testing.T) {
-	base := errors.New("cancelled mid-measure")
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = Recover(r)
-			}
-		}()
-		panic(Abort{Err: base})
-	}()
-	if !errors.Is(err, base) {
-		t.Fatalf("recovered %v, want the carried error", err)
-	}
-}
-
-func TestRecoverRepanicsForeignValues(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "genuine bug" {
-			t.Fatalf("recovered %v, want the original panic value", r)
-		}
-	}()
-	func() {
-		defer func() { _ = Recover(recover()) }()
-		panic("genuine bug")
-	}()
-	t.Fatal("foreign panic was swallowed")
-}
-
-func TestLivelockErrorViaAbort(t *testing.T) {
+// TestLivelockErrorWrapped: the diagnostic bundle survives wrapping on
+// its way up the error chain.
+func TestLivelockErrorWrapped(t *testing.T) {
 	ll := &LivelockError{Workload: "429.mcf", Cycle: 123456, Budget: 1000,
 		Occupancy: map[string]uint64{"dram.queue_depth": 7}}
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = Recover(r)
-			}
-		}()
-		panic(Abort{Err: fmt.Errorf("workload 429.mcf: %w", ll)})
-	}()
+	err := fmt.Errorf("workload 429.mcf: %w", ll)
 	var got *LivelockError
 	if !errors.As(err, &got) {
 		t.Fatalf("errors.As failed on %v", err)

@@ -2,6 +2,7 @@ package lpm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -144,7 +145,10 @@ func TestTimelineStallConservationTable1(t *testing.T) {
 		tgt.Warmup = s.Warmup
 		tgt.Instructions = s.Window
 		tgt.Timeline = true
-		m := tgt.Measure()
+		m, err := tgt.Measure(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if m.Timeline == nil || len(m.Timeline.Windows) == 0 {
 			t.Fatalf("config %s: no timeline", name)
 		}

@@ -5,8 +5,8 @@
 # -checkpoint/-resume/-warmup-fast and sharded over two lpmworkers with
 # -shard-journal -shard-validate, lpmexplore, lpmrun -metrics -timeline
 # -tsadaptive -serve -json, lpmtrace -record/-stat/-replay -events,
-# README's lpmlint and lpmdiff commands, the lpmserve walkthrough plain
-# and with -shard, the diffgate inputs, the quickstart example and
+# README's lpmlint and lpmdiff commands, the lpmserve walkthrough, the
+# diffgate inputs, the quickstart example and
 # `go run ./bench -smoke` — then merges that profile with the make bench
 # packages run under `go test -cover -coverpkg=lpm/...`. Prints every
 # non-test function outside bench/ (which only benchmark changes edit)
@@ -17,9 +17,10 @@
 # or an accessor a gate's test calls. Takes a few minutes on two cores;
 # it is not part of make ci. Everything it writes goes under workdir
 # (default: a fresh temporary directory) and .bench_build/ (ignored).
+# It needs no git metadata, so it also runs in a `git archive` export.
 set -eu
 
-cd "$(git rev-parse --show-toplevel)"
+cd "$(dirname "$0")/.."
 work=${1:-$(mktemp -d)}
 bin=$work/bin
 run=$work/run
@@ -119,24 +120,15 @@ echo "reach: lpmlint" >&2
 echo "reach: quickstart" >&2
 "$bin/quickstart" >/dev/null
 
-# serve <log> [flags]: the README walkthrough against one lpmserve —
-# submit, list, follow the SSE stream to done, scrape, fetch the result,
-# cancel a run — then SIGTERM, which drains and exits 0. With -shard, one
-# lpmworker joins the control plane's coordinator first.
+# serve <log>: the README walkthrough against one lpmserve — submit,
+# list, follow the SSE stream to done, scrape, fetch the result, cancel
+# a run — then SIGTERM, which drains and exits 0.
 serve() {
 	log=$1
-	shift
-	rm -f "$run/serve-addr"
-	"$bin/lpmserve" -addr 127.0.0.1:0 -grace 5s "$@" >"$log" 2>"$log.err" &
+	"$bin/lpmserve" -addr 127.0.0.1:0 -grace 5s >"$log" 2>"$log.err" &
 	sv=$!
 	pids="$pids $sv"
 	a=http://$(serveaddr "$log")
-	case "$*" in *-shard*)
-		waitfile "$run/serve-addr"
-		"$bin/lpmworker" -quiet -slots 1 "$(cat "$run/serve-addr")" &
-		pids="$pids $!"
-		;;
-	esac
 	curl -sf -d '{"workload":"403.gcc","tenant":"acme","instructions":20000,"warmup":5000}' "$a/api/v1/runs" >/dev/null
 	curl -sf -d '{"workload":"429.mcf","tenant":"beta","instructions":20000,"warmup":5000,"adaptive":true}' "$a/api/v1/runs" >/dev/null
 	curl -sf "$a/api/v1/runs" >/dev/null
@@ -146,7 +138,6 @@ serve() {
 	curl -sf "$a/api/v1/runs/r-1/metrics" >/dev/null
 	curl -sf "$a/api/v1/runs/r-1/result" >/dev/null
 	curl -sf "$a/metrics" >/dev/null
-	curl -sf "$a/api/v1/fleet" >/dev/null || true
 	curl -s -d '{"workload":"nope"}' "$a/api/v1/runs" >/dev/null
 	curl -sf -d '{"workload":"401.bzip2","tenant":"acme","instructions":30000000}' "$a/api/v1/runs" >/dev/null
 	curl -sf -X POST "$a/api/v1/runs/r-3/cancel" >/dev/null
@@ -156,7 +147,6 @@ serve() {
 
 echo "reach: lpmserve" >&2
 serve "$run/serve.log"
-serve "$run/serve-shard.log" -shard 127.0.0.1:0 -shard-addr-file "$run/serve-addr"
 
 echo "reach: bench -smoke" >&2
 "$bin/bench" -smoke >/dev/null
