@@ -81,6 +81,8 @@ fuzz:
 	$(GO) test -fuzz FuzzCoordinator -fuzztime 15s -run '^$$' ./internal/fabric
 	$(GO) test -fuzz FuzzSamplerTables -fuzztime 15s -run '^$$' ./internal/stats
 	$(GO) test -fuzz FuzzReplayJournal -fuzztime 15s -run '^$$' ./internal/resilience/fleet
+	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 15s -run '^$$' ./internal/resilience
+	$(GO) test -fuzz FuzzCheckpointJSON -fuzztime 15s -run '^$$' ./internal/resilience
 	$(GO) test -fuzz FuzzDecodeReport -fuzztime 15s -run '^$$' .
 	$(GO) test -fuzz FuzzSubmitRunSpec -fuzztime 15s -run '^$$' ./internal/ctrl
 	$(GO) test -fuzz FuzzHub -fuzztime 15s -run '^$$' ./internal/ctrl

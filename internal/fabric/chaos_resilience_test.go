@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"lpm/internal/faultinject"
+	"lpm/internal/resilience"
 	"lpm/internal/resilience/fleet"
 )
 
@@ -278,7 +279,8 @@ func TestChaosFabricCorruptFrameReconnect(t *testing.T) {
 
 // TestChaosFabricCoordinatorKillJournalResume kills the coordinator
 // mid-quarantine, kill -9 style: the successor sees only the journal
-// bytes fsynced before the kill, with the final record torn mid-write.
+// bytes fsynced before the kill, followed by half of one further record
+// torn mid-write.
 // It must replay the torn journal, carry the liar's quarantine across
 // the restart (refusing its handshake), and complete the full sweep
 // with bytes identical to a serial run.
@@ -335,34 +337,42 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 
 	// kill -9: freeze the journal at this instant. Copying before Close
 	// means everything the dying coordinator might still append is
-	// invisible to the successor, and shearing the last bytes simulates
-	// dying mid-Append — the torn tail replay must tolerate.
+	// invisible to the successor; the first half of one further record
+	// after the committed ones is what dying mid-Append leaves — the
+	// torn tail replay must tolerate.
 	data, err := os.ReadFile(j1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) < 16 {
-		t.Fatalf("journal only %d bytes; nothing was recorded", len(data))
+	committed, err := fleet.ReplayJournal(j1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(j2, data[:len(data)-7], 0o644); err != nil {
+	payload, err := json.Marshal(fleet.Entry{
+		Seq: uint64(len(committed) + 1), Op: fleet.OpRequeue,
+		Key: "test.double|5|0", Retries: 1, Detail: "transient: torn by the kill",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := resilience.EncodeEnvelope(payload)
+	if err := os.WriteFile(j2, append(data, torn[:len(torn)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cancel1()
 	_ = c1.Close()
-	// The torn tail may have eaten the final record, but most of phase
-	// 1's completions must have survived the crash.
+	// The torn record is lost; the liar's quarantine survived the crash.
 	entries, err := fleet.ReplayJournal(j2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed := 0
+	survived := false
 	for _, e := range entries {
-		if e.Op == fleet.OpComplete {
-			completed++
-		}
+		survived = survived || e.Op == fleet.OpQuarantine && e.Worker == liars[0]
 	}
-	if completed < 4 {
-		t.Fatalf("completions surviving the crash=%d, want >=4", completed)
+	if !survived || len(entries) != len(committed) {
+		t.Fatalf("replayed %+v after the crash, want the %d committed records with %s's quarantine",
+			entries, len(committed), liars[0])
 	}
 
 	// Phase 2: the successor replays the torn journal.
@@ -386,12 +396,8 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 	if d := time.Since(resumeStart); d > 2*time.Second {
 		t.Fatalf("successor Listen to first completion took %v, want under 2s", d)
 	}
-	rs := resumedState(c2)
-	if rs == nil {
-		t.Fatal("successor recovered no journal state")
-	}
-	if len(rs.Quarantined) != 1 || rs.Quarantined[0] != liars[0] {
-		t.Fatalf("resumed quarantine=%v, want %v", rs.Quarantined, liars)
+	if got := quarantined(c2); len(got) != 1 || got[0] != liars[0] {
+		t.Fatalf("resumed quarantine=%v, want %v", got, liars)
 	}
 
 	// The liar must be refused readmission mid-probation.

@@ -9,9 +9,9 @@ package fabric
 // from scheduling code — a session the scheduler drops is closed before
 // the transition returns.
 //
-// When a journal is configured every scheduling decision is fsynced
-// before it takes effect, so a kill -9 of this process resumes from the
-// journal plus the driver's result checkpoint.
+// When a journal is configured every retry charge, quarantine and
+// readmission is fsynced before it takes effect, so a kill -9 of this
+// process resumes from the journal plus the driver's result checkpoint.
 
 import (
 	"context"
@@ -53,10 +53,11 @@ type Options struct {
 	// divergence re-runs on a third worker and quarantines the outlier.
 	// 0 disables validation; 1 validates every granule.
 	ValidateEvery int
-	// JournalPath, when set, appends every scheduling decision to an
-	// LPMCKPT1-framed journal at this path (fsynced per record). A
-	// pre-existing journal is replayed first: quarantine decisions and
-	// per-granule retry charges carry across a coordinator restart.
+	// JournalPath, when set, appends every retry charge, quarantine and
+	// readmission to an LPMCKPT1-framed journal at this path (fsynced
+	// per record). A pre-existing journal is replayed first: quarantine
+	// decisions and per-granule retry charges carry across a coordinator
+	// restart.
 	JournalPath string
 	// Log receives structured coordinator diagnostics (worker joins,
 	// deaths, re-issues) with worker/granule attrs; nil discards them.
@@ -79,7 +80,6 @@ type Coordinator struct {
 	mu          sync.Mutex
 	s           *scheduler
 	journalFile *fleet.Journal
-	resumed     *fleet.JournalState // state recovered from a pre-existing journal
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -124,19 +124,14 @@ func Listen(addr string, opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// openJournal replays any pre-existing journal at JournalPath,
-// restores quarantine and retry state from it, and opens it for
-// appending.
+// openJournal opens the journal at JournalPath for appending and
+// restores the quarantine and retry state its records hold.
 func (c *Coordinator) openJournal() error {
-	entries, err := fleet.ReplayJournal(c.opts.JournalPath)
-	if err == nil && len(entries) > 0 {
-		c.resumed = fleet.RecoverState(entries)
-		c.s.restore(c.resumed)
-	}
 	j, err := fleet.OpenJournal(c.opts.JournalPath)
 	if err != nil {
 		return fmt.Errorf("fabric: %w", err)
 	}
+	c.s.restore(j.Recovered())
 	c.journalFile = j
 	return nil
 }

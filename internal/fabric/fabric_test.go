@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"lpm/internal/faultinject"
 	"lpm/internal/parallel"
 	"lpm/internal/resilience/fleet"
 )
@@ -26,6 +27,8 @@ import (
 //	test.sleep   {"X":n,"MS":d}     -> 2n after d milliseconds
 //	test.fail    {"Text":s}         -> error with text s
 //	test.flaky   {}                 -> transient error (a broken stream)
+//	test.transient {"X":n}          -> 2n, or a transient error when an
+//	                                   armed "test.transient" rule fires
 //
 // Like the real kinds they are pure functions of the spec, so straggler
 // duplicates and re-issues stay sound.
@@ -94,6 +97,12 @@ func init() {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%s", s.Text)
+	})
+	RegisterKind("test.transient", func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
+		if err := faultinject.Hit("test.transient", string(raw)); err != nil {
+			return nil, fmt.Errorf("%v: %w", err, io.ErrUnexpectedEOF)
+		}
+		return double(ctx, raw)
 	})
 	RegisterKind("test.flaky", func(context.Context, json.RawMessage) (json.RawMessage, error) {
 		testFlakyCount.Add(1)
@@ -665,9 +674,10 @@ func TestWorkerDialRetry(t *testing.T) {
 
 // TestFabricResumedCountersMatchStats resumes a coordinator from a
 // journal holding one quarantined worker and a retried granule, among
-// the "fallback" records older coordinators wrote, and checks Stats
-// carries the resumed state: the quarantine counted, the retry charge
-// restored, and every granule completed.
+// the join/submit/issue/gone/complete and "fallback" records older
+// coordinators wrote — so a journal written by an older build still
+// opens — and checks Stats carries the resumed state: the quarantine
+// counted, the retry charge restored, and every granule completed.
 func TestFabricResumedCountersMatchStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sched.journal")
 	j, err := fleet.OpenJournal(path)
@@ -675,14 +685,14 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range []fleet.Entry{
-		{Op: fleet.OpJoin, Worker: "liar"},
-		{Op: fleet.OpSubmit, Kind: "test.double", Key: "test.double|0|0"},
-		{Op: fleet.OpIssue, Kind: "test.double", Key: "test.double|0|0", Worker: "liar"},
+		{Op: "join", Worker: "liar"},
+		{Op: "submit", Kind: "test.double", Key: "test.double|0|0"},
+		{Op: "issue", Kind: "test.double", Key: "test.double|0|0", Worker: "liar"},
 		{Op: fleet.OpRequeue, Kind: "test.double", Key: "test.double|0|0", Retries: 2, Detail: "transient: reset"},
 		{Op: fleet.OpQuarantine, Worker: "liar", Detail: "divergent answer"},
-		{Op: fleet.OpGone, Worker: "liar", Detail: "quarantined"},
+		{Op: "gone", Worker: "liar", Detail: "quarantined"},
 		{Op: "fallback", Detail: "no workers, executing in-process"},
-		{Op: fleet.OpComplete, Kind: "test.double", Key: "test.double|0|0"},
+		{Op: "complete", Kind: "test.double", Key: "test.double|0|0"},
 	} {
 		if err := j.Append(e); err != nil {
 			t.Fatal(err)
@@ -705,7 +715,7 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := resumedState(c).Retries[fleet.GranuleKey("test.double", "test.double|0|0")]; got != 2 {
+	if got := carried(c)["test.double|0|0"]; got != 2 {
 		t.Errorf("carried retry charge=%d, want 2", got)
 	}
 	if st := c.Stats(); st.Quarantined != 1 || st.Completed != 3 {
@@ -713,6 +723,73 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 	}
 	if got := quarantined(c); len(got) != 1 || got[0] != "liar" {
 		t.Fatalf("quarantine roster %v, want [liar]", got)
+	}
+}
+
+// TestFabricJournalHoldsOnlyWhatRecoveryFolds runs journaled sweeps of
+// eight granules with every other one cross-validated and checks the
+// journal against what RecoverState folds: a fault-free sweep appends
+// nothing, one transient failure appends exactly one requeue, and one
+// lie, outvoted by two honest workers, exactly one quarantine.
+func TestFabricJournalHoldsOnlyWhatRecoveryFolds(t *testing.T) {
+	const granules = 8
+	for _, tc := range []struct {
+		name    string
+		kind    string
+		workers int
+		fault   faultinject.Rule
+		want    []string
+	}{
+		{"no faults", "test.double", 2, faultinject.Rule{}, nil},
+		// Granule 1 is not cross-validated, so its failure is charged to
+		// its retry budget rather than cast as a vote.
+		{"one transient failure", "test.transient", 2,
+			faultinject.Rule{Point: "test.transient", Match: `"X":1}`, Msg: "link reset"},
+			[]string{fleet.OpRequeue}},
+		// Granule 0's first copy lies; the third worker breaks the tie.
+		{"one lie", "test.double", 3,
+			faultinject.Rule{Point: "fabric.worker.lie", Match: "test.double", Msg: "lie"},
+			[]string{fleet.OpQuarantine}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.fault.Point != "" {
+				defer faultinject.Arm(faultinject.NewPlan(43, tc.fault))()
+			}
+			path := filepath.Join(t.TempDir(), "sched.journal")
+			lf, err := StartLocal(tc.workers, Options{StraggleAfter: -1, ValidateEvery: 2, JournalPath: path},
+				WorkerOptions{Slots: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := lf.C.WaitWorkers(ctx, tc.workers); err != nil {
+				t.Fatal(err)
+			}
+			// One at a time, so granule i has id i.
+			for i := 0; i < granules; i++ {
+				spec, _ := json.Marshal(map[string]int{"X": i})
+				raw, err := lf.C.Submit(ctx, tc.kind, fmt.Sprintf("%s|%d", tc.kind, i), spec)
+				if err != nil {
+					t.Fatalf("granule %d: %v", i, err)
+				}
+				if want := serialValue(t, tc.kind, i, 0); string(raw) != string(want) {
+					t.Fatalf("granule %d: %s, want %s", i, raw, want)
+				}
+			}
+			_ = lf.Close()
+			entries, err := fleet.ReplayJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ops []string
+			for _, e := range entries {
+				ops = append(ops, e.Op)
+			}
+			if strings.Join(ops, ",") != strings.Join(tc.want, ",") {
+				t.Fatalf("journal holds %+v, want ops %v", entries, tc.want)
+			}
+		})
 	}
 }
 
@@ -777,12 +854,12 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
-// resumedState reads the scheduling state the coordinator recovered from
-// a pre-existing journal (nil on a cold start).
-func resumedState(c *Coordinator) *fleet.JournalState {
+// carried reads the retry charges the coordinator's scheduler restored
+// from a pre-existing journal, by granule key.
+func carried(c *Coordinator) map[string]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.resumed
+	return c.s.carried
 }
 
 // quarantined reads the coordinator's quarantine roster, sorted.

@@ -19,10 +19,11 @@ import (
 
 // ProtoVersion is the one protocol this build speaks. The handshake
 // accepts exactly this version from both sides: a hello from any other
-// build is refused rather than guessed at, and every session carries
-// the ping/pong heartbeat pair (PingMS in the welcome tells the worker
-// its cadence) and the Transient/Busy/RTT fields.
-const ProtoVersion = 4
+// build is refused rather than guessed at. Every session carries the
+// ping/pong heartbeat pair (PingMS in the welcome tells the worker its
+// cadence) and the Transient field; version 5 dropped the ping frame's
+// Busy/RTT telemetry, which nothing read.
+const ProtoVersion = 5
 
 // MaxFrame caps a frame's payload, inherited from the checkpoint
 // envelope: anything larger is corruption, not data.
@@ -54,13 +55,12 @@ const (
 	MsgWork = "work"
 	// MsgResult is worker → coordinator: a granule's value or error.
 	MsgResult = "result"
-	// MsgPing is worker → coordinator: periodic liveness
-	// proof carrying slot-occupancy and last measured round-trip
-	// telemetry. ID correlates the pong.
+	// MsgPing is worker → coordinator: periodic liveness proof. ID
+	// correlates the pong.
 	MsgPing = "ping"
-	// MsgPong is coordinator → worker: ping acknowledgement
-	// echoing ID; the worker times it to measure RTT and counts missed
-	// pongs to detect a wedged session from its side.
+	// MsgPong is coordinator → worker: ping acknowledgement echoing ID;
+	// the worker counts silent intervals to detect a wedged session from
+	// its side.
 	MsgPong = "pong"
 )
 
@@ -84,11 +84,6 @@ type Msg struct {
 	// retry budget, false (or absent) a deterministic failure that will
 	// reproduce anywhere.
 	Transient bool `json:"transient,omitempty"`
-	// Busy is the executing-granule count on ping frames.
-	Busy int `json:"busy,omitempty"`
-	// RTT is the worker's last measured ping round trip in microseconds,
-	// reported on the following ping.
-	RTT int64 `json:"rtt,omitempty"`
 	// PingMS is the heartbeat cadence the coordinator assigns in the
 	// welcome frame; 0 disables pings for the session.
 	PingMS int64 `json:"ping_ms,omitempty"`
@@ -129,29 +124,15 @@ func WriteFrame(w io.Writer, m Msg) error {
 	return nil
 }
 
-// ReadFrame reads one frame off r: the fixed header first (validated
-// before any payload allocation), then the payload, then the CRC check
-// over the assembled envelope, then the JSON decode. io.EOF is returned
-// bare only when the stream ends cleanly between frames; an EOF inside
-// a frame comes back as io.ErrUnexpectedEOF wrapped with context.
+// ReadFrame reads one frame off r through resilience.ReadEnvelope and
+// decodes its JSON. io.EOF is returned bare only when the stream ends
+// cleanly between frames; a frame cut short wraps io.ErrUnexpectedEOF,
+// a damaged one resilience.ErrCorruptCheckpoint.
 func ReadFrame(r io.Reader) (Msg, error) {
-	var header [resilience.EnvelopeHeaderSize]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		if err == io.EOF {
-			return Msg{}, io.EOF
-		}
-		return Msg{}, fmt.Errorf("fabric: read frame header: %w", err)
+	payload, err := resilience.ReadEnvelope(r)
+	if err == io.EOF {
+		return Msg{}, io.EOF
 	}
-	payloadLen, err := resilience.ParseEnvelopeHeader(header[:])
-	if err != nil {
-		return Msg{}, fmt.Errorf("fabric: frame header: %w", err)
-	}
-	frame := make([]byte, resilience.EnvelopeHeaderSize+payloadLen)
-	copy(frame, header[:])
-	if _, err := io.ReadFull(r, frame[resilience.EnvelopeHeaderSize:]); err != nil {
-		return Msg{}, fmt.Errorf("fabric: read %d-byte frame payload: %w", payloadLen, err)
-	}
-	payload, err := resilience.DecodeEnvelope(frame)
 	if err != nil {
 		return Msg{}, fmt.Errorf("fabric: frame: %w", err)
 	}

@@ -14,6 +14,10 @@ import (
 	"lpm/internal/resilience"
 )
 
+// envelopeHeader is the LPMCKPT1 header's size: magic, payload length
+// and CRC64.
+const envelopeHeader = len("LPMCKPT1") + 8 + 8
+
 // sampleMsgs covers every message type in both directions with
 // realistic field mixes.
 func sampleMsgs() []Msg {
@@ -24,7 +28,7 @@ func sampleMsgs() []Msg {
 		{Type: MsgResult, ID: 7, Value: json.RawMessage(`{"CPIexe":0.5}`)},
 		{Type: MsgResult, ID: 9, Error: "simulate 410.bwaves: livelock"},
 		{Type: MsgResult, ID: 11, Error: "worker w0: connection reset", Transient: true},
-		{Type: MsgPing, ID: 3, Busy: 2, RTT: 150},
+		{Type: MsgPing, ID: 3},
 		{Type: MsgPong, ID: 3},
 	}
 }
@@ -65,7 +69,7 @@ func TestFrameDecodeRejects(t *testing.T) {
 	}
 
 	t.Run("truncated header", func(t *testing.T) {
-		_, err := ReadFrame(bytes.NewReader(frame[:resilience.EnvelopeHeaderSize-1]))
+		_, err := ReadFrame(bytes.NewReader(frame[:envelopeHeader-1]))
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("got %v, want unexpected EOF", err)
 		}
@@ -96,9 +100,9 @@ func TestFrameDecodeRejects(t *testing.T) {
 		bad := faultinject.FlipBit(frame, 1)
 		// Re-flip if the corruption landed in the header's first 24
 		// bytes: this subtest is about the CRC catching payload damage.
-		if bytes.Equal(bad[resilience.EnvelopeHeaderSize:], frame[resilience.EnvelopeHeaderSize:]) {
+		if bytes.Equal(bad[envelopeHeader:], frame[envelopeHeader:]) {
 			bad = append([]byte(nil), frame...)
-			bad[resilience.EnvelopeHeaderSize] ^= 0x01
+			bad[envelopeHeader] ^= 0x01
 		}
 		_, err := ReadFrame(bytes.NewReader(bad))
 		if !errors.Is(err, resilience.ErrCorruptCheckpoint) {
@@ -146,7 +150,7 @@ func FuzzFabricFrameDecode(f *testing.F) {
 		}
 		f.Add(frame)                                         // well-formed
 		f.Add(frame[:len(frame)-2])                          // truncated payload
-		f.Add(frame[:resilience.EnvelopeHeaderSize/2])       // truncated header
+		f.Add(frame[:envelopeHeader/2])                      // truncated header
 		f.Add(faultinject.FlipBit(frame, int64(len(frame)))) // CRC mismatch
 		over := append([]byte(nil), frame...)
 		binary.LittleEndian.PutUint64(over[8:], MaxFrame+1) // oversized length
@@ -187,7 +191,7 @@ func TestCheckHello(t *testing.T) {
 	}{
 		{"one slot", 1, ""},
 		{"the upper bound", maxSlots, ""},
-		{"zero (the field omitted)", 0, "and 0 slots, want protocol 4 and 1..1024 slots"},
+		{"zero (the field omitted)", 0, "and 0 slots, want protocol 5 and 1..1024 slots"},
 		{"negative", -1, "and -1 slots"},
 		{"2^31", 1 << 31, "and 2147483648 slots"},
 		{"one past the bound", maxSlots + 1, "and 1025 slots"},
@@ -210,5 +214,9 @@ func TestCheckHello(t *testing.T) {
 	}
 	if err := checkHello(Msg{Type: MsgHello, Proto: ProtoVersion + 1, Slots: 1}); err == nil {
 		t.Error("a hello from another protocol version was accepted")
+	}
+	// Version 4 workers still send Busy/RTT on their pings: refused.
+	if err := checkHello(Msg{Type: MsgHello, Proto: 4, Slots: 1}); err == nil {
+		t.Error("a protocol 4 hello was accepted")
 	}
 }

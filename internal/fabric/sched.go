@@ -66,7 +66,8 @@ type port interface {
 	drop(w *session, cause error)
 	// resolve wakes the Submit callers waiting on g, which is final.
 	resolve(g *granule)
-	// journal appends one scheduling decision.
+	// journal appends one record a successor restores: a retry charge,
+	// a quarantine, a readmission.
 	journal(e fleet.Entry)
 }
 
@@ -91,7 +92,6 @@ type Stats struct {
 	Requeued    int // granules re-queued after a worker died holding them
 	Duplicated  int // straggler/suspect duplicates issued
 	CacheHits   int // Submit calls that joined a granule still running
-	Heartbeats  int // ping frames received
 	Suspects    int // healthy→suspect transitions
 	Retried     int // transient-failure re-queues charged to retry budgets
 	Quarantined int // workers tripped into quarantine
@@ -188,7 +188,7 @@ type scheduler struct {
 
 	strikes map[string]int
 	until   map[string]uint64 // quarantined names → tick their probation ends
-	carried map[string]int    // retry charges a predecessor spent, by fleet.GranuleKey
+	carried map[string]int    // retry charges a predecessor spent, by key
 	stats   Stats
 }
 
@@ -242,11 +242,10 @@ func (s *scheduler) submit(kind, key string, spec json.RawMessage) *granule {
 	if k := s.validateEvery; k > 0 && g.id%uint64(k) == 0 {
 		g.votesWanted = 2
 	}
-	g.retries = s.carried[fleet.GranuleKey(kind, key)]
+	g.retries = s.carried[key]
 	s.byKey[key] = g
 	s.order = append(s.order, g)
 	s.stats.Submitted++
-	s.journal(fleet.Entry{Op: fleet.OpSubmit, Kind: kind, Key: key})
 	s.enqueue(g)
 	s.dispatch()
 	s.reap()
@@ -278,7 +277,6 @@ func (s *scheduler) hello(w *session) bool {
 	s.sessions = append(s.sessions, w)
 	s.stats.Workers++
 	s.stats.Joined++
-	s.journal(fleet.Entry{Op: fleet.OpJoin, Worker: w.name})
 	s.send(w, Msg{Type: MsgWelcome, Proto: ProtoVersion, PingMS: s.pingMS})
 	s.dispatch()
 	s.reap()
@@ -331,7 +329,6 @@ func (s *scheduler) ping(w *session, m Msg) {
 		w.suspect = 0
 		s.log.Info("fabric: suspect worker recovered", "worker", w.name)
 	}
-	s.stats.Heartbeats++
 	s.send(w, Msg{Type: MsgPong, ID: m.ID})
 	s.reap()
 }
@@ -467,7 +464,6 @@ func (s *scheduler) issue(w *session, g *granule) {
 	w.inflight[g.id] = g
 	g.holders++
 	g.issuedTick = s.tick
-	s.journal(fleet.Entry{Op: fleet.OpIssue, Kind: g.kind, Key: g.key, Worker: w.name})
 	s.send(w, Msg{Type: MsgWork, ID: g.id, Kind: g.kind, Key: g.key, Spec: g.spec})
 }
 
@@ -491,10 +487,7 @@ func (s *scheduler) retryLater(g *granule, cause string) {
 	g.retries++
 	g.readyTick = s.tick + ticksFor(s.retry.Delay(g.retries-1), s.tickEvery)
 	s.stats.Retried++
-	s.journal(fleet.Entry{
-		Op: fleet.OpRequeue, Kind: g.kind, Key: g.key,
-		Retries: g.retries, Detail: "transient: " + cause,
-	})
+	s.journal(fleet.Entry{Op: fleet.OpRequeue, Key: g.key, Retries: g.retries, Detail: "transient: " + cause})
 	if !g.queued && g.holders == 0 {
 		s.enqueue(g)
 	}
@@ -512,7 +505,6 @@ func (s *scheduler) resolve(g *granule, value json.RawMessage, errText string, t
 	g.transient = transient
 	delete(s.byKey, g.key)
 	s.stats.Completed++
-	s.journal(fleet.Entry{Op: fleet.OpComplete, Kind: g.kind, Key: g.key})
 	s.port.resolve(g)
 	s.dispatch()
 }
@@ -709,7 +701,6 @@ func (s *scheduler) remove(w *session) {
 	s.stats.Workers--
 	s.stats.Died++
 	s.port.drop(w, w.cause)
-	s.journal(fleet.Entry{Op: fleet.OpGone, Worker: w.name, Detail: w.cause.Error()})
 	ids := make([]uint64, 0, len(w.inflight))
 	for id := range w.inflight {
 		ids = append(ids, id)
@@ -723,10 +714,6 @@ func (s *scheduler) remove(w *session) {
 			continue
 		}
 		s.enqueue(g)
-		s.journal(fleet.Entry{
-			Op: fleet.OpRequeue, Kind: g.kind, Key: g.key,
-			Retries: g.retries, Detail: "holder gone: " + w.name,
-		})
 		s.stats.Requeued++
 		requeued++
 	}

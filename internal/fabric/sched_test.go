@@ -497,8 +497,8 @@ func TestSchedQuarantineStrikesAndProbation(t *testing.T) {
 	if s.strikes["w"] != 0 || s.stats.Readmitted != 1 {
 		t.Fatalf("strikes=%d readmitted=%d after probation, want a clean slate", s.strikes["w"], s.stats.Readmitted)
 	}
-	if last := r.entries[len(r.entries)-1]; last.Op != fleet.OpJoin {
-		t.Fatalf("last journal record %+v, want the join after the readmit", last)
+	if last := r.entries[len(r.entries)-1]; last.Op != fleet.OpReadmit || last.Worker != "w" {
+		t.Fatalf("last journal record %+v, want w's readmission", last)
 	}
 	r.check(t)
 }
@@ -790,7 +790,7 @@ func (z *fuzzRun) step() {
 		}
 	case 6:
 		if w := z.session(); w != nil {
-			s.ping(w, Msg{Type: MsgPing, ID: uint64(z.next()), Busy: 1})
+			s.ping(w, Msg{Type: MsgPing, ID: uint64(z.next())})
 		}
 	case 7:
 		if w := z.session(); w != nil {
@@ -896,6 +896,13 @@ func (z *fuzzRun) check() {
 			t.Fatalf("granule %d is neither queued nor held", id)
 		}
 	}
+	for _, e := range r.entries {
+		switch e.Op {
+		case fleet.OpRequeue, fleet.OpQuarantine, fleet.OpReadmit:
+		default:
+			t.Fatalf("journal record %+v is not one RecoverState folds", e)
+		}
+	}
 	st := fleet.RecoverState(r.entries)
 	roster := make([]string, 0, len(s.until))
 	for name := range s.until {
@@ -909,8 +916,8 @@ func (z *fuzzRun) check() {
 	// budget; the journal keeps the highest charge any of them reached.
 	charges := make(map[string]int)
 	for _, g := range z.gs {
-		if k := fleet.GranuleKey(g.kind, g.key); g.retries > charges[k] {
-			charges[k] = g.retries
+		if g.retries > charges[g.key] {
+			charges[g.key] = g.retries
 		}
 	}
 	if !reflect.DeepEqual(charges, st.Retries) {

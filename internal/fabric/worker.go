@@ -6,9 +6,8 @@ package fabric
 // granule is a pure function of its spec — so killing one at any
 // instant loses nothing but time.
 //
-// The worker also heartbeats: periodic ping
-// frames carry slot occupancy and the last measured round trip, the
-// coordinator answers each with a pong, and a run of missed pongs
+// The worker also heartbeats: it sends periodic ping frames, the
+// coordinator answers each with a pong, and a run of silent intervals
 // makes the worker abandon the session itself — its half of the
 // hung-TCP detection the coordinator's health deadlines do from the
 // other side.
@@ -92,11 +91,7 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 		opts.Name = conn.LocalAddr().String()
 	}
 
-	w := &workerState{
-		opts:     opts,
-		conn:     conn,
-		pingSent: make(map[uint64]time.Time),
-	}
+	w := &workerState{opts: opts, conn: conn}
 	w.ctx, w.cancel = context.WithCancel(ctx)
 	defer w.cancel()
 	// A cancelled context unblocks the read loop by closing the
@@ -168,14 +163,9 @@ type workerState struct {
 	execs   sync.WaitGroup
 	loops   sync.WaitGroup
 
-	busy      atomic.Int64 // granules currently executing
 	pingSeq   atomic.Uint64
 	pongSeen  atomic.Uint64 // ID of the last pong received
-	lastRTT   atomic.Int64  // microseconds
 	lastFrame atomic.Int64  // UnixNano of the last inbound frame
-
-	mu       sync.Mutex
-	pingSent map[uint64]time.Time // outstanding pings, for RTT measurement
 }
 
 // send writes one frame, serialised against concurrent executions. A
@@ -193,8 +183,7 @@ func (w *workerState) send(m Msg) error {
 	return nil
 }
 
-// heartbeatLoop sends pings on the coordinator-assigned cadence,
-// carrying slot occupancy and the last measured round trip. When
+// heartbeatLoop sends pings on the coordinator-assigned cadence. When
 // missedPongLimit ping intervals pass with no inbound frame of any
 // kind, the session is wedged — bytes are not flowing even though the
 // socket looks open — so the worker drops the link itself and lets its
@@ -218,37 +207,18 @@ func (w *workerState) heartbeatLoop(every time.Duration) {
 			w.cancel()
 			return
 		}
-		w.mu.Lock()
-		w.pingSent[seq] = time.Now()
-		// Trim acknowledged entries so the map stays bounded.
-		for id := range w.pingSent {
-			if id <= seen {
-				delete(w.pingSent, id)
-			}
-		}
-		w.mu.Unlock()
-		if err := w.send(Msg{
-			Type: MsgPing, ID: seq,
-			Busy: int(w.busy.Load()), RTT: w.lastRTT.Load(),
-		}); err != nil {
+		if err := w.send(Msg{Type: MsgPing, ID: seq}); err != nil {
 			return
 		}
 	}
 }
 
-// pongReceived records a pong: liveness proof plus an RTT sample for
-// the next ping's telemetry.
+// pongReceived records the newest pong, which the wedge warning counts
+// unanswered pings from.
 func (w *workerState) pongReceived(m Msg) {
-	prev := w.pongSeen.Load()
-	if m.ID > prev {
+	if m.ID > w.pongSeen.Load() {
 		w.pongSeen.Store(m.ID)
 	}
-	w.mu.Lock()
-	if at, ok := w.pingSent[m.ID]; ok {
-		w.lastRTT.Store(time.Since(at).Microseconds())
-		delete(w.pingSent, m.ID)
-	}
-	w.mu.Unlock()
 }
 
 // readLoop demultiplexes coordinator frames: work starts an execution
@@ -298,8 +268,6 @@ func (w *workerState) readLoop() error {
 // cover for), and "fabric.worker.lie" corrupts the computed value
 // before it is sent (a lying worker cross-validation must catch).
 func (w *workerState) execute(m Msg) {
-	w.busy.Add(1)
-	defer w.busy.Add(-1)
 	if err := faultinject.Hit("fabric.worker.kill", m.Kind); err != nil {
 		w.log().Warn("fabric: injected kill on granule",
 			"worker", w.opts.Name, "granule", m.ID, "err", err.Error())

@@ -12,11 +12,13 @@ package resilience
 // inspectable with jq after stripping the 24-byte header.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"os"
 
 	"lpm/internal/cliutil"
@@ -27,8 +29,8 @@ import (
 // change means a new magic, not a silent reinterpretation.
 const checkpointMagic = "LPMCKPT1"
 
-// checkpointHeaderSize is magic + length + checksum.
-const checkpointHeaderSize = len(checkpointMagic) + 8 + 8
+// envelopeHeaderSize is magic + length + checksum.
+const envelopeHeaderSize = len(checkpointMagic) + 8 + 8
 
 // MaxCheckpointPayload caps the declared payload length. Memo
 // snapshots for the largest sweeps are tens of megabytes; anything
@@ -41,73 +43,85 @@ var ErrCorruptCheckpoint = errors.New("corrupt checkpoint")
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// EnvelopeHeaderSize is the size of the fixed envelope header (magic +
-// payload length + CRC64), exported for streaming consumers — the sweep
-// fabric reads exactly this many bytes off a TCP connection before it
-// knows how much payload to expect.
-const EnvelopeHeaderSize = checkpointHeaderSize
-
-// ParseEnvelopeHeader validates the fixed-size header of an envelope
-// read incrementally from a stream and returns the declared payload
-// length. It performs every check that does not need the payload bytes
-// (magic, length cap); the caller reads the payload and passes the whole
-// buffer to DecodeEnvelope for the CRC check. Failures wrap
-// ErrCorruptCheckpoint exactly like DecodeEnvelope's.
-func ParseEnvelopeHeader(header []byte) (payloadLen int, err error) {
-	if len(header) != checkpointHeaderSize {
-		return 0, fmt.Errorf("%w: %d header bytes, want %d",
-			ErrCorruptCheckpoint, len(header), checkpointHeaderSize)
-	}
-	if string(header[:8]) != checkpointMagic {
-		return 0, fmt.Errorf("%w: bad magic %q (want %q)",
-			ErrCorruptCheckpoint, header[:8], checkpointMagic)
-	}
-	n := binary.LittleEndian.Uint64(header[8:])
-	if n > MaxCheckpointPayload {
-		return 0, fmt.Errorf("%w: declared payload of %d bytes exceeds the %d-byte cap",
-			ErrCorruptCheckpoint, n, MaxCheckpointPayload)
-	}
-	return int(n), nil
-}
+// ErrChecksum marks an envelope that arrived whole but whose payload
+// fails its CRC. It wraps ErrCorruptCheckpoint.
+var ErrChecksum = fmt.Errorf("%w: CRC64 mismatch", ErrCorruptCheckpoint)
 
 // EncodeEnvelope frames payload in the checkpoint envelope.
 func EncodeEnvelope(payload []byte) []byte {
-	out := make([]byte, checkpointHeaderSize+len(payload))
+	out := make([]byte, envelopeHeaderSize+len(payload))
 	copy(out, checkpointMagic)
 	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
 	binary.LittleEndian.PutUint64(out[16:], crc64.Checksum(payload, crcTable))
-	copy(out[checkpointHeaderSize:], payload)
+	copy(out[envelopeHeaderSize:], payload)
 	return out
 }
 
-// DecodeEnvelope verifies the envelope and returns the payload. Every
-// failure wraps ErrCorruptCheckpoint and says what is wrong: truncated
-// header, bad magic, oversized or mismatched length, checksum failure.
-func DecodeEnvelope(data []byte) ([]byte, error) {
-	if len(data) < checkpointHeaderSize {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header",
-			ErrCorruptCheckpoint, len(data), checkpointHeaderSize)
+// ReadEnvelope reads one envelope off r and returns its payload: the
+// header first (magic and length cap checked before any payload is
+// read), then the payload, then its CRC. It returns io.EOF bare only
+// when r ends cleanly between envelopes. Every damaged envelope wraps
+// ErrCorruptCheckpoint; one cut short also wraps io.ErrUnexpectedEOF,
+// and a whole one failing its CRC ErrChecksum. Other read failures are
+// returned wrapped.
+func ReadEnvelope(r io.Reader) ([]byte, error) {
+	var header [envelopeHeaderSize]byte
+	switch n, err := io.ReadFull(r, header[:]); {
+	case err == io.EOF:
+		return nil, io.EOF
+	case err == io.ErrUnexpectedEOF:
+		return nil, fmt.Errorf("%w: stream ends %d bytes into the %d-byte header: %w",
+			ErrCorruptCheckpoint, n, envelopeHeaderSize, err)
+	case err != nil:
+		return nil, fmt.Errorf("read envelope header: %w", err)
 	}
-	if string(data[:8]) != checkpointMagic {
-		return nil, fmt.Errorf("%w: bad magic %q (want %q)",
-			ErrCorruptCheckpoint, data[:8], checkpointMagic)
+	if string(header[:8]) != checkpointMagic {
+		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorruptCheckpoint, header[:8], checkpointMagic)
 	}
-	n := binary.LittleEndian.Uint64(data[8:])
-	if n > MaxCheckpointPayload {
+	declared := binary.LittleEndian.Uint64(header[8:])
+	if declared > MaxCheckpointPayload {
 		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds the %d-byte cap",
-			ErrCorruptCheckpoint, n, MaxCheckpointPayload)
+			ErrCorruptCheckpoint, declared, MaxCheckpointPayload)
 	}
-	if got := uint64(len(data) - checkpointHeaderSize); got != n {
-		return nil, fmt.Errorf("%w: header declares %d payload bytes, file carries %d",
-			ErrCorruptCheckpoint, n, got)
+	// Read into a buffer of at most 1 MiB that doubles while bytes keep
+	// arriving, so a damaged length on a short stream costs no more.
+	size := int(declared)
+	payload := make([]byte, min(size, 1<<20))
+	for got := 0; got < size; {
+		if got == len(payload) {
+			payload = append(payload, make([]byte, min(size-got, got))...)
+		}
+		m, err := io.ReadFull(r, payload[got:])
+		got += m
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: header declares %d payload bytes, stream carries %d: %w",
+				ErrCorruptCheckpoint, size, got, io.ErrUnexpectedEOF)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("read %d-byte envelope payload: %w", size, err)
+		}
 	}
-	payload := data[checkpointHeaderSize:]
-	want := binary.LittleEndian.Uint64(data[16:])
-	if got := crc64.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("%w: CRC64 mismatch (header %016x, payload %016x)",
-			ErrCorruptCheckpoint, want, got)
+	if want, got := binary.LittleEndian.Uint64(header[16:]), crc64.Checksum(payload, crcTable); got != want {
+		return nil, fmt.Errorf("%w (header %016x, payload %016x)", ErrChecksum, want, got)
 	}
 	return payload, nil
+}
+
+// DecodeEnvelope verifies that data is exactly one envelope and returns
+// its payload. Every failure wraps ErrCorruptCheckpoint and says what is
+// wrong: truncated header, bad magic, oversized or mismatched length,
+// checksum failure.
+func DecodeEnvelope(data []byte) ([]byte, error) {
+	r := bytes.NewReader(data)
+	payload, err := ReadEnvelope(r)
+	switch {
+	case err == io.EOF:
+		return nil, fmt.Errorf("%w: empty, no %d-byte header", ErrCorruptCheckpoint, envelopeHeaderSize)
+	case err == nil && r.Len() > 0:
+		return nil, fmt.Errorf("%w: %d bytes follow the envelope's %d payload bytes",
+			ErrCorruptCheckpoint, r.Len(), len(payload))
+	}
+	return payload, err
 }
 
 // SaveCheckpoint marshals v to JSON, frames it, and writes it to path

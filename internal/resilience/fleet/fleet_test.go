@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"syscall"
 	"testing"
 	"time"
@@ -128,20 +129,22 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every op a coordinator has written, including the "fallback"
-	// records of builds that had an in-process fallback: an old journal
-	// must still replay, with retry charges and quarantines carried.
+	// Every op a coordinator has written, including the submit, issue,
+	// complete, join and gone records of builds that journaled every
+	// decision and the "fallback" records of builds that had an
+	// in-process fallback: an old journal must still replay, with retry
+	// charges and quarantines carried.
 	records := []Entry{
-		{Tick: 1, Op: OpJoin, Worker: "w1"},
-		{Tick: 1, Op: OpJoin, Worker: "w2"},
-		{Tick: 2, Op: OpSubmit, Kind: "sweep.point", Key: "d8"},
-		{Tick: 2, Op: OpIssue, Kind: "sweep.point", Key: "d8", Worker: "w1"},
+		{Tick: 1, Op: "join", Worker: "w1"},
+		{Tick: 1, Op: "join", Worker: "w2"},
+		{Tick: 2, Op: "submit", Kind: "sweep.point", Key: "d8"},
+		{Tick: 2, Op: "issue", Kind: "sweep.point", Key: "d8", Worker: "w1"},
 		{Tick: 5, Op: OpRequeue, Kind: "sweep.point", Key: "d8", Retries: 1, Detail: "worker suspect"},
 		{Tick: 6, Op: OpQuarantine, Worker: "w2", Detail: "heartbeat death"},
 		{Tick: 7, Op: OpQuarantine, Worker: "w1", Detail: "divergent result"},
-		{Tick: 7, Op: OpGone, Worker: "w1", Detail: "quarantined"},
+		{Tick: 7, Op: "gone", Worker: "w1", Detail: "quarantined"},
 		{Tick: 8, Op: "fallback", Detail: "no workers, executing in-process"},
-		{Tick: 9, Op: OpComplete, Kind: "sweep.point", Key: "d8"},
+		{Tick: 9, Op: "complete", Kind: "sweep.point", Key: "d8"},
 		{Tick: 9, Op: OpReadmit, Worker: "w2"},
 	}
 	for _, e := range records {
@@ -170,11 +173,20 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	st := RecoverState(got)
-	if st.Retries[GranuleKey("sweep.point", "d8")] != 1 {
-		t.Fatalf("retries=%d, want 1", st.Retries[GranuleKey("sweep.point", "d8")])
+	if st.Retries["d8"] != 1 {
+		t.Fatalf("retries=%d, want 1", st.Retries["d8"])
 	}
 	if len(st.Quarantined) != 1 || st.Quarantined[0] != "w1" {
 		t.Fatalf("quarantined=%v, want [w1] (w2 was readmitted)", st.Quarantined)
+	}
+	// Opening the journal to append folds the same state once.
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if !reflect.DeepEqual(j2.Recovered(), st) {
+		t.Fatalf("OpenJournal recovered %+v, replay folds %+v", j2.Recovered(), st)
 	}
 }
 
@@ -185,7 +197,7 @@ func TestJournalAppendContinuesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Entry{Op: OpJoin, Worker: "w1"}); err != nil {
+	if err := j.Append(Entry{Op: "join", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -195,7 +207,7 @@ func TestJournalAppendContinuesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(Entry{Op: OpGone, Worker: "w1"}); err != nil {
+	if err := j2.Append(Entry{Op: "gone", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
@@ -218,7 +230,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := j.Append(Entry{Op: OpSubmit, Key: fmt.Sprintf("k%d", i)}); err != nil {
+		if err := j.Append(Entry{Op: "submit", Key: fmt.Sprintf("k%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,6 +256,15 @@ func TestJournalTornTailTolerated(t *testing.T) {
 			t.Fatalf("cut %d: replayed %d records, want 2", cut, len(got))
 		}
 	}
+	// The final frame whole but scrambled — its CRC fails — is torn too.
+	scrambled := append([]byte(nil), whole...)
+	scrambled[len(whole)-2] ^= 0x40
+	if err := os.WriteFile(path, scrambled, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReplayJournal(path); err != nil || len(got) != 2 {
+		t.Fatalf("scrambled final frame: %d records, err %v; want 2 and no error", len(got), err)
+	}
 }
 
 func TestJournalMidFileCorruptionRejected(t *testing.T) {
@@ -254,7 +275,7 @@ func TestJournalMidFileCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := j.Append(Entry{Op: OpSubmit, Key: fmt.Sprintf("k%d", i)}); err != nil {
+		if err := j.Append(Entry{Op: "submit", Key: fmt.Sprintf("k%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

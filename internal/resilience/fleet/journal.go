@@ -1,12 +1,15 @@
 package fleet
 
-// Coordinator scheduling journal. Every scheduling decision — granule
-// submitted/issued/completed/re-queued, worker joined/lost/quarantined/
-// readmitted — is appended as one LPMCKPT1-framed JSON record and
-// fsynced before the decision takes effect downstream. kill -9 of the
-// coordinator then loses nothing that matters: a successor replays the
-// journal, rebuilds quarantine and retry state, skips keys the result
-// checkpoint already holds, and the sweep completes bit-identically.
+// Coordinator scheduling journal. It records the three scheduling facts
+// a successor coordinator restores — a granule's retry charge growing,
+// a worker quarantined, a worker readmitted — each appended as one
+// LPMCKPT1-framed JSON record and fsynced before the decision takes
+// effect downstream. Everything else a successor needs comes from the
+// driver's result checkpoint, so a fault-free sweep appends nothing.
+// kill -9 of the coordinator then loses nothing that matters: a
+// successor replays the journal, rebuilds quarantine and retry state,
+// skips keys the result checkpoint already holds, and the sweep
+// completes bit-identically.
 //
 // The frame-per-record layout (rather than one envelope around the
 // whole file) is what makes append-only crash safety work: a torn tail
@@ -15,24 +18,23 @@ package fleet
 // complete record. Nothing before the tear is lost.
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"lpm/internal/resilience"
 )
 
-// Journal operation codes. Kept short: a large sweep writes one record
-// per scheduling decision. Replay skips codes it does not fold, such as
-// the "fallback" records older coordinators wrote.
+// Journal operation codes: the ones RecoverState folds. Replay skips
+// any other code, such as the submit/issue/complete/join/gone and
+// "fallback" records older coordinators wrote, so their journals still
+// open.
 const (
-	OpSubmit     = "submit"     // granule entered the queue
-	OpIssue      = "issue"      // granule sent to a worker
-	OpComplete   = "complete"   // result accepted (first-result-wins)
-	OpRequeue    = "requeue"    // granule pulled back for re-dispatch
-	OpJoin       = "join"       // worker handshake accepted
-	OpGone       = "gone"       // worker session torn down
+	OpRequeue    = "requeue"    // a transient failure charged to a granule's retry budget
 	OpQuarantine = "quarantine" // worker tripped the breaker
 	OpReadmit    = "readmit"    // probation expired, worker readmitted
 )
@@ -45,8 +47,10 @@ type Entry struct {
 	Tick   uint64 `json:"tick"`
 	Op     string `json:"op"`
 	Worker string `json:"worker,omitempty"`
-	Kind   string `json:"kind,omitempty"`
-	Key    string `json:"key,omitempty"`
+	// Kind is informational, written by older coordinators: a granule's
+	// Key alone identifies it, as every key embeds its kind tag.
+	Kind string `json:"kind,omitempty"`
+	Key  string `json:"key,omitempty"`
 	// Retries is the granule's retry count at requeue time, so a
 	// resumed coordinator keeps charging the same retry budget.
 	Retries int `json:"retries,omitempty"`
@@ -58,16 +62,18 @@ type Entry struct {
 // coordinator calls it under its scheduling mutex, which also gives the
 // sequence numbers their ordering.
 type Journal struct {
-	f    *os.File
-	path string
-	seq  uint64
+	f         *os.File
+	path      string
+	seq       uint64
+	recovered *JournalState
 }
 
 // OpenJournal opens (creating if needed) an append-only journal at
 // path. Appends continue the sequence after any records already present
-// — a resumed coordinator reuses the same file. A torn tail is cut off
-// first: a record appended after it would sit behind a bad frame, and
-// the next replay would fail there.
+// — a resumed coordinator reuses the same file — and Recovered holds
+// the state those records fold to. A torn tail is cut off first: a
+// record appended after it would sit behind a bad frame, and the next
+// replay would fail there.
 func OpenJournal(path string) (*Journal, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -87,12 +93,16 @@ func OpenJournal(path string) (*Journal, error) {
 			return nil, fmt.Errorf("journal %s: cutting the torn tail: %w", path, err)
 		}
 	}
-	j := &Journal{f: f, path: path}
+	j := &Journal{f: f, path: path, recovered: RecoverState(entries)}
 	if n := len(entries); n > 0 {
 		j.seq = entries[n-1].Seq
 	}
 	return j, nil
 }
+
+// Recovered returns the scheduling state folded from the records the
+// journal held when it was opened.
+func (j *Journal) Recovered() *JournalState { return j.recovered }
 
 // Append frames e, writes it, and fsyncs so the record survives a
 // kill -9 the instant Append returns. e.Seq is assigned here.
@@ -142,27 +152,17 @@ func ReplayJournal(path string) ([]Entry, error) {
 // the length of the committed prefix, where a torn tail (if any) begins.
 func replay(path string, data []byte) ([]Entry, int, error) {
 	var entries []Entry
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < resilience.EnvelopeHeaderSize {
-			// Torn tail: a partial header at EOF.
+	r := bytes.NewReader(data)
+	committed := 0
+	for {
+		payload, err := resilience.ReadEnvelope(r)
+		if err == io.EOF {
 			break
 		}
-		payloadLen, err := resilience.ParseEnvelopeHeader(rest[:resilience.EnvelopeHeaderSize])
 		if err != nil {
-			return nil, 0, fmt.Errorf("journal %s: record %d: %w", path, len(entries)+1, err)
-		}
-		frameLen := resilience.EnvelopeHeaderSize + payloadLen
-		if len(rest) < frameLen {
-			// Torn tail: header landed but the payload did not.
-			break
-		}
-		payload, err := resilience.DecodeEnvelope(rest[:frameLen])
-		if err != nil {
-			if off+frameLen == len(data) {
-				// Torn tail: the final frame's bytes are incomplete or
-				// scrambled — the record never fully committed.
+			// Torn tail: the final frame cut short, or whole but
+			// scrambled — the record never fully committed.
+			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, resilience.ErrChecksum) && r.Len() == 0 {
 				break
 			}
 			return nil, 0, fmt.Errorf("journal %s: record %d: %w", path, len(entries)+1, err)
@@ -182,9 +182,9 @@ func replay(path string, data []byte) ([]Entry, int, error) {
 				path, len(entries)+1, resilience.ErrCorruptCheckpoint, e.Seq, prev)
 		}
 		entries = append(entries, e)
-		off += frameLen
+		committed = len(data) - r.Len()
 	}
-	return entries, off, nil
+	return entries, committed, nil
 }
 
 // JournalState is the scheduling state recovered from a replayed
@@ -194,13 +194,10 @@ type JournalState struct {
 	// Quarantined holds workers whose breaker was tripped and not yet
 	// readmitted at the time of the crash.
 	Quarantined []string
-	// Retries maps granule kind+"\x00"+key to the retry count charged
-	// so far, so budgets carry across the restart.
+	// Retries maps a granule's key to the retry count charged so far,
+	// so budgets carry across the restart.
 	Retries map[string]int
 }
-
-// GranuleKey builds the kind+key composite used by JournalState maps.
-func GranuleKey(kind, key string) string { return kind + "\x00" + key }
 
 // RecoverState folds a replayed journal into the successor's starting
 // state. Pure: the fold is a deterministic function of the entries.
@@ -210,9 +207,8 @@ func RecoverState(entries []Entry) *JournalState {
 	for _, e := range entries {
 		switch e.Op {
 		case OpRequeue:
-			k := GranuleKey(e.Kind, e.Key)
-			if e.Retries > st.Retries[k] {
-				st.Retries[k] = e.Retries
+			if e.Retries > st.Retries[e.Key] {
+				st.Retries[e.Key] = e.Retries
 			}
 		case OpQuarantine:
 			quarantined[e.Worker] = true

@@ -11,8 +11,9 @@ import (
 	"lpm/internal/resilience"
 )
 
-// appendAll opens the journal at path, appends one submit record per
-// key and closes it.
+// appendAll opens the journal at path, appends one record per key —
+// the submit records older coordinators wrote, which replay still
+// reads — and closes it.
 func appendAll(t testing.TB, path string, keys ...string) {
 	t.Helper()
 	j, err := OpenJournal(path)
@@ -20,7 +21,7 @@ func appendAll(t testing.TB, path string, keys ...string) {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		if err := j.Append(Entry{Op: OpSubmit, Key: k}); err != nil {
+		if err := j.Append(Entry{Op: "submit", Key: k}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +85,7 @@ func FuzzReplayJournal(f *testing.F) {
 		f.Add(whole[:cut])
 	}
 	frame := func(seq uint64) []byte {
-		payload, err := json.Marshal(Entry{Seq: seq, Op: OpSubmit})
+		payload, err := json.Marshal(Entry{Seq: seq, Op: "submit"})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func FuzzReplayJournal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("journal replays but will not open: %v", err)
 		}
-		next := Entry{Tick: 7, Op: OpComplete, Key: "next"}
+		next := Entry{Tick: 7, Op: OpRequeue, Key: "next", Retries: 1}
 		if err := j.Append(next); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,8 @@
 // retry/backoff policy, the remote-error classification, and the
 // append-only scheduling journal with its replay. The scheduling
 // decisions themselves — dispatch, replicas, health, quarantine — live
-// in the fabric's scheduler, which journals them here.
+// in the fabric's scheduler, which journals here the ones a successor
+// restores.
 //
 // The backoff delay is a pure function of (seed, attempt) through
 // splitmix64: no wall clocks, no global RNG, so the chaos suite replays

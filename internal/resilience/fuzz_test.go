@@ -15,7 +15,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	valid := EncodeEnvelope([]byte(`{"frontier":[0,1],"memo":{"a":1.25}}`))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
-	f.Add(valid[:checkpointHeaderSize])
+	f.Add(valid[:envelopeHeaderSize])
 	f.Add([]byte{})
 	f.Add([]byte("LPMCKPT1"))
 	f.Add(append([]byte("XXXXXXXX"), valid[8:]...))

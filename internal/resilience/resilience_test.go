@@ -1,8 +1,10 @@
 package resilience
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,5 +117,20 @@ func TestSaveCheckpointInjectedFault(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("failed save left a file behind")
+	}
+}
+
+// TestReadEnvelopeGrowsPastFirstChunk: a payload larger than the
+// reader's first 1 MiB buffer comes back whole, and the same envelope
+// cut one byte short is torn, not misread.
+func TestReadEnvelopeGrowsPastFirstChunk(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 3<<16+1)
+	frame := EncodeEnvelope(payload)
+	got, err := ReadEnvelope(bytes.NewReader(frame))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("%d-byte payload: err %v, %d bytes back", len(payload), err, len(got))
+	}
+	if _, err := ReadEnvelope(bytes.NewReader(frame[:len(frame)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated: err %v, want unexpected EOF", err)
 	}
 }
