@@ -87,11 +87,12 @@ fuzz:
 	$(GO) test -fuzz FuzzSubmitRunSpec -fuzztime 15s -run '^$$' ./internal/ctrl
 	$(GO) test -fuzz FuzzHub -fuzztime 15s -run '^$$' ./internal/ctrl
 
-# Sweep-fabric suite: the in-process coordinator/worker harness and the
-# sharded-vs-serial determinism properties under the race detector, plus
-# the lpmworker CLI smoke (-help/-version must exit 0).
+# Sweep-fabric suite: the in-process coordinator/worker harness, the
+# scheduling journal and backoff policy (internal/resilience/fleet) and
+# the sharded-vs-serial determinism properties under the race detector,
+# plus the lpmworker CLI smoke (-help/-version must exit 0).
 fabric-test:
-	$(GO) test -race -count=1 ./internal/fabric ./cmd/lpmworker
+	$(GO) test -race -count=1 ./internal/fabric ./internal/resilience/fleet ./cmd/lpmworker
 	$(GO) test -race -count=1 -run 'TestSharded|TestChaosSharded' . ./cmd/lpmexplore ./cmd/lpmreport
 	$(GO) run ./cmd/lpmworker -help
 	$(GO) run ./cmd/lpmworker -version

@@ -237,8 +237,6 @@ func TestChaosFabricCorruptFrameReconnect(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	policy := fleet.Defaults(99)
-	policy.Base = 5 * time.Millisecond
-	policy.Cap = 50 * time.Millisecond
 	go func() {
 		for attempt := 0; ctx.Err() == nil; attempt++ {
 			_ = RunWorker(ctx, proxy.Addr(), WorkerOptions{
@@ -349,8 +347,7 @@ func TestChaosFabricCoordinatorKillJournalResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload, err := json.Marshal(fleet.Entry{
-		Seq: uint64(len(committed) + 1), Op: fleet.OpRequeue,
-		Key: "test.double|5|0", Retries: 1, Detail: "transient: torn by the kill",
+		Seq: uint64(len(committed) + 1), Op: fleet.OpReadmit, Worker: liars[0],
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func BindShardFlags(fs *flag.FlagSet) *ShardFlags {
 	fs.IntVar(&sf.Min, "shard-min", 1, "wait for this many workers before starting (with -shard)")
 	fs.DurationVar(&sf.Straggle, "shard-straggle", 0, "re-issue granules held longer than this to idle workers (0 = default 30s, negative = off)")
 	fs.StringVar(&sf.AddrFile, "shard-addr-file", "", "write the bound coordinator address to this file (with -shard)")
-	fs.StringVar(&sf.Journal, "shard-journal", "", "append retry charges, quarantines and readmissions to this journal; a pre-existing journal is replayed on start")
+	fs.StringVar(&sf.Journal, "shard-journal", "", "append quarantines and readmissions to this journal; a pre-existing journal is replayed on start")
 	fs.IntVar(&sf.Validate, "shard-validate", 0, "cross-validate every Kth granule on two workers (0 = off)")
 	return sf
 }

@@ -9,9 +9,9 @@ package fabric
 // from scheduling code — a session the scheduler drops is closed before
 // the transition returns.
 //
-// When a journal is configured every retry charge, quarantine and
-// readmission is fsynced before it takes effect, so a kill -9 of this
-// process resumes from the journal plus the driver's result checkpoint.
+// When a journal is configured every quarantine and readmission is
+// fsynced before it takes effect, so a kill -9 of this process resumes
+// from the journal plus the driver's result checkpoint.
 
 import (
 	"context"
@@ -37,7 +37,7 @@ type Options struct {
 	// default; negative disables straggler re-issue.
 	StraggleAfter time.Duration
 	// TickEvery is the cadence of the coordinator's logical clock; all
-	// health, backoff, and probation deadlines are measured in these
+	// health, straggler and probation deadlines are measured in these
 	// ticks. 0 means the 25ms default.
 	TickEvery time.Duration
 	// Heartbeat is the ping cadence assigned to workers in the welcome
@@ -53,11 +53,10 @@ type Options struct {
 	// divergence re-runs on a third worker and quarantines the outlier.
 	// 0 disables validation; 1 validates every granule.
 	ValidateEvery int
-	// JournalPath, when set, appends every retry charge, quarantine and
-	// readmission to an LPMCKPT1-framed journal at this path (fsynced
-	// per record). A pre-existing journal is replayed first: quarantine
-	// decisions and per-granule retry charges carry across a coordinator
-	// restart.
+	// JournalPath, when set, appends every quarantine and readmission
+	// to an LPMCKPT1-framed journal at this path (fsynced per record). A
+	// pre-existing journal is replayed first, so the quarantine roster
+	// carries across a coordinator restart.
 	JournalPath string
 	// Log receives structured coordinator diagnostics (worker joins,
 	// deaths, re-issues) with worker/granule attrs; nil discards them.
@@ -125,7 +124,7 @@ func Listen(addr string, opts Options) (*Coordinator, error) {
 }
 
 // openJournal opens the journal at JournalPath for appending and
-// restores the quarantine and retry state its records hold.
+// restores the quarantine roster its records hold.
 func (c *Coordinator) openJournal() error {
 	j, err := fleet.OpenJournal(c.opts.JournalPath)
 	if err != nil {
@@ -193,11 +192,9 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {
 // Submit resolves one granule: a computation still running under the
 // same key is shared single-flight, otherwise the granule is queued for
 // dispatch. Blocks until the granule resolves, ctx cancels, or the
-// coordinator closes. Remote failures
-// come back as *fleet.RemoteError carrying the worker-side error text
-// verbatim — a sharded run's error cells match a serial run's
-// byte-for-byte — plus the transience classification for retry-aware
-// callers.
+// coordinator closes. A remote failure comes back as an error whose
+// text is the worker-side error text verbatim, so a sharded run's error
+// cells match a serial run's byte-for-byte.
 func (c *Coordinator) Submit(ctx context.Context, kind, key string, spec json.RawMessage) (json.RawMessage, error) {
 	c.mu.Lock()
 	g := c.s.submit(kind, key, spec)
@@ -206,7 +203,7 @@ func (c *Coordinator) Submit(ctx context.Context, kind, key string, spec json.Ra
 	select {
 	case <-g.done:
 		if g.errText != "" {
-			return nil, &fleet.RemoteError{Text: g.errText, Transient: g.transient}
+			return nil, errors.New(g.errText)
 		}
 		return g.value, nil
 	case <-ctx.Done():

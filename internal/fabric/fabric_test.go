@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -17,6 +18,7 @@ import (
 
 	"lpm/internal/faultinject"
 	"lpm/internal/parallel"
+	"lpm/internal/resilience"
 	"lpm/internal/resilience/fleet"
 )
 
@@ -26,9 +28,7 @@ import (
 //	test.double  {"X":n}            -> 2n
 //	test.sleep   {"X":n,"MS":d}     -> 2n after d milliseconds
 //	test.fail    {"Text":s}         -> error with text s
-//	test.flaky   {}                 -> transient error (a broken stream)
-//	test.transient {"X":n}          -> 2n, or a transient error when an
-//	                                   armed "test.transient" rule fires
+//	test.flaky   {}                 -> error shaped like a broken stream
 //
 // Like the real kinds they are pure functions of the spec, so straggler
 // duplicates and re-issues stay sound.
@@ -97,12 +97,6 @@ func init() {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%s", s.Text)
-	})
-	RegisterKind("test.transient", func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
-		if err := faultinject.Hit("test.transient", string(raw)); err != nil {
-			return nil, fmt.Errorf("%v: %w", err, io.ErrUnexpectedEOF)
-		}
-		return double(ctx, raw)
 	})
 	RegisterKind("test.flaky", func(context.Context, json.RawMessage) (json.RawMessage, error) {
 		testFlakyCount.Add(1)
@@ -215,10 +209,11 @@ func TestFabricErrorText(t *testing.T) {
 	}
 }
 
-// TestFabricTransientRetryBudget proves a granule failing transiently
-// is re-queued retryBudget times, behind the backoff, and then resolves
-// with the failure, its transience intact.
-func TestFabricTransientRetryBudget(t *testing.T) {
+// TestFabricWorkerErrorIsFinal proves a worker's error answer resolves
+// its granule at once, even one shaped like a broken stream: the granule
+// runs once and Submit returns the worker's text verbatim, as a serial
+// run memoises the same error.
+func TestFabricWorkerErrorIsFinal(t *testing.T) {
 	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -226,14 +221,14 @@ func TestFabricTransientRetryBudget(t *testing.T) {
 	defer lf.Close()
 	before := testFlakyCount.Load()
 	_, err = lf.C.Submit(context.Background(), "test.flaky", "flaky|1", json.RawMessage(`{}`))
-	if !fleet.IsTransient(err) || err.Error() != "flaky link: unexpected EOF" {
-		t.Fatalf("got %v, want the worker's transient error", err)
+	if err == nil || err.Error() != "flaky link: unexpected EOF" {
+		t.Fatalf("got %v, want the worker's error text verbatim", err)
 	}
-	if runs := testFlakyCount.Load() - before; runs != retryBudget+1 {
-		t.Fatalf("executions=%d, want %d (1 + the retry budget)", runs, retryBudget+1)
+	if runs := testFlakyCount.Load() - before; runs != 1 {
+		t.Fatalf("executions=%d, want 1", runs)
 	}
-	if st := lf.C.Stats(); st.Retried != retryBudget || st.Completed != 1 {
-		t.Fatalf("stats=%+v, want %d retries and 1 completion", st, retryBudget)
+	if st := lf.C.Stats(); st.Retried != 0 || st.Completed != 1 {
+		t.Fatalf("stats=%+v, want no retries and 1 completion", st)
 	}
 }
 
@@ -673,32 +668,28 @@ func TestWorkerDialRetry(t *testing.T) {
 }
 
 // TestFabricResumedCountersMatchStats resumes a coordinator from a
-// journal holding one quarantined worker and a retried granule, among
-// the join/submit/issue/gone/complete and "fallback" records older
-// coordinators wrote — so a journal written by an older build still
-// opens — and checks Stats carries the resumed state: the quarantine
-// counted, the retry charge restored, and every granule completed.
+// journal holding one quarantined worker, among the requeue,
+// join/submit/issue/gone/complete and "fallback" records older
+// coordinators wrote — framed byte for byte as they wrote them, so a
+// journal written by an older build still opens — and checks Stats
+// carries the resumed state: the quarantine counted and every granule
+// completed.
 func TestFabricResumedCountersMatchStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sched.journal")
-	j, err := fleet.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []fleet.Entry{
-		{Op: "join", Worker: "liar"},
-		{Op: "submit", Kind: "test.double", Key: "test.double|0|0"},
-		{Op: "issue", Kind: "test.double", Key: "test.double|0|0", Worker: "liar"},
-		{Op: fleet.OpRequeue, Kind: "test.double", Key: "test.double|0|0", Retries: 2, Detail: "transient: reset"},
-		{Op: fleet.OpQuarantine, Worker: "liar", Detail: "divergent answer"},
-		{Op: "gone", Worker: "liar", Detail: "quarantined"},
-		{Op: "fallback", Detail: "no workers, executing in-process"},
-		{Op: "complete", Kind: "test.double", Key: "test.double|0|0"},
+	var data []byte
+	for _, r := range []string{
+		`{"seq":1,"tick":0,"op":"join","worker":"liar"}`,
+		`{"seq":2,"tick":0,"op":"submit","kind":"test.double","key":"test.double|0|0"}`,
+		`{"seq":3,"tick":0,"op":"issue","worker":"liar","kind":"test.double","key":"test.double|0|0"}`,
+		`{"seq":4,"tick":0,"op":"requeue","kind":"test.double","key":"test.double|0|0","retries":2,"detail":"transient: reset"}`,
+		`{"seq":5,"tick":0,"op":"quarantine","worker":"liar","detail":"divergent answer"}`,
+		`{"seq":6,"tick":0,"op":"gone","worker":"liar","detail":"quarantined"}`,
+		`{"seq":7,"tick":0,"op":"fallback","detail":"no workers, executing in-process"}`,
+		`{"seq":8,"tick":0,"op":"complete","kind":"test.double","key":"test.double|0|0"}`,
 	} {
-		if err := j.Append(e); err != nil {
-			t.Fatal(err)
-		}
+		data = append(data, resilience.EncodeEnvelope([]byte(r))...)
 	}
-	if err := j.Close(); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -715,9 +706,6 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := carried(c)["test.double|0|0"]; got != 2 {
-		t.Errorf("carried retry charge=%d, want 2", got)
-	}
 	if st := c.Stats(); st.Quarantined != 1 || st.Completed != 3 {
 		t.Fatalf("stats=%+v, want the carried quarantine and 3 completions", st)
 	}
@@ -729,8 +717,8 @@ func TestFabricResumedCountersMatchStats(t *testing.T) {
 // TestFabricJournalHoldsOnlyWhatRecoveryFolds runs journaled sweeps of
 // eight granules with every other one cross-validated and checks the
 // journal against what RecoverState folds: a fault-free sweep appends
-// nothing, one transient failure appends exactly one requeue, and one
-// lie, outvoted by two honest workers, exactly one quarantine.
+// nothing, nor does one whose granules all answer with an error, and one
+// lie, outvoted by two honest workers, appends exactly one quarantine.
 func TestFabricJournalHoldsOnlyWhatRecoveryFolds(t *testing.T) {
 	const granules = 8
 	for _, tc := range []struct {
@@ -741,11 +729,9 @@ func TestFabricJournalHoldsOnlyWhatRecoveryFolds(t *testing.T) {
 		want    []string
 	}{
 		{"no faults", "test.double", 2, faultinject.Rule{}, nil},
-		// Granule 1 is not cross-validated, so its failure is charged to
-		// its retry budget rather than cast as a vote.
-		{"one transient failure", "test.transient", 2,
-			faultinject.Rule{Point: "test.transient", Match: `"X":1}`, Msg: "link reset"},
-			[]string{fleet.OpRequeue}},
+		// Both copies of a validated granule return the same error: the
+		// votes agree, and nobody is blamed.
+		{"worker errors", "test.fail", 2, faultinject.Rule{}, nil},
 		// Granule 0's first copy lies; the third worker breaks the tie.
 		{"one lie", "test.double", 3,
 			faultinject.Rule{Point: "fabric.worker.lie", Match: "test.double", Msg: "lie"},
@@ -768,8 +754,16 @@ func TestFabricJournalHoldsOnlyWhatRecoveryFolds(t *testing.T) {
 			}
 			// One at a time, so granule i has id i.
 			for i := 0; i < granules; i++ {
+				key := fmt.Sprintf("%s|%d", tc.kind, i)
+				if tc.kind == "test.fail" {
+					spec, _ := json.Marshal(map[string]string{"Text": key + " failed"})
+					if _, err := lf.C.Submit(ctx, tc.kind, key, spec); err == nil || err.Error() != key+" failed" {
+						t.Fatalf("granule %d: %v, want the error %q", i, err, key+" failed")
+					}
+					continue
+				}
 				spec, _ := json.Marshal(map[string]int{"X": i})
-				raw, err := lf.C.Submit(ctx, tc.kind, fmt.Sprintf("%s|%d", tc.kind, i), spec)
+				raw, err := lf.C.Submit(ctx, tc.kind, key, spec)
 				if err != nil {
 					t.Fatalf("granule %d: %v", i, err)
 				}
@@ -852,14 +846,6 @@ func BenchmarkDispatch(b *testing.B) {
 	if c.s.stats.Completed != b.N || len(c.s.pending) != backlog {
 		b.Fatalf("completed=%d pending=%d, want %d and a steady backlog of %d", c.s.stats.Completed, len(c.s.pending), b.N, backlog)
 	}
-}
-
-// carried reads the retry charges the coordinator's scheduler restored
-// from a pre-existing journal, by granule key.
-func carried(c *Coordinator) map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s.carried
 }
 
 // quarantined reads the coordinator's quarantine roster, sorted.

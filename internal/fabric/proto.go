@@ -21,9 +21,9 @@ import (
 // accepts exactly this version from both sides: a hello from any other
 // build is refused rather than guessed at. Every session carries the
 // ping/pong heartbeat pair (PingMS in the welcome tells the worker its
-// cadence) and the Transient field; version 5 dropped the ping frame's
-// Busy/RTT telemetry, which nothing read.
-const ProtoVersion = 5
+// cadence). Version 6 dropped the result frame's flag that asked for a
+// retry: every answer is now final.
+const ProtoVersion = 6
 
 // MaxFrame caps a frame's payload, inherited from the checkpoint
 // envelope: anything larger is corruption, not data.
@@ -79,11 +79,6 @@ type Msg struct {
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Value  json.RawMessage `json:"value,omitempty"`
 	Error  string          `json:"error,omitempty"`
-	// Transient classifies Error on result frames: true means
-	// a transport-shaped failure worth charging against the granule's
-	// retry budget, false (or absent) a deterministic failure that will
-	// reproduce anywhere.
-	Transient bool `json:"transient,omitempty"`
 	// PingMS is the heartbeat cadence the coordinator assigns in the
 	// welcome frame; 0 disables pings for the session.
 	PingMS int64 `json:"ping_ms,omitempty"`

@@ -27,7 +27,7 @@ func sampleMsgs() []Msg {
 		{Type: MsgWork, ID: 7, Kind: "explore.sim", Key: "k|1|2", Spec: json.RawMessage(`{"Point":{"IssueWidth":2}}`)},
 		{Type: MsgResult, ID: 7, Value: json.RawMessage(`{"CPIexe":0.5}`)},
 		{Type: MsgResult, ID: 9, Error: "simulate 410.bwaves: livelock"},
-		{Type: MsgResult, ID: 11, Error: "worker w0: connection reset", Transient: true},
+		{Type: MsgResult, ID: 11, Error: "worker w0: connection reset"},
 		{Type: MsgPing, ID: 3},
 		{Type: MsgPong, ID: 3},
 	}
@@ -191,7 +191,7 @@ func TestCheckHello(t *testing.T) {
 	}{
 		{"one slot", 1, ""},
 		{"the upper bound", maxSlots, ""},
-		{"zero (the field omitted)", 0, "and 0 slots, want protocol 5 and 1..1024 slots"},
+		{"zero (the field omitted)", 0, "and 0 slots, want protocol 6 and 1..1024 slots"},
 		{"negative", -1, "and -1 slots"},
 		{"2^31", 1 << 31, "and 2147483648 slots"},
 		{"one past the bound", maxSlots + 1, "and 1025 slots"},
@@ -215,8 +215,11 @@ func TestCheckHello(t *testing.T) {
 	if err := checkHello(Msg{Type: MsgHello, Proto: ProtoVersion + 1, Slots: 1}); err == nil {
 		t.Error("a hello from another protocol version was accepted")
 	}
-	// Version 4 workers still send Busy/RTT on their pings: refused.
-	if err := checkHello(Msg{Type: MsgHello, Proto: 4, Slots: 1}); err == nil {
-		t.Error("a protocol 4 hello was accepted")
+	// Version 4 workers still send Busy/RTT on their pings, version 5
+	// workers flag errors to retry: both refused.
+	for _, proto := range []int{4, 5} {
+		if err := checkHello(Msg{Type: MsgHello, Proto: proto, Slots: 1}); err == nil {
+			t.Errorf("a protocol %d hello was accepted", proto)
+		}
 	}
 }

@@ -2,12 +2,11 @@ package fabric
 
 // The coordinator's scheduler: every scheduling decision the fabric
 // makes, with no sockets, clocks, goroutines or channels in it. It owns
-// the granule queue, the holdings, the votes and the retry charges, one
-// record per worker session, and per-name strikes and probation. Its
-// transitions — submit, hello, result, ping, gone and tick — are called
-// by the coordinator under its one mutex, and every side effect leaves
-// through the port: a frame to send, a session to close, a Submit to
-// wake, a journal record. The TCP coordinator implements the port over
+// the granule queue, the holdings and the votes, one record per worker
+// session, and per-name strikes and probation. Its transitions — submit,
+// hello, result, ping, gone and tick — are called by the coordinator
+// under its one mutex, and every side effect leaves through the port: a
+// frame to send, a session to close, a Submit to wake, a journal record. The TCP coordinator implements the port over
 // sockets; the fuzzer implements it as a recorder and drives the
 // transitions in arbitrary orders.
 //
@@ -21,17 +20,19 @@ package fabric
 //     or goes, so a slot stays taken while the worker still runs it;
 //   - only unresolved granules are known by key: a resolved one lives
 //     on only in its Submit callers and in stale copies' holdings;
-//   - the queue is popped lowest-id-first among ready granules (a
-//     transient-retry backoff delays readiness), so earlier submissions
-//     are never starved by later ones;
+//   - the queue is popped lowest-id-first, so earlier submissions are
+//     never starved by later ones;
 //   - a session is dropped the instant it is decided — outbox full,
 //     quarantine trip, heartbeat death — so it takes no further work and
 //     casts no further vote; it is removed, and its holdings re-queued,
 //     before the transition returns.
 //
-// None of this affects result values or merge order: the driver
-// consumes results through Submit in its own deterministic order, so
-// scheduling is free to be opportunistic.
+// Every worker answer is final — a late copy, a vote on a validated
+// granule, or the resolution — error answers included: executors are
+// pure, so a failure reproduces on any worker, exactly as a serial run
+// memoises it. None of this affects result values or merge order: the
+// driver consumes results through Submit in its own deterministic
+// order, so scheduling is free to be opportunistic.
 
 import (
 	"encoding/json"
@@ -46,9 +47,6 @@ import (
 )
 
 const (
-	// retryBudget is how many times a granule that failed with a
-	// transient remote error is re-queued before the failure is accepted.
-	retryBudget = 3
 	// tripAfter strikes (a heartbeat death, a straggling granule
 	// re-issued) quarantine a worker name; a divergent vote does at once.
 	tripAfter = 3
@@ -66,8 +64,8 @@ type port interface {
 	drop(w *session, cause error)
 	// resolve wakes the Submit callers waiting on g, which is final.
 	resolve(g *granule)
-	// journal appends one record a successor restores: a retry charge,
-	// a quarantine, a readmission.
+	// journal appends one record a successor restores: a quarantine or
+	// a readmission.
 	journal(e fleet.Entry)
 }
 
@@ -93,7 +91,7 @@ type Stats struct {
 	Duplicated  int // straggler/suspect duplicates issued
 	CacheHits   int // Submit calls that joined a granule still running
 	Suspects    int // healthy→suspect transitions
-	Retried     int // transient-failure re-queues charged to retry budgets
+	Retried     int // always 0: every worker answer is final; kept for bench/'s fabric.retried
 	Quarantined int // workers tripped into quarantine
 	Readmitted  int // workers readmitted after probation
 	Validated   int // cross-validated granules decided
@@ -104,10 +102,9 @@ type Stats struct {
 
 // vote is one worker's answer to a cross-validated granule.
 type vote struct {
-	worker    string
-	value     json.RawMessage
-	errText   string
-	transient bool
+	worker  string
+	value   json.RawMessage
+	errText string
 }
 
 // digest is the comparison key for a vote: byte-equal values (or equal
@@ -123,17 +120,14 @@ type granule struct {
 	key  string
 	spec json.RawMessage
 
-	done      chan struct{} // closed by the port's resolve
-	value     json.RawMessage
-	errText   string
-	resolved  bool
-	transient bool // errText's classification, carried into Submit's error
+	done     chan struct{} // closed by the port's resolve
+	value    json.RawMessage
+	errText  string
+	resolved bool
 
 	queued     bool   // sitting in the pending queue
 	holders    int    // sessions currently holding it
 	issuedTick uint64 // last issuance on the logical clock, for straggler aging
-	readyTick  uint64 // dispatch not before this tick (transient-retry backoff)
-	retries    int    // transient failures charged so far
 
 	votesWanted int    // cross-validation copies required (0/1 = none)
 	votes       []vote // answers received, in arrival order
@@ -175,8 +169,6 @@ type scheduler struct {
 	straggleAfter uint64 // ticks; 0 disables straggler hedging
 	health        HealthPolicy
 	pingMS        int64 // heartbeat cadence assigned in the welcome frame
-	retry         fleet.RetryPolicy
-	tickEvery     time.Duration
 
 	tick     uint64
 	nextID   uint64
@@ -188,7 +180,6 @@ type scheduler struct {
 
 	strikes map[string]int
 	until   map[string]uint64 // quarantined names → tick their probation ends
-	carried map[string]int    // retry charges a predecessor spent, by key
 	stats   Stats
 }
 
@@ -199,13 +190,10 @@ func newScheduler(p port, opts Options) *scheduler {
 		port:          p,
 		log:           cliutil.LoggerOrDiscard(opts.Log),
 		validateEvery: opts.ValidateEvery,
-		retry:         fleet.Defaults(0),
-		tickEvery:     opts.TickEvery,
 		byKey:         make(map[string]*granule),
 		strikes:       make(map[string]int),
 		until:         make(map[string]uint64),
 	}
-	s.retry.Cap = 2 * time.Second
 	if opts.StraggleAfter > 0 {
 		s.straggleAfter = ticksFor(opts.StraggleAfter, opts.TickEvery)
 	}
@@ -217,17 +205,15 @@ func newScheduler(p port, opts Options) *scheduler {
 	return s
 }
 
-// restore carries a predecessor's journaled state: its quarantines
-// restart a full probation (the old clock died with the old process,
-// and readmitting a known liar early is worse than a fresh wait) and
-// its retry charges keep counting.
+// restore carries a predecessor's journaled quarantines: each restarts
+// a full probation (the old clock died with the old process, and
+// readmitting a known liar early is worse than a fresh wait).
 func (s *scheduler) restore(st *fleet.JournalState) {
 	for _, name := range st.Quarantined {
 		s.strikes[name] = tripAfter
 		s.until[name] = s.tick + probation
 	}
 	s.stats.Quarantined = len(st.Quarantined)
-	s.carried = st.Retries
 }
 
 // submit returns the granule under key, creating and dispatching it
@@ -242,7 +228,6 @@ func (s *scheduler) submit(kind, key string, spec json.RawMessage) *granule {
 	if k := s.validateEvery; k > 0 && g.id%uint64(k) == 0 {
 		g.votesWanted = 2
 	}
-	g.retries = s.carried[key]
 	s.byKey[key] = g
 	s.order = append(s.order, g)
 	s.stats.Submitted++
@@ -287,9 +272,8 @@ func (s *scheduler) hello(w *session) bool {
 // for anything else is ignored. A late copy (a straggler duplicate, a
 // cross-validation copy past the quorum) only frees its slot: the first
 // result wins, and purity makes every duplicate identical anyway.
-// Cross-validated granules collect votes instead; transient failures
-// inside the retry budget go back on the queue behind a backoff. A
-// dropped session's frames are not answers.
+// Cross-validated granules collect votes instead. A dropped session's
+// frames are not answers.
 func (s *scheduler) result(w *session, m Msg) {
 	if w.dropped {
 		return
@@ -311,10 +295,8 @@ func (s *scheduler) answer(w *session, g *granule, m Msg) {
 		s.dispatch()
 	case g.votesWanted > 1:
 		s.vote(w, g, m)
-	case m.Error != "" && m.Transient && g.retries < retryBudget:
-		s.retryLater(g, m.Error)
 	default:
-		s.resolve(g, m.Value, m.Error, m.Transient)
+		s.resolve(g, m.Value, m.Error)
 	}
 }
 
@@ -341,8 +323,8 @@ func (s *scheduler) gone(w *session, cause error) {
 }
 
 // onTick advances the logical clock and runs every deadline on it:
-// heartbeat classification, replica placement, backoff expiry. One
-// clock, so every deadline in the fleet is measured the same way.
+// heartbeat classification and replica placement. One clock, so every
+// deadline in the fleet is measured the same way.
 func (s *scheduler) onTick() {
 	s.tick++
 	s.classify()
@@ -354,8 +336,6 @@ func (s *scheduler) onTick() {
 		}
 	}
 	s.order = live
-	// Backoffs expire on ticks; give newly ready granules a chance.
-	s.dispatch()
 	s.reap()
 }
 
@@ -414,7 +394,7 @@ func (s *scheduler) unqueue(i int) *granule {
 	return g
 }
 
-// dispatch issues ready pending granules, lowest id first, each to the
+// dispatch issues pending granules, lowest id first, each to the
 // session pick names, while any session has budget left. A granule no
 // free session may take is passed over, not waited on; resolved
 // granules met on the way are dropped from the queue.
@@ -429,8 +409,6 @@ func (s *scheduler) dispatch() {
 		g := s.pending[i]
 		if g.resolved {
 			s.unqueue(i)
-		} else if g.readyTick > s.tick {
-			i++
 		} else if w := s.pick(g, false); w != nil {
 			s.issue(w, s.unqueue(i))
 			free--
@@ -481,28 +459,12 @@ func (s *scheduler) journal(e fleet.Entry) {
 	s.port.journal(e)
 }
 
-// retryLater charges one transient failure against g's budget and
-// re-queues it behind the retry policy's seeded backoff.
-func (s *scheduler) retryLater(g *granule, cause string) {
-	g.retries++
-	g.readyTick = s.tick + ticksFor(s.retry.Delay(g.retries-1), s.tickEvery)
-	s.stats.Retried++
-	s.journal(fleet.Entry{Op: fleet.OpRequeue, Key: g.key, Retries: g.retries, Detail: "transient: " + cause})
-	if !g.queued && g.holders == 0 {
-		s.enqueue(g)
-	}
-	s.log.Warn("fabric: transient granule failure, retrying",
-		"granule", g.id, "kind", g.kind, "retry", g.retries, "cause", cause)
-	s.dispatch()
-}
-
 // resolve makes g final, forgets its key, wakes its waiters and
 // re-dispatches. Other holders keep their copies until they answer.
-func (s *scheduler) resolve(g *granule, value json.RawMessage, errText string, transient bool) {
+func (s *scheduler) resolve(g *granule, value json.RawMessage, errText string) {
 	g.resolved = true
 	g.value = value
 	g.errText = errText
-	g.transient = transient
 	delete(s.byKey, g.key)
 	s.stats.Completed++
 	s.port.resolve(g)
@@ -513,7 +475,7 @@ func (s *scheduler) resolve(g *granule, value json.RawMessage, errText string, t
 // once enough votes are in (or no further voter exists).
 func (s *scheduler) vote(w *session, g *granule, m Msg) {
 	if !g.voted(w.name) {
-		g.votes = append(g.votes, vote{worker: w.name, value: m.Value, errText: m.Error, transient: m.Transient})
+		g.votes = append(g.votes, vote{worker: w.name, value: m.Value, errText: m.Error})
 	}
 	// Divergence between the first two answers escalates to a third
 	// opinion before anyone is accused or anything is decided — this
@@ -564,7 +526,7 @@ func (s *scheduler) decide(g *granule) {
 		s.log.Warn("fabric: cross-validation inconclusive, accepting first answer",
 			"granule", g.id, "kind", g.kind, "answers", len(groups))
 	}
-	s.resolve(g, winner.value, winner.errText, winner.transient)
+	s.resolve(g, winner.value, winner.errText)
 }
 
 // place is the one "run this granule somewhere else too" decision. It
@@ -660,7 +622,7 @@ func (s *scheduler) quarantine(name, reason string) {
 	s.strikes[name] = tripAfter
 	s.until[name] = s.tick + probation
 	s.stats.Quarantined++
-	s.journal(fleet.Entry{Op: fleet.OpQuarantine, Worker: name, Detail: reason})
+	s.journal(fleet.Entry{Op: fleet.OpQuarantine, Worker: name})
 	s.log.Warn("fabric: worker quarantined", "worker", name, "reason", reason)
 	for _, w := range s.sessions {
 		if w.name == name {

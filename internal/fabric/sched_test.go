@@ -663,7 +663,7 @@ func TestSchedIsSocketFree(t *testing.T) {
 
 // FuzzCoordinator drives the scheduler through arbitrary interleavings
 // of its transitions over the recording port — up to four sessions
-// with duplicate names; submits; honest, lying, transient and duplicate
+// with duplicate names; submits; honest, lying, failing and duplicate
 // results; pings, gones and ticks; outboxes that fill up — then drains
 // with two honest workers, and checks the scheduling invariants after
 // every step.
@@ -673,7 +673,7 @@ func FuzzCoordinator(f *testing.F) {
 	// A liar outvoted: w0 lies on k0, w1 and w2 answer honestly, w0 is
 	// quarantined, and k1 is submitted right after.
 	f.Add([]byte{1, 1, 0, 0, 1, 1, 0, 1, 2, 0, 0, 0, 8, 0, 3, 0, 0, 2, 1, 0, 2, 2, 0, 0, 1})
-	// A death, a transient failure and a duplicate under validation.
+	// A death, an error answer and a duplicate under validation.
 	f.Add([]byte{2, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 7, 0, 4, 1, 0, 5, 1, 8, 12, 2, 0, 0})
 	f.Fuzz(fuzzBody)
 }
@@ -725,7 +725,7 @@ func (z *fuzzRun) live() int {
 }
 
 // answer sends a result from w with the given honesty (0 honest, 1
-// lying, 2 transient failure, 3 a duplicate of w's last result) for a
+// lying, 2 an error, 3 a duplicate of w's last result) for a
 // granule w holds — or, when it holds none (it may be gone), for any
 // granule at all.
 func (z *fuzzRun) answer(w *session, how int) {
@@ -757,7 +757,7 @@ func (z *fuzzRun) answer(w *session, how int) {
 	case 1:
 		m.Value = []byte(strconv.Quote("lie by " + w.name))
 	case 2:
-		m.Error, m.Transient = "connection reset", true
+		m.Error = "connection reset"
 	}
 	z.last[w] = m
 	z.s.result(w, m)
@@ -898,7 +898,7 @@ func (z *fuzzRun) check() {
 	}
 	for _, e := range r.entries {
 		switch e.Op {
-		case fleet.OpRequeue, fleet.OpQuarantine, fleet.OpReadmit:
+		case fleet.OpQuarantine, fleet.OpReadmit:
 		default:
 			t.Fatalf("journal record %+v is not one RecoverState folds", e)
 		}
@@ -911,16 +911,5 @@ func (z *fuzzRun) check() {
 	sort.Strings(roster)
 	if strings.Join(roster, ",") != strings.Join(st.Quarantined, ",") {
 		t.Fatalf("quarantine roster %v, journal recovers %v", roster, st.Quarantined)
-	}
-	// A key resubmitted after it resolved is a new granule with a fresh
-	// budget; the journal keeps the highest charge any of them reached.
-	charges := make(map[string]int)
-	for _, g := range z.gs {
-		if g.retries > charges[g.key] {
-			charges[g.key] = g.retries
-		}
-	}
-	if !reflect.DeepEqual(charges, st.Retries) {
-		t.Fatalf("retry charges %v, journal recovers %v", charges, st.Retries)
 	}
 }

@@ -299,7 +299,6 @@ func (w *workerState) execute(m Msg) {
 		}
 		result.Value = nil
 		result.Error = err.Error()
-		result.Transient = fleet.IsTransient(err)
 	}
 	if lieErr := faultinject.Hit("fabric.worker.lie", m.Kind); lieErr != nil && result.Error == "" {
 		// A lying worker: the computed value is silently corrupted on

@@ -2,16 +2,16 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
-	"syscall"
 	"testing"
 	"time"
+
+	"lpm/internal/resilience"
 )
 
 func TestDelayDeterministicAndBounded(t *testing.T) {
@@ -26,16 +26,16 @@ func TestDelayDeterministicAndBounded(t *testing.T) {
 		if d1 <= 0 {
 			t.Fatalf("attempt %d: non-positive delay %v", attempt, d1)
 		}
-		if d1 > p.Cap {
-			t.Fatalf("attempt %d: delay %v exceeds cap %v", attempt, d1, p.Cap)
+		if d1 > capDelay {
+			t.Fatalf("attempt %d: delay %v exceeds cap %v", attempt, d1, capDelay)
 		}
 		// Jitter 0.5 means the delay is at least half the grown value.
-		grown := p.Base
-		for i := 0; i < attempt && grown < p.Cap; i++ {
+		grown := baseDelay
+		for i := 0; i < attempt && grown < capDelay; i++ {
 			grown *= 2
 		}
-		if grown > p.Cap {
-			grown = p.Cap
+		if grown > capDelay {
+			grown = capDelay
 		}
 		if d1 < grown/2 {
 			t.Fatalf("attempt %d: delay %v below jitter floor %v", attempt, d1, grown/2)
@@ -57,102 +57,67 @@ func TestDelaySeedSelectsStream(t *testing.T) {
 	}
 }
 
-func TestDelayZeroJitterMonotone(t *testing.T) {
+// TestDelayPinnedSchedule pins the backoff schedule bit for bit: the
+// delays below were produced by the policy when its base, cap,
+// multiplier and jitter were still fields, filled in by Defaults.
+func TestDelayPinnedSchedule(t *testing.T) {
 	t.Parallel()
-	p := RetryPolicy{Base: 10 * time.Millisecond, Cap: time.Second, Multiplier: 2}
-	prev := time.Duration(0)
-	for attempt := 0; attempt < 10; attempt++ {
-		d := p.Delay(attempt)
-		if d < prev {
-			t.Fatalf("attempt %d: delay %v fell below previous %v", attempt, d, prev)
+	for _, tc := range []struct {
+		seed uint64
+		want [13]time.Duration
+	}{
+		{0, [13]time.Duration{39211800, 98678311, 102911802, 378730661, 669069694, 1460905707, 1965525509, 4385777627, 2619923271, 4008830060, 3097413945, 3690123520, 3612081209}},
+		{1, [13]time.Duration{27185069, 51449862, 157376555, 311147059, 470131355, 898121050, 2797713830, 4286228289, 4969546646, 3989644577, 2983804743, 3862655231, 2836270174}},
+		{42, [13]time.Duration{46002240, 81284292, 160440327, 392393966, 720991320, 1364551106, 1926635190, 3002679414, 4446699445, 3951637724, 2842711771, 2863624807, 3699966750}},
+		{99, [13]time.Duration{29707437, 74757486, 167504499, 364833494, 568879766, 1221077048, 2646662685, 2914230039, 2827413992, 4736721114, 3531210461, 2794299166, 4396665752}},
+	} {
+		for attempt, want := range tc.want {
+			if got := Defaults(tc.seed).Delay(attempt); got != want {
+				t.Errorf("seed %d attempt %d: delay %d, want %d", tc.seed, attempt, got, want)
+			}
 		}
-		prev = d
-	}
-	if prev != time.Second {
-		t.Fatalf("final delay %v, want cap %v", prev, time.Second)
 	}
 }
 
 // TestRetryHonorsContext: Sleep returns the context's error at once
-// instead of waiting out an hour-long backoff.
+// instead of waiting out a seconds-long backoff.
 func TestRetryHonorsContext(t *testing.T) {
 	t.Parallel()
-	p := RetryPolicy{Base: time.Hour, Cap: time.Hour, Multiplier: 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := p.Sleep(ctx, 0); !errors.Is(err, context.Canceled) {
+	if err := Defaults(0).Sleep(ctx, 12); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Sleep on a cancelled ctx: err=%v, want context.Canceled", err)
-	}
-}
-
-func TestIsTransientClassification(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"nil", nil, false},
-		{"plain", errors.New("model diverged"), false},
-		{"remote transient", &RemoteError{Text: "t", Transient: true}, true},
-		{"remote permanent", &RemoteError{Text: "p", Transient: false}, false},
-		{"wrapped remote", fmt.Errorf("submit: %w", &RemoteError{Text: "t", Transient: true}), true},
-		{"ctx canceled", context.Canceled, false},
-		{"deadline", context.DeadlineExceeded, false},
-		{"eof", io.EOF, true},
-		{"unexpected eof", io.ErrUnexpectedEOF, true},
-		{"net closed", net.ErrClosed, true},
-		{"econnreset", syscall.ECONNRESET, true},
-		{"econnrefused", syscall.ECONNREFUSED, true},
-		{"epipe", syscall.EPIPE, true},
-		{"op error", &net.OpError{Op: "dial", Err: errors.New("down")}, true},
-	}
-	for _, tc := range cases {
-		if got := IsTransient(tc.err); got != tc.want {
-			t.Errorf("%s: IsTransient=%v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestRemoteErrorTextVerbatim(t *testing.T) {
-	t.Parallel()
-	e := &RemoteError{Text: "kind sweep.point: cache config: ways must divide sets", Transient: false}
-	if e.Error() != e.Text {
-		t.Fatalf("Error()=%q, want verbatim %q", e.Error(), e.Text)
 	}
 }
 
 func TestJournalRoundTrip(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "sched.journal")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
+	// Every op a coordinator has written, framed as older builds framed
+	// them: the submit, issue, complete, join and gone records of builds
+	// that journaled every decision, the "fallback" records of builds
+	// that had an in-process fallback, and the requeue records (with
+	// their retries and detail keys) of builds that retried transient
+	// failures. An old journal must still replay, with its quarantines
+	// carried and everything else skipped.
+	records := []string{
+		`{"seq":1,"tick":1,"op":"join","worker":"w1"}`,
+		`{"seq":2,"tick":1,"op":"join","worker":"w2"}`,
+		`{"seq":3,"tick":2,"op":"submit","kind":"sweep.point","key":"d8"}`,
+		`{"seq":4,"tick":2,"op":"issue","worker":"w1","kind":"sweep.point","key":"d8"}`,
+		`{"seq":5,"tick":5,"op":"requeue","kind":"sweep.point","key":"d8","retries":1,"detail":"transient: reset"}`,
+		`{"seq":6,"tick":6,"op":"quarantine","worker":"w2","detail":"heartbeat death"}`,
+		`{"seq":7,"tick":7,"op":"quarantine","worker":"w1","detail":"divergent result"}`,
+		`{"seq":8,"tick":7,"op":"gone","worker":"w1","detail":"quarantined"}`,
+		`{"seq":9,"tick":8,"op":"fallback","detail":"no workers, executing in-process"}`,
+		`{"seq":10,"tick":9,"op":"complete","kind":"sweep.point","key":"d8"}`,
+		`{"seq":11,"tick":9,"op":"readmit","worker":"w2"}`,
 	}
-	// Every op a coordinator has written, including the submit, issue,
-	// complete, join and gone records of builds that journaled every
-	// decision and the "fallback" records of builds that had an
-	// in-process fallback: an old journal must still replay, with retry
-	// charges and quarantines carried.
-	records := []Entry{
-		{Tick: 1, Op: "join", Worker: "w1"},
-		{Tick: 1, Op: "join", Worker: "w2"},
-		{Tick: 2, Op: "submit", Kind: "sweep.point", Key: "d8"},
-		{Tick: 2, Op: "issue", Kind: "sweep.point", Key: "d8", Worker: "w1"},
-		{Tick: 5, Op: OpRequeue, Kind: "sweep.point", Key: "d8", Retries: 1, Detail: "worker suspect"},
-		{Tick: 6, Op: OpQuarantine, Worker: "w2", Detail: "heartbeat death"},
-		{Tick: 7, Op: OpQuarantine, Worker: "w1", Detail: "divergent result"},
-		{Tick: 7, Op: "gone", Worker: "w1", Detail: "quarantined"},
-		{Tick: 8, Op: "fallback", Detail: "no workers, executing in-process"},
-		{Tick: 9, Op: "complete", Kind: "sweep.point", Key: "d8"},
-		{Tick: 9, Op: OpReadmit, Worker: "w2"},
+	var data []byte
+	for _, r := range records {
+		data = append(data, resilience.EncodeEnvelope([]byte(r))...)
 	}
-	for _, e := range records {
-		if err := j.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,29 +129,41 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(records))
 	}
 	for i, e := range got {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("record %d: seq %d", i, e.Seq)
+		var want Entry
+		if err := json.Unmarshal([]byte(records[i]), &want); err != nil {
+			t.Fatal(err)
 		}
-		if e.Op != records[i].Op || e.Key != records[i].Key || e.Worker != records[i].Worker {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, e, records[i])
+		if e != want {
+			t.Fatalf("record %d: %+v, want %+v", i, e, want)
 		}
 	}
 
 	st := RecoverState(got)
-	if st.Retries["d8"] != 1 {
-		t.Fatalf("retries=%d, want 1", st.Retries["d8"])
-	}
 	if len(st.Quarantined) != 1 || st.Quarantined[0] != "w1" {
 		t.Fatalf("quarantined=%v, want [w1] (w2 was readmitted)", st.Quarantined)
 	}
-	// Opening the journal to append folds the same state once.
-	j2, err := OpenJournal(path)
+	// Opening the journal to append folds the same state once, and
+	// appends continue its sequence.
+	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if !reflect.DeepEqual(j2.Recovered(), st) {
-		t.Fatalf("OpenJournal recovered %+v, replay folds %+v", j2.Recovered(), st)
+	if !reflect.DeepEqual(j.Recovered(), st) {
+		t.Fatalf("OpenJournal recovered %+v, replay folds %+v", j.Recovered(), st)
+	}
+	if err := j.Append(Entry{Op: OpReadmit, Worker: "w1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := RecoverState(got); len(got) != len(records)+1 || got[len(records)].Seq != uint64(len(records)+1) || len(st.Quarantined) != 0 {
+		t.Fatalf("after appending w1's readmission: %d records, quarantined %v; want %d and none",
+			len(got), st.Quarantined, len(records)+1)
 	}
 }
 

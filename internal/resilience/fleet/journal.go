@@ -1,15 +1,14 @@
 package fleet
 
-// Coordinator scheduling journal. It records the three scheduling facts
-// a successor coordinator restores — a granule's retry charge growing,
-// a worker quarantined, a worker readmitted — each appended as one
-// LPMCKPT1-framed JSON record and fsynced before the decision takes
-// effect downstream. Everything else a successor needs comes from the
-// driver's result checkpoint, so a fault-free sweep appends nothing.
-// kill -9 of the coordinator then loses nothing that matters: a
-// successor replays the journal, rebuilds quarantine and retry state,
-// skips keys the result checkpoint already holds, and the sweep
-// completes bit-identically.
+// Coordinator scheduling journal. It records the two scheduling facts
+// a successor coordinator restores — a worker quarantined, a worker
+// readmitted — each appended as one LPMCKPT1-framed JSON record and
+// fsynced before the decision takes effect downstream. Everything else a
+// successor needs comes from the driver's result checkpoint, so a sweep
+// without a lying or dying worker appends nothing. kill -9 of the
+// coordinator then loses nothing that matters: a successor replays the
+// journal, rebuilds the quarantine roster, skips keys the result
+// checkpoint already holds, and the sweep completes bit-identically.
 //
 // The frame-per-record layout (rather than one envelope around the
 // whole file) is what makes append-only crash safety work: a torn tail
@@ -30,11 +29,10 @@ import (
 )
 
 // Journal operation codes: the ones RecoverState folds. Replay skips
-// any other code, such as the submit/issue/complete/join/gone and
-// "fallback" records older coordinators wrote, so their journals still
-// open.
+// any other code, such as the requeue, submit, issue, complete, join,
+// gone and "fallback" records older coordinators wrote, so their
+// journals still open.
 const (
-	OpRequeue    = "requeue"    // a transient failure charged to a granule's retry budget
 	OpQuarantine = "quarantine" // worker tripped the breaker
 	OpReadmit    = "readmit"    // probation expired, worker readmitted
 )
@@ -47,15 +45,10 @@ type Entry struct {
 	Tick   uint64 `json:"tick"`
 	Op     string `json:"op"`
 	Worker string `json:"worker,omitempty"`
-	// Kind is informational, written by older coordinators: a granule's
-	// Key alone identifies it, as every key embeds its kind tag.
+	// Kind and Key name a granule, as the records of older coordinators
+	// did; the two ops RecoverState folds name only a Worker.
 	Kind string `json:"kind,omitempty"`
 	Key  string `json:"key,omitempty"`
-	// Retries is the granule's retry count at requeue time, so a
-	// resumed coordinator keeps charging the same retry budget.
-	Retries int `json:"retries,omitempty"`
-	// Detail carries human-oriented context (error text, strike cause).
-	Detail string `json:"detail,omitempty"`
 }
 
 // Journal is the append side. Append is not internally locked — the
@@ -194,22 +187,15 @@ type JournalState struct {
 	// Quarantined holds workers whose breaker was tripped and not yet
 	// readmitted at the time of the crash.
 	Quarantined []string
-	// Retries maps a granule's key to the retry count charged so far,
-	// so budgets carry across the restart.
-	Retries map[string]int
 }
 
 // RecoverState folds a replayed journal into the successor's starting
 // state. Pure: the fold is a deterministic function of the entries.
 func RecoverState(entries []Entry) *JournalState {
-	st := &JournalState{Retries: make(map[string]int)}
+	st := &JournalState{}
 	quarantined := make(map[string]bool)
 	for _, e := range entries {
 		switch e.Op {
-		case OpRequeue:
-			if e.Retries > st.Retries[e.Key] {
-				st.Retries[e.Key] = e.Retries
-			}
 		case OpQuarantine:
 			quarantined[e.Worker] = true
 		case OpReadmit:

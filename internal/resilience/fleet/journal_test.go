@@ -110,7 +110,7 @@ func FuzzReplayJournal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("journal replays but will not open: %v", err)
 		}
-		next := Entry{Tick: 7, Op: OpRequeue, Key: "next", Retries: 1}
+		next := Entry{Tick: 7, Op: OpQuarantine, Worker: "next"}
 		if err := j.Append(next); err != nil {
 			t.Fatal(err)
 		}
