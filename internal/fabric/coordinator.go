@@ -193,8 +193,8 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {
 // same key is shared single-flight, otherwise the granule is queued for
 // dispatch. Blocks until the granule resolves, ctx cancels, or the
 // coordinator closes. A remote failure comes back as an error whose
-// text is the worker-side error text verbatim, so a sharded run's error
-// cells match a serial run's byte-for-byte.
+// text is the worker-side error text verbatim, empty text included, so a
+// sharded run's error cells match a serial run's byte-for-byte.
 func (c *Coordinator) Submit(ctx context.Context, kind, key string, spec json.RawMessage) (json.RawMessage, error) {
 	c.mu.Lock()
 	g := c.s.submit(kind, key, spec)
@@ -202,7 +202,7 @@ func (c *Coordinator) Submit(ctx context.Context, kind, key string, spec json.Ra
 
 	select {
 	case <-g.done:
-		if g.errText != "" {
+		if g.failed {
 			return nil, errors.New(g.errText)
 		}
 		return g.value, nil

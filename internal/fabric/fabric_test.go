@@ -209,6 +209,24 @@ func TestFabricErrorText(t *testing.T) {
 	}
 }
 
+// TestFabricEmptyErrorTextIsAnError: an executor error whose text is
+// empty still comes back from Submit as an error — with that empty text,
+// as the executor returned it in process — whether one worker answers or
+// two cross-validate the answer.
+func TestFabricEmptyErrorTextIsAnError(t *testing.T) {
+	for _, validate := range []int{0, 1} {
+		lf, err := StartLocal(2, Options{StraggleAfter: -1, ValidateEvery: validate}, WorkerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		value, err := lf.C.Submit(context.Background(), "test.fail", "fail|empty", json.RawMessage(`{"Text":""}`))
+		lf.Close()
+		if err == nil || err.Error() != "" || value != nil {
+			t.Fatalf("ValidateEvery %d: got value %s, error %v; want no value and an error with empty text", validate, value, err)
+		}
+	}
+}
+
 // TestFabricWorkerErrorIsFinal proves a worker's error answer resolves
 // its granule at once, even one shaped like a broken stream: the granule
 // runs once and Submit returns the worker's text verbatim, as a serial

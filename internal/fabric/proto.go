@@ -22,8 +22,10 @@ import (
 // build is refused rather than guessed at. Every session carries the
 // ping/pong heartbeat pair (PingMS in the welcome tells the worker its
 // cadence). Version 6 dropped the result frame's flag that asked for a
-// retry: every answer is now final.
-const ProtoVersion = 6
+// retry: every answer is now final. Version 7 marks a failed result with
+// Failed instead of a non-empty Error, so an error whose text is empty
+// still arrives as an error.
+const ProtoVersion = 7
 
 // MaxFrame caps a frame's payload, inherited from the checkpoint
 // envelope: anything larger is corruption, not data.
@@ -78,7 +80,10 @@ type Msg struct {
 	Key    string          `json:"key,omitempty"`
 	Spec   json.RawMessage `json:"spec,omitempty"`
 	Value  json.RawMessage `json:"value,omitempty"`
-	Error  string          `json:"error,omitempty"`
+	// Failed marks a result whose executor returned an error; Error is
+	// that error's text, which may be empty.
+	Failed bool   `json:"failed,omitempty"`
+	Error  string `json:"error,omitempty"`
 	// PingMS is the heartbeat cadence the coordinator assigns in the
 	// welcome frame; 0 disables pings for the session.
 	PingMS int64 `json:"ping_ms,omitempty"`

@@ -26,8 +26,9 @@ func sampleMsgs() []Msg {
 		{Type: MsgWelcome, Proto: ProtoVersion},
 		{Type: MsgWork, ID: 7, Kind: "explore.sim", Key: "k|1|2", Spec: json.RawMessage(`{"Point":{"IssueWidth":2}}`)},
 		{Type: MsgResult, ID: 7, Value: json.RawMessage(`{"CPIexe":0.5}`)},
-		{Type: MsgResult, ID: 9, Error: "simulate 410.bwaves: livelock"},
-		{Type: MsgResult, ID: 11, Error: "worker w0: connection reset"},
+		{Type: MsgResult, ID: 9, Failed: true, Error: "simulate 410.bwaves: livelock"},
+		{Type: MsgResult, ID: 11, Failed: true, Error: "worker w0: connection reset"},
+		{Type: MsgResult, ID: 13, Failed: true},
 		{Type: MsgPing, ID: 3},
 		{Type: MsgPong, ID: 3},
 	}
@@ -191,7 +192,7 @@ func TestCheckHello(t *testing.T) {
 	}{
 		{"one slot", 1, ""},
 		{"the upper bound", maxSlots, ""},
-		{"zero (the field omitted)", 0, "and 0 slots, want protocol 6 and 1..1024 slots"},
+		{"zero (the field omitted)", 0, "and 0 slots, want protocol 7 and 1..1024 slots"},
 		{"negative", -1, "and -1 slots"},
 		{"2^31", 1 << 31, "and 2147483648 slots"},
 		{"one past the bound", maxSlots + 1, "and 1025 slots"},
@@ -216,8 +217,9 @@ func TestCheckHello(t *testing.T) {
 		t.Error("a hello from another protocol version was accepted")
 	}
 	// Version 4 workers still send Busy/RTT on their pings, version 5
-	// workers flag errors to retry: both refused.
-	for _, proto := range []int{4, 5} {
+	// workers flag errors to retry, version 6 workers mark a failure only
+	// by non-empty error text: all refused.
+	for _, proto := range []int{4, 5, 6} {
 		if err := checkHello(Msg{Type: MsgHello, Proto: proto, Slots: 1}); err == nil {
 			t.Errorf("a protocol %d hello was accepted", proto)
 		}

@@ -100,19 +100,34 @@ type Stats struct {
 	LateResults int // a held copy's result ignored because another copy already won
 }
 
-// vote is one worker's answer to a cross-validated granule.
-type vote struct {
-	worker  string
+// outcome is a worker's answer to a granule: a value, or a failure with
+// the executor's error text, which may be empty.
+type outcome struct {
 	value   json.RawMessage
+	failed  bool
 	errText string
 }
 
-// digest is the comparison key for a vote: byte-equal values (or equal
-// error text) agree.
-func (v vote) digest() string { return string(v.value) + "\x00" + v.errText }
+// outcomeOf reads the outcome a result frame carries.
+func outcomeOf(m Msg) outcome { return outcome{value: m.Value, failed: m.Failed, errText: m.Error} }
+
+// vote is one worker's answer to a cross-validated granule.
+type vote struct {
+	worker string
+	outcome
+}
+
+// digest is the comparison key for a vote: byte-equal values, or
+// failures with equal error text, agree.
+func (v vote) digest() string {
+	if v.failed {
+		return "failed\x00" + v.errText
+	}
+	return "value\x00" + string(v.value)
+}
 
 // granule is one unit of work: a (kind, key, spec) triple plus its
-// resolution. Once resolved is set, value/errText are immutable and the
+// resolution. Once resolved is set, its outcome is immutable and the
 // port has closed done.
 type granule struct {
 	id   uint64
@@ -120,9 +135,8 @@ type granule struct {
 	key  string
 	spec json.RawMessage
 
-	done     chan struct{} // closed by the port's resolve
-	value    json.RawMessage
-	errText  string
+	done chan struct{} // closed by the port's resolve
+	outcome
 	resolved bool
 
 	queued     bool   // sitting in the pending queue
@@ -296,7 +310,7 @@ func (s *scheduler) answer(w *session, g *granule, m Msg) {
 	case g.votesWanted > 1:
 		s.vote(w, g, m)
 	default:
-		s.resolve(g, m.Value, m.Error)
+		s.resolve(g, outcomeOf(m))
 	}
 }
 
@@ -461,10 +475,9 @@ func (s *scheduler) journal(e fleet.Entry) {
 
 // resolve makes g final, forgets its key, wakes its waiters and
 // re-dispatches. Other holders keep their copies until they answer.
-func (s *scheduler) resolve(g *granule, value json.RawMessage, errText string) {
+func (s *scheduler) resolve(g *granule, out outcome) {
 	g.resolved = true
-	g.value = value
-	g.errText = errText
+	g.outcome = out
 	delete(s.byKey, g.key)
 	s.stats.Completed++
 	s.port.resolve(g)
@@ -475,7 +488,7 @@ func (s *scheduler) resolve(g *granule, value json.RawMessage, errText string) {
 // once enough votes are in (or no further voter exists).
 func (s *scheduler) vote(w *session, g *granule, m Msg) {
 	if !g.voted(w.name) {
-		g.votes = append(g.votes, vote{worker: w.name, value: m.Value, errText: m.Error})
+		g.votes = append(g.votes, vote{worker: w.name, outcome: outcomeOf(m)})
 	}
 	// Divergence between the first two answers escalates to a third
 	// opinion before anyone is accused or anything is decided — this
@@ -526,7 +539,7 @@ func (s *scheduler) decide(g *granule) {
 		s.log.Warn("fabric: cross-validation inconclusive, accepting first answer",
 			"granule", g.id, "kind", g.kind, "answers", len(groups))
 	}
-	s.resolve(g, winner.value, winner.errText)
+	s.resolve(g, winner.outcome)
 }
 
 // place is the one "run this granule somewhere else too" decision. It

@@ -126,7 +126,7 @@ func join(t testing.TB, s *scheduler, name string, slots int) *session {
 func newGranule(s *scheduler, votesWanted int, votedBy ...string) *granule {
 	g := &granule{id: s.nextID, kind: "test", key: fmt.Sprint("g", s.nextID), done: make(chan struct{}), votesWanted: votesWanted}
 	for _, name := range votedBy {
-		g.votes = append(g.votes, vote{worker: name, value: []byte("1")})
+		g.votes = append(g.votes, vote{worker: name, outcome: outcome{value: []byte("1")}})
 	}
 	s.nextID++
 	s.byKey[g.key] = g
@@ -757,7 +757,7 @@ func (z *fuzzRun) answer(w *session, how int) {
 	case 1:
 		m.Value = []byte(strconv.Quote("lie by " + w.name))
 	case 2:
-		m.Error = "connection reset"
+		m.Failed, m.Error = true, "connection reset"
 	}
 	z.last[w] = m
 	z.s.result(w, m)

@@ -298,9 +298,9 @@ func (w *workerState) execute(m Msg) {
 			return
 		}
 		result.Value = nil
-		result.Error = err.Error()
+		result.Failed, result.Error = true, err.Error()
 	}
-	if lieErr := faultinject.Hit("fabric.worker.lie", m.Kind); lieErr != nil && result.Error == "" {
+	if lieErr := faultinject.Hit("fabric.worker.lie", m.Kind); lieErr != nil && !result.Failed {
 		// A lying worker: the computed value is silently corrupted on
 		// the way out. Deterministic per granule id so the chaos suite
 		// replays the exact same lie. The lie must stay valid JSON — a
@@ -316,7 +316,7 @@ func (w *workerState) execute(m Msg) {
 		w.log().Warn("fabric: injected lie on granule",
 			"worker", w.opts.Name, "granule", m.ID, "err", lieErr.Error())
 	}
-	w.opts.Obs.Executed(time.Since(start), result.Error != "")
+	w.opts.Obs.Executed(time.Since(start), result.Failed)
 	_ = w.send(result)
 }
 

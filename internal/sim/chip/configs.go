@@ -111,7 +111,7 @@ func NUCAL2() cache.Config {
 	return l2
 }
 
-// NUCAMem returns the main memory used by the Fig. 5 chip: four channels
+// NUCAMem returns the main memory used by the Fig. 5 chip: eight channels
 // with deep queues.
 func NUCAMem() dram.Config {
 	m := dram.DDR3("mem")

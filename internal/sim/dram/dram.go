@@ -11,6 +11,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"lpm/internal/obs"
 )
@@ -60,24 +61,39 @@ type Config struct {
 	Scheduler Sched
 }
 
+// Bounds Validate enforces. Channels are at most the width of DRAM.live,
+// the live-channel bitmask. New allocates every bank up front, so the
+// bank count is bounded. Each timing parameter is bounded so a request's
+// service time (at most TRP+TRCD+TCL+TBurst) cannot overflow.
+const (
+	maxChannels = 64
+	maxBanks    = 1024
+	maxTiming   = 1 << 16
+)
+
 // Validate reports the first problem with the configuration, or nil.
 func (c *Config) Validate() error {
 	switch {
 	case c.Name == "":
 		return fmt.Errorf("dram: config has no name")
-	case c.Channels <= 0:
-		return fmt.Errorf("dram %s: channels %d", c.Name, c.Channels)
-	case c.BanksPerChannel <= 0:
-		return fmt.Errorf("dram %s: banks %d", c.Name, c.BanksPerChannel)
+	case c.Channels <= 0 || c.Channels > maxChannels:
+		return fmt.Errorf("dram %s: channels %d, want 1..%d", c.Name, c.Channels, maxChannels)
+	case c.BanksPerChannel <= 0 || c.BanksPerChannel > maxBanks:
+		return fmt.Errorf("dram %s: banks %d, want 1..%d", c.Name, c.BanksPerChannel, maxBanks)
 	case c.RowBlocks == 0:
 		return fmt.Errorf("dram %s: zero row size", c.Name)
-	case c.TCL <= 0 || c.TRCD <= 0 || c.TRP <= 0 || c.TBurst <= 0:
-		return fmt.Errorf("dram %s: non-positive timing parameter", c.Name)
+	case !inRange(c.TCL) || !inRange(c.TRCD) || !inRange(c.TRP) || !inRange(c.TBurst):
+		return fmt.Errorf("dram %s: timing parameter outside 1..%d", c.Name, maxTiming)
 	case c.QueueDepth <= 0:
 		return fmt.Errorf("dram %s: queue depth %d", c.Name, c.QueueDepth)
+	case c.Scheduler > FRFCFS:
+		return fmt.Errorf("dram %s: unknown scheduler %v", c.Name, c.Scheduler)
 	}
 	return nil
 }
+
+// inRange reports whether a timing parameter is in 1..maxTiming.
+func inRange(cycles int) bool { return cycles > 0 && cycles <= maxTiming }
 
 // DDR3 returns a default configuration loosely resembling one DDR3-1600
 // channel pair viewed from a ~3 GHz core.
@@ -192,8 +208,10 @@ func (s Stats) AvgReadLatency() float64 {
 type DRAM struct {
 	cfg      Config
 	channels []channel
-	queued   int    // requests waiting in channel queues, over all channels
-	busUntil uint64 // latest channel busUntil: no bus is busy from this cycle on
+	queued   int // requests waiting in channel queues, over all channels
+	// live has bit ci set while channel ci has a queued request or a busy
+	// bus as of the last Tick or AdvanceCycles; Tick walks only these.
+	live     uint64
 	pend     []pending
 	nextDone uint64 // earliest completion cycle in pend (valid while pend is non-empty)
 	now      uint64
@@ -300,15 +318,17 @@ func (d *DRAM) Request(cycle uint64, src int, block uint64, write bool, done fun
 	})
 	ch.stallUntil = 0
 	d.queued++
+	d.live |= 1 << (block % uint64(d.cfg.Channels))
 	return true
 }
 
 // Tick advances the memory one cycle: fire due completions, then let each
-// channel start at most one request. An idle controller — nothing queued,
-// nothing in service, every bus free — has no channel to walk.
+// live channel start at most one request. A channel with an empty queue
+// and a free bus can start nothing and keeps no bus busy, so only the
+// live set is walked, and an idle controller walks none.
 func (d *DRAM) Tick(cycle uint64) {
 	d.now = cycle
-	if d.queued == 0 && len(d.pend) == 0 && d.busUntil <= cycle {
+	if d.live == 0 && len(d.pend) == 0 {
 		if d.ob != nil {
 			d.ob.queueOcc.Observe(0)
 		}
@@ -335,10 +355,21 @@ func (d *DRAM) Tick(cycle uint64) {
 	}
 
 	active := len(d.pend) > 0
-	for ci := range d.channels {
-		d.serviceChannel(&d.channels[ci])
-		if d.channels[ci].busUntil > cycle {
+	// Ascending channel order, as a walk over every channel would take:
+	// it fixes the order completions enter pend, and so the order their
+	// callbacks fire. The set is read after the completions, which may
+	// queue new requests.
+	for m := d.live; m != 0; m &= m - 1 {
+		ci := bits.TrailingZeros64(m)
+		ch := &d.channels[ci]
+		if len(ch.queue) != 0 && cycle >= ch.stallUntil {
+			d.serviceChannel(ch)
+		}
+		switch {
+		case ch.busUntil > cycle:
 			d.st.BusBusyCycles++
+		case len(ch.queue) == 0:
+			d.live &^= 1 << ci
 		}
 	}
 	if active || d.queued > 0 {
@@ -359,11 +390,9 @@ func (d *DRAM) bankOf(block uint64) int {
 	return int((block / uint64(d.cfg.Channels)) % uint64(d.cfg.BanksPerChannel))
 }
 
-// serviceChannel starts at most one eligible request on ch.
+// serviceChannel starts at most one eligible request on ch, whose queue
+// is non-empty and whose stallUntil has passed.
 func (d *DRAM) serviceChannel(ch *channel) {
-	if len(ch.queue) == 0 || d.now < ch.stallUntil {
-		return
-	}
 	pick := -1
 	if d.cfg.Scheduler == FRFCFS {
 		// Prefer the oldest row-buffer hit on a free bank.
@@ -423,9 +452,6 @@ func (d *DRAM) serviceChannel(ch *channel) {
 	ready += uint64(d.cfg.TBurst)
 	ch.busUntil = ready
 	b.busyUntil = ready
-	if ready > d.busUntil {
-		d.busUntil = ready
-	}
 
 	if r.done == nil {
 		// Writeback: completes silently once scheduled.

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -28,14 +29,23 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	widest := cfg()
+	widest.Channels, widest.BanksPerChannel, widest.TCL = 64, 1024, 1<<16
+	if err := widest.Validate(); err != nil {
+		t.Fatalf("the widest accepted config: %v", err)
+	}
 	bads := []func(*Config){
 		func(c *Config) { c.Name = "" },
 		func(c *Config) { c.Channels = 0 },
+		func(c *Config) { c.Channels = 65 }, // wider than the live-channel mask
 		func(c *Config) { c.BanksPerChannel = 0 },
+		func(c *Config) { c.BanksPerChannel = 1025 },
 		func(c *Config) { c.RowBlocks = 0 },
 		func(c *Config) { c.TCL = 0 },
 		func(c *Config) { c.TBurst = -1 },
+		func(c *Config) { c.TRP = 1<<16 + 1 },
 		func(c *Config) { c.QueueDepth = 0 },
+		func(c *Config) { c.Scheduler = FRFCFS + 1 },
 	}
 	for i, mut := range bads {
 		c := cfg()
@@ -305,4 +315,62 @@ func TestIdleTickKeepsBusAccounting(t *testing.T) {
 	if st.Writes != 1 || st.ActiveCycles != 0 || d.QueuedRequests() != 0 || d.Busy() {
 		t.Fatalf("after drain: %+v queued=%d busy=%v", st, d.QueuedRequests(), d.Busy())
 	}
+}
+
+// FuzzDRAMConfig: Validate never panics, and a controller built from
+// any config it accepts takes a seeded random request stream, ticks and
+// drains — stepping, and jumping quiescent stretches as the chip's
+// fast-forward does — without a panic, delivering every accepted fetch
+// once, within the cycles a single bank would need to serve every
+// request in turn.
+func FuzzDRAMConfig(f *testing.F) {
+	add := func(c Config, seed int64) {
+		f.Add(c.Channels, c.BanksPerChannel, c.RowBlocks, c.TCL, c.TRCD, c.TRP, c.TBurst, c.QueueDepth, uint8(c.Scheduler), seed)
+	}
+	add(DDR3("ddr3"), 1)
+	nuca := DDR3("nuca") // chip.NUCAMem's shape
+	nuca.Channels, nuca.QueueDepth = 8, 64
+	add(nuca, 2)
+	add(Config{Channels: 64, BanksPerChannel: 1, RowBlocks: 1, TCL: 1, TRCD: 1, TRP: 1, TBurst: 1, QueueDepth: 1}, 3)
+	add(Config{Channels: 65, BanksPerChannel: 1, RowBlocks: 1, TCL: 1, TRCD: 1, TRP: 1, TBurst: 1, QueueDepth: 1}, 4)
+	f.Fuzz(func(t *testing.T, channels, banks int, rowBlocks uint64, tcl, trcd, trp, tburst, depth int, sched uint8, seed int64) {
+		cfg := Config{Name: "fuzz", Channels: channels, BanksPerChannel: banks, RowBlocks: rowBlocks,
+			TCL: tcl, TRCD: trcd, TRP: trp, TBurst: tburst, QueueDepth: depth, Scheduler: Sched(sched)}
+		if cfg.Validate() != nil {
+			return
+		}
+		d := New(cfg)
+		rng := rand.New(rand.NewSource(seed))
+		accepted, delivered := 0, 0
+		var now uint64 // the last cycle ticked
+		for now < 64 {
+			now++
+			for k := rng.Intn(3); k > 0; k-- {
+				block := rng.Uint64() >> uint(rng.Intn(64))
+				var done func(uint64)
+				if rng.Intn(4) != 0 {
+					done = func(uint64) { delivered++ }
+				}
+				if d.Request(now, 0, block, done == nil, done) {
+					accepted++
+				}
+			}
+			d.Tick(now)
+		}
+		limit := now + uint64(accepted+1)*uint64(cfg.TRP+cfg.TRCD+cfg.TCL+cfg.TBurst)
+		for d.Busy() {
+			if now > limit {
+				t.Fatalf("%+v: %d requests still queued, %d in flight at cycle %d", cfg, d.QueuedRequests(), d.InFlight(), now)
+			}
+			if e := d.NextEvent(); d.Quiescent(now) && e > now+1 {
+				d.AdvanceCycles(now, e-now-1)
+				now = e - 1
+			}
+			now++
+			d.Tick(now)
+		}
+		if st := d.Stats(); delivered != int(st.Reads) || st.Reads+st.Writes != uint64(accepted) {
+			t.Fatalf("%+v: %d accepted, %d delivered, stats %+v", cfg, accepted, delivered, st)
+		}
+	})
 }

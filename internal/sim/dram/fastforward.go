@@ -1,5 +1,7 @@
 package dram
 
+import "math/bits"
+
 // Fast-forward hooks (see chip/fastforward.go). The controller is
 // quiescent when every channel queue is empty: nothing schedules, no
 // row state changes. Scheduled completions (pend) are allowed — their
@@ -24,20 +26,26 @@ func (d *DRAM) NextEvent() uint64 {
 
 // AdvanceCycles accrues n quiescent cycles (now+1 .. now+n) in bulk.
 // ActiveCycles counts every jumped cycle while completions are
-// outstanding; each channel's bus stays busy until its busUntil stamp,
-// contributing clamp(busUntil-now-1, 0, n) cycles.
+// outstanding; each live channel's bus stays busy until its busUntil
+// stamp, contributing clamp(busUntil-now-1, 0, n) cycles, and a channel
+// whose bus frees by now+n leaves the live set (every queue is empty).
 func (d *DRAM) AdvanceCycles(now, n uint64) {
 	d.now = now + n
 	if len(d.pend) > 0 {
 		d.st.ActiveCycles += n
 	}
-	for ci := range d.channels {
-		if bu := d.channels[ci].busUntil; bu > now+1 {
+	for m := d.live; m != 0; m &= m - 1 {
+		ci := bits.TrailingZeros64(m)
+		bu := d.channels[ci].busUntil
+		if bu > now+1 {
 			busy := bu - now - 1
 			if busy > n {
 				busy = n
 			}
 			d.st.BusBusyCycles += busy
+		}
+		if bu <= now+n {
+			d.live &^= 1 << ci
 		}
 	}
 	if d.ob != nil {

@@ -164,21 +164,78 @@ func TestDRAMMatchesScanReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%v-%dbanks", sched, banks), func(t *testing.T) {
 				t.Parallel()
 				for seed := int64(1); seed <= 4; seed++ {
-					cfg := DDR3("ref")
-					cfg.Scheduler = sched
-					cfg.BanksPerChannel = banks
-					cfg.Channels = 1 + int(seed)%4
-					cfg.QueueDepth = []int{2, 6, 32}[int(seed)%3]
-					cfg.RowBlocks = 8
-					cfg.TCL, cfg.TRCD, cfg.TRP, cfg.TBurst = 5, 7, 6, 3
-					compareWithReference(t, cfg, seed)
+					cfg := refConfig(sched, banks, 1+int(seed)%4, []int{2, 6, 32}[int(seed)%3])
+					compareWithReference(t, cfg, seed, everyChannel(cfg))
 				}
 			})
 		}
 	}
 }
 
-func compareWithReference(t *testing.T, cfg Config, seed int64) {
+// TestDRAMMatchesScanReferenceWide runs the same comparison at the
+// NUCAMem width (8 channels) and at the width of the live-channel mask
+// (64), with traffic confined to a few channels — always including the
+// highest — so most channels stay idle while the busy ones keep their
+// buses occupied, a third of them by writebacks that schedule no
+// completion. A live set that forgets a channel whose bus is still
+// draining shows as a BusBusyCycles difference in the cycle it happens.
+func TestDRAMMatchesScanReferenceWide(t *testing.T) {
+	for _, sched := range []Sched{FRFCFS, FCFS} {
+		for _, channels := range []int{8, 64} {
+			sched, channels := sched, channels
+			t.Run(fmt.Sprintf("%v-%dch", sched, channels), func(t *testing.T) {
+				t.Parallel()
+				for seed := int64(1); seed <= 4; seed++ {
+					cfg := refConfig(sched, 1+int(seed)%4, channels, []int{2, 6, 32}[int(seed)%3])
+					compareWithReference(t, cfg, seed, someChannels(cfg, rand.New(rand.NewSource(-seed))))
+				}
+			})
+		}
+	}
+}
+
+// refConfig is the reference tests' controller: short rows and short,
+// distinct timings, so row hits, conflicts and busy banks all occur.
+func refConfig(sched Sched, banks, channels, depth int) Config {
+	cfg := DDR3("ref")
+	cfg.Scheduler = sched
+	cfg.BanksPerChannel = banks
+	cfg.Channels = channels
+	cfg.QueueDepth = depth
+	cfg.RowBlocks = 8
+	cfg.TCL, cfg.TRCD, cfg.TRP, cfg.TBurst = 5, 7, 6, 3
+	return cfg
+}
+
+// traffic draws one request's block and whether it is a demand fetch.
+type traffic func(rng *rand.Rand) (block uint64, fetch bool)
+
+// everyChannel spreads requests over every channel, a quarter of them
+// writebacks, over a few rows per bank.
+func everyChannel(cfg Config) traffic {
+	return func(rng *rand.Rand) (uint64, bool) {
+		block := uint64(rng.Intn(8*cfg.Channels*cfg.BanksPerChannel)) + uint64(rng.Intn(3))*4096
+		return block, rng.Intn(4) != 0
+	}
+}
+
+// someChannels confines requests to one to three channels, the last
+// always cfg.Channels-1; the first hot channel takes only writebacks,
+// so its bus is busy while nothing of it is pending.
+func someChannels(cfg Config, pick *rand.Rand) traffic {
+	hot := []uint64{uint64(cfg.Channels - 1)}
+	for n := pick.Intn(3); n > 0; n-- {
+		hot = append(hot, uint64(pick.Intn(cfg.Channels)))
+	}
+	c := uint64(cfg.Channels)
+	return func(rng *rand.Rand) (uint64, bool) {
+		i := rng.Intn(len(hot))
+		block := (uint64(rng.Intn(8*cfg.BanksPerChannel))+uint64(rng.Intn(3))*4096)*c + hot[i]
+		return block, i != 0 && rng.Intn(4) != 0
+	}
+}
+
+func compareWithReference(t *testing.T, cfg Config, seed int64, draw traffic) {
 	t.Helper()
 	got, ref := New(cfg), newRefDRAM(cfg)
 	request := [2]func(uint64, int, uint64, bool, func(uint64)) bool{got.Request, ref.Request}
@@ -191,8 +248,7 @@ func compareWithReference(t *testing.T, cfg Config, seed int64) {
 		// all occur) separated by idle stretches that drain the queues.
 		if (cycle/300)%3 != 2 && cycle < 7000 {
 			for k := rng.Intn(3); k > 0; k-- {
-				block := uint64(rng.Intn(8*cfg.Channels*cfg.BanksPerChannel)) + uint64(rng.Intn(3))*4096
-				fetch := rng.Intn(4) != 0
+				block, fetch := draw(rng)
 				id++
 				var accepted [2]bool
 				for i := range request {
@@ -228,10 +284,125 @@ func compareWithReference(t *testing.T, cfg Config, seed int64) {
 	if !reflect.DeepEqual(logs[0], logs[1]) {
 		t.Fatalf("seed %d: completion sequences differ (%d vs %d events)", seed, len(logs[0]), len(logs[1]))
 	}
-	if got.Busy() {
-		t.Fatalf("seed %d: controller still busy after the stream drained", seed)
+	if got.Busy() || got.live != 0 {
+		t.Fatalf("seed %d: controller still busy after the stream drained (live set %#x)", seed, got.live)
 	}
 	if !stalled || len(logs[0]) < 200 {
 		t.Fatalf("seed %d: weak stream: stalled=%v completions=%d", seed, stalled, len(logs[0]))
+	}
+}
+
+// TestDRAMFastForwardMatchesScanReference replays seeded streams on the
+// reference, stepped every cycle, and on the controller, which jumps
+// with AdvanceCycles whenever it is quiescent: up to the cycle before
+// its next completion or the stream's next request, as the chip's
+// fast-forward does. Completions, Stats and NextEvent must agree at
+// every cycle the controller ticks. Writebacks keep buses busy with no
+// completion scheduled, so jumps span buses still draining after their
+// channel's queue emptied — the stream must produce such jumps.
+func TestDRAMFastForwardMatchesScanReference(t *testing.T) {
+	for _, channels := range []int{2, 8, 64} {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := refConfig(FRFCFS, 1+int(seed)%4, channels, 6)
+			draw := someChannels(cfg, rand.New(rand.NewSource(-seed)))
+			if channels == 2 {
+				draw = everyChannel(cfg)
+			}
+			compareFastForward(t, cfg, seed, draw)
+		}
+	}
+}
+
+func compareFastForward(t *testing.T, cfg Config, seed int64, draw traffic) {
+	t.Helper()
+	// The stream, fixed up front so the jumping side knows when the
+	// next request comes: sparse bursts, so quiescent stretches occur.
+	type req struct {
+		id    int
+		block uint64
+		fetch bool
+	}
+	const last = 8000
+	rng := rand.New(rand.NewSource(seed))
+	stream := make(map[uint64][]req)
+	id := 0
+	for cycle := uint64(1); cycle < 7000; cycle++ {
+		if (cycle/200)%2 == 0 && rng.Intn(6) == 0 {
+			block, fetch := draw(rng)
+			id++
+			stream[cycle] = append(stream[cycle], req{id, block, fetch})
+		}
+	}
+	nextReq := func(after uint64) uint64 {
+		for c := after + 1; c < 7000; c++ {
+			if len(stream[c]) > 0 {
+				return c
+			}
+		}
+		return last + 1
+	}
+
+	got, ref := New(cfg), newRefDRAM(cfg)
+	// A refused request is dropped, and logged so that both sides must
+	// refuse the same ones.
+	var logs [2][]string
+	issue := func(i int, cycle uint64, r func(uint64, int, uint64, bool, func(uint64)) bool) {
+		for _, q := range stream[cycle] {
+			var done func(uint64)
+			if q.fetch {
+				tag := q.id
+				done = func(cy uint64) { logs[i] = append(logs[i], fmt.Sprintf("%d: done #%d", cy, tag)) }
+			}
+			if !r(cycle, 0, q.block, !q.fetch, done) {
+				logs[i] = append(logs[i], fmt.Sprintf("%d: refused #%d", cycle, q.id))
+			}
+		}
+	}
+	jumps, draining := 0, 0
+	for cycle := uint64(1); cycle <= last; cycle++ {
+		issue(1, cycle, ref.Request)
+		ref.Tick(cycle)
+		if got.now >= cycle {
+			continue // inside a jump
+		}
+		issue(0, cycle, got.Request)
+		got.Tick(cycle)
+		if got.Stats() != ref.st || got.NextEvent() != ref.NextEvent() {
+			t.Fatalf("seed %d cycle %d: Stats/NextEvent diverged\n got %+v %d\nwant %+v %d",
+				seed, cycle, got.Stats(), got.NextEvent(), ref.st, ref.NextEvent())
+		}
+		if !got.Quiescent(cycle) {
+			continue
+		}
+		to := nextReq(cycle)
+		if e := got.NextEvent(); e < to {
+			to = e
+		}
+		if to > last+1 {
+			to = last + 1
+		}
+		if to <= cycle+1 {
+			continue
+		}
+		jumps++
+		for ci := range got.channels {
+			if ch := &got.channels[ci]; len(ch.queue) == 0 && ch.busUntil > cycle+1 && ch.busUntil < to {
+				draining++
+				break
+			}
+		}
+		got.AdvanceCycles(cycle, to-cycle-1)
+	}
+	if got.Stats() != ref.st {
+		t.Fatalf("seed %d: final Stats diverged\n got %+v\nwant %+v", seed, got.Stats(), ref.st)
+	}
+	if !reflect.DeepEqual(logs[0], logs[1]) {
+		t.Fatalf("seed %d: completion sequences differ (%d vs %d events)", seed, len(logs[0]), len(logs[1]))
+	}
+	if got.Busy() || got.live != 0 {
+		t.Fatalf("seed %d: controller still busy after the stream drained (live set %#x)", seed, got.live)
+	}
+	if jumps < 50 || draining < 5 || len(logs[0]) < 100 {
+		t.Fatalf("seed %d: weak stream: %d jumps, %d over a draining bus, %d completions", seed, jumps, draining, len(logs[0]))
 	}
 }

@@ -14,7 +14,7 @@ func WithSharedRegion(g Generator, base, size uint64, frac float64, seed uint64)
 	if size == 0 || frac <= 0 {
 		return g
 	}
-	s := &sharedGen{g: g, base: base, size: size, frac: frac, seed: seed}
+	s := &sharedGen{g: g, base: base, size: size, shared: stats.NewBoolSampler(frac), seed: seed}
 	s.rng.Reseed(seed ^ 0x5a4ed)
 	return s
 }
@@ -22,7 +22,7 @@ func WithSharedRegion(g Generator, base, size uint64, frac float64, seed uint64)
 type sharedGen struct {
 	g          Generator
 	base, size uint64
-	frac       float64
+	shared     stats.BoolSampler // Bool(frac)
 	seed       uint64
 	rng        stats.RNG
 }
@@ -39,7 +39,7 @@ func (s *sharedGen) Reset() {
 // Next implements Generator.
 func (s *sharedGen) Next() Instr {
 	in := s.g.Next()
-	if in.Kind.IsMem() && s.rng.Bool(s.frac) {
+	if in.Kind.IsMem() && s.shared.Sample(&s.rng) {
 		in.Addr = s.base + s.rng.Uint64n(s.size)&^0x7
 	}
 	return in
