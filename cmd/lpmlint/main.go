@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	diags, err := lint.Run(lint.Config{
+	diags, err := lint.Run(ctx, lint.Config{
 		Dir:     *dir,
 		Enable:  splitList(*enable),
 		Disable: splitList(*disable),

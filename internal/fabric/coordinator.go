@@ -14,6 +14,7 @@ package fabric
 // from the journal plus the driver's result checkpoint.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -69,6 +70,18 @@ type link struct {
 	conn   net.Conn
 	outbox chan Msg
 }
+
+// flushWithin bounds how long a dropped session's writer may spend
+// flushing the frames already queued before it closes the connection:
+// long enough for a live peer, short enough that a hung one costs
+// nothing.
+const flushWithin = 500 * time.Millisecond
+
+// handshakeWithin bounds how long either end waits for the other's
+// handshake frame. Heartbeats only start after the handshake, so
+// without it a hello or welcome whose length field was damaged in
+// flight would leave both ends waiting for bytes that never come.
+const handshakeWithin = 5 * time.Second
 
 // Coordinator accepts workers and brokers granules between Submit
 // callers and the worker fleet.
@@ -140,8 +153,10 @@ func (c *Coordinator) openJournal() error {
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
 // Close shuts the coordinator down: the listener closes, every worker
-// connection drops, and pending Submit calls fail with
-// ErrCoordinatorClosed. Safe to call more than once.
+// connection drops once its writer has flushed the frames already
+// queued for it (a worker WaitWorkers counted always receives its
+// welcome), and pending Submit calls fail with ErrCoordinatorClosed.
+// Safe to call more than once.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closed)
@@ -223,11 +238,12 @@ func (c *Coordinator) send(w *session, m Msg) bool {
 	}
 }
 
-// drop is the port's close path: the writer drains and exits and the
-// reader's next read fails.
+// drop is the port's close path: the writer flushes what is queued,
+// within flushWithin, then closes the connection, which fails the
+// reader's next read.
 func (c *Coordinator) drop(w *session, _ error) {
+	_ = w.link.conn.SetWriteDeadline(time.Now().Add(flushWithin))
 	close(w.link.outbox)
-	_ = w.link.conn.Close()
 }
 
 // resolve is the port's wake-up: every Submit waiting on g returns.
@@ -260,7 +276,10 @@ func (c *Coordinator) acceptLoop() {
 // serveConn runs the handshake and then the read loop for one worker
 // connection. Any protocol violation or read error drops the worker.
 func (c *Coordinator) serveConn(conn net.Conn) {
-	hello, err := ReadFrame(conn)
+	r := bufio.NewReader(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeWithin))
+	hello, err := ReadFrame(r)
+	_ = conn.SetReadDeadline(time.Time{})
 	if err != nil || hello.Type != MsgHello {
 		c.s.log.Warn("fabric: rejecting connection: bad handshake",
 			"remote", fmt.Sprint(conn.RemoteAddr()), "err", fmt.Sprint(err))
@@ -275,9 +294,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	w := &session{
 		name:  hello.Worker,
 		slots: hello.Slots,
-		// Room for several budgets of work frames plus pongs: a worker
-		// that lets this fill has stopped reading and is dropped.
-		link: &link{conn: conn, outbox: make(chan Msg, 4*budget(hello.Slots)+16)},
+		link:  &link{conn: conn, outbox: make(chan Msg, sessionBuffer(hello.Slots))},
 	}
 	c.mu.Lock()
 	admitted := false
@@ -296,7 +313,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		"worker", w.name, "slots", w.slots, "remote", fmt.Sprint(conn.RemoteAddr()))
 
 	for {
-		m, err := ReadFrame(conn)
+		m, err := ReadFrame(r)
 		if err == nil && m.Type != MsgResult && m.Type != MsgPing {
 			err = fmt.Errorf("unexpected %q frame from worker", m.Type)
 		}
@@ -316,11 +333,14 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	}
 }
 
-// writeLoop drains w's outbox onto the wire; a write failure drops the
+// writeLoop drains w's outbox onto the wire until the session is
+// dropped, then closes the connection; a write failure drops the
 // worker.
 func (c *Coordinator) writeLoop(w *session) {
+	defer w.link.conn.Close()
+	fw := frameWriter{w: w.link.conn}
 	for m := range w.link.outbox {
-		if err := WriteFrame(w.link.conn, m); err != nil {
+		if err := fw.WriteFrame(m); err != nil {
 			c.mu.Lock()
 			c.s.gone(w, err)
 			c.mu.Unlock()

@@ -161,8 +161,8 @@ func (k *Kind[S, R]) DoAll(ctx context.Context, specs []S) ([]R, error) {
 	if c == nil {
 		return parallel.MapCtx(ctx, specs, k.Do)
 	}
-	// One goroutine per spec, so ctx only has to reach the Submits.
-	return parallel.MapPool(parallel.NewPool(len(specs)), specs, func(spec S) (R, error) {
+	// One goroutine per spec: each blocks in its Submit.
+	return parallel.MapPoolCtx(ctx, parallel.NewPool(len(specs)), specs, func(ctx context.Context, spec S) (R, error) {
 		return k.do(ctx, c, spec)
 	})
 }

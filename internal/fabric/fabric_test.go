@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -223,6 +225,49 @@ func TestFabricEmptyErrorTextIsAnError(t *testing.T) {
 		lf.Close()
 		if err == nil || err.Error() != "" || value != nil {
 			t.Fatalf("ValidateEvery %d: got value %s, error %v; want no value and an error with empty text", validate, value, err)
+		}
+	}
+}
+
+// rawErrText is an error text JSON cannot carry byte for byte: invalid
+// UTF-8, a NUL and a quote.
+const rawErrText = "simulate: bad \xff\xfe bytes, a NUL \x00 and a \" quote"
+
+// rawErrSpec names one submission of test.rawerr; every one fails with
+// rawErrText.
+type rawErrSpec struct{ Case string }
+
+func (s rawErrSpec) MemoKey() string { return "test.rawerr|" + s.Case }
+
+var rawErrKind = NewKind("test.rawerr", func(context.Context, rawErrSpec) (int, error) {
+	return 0, errors.New(rawErrText)
+})
+
+// TestFabricErrorTextCrossesByteForByte: an executor's error text comes
+// back from a sharded run exactly as the in-process run returns it,
+// bytes JSON would rewrite included, whether one worker answers or two
+// cross-validate the answer.
+func TestFabricErrorTextCrossesByteForByte(t *testing.T) {
+	parallel.ResetAllMemos() // an earlier -count run memoised every case
+	ctx := context.Background()
+	if _, err := rawErrKind.Do(ctx, rawErrSpec{"in-process"}); err == nil || err.Error() != rawErrText {
+		t.Fatalf("in-process: got %q, want %q", err, rawErrText)
+	}
+	for _, validate := range []int{0, 1} {
+		lf, err := StartLocal(2, Options{StraggleAfter: -1, ValidateEvery: validate}, WorkerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rawErrKind.Do(ctx, rawErrSpec{fmt.Sprint("validate-", validate)})
+		st := lf.C.Stats()
+		if cerr := lf.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err == nil || err.Error() != rawErrText {
+			t.Fatalf("ValidateEvery %d: got %q, want %q", validate, err, rawErrText)
+		}
+		if st.Completed != 1 || st.Divergent != 0 {
+			t.Fatalf("ValidateEvery %d: stats=%+v, want one granule completed without divergence", validate, st)
 		}
 	}
 }
@@ -650,6 +695,137 @@ func TestFabricRejectsBadHandshake(t *testing.T) {
 	}
 	if st := lf.C.Stats(); st.Joined != 1 || st.Workers != 1 {
 		t.Fatalf("stats after rejects: %+v, want the one real worker only", st)
+	}
+}
+
+// TestFabricHandshakeDeadline: a hello whose length field promises bytes
+// that never come — a header damaged in flight — is dropped once the
+// handshake deadline passes, instead of holding its connection open
+// with neither end heartbeating yet.
+func TestFabricHandshakeDeadline(t *testing.T) {
+	c, err := Listen("127.0.0.1:0", Options{StraggleAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame, err := EncodeFrame(Msg{Type: MsgHello, Proto: ProtoVersion, Worker: "w", Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(frame[8:], 1<<20)
+	start := time.Now()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(start.Add(3 * handshakeWithin))
+	if _, err := ReadFrame(conn); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("got %v after %v, want the coordinator to drop the connection", err, time.Since(start))
+	}
+	if waited := time.Since(start); waited < handshakeWithin {
+		t.Fatalf("dropped after %v, before the %v deadline", waited, handshakeWithin)
+	}
+}
+
+// fakeSession accepts one RunWorker connection on a loopback listener
+// and answers its hello with a welcome assigning pingMS; the returned
+// channel yields RunWorker's result.
+func fakeSession(t *testing.T, slots int, pingMS int64) (net.Conn, <-chan error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	exited := make(chan error, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	go func() { exited <- RunWorker(ctx, ln.Addr().String(), WorkerOptions{Slots: slots}) }()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if m, err := ReadFrame(conn); err != nil || m.Type != MsgHello || m.Slots != slots {
+		t.Fatalf("handshake: %v / %+v", err, m)
+	}
+	if err := WriteFrame(conn, Msg{Type: MsgWelcome, Proto: ProtoVersion, PingMS: pingMS}); err != nil {
+		t.Fatal(err)
+	}
+	return conn, exited
+}
+
+// sleepWork is a test.sleep work frame.
+func sleepWork(id uint64, ms int) Msg {
+	return Msg{Type: MsgWork, ID: id, Kind: "test.sleep", Key: fmt.Sprint("sleep|", id),
+		Spec: json.RawMessage(fmt.Sprintf(`{"X":%d,"MS":%d}`, id, ms))}
+}
+
+// TestWorkerExecutorQueueOverflowDropsSession: a coordinator that sends
+// more work than the worker's slots and queue can hold has broken the
+// dispatch budget, and the worker drops the session with an error
+// instead of queueing without bound.
+func TestWorkerExecutorQueueOverflowDropsSession(t *testing.T) {
+	conn, exited := fakeSession(t, 1, 0)
+	// One frame may be executing and sessionBuffer(1) queued: one more
+	// always overflows.
+	for id := uint64(1); id <= uint64(sessionBuffer(1)+2); id++ {
+		if err := WriteFrame(conn, sleepWork(id, 10_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case err := <-exited:
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("past the %d-frame queue of a 1-slot worker", sessionBuffer(1))) {
+			t.Fatalf("worker exit: %v, want the queue overflow", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker kept the session past its queue")
+	}
+}
+
+// TestWorkerExecutorsKeepReadingWhileBusy: with every slot busy and a
+// granule queued behind it, the read loop still drains pongs, so a
+// heartbeat cadence far shorter than the granules does not make the
+// worker call its own session wedged; every slot runs at once, and each
+// granule answers.
+func TestWorkerExecutorsKeepReadingWhileBusy(t *testing.T) {
+	const slots, pingMS, granuleMS = 2, 10, 400 // wedged after 16 silent pings: 160ms
+	conn, exited := fakeSession(t, slots, pingMS)
+	testPeak.Store(0)
+	for i := 1; i <= budget(slots); i++ {
+		if err := WriteFrame(conn, sleepWork(uint64(i), granuleMS)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results := map[uint64]bool{}
+	for len(results) < budget(slots) {
+		m, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("after %d results: %v (the worker dropped a busy session)", len(results), err)
+		}
+		switch m.Type {
+		case MsgPing:
+			if err := WriteFrame(conn, Msg{Type: MsgPong, ID: m.ID}); err != nil {
+				t.Fatal(err)
+			}
+		case MsgResult:
+			if m.Failed || string(m.Value) != fmt.Sprint(2*m.ID) {
+				t.Fatalf("granule %d: %+v", m.ID, m)
+			}
+			results[m.ID] = true
+		}
+	}
+	if peak := testPeak.Load(); peak != slots {
+		t.Fatalf("%d granules ran at once on %d slots", peak, slots)
+	}
+	_ = conn.Close()
+	if err := <-exited; err != nil {
+		t.Fatalf("worker exit: %v", err)
 	}
 }
 

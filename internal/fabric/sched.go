@@ -174,6 +174,13 @@ type session struct {
 // prefetched behind them, so no slot idles for the wire round trip.
 func budget(slots int) int { return slots + 1 }
 
+// sessionBuffer is how many frames each end of a session queues for
+// the other: the coordinator's outbox and the worker's work queue.
+// Several budgets, plus room for pongs: a coordinator whose outbox
+// fills has a worker that stopped reading, and a worker whose queue
+// fills has a coordinator past its budget; either drops the session.
+func sessionBuffer(slots int) int { return 4*budget(slots) + 16 }
+
 // scheduler is the coordinator's scheduling state machine.
 type scheduler struct {
 	port port
@@ -349,6 +356,10 @@ func (s *scheduler) onTick() {
 			s.place(g)
 		}
 	}
+	// The tail past the live granules still points at resolved ones:
+	// clear it, or they stay reachable, values and all, until the slice
+	// regrows over them.
+	clear(s.order[len(live):])
 	s.order = live
 	s.reap()
 }

@@ -13,8 +13,8 @@ package fabric
 // other side.
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -91,7 +91,7 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 		opts.Name = conn.LocalAddr().String()
 	}
 
-	w := &workerState{opts: opts, conn: conn}
+	w := &workerState{opts: opts, conn: conn, r: bufio.NewReader(conn), fw: frameWriter{w: conn}}
 	w.ctx, w.cancel = context.WithCancel(ctx)
 	defer w.cancel()
 	// A cancelled context unblocks the read loop by closing the
@@ -102,7 +102,9 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	if err := w.send(Msg{Type: MsgHello, Proto: ProtoVersion, Worker: opts.Name, Slots: opts.Slots}); err != nil {
 		return fmt.Errorf("fabric: handshake: %w", err)
 	}
-	welcome, err := ReadFrame(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(handshakeWithin))
+	welcome, err := ReadFrame(w.r)
+	_ = conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		return fmt.Errorf("fabric: handshake: %w", err)
 	}
@@ -118,8 +120,17 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 		go w.heartbeatLoop(time.Duration(welcome.PingMS) * time.Millisecond)
 	}
 
-	err = w.readLoop()
+	// The slot executors live as long as the session: each takes the
+	// next work frame off the queue the read loop fills, runs it and
+	// sends its result.
+	work := make(chan Msg, sessionBuffer(opts.Slots))
+	w.execs.Add(opts.Slots)
+	for range opts.Slots {
+		go w.executor(work)
+	}
+	err = w.readLoop(work)
 	w.cancel()
+	close(work)
 	w.execs.Wait()
 	w.loops.Wait()
 	if err == nil || errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) ||
@@ -156,10 +167,12 @@ func dialRetry(ctx context.Context, addr string, window time.Duration, policy fl
 type workerState struct {
 	opts   WorkerOptions
 	conn   net.Conn
+	r      *bufio.Reader // every inbound frame, the welcome included, is read through it
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	writeMu sync.Mutex // serialises frames from concurrent executions
+	writeMu sync.Mutex  // serialises frames from concurrent executions
+	fw      frameWriter // guarded by writeMu
 	execs   sync.WaitGroup
 	loops   sync.WaitGroup
 
@@ -175,7 +188,7 @@ type workerState struct {
 func (w *workerState) send(m Msg) error {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
-	if err := WriteFrame(w.conn, m); err != nil {
+	if err := w.fw.WriteFrame(m); err != nil {
 		_ = w.conn.Close()
 		w.cancel()
 		return err
@@ -221,42 +234,49 @@ func (w *workerState) pongReceived(m Msg) {
 	}
 }
 
-// readLoop demultiplexes coordinator frames: work starts an execution
-// slot, pongs feed the heartbeat accounting.
-func (w *workerState) readLoop() error {
-	sem := make(chan struct{}, w.opts.Slots)
+// readLoop demultiplexes coordinator frames: work joins the slot
+// executors' queue, pongs feed the heartbeat accounting. It never blocks
+// on the queue — the read loop must keep draining frames (pongs in
+// particular) even when every slot is busy, or a long granule would
+// starve the heartbeat and the session would look wedged. The
+// coordinator holds at most budget(slots) granules on this worker, far
+// fewer than the queue takes, so a work frame that finds it full is a
+// protocol violation and drops the session.
+func (w *workerState) readLoop(work chan<- Msg) error {
 	for {
-		m, err := ReadFrame(w.conn)
+		m, err := ReadFrame(w.r)
 		if err != nil {
 			return err
+		}
+		if w.ctx.Err() != nil {
+			return nil // the session ended from this side; what is still buffered is moot
 		}
 		w.lastFrame.Store(time.Now().UnixNano())
 		switch m.Type {
 		case MsgWork:
-			// The slot is acquired inside the goroutine, never here: the
-			// read loop must keep draining frames (pongs in particular)
-			// even when every slot is busy, or a long granule would starve
-			// the heartbeat and the session would look wedged.
-			w.execs.Add(1)
-			go func(m Msg) {
-				defer w.execs.Done()
-				select {
-				case sem <- struct{}{}:
-				case <-w.ctx.Done():
-					return
-				}
-				defer func() { <-sem }()
-				// The execution that freed the slot may have killed the
-				// session, and select picks at random when both are ready.
-				if w.ctx.Err() != nil {
-					return
-				}
-				w.execute(m)
-			}(m)
+			select {
+			case work <- m:
+			default:
+				return fmt.Errorf("fabric: coordinator sent work past the %d-frame queue of a %d-slot worker",
+					cap(work), w.opts.Slots)
+			}
 		case MsgPong:
 			w.pongReceived(m)
 		default:
 			return fmt.Errorf("fabric: unexpected %q frame from coordinator", m.Type)
+		}
+	}
+}
+
+// executor is one slot: it runs queued granules one at a time until the
+// session ends. A granule still queued when the session is cancelled is
+// abandoned unstarted — the execution before it may have killed the
+// session, and the coordinator re-issues whatever a dead session held.
+func (w *workerState) executor(work <-chan Msg) {
+	defer w.execs.Done()
+	for m := range work {
+		if w.ctx.Err() == nil {
+			w.execute(m)
 		}
 	}
 }
@@ -303,16 +323,9 @@ func (w *workerState) execute(m Msg) {
 	if lieErr := faultinject.Hit("fabric.worker.lie", m.Kind); lieErr != nil && !result.Failed {
 		// A lying worker: the computed value is silently corrupted on
 		// the way out. Deterministic per granule id so the chaos suite
-		// replays the exact same lie. The lie must stay valid JSON — a
-		// bit flip that breaks the encoding would fail the frame write
-		// and kill the session before the lie ever reaches a vote
-		// (wire-level damage is the separate "fabric.frame.write"
-		// point), so an unencodable flip falls back to a structured lie.
-		lie := faultinject.FlipBit(result.Value, int64(m.ID))
-		if !json.Valid(lie) {
-			lie, _ = json.Marshal(map[string]uint64{"lie": m.ID})
-		}
-		result.Value = lie
+		// replays the exact same lie; the frame carries the value as
+		// opaque bytes, so the flipped bit reaches the vote as it is.
+		result.Value = faultinject.FlipBit(result.Value, int64(m.ID))
 		w.log().Warn("fabric: injected lie on granule",
 			"worker", w.opts.Name, "granule", m.ID, "err", lieErr.Error())
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -111,7 +112,7 @@ func checkWants(t *testing.T, root string, diags []Diagnostic) {
 func fixtureTest(t *testing.T, name string) {
 	t.Helper()
 	root := filepath.Join("testdata", "src", name)
-	diags, err := Run(Config{Dir: root, Enable: []string{name}})
+	diags, err := Run(context.Background(), Config{Dir: root, Enable: []string{name}})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", name, err)
 	}
@@ -134,7 +135,7 @@ func TestRetryDisciplineFixture(t *testing.T) { t.Parallel(); fixtureTest(t, "re
 func TestPathRestriction(t *testing.T) {
 	t.Parallel()
 	root := filepath.Join("testdata", "src", "errcheck")
-	diags, err := Run(Config{Dir: root, Enable: []string{"errcheck"}, Paths: []string{"cmd"}})
+	diags, err := Run(context.Background(), Config{Dir: root, Enable: []string{"errcheck"}, Paths: []string{"cmd"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestPathRestriction(t *testing.T) {
 func TestSuppressionsFixture(t *testing.T) {
 	t.Parallel()
 	root := filepath.Join("testdata", "src", "suppress")
-	diags, err := Run(Config{Dir: root})
+	diags, err := Run(context.Background(), Config{Dir: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestSuppressionsFixture(t *testing.T) {
 func TestUnusedSuppressionOnlyFullSuite(t *testing.T) {
 	t.Parallel()
 	root := filepath.Join("testdata", "src", "suppress")
-	diags, err := Run(Config{Dir: root, Enable: []string{"maporder"}})
+	diags, err := Run(context.Background(), Config{Dir: root, Enable: []string{"maporder"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestUnusedSuppressionOnlyFullSuite(t *testing.T) {
 
 func TestSelectAnalyzers(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(Config{Dir: filepath.Join("testdata", "src", "floateq"), Enable: []string{"nosuch"}}); err == nil {
+	if _, err := Run(context.Background(), Config{Dir: filepath.Join("testdata", "src", "floateq"), Enable: []string{"nosuch"}}); err == nil {
 		t.Error("Run with unknown -enable name succeeded, want error")
 	}
 }
@@ -251,7 +252,7 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Skip("loads and type-checks the whole module")
 	}
 	t.Parallel()
-	diags, err := Run(Config{Dir: "../..", Paths: []string{".", "cmd", "internal", "examples"}})
+	diags, err := Run(context.Background(), Config{Dir: "../..", Paths: []string{".", "cmd", "internal", "examples"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"go/token"
 	"path/filepath"
@@ -26,8 +27,9 @@ type Config struct {
 // the surviving findings sorted by position. Packages are analysed
 // concurrently on a GOMAXPROCS-wide internal/parallel pool.
 // Suppressions (//lint:ignore) are applied here; malformed and unused
-// directives surface as "lint" findings.
-func Run(cfg Config) ([]Diagnostic, error) {
+// directives surface as "lint" findings. Cancelling ctx skips the
+// packages not yet analysed and fails the run.
+func Run(ctx context.Context, cfg Config) ([]Diagnostic, error) {
 	dir := cfg.Dir
 	if dir == "" {
 		dir = "."
@@ -55,7 +57,7 @@ func Run(cfg Config) ([]Diagnostic, error) {
 
 	// Each package's findings stay in their own slice, so the merge
 	// below (input order) is deterministic regardless of scheduling.
-	perPkg, err := parallel.MapPool(parallel.NewPool(0), selected, func(pkg *Package) ([]Diagnostic, error) {
+	perPkg, err := parallel.MapPoolCtx(ctx, parallel.NewPool(0), selected, func(_ context.Context, pkg *Package) ([]Diagnostic, error) {
 		var diags []Diagnostic
 		for _, a := range analyzers {
 			if matchAny(pkg.Rel, a.Paths) {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,7 +16,7 @@ func TestMapPreservesOrder(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = i
 	}
-	out, err := MapPool(NewPool(8), jobs, func(i int) (int, error) {
+	out, err := MapPoolCtx(context.Background(), NewPool(8), jobs, func(_ context.Context, i int) (int, error) {
 		if i%7 == 0 {
 			time.Sleep(time.Millisecond) // shuffle completion order
 		}
@@ -32,11 +33,11 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapEmptyAndSingle(t *testing.T) {
-	out, err := MapPool(nil, nil, func(int) (int, error) { return 0, nil })
+	out, err := MapPoolCtx(context.Background(), nil, nil, func(context.Context, int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty Map = (%v, %v)", out, err)
 	}
-	out, err = MapPool(nil, []int{41}, func(i int) (int, error) { return i + 1, nil })
+	out, err = MapPoolCtx(context.Background(), nil, []int{41}, func(_ context.Context, i int) (int, error) { return i + 1, nil })
 	if err != nil || len(out) != 1 || out[0] != 42 {
 		t.Fatalf("single Map = (%v, %v)", out, err)
 	}
@@ -46,7 +47,7 @@ func TestMapRespectsWorkerCap(t *testing.T) {
 	const cap = 3
 	var live, peak atomic.Int64
 	jobs := make([]int, 24)
-	_, err := MapPool(NewPool(cap), jobs, func(int) (struct{}, error) {
+	_, err := MapPoolCtx(context.Background(), NewPool(cap), jobs, func(context.Context, int) (struct{}, error) {
 		n := live.Add(1)
 		for {
 			p := peak.Load()
@@ -71,7 +72,7 @@ func TestMapPanicBecomesError(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		out, err := MapPool(NewPool(4), jobs, func(i int) (int, error) {
+		out, err := MapPoolCtx(context.Background(), NewPool(4), jobs, func(_ context.Context, i int) (int, error) {
 			if i == 3 {
 				panic("boom")
 			}
@@ -97,7 +98,7 @@ func TestMapPanicBecomesError(t *testing.T) {
 func TestMapReturnsLowestIndexedError(t *testing.T) {
 	jobs := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	wantErr := errors.New("job failed")
-	_, err := MapPool(NewPool(8), jobs, func(i int) (int, error) {
+	_, err := MapPoolCtx(context.Background(), NewPool(8), jobs, func(_ context.Context, i int) (int, error) {
 		if i >= 2 {
 			return 0, fmt.Errorf("%w: %d", wantErr, i)
 		}

@@ -51,7 +51,7 @@ func SetWorkers(n int) { defaultPool.Store(NewPool(n)) }
 // Workers returns the default pool's concurrency bound.
 func Workers() int { return defaultPool.Load().Workers() }
 
-// MapCtx runs fn over jobs on the default pool (see MapPool) with
+// MapCtx runs fn over jobs on the default pool (see MapPoolCtx) with
 // cooperative cancellation: jobs already running when ctx is cancelled
 // finish (the drain), jobs not yet started are skipped and report ctx's
 // error.
@@ -59,16 +59,15 @@ func MapCtx[I, O any](ctx context.Context, jobs []I, fn func(context.Context, I)
 	return firstError(MapPoolResults(ctx, defaultPool.Load(), jobs, fn))
 }
 
-// MapPool runs fn over every job on at most p.Workers() goroutines and
-// returns the results in input order. A panic in fn is recovered and
-// reported as that job's error rather than crashing (or deadlocking)
-// the batch. If any job fails, MapPool still waits for the rest and
-// then returns the lowest-indexed error, so the error surfaced is the
-// same one the serial loop would have hit first.
-func MapPool[I, O any](p *Pool, jobs []I, fn func(I) (O, error)) ([]O, error) {
-	//lint:ignore ctxflow ctx-less compat wrapper; MapPoolResults is the interruptible form
-	return firstError(MapPoolResults(context.Background(), p, jobs,
-		func(_ context.Context, job I) (O, error) { return fn(job) }))
+// MapPoolCtx is MapCtx on pool p (nil = the default pool): fn runs over
+// every job on at most p.Workers() goroutines and the results come back
+// in input order. A panic in fn is recovered and reported as that job's
+// error rather than crashing (or deadlocking) the batch. If any job
+// fails, MapPoolCtx still waits for the rest and then returns the
+// lowest-indexed error, so the error surfaced is the same one the
+// serial loop would have hit first.
+func MapPoolCtx[I, O any](ctx context.Context, p *Pool, jobs []I, fn func(context.Context, I) (O, error)) ([]O, error) {
+	return firstError(MapPoolResults(ctx, p, jobs, fn))
 }
 
 // JobResult is one job's outcome under MapResults: its value or error,
@@ -88,7 +87,7 @@ func MapResults[I, O any](ctx context.Context, jobs []I, fn func(context.Context
 	return MapPoolResults(ctx, defaultPool.Load(), jobs, fn)
 }
 
-// MapPoolResults is the core runner behind MapCtx, MapPool and MapResults:
+// MapPoolResults is the core runner behind MapCtx, MapPoolCtx and MapResults:
 // input-ordered per-job results, recovered panics, cooperative
 // cancellation with drain semantics. A panic whose value is an error is
 // wrapped with %w so errors.As reaches structured errors; other panic

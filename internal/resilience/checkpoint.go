@@ -50,11 +50,24 @@ var ErrChecksum = fmt.Errorf("%w: CRC64 mismatch", ErrCorruptCheckpoint)
 // EncodeEnvelope frames payload in the checkpoint envelope.
 func EncodeEnvelope(payload []byte) []byte {
 	out := make([]byte, envelopeHeaderSize+len(payload))
-	copy(out, checkpointMagic)
-	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(out[16:], crc64.Checksum(payload, crcTable))
 	copy(out[envelopeHeaderSize:], payload)
+	SealEnvelope(out)
 	return out
+}
+
+// EnvelopeHeaderSize is how many bytes an envelope spends before its
+// payload.
+const EnvelopeHeaderSize = envelopeHeaderSize
+
+// SealEnvelope writes the header of frame, which must be at least
+// EnvelopeHeaderSize bytes long, for the payload behind it: a writer
+// that appends its payload after a reserved header frames it in place,
+// with no copy.
+func SealEnvelope(frame []byte) {
+	payload := frame[envelopeHeaderSize:]
+	copy(frame, checkpointMagic)
+	binary.LittleEndian.PutUint64(frame[8:], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(frame[16:], crc64.Checksum(payload, crcTable))
 }
 
 // ReadEnvelope reads one envelope off r and returns its payload: the
