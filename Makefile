@@ -92,11 +92,12 @@ fuzz:
 # scheduling journal and backoff policy (internal/resilience/fleet) and
 # the sharded-vs-serial determinism properties under the race detector,
 # plus the lpmworker CLI smoke (-help/-version must exit 0). The
-# worker's slot executors and the dial-retry handshake, whose races are
+# worker's slot executors, the dial-retry handshake and the fleet join
+# (WaitWorkers returns at the admission itself), whose races are
 # timing-dependent, run twenty times over.
 fabric-test:
 	$(GO) test -race -count=1 ./internal/fabric ./internal/resilience/fleet ./cmd/lpmworker
-	$(GO) test -race -count=20 -run 'TestWorkerExecutor|TestWorkerDialRetry' ./internal/fabric
+	$(GO) test -race -count=20 -run 'TestWorkerExecutor|TestWorkerDialRetry|TestWaitWorkers' ./internal/fabric
 	$(GO) test -race -count=1 -run 'TestSharded|TestChaosSharded' . ./cmd/lpmexplore ./cmd/lpmreport
 	$(GO) run ./cmd/lpmworker -help
 	$(GO) run ./cmd/lpmworker -version

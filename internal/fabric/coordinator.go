@@ -92,6 +92,9 @@ type Coordinator struct {
 	mu          sync.Mutex
 	s           *scheduler
 	journalFile *fleet.Journal
+	// admitted is closed, and replaced, each time a hello is admitted:
+	// the wake-up WaitWorkers parks on.
+	admitted chan struct{}
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -122,7 +125,7 @@ func Listen(addr string, opts Options) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: listen %s: %w", addr, err)
 	}
-	c := &Coordinator{opts: opts, ln: ln, closed: make(chan struct{})}
+	c := &Coordinator{opts: opts, ln: ln, closed: make(chan struct{}), admitted: make(chan struct{})}
 	c.s = newScheduler(c, opts)
 	if opts.JournalPath != "" {
 		if err := c.openJournal(); err != nil {
@@ -187,10 +190,15 @@ func (c *Coordinator) Stats() Stats {
 }
 
 // WaitWorkers blocks until at least n workers are connected, ctx
-// cancels, or the coordinator closes.
+// cancels, or the coordinator closes. Each admitted hello wakes it to
+// count again, so it returns as the n-th worker is admitted; a refused
+// hello or a session that replaces one under the same name adds no
+// worker and leaves it waiting.
 func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {
 	for {
-		have := c.Stats().Workers
+		c.mu.Lock()
+		have, admitted := c.s.stats.Workers, c.admitted
+		c.mu.Unlock()
 		if have >= n {
 			return nil
 		}
@@ -199,7 +207,7 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {
 			return fmt.Errorf("fabric: waiting for %d workers (have %d): %w", n, have, ctx.Err())
 		case <-c.closed:
 			return ErrCoordinatorClosed
-		case <-time.After(10 * time.Millisecond):
+		case <-admitted:
 		}
 	}
 }
@@ -302,6 +310,10 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	case <-c.closed:
 	default:
 		admitted = c.s.hello(w)
+	}
+	if admitted {
+		close(c.admitted)
+		c.admitted = make(chan struct{})
 	}
 	c.mu.Unlock()
 	if !admitted {

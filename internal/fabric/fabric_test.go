@@ -612,23 +612,7 @@ func TestFabricSameNameReplacesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	hello := func() net.Conn {
-		t.Helper()
-		conn, err := net.Dial("tcp", c.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if err := WriteFrame(conn, Msg{Type: MsgHello, Proto: ProtoVersion, Worker: "rack3", Slots: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if m, err := ReadFrame(conn); err != nil || m.Type != MsgWelcome {
-			t.Fatalf("handshake: %v / %+v", err, m)
-		}
-		return conn
-	}
-	first := hello()
-	defer first.Close()
+	first := admit(t, c, "rack3")
 	result := make(chan error, 1)
 	go func() {
 		raw, err := c.Submit(context.Background(), "test.double", "rack3|4", json.RawMessage(`{"X":4}`))
@@ -641,8 +625,7 @@ func TestFabricSameNameReplacesSession(t *testing.T) {
 		t.Fatalf("first session: %v / %+v, want the work frame", err, m)
 	}
 
-	second := hello()
-	defer second.Close()
+	second := admit(t, c, "rack3")
 	work, err := ReadFrame(second)
 	if err != nil || work.Type != MsgWork || work.Key != "rack3|4" {
 		t.Fatalf("second session: %v / %+v, want the re-queued granule", err, work)
@@ -858,6 +841,40 @@ func TestWorkerDialRetry(t *testing.T) {
 	_ = c.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("worker exit: %v", err)
+	}
+}
+
+// TestWorkerCancelledMidHandshakeExits: a worker cancelled while it
+// waits for its welcome exits with nil, as one cancelled after it does.
+// The coordinator counts a worker at its hello, before the worker has
+// read the welcome, so a fleet closed as soon as WaitWorkers returns
+// can cancel a worker here.
+func TestWorkerCancelledMidHandshakeExits(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- RunWorker(ctx, ln.Addr().String(), WorkerOptions{Name: "w"}) }()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if m, err := ReadFrame(conn); err != nil || m.Type != MsgHello {
+		t.Fatalf("got %v / %+v, want the hello", err, m)
+	}
+	cancel() // no welcome is ever sent
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("worker cancelled mid-handshake: %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker cancelled mid-handshake still running")
 	}
 }
 

@@ -99,13 +99,19 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	stop := context.AfterFunc(w.ctx, func() { _ = conn.Close() })
 	defer stop()
 
-	if err := w.send(Msg{Type: MsgHello, Proto: ProtoVersion, Worker: opts.Name, Slots: opts.Slots}); err != nil {
-		return fmt.Errorf("fabric: handshake: %w", err)
+	var welcome Msg
+	err = w.send(Msg{Type: MsgHello, Proto: ProtoVersion, Worker: opts.Name, Slots: opts.Slots})
+	if err == nil {
+		_ = conn.SetReadDeadline(time.Now().Add(handshakeWithin))
+		welcome, err = ReadFrame(w.r)
+		_ = conn.SetReadDeadline(time.Time{})
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(handshakeWithin))
-	welcome, err := ReadFrame(w.r)
-	_ = conn.SetReadDeadline(time.Time{})
 	if err != nil {
+		if ctx.Err() != nil {
+			// The cancellation closed the connection mid-handshake: a
+			// normal exit, as it is once the session runs.
+			return nil
+		}
 		return fmt.Errorf("fabric: handshake: %w", err)
 	}
 	if welcome.Type != MsgWelcome || welcome.Proto != ProtoVersion {

@@ -2,11 +2,11 @@ package faultinject
 
 // NetProxy is a deterministic network-fault TCP forwarder for the chaos
 // suite: the coordinator listens normally, workers dial the proxy, and
-// the test script flips faults on the wire between them — added
-// latency, a full partition that blackholes bytes while keeping both
-// sockets open (the hung-TCP case heartbeats exist to catch), one-shot
-// frame corruption (a single flipped bit, which the LPMCKPT1 CRC must
-// reject), and torn frames (half the bytes, then connection reset).
+// the test script flips faults on the wire between them — a full
+// partition that blackholes bytes while keeping both sockets open (the
+// hung-TCP case heartbeats exist to catch), one-shot frame corruption
+// (a single flipped bit, which the LPMCKPT1 CRC must reject), and torn
+// frames (half the bytes, then connection reset).
 //
 // Faults apply per forwarded chunk, so "corrupt the next frame" damages
 // whatever write the kernel delivers next — realistic damage at a
@@ -18,7 +18,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // NetProxy forwards TCP connections to Target and injects the armed
@@ -28,7 +27,6 @@ type NetProxy struct {
 	target string
 
 	mu       sync.Mutex
-	latency  time.Duration
 	parted   bool
 	healCh   chan struct{} // closed on Heal; nil when not partitioned
 	corrupt  int           // chunks still to corrupt (one bit each)
@@ -62,13 +60,6 @@ func (p *NetProxy) Addr() string { return p.ln.Addr().String() }
 // Forwards reports how many chunks the proxy has forwarded, a liveness
 // probe for tests that need to know traffic actually flowed.
 func (p *NetProxy) Forwards() int64 { return p.forwards.Load() }
-
-// SetLatency delays every subsequently forwarded chunk by d.
-func (p *NetProxy) SetLatency(d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.latency = d
-}
 
 // Partition blackholes all traffic in both directions while keeping
 // every connection open: the TCP sessions look alive but no bytes move,
@@ -201,9 +192,9 @@ func (p *NetProxy) pump(src, dst net.Conn) {
 	}
 }
 
-// deliver applies latency/partition/corrupt/tear to one chunk. It
-// returns false when the chunk (and the connection) must die instead of
-// being written by the caller.
+// deliver applies partition/corrupt/tear to one chunk. It returns
+// false when the chunk (and the connection) must die instead of being
+// written by the caller.
 func (p *NetProxy) deliver(chunk *[]byte, dst net.Conn) bool {
 	p.mu.Lock()
 	for p.parted {
@@ -215,7 +206,6 @@ func (p *NetProxy) deliver(chunk *[]byte, dst net.Conn) bool {
 		<-heal
 		p.mu.Lock()
 	}
-	latency := p.latency
 	corrupt, tear := false, false
 	if p.tear > 0 {
 		p.tear--
@@ -231,9 +221,6 @@ func (p *NetProxy) deliver(chunk *[]byte, dst net.Conn) bool {
 	}
 	p.mu.Unlock()
 
-	if latency > 0 {
-		time.Sleep(latency)
-	}
 	if tear {
 		half := *chunk
 		if len(half) > 1 {
