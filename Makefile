@@ -11,9 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages that use or implement the parallel simulation fan-out.
+# The packages that use or implement the parallel simulation fan-out,
+# and lpmreport, which runs its experiments at once.
 race:
-	$(GO) test -race ./internal/parallel ./internal/sched ./internal/explore .
+	$(GO) test -race ./internal/parallel ./internal/sched ./internal/explore . ./cmd/lpmreport
 
 vet:
 	$(GO) vet ./...

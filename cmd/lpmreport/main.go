@@ -84,12 +84,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
-	p := cliutil.NewPrinter(stdout)
-	var done func(lpm.ExperimentReport) error
-	if !*jsonOut {
-		done = func(er lpm.ExperimentReport) error { return render(p, names, er) }
+	opts.Experiments = experiments(names, !*jsonOut)
+	if len(opts.Experiments) == 0 {
+		return nil // text mode: no name selected a section
 	}
-	rep, err := buildReport(ctx, opts, experiments(names, !*jsonOut), ckptPath, key, stderr, done)
+	save := func() {
+		if ckptPath == "" {
+			return
+		}
+		if err := lpm.SaveMemoCheckpoint(ckptPath, "lpmreport", key); err != nil {
+			fmt.Fprintf(stderr, "checkpoint: %v\n", err)
+		}
+	}
+	// Each experiment is checkpointed as it is delivered, so a killed run
+	// resumes without redoing finished experiments, and in text mode
+	// rendered; a render error stops the run.
+	p := cliutil.NewPrinter(stdout)
+	opts.OnExperiment = func(er lpm.ExperimentReport) error {
+		save()
+		if *jsonOut {
+			return nil
+		}
+		return render(p, names, er)
+	}
+	rep, err := lpm.BuildReportCtx(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -100,7 +118,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if rep != nil && rep.Partial {
+	if rep.Partial {
+		save() // the aborted experiment's finished simulations
 		return fmt.Errorf("interrupted: completed %v, aborted %v", rep.Completed, rep.Aborted)
 	}
 	return p.Err()
@@ -145,46 +164,6 @@ func experiments(names []string, text bool) []string {
 		add(name)
 	}
 	return want
-}
-
-// buildReport runs want one experiment at a time, hands each finished
-// experiment to done (nil in JSON mode; its error stops the run), saves
-// the memo caches after each when path is set, and merges the documents.
-// Every payload is a pure function of (scale, options) via the memoised
-// simulations, so the merge matches one BuildReportCtx call over want,
-// and a killed run resumes without redoing finished experiments.
-func buildReport(ctx context.Context, opts lpm.ReportOptions, want []string, path, key string, stderr io.Writer, done func(lpm.ExperimentReport) error) (*lpm.Report, error) {
-	var rep *lpm.Report
-	for i, name := range want {
-		one := opts
-		one.Experiments = []string{name}
-		r, err := lpm.BuildReportCtx(ctx, one)
-		if err != nil {
-			return nil, err
-		}
-		if rep == nil {
-			rep = r
-		} else {
-			rep.Experiments = append(rep.Experiments, r.Experiments...)
-		}
-		if path != "" {
-			if err := lpm.SaveMemoCheckpoint(path, "lpmreport", key); err != nil {
-				fmt.Fprintf(stderr, "checkpoint: %v\n", err)
-			}
-		}
-		if r.Partial {
-			rep.Partial = true
-			rep.Completed = append(want[:i:i], r.Completed...)
-			rep.Aborted = append(r.Aborted, want[i+1:]...)
-			break
-		}
-		if done != nil {
-			if err := done(r.Experiments[0]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return rep, nil
 }
 
 // render prints the selected text views of one finished experiment. A

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"lpm"
+	"lpm/internal/parallel"
 )
 
 // The smoke tests exercise the report CLI in-process: the cheap text
@@ -190,5 +191,78 @@ func TestRunJSONMatchesSingleBuild(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), want.Bytes()) {
 		t.Fatalf("merged document differs from one BuildReportCtx call:\n--- cli\n%s--- single\n%s", out.String(), want.String())
+	}
+}
+
+// The experiments run at once under the -workers budget; the document
+// must not depend on how many simulations that budget allows.
+func TestRunJSONIdenticalAcrossWorkers(t *testing.T) {
+	t.Cleanup(func() { lpm.SetWorkers(0); parallel.ResetAllMemos() })
+	base := []string{"-json", "-quick", "-experiment", "fig1,table1,casestudy1,timeline"}
+	var docs []string
+	for _, w := range []string{"1", "2", "4"} {
+		parallel.ResetAllMemos()
+		var out, errb bytes.Buffer
+		if err := run(context.Background(), append(base, "-workers", w), &out, &errb); err != nil {
+			t.Fatalf("-workers %s: %v\n%s", w, err, errb.String())
+		}
+		docs = append(docs, out.String())
+	}
+	if docs[1] != docs[0] || docs[2] != docs[0] {
+		t.Fatal("-quick -json differs across -workers 1, 2 and 4")
+	}
+}
+
+// cancelOnWriter cancels the run's context once its output holds
+// marker, as a SIGINT arriving while that section prints would.
+type cancelOnWriter struct {
+	bytes.Buffer
+	marker string
+	cancel context.CancelFunc
+}
+
+func (w *cancelOnWriter) Write(b []byte) (int, error) {
+	n, err := w.Buffer.Write(b)
+	if strings.Contains(w.String(), w.marker) {
+		w.cancel()
+	}
+	return n, err
+}
+
+// A checkpoint written while later experiments are still running —
+// table1 is saved on delivery while casestudy1's walk runs, and the
+// interrupted run saves again — resumes to the document a plain run
+// prints, replaying simulations instead of redoing them.
+func TestRunTextCheckpointMidOverlapResumes(t *testing.T) {
+	t.Cleanup(parallel.ResetAllMemos)
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	base := []string{"-quick", "-experiment", "fig1,table1,casestudy1"}
+
+	parallel.ResetAllMemos()
+	var plain, errb bytes.Buffer
+	if err := run(context.Background(), base, &plain, &errb); err != nil {
+		t.Fatalf("plain run: %v\n%s", err, errb.String())
+	}
+	_, coldMisses := lpm.SimCacheStats()
+
+	parallel.ResetAllMemos()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &cancelOnWriter{marker: "==== table1", cancel: cancel}
+	err := run(ctx, append(base, "-checkpoint", ckpt), w, &errb)
+	if want := "interrupted: completed [fig1 table1], aborted [casestudy1]"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+
+	parallel.ResetAllMemos()
+	var resumed bytes.Buffer
+	if err := run(context.Background(), append(base, "-resume", ckpt), &resumed, &errb); err != nil {
+		t.Fatalf("resumed run: %v\n%s", err, errb.String())
+	}
+	if !bytes.Equal(plain.Bytes(), resumed.Bytes()) {
+		t.Fatalf("resumed report differs from the plain run:\n--- plain\n%s--- resumed\n%s", plain.String(), resumed.String())
+	}
+	if _, misses := lpm.SimCacheStats(); misses >= coldMisses {
+		t.Fatalf("resumed run simulated %d times, the cold run %d: the checkpoint replayed nothing", misses, coldMisses)
 	}
 }

@@ -286,7 +286,7 @@ func (c *Coordinator) acceptLoop() {
 func (c *Coordinator) serveConn(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(handshakeWithin))
-	hello, err := ReadFrame(r)
+	hello, err := readHandshake(r)
 	_ = conn.SetReadDeadline(time.Time{})
 	if err != nil || hello.Type != MsgHello {
 		c.s.log.Warn("fabric: rejecting connection: bad handshake",

@@ -682,9 +682,10 @@ func TestFabricRejectsBadHandshake(t *testing.T) {
 }
 
 // TestFabricHandshakeDeadline: a hello whose length field promises bytes
-// that never come — a header damaged in flight — is dropped once the
-// handshake deadline passes, instead of holding its connection open
-// with neither end heartbeating yet.
+// that never come — a header damaged in flight, but still within the
+// handshake cap — is dropped once the handshake deadline passes,
+// instead of holding its connection open with neither end heartbeating
+// yet.
 func TestFabricHandshakeDeadline(t *testing.T) {
 	c, err := Listen("127.0.0.1:0", Options{StraggleAfter: -1})
 	if err != nil {
@@ -700,7 +701,7 @@ func TestFabricHandshakeDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(frame[8:], 1<<20)
+	binary.LittleEndian.PutUint64(frame[8:], maxHandshakeFrame)
 	start := time.Now()
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
@@ -711,6 +712,87 @@ func TestFabricHandshakeDeadline(t *testing.T) {
 	}
 	if waited := time.Since(start); waited < handshakeWithin {
 		t.Fatalf("dropped after %v, before the %v deadline", waited, handshakeWithin)
+	}
+}
+
+// TestFabricHandshakeCapRefusesAtOnce: a hello header declaring more
+// than any hello can hold — 33,554,449 bytes, what one flipped bit made
+// of a real hello's length — is refused as soon as the header arrives,
+// not after handshakeWithin, while the sender keeps the connection open.
+func TestFabricHandshakeCapRefusesAtOnce(t *testing.T) {
+	c, err := Listen("127.0.0.1:0", Options{StraggleAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame, err := EncodeFrame(Msg{Type: MsgHello, Proto: ProtoVersion, Worker: "w", Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(frame[8:], 33_554_449)
+	start := time.Now()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(start.Add(handshakeWithin))
+	if _, err := ReadFrame(conn); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("got %v after %v, want the coordinator to drop the connection", err, time.Since(start))
+	}
+	if waited := time.Since(start); waited > 500*time.Millisecond {
+		t.Fatalf("oversized hello refused after %v, want at once", waited)
+	}
+}
+
+// TestWorkerHandshakeCap: the worker reads the welcome under the same
+// cap, and refuses before dialling a name that would not fit a hello.
+func TestWorkerHandshakeCap(t *testing.T) {
+	err := RunWorker(context.Background(), "127.0.0.1:1", WorkerOptions{Name: strings.Repeat("n", maxWorkerName+1)})
+	if !errors.Is(err, ErrWorkerName) || !errors.Is(err, ErrDial) {
+		t.Fatalf("RunWorker with a %d-byte name: %v, want ErrWorkerName and ErrDial", maxWorkerName+1, err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	exited := make(chan error, 1)
+	go func() {
+		exited <- RunWorker(context.Background(), ln.Addr().String(), WorkerOptions{Name: strings.Repeat("n", maxWorkerName)})
+	}()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The longest name still fits: its hello reads under the cap.
+	if m, err := readHandshake(conn); err != nil || len(m.Worker) != maxWorkerName {
+		t.Fatalf("maximal hello: %v (name %d bytes)", err, len(m.Worker))
+	}
+	welcome, err := EncodeFrame(Msg{Type: MsgWelcome, Proto: ProtoVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(welcome[8:], 33_554_449)
+	start := time.Now()
+	if _, err := conn.Write(welcome); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if !errors.Is(err, resilience.ErrCorruptCheckpoint) {
+			t.Fatalf("worker exit: %v, want the oversized welcome refused", err)
+		}
+		if waited := time.Since(start); waited > 500*time.Millisecond {
+			t.Fatalf("oversized welcome refused after %v, want at once", waited)
+		}
+	case <-time.After(2 * handshakeWithin):
+		t.Fatal("worker never refused the oversized welcome")
 	}
 }
 

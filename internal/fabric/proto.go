@@ -59,6 +59,22 @@ const MaxFrame = resilience.MaxCheckpointPayload
 // refused, never clamped.
 const maxSlots = 1024
 
+// maxWorkerName bounds a worker's name in bytes. The name is an identity
+// in logs, stats and the journal, never data, and the bound sizes the
+// handshake cap below.
+const maxWorkerName = 4096
+
+// maxHandshakeFrame caps a handshake frame's payload: the largest hello
+// RunWorker sends, a maximal name and no other variable-length field
+// (the welcome carries none). Both ends read the handshake under it, so
+// a length field damaged in flight is refused as soon as its header
+// arrives instead of holding the join for handshakeWithin.
+const maxHandshakeFrame = maxMsgOverhead + maxWorkerName
+
+// ErrWorkerName marks a worker name longer than maxWorkerName, which
+// RunWorker refuses before dialling.
+var ErrWorkerName = fmt.Errorf("fabric: worker name over %d bytes", maxWorkerName)
+
 // checkHello validates the handshake fields the coordinator acts on.
 func checkHello(m Msg) error {
 	if m.Proto != ProtoVersion || m.Slots < 1 || m.Slots > maxSlots {
@@ -321,7 +337,18 @@ func WriteFrame(w io.Writer, m Msg) error {
 // resilience.ErrCorruptCheckpoint, a payload the decoder refuses
 // ErrMalformedFrame.
 func ReadFrame(r io.Reader) (Msg, error) {
-	payload, err := resilience.ReadEnvelope(r)
+	return readFrameLimit(r, MaxFrame)
+}
+
+// readHandshake reads a hello or welcome: ReadFrame under
+// maxHandshakeFrame.
+func readHandshake(r io.Reader) (Msg, error) {
+	return readFrameLimit(r, maxHandshakeFrame)
+}
+
+// readFrameLimit is ReadFrame refusing a declared payload over limit.
+func readFrameLimit(r io.Reader, limit uint64) (Msg, error) {
+	payload, err := resilience.ReadEnvelopeLimit(r, limit)
 	if err == io.EOF {
 		return Msg{}, io.EOF
 	}

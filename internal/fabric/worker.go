@@ -49,7 +49,8 @@ const missedPongLimit = 16
 type WorkerOptions struct {
 	// Name identifies the worker to the coordinator — logs, health and
 	// quarantine; a session under a connected worker's name replaces
-	// that one. Defaults to the local connection address.
+	// that one. Defaults to the local connection address; a name over
+	// maxWorkerName bytes is refused with ErrWorkerName.
 	Name string
 	// Slots is how many granules execute concurrently (default 1, at most
 	// maxSlots): the supply rate the coordinator's dispatch matches.
@@ -82,6 +83,9 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	if opts.Slots > maxSlots {
 		return fmt.Errorf("%w: not dialling with %d slots, the protocol bound is %d", ErrDial, opts.Slots, maxSlots)
 	}
+	if len(opts.Name) > maxWorkerName {
+		return fmt.Errorf("%w: %w: not dialling as a %d-byte name", ErrDial, ErrWorkerName, len(opts.Name))
+	}
 	conn, err := dialRetry(ctx, addr, opts.DialRetry, fleet.Defaults(opts.Seed))
 	if err != nil {
 		return fmt.Errorf("%w: coordinator %s: %v", ErrDial, addr, err)
@@ -103,7 +107,7 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 	err = w.send(Msg{Type: MsgHello, Proto: ProtoVersion, Worker: opts.Name, Slots: opts.Slots})
 	if err == nil {
 		_ = conn.SetReadDeadline(time.Now().Add(handshakeWithin))
-		welcome, err = ReadFrame(w.r)
+		welcome, err = readHandshake(w.r)
 		_ = conn.SetReadDeadline(time.Time{})
 	}
 	if err != nil {

@@ -78,6 +78,14 @@ func SealEnvelope(frame []byte) {
 // and a whole one failing its CRC ErrChecksum. Other read failures are
 // returned wrapped.
 func ReadEnvelope(r io.Reader) ([]byte, error) {
+	return ReadEnvelopeLimit(r, MaxCheckpointPayload)
+}
+
+// ReadEnvelopeLimit is ReadEnvelope under a smaller payload cap, for a
+// stream whose next envelope has a known bound: a declared length past
+// limit is refused as soon as the header arrives, before any payload
+// byte is awaited.
+func ReadEnvelopeLimit(r io.Reader, limit uint64) ([]byte, error) {
 	var header [envelopeHeaderSize]byte
 	switch n, err := io.ReadFull(r, header[:]); {
 	case err == io.EOF:
@@ -92,9 +100,9 @@ func ReadEnvelope(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorruptCheckpoint, header[:8], checkpointMagic)
 	}
 	declared := binary.LittleEndian.Uint64(header[8:])
-	if declared > MaxCheckpointPayload {
+	if declared > limit {
 		return nil, fmt.Errorf("%w: declared payload of %d bytes exceeds the %d-byte cap",
-			ErrCorruptCheckpoint, declared, MaxCheckpointPayload)
+			ErrCorruptCheckpoint, declared, limit)
 	}
 	// Read into a buffer of at most 1 MiB that doubles while bytes keep
 	// arriving, so a damaged length on a short stream costs no more.

@@ -12,9 +12,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
 
 	"lpm/internal/obs"
 	"lpm/internal/obs/timeseries"
+	"lpm/internal/parallel"
 )
 
 // Report schema identifiers.
@@ -187,6 +189,11 @@ type ReportOptions struct {
 	// IntervalSamples overrides the interval study's Monte Carlo sample
 	// count (0 = default).
 	IntervalSamples int
+	// OnExperiment, when set, receives each finished experiment in
+	// request order, before the next is delivered: the hook a caller
+	// renders or checkpoints from while later experiments still run. Its
+	// error stops the build and is returned.
+	OnExperiment func(ExperimentReport) error
 }
 
 // ReportExperiments lists the valid experiment keys in run order.
@@ -228,13 +235,20 @@ func DecodeReport(data []byte) (*Report, error) {
 }
 
 // BuildReportCtx runs the selected experiments and assembles the
-// versioned JSON document. When ctx is cancelled mid-run the function
-// still returns a valid, decodable document: Partial is set, Completed lists the experiments that
-// finished, and Aborted lists the interrupted one (whose partial cells
-// are kept) plus everything not yet started. Deterministic per-cell
-// failures (livelocks, simulator faults) never abort the document — they
-// land in the matching payload's Err field and the run continues.
-// Unknown experiment names remain a hard error.
+// versioned JSON document. The experiments start at once and share the
+// -workers budget (see parallel.Pool), so one experiment's batch tail or
+// serial walk does not leave cores idle while the next waits its turn;
+// each finished experiment is handed to opts.OnExperiment in request
+// order, and the document keeps request order too. When ctx is cancelled
+// mid-run the function still returns a valid, decodable document:
+// Partial is set, Completed lists the experiments delivered before the
+// cancellation, and Aborted lists the first undelivered one (whose
+// partial cells are kept) plus everything after it, finished or not.
+// Deterministic per-cell failures (livelocks, simulator faults) never
+// abort the document — they land in the matching payload's Err field and
+// the run continues. Unknown experiment names remain a hard error, and
+// so does an OnExperiment error, which cancels the experiments still
+// running.
 func BuildReportCtx(ctx context.Context, opts ReportOptions) (*Report, error) {
 	s := opts.Scale
 	if s == (Scale{}) {
@@ -244,44 +258,74 @@ func BuildReportCtx(ctx context.Context, opts ReportOptions) (*Report, error) {
 	if len(want) == 0 {
 		want = ReportExperiments()
 	}
+	for _, name := range want {
+		if !slices.Contains(ReportExperiments(), name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %v)", name, ReportExperiments())
+		}
+	}
 	rep := &Report{Schema: ReportSchema, Tool: "lpmreport", Scale: s, Seed: IntervalSeed}
 	var completed []string
-	abort := func(i int) {
+	abort := func(i int) (*Report, error) {
 		rep.Partial = true
 		rep.Completed = completed
-		rep.Aborted = append(rep.Aborted, want[i:]...)
+		rep.Aborted = slices.Clone(want[i:])
+		return rep, nil
+	}
+	if ctx.Err() != nil {
+		return abort(0)
+	}
+
+	runCtx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	results := make([]chan ExperimentReport, len(want))
+	for i, name := range want {
+		results[i] = make(chan ExperimentReport, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			er, err := buildExperiment(parallel.WithPriority(runCtx, reportPriority[name]), name, s, opts)
+			// A failure while ctx is cancelled may be the cancellation
+			// itself (for example through casestudy1's sequential walk),
+			// which the abort below records; any other failure is
+			// deterministic and becomes a recorded cell.
+			if err != nil && ctx.Err() == nil {
+				er.Err = err.Error()
+			}
+			results[i] <- er
+		}()
 	}
 	for i, name := range want {
-		if ctx.Err() != nil {
-			abort(i)
-			break
-		}
-		er, err := buildExperiment(ctx, name, s, opts)
-		if err != nil {
-			if !slices.Contains(ReportExperiments(), name) {
-				return nil, err
-			}
-			// A cancellation that surfaced as the experiment's error (for
-			// example through casestudy1's sequential walk) aborts; any
-			// other failure is deterministic and becomes a recorded cell.
-			if ctx.Err() != nil {
-				rep.Experiments = append(rep.Experiments, er)
-				abort(i)
-				break
-			}
-			er.Err = err.Error()
-		}
+		er := <-results[i]
 		rep.Experiments = append(rep.Experiments, er)
 		if ctx.Err() != nil {
-			// Cancelled mid-experiment: the payload holds whatever cells
+			// Cancelled before delivery: the payload holds whatever cells
 			// finished, so keep it but list the experiment as aborted.
-			abort(i)
-			break
+			return abort(i)
+		}
+		if opts.OnExperiment != nil {
+			if err := opts.OnExperiment(er); err != nil {
+				return nil, err
+			}
 		}
 		completed = append(completed, name)
 	}
 	return rep, nil
 }
+
+// reportPriority orders the experiments' claims on the shared budget,
+// longest dependent chain first: casestudy1 is two walks of dependent
+// evaluations (13 coarse, then 17 fine) and fig8 three stages
+// (profiles, alone IPCs, five 16-core evaluations), while the others
+// are flat batches that fill the gaps the chains leave. At equal
+// priority the chains' last stages end up running alone, with a core
+// idle beside them. table1, five runs, ranks with casestudy1 so the
+// sections before the chains are delivered, rendered and checkpointed
+// within the first second instead of after the chains.
+var reportPriority = map[string]int{"table1": 2, "casestudy1": 2, "fig8": 1}
 
 // buildExperiment runs one experiment and assembles its report entry.
 // Per-cell failures are recorded inside the payload; the returned error
@@ -307,24 +351,32 @@ func buildExperiment(ctx context.Context, name string, s Scale, opts ReportOptio
 			er.Table1 = append(er.Table1, table1Row(r.Name, r.Point.String(), r.PaperLPMR, r.M, r.Err))
 		}
 	case "casestudy1":
-		for _, g := range []Grain{CoarseGrain, FineGrain} {
-			res, err := CaseStudyICtx(ctx, g, s)
-			if err != nil {
-				return er, fmt.Errorf("casestudy1 %s: %w", g.String(), err)
+		// The fine walk revisits the coarse walk's points through the
+		// memo, so the two grains run as one serial chain on one token.
+		err := parallel.Hold(ctx, func(ctx context.Context) error {
+			for _, g := range []Grain{CoarseGrain, FineGrain} {
+				res, err := CaseStudyICtx(ctx, g, s)
+				if err != nil {
+					return fmt.Errorf("casestudy1 %s: %w", g.String(), err)
+				}
+				er.CaseStudy1 = append(er.CaseStudy1, CaseStudyJSON{
+					Grain:       g.String(),
+					Steps:       len(res.Algorithm.Steps),
+					Evaluations: res.Evaluations,
+					SpaceSize:   res.SpaceSize,
+					FinalPoint:  res.Final.String(),
+					FinalCost:   res.Final.Cost(),
+					FinalLPMR1:  res.Algorithm.Final.LPMR1(),
+					FinalStall:  res.Algorithm.Final.MeasuredStall,
+					FinalCPIexe: res.Algorithm.Final.CPIexe,
+					Converged:   res.Algorithm.Converged,
+					MetTarget:   res.Algorithm.MetTarget,
+				})
 			}
-			er.CaseStudy1 = append(er.CaseStudy1, CaseStudyJSON{
-				Grain:       g.String(),
-				Steps:       len(res.Algorithm.Steps),
-				Evaluations: res.Evaluations,
-				SpaceSize:   res.SpaceSize,
-				FinalPoint:  res.Final.String(),
-				FinalCost:   res.Final.Cost(),
-				FinalLPMR1:  res.Algorithm.Final.LPMR1(),
-				FinalStall:  res.Algorithm.Final.MeasuredStall,
-				FinalCPIexe: res.Algorithm.Final.CPIexe,
-				Converged:   res.Algorithm.Converged,
-				MetTarget:   res.Algorithm.MetTarget,
-			})
+			return nil
+		})
+		if err != nil {
+			return er, err
 		}
 	case "fig67":
 		res, err := Fig67Ctx(ctx, s)
