@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeReport -fuzztime 15s -run '^$$' .
 	$(GO) test -fuzz FuzzSubmitRunSpec -fuzztime 15s -run '^$$' ./internal/ctrl
 	$(GO) test -fuzz FuzzHub -fuzztime 15s -run '^$$' ./internal/ctrl
+	$(GO) test -fuzz FuzzLintIgnoreDirective -fuzztime 15s -run '^$$' ./internal/lint
 
 # Sweep-fabric suite: the in-process coordinator/worker harness, the
 # scheduling journal and backoff policy (internal/resilience/fleet) and

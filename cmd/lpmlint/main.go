@@ -7,10 +7,8 @@
 //
 //	lpmlint ./...                        # whole module
 //	lpmlint internal/sim/...             # one subtree
-//	lpmlint -enable determinism ./...    # one analyzer
-//	lpmlint -disable errcheck ./...      # all but one
+//	lpmlint -C dir ./...                 # the module rooted at dir
 //	lpmlint -list                        # describe the analyzers
-//	lpmlint -format=json ./...           # machine-readable findings
 //	lpmlint -format=github ./...         # GitHub Actions annotations
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load/type errors.
@@ -20,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,19 +54,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("lpmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir     = fs.String("C", ".", "module root directory (containing go.mod)")
-		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable = fs.String("disable", "", "comma-separated analyzers to skip")
-		list    = fs.Bool("list", false, "describe the registered analyzers and exit")
-		format  = fs.String("format", "text", "output format: text, json, or github (Actions annotations)")
+		dir    = fs.String("C", ".", "module root directory (containing go.mod)")
+		list   = fs.Bool("list", false, "describe the registered analyzers and exit")
+		format = fs.String("format", "text", "output format: text or github (Actions annotations)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	switch *format {
-	case "text", "json", "github":
+	case "text", "github":
 	default:
-		return fmt.Errorf("lpmlint: -format must be text, json or github, got %q", *format)
+		return fmt.Errorf("lpmlint: -format must be text or github, got %q", *format)
 	}
 
 	p := cliutil.NewPrinter(stdout)
@@ -91,12 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	diags, err := lint.Run(ctx, lint.Config{
-		Dir:     *dir,
-		Enable:  splitList(*enable),
-		Disable: splitList(*disable),
-		Paths:   paths,
-	})
+	diags, err := lint.Run(ctx, lint.Config{Dir: *dir, Paths: paths})
 	if err != nil {
 		return err
 	}
@@ -111,34 +101,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 }
 
 // printDiags renders findings in the selected format: the canonical
-// text lines, a JSON array, or GitHub Actions ::error annotations
-// (which the Actions runner turns into PR file comments).
+// text lines, or GitHub Actions ::error annotations (which the Actions
+// runner turns into PR file comments).
 func printDiags(p *cliutil.Printer, format string, diags []lint.Diagnostic) error {
-	switch format {
-	case "json":
-		type finding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]finding, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, finding{relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
-		}
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		p.Printf("%s\n", b)
-	case "github":
-		for _, d := range diags {
+	for _, d := range diags {
+		if format == "github" {
 			p.Printf("::error file=%s,line=%d,col=%d,title=lpmlint(%s)::%s\n",
 				relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, ghEscape(d.Message))
-		}
-	default:
-		for _, d := range diags {
+		} else {
 			p.Println(d)
 		}
 	}
@@ -187,18 +157,4 @@ func argPaths(args []string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// splitList splits a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

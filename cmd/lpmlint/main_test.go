@@ -27,7 +27,7 @@ func TestRunCleanRepo(t *testing.T) {
 // findings exit path and output format.
 func TestRunFindings(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	err := run(context.Background(), []string{"-C", "../../internal/lint/testdata/src/errcheck", "-enable", "errcheck", "./..."}, &out, &errBuf)
+	err := run(context.Background(), []string{"-C", "../../internal/lint/testdata/src/errcheck", "./..."}, &out, &errBuf)
 	if !errors.Is(err, errFindings) {
 		t.Fatalf("err = %v, want errFindings\nstdout:\n%s", err, out.String())
 	}
@@ -44,7 +44,7 @@ func TestRunFindings(t *testing.T) {
 // driver: the cmd subtree of the fixture has exactly 3 findings.
 func TestRunPathRestriction(t *testing.T) {
 	var out, errBuf bytes.Buffer
-	err := run(context.Background(), []string{"-C", "../../internal/lint/testdata/src/errcheck", "-enable", "errcheck", "cmd/..."}, &out, &errBuf)
+	err := run(context.Background(), []string{"-C", "../../internal/lint/testdata/src/errcheck", "cmd/..."}, &out, &errBuf)
 	if !errors.Is(err, errFindings) {
 		t.Fatalf("err = %v, want errFindings", err)
 	}
@@ -65,11 +65,15 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestUnknownAnalyzerFlag: the CLI always runs the whole suite, so an
+// analyzer-selection flag is a usage error, as is an unknown -format.
 func TestUnknownAnalyzerFlag(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	err := run(context.Background(), []string{"-C", "../..", "-enable", "nosuch", "./..."}, &out, &errBuf)
-	if err == nil || errors.Is(err, errFindings) {
-		t.Fatalf("err = %v, want a usage error", err)
+	for _, args := range [][]string{{"-enable", "floateq"}, {"-format=json"}} {
+		var out, errBuf bytes.Buffer
+		err := run(context.Background(), append([]string{"-C", "../.."}, append(args, "./...")...), &out, &errBuf)
+		if err == nil || errors.Is(err, errFindings) {
+			t.Fatalf("%v: err = %v, want a usage error", args, err)
+		}
 	}
 }
 
@@ -81,7 +85,7 @@ func TestArgPaths(t *testing.T) {
 	if err != nil || len(got) != 2 || got[0] != "internal/sim" || got[1] != "cmd" {
 		t.Errorf("argPaths = %v, %v", got, err)
 	}
-	if _, err := argPaths([]string{"internal", "-enable"}); err == nil {
+	if _, err := argPaths([]string{"internal", "-list"}); err == nil {
 		t.Error("trailing flag accepted, want error")
 	}
 }

@@ -110,9 +110,12 @@ func (m Measurement) T1(deltaPct float64) float64 {
 
 // T2 returns the LPMR₂ threshold of Eq. (15):
 // (1/η) · (Δ%/(1−overlap) − H₁·f_mem/(C_H₁·CPI_exe)).
-// A non-positive or unbounded threshold (η≈0, meaning L2 mismatch cannot
-// reach the processor) is reported as +Inf-like large value via ok=false;
-// callers treat !ok as "always satisfied".
+// ok is false only when the threshold is unbounded: η≈0 (an L2
+// mismatch cannot reach the processor) or CPI_exe ≤ 0; callers treat
+// !ok as "always satisfied". When the L1-local term
+// H₁·f_mem/(C_H₁·CPI_exe) alone exceeds the budget Δ%/(1−overlap), T2
+// comes back negative with ok=true: no LPMR₂ ≥ 0 meets it, so every L1
+// mismatch is Case I and Case II is unreachable.
 func (m Measurement) T2(deltaPct float64) (t2 float64, ok bool) {
 	eta := m.Eta()
 	if eta <= 1e-12 {

@@ -146,6 +146,25 @@ func TestT2VacuousWhenEtaZero(t *testing.T) {
 	}
 }
 
+// TestT2NegativeIsReturnedValid: when the L1-local term of Eq. (15)
+// alone exceeds the stall budget, the threshold is negative and comes
+// back valid (ok=true), not vacuous.
+func TestT2NegativeIsReturnedValid(t *testing.T) {
+	m := sampleMeasurement()
+	l1Term := m.H1 * m.Fmem / (m.CH1 * m.CPIexe)
+	budget := 0.01 / (1 - m.OverlapRatio)
+	if l1Term <= budget {
+		t.Fatalf("setup: L1 term %v within the 1%% budget %v", l1Term, budget)
+	}
+	t2, ok := m.T2(1)
+	if !ok || t2 >= 0 {
+		t.Fatalf("T2(1) = %v, %v; want a negative threshold with ok=true", t2, ok)
+	}
+	if want := (budget - l1Term) / m.Eta(); math.Abs(t2-want) > 1e-12 {
+		t.Fatalf("T2(1) = %v, want %v", t2, want)
+	}
+}
+
 func TestEtaDecomposition(t *testing.T) {
 	m := sampleMeasurement()
 	want := m.Eta1() * m.PMR1 / m.MR1

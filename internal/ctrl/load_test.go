@@ -71,7 +71,7 @@ func TestServeLoadShardedDeterminism(t *testing.T) {
 	// A real loopback fabric the sharded build runs through while the
 	// storm hits the control plane.
 	lpm.ResetSimCaches()
-	lf, err := fabric.StartLocal(2, fabric.Options{StraggleAfter: -1}, fabric.WorkerOptions{Slots: 2})
+	lf, err := fabric.StartLocal(t.Context(), 2, fabric.Options{StraggleAfter: -1}, fabric.WorkerOptions{Slots: 2})
 	if err != nil {
 		t.Fatalf("starting fabric: %v", err)
 	}

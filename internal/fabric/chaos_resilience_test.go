@@ -428,7 +428,7 @@ func TestChaosFabricLyingWorkerQuarantined(t *testing.T) {
 		After: 2, Times: 1, Msg: "chaos: lying worker",
 	}))()
 
-	lf, err := StartLocal(3, Options{
+	lf, err := StartLocal(t.Context(), 3, Options{
 		StraggleAfter: -1, ValidateEvery: 1,
 	}, WorkerOptions{Slots: 1})
 	if err != nil {

@@ -55,7 +55,7 @@ func TestChaosFabricWorkerKillMidGranule(t *testing.T) {
 		After: 2, Msg: "chaos: worker killed mid-granule",
 	}))()
 
-	lf, err := StartLocal(2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(t.Context(), 2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestChaosFabricWorkerHangStragglerReissue(t *testing.T) {
 		After: 1, Msg: "chaos: worker hung mid-granule",
 	}))()
 
-	lf, err := StartLocal(2, Options{StraggleAfter: 100 * time.Millisecond}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(t.Context(), 2, Options{StraggleAfter: 100 * time.Millisecond}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestChaosFabricTornResultFrame(t *testing.T) {
 		After: 1, Msg: "chaos: torn result frame",
 	}))()
 
-	lf, err := StartLocal(2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(t.Context(), 2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestChaosFabricAllWorkersDieThenRejoin(t *testing.T) {
 		After: 0, Times: 2, Msg: "chaos: every worker killed",
 	}))()
 
-	lf, err := StartLocal(2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(t.Context(), 2, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -129,7 +133,7 @@ func submitDouble(ctx context.Context, t *testing.T, c *Coordinator, kind string
 // 3-worker local fabric and checks values, single-flight accounting,
 // and clean teardown.
 func TestFabricComputesAcrossWorkers(t *testing.T) {
-	lf, err := StartLocal(3, Options{StraggleAfter: -1}, WorkerOptions{Slots: 2})
+	lf, err := StartLocal(t.Context(), 3, Options{StraggleAfter: -1}, WorkerOptions{Slots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func TestFabricComputesAcrossWorkers(t *testing.T) {
 // TestFabricSingleFlight proves concurrent submissions under one key
 // collapse to one granule and one execution.
 func TestFabricSingleFlight(t *testing.T) {
-	lf, err := StartLocal(2, Options{StraggleAfter: -1}, WorkerOptions{})
+	lf, err := StartLocal(t.Context(), 2, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func TestFabricSingleFlight(t *testing.T) {
 // worker's error text verbatim — the property that keeps sharded error
 // cells byte-identical to serial ones.
 func TestFabricErrorText(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +221,7 @@ func TestFabricErrorText(t *testing.T) {
 // two cross-validate the answer.
 func TestFabricEmptyErrorTextIsAnError(t *testing.T) {
 	for _, validate := range []int{0, 1} {
-		lf, err := StartLocal(2, Options{StraggleAfter: -1, ValidateEvery: validate}, WorkerOptions{})
+		lf, err := StartLocal(t.Context(), 2, Options{StraggleAfter: -1, ValidateEvery: validate}, WorkerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +258,7 @@ func TestFabricErrorTextCrossesByteForByte(t *testing.T) {
 		t.Fatalf("in-process: got %q, want %q", err, rawErrText)
 	}
 	for _, validate := range []int{0, 1} {
-		lf, err := StartLocal(2, Options{StraggleAfter: -1, ValidateEvery: validate}, WorkerOptions{})
+		lf, err := StartLocal(t.Context(), 2, Options{StraggleAfter: -1, ValidateEvery: validate}, WorkerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +281,7 @@ func TestFabricErrorTextCrossesByteForByte(t *testing.T) {
 // runs once and Submit returns the worker's text verbatim, as a serial
 // run memoises the same error.
 func TestFabricWorkerErrorIsFinal(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +302,7 @@ func TestFabricWorkerErrorIsFinal(t *testing.T) {
 // TestFabricUnknownKind proves a granule for an unregistered kind fails
 // with a diagnostic instead of hanging the run.
 func TestFabricUnknownKind(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +316,7 @@ func TestFabricUnknownKind(t *testing.T) {
 // TestFabricWaitsForFirstWorker proves a coordinator with zero workers
 // parks granules until one joins, then drains them.
 func TestFabricWaitsForFirstWorker(t *testing.T) {
-	lf, err := StartLocal(0, Options{StraggleAfter: -1}, WorkerOptions{})
+	lf, err := StartLocal(t.Context(), 0, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +351,7 @@ func TestFabricWaitsForFirstWorker(t *testing.T) {
 // eviction closes the link: only the worker's own cancellation path can
 // unblock its frame read, and StopWorker must return promptly.
 func TestFabricCancelledIdleWorkerExits(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: -1, Heartbeat: -1}, WorkerOptions{Name: "idle"})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: -1, Heartbeat: -1}, WorkerOptions{Name: "idle"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +371,7 @@ func TestFabricCancelledIdleWorkerExits(t *testing.T) {
 // TestFabricJoinLeave runs a batch while a worker joins mid-run and
 // another leaves mid-run; every granule must still resolve correctly.
 func TestFabricJoinLeave(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: 200 * time.Millisecond}, WorkerOptions{Slots: 2})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: 200 * time.Millisecond}, WorkerOptions{Slots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +410,7 @@ func TestFabricJoinLeave(t *testing.T) {
 // coordinator never hands it more than its derived budget: its
 // execution slots plus one prefetched granule.
 func TestFabricInFlightBudget(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: -1}, WorkerOptions{Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +454,7 @@ func TestFabricInFlightBudget(t *testing.T) {
 // had before the budget was derived from the hello ran two) and prefetch
 // exactly one behind them.
 func TestFabricSlotsAreUsed(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{Slots: 4})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: -1}, WorkerOptions{Slots: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +525,7 @@ func TestKindDoAllKeepsTheWholeBatchOutstanding(t *testing.T) {
 	}
 
 	// 4 workers x 2 slots: 32 granules take about 32/8 sleeps, not 32/2.
-	lf, err := StartLocal(4, Options{StraggleAfter: -1}, WorkerOptions{Slots: 2})
+	lf, err := StartLocal(t.Context(), 4, Options{StraggleAfter: -1}, WorkerOptions{Slots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +558,7 @@ func TestKindDoAllKeepsTheWholeBatchOutstanding(t *testing.T) {
 // resolves the coordinator forgets it (each Kind's memo answers repeats
 // before they reach Submit), so a later Submit runs it again.
 func TestFabricCacheHits(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +653,7 @@ func TestFabricSameNameReplacesSession(t *testing.T) {
 // worker's budget and outbox) and a non-hello first frame are all turned
 // away without disturbing the coordinator.
 func TestFabricRejectsBadHandshake(t *testing.T) {
-	lf, err := StartLocal(1, Options{StraggleAfter: -1}, WorkerOptions{})
+	lf, err := StartLocal(t.Context(), 1, Options{StraggleAfter: -1}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -926,6 +930,89 @@ func TestWorkerDialRetry(t *testing.T) {
 	}
 }
 
+// TestRetryLoopsPaceThroughThePolicy keeps the fleet's two redial
+// loops, dialRetry and lpmworker's session redial, paced by
+// fleet.RetryPolicy (capped backoff, seeded jitter) rather than a time
+// primitive, and the fleet layers free of math/rand, so a reconnect
+// schedule replays bit-identically for a given seed.
+func TestRetryLoopsPaceThroughThePolicy(t *testing.T) {
+	for _, site := range []struct{ file, fn, dial string }{
+		{"worker.go", "dialRetry", "DialContext"},
+		{"../../cmd/lpmworker/main.go", "run", "RunWorker"},
+	} {
+		f, err := parser.ParseFile(token.NewFileSet(), site.file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops := 0
+		ast.Inspect(f, func(n ast.Node) bool {
+			fd, ok := n.(*ast.FuncDecl)
+			if !ok || fd.Name.Name != site.fn {
+				return true
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				loop, ok := n.(*ast.ForStmt)
+				if !ok || !callsSelector(loop.Body, func(x ast.Expr, sel string) bool { return sel == site.dial }) {
+					return true
+				}
+				loops++
+				if callsSelector(loop.Body, func(x ast.Expr, sel string) bool {
+					id, ok := x.(*ast.Ident)
+					return ok && id.Name == "time" && (sel == "Sleep" || sel == "After" || sel == "NewTimer" || sel == "Tick")
+				}) {
+					t.Errorf("%s: %s paces its %s loop with a time primitive", site.file, site.fn, site.dial)
+				}
+				if !callsSelector(loop.Body, func(x ast.Expr, sel string) bool {
+					id, ok := x.(*ast.Ident)
+					return sel == "Sleep" && !(ok && id.Name == "time")
+				}) {
+					t.Errorf("%s: %s's %s loop does not sleep through the retry policy", site.file, site.fn, site.dial)
+				}
+				return false
+			})
+			return false
+		})
+		if loops != 1 {
+			t.Errorf("%s: found %d loops in %s calling %s, want 1", site.file, loops, site.fn, site.dial)
+		}
+	}
+	for _, dir := range []string{".", "../ctrl", "../../cmd/lpmworker"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(path, "math/rand") {
+					t.Errorf("%s imports %s; retry jitter comes from the seeded fleet.RetryPolicy", file, path)
+				}
+			}
+		}
+	}
+}
+
+// callsSelector reports whether body calls some x.sel(...) with
+// match(x, sel).
+func callsSelector(body ast.Node, match func(x ast.Expr, sel string) bool) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && match(sel.X, sel.Sel.Name) {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 // TestWorkerCancelledMidHandshakeExits: a worker cancelled while it
 // waits for its welcome exits with nil, as one cancelled after it does.
 // The coordinator counts a worker at its hello, before the worker has
@@ -1035,7 +1122,7 @@ func TestFabricJournalHoldsOnlyWhatRecoveryFolds(t *testing.T) {
 				defer faultinject.Arm(faultinject.NewPlan(43, tc.fault))()
 			}
 			path := filepath.Join(t.TempDir(), "sched.journal")
-			lf, err := StartLocal(tc.workers, Options{StraggleAfter: -1, ValidateEvery: 2, JournalPath: path},
+			lf, err := StartLocal(t.Context(), tc.workers, Options{StraggleAfter: -1, ValidateEvery: 2, JournalPath: path},
 				WorkerOptions{Slots: 1})
 			if err != nil {
 				t.Fatal(err)

@@ -31,27 +31,30 @@ type LocalFabric struct {
 	C *Coordinator
 
 	restore func()
+	ctx     context.Context // every worker's parent; Close cancels it
+	cancel  context.CancelFunc
 	mu      sync.Mutex
 	workers []*localWorker
 	nextID  int
 }
 
 // StartLocal starts a loopback coordinator with n workers, activates it
-// as the process-wide fabric, and waits until all n workers have
-// joined. Close undoes everything.
-func StartLocal(n int, opts Options, wopts WorkerOptions) (*LocalFabric, error) {
+// as the process-wide fabric, and waits up to 30 s until all n workers
+// have joined. The workers run until ctx is done or Close, which undoes
+// everything.
+func StartLocal(ctx context.Context, n int, opts Options, wopts WorkerOptions) (*LocalFabric, error) {
 	c, err := Listen("127.0.0.1:0", opts)
 	if err != nil {
 		return nil, err
 	}
 	lf := &LocalFabric{C: c, restore: Activate(c)}
+	lf.ctx, lf.cancel = context.WithCancel(ctx)
 	for i := 0; i < n; i++ {
 		lf.AddWorker(wopts)
 	}
-	//lint:ignore ctxflow StartLocal is a fixture entry point; the timeout bounds worker join
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	join, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
-	if err := c.WaitWorkers(ctx, n); err != nil {
+	if err := c.WaitWorkers(join, n); err != nil {
 		_ = lf.Close()
 		return nil, fmt.Errorf("fabric: starting %d local workers: %w", n, err)
 	}
@@ -69,8 +72,7 @@ func (lf *LocalFabric) AddWorker(wopts WorkerOptions) string {
 		name = fmt.Sprintf("%s-%d", wopts.Name, lf.nextID)
 	}
 	wopts.Name = name
-	//lint:ignore ctxflow each local worker owns its root context; Close cancels it explicitly
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(lf.ctx)
 	lw := &localWorker{name: name, cancel: cancel, done: make(chan struct{})}
 	lf.workers = append(lf.workers, lw)
 	lf.mu.Unlock()
@@ -108,12 +110,12 @@ func (lf *LocalFabric) StopWorker(name string) error {
 func (lf *LocalFabric) Close() error {
 	lf.restore()
 	_ = lf.C.Close()
+	lf.cancel()
 	lf.mu.Lock()
 	workers := append([]*localWorker(nil), lf.workers...)
 	lf.mu.Unlock()
 	var firstErr error
 	for _, lw := range workers {
-		lw.cancel()
 		<-lw.done
 		if lw.err != nil && firstErr == nil && !errors.Is(lw.err, context.Canceled) {
 			firstErr = fmt.Errorf("fabric: local worker %q: %w", lw.name, lw.err)

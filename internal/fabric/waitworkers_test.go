@@ -116,7 +116,7 @@ func TestWaitWorkersReturnsAtTheNthAdmission(t *testing.T) {
 // waiter, and each returns once its own count is reached.
 func TestWaitWorkersWakesEveryWaiter(t *testing.T) {
 	const workers = 4
-	lf, err := StartLocal(0, joinOpts, WorkerOptions{})
+	lf, err := StartLocal(t.Context(), 0, joinOpts, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

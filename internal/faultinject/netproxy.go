@@ -5,8 +5,8 @@ package faultinject
 // the test script flips faults on the wire between them — a full
 // partition that blackholes bytes while keeping both sockets open (the
 // hung-TCP case heartbeats exist to catch), one-shot frame corruption
-// (a single flipped bit, which the LPMCKPT1 CRC must reject), and torn
-// frames (half the bytes, then connection reset).
+// (a single flipped bit, which the LPMCKPT1 CRC must reject), and
+// severing every live connection.
 //
 // Faults apply per forwarded chunk, so "corrupt the next frame" damages
 // whatever write the kernel delivers next — realistic damage at a
@@ -17,7 +17,6 @@ package faultinject
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // NetProxy forwards TCP connections to Target and injects the armed
@@ -26,15 +25,13 @@ type NetProxy struct {
 	ln     net.Listener
 	target string
 
-	mu       sync.Mutex
-	parted   bool
-	healCh   chan struct{} // closed on Heal; nil when not partitioned
-	corrupt  int           // chunks still to corrupt (one bit each)
-	tear     int           // chunks still to tear (half bytes + reset)
-	seed     int64
-	conns    map[net.Conn]struct{}
-	closed   bool
-	forwards atomic.Int64
+	mu      sync.Mutex
+	parted  bool
+	healCh  chan struct{} // closed on Heal; nil when not partitioned
+	corrupt int           // chunks still to corrupt (one bit each)
+	seed    int64
+	conns   map[net.Conn]struct{}
+	closed  bool
 }
 
 // NewNetProxy starts a proxy on a loopback port forwarding to target.
@@ -56,10 +53,6 @@ func NewNetProxy(target string, seed int64) (*NetProxy, error) {
 
 // Addr returns the proxy's listen address — what workers should dial.
 func (p *NetProxy) Addr() string { return p.ln.Addr().String() }
-
-// Forwards reports how many chunks the proxy has forwarded, a liveness
-// probe for tests that need to know traffic actually flowed.
-func (p *NetProxy) Forwards() int64 { return p.forwards.Load() }
 
 // Partition blackholes all traffic in both directions while keeping
 // every connection open: the TCP sessions look alive but no bytes move,
@@ -93,15 +86,6 @@ func (p *NetProxy) CorruptNext(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.corrupt += n
-}
-
-// TearNext forwards only the first half of each of the next n chunks
-// and then drops the connection carrying it — a torn frame followed by
-// a reset, the classic mid-write crash signature.
-func (p *NetProxy) TearNext(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tear += n
 }
 
 // DropAll severs every live proxied connection without touching fault
@@ -162,8 +146,7 @@ func (p *NetProxy) accept() {
 }
 
 // pump forwards src→dst chunk by chunk, applying the armed faults to
-// each chunk. Closing either side tears down both, so a torn chunk
-// resets the whole proxied session.
+// each chunk. Closing either side tears down both.
 func (p *NetProxy) pump(src, dst net.Conn) {
 	defer func() {
 		_ = src.Close()
@@ -177,14 +160,9 @@ func (p *NetProxy) pump(src, dst net.Conn) {
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			chunk := buf[:n]
-			if !p.deliver(&chunk, dst) {
+			if _, werr := dst.Write(p.deliver(buf[:n])); werr != nil {
 				return
 			}
-			if _, werr := dst.Write(chunk); werr != nil {
-				return
-			}
-			p.forwards.Add(1)
 		}
 		if err != nil {
 			return
@@ -192,10 +170,9 @@ func (p *NetProxy) pump(src, dst net.Conn) {
 	}
 }
 
-// deliver applies partition/corrupt/tear to one chunk. It returns
-// false when the chunk (and the connection) must die instead of being
-// written by the caller.
-func (p *NetProxy) deliver(chunk *[]byte, dst net.Conn) bool {
+// deliver applies partition and corruption to one chunk and returns
+// the bytes to write.
+func (p *NetProxy) deliver(chunk []byte) []byte {
 	p.mu.Lock()
 	for p.parted {
 		heal := p.healCh
@@ -206,31 +183,16 @@ func (p *NetProxy) deliver(chunk *[]byte, dst net.Conn) bool {
 		<-heal
 		p.mu.Lock()
 	}
-	corrupt, tear := false, false
-	if p.tear > 0 {
-		p.tear--
-		tear = true
-	} else if p.corrupt > 0 {
-		p.corrupt--
-		corrupt = true
-	}
+	corrupt := p.corrupt > 0
 	seed := p.seed
 	if corrupt {
+		p.corrupt--
 		// Advance the seed so successive corruptions pick fresh bits.
 		p.seed++
 	}
 	p.mu.Unlock()
-
-	if tear {
-		half := *chunk
-		if len(half) > 1 {
-			half = half[:len(half)/2]
-		}
-		_, _ = dst.Write(half)
-		return false
-	}
 	if corrupt {
-		*chunk = FlipBit(*chunk, seed)
+		return FlipBit(chunk, seed)
 	}
-	return true
+	return chunk
 }

@@ -70,9 +70,6 @@ func TestNetProxyPassThrough(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echoed %q, want %q", got, msg)
 	}
-	if p.Forwards() == 0 {
-		t.Fatal("no forwards counted")
-	}
 }
 
 func TestNetProxyPartitionStallsWithoutClose(t *testing.T) {
@@ -137,39 +134,6 @@ func TestNetProxyCorruptNextFlipsOneBit(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("second chunk corrupted too: %q", got)
-	}
-}
-
-func TestNetProxyTearNextResetsConnection(t *testing.T) {
-	t.Parallel()
-	p, err := NewNetProxy(startEcho(t), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	c := dialProxy(t, p)
-
-	p.TearNext(1)
-	msg := []byte("0123456789abcdef")
-	if _, err := c.Write(msg); err != nil {
-		t.Fatal(err)
-	}
-	// At most half arrives, then the session dies.
-	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, len(msg))
-	total := 0
-	for {
-		n, err := c.Read(buf[total:])
-		total += n
-		if err != nil {
-			break
-		}
-		if total == len(buf) {
-			break
-		}
-	}
-	if total >= len(msg) {
-		t.Fatalf("full %d bytes arrived through a torn chunk", total)
 	}
 }
 

@@ -66,11 +66,11 @@ func sortDiagnostics(ds []Diagnostic) {
 
 // Analyzer is one table-registered invariant check. Adding a rule to the
 // suite means writing one file defining an Analyzer and listing it in
-// Analyzers; the driver, CLI flags, suppressions and golden-test harness
-// pick it up by name.
+// Analyzers; the driver, suppressions and golden-test harness pick it
+// up by name.
 type Analyzer struct {
-	// Name is the stable identifier used in output, -enable/-disable
-	// flags and //lint:ignore directives.
+	// Name is the stable identifier used in output and //lint:ignore
+	// directives.
 	Name string
 	// Doc is a one-line description printed by `lpmlint -list`.
 	Doc string
@@ -93,11 +93,10 @@ func Analyzers() []*Analyzer {
 		analyzerTierDiscipline,
 		analyzerErrcheck,
 		analyzerCtxFlow,
-		analyzerRetryDiscipline,
 	}
 }
 
-// analyzerByName resolves a -enable/-disable or //lint:ignore name.
+// analyzerByName resolves a //lint:ignore name.
 func analyzerByName(name string) *Analyzer {
 	for _, a := range Analyzers() {
 		if a.Name == name {

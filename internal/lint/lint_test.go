@@ -107,12 +107,12 @@ func checkWants(t *testing.T, root string, diags []Diagnostic) {
 	}
 }
 
-// fixtureTest loads testdata/src/<name> with only that analyzer enabled
-// and compares against the fixture's want comments.
+// fixtureTest loads testdata/src/<name>, runs only that analyzer and
+// compares against the fixture's want comments.
 func fixtureTest(t *testing.T, name string) {
 	t.Helper()
 	root := filepath.Join("testdata", "src", name)
-	diags, err := Run(context.Background(), Config{Dir: root, Enable: []string{name}})
+	diags, err := run(context.Background(), Config{Dir: root}, []*Analyzer{analyzerByName(name)})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", name, err)
 	}
@@ -127,15 +127,14 @@ func TestObsDisciplineFixture(t *testing.T) { t.Parallel(); fixtureTest(t, "obsd
 func TestTierDisciplineFixture(t *testing.T) { t.Parallel(); fixtureTest(t, "tierdiscipline") }
 func TestErrcheckFixture(t *testing.T)       { t.Parallel(); fixtureTest(t, "errcheck") }
 
-func TestCtxFlowFixture(t *testing.T)         { t.Parallel(); fixtureTest(t, "ctxflow") }
-func TestRetryDisciplineFixture(t *testing.T) { t.Parallel(); fixtureTest(t, "retrydiscipline") }
+func TestCtxFlowFixture(t *testing.T) { t.Parallel(); fixtureTest(t, "ctxflow") }
 
 // TestPathRestriction narrows the linted packages (the CLI's positional
 // patterns) rather than the analyzer scope.
 func TestPathRestriction(t *testing.T) {
 	t.Parallel()
 	root := filepath.Join("testdata", "src", "errcheck")
-	diags, err := Run(context.Background(), Config{Dir: root, Enable: []string{"errcheck"}, Paths: []string{"cmd"}})
+	diags, err := run(context.Background(), Config{Dir: root, Paths: []string{"cmd"}}, []*Analyzer{analyzerErrcheck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestSuppressionsFixture(t *testing.T) {
 func TestUnusedSuppressionOnlyFullSuite(t *testing.T) {
 	t.Parallel()
 	root := filepath.Join("testdata", "src", "suppress")
-	diags, err := Run(context.Background(), Config{Dir: root, Enable: []string{"maporder"}})
+	diags, err := run(context.Background(), Config{Dir: root}, []*Analyzer{analyzerMapOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +200,6 @@ func TestUnusedSuppressionOnlyFullSuite(t *testing.T) {
 		if strings.Contains(d.Message, "matches no finding") {
 			t.Errorf("unused-suppression report under a partial suite: %s", d)
 		}
-	}
-}
-
-func TestSelectAnalyzers(t *testing.T) {
-	t.Parallel()
-	if _, err := Run(context.Background(), Config{Dir: filepath.Join("testdata", "src", "floateq"), Enable: []string{"nosuch"}}); err == nil {
-		t.Error("Run with unknown -enable name succeeded, want error")
 	}
 }
 

@@ -1,18 +1,17 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -57,9 +56,8 @@ func init() {
 // Load parses and type-checks every package under root (the directory
 // containing go.mod), returning them in dependency order. Test files
 // (*_test.go), testdata, vendor and hidden directories are skipped: the
-// linted surface is the shipped tree. `//go:build` lines and
-// _GOOS/_GOARCH file names are evaluated against the host platform and
-// the gc compiler.
+// linted surface is the shipped tree. Within a directory, go/build
+// picks the files the go command would build on the host platform.
 //
 // Load fails if any file does not parse or any package does not
 // type-check — the lint gate presumes a compiling tree.
@@ -193,70 +191,48 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, nil
 }
 
-// parseDir parses dir's buildable non-test files and collects their
-// module-internal imports. Returns nil if the directory holds no
-// buildable files.
+// parseDir parses the files go/build selects in dir for the host
+// platform (non-test, build constraints and _GOOS/_GOARCH names
+// applied) and keeps their module-internal imports. Returns nil if the
+// directory holds no buildable files.
 func parseDir(root, modPath, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	bp, err := build.Default.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: %w", err)
 	}
 	rel, err := filepath.Rel(root, dir)
 	if err != nil {
 		return nil, err
 	}
-	if rel == "." {
-		rel = ""
-	}
 	rel = filepath.ToSlash(rel)
-	importPath := modPath
-	if rel != "" {
-		importPath = modPath + "/" + rel
+	importPath := modPath + "/" + rel
+	if rel == "." {
+		rel, importPath = "", modPath
 	}
 
 	pkg := &Package{Path: importPath, Rel: rel, Fset: loader.fset, srcLines: make(map[string][]string)}
-	seen := map[string]bool{}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !filenameMatchesTarget(name) {
-			continue
-		}
+	for _, name := range bp.GoFiles {
 		full := filepath.Join(dir, name)
 		src, err := os.ReadFile(full)
 		if err != nil {
 			return nil, err
 		}
-		if !constraintsSatisfied(src) {
-			continue
-		}
 		f, err := parser.ParseFile(loader.fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		if len(pkg.Syntax) > 0 && f.Name.Name != pkg.Syntax[0].Name.Name {
-			return nil, fmt.Errorf("lint: %s: mixed package names %q and %q", dir, pkg.Syntax[0].Name.Name, f.Name.Name)
-		}
 		pkg.Syntax = append(pkg.Syntax, f)
 		pkg.srcLines[full] = strings.Split(string(src), "\n")
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if (p == modPath || strings.HasPrefix(p, modPath+"/")) && !seen[p] {
-				seen[p] = true
-				pkg.imports = append(pkg.imports, p)
-			}
+	}
+	for _, p := range bp.Imports {
+		if p == modPath || strings.HasPrefix(p, modPath+"/") {
+			pkg.imports = append(pkg.imports, p)
 		}
 	}
-	if len(pkg.Syntax) == 0 {
-		return nil, nil
-	}
-	sort.Strings(pkg.imports)
 	return pkg, nil
 }
 
@@ -296,76 +272,4 @@ func topoSort(pkgs []*Package, byPath map[string]*Package) ([]*Package, error) {
 		}
 	}
 	return ordered, nil
-}
-
-// hostTags is the tag universe for //go:build evaluation: the host
-// GOOS/GOARCH and the compiler.
-var hostTags = map[string]bool{
-	runtime.GOOS: true, runtime.GOARCH: true, "gc": true,
-	"unix": runtime.GOOS == "linux",
-}
-
-// constraintsSatisfied evaluates a file's //go:build line (if any,
-// before the package clause) against hostTags. Release tags ("go1.N")
-// always evaluate true.
-func constraintsSatisfied(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
-		if err != nil {
-			return false // unparseable constraint: skip the file
-		}
-		return expr.Eval(func(tag string) bool {
-			if strings.HasPrefix(tag, "go1.") {
-				return true
-			}
-			return hostTags[tag]
-		})
-	}
-	return true
-}
-
-// knownOS and knownArch drive _GOOS/_GOARCH filename filtering.
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mipsle": true, "mips64": true,
-	"mips64le": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// filenameMatchesTarget applies Go's _GOOS/_GOARCH filename convention
-// against the host platform.
-func filenameMatchesTarget(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if len(parts) >= 3 && knownOS[parts[len(parts)-2]] {
-			return parts[len(parts)-2] == runtime.GOOS
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == runtime.GOOS
-	}
-	return true
 }

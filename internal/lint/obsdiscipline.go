@@ -33,14 +33,7 @@ var analyzerObsDiscipline = &Analyzer{
 func runObsDiscipline(p *Pass) {
 	checkMetricNames(p)
 	if matchAny(p.Pkg.Rel, []string{"internal/obs"}) {
-		checkNilGuards(p, func(string) bool { return true })
-	}
-	// The worker-side probe set promises the same nil-receiver off
-	// switch the obs registry does; only that type carries the contract
-	// there, not the coordinator (which publishes its Stats at snapshot
-	// time and has no probes).
-	if matchAny(p.Pkg.Rel, []string{"internal/fabric"}) {
-		checkNilGuards(p, func(recv string) bool { return recv == "WorkerTelemetry" })
+		checkNilGuards(p)
 	}
 	if matchAny(p.Pkg.Rel, []string{"internal/sim", "internal/core"}) {
 		checkNoGoroutines(p)
@@ -128,16 +121,13 @@ func constSuffixedName(info *types.Info, e ast.Expr) bool {
 }
 
 // checkNilGuards enforces rule 2: every exported pointer-receiver
-// method on a type selected by wantType must open with the nil-receiver
-// guard when it touches receiver state.
-func checkNilGuards(p *Pass, wantType func(recvType string) bool) {
+// method must open with the nil-receiver guard when it touches receiver
+// state.
+func checkNilGuards(p *Pass) {
 	for _, f := range p.Pkg.Syntax {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || !fd.Name.IsExported() || fd.Body == nil {
-				continue
-			}
-			if !wantType(recvDeclTypeName(fd)) {
 				continue
 			}
 			recvName, isPtr := recvInfo(fd)
@@ -154,23 +144,6 @@ func checkNilGuards(p *Pass, wantType func(recvType string) bool) {
 			}
 		}
 	}
-}
-
-// recvDeclTypeName returns the declared receiver type's name from the
-// AST ("Counter" for `func (c *Counter) ...`), or "" when it is not
-// a plain (possibly pointered) identifier.
-func recvDeclTypeName(fd *ast.FuncDecl) string {
-	if len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
 }
 
 // recvInfo extracts the receiver identifier name and pointer-ness.

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"context"
-	"fmt"
 	"go/token"
 	"path/filepath"
 
@@ -14,32 +13,29 @@ type Config struct {
 	// Dir is the module root (a directory containing go.mod). Empty
 	// means the current directory.
 	Dir string
-	// Enable, when non-empty, restricts the run to the named analyzers.
-	Enable []string
-	// Disable removes the named analyzers from the run.
-	Disable []string
 	// Paths, when non-empty, restricts linted packages to these
 	// module-relative prefixes ("." is the root package).
 	Paths []string
 }
 
-// Run loads the module and applies every selected analyzer, returning
-// the surviving findings sorted by position. Packages are analysed
+// Run loads the module and applies every analyzer, returning the
+// surviving findings sorted by position. Packages are analysed
 // concurrently on a GOMAXPROCS-wide internal/parallel pool.
 // Suppressions (//lint:ignore) are applied here; malformed and unused
 // directives surface as "lint" findings. Cancelling ctx skips the
 // packages not yet analysed and fails the run.
 func Run(ctx context.Context, cfg Config) ([]Diagnostic, error) {
+	return run(ctx, cfg, Analyzers())
+}
+
+// run is Run restricted to the given analyzers (the fixture tests run
+// one at a time).
+func run(ctx context.Context, cfg Config, analyzers []*Analyzer) ([]Diagnostic, error) {
 	dir := cfg.Dir
 	if dir == "" {
 		dir = "."
 	}
 	pkgs, err := Load(dir)
-	if err != nil {
-		return nil, err
-	}
-
-	analyzers, err := selectAnalyzers(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -108,34 +104,6 @@ func Run(ctx context.Context, cfg Config) ([]Diagnostic, error) {
 		}
 	}
 	sortDiagnostics(out)
-	return out, nil
-}
-
-// selectAnalyzers applies -enable/-disable to the registry.
-func selectAnalyzers(cfg Config) ([]*Analyzer, error) {
-	for _, name := range append(append([]string{}, cfg.Enable...), cfg.Disable...) {
-		if analyzerByName(name) == nil {
-			return nil, fmt.Errorf("lint: unknown analyzer %q (known: %s)", name, analyzerNames())
-		}
-	}
-	disabled := make(map[string]bool, len(cfg.Disable))
-	for _, name := range cfg.Disable {
-		disabled[name] = true
-	}
-	enabled := make(map[string]bool, len(cfg.Enable))
-	for _, name := range cfg.Enable {
-		enabled[name] = true
-	}
-	var out []*Analyzer
-	for _, a := range Analyzers() {
-		if disabled[a.Name] {
-			continue
-		}
-		if len(enabled) > 0 && !enabled[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
 	return out, nil
 }
 

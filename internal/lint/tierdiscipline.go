@@ -6,35 +6,20 @@ import (
 	"strings"
 )
 
-// analyzerTierDiscipline enforces the tiered-fidelity contracts the
-// compiler cannot see (DESIGN.md §9): counters and timelines are only
-// meaningful while the detailed engine is driving them.
-//
-//  1. Every detailed-only Chip entry point (Tick, the Measure family,
-//     Snapshot, EnableTimeseries) must open with the requireDetailed
-//     guard, so reading counters or opening a timeline in the
-//     functional tier fails loudly instead of returning garbage.
-//  2. Fast-forward accrual code — the Quiescent / NextEvent /
-//     AdvanceCycles component trio — must not touch observation APIs.
-//     During a quiescent jump counters advance in closed form; a
-//     Snapshot, Measure or obs emission taken from inside the jump
-//     would observe a cycle that is being skipped, and would diverge
-//     from the stepped run the jump must match bit-for-bit.
+// analyzerTierDiscipline enforces the fast-forward contract the
+// compiler cannot see (DESIGN.md §9): the Quiescent / NextEvent /
+// AdvanceCycles component trio is pure accounting and must not touch
+// observation APIs. During a quiescent jump counters advance in closed
+// form; a Snapshot, Measure or obs emission taken from inside the jump
+// would observe a cycle that is being skipped, and would diverge from
+// the stepped run the jump must match bit-for-bit. (The other tier
+// contract, that detailed-only Chip entry points open with
+// requireDetailed, is pinned by TestTierGuards in internal/sim/chip.)
 var analyzerTierDiscipline = &Analyzer{
 	Name:  "tierdiscipline",
-	Doc:   "detailed-only chip entry points must open with requireDetailed; fast-forward accrual must not touch observation APIs",
+	Doc:   "fast-forward accrual (Quiescent/NextEvent/AdvanceCycles) must not touch observation APIs",
 	Paths: []string{"internal/sim"},
 	Run:   runTierDiscipline,
-}
-
-// detailedOnly lists the Chip methods that read counters, drive the
-// cycle-accurate engine or open timelines, and therefore must be
-// guarded against the functional tier.
-var detailedOnly = map[string]bool{
-	"Tick":             true,
-	"Measure":          true,
-	"Snapshot":         true,
-	"EnableTimeseries": true,
 }
 
 // observationCalls are method names that read or publish simulation
@@ -66,76 +51,9 @@ var obsForbiddenInJump = map[string]bool{
 	"Snapshot": true,
 }
 
+// runTierDiscipline checks every fast-forward method body in
+// internal/sim.
 func runTierDiscipline(p *Pass) {
-	if p.Pkg.Rel == "internal/sim/chip" {
-		checkDetailedGuards(p)
-	}
-	checkFastForwardPurity(p)
-}
-
-// checkDetailedGuards enforces rule 1: each detailed-only *Chip method
-// must have the requireDetailed call as its first statement.
-func checkDetailedGuards(p *Pass) {
-	for _, f := range p.Pkg.Syntax {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil || !detailedOnly[fd.Name.Name] {
-				continue
-			}
-			if recvNamed(p.Pkg.Info, fd) != "Chip" {
-				continue
-			}
-			if !startsWithRequireDetailed(fd.Body) {
-				p.Reportf(fd.Name.Pos(),
-					"detailed-only chip entry point %s must open with the requireDetailed guard; counters and timelines are meaningless in the functional tier",
-					fd.Name.Name)
-			}
-		}
-	}
-}
-
-// recvNamed returns the name of fd's receiver type, through a pointer.
-func recvNamed(info *types.Info, fd *ast.FuncDecl) string {
-	if len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := info.TypeOf(fd.Recv.List[0].Type)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name()
-}
-
-// startsWithRequireDetailed reports whether the body's first statement
-// is a call to requireDetailed.
-func startsWithRequireDetailed(body *ast.BlockStmt) bool {
-	if len(body.List) == 0 {
-		return false
-	}
-	es, ok := body.List[0].(*ast.ExprStmt)
-	if !ok {
-		return false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name == "requireDetailed"
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "requireDetailed"
-	}
-	return false
-}
-
-// checkFastForwardPurity enforces rule 2 inside every fast-forward
-// method body in internal/sim.
-func checkFastForwardPurity(p *Pass) {
 	info := p.Pkg.Info
 	for _, f := range p.Pkg.Syntax {
 		for _, decl := range f.Decls {

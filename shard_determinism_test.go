@@ -51,7 +51,7 @@ func buildShardDoc(t *testing.T) []byte {
 // routes this process's simulations through it.
 func startFabric(t *testing.T, n int) *fabric.LocalFabric {
 	t.Helper()
-	lf, err := fabric.StartLocal(n, fabric.Options{StraggleAfter: -1}, fabric.WorkerOptions{Slots: 2})
+	lf, err := fabric.StartLocal(t.Context(), n, fabric.Options{StraggleAfter: -1}, fabric.WorkerOptions{Slots: 2})
 	if err != nil {
 		t.Fatalf("starting %d-worker fabric: %v", n, err)
 	}
