@@ -77,6 +77,7 @@ ab:
 fuzz:
 	$(GO) test -fuzz FuzzTraceDecode -fuzztime 15s -run '^$$' ./internal/trace
 	$(GO) test -fuzz FuzzCacheConfigValidate -fuzztime 15s -run '^$$' ./internal/sim/cache
+	$(GO) test -fuzz FuzzTagStore -fuzztime 15s -run '^$$' ./internal/sim/cache
 	$(GO) test -fuzz FuzzDRAMConfig -fuzztime 15s -run '^$$' ./internal/sim/dram
 	$(GO) test -fuzz FuzzHierarchyBackpressure -fuzztime 15s -run '^$$' ./internal/sim/chip
 	$(GO) test -fuzz FuzzFabricFrameDecode -fuzztime 15s -run '^$$' ./internal/fabric

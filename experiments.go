@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"lpm/internal/analyzer"
 	"lpm/internal/core"
@@ -244,36 +245,59 @@ var fig8Paper = map[string]float64{
 // the scheduler ranking is sensitive to the measurement protocol (see
 // EXPERIMENTS.md), so the harness always reports the deterministic,
 // test-covered setting.
+//
+// The stages overlap as far as their inputs allow. Random's and
+// RoundRobin's shared runs need neither the profile table nor the alone
+// IPCs, so they start with both; the table-driven policies start when
+// the table arrives, and every Hsp is scored once the alone IPCs are in.
+// Only the simulations hold -workers tokens: a stage waits for its
+// input holding none. Errors keep the serial order: the table's, then
+// the alone IPCs', then the policies' in row order.
 func Fig8Ctx(ctx context.Context, _ Scale) ([]Fig8Row, error) {
 	names := trace.ProfileNames()
 	sizes := chip.NUCAGroupSizes[:]
+	opt := sched.EvalOptions{WindowCycles: 80000, WarmupCycles: 40000}
+	shared := func(policies ...sched.Scheduler) ([]*sched.Evaluation, error) {
+		return parallel.MapCtx(ctx, policies, func(ctx context.Context, p sched.Scheduler) (*sched.Evaluation, error) {
+			return sched.RunShared(ctx, p, names, sizes, opt)
+		})
+	}
+	var (
+		wg                            sync.WaitGroup
+		alone                         []float64
+		blind, guided                 []*sched.Evaluation
+		aloneErr, blindErr, guidedErr error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		alone, aloneErr = sched.AloneIPCs(ctx, names, sizes, opt)
+	}()
+	go func() {
+		defer wg.Done()
+		blind, blindErr = shared(sched.Random{Seed: 1}, sched.RoundRobin{})
+	}()
 	tbl, err := sched.BuildProfileTable(ctx, names, sizes,
 		sched.ProfileOptions{Instructions: 10000, Warmup: 25000})
-	if err != nil {
-		return nil, err
+	if err == nil {
+		guided, guidedErr = shared(
+			sched.NUCASA{Table: tbl, TolFrac: 0.10},
+			sched.NUCASA{Table: tbl, TolFrac: 0.01},
+			sched.PIE{Table: tbl},
+		)
 	}
-	opt := sched.EvalOptions{WindowCycles: 80000, WarmupCycles: 40000}
-	alone, err := sched.AloneIPCs(ctx, names, sizes, opt)
-	if err != nil {
-		return nil, err
-	}
-	opt.AloneIPC = alone
-	policies := []sched.Scheduler{
-		sched.Random{Seed: 1},
-		sched.RoundRobin{},
-		sched.NUCASA{Table: tbl, TolFrac: 0.10},
-		sched.NUCASA{Table: tbl, TolFrac: 0.01},
-		sched.PIE{Table: tbl},
-	}
-	// The per-policy shared runs are independent 16-core simulations;
-	// fan them out. The profile table and alone-IPC slice are read-only.
-	return parallel.MapCtx(ctx, policies, func(ctx context.Context, p sched.Scheduler) (Fig8Row, error) {
-		ev, err := sched.Evaluate(ctx, p, names, sizes, opt)
+	wg.Wait()
+	for _, err := range []error{err, aloneErr, blindErr, guidedErr} {
 		if err != nil {
-			return Fig8Row{}, err
+			return nil, err
 		}
-		return Fig8Row{Scheduler: ev.Scheduler, Hsp: ev.Hsp, PaperHsp: fig8Paper[ev.Scheduler]}, nil
-	})
+	}
+	rows := make([]Fig8Row, 0, len(blind)+len(guided))
+	for _, ev := range append(blind, guided...) {
+		ev.Score(alone)
+		rows = append(rows, Fig8Row{Scheduler: ev.Scheduler, Hsp: ev.Hsp, PaperHsp: fig8Paper[ev.Scheduler]})
+	}
+	return rows, nil
 }
 
 // ---------------------------------------------------------------------

@@ -35,12 +35,21 @@ import (
 //	test.sleep   {"X":n,"MS":d}     -> 2n after d milliseconds
 //	test.fail    {"Text":s}         -> error with text s
 //	test.flaky   {}                 -> error shaped like a broken stream
+//	test.block   any                -> the spec; once armed, the first run
+//	                                   blocks until its ctx is cancelled
 //
 // Like the real kinds they are pure functions of the spec, so straggler
 // duplicates and re-issues stay sound.
 var testExecCount atomic.Int64 // test.double/test.sleep invocations
 
 var testFlakyCount atomic.Int64 // test.flaky invocations
+
+// testBlockArmed makes the next test.block run block until its ctx is
+// cancelled; that run signals testBlockStarted first.
+var (
+	testBlockArmed   atomic.Bool
+	testBlockStarted = make(chan struct{}, 1)
+)
 
 // testRunning/testPeak gauge how many sleeping toy granules execute at
 // once, for the slots and whole-batch tests (which reset the peak).
@@ -103,6 +112,14 @@ func init() {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%s", s.Text)
+	})
+	RegisterKind("test.block", func(ctx context.Context, raw json.RawMessage) (json.RawMessage, error) {
+		if testBlockArmed.CompareAndSwap(true, false) {
+			testBlockStarted <- struct{}{}
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return raw, nil
 	})
 	RegisterKind("test.flaky", func(context.Context, json.RawMessage) (json.RawMessage, error) {
 		testFlakyCount.Add(1)
@@ -403,6 +420,54 @@ func TestFabricJoinLeave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("granule %d: %v", i, err)
 		}
+	}
+}
+
+// TestNilTelemetryWorkerAbandonsMidGranule cancels a worker that runs
+// without telemetry (WorkerOptions.Obs == nil) in the middle of a
+// granule. The abandon it records goes to the nil WorkerTelemetry,
+// which must be the off switch rather than a panic, and the granule
+// must resolve on another worker.
+func TestNilTelemetryWorkerAbandonsMidGranule(t *testing.T) {
+	lf, err := StartLocal(t.Context(), 0, Options{StraggleAfter: -1}, WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	ctx := t.Context()
+	first := lf.AddWorker(WorkerOptions{Slots: 1})
+	if err := lf.C.WaitWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	testBlockArmed.Store(true)
+	type result struct {
+		raw json.RawMessage
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		raw, err := lf.C.Submit(ctx, "test.block", "test.block|abandon", json.RawMessage(`"resolved"`))
+		done <- result{raw, err}
+	}()
+	select {
+	case <-testBlockStarted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the granule never started")
+	}
+	if err := lf.StopWorker(first); err != nil {
+		t.Fatal(err)
+	}
+	lf.AddWorker(WorkerOptions{Slots: 1})
+	select {
+	case r := <-done:
+		if r.err != nil || string(r.raw) != `"resolved"` {
+			t.Fatalf("granule resolved to %s, %v; want \"resolved\"", r.raw, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the abandoned granule never resolved on the second worker")
+	}
+	if st := lf.C.Stats(); st.Requeued != 1 || st.Completed != 1 {
+		t.Fatalf("stats=%+v, want the granule re-queued once and completed once", st)
 	}
 }
 

@@ -88,18 +88,6 @@ func (p *NetProxy) CorruptNext(n int) {
 	p.corrupt += n
 }
 
-// DropAll severs every live proxied connection without touching fault
-// state; workers see a reset and re-dial through their backoff policy.
-func (p *NetProxy) DropAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// Close order across the set is irrelevant: every conn is severed
-	// unconditionally, so iterating the map directly is fine.
-	for c := range p.conns {
-		_ = c.Close()
-	}
-}
-
 // Close shuts the listener and severs every connection.
 func (p *NetProxy) Close() {
 	p.mu.Lock()
@@ -116,7 +104,18 @@ func (p *NetProxy) Close() {
 	}
 	p.mu.Unlock()
 	_ = p.ln.Close()
-	p.DropAll()
+	p.dropAll()
+}
+
+// dropAll severs every live proxied connection; the peers see a reset.
+func (p *NetProxy) dropAll() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// Close order across the set is irrelevant: every conn is severed
+	// unconditionally, so iterating the map directly is fine.
+	for c := range p.conns {
+		_ = c.Close()
+	}
 }
 
 func (p *NetProxy) accept() {

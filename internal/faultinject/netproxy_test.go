@@ -137,13 +137,12 @@ func TestNetProxyCorruptNextFlipsOneBit(t *testing.T) {
 	}
 }
 
-func TestNetProxyDropAllSevers(t *testing.T) {
+func TestNetProxyCloseSevers(t *testing.T) {
 	t.Parallel()
 	p, err := NewNetProxy(startEcho(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	c := dialProxy(t, p)
 	if _, err := c.Write([]byte("x")); err != nil {
 		t.Fatal(err)
@@ -152,10 +151,14 @@ func TestNetProxyDropAllSevers(t *testing.T) {
 	if _, err := readFull(c, one, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	p.DropAll()
+	p.Close()
 	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := c.Read(one); err == nil {
-		t.Fatal("read succeeded after DropAll")
+	_, err = c.Read(one)
+	if err == nil {
+		t.Fatal("read succeeded after Close")
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("read timed out after Close: the proxied connection was left open")
 	}
 }
 

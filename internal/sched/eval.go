@@ -83,8 +83,29 @@ func AloneIPCs(ctx context.Context, workloads []string, groupSizes []uint64, opt
 }
 
 // Evaluate runs the workloads under the given assignment on the Fig. 5
-// NUCA chip and returns the Hsp evaluation.
+// NUCA chip and returns the Hsp evaluation: RunShared, then Score
+// against opt.AloneIPC or, when that is nil, freshly measured AloneIPCs.
 func Evaluate(ctx context.Context, s Scheduler, workloads []string, groupSizes []uint64, opt EvalOptions) (*Evaluation, error) {
+	ev, err := RunShared(ctx, s, workloads, groupSizes, opt)
+	if err != nil {
+		return nil, err
+	}
+	alone := opt.AloneIPC
+	if alone == nil {
+		alone, err = AloneIPCs(ctx, workloads, groupSizes, opt)
+		if err != nil {
+			return nil, err
+		}
+	}
+	ev.Score(alone)
+	return ev, nil
+}
+
+// RunShared is Evaluate's 16-core shared run alone: the evaluation it
+// returns has the assignment and the shared IPCs, but no IPCAlone and
+// no Hsp until Score. It does not read opt.AloneIPC, so it can run
+// while the standalone IPCs are still being measured.
+func RunShared(ctx context.Context, s Scheduler, workloads []string, groupSizes []uint64, opt EvalOptions) (*Evaluation, error) {
 	opt = opt.normalise()
 	asg, err := s.Assign(workloads, groupSizes)
 	if err != nil {
@@ -120,23 +141,19 @@ func Evaluate(ctx context.Context, s Scheduler, workloads []string, groupSizes [
 		}
 		ipcShared[w] = r.Cores[core].CPU.IPC()
 	}
-
-	alone := opt.AloneIPC
-	if alone == nil {
-		alone, err = AloneIPCs(ctx, workloads, groupSizes, opt)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	return &Evaluation{
 		Scheduler:  s.Name(),
 		Assignment: asg,
 		IPCShared:  ipcShared,
-		IPCAlone:   alone,
-		Hsp:        stats.Hsp(ipcShared, alone),
 		Cycles:     opt.WindowCycles,
 	}, nil
+}
+
+// Score completes a shared run with the standalone IPCs (indexed like
+// the workloads): it sets IPCAlone and the Hsp.
+func (e *Evaluation) Score(alone []float64) {
+	e.IPCAlone = alone
+	e.Hsp = stats.Hsp(e.IPCShared, alone)
 }
 
 // nucaConfig builds a NUCA chip for arbitrary group sizes (the standard

@@ -35,6 +35,9 @@ func tagWord(block uint64, dirty bool) uint64 {
 // block returns the block address a line holds.
 func (l *line) block() uint64 { return l.tag >> tagShift }
 
+// pageSets is the number of sets in one page of the tag store.
+const pageSets = 64
+
 // inputReq is a request accepted from above but not yet in service.
 type inputReq struct {
 	addr  uint64
@@ -124,10 +127,16 @@ func (s Stats) Sub(o Stats) Stats {
 // lower layer with SetLower, then call Tick once per cycle (upper layers
 // first). It implements Lower so caches stack directly.
 type Cache struct {
-	cfg       Config
-	an        *analyzer.Analyzer
-	lower     Lower
-	lines     []line // the tag store, set-major: set s is lines[s*assoc:][:assoc]
+	cfg   Config
+	an    *analyzer.Analyzer
+	lower Lower
+	// pages is the tag store: a fixed table of set-major pages of
+	// pageSets sets (the last one may be short), set s at
+	// pages[s/pageSets][s%pageSets*assoc:][:assoc]. A page stays nil
+	// until the first install into it, and a probe of a nil page is a
+	// miss. The table never grows and pages never move, so a *line
+	// stays valid.
+	pages     [][]line
 	nSets     uint64
 	assoc     uint64
 	blockBits uint
@@ -245,7 +254,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:        cfg,
 		an:         analyzer.New(cfg.Name),
-		lines:      make([]line, nSets*uint64(cfg.Assoc)),
+		pages:      make([][]line, (nSets+pageSets-1)/pageSets),
 		nSets:      nSets,
 		assoc:      uint64(cfg.Assoc),
 		blockBits:  blockBits,
@@ -301,13 +310,23 @@ func (c *Cache) ServiceActive() bool {
 // block maps an address to its block address.
 func (c *Cache) block(addr uint64) uint64 { return addr >> c.blockBits }
 
-// setIndex maps a block address to its set.
-func (c *Cache) setIndex(block uint64) uint64 { return block % c.nSets }
-
-// set returns the ways of the set block maps to.
+// set returns the ways of the set block maps to (set block % nSets), or
+// nil while its page holds no install.
 func (c *Cache) set(block uint64) []line {
-	s := c.setIndex(block) * c.assoc
-	return c.lines[s : s+c.assoc]
+	s := block % c.nSets
+	if p := c.pages[s/pageSets]; p != nil {
+		s = s % pageSets * c.assoc
+		return p[s : s+c.assoc]
+	}
+	return nil
+}
+
+// fillSet is set for an install: the first fill into a page allocates it.
+func (c *Cache) fillSet(block uint64) []line {
+	if p := block % c.nSets / pageSets; c.pages[p] == nil {
+		c.pages[p] = make([]line, min(pageSets, c.nSets-p*pageSets)*c.assoc)
+	}
+	return c.set(block)
 }
 
 // find returns the valid way holding block, or nil.
@@ -403,7 +422,7 @@ func (c *Cache) Tick(cycle uint64) {
 // install writes a filled block into its set and completes all coalesced
 // targets.
 func (c *Cache) install(m *mshrEntry) {
-	v := c.victim(c.set(m.block))
+	v := c.victim(c.fillSet(m.block))
 	if v.tag&validBit != 0 {
 		c.st.Evictions++
 		if v.tag&dirtyBit != 0 {
@@ -472,23 +491,19 @@ func (c *Cache) victim(set []line) *line {
 }
 
 // lookup probes the tag array; on a hit it applies the policy's touch and
-// returns true. It scans the set itself rather than through find, which
-// keeps it under the inlining budget: it is the hit path.
+// returns true.
 func (c *Cache) lookup(block uint64, write bool) bool {
-	set := c.set(block)
-	want := block<<tagShift | validBit
-	for i := range set {
-		if set[i].tag&^dirtyBit == want {
-			if c.cfg.Repl == LRU {
-				set[i].used = c.now
-			}
-			if write {
-				set[i].tag |= dirtyBit
-			}
-			return true
-		}
+	l := c.find(block)
+	if l == nil {
+		return false
 	}
-	return false
+	if c.cfg.Repl == LRU {
+		l.used = c.now
+	}
+	if write {
+		l.tag |= dirtyBit
+	}
+	return true
 }
 
 // completeResolved retires the pipeline entries whose hit operation

@@ -39,7 +39,7 @@ func (c *refCache) Tick(cycle uint64) {
 }
 
 func (c *refCache) install(m *mshrEntry) {
-	v := c.victim(c.set(m.block))
+	v := c.victim(c.fillSet(m.block))
 	if v.tag&validBit != 0 {
 		c.st.Evictions++
 		if v.tag&dirtyBit != 0 {

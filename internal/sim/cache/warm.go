@@ -69,7 +69,7 @@ func (c *Cache) warmFill(stamp uint64, blk uint64, write bool) {
 	if c.warmLower != nil {
 		c.warmLower.WarmFetch(stamp, c.cfg.SrcID, blk, write)
 	}
-	v := c.victim(c.set(blk))
+	v := c.victim(c.fillSet(blk))
 	if v.tag&validBit != 0 {
 		if v.tag&dirtyBit != 0 {
 			if c.warmLower != nil {

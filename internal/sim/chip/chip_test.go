@@ -1,6 +1,7 @@
 package chip
 
 import (
+	"runtime"
 	"testing"
 
 	"lpm/internal/trace"
@@ -245,11 +246,34 @@ func TestMeasureCPIexe(t *testing.T) {
 	}
 }
 
+// TestChipNewIsSmall guards the paged tag store: building the one-core
+// NUCA chip allocates the 8 MB L2's page table, not its 2 MB of ways,
+// so it stays under 64 KB (it reads 15.8 KB; eager allocation read
+// 2.1 MB).
+func TestChipNewIsSmall(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	cfg := NUCASingle(trace.NewSynthetic(trace.MustProfile("401.bzip2")), 32*KB)
+	least := ^uint64(0)
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		chipSink = New(cfg)
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Fatalf("chip.New(NUCASingle) allocates %d bytes, want under 64 KB", least)
+	}
+}
+
 // chipSink keeps BenchmarkChipNew's chips live.
 var chipSink *Chip
 
-// BenchmarkChipNew measures building a chip, in B/op: the tag store of
-// the 8 MB NUCA L2 is nearly all of it.
+// BenchmarkChipNew measures building a chip, in B/op. The tag stores
+// allocate only their page tables (the 8 MB NUCA L2's is 256 entries);
+// pages come with the first fills.
 func BenchmarkChipNew(b *testing.B) {
 	gen := trace.NewSynthetic(trace.MustProfile("401.bzip2"))
 	for _, bc := range []struct {

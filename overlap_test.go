@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
+
+	"lpm/internal/parallel"
+	"lpm/internal/sched"
 )
 
 // BuildReportCtx runs its experiments at once under one -workers
@@ -99,5 +103,97 @@ func TestOverlappedReportHookErrorStops(t *testing.T) {
 		}})
 	if err != context.Canceled || !reflect.DeepEqual(delivered, []string{"fig1", "table1"}) {
 		t.Fatalf("err = %v, delivered %v; want the hook's error after [fig1 table1]", err, delivered)
+	}
+}
+
+// fig8Doc builds the report document of Fig. 8 alone.
+func fig8Doc(t *testing.T) []byte {
+	t.Helper()
+	rep, err := BuildReportCtx(bg, ReportOptions{Scale: overlapScale, Experiments: []string{"fig8"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Partial || len(rep.Experiments) != 1 || len(rep.Experiments[0].Fig8) != 5 {
+		t.Fatalf("fig8 report: partial=%v, experiments %+v, want five rows", rep.Partial, rep.Experiments)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// Fig8Ctx overlaps its stages (shared runs, profile table, alone IPCs);
+// the rows must not depend on how they interleave.
+func TestFig8OverlapIdenticalAcrossWorkersAndShards(t *testing.T) {
+	defer func() { SetWorkers(0); ResetSimCaches() }()
+	var docs [][]byte
+	for _, w := range []int{1, 2, 4} {
+		SetWorkers(w)
+		ResetSimCaches()
+		docs = append(docs, fig8Doc(t))
+	}
+	SetWorkers(2)
+	ResetSimCaches()
+	lf, _ := startFabricWithSlots(t, 1, 1)
+	docs = append(docs, fig8Doc(t))
+	closeFabric(t, lf)
+	for i, run := range []string{"-workers 2", "-workers 4", "sharded over two workers"} {
+		if string(docs[i+1]) != string(docs[0]) {
+			t.Fatalf("fig8 at %s differs from -workers 1 near line %d", run, firstDiffLine(docs[i+1], docs[0]))
+		}
+	}
+}
+
+// A cancel while Fig. 8's profile table is being built keeps the shape
+// the serial stages gave: fig8 is aborted with no rows and no error
+// cell, nothing is completed, and the document decodes.
+func TestFig8CancelDuringProfileTable(t *testing.T) {
+	defer func() { SetWorkers(0); ResetSimCaches() }()
+	SetWorkers(1)
+	ResetSimCaches()
+	profiles := func() int {
+		snap, err := parallel.ExportMemos()
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		var entries map[string]json.RawMessage
+		if err := json.Unmarshal(snap[sched.ProfileKind], &entries); err != nil {
+			return 0
+		}
+		return len(entries)
+	}
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	go func() {
+		// At -workers 1 the table's other 63 runs are still to come once
+		// the first one is memoised.
+		for ctx.Err() == nil && profiles() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	rep, err := BuildReportCtx(ctx, ReportOptions{Scale: overlapScale, Experiments: []string{"fig8"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := profiles(); n == 0 || n >= 64 {
+		t.Fatalf("%d of 64 profile runs memoised: the cancel did not land during the table", n)
+	}
+	if !rep.Partial || len(rep.Completed) != 0 || !reflect.DeepEqual(rep.Aborted, []string{"fig8"}) {
+		t.Fatalf("partial=%v completed=%v aborted=%v, want fig8 aborted and nothing completed",
+			rep.Partial, rep.Completed, rep.Aborted)
+	}
+	if len(rep.Experiments) != 1 || rep.Experiments[0].Name != "fig8" ||
+		rep.Experiments[0].Fig8 != nil || rep.Experiments[0].Err != "" {
+		t.Fatalf("experiments = %+v, want one fig8 entry with no rows and no error", rep.Experiments)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeReport(data); err != nil {
+		t.Fatalf("partial fig8 report does not decode: %v", err)
 	}
 }
