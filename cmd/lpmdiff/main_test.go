@@ -37,7 +37,7 @@ const baseDoc = `{
           "point": "p",
           "cpi_exe": 0.5,
           "series": {
-            "version": 1, "width": 256, "adaptive": false, "dropped": 0,
+            "version": 1, "width": 256, "dropped": 0,
             "windows": [
               {"index": 0, "start": 0, "end": 256, "phase": -1,
                "derived": {"ipc": 1.0, "lpmr1": 2.0, "lpmr2": 1.0, "lpmr3": 0.5}},

@@ -70,7 +70,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		metrics  = fs.Bool("metrics", false, "print the per-layer metrics snapshot after the report")
 		timeline = fs.Bool("timeline", false, "attach the cycle-windowed sampler and print a timeline summary")
 		tsWindow = fs.Uint64("tswindow", 0, "timeline window width in cycles (0 = default)")
-		tsAdapt  = fs.Bool("tsadaptive", false, "merge timeline windows into phase-aligned spans")
 		serve    = fs.String("serve", "", "serve live /metrics and /timeline on this address during the run")
 		hold     = fs.Duration("serve-hold", 0, "keep the -serve endpoints up this long after the run")
 		jsonOut  = fs.Bool("json", false, "emit a versioned lpm-report/v2 document (single-run row) on stdout")
@@ -116,7 +115,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Observe:      *metrics,
 		Timeline:     *timeline,
 		TSWindow:     *tsWindow,
-		Adaptive:     *tsAdapt,
 	}
 	var hub *ctrl.Hub
 	if *serve != "" {
@@ -212,8 +210,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // per window (eliding the middle of long runs), with the window's IPC,
 // LPMR1 and the fraction of core cycles attributed to memory stalls.
 func printTimeline(p *cliutil.Printer, ser *timeseries.Series) {
-	p.Printf("timeline   %d windows (width=%d adaptive=%v dropped=%d):\n",
-		len(ser.Windows), ser.Width, ser.Adaptive, ser.Dropped)
+	p.Printf("timeline   %d windows (width=%d dropped=%d):\n",
+		len(ser.Windows), ser.Width, ser.Dropped)
 	p.Printf("  %-6s %-12s %-8s %-8s %-8s %s\n", "win", "cycles", "ipc", "lpmr1", "lpmr2", "memstall%")
 	const headTail = 6
 	for i, w := range ser.Windows {

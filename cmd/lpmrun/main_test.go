@@ -272,8 +272,8 @@ func TestJSONMatchesControlPlaneDocument(t *testing.T) {
 		args []string
 	}{
 		{ctrl.RunSpec{Workload: "403.gcc", Instructions: 2000, Warmup: 3000}, nil},
-		{ctrl.RunSpec{Workload: "429.mcf", Instructions: 2000, Warmup: 3000, WarmupFast: true, TSWindow: 256, Adaptive: true},
-			[]string{"-warmup-fast", "-tswindow", "256", "-tsadaptive"}},
+		{ctrl.RunSpec{Workload: "429.mcf", Instructions: 2000, Warmup: 3000, WarmupFast: true, TSWindow: 256},
+			[]string{"-warmup-fast", "-tswindow", "256"}},
 		{ctrl.RunSpec{Workload: "403.gcc", Instructions: 2000, Warmup: 3000, Watchdog: 1}, []string{"-watchdog", "1"}},
 	} {
 		args := append([]string{"-json", "-metrics", "-timeline", "-workload", tc.spec.Workload,

@@ -73,12 +73,37 @@ func TestSubmitAdmissionCaps(t *testing.T) {
 	}
 }
 
+// TestSubmitDecodesStrictly: a field the spec does not have, such as the
+// removed "adaptive" or a misspelling, is refused with a 400 naming it
+// rather than silently ignored, and so is data after the spec object.
+func TestSubmitDecodesStrictly(t *testing.T) {
+	for _, c := range []struct{ body, field string }{
+		{`{"workload":"429.mcf","adaptive":true}`, `"adaptive"`},
+		{`{"workload":"429.mcf","instrutions":5}`, `"instrutions"`},
+		{`{"workload":"403.gcc"} {"workload":"429.mcf"}`, ""},
+		{`{"workload":"403.gcc"} x`, ""},
+	} {
+		rec := submit(t, []byte(c.body))
+		if got := checkResponse(t, rec); got != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.body, got)
+		}
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, c.field) {
+			t.Fatalf("%s: error does not name %s: %s", c.body, c.field, rec.Body)
+		}
+	}
+	if got := checkResponse(t, submit(t, []byte(`{"workload":"403.gcc"}`+"\n"))); got != http.StatusAccepted {
+		t.Fatalf("a spec with a trailing newline: status %d, want 202", got)
+	}
+}
+
 // FuzzSubmitRunSpec drives arbitrary bodies through the real submit
 // handler (make fuzz runs it for 15 s).
 func FuzzSubmitRunSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"workload":"403.gcc"}`,
-		`{"tenant":"acme","workload":"429.mcf","instructions":300000,"warmup":80000,"warmup_fast":true,"ts_window":256,"adaptive":true,"watchdog":1}`,
+		`{"tenant":"acme","workload":"429.mcf","instructions":300000,"warmup":80000,"warmup_fast":true,"ts_window":256,"watchdog":1}`,
+		`{"workload":"429.mcf","adaptive":true}`,
 		`{"workload":"no.such"}`,
 		`{"workload":"403.gcc","instructions":18446744073709551615}`,
 		`{"workload":"403.gcc","instructions":-1}`,

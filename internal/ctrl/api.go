@@ -2,13 +2,13 @@
 // registry of concurrent simulation runs with a versioned JSON API
 // (lpm-ctrl/v1) for submit/list/status/cancel, a scheduler enforcing
 // per-tenant concurrency budgets on top of internal/parallel's worker
-// budget, live timeline streaming over SSE with bounded per-subscriber
-// rings (slow consumers drop windows, with drop accounting, instead of
+// budget, live timeline streaming over SSE (a slow consumer skips the
+// windows it fell too far behind for, with drop accounting, instead of
 // stalling the simulation), and a single fleet-wide Prometheus endpoint
 // aggregating every run's observability snapshot.
 //
 // Each run publishes into one Hub, the run's only stream: its series
-// header, seq-stamped window history (bounded by
+// header, append-only log of seq-stamped final windows (bounded by
 // timeseries.DefaultMaxWindows), latest obs snapshot and finished flag.
 // SSE, /timeline and /metrics all read it; lpmrun -serve publishes into
 // a Hub too, and expo.go here hosts the handlers both binaries share.
@@ -64,8 +64,6 @@ type RunSpec struct {
 	WarmupFast bool `json:"warmup_fast,omitempty"`
 	// TSWindow is the timeline window width in cycles (0 = default).
 	TSWindow uint64 `json:"ts_window,omitempty"`
-	// Adaptive merges timeline windows into phase-aligned spans.
-	Adaptive bool `json:"adaptive,omitempty"`
 	// Watchdog is the no-progress cycle budget before a livelock
 	// diagnostic (0 = off).
 	Watchdog uint64 `json:"watchdog,omitempty"`

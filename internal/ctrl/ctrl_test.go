@@ -36,7 +36,7 @@ func (s *stubRunner) Run(ctx context.Context, spec RunSpec, hub *Hub) (json.RawM
 	s.mu.Lock()
 	s.started = append(s.started, spec.Workload)
 	s.mu.Unlock()
-	hub.SetMeta(512, false)
+	hub.SetMeta(512)
 	reg := obs.NewRegistry()
 	windows := reg.Counter("stub.windows")
 	for i := 0; i < s.windows; i++ {

@@ -29,18 +29,13 @@ import (
 func NewAPIMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/runs", func(w http.ResponseWriter, r *http.Request) {
-		var spec RunSpec
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+		spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 		if err != nil {
 			status := http.StatusBadRequest
 			if errors.As(err, new(*http.MaxBytesError)) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			writeErr(w, status, "read run spec: "+err.Error())
-			return
-		}
-		if err := json.Unmarshal(body, &spec); err != nil {
-			writeErr(w, http.StatusBadRequest, "decode run spec: "+err.Error())
+			writeErr(w, status, "decode run spec: "+err.Error())
 			return
 		}
 		st, err := reg.Submit(spec)
@@ -125,6 +120,26 @@ func NewAPIMux(reg *Registry) *http.ServeMux {
 		_, _ = w.Write(buf.Bytes())
 	})
 	return mux
+}
+
+// decodeSpec reads one RunSpec object from body. Decoding is strict, so
+// a client never believes a setting took effect that the server
+// ignored: a field the spec does not have is an error naming it, and so
+// is data after the object.
+func decodeSpec(body io.Reader) (RunSpec, error) {
+	var spec RunSpec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the run spec object")
+		}
+		return spec, err
+	}
+	return spec, nil
 }
 
 // writeJSON writes v as the response with the given status.

@@ -1,18 +1,18 @@
 package ctrl
 
 // The per-run stream: one Hub holds everything a run publishes while it
-// executes — the series header, the seq-stamped window history, the
-// latest metrics snapshot and the finished flag — and serves every
-// reader from it. SSE subscribers are pushed events through bounded
-// per-subscriber rings: a slow consumer overruns its own ring — oldest
-// events drop and are counted — while the simulation and every other
-// subscriber proceed untouched. /timeline and /metrics pull the newest
-// version of each window from the same history. The history itself is
-// bounded by timeseries.DefaultMaxWindows, the sampler's own bound.
+// executes — the series header, an append-only log of seq-stamped final
+// windows followed by the `done` marker, the latest metrics snapshot —
+// and serves every reader from it. A window is final when the sampler
+// closes it, so the log is the only copy: /timeline and /metrics read
+// it, and an SSE subscriber is a cursor into it plus a lag bound. A slow
+// consumer that falls more than its bound behind skips the oldest events
+// it missed and is told how many, while the simulation and every other
+// subscriber proceed untouched. The log itself keeps the newest
+// timeseries.DefaultMaxWindows windows, the sampler's own bound.
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,11 +20,11 @@ import (
 	"lpm/internal/obs/timeseries"
 )
 
-// DefaultRing is the per-subscriber ring capacity in events.
+// DefaultRing is the default subscriber lag bound in events.
 const DefaultRing = 256
 
-// Event is one hub item: a closed (or re-merged) timeline window, or
-// the end-of-run marker.
+// Event is one hub item: a closed timeline window, or the end-of-run
+// marker.
 type Event struct {
 	// Seq is the event's position in the run's stream, 1-based and
 	// strictly increasing. It is the SSE `id:` of the event, so a
@@ -37,39 +37,36 @@ type Event struct {
 	Window *timeseries.Window `json:"window,omitempty"`
 }
 
-// Hub is a run's one stream: it fans the run's events out to its
-// subscribers, retains the newest timeseries.DefaultMaxWindows of them
-// so a late subscriber catches up, and answers the /timeline and
-// /metrics pulls from that same history.
+// Hub is a run's one stream: the log of the run's events, which its
+// subscribers read through cursors and the /timeline and /metrics pulls
+// copy from.
 type Hub struct {
 	mu       sync.Mutex
-	header   timeseries.Series // Version, Width, Adaptive; Windows stays nil
-	seq      uint64
-	history  []Event // window events only, consecutive seqs, oldest first
-	windows  int     // distinct windows ever published
-	evicted  uint64  // windows no longer in history (Series.Dropped)
+	header   timeseries.Series // Version and Width; Windows stays nil
+	log      []Event           // window events, consecutive seqs, oldest first
+	seq      uint64            // seq of the newest event, done included
 	snapshot *obs.Snapshot
 	done     bool
-	subs     []*Subscriber
+	wake     chan struct{} // closed by the next event or Close; nil while no reader waits
+	subs     int           // open subscribers
 
-	// dropped totals events subscribers missed — ring overruns and
-	// catch-ups that began before the oldest retained event — across
-	// every subscriber the hub ever had; with len(subs) it is what the
-	// fleet /metrics publishes.
+	// dropped totals events subscribers skipped — lag overruns and
+	// catch-ups that began before the oldest logged event — across every
+	// subscriber the hub ever had; with subs it is what the fleet
+	// /metrics publishes.
 	dropped atomic.Uint64
 }
 
 // NewHub returns an empty hub.
 func NewHub() *Hub { return &Hub{} }
 
-// SetMeta stamps the series header (width/adaptive) so Timeline copies
-// carry the sampler's configuration.
-func (h *Hub) SetMeta(width uint64, adaptive bool) {
+// SetMeta stamps the series header (the window width) so Timeline
+// copies carry the sampler's configuration.
+func (h *Hub) SetMeta(width uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.header.Version = timeseries.SeriesVersion
 	h.header.Width = width
-	h.header.Adaptive = adaptive
 }
 
 // PublishSnapshot records the latest aggregate metrics snapshot.
@@ -86,66 +83,53 @@ func (h *Hub) Snapshot() *obs.Snapshot {
 	return h.snapshot
 }
 
-// Publish fans a copy of one window out; see PublishShared.
+// Publish appends a copy of one window; see PublishShared.
 func (h *Hub) Publish(w timeseries.Window) { h.PublishShared(&w) }
 
-// PublishShared appends one closed (or re-merged) window to the history
-// and fans it out by reference: the history and every subscriber ring
-// hold w itself, so the caller must never write *w again, which the
-// sampler guarantees for every window it hands to Config.OnWindow. A
-// window with the newest window's index is a new version of it (an
-// adaptive merge extending it) and gets its own event. Past the bound
-// the oldest event drops; a window drops from the timeline once none of
-// its versions remain. Publishing to a finished hub is a no-op.
+// PublishShared appends one closed window to the log by reference: the
+// log holds w itself and every reader shares it, so the caller must
+// never write *w again, which the sampler guarantees for every window it
+// hands to Config.OnWindow. Past the bound the oldest window leaves the
+// log. The cost does not depend on the number of subscribers: they find
+// the window when they next read. Publishing to a finished hub is a
+// no-op.
 func (h *Hub) PublishShared(w *timeseries.Window) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.done {
-		h.mu.Unlock()
 		return
 	}
-	if n := len(h.history); n == 0 || h.history[n-1].Window.Index != w.Index {
-		h.windows++
-	}
 	h.seq++
-	e := Event{Seq: h.seq, Type: "window", Window: w}
-	h.history = append(h.history, e)
-	if len(h.history) > timeseries.DefaultMaxWindows {
+	h.log = append(h.log, Event{Seq: h.seq, Type: "window", Window: w})
+	if len(h.log) > timeseries.DefaultMaxWindows {
 		// Clearing the slot before re-slicing lets the window go; the
 		// next append that outgrows the backing array copies only the
 		// retained events, so eviction is O(1) amortised.
-		old := h.history[0].Window.Index
-		h.history[0] = Event{}
-		h.history = h.history[1:]
-		if h.history[0].Window.Index != old {
-			h.evicted++
-		}
+		h.log[0] = Event{}
+		h.log = h.log[1:]
 	}
-	subs := slices.Clone(h.subs)
-	h.mu.Unlock()
-	h.push(subs, e)
+	h.broadcast()
 }
 
-// Done marks the run finished: subscribers receive a final "done" event
-// and future subscribers receive it right after catch-up, whatever
-// sequence number they resume after.
+// Done marks the run finished: the log ends with a "done" event, which
+// every subscriber receives last, whatever sequence number it resumed
+// after.
 func (h *Hub) Done() {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.done {
-		h.mu.Unlock()
 		return
 	}
 	h.done = true
 	h.seq++
-	e := Event{Seq: h.seq, Type: "done"}
-	subs := slices.Clone(h.subs)
-	h.mu.Unlock()
-	h.push(subs, e)
+	h.broadcast()
 }
 
-// push delivers e to subs, accounting ring overruns.
-func (h *Hub) push(subs []*Subscriber, e Event) {
-	for _, s := range subs {
-		h.dropped.Add(s.push(e))
+// broadcast wakes every reader waiting in Next. The caller holds h.mu.
+func (h *Hub) broadcast() {
+	if h.wake != nil {
+		close(h.wake)
+		h.wake = nil
 	}
 }
 
@@ -154,169 +138,142 @@ func (h *Hub) push(subs []*Subscriber, e Event) {
 func (h *Hub) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.windows
+	if n := len(h.log); n > 0 {
+		return int(h.log[n-1].Seq)
+	}
+	return 0
 }
 
-// Timeline returns a consistent copy of the retained series — the
-// newest version of each window in the history, Dropped counting the
-// windows evicted before them — and whether the run has finished.
+// Timeline returns a consistent copy of the logged series — Dropped
+// counting the windows evicted before the oldest one — and whether the
+// run has finished.
 func (h *Hub) Timeline() (timeseries.Series, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.header
-	s.Dropped = h.evicted
-	if n := h.windows - int(h.evicted); n > 0 {
-		s.Windows = make([]timeseries.Window, 0, n)
-	}
-	for i, e := range h.history {
-		if i+1 < len(h.history) && h.history[i+1].Window.Index == e.Window.Index {
-			continue // superseded by a newer version
+	if len(h.log) > 0 {
+		s.Dropped = h.log[0].Seq - 1
+		s.Windows = make([]timeseries.Window, len(h.log))
+		for i, e := range h.log {
+			s.Windows[i] = *e.Window
 		}
-		s.Windows = append(s.Windows, *e.Window)
 	}
 	return s, h.done
 }
 
-// Subscribe registers a new subscriber with a ring of the given
-// capacity (0 = DefaultRing), preloaded with the run's history so far.
-// Preloading past a full ring drops the oldest history with the same
-// accounting as live overruns.
+// Subscribe opens a cursor at the start of the run's stream that may
+// fall at most ring events behind its newest event (0 = DefaultRing).
 func (h *Hub) Subscribe(ring int) *Subscriber { return h.SubscribeAfter(ring, 0) }
 
-// SubscribeAfter is Subscribe with bounded catch-up: only history past
-// sequence number `after` preloads, so a client reconnecting with the
-// last `id:` it saw never receives a duplicated window. Events past
-// `after` that the history bound already dropped count as drops before
-// the first preloaded event. Catch-up and registration happen under one
-// hub lock acquisition, with the preload before the subscriber becomes
-// visible to publishers — an event published concurrently lands exactly
-// once, in order: either in the catch-up (it was already history) or
-// pushed live afterwards.
+// SubscribeAfter is Subscribe with bounded catch-up: the cursor starts
+// past sequence number `after`, so a client reconnecting with the last
+// `id:` it saw never receives a duplicated window. A cursor past the
+// stream's end waits for its next event, or, on a finished stream,
+// receives `done`.
 func (h *Hub) SubscribeAfter(ring int, after uint64) *Subscriber {
 	if ring <= 0 {
 		ring = DefaultRing
 	}
-	s := &Subscriber{
-		hub:    h,
-		buf:    make([]Event, ring),
-		notify: make(chan struct{}, 1),
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	catchup := h.history
-	if len(catchup) > 0 {
-		if before := catchup[0].Seq - 1; after < before {
-			s.dropped = before - after
-			h.dropped.Add(s.dropped)
-		} else {
-			catchup = catchup[min(after-before, uint64(len(catchup))):]
-		}
-	}
-	for _, e := range catchup {
-		h.dropped.Add(s.push(e))
-	}
+	next := min(after, h.seq) + 1
 	if h.done {
-		h.dropped.Add(s.push(Event{Seq: h.seq, Type: "done"}))
+		next = min(next, h.seq)
 	}
-	h.subs = append(h.subs, s)
-	return s
+	h.subs++
+	return &Subscriber{hub: h, lag: uint64(ring), next: next}
 }
 
-// unsubscribe removes s; idempotent. slices.Delete zeroes the vacated
-// tail slot, so a closed subscriber and its ring are not kept reachable
-// for as long as the hub lives.
-func (h *Hub) unsubscribe(s *Subscriber) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if i := slices.Index(h.subs, s); i >= 0 {
-		h.subs = slices.Delete(h.subs, i, i+1)
-	}
-}
-
-// subscribers returns the live subscriber count.
+// subscribers returns the open subscriber count.
 func (h *Hub) subscribers() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.subs)
+	return h.subs
 }
 
-// Subscriber is one consumer's bounded view of a hub. Events queue in a
-// fixed circular buffer; when the consumer falls behind, the oldest
-// queued events are dropped and counted, and the count is surfaced on
-// the next read so the consumer knows its view has a gap.
+// Subscriber is one consumer's cursor into a hub's log. A consumer that
+// falls more than its lag bound behind the newest event skips the
+// oldest events it missed, as does one whose cursor points before the
+// oldest logged window; the skip is counted and surfaced on the read
+// that makes it, so the consumer knows its view has a gap there. The
+// skipped events count toward the hub's drop total when a read or Close
+// passes them.
 type Subscriber struct {
-	hub    *Hub
-	notify chan struct{}
+	hub *Hub
+	lag uint64 // the most events the cursor may trail the newest by
 
-	mu      sync.Mutex
-	buf     []Event
-	head, n int
-	dropped uint64
-	closed  bool
+	// next (the seq of the next event to read) and closed are guarded by
+	// hub.mu.
+	next   uint64
+	closed bool
 }
 
-// push enqueues one event, dropping the oldest on overrun, and returns
-// how many events were dropped (0 or 1).
-func (s *Subscriber) push(e Event) uint64 {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0
+// skip advances s past what it can no longer read — events more than
+// the lag bound behind the newest one and windows evicted from the log —
+// and returns how many events it passed. The caller holds the hub's mu.
+func (s *Subscriber) skip() uint64 {
+	h := s.hub
+	from := s.next
+	if h.seq >= s.lag {
+		from = max(from, h.seq-s.lag+1)
 	}
-	var drops uint64
-	if s.n == len(s.buf) {
-		s.head = (s.head + 1) % len(s.buf)
-		s.n--
-		s.dropped++
-		drops = 1
+	if len(h.log) > 0 {
+		from = max(from, h.log[0].Seq)
 	}
-	s.buf[(s.head+s.n)%len(s.buf)] = e
-	s.n++
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-	return drops
+	gap := from - s.next
+	s.next = from
+	h.dropped.Add(gap)
+	return gap
 }
 
 // Next blocks until an event is available, the subscriber is closed, or
-// ctx cancels. It returns the event, the number of events dropped since
+// ctx cancels. It returns the event, the number of events skipped since
 // the previous Next (a non-zero value means the stream has a gap just
 // before this event), and ok=false when the subscription ended.
 func (s *Subscriber) Next(ctx context.Context) (e Event, dropped uint64, ok bool) {
+	h := s.hub
 	for {
-		s.mu.Lock()
-		if s.n > 0 {
-			e = s.buf[s.head]
-			s.head = (s.head + 1) % len(s.buf)
-			s.n--
-			dropped = s.dropped
-			s.dropped = 0
-			s.mu.Unlock()
-			return e, dropped, true
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
+		h.mu.Lock()
+		if s.closed {
+			h.mu.Unlock()
 			return Event{}, 0, false
 		}
+		if s.next <= h.seq {
+			dropped = s.skip()
+			if h.done && s.next == h.seq {
+				e = Event{Seq: h.seq, Type: "done"}
+			} else {
+				e = h.log[s.next-h.log[0].Seq]
+			}
+			s.next++
+			h.mu.Unlock()
+			return e, dropped, true
+		}
+		if h.wake == nil {
+			h.wake = make(chan struct{})
+		}
+		wake := h.wake
+		h.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			return Event{}, 0, false
-		case <-s.notify:
+		case <-wake:
 		}
 	}
 }
 
-// Close ends the subscription and detaches it from the hub.
+// Close ends the subscription, charging the events it had already
+// fallen too far behind to read, and wakes a Next blocked on it.
+// Idempotent.
 func (s *Subscriber) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
+	h := s.hub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if s.closed {
+		return
 	}
-	s.hub.unsubscribe(s)
+	s.closed = true
+	h.subs--
+	s.skip()
+	h.broadcast()
 }

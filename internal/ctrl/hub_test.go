@@ -1,10 +1,11 @@
 package ctrl
 
 // The run stream: one Hub per run carries the series header, the
-// bounded window history, the latest snapshot and the finished flag.
-// These tests pin what /timeline, /metrics and SSE read from it, the
-// history bound, and the finished-hub contract, and FuzzHub drives
-// interleaved publishers and subscribers against its invariants.
+// bounded window log, the latest snapshot and the finished flag. These
+// tests pin what /timeline, /metrics and SSE read from it, the log
+// bound, the finished-hub contract and the cost of a publish, and
+// FuzzHub drives interleaved publishers and subscribers against its
+// invariants.
 
 import (
 	"bufio"
@@ -23,12 +24,9 @@ import (
 
 func TestHubPublishAndTimeline(t *testing.T) {
 	h := NewHub()
-	h.SetMeta(128, true)
+	h.SetMeta(128)
 	h.Publish(timeseries.Window{Index: 0, Start: 0, End: 128})
 	h.Publish(timeseries.Window{Index: 1, Start: 128, End: 256})
-	// Re-publishing the newest index supersedes it (adaptive merges
-	// re-emit).
-	h.Publish(timeseries.Window{Index: 1, Start: 128, End: 512})
 	ser, done := h.Timeline()
 	if done {
 		t.Fatalf("run reported done before Done")
@@ -36,10 +34,10 @@ func TestHubPublishAndTimeline(t *testing.T) {
 	if len(ser.Windows) != 2 || h.Len() != 2 {
 		t.Fatalf("timeline has %d windows, Len %d, want 2", len(ser.Windows), h.Len())
 	}
-	if ser.Windows[1].End != 512 {
-		t.Fatalf("re-publish did not replace: end=%d", ser.Windows[1].End)
+	if ser.Windows[1].End != 256 || ser.Dropped != 0 {
+		t.Fatalf("timeline %+v", ser)
 	}
-	if ser.Width != 128 || !ser.Adaptive || ser.Version != timeseries.SeriesVersion {
+	if ser.Width != 128 || ser.Version != timeseries.SeriesVersion {
 		t.Fatalf("meta not carried: %+v", ser)
 	}
 	h.Done()
@@ -83,7 +81,7 @@ func TestHubConcurrentReaders(t *testing.T) {
 }
 
 // TestHubPublishSharedKeepsPointer: PublishShared stores the caller's
-// window itself, in the history and in every subscriber ring.
+// window itself in the log, and subscribers read that window.
 func TestHubPublishSharedKeepsPointer(t *testing.T) {
 	h := NewHub()
 	sub := h.Subscribe(0)
@@ -93,19 +91,35 @@ func TestHubPublishSharedKeepsPointer(t *testing.T) {
 		ws[i] = &timeseries.Window{Index: i, Start: uint64(i) * 10, End: uint64(i+1) * 10}
 		h.PublishShared(ws[i])
 	}
-	if h.history[1].Window != ws[1] {
-		t.Fatal("PublishShared copied the window into the history")
+	if h.log[1].Window != ws[1] {
+		t.Fatal("PublishShared copied the window into the log")
 	}
 	if e, _, ok := sub.Next(context.Background()); !ok || e.Window != ws[0] {
-		t.Fatal("PublishShared copied the window into the subscriber ring")
+		t.Fatal("a subscriber read a copy of the window")
+	}
+}
+
+// TestHubPublishCostIndependentOfSubscribers: subscribers find new
+// events when they read, so a publish allocates the same with no
+// subscriber as with 64 idle ones.
+func TestHubPublishCostIndependentOfSubscribers(t *testing.T) {
+	allocs := func(subs int) float64 {
+		h := NewHub()
+		for i := 0; i < subs; i++ {
+			defer h.Subscribe(0).Close()
+		}
+		w := &timeseries.Window{}
+		return testing.AllocsPerRun(1000, func() { h.PublishShared(w) })
+	}
+	if none, many := allocs(0), allocs(64); many != none {
+		t.Fatalf("a publish allocates %v times with 64 subscribers, %v with none", many, none)
 	}
 }
 
 // TestHubRetentionBounded: a run's stream keeps at most
-// timeseries.DefaultMaxWindows events, the sampler's own bound, however
-// long the run or however often an adaptive merge re-emits its newest
-// window. /timeline serves the newest windows and counts the rest in
-// dropped; run status still counts every window published.
+// timeseries.DefaultMaxWindows windows, the sampler's own bound, however
+// long the run. /timeline serves the newest windows and counts the rest
+// in dropped; run status still counts every window published.
 func TestHubRetentionBounded(t *testing.T) {
 	const extra = 904
 	n := timeseries.DefaultMaxWindows + extra
@@ -139,7 +153,7 @@ func TestHubRetentionBounded(t *testing.T) {
 	}
 
 	// A catch-up from the start reports the evicted events as a gap
-	// before the oldest retained one.
+	// before the oldest logged one.
 	hub, _ := reg.handles(st.ID)
 	sub := hub.SubscribeAfter(n+1, 0)
 	e, dropped, ok := sub.Next(context.Background())
@@ -148,17 +162,8 @@ func TestHubRetentionBounded(t *testing.T) {
 		t.Fatalf("catch-up from 0: %+v dropped=%d ok=%v, want window %d after %d drops", e, dropped, ok, extra, extra)
 	}
 
-	// An adaptive run re-emitting one window: the history stays bounded
-	// and the timeline is that one window.
-	h := NewHub()
-	for i := 0; i < 3*timeseries.DefaultMaxWindows; i++ {
-		h.Publish(timeseries.Window{Index: 0, End: uint64(i + 1)})
-	}
-	ser, _ := h.Timeline()
-	if len(h.history) != timeseries.DefaultMaxWindows || len(ser.Windows) != 1 || ser.Dropped != 0 || h.Len() != 1 ||
-		ser.Windows[0].End != 3*timeseries.DefaultMaxWindows {
-		t.Fatalf("re-emitted window: history %d, timeline %d windows (end %d), dropped %d, Len %d",
-			len(h.history), len(ser.Windows), ser.Windows[0].End, ser.Dropped, h.Len())
+	if len(hub.log) != timeseries.DefaultMaxWindows {
+		t.Fatalf("log holds %d events, want %d", len(hub.log), timeseries.DefaultMaxWindows)
 	}
 }
 
@@ -230,16 +235,16 @@ func TestSSEFinishedRunResumePastEnd(t *testing.T) {
 	}
 }
 
-// FuzzHub interleaves publishes (new windows, bursts past the history
-// bound, re-emits of the newest), snapshots, Done, subscriptions
-// resuming after arbitrary sequence numbers, reads and closes, and
-// checks the stream's invariants after every step.
+// FuzzHub interleaves publishes (new windows, bursts past the log
+// bound), snapshots, Done, subscriptions resuming after arbitrary
+// sequence numbers, reads and closes, and checks the stream's invariants
+// after every step.
 func FuzzHub(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 4, 0, 5, 0, 3, 5, 0, 4, 1})
-	f.Add([]byte{4, 0, 7, 7, 5, 0, 4, 9, 3, 4, 200, 5, 2, 6, 0})
-	f.Add([]byte{7, 1, 7, 4, 3, 5, 0, 1, 1, 2, 3, 4, 0, 5, 1, 6, 0})
+	f.Add([]byte{0, 0, 0, 3, 0, 5, 0, 2, 4, 0, 3, 1})
+	f.Add([]byte{3, 0, 7, 6, 4, 0, 3, 9, 3, 3, 200, 5, 1, 5, 0})
+	f.Add([]byte{6, 0, 6, 3, 3, 5, 0, 0, 0, 1, 2, 3, 0, 5, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		z := &hubFuzz{t: t, h: NewHub(), data: data, newest: -1}
+		z := &hubFuzz{t: t, h: NewHub(), data: data}
 		for steps := 0; len(z.data) > 0 && steps < 200; steps++ {
 			z.step()
 			z.check()
@@ -263,9 +268,7 @@ type hubFuzz struct {
 	data []byte
 	subs []*fuzzSub
 
-	newest  int    // index of the newest window published, -1 before any
-	version uint64 // End of the newest version published
-	windows int    // distinct windows published
+	windows int // windows published
 }
 
 // fuzzSub is one FuzzHub subscriber and what it has received.
@@ -288,54 +291,48 @@ func (z *hubFuzz) take() byte {
 	return b
 }
 
-// publish publishes a version of window index, updating the model
-// unless the hub has finished (publishing then is a no-op).
-func (z *hubFuzz) publish(index int) {
+// publish publishes the next window, updating the model unless the hub
+// has finished (publishing then is a no-op).
+func (z *hubFuzz) publish() {
+	w := timeseries.Window{Index: z.windows, End: uint64(z.windows + 1)}
 	if !z.h.done {
-		if index != z.newest {
-			z.windows++
-		}
-		z.newest = index
-		z.version++
+		z.windows++
 	}
-	z.h.Publish(timeseries.Window{Index: index, End: z.version})
+	z.h.Publish(w)
 }
 
 func (z *hubFuzz) step() {
-	switch op := z.take() % 8; op {
-	case 0: // a new window
-		z.publish(z.newest + 1)
-	case 1: // an adaptive re-emit of the newest window
-		z.publish(max(z.newest, 0))
-	case 2:
+	switch op := z.take() % 7; op {
+	case 0:
+		z.publish()
+	case 1:
 		z.h.PublishSnapshot(&obs.Snapshot{Version: obs.SnapshotVersion})
-	case 3:
+	case 2:
 		z.h.Done()
-	case 4: // subscribe after a seq in [0, seq+2]
+	case 3: // subscribe after a seq in [0, seq+2]
 		ring := int(z.take()%8) + 1
 		after := uint64(z.take()) % (z.h.seq + 3)
 		last := min(after, z.h.seq)
 		z.subs = append(z.subs, &fuzzSub{Subscriber: z.h.SubscribeAfter(ring, after), after: after, last: last})
-	case 5, 6: // read from, or close, a subscriber
+	case 4, 5: // read from, or close, a subscriber
 		if len(z.subs) == 0 {
 			return
 		}
 		s := z.subs[int(z.take())%len(z.subs)]
-		if op == 6 {
+		if op == 5 {
 			s.Close()
 			s.closed = true
 			return
 		}
 		z.next(s)
-	case 7: // a burst: a quarter of the history bound, every window re-emitted once
-		for i := 0; i < timeseries.DefaultMaxWindows/8; i++ {
-			z.publish(z.newest + 1)
-			z.publish(z.newest)
+	case 6: // a burst of a quarter of the log bound
+		for i := 0; i < timeseries.DefaultMaxWindows/4; i++ {
+			z.publish()
 		}
 	}
 }
 
-// next reads one queued event from s without blocking and checks it
+// next reads one available event from s without blocking and checks it
 // against the stream so far; it reports whether an event arrived.
 func (z *hubFuzz) next(s *fuzzSub) bool {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -352,7 +349,7 @@ func (z *hubFuzz) next(s *fuzzSub) bool {
 		// Resumed at or past the end of a finished stream: its done
 		// arrives anyway.
 	case e.Seq != s.last+dropped+1:
-		// Ring overruns and evicted history are counted exactly: the gap
+		// Lag overruns and evicted windows are counted exactly: the gap
 		// before an event is the events dropped in it.
 		z.t.Fatalf("event seq %d after %d with %d dropped", e.Seq, s.last, dropped)
 	}
@@ -379,12 +376,12 @@ func (z *hubFuzz) check() {
 	if n := h.Len(); n != z.windows || uint64(n-len(ser.Windows)) != ser.Dropped {
 		z.t.Fatalf("Len %d (model %d), %d timeline windows, dropped %d", n, z.windows, len(ser.Windows), ser.Dropped)
 	}
-	if len(h.history) > timeseries.DefaultMaxWindows {
-		z.t.Fatalf("history holds %d events", len(h.history))
+	if len(h.log) > timeseries.DefaultMaxWindows {
+		z.t.Fatalf("log holds %d events", len(h.log))
 	}
 	if z.windows > 0 {
-		if w := ser.Windows[len(ser.Windows)-1]; w.Index != z.newest || w.End != z.version {
-			z.t.Fatalf("newest timeline window %d (end %d), published %d (end %d)", w.Index, w.End, z.newest, z.version)
+		if w := ser.Windows[len(ser.Windows)-1]; w.Index != z.windows-1 {
+			z.t.Fatalf("newest timeline window %d, published %d", w.Index, z.windows-1)
 		}
 	}
 	if !done {
@@ -394,11 +391,11 @@ func (z *hubFuzz) check() {
 		if s.closed || s.sawDone {
 			continue
 		}
-		s.mu.Lock()
-		ok := s.n > 0 && s.buf[(s.head+s.n-1)%len(s.buf)].Type == "done"
-		s.mu.Unlock()
+		h.mu.Lock()
+		ok := s.next <= h.seq
+		h.mu.Unlock()
 		if !ok {
-			z.t.Fatalf("subscriber after %d of a finished hub has no done queued", s.after)
+			z.t.Fatalf("subscriber after %d of a finished hub has no done ahead", s.after)
 		}
 	}
 }

@@ -25,7 +25,6 @@ func (SimRunner) Run(ctx context.Context, spec RunSpec, hub *Hub) (json.RawMessa
 		WarmupFast:   spec.WarmupFast,
 		Watchdog:     spec.Watchdog,
 		TSWindow:     spec.TSWindow,
-		Adaptive:     spec.Adaptive,
 		Live:         hub,
 	})
 	if res == nil {

@@ -1,11 +1,10 @@
 package ctrl
 
 // One copy per window: the sampler's stored windows are shared by
-// reference between a run's Hub history and its subscriber rings, so
-// these tests pin what that sharing relies on and what it
-// must not leak — a window is never written after it is published, a
-// closed subscriber is released, and status reads do not copy the
-// timeline.
+// reference between a run's Hub log and every reader of it, so these
+// tests pin what that sharing relies on and what it must not leak — a
+// window is never written after it is published, a closed subscriber is
+// released, and status reads do not copy the timeline.
 
 import (
 	"bufio"
@@ -22,17 +21,17 @@ import (
 	"lpm/internal/obs/timeseries"
 )
 
-// TestAdaptiveRunConcurrentSSE runs a real adaptive simulation while an
-// SSE client and a /timeline poller read it. Adaptive merges re-emit the
-// newest window; every version the client receives must be internally
-// consistent (each core's stall tree sums to the window's cycles), and
-// under -race the merge must not write memory a reader is encoding.
-func TestAdaptiveRunConcurrentSSE(t *testing.T) {
+// TestRunConcurrentSSE runs a real simulation while an SSE client and a
+// /timeline poller read it. Every window the client receives must be
+// internally consistent (each core's stall tree sums to the window's
+// cycles) and arrive once, in order, and under -race the sampler must
+// not write memory a reader is encoding.
+func TestRunConcurrentSSE(t *testing.T) {
 	reg := NewRegistry(context.Background(), Config{MaxConcurrent: 1})
 	srv := httptest.NewServer(NewAPIMux(reg))
 	defer srv.Close()
 	defer reg.Drain()
-	st, err := reg.Submit(RunSpec{Workload: "433.milc", Instructions: 4000, Warmup: 12000, TSWindow: 256, Adaptive: true})
+	st, err := reg.Submit(RunSpec{Workload: "433.milc", Instructions: 4000, Warmup: 12000, TSWindow: 256})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -68,8 +67,7 @@ func TestAdaptiveRunConcurrentSSE(t *testing.T) {
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(nil, 1<<20)
-	versions, merges := 0, 0
-	lastIndex := -1
+	windows, lastIndex := 0, -1
 	event := ""
 	for sc.Scan() {
 		line := sc.Text()
@@ -80,6 +78,16 @@ func TestAdaptiveRunConcurrentSSE(t *testing.T) {
 			}
 		}
 		data, ok := strings.CutPrefix(line, "data: ")
+		if ok && event == "drop" {
+			var d struct {
+				Dropped int `json:"dropped"`
+			}
+			if err := json.Unmarshal([]byte(data), &d); err != nil {
+				t.Fatalf("drop event: %v", err)
+			}
+			lastIndex += d.Dropped
+			windows += d.Dropped
+		}
 		if !ok || event != "window" {
 			continue
 		}
@@ -93,27 +101,24 @@ func TestAdaptiveRunConcurrentSSE(t *testing.T) {
 					w.Index, w.Start, w.End, core, tree.Total(), w.Cycles())
 			}
 		}
-		if w.Index == lastIndex {
-			merges++
+		if w.Index != lastIndex+1 {
+			t.Fatalf("window %d after window %d and its drops", w.Index, lastIndex)
 		}
 		lastIndex = w.Index
-		versions++
+		windows++
 	}
 	wg.Wait()
 	if event != "done" {
 		t.Fatalf("stream ended before done: %v", sc.Err())
 	}
-	if merges == 0 {
-		t.Fatalf("%d window events and no re-emitted (merged) window: the test exercises nothing", versions)
-	}
-	if st := waitState(t, reg, st.ID, StateDone); st.Windows == 0 {
-		t.Fatalf("done run reports no windows: %+v", st)
+	if st := waitState(t, reg, st.ID, StateDone); st.Windows == 0 || st.Windows != windows {
+		t.Fatalf("done run reports %d windows, the stream carried or dropped %d", st.Windows, windows)
 	}
 }
 
-// TestClosedSubscriberIsCollected: unsubscribing must drop the hub's
-// last reference to the subscriber and its ring, even though the hub
-// itself (like every run's hub in the registry) stays alive.
+// TestClosedSubscriberIsCollected: a closed subscriber must not stay
+// reachable from its hub, even though the hub itself (like every run's
+// hub in the registry) stays alive.
 func TestClosedSubscriberIsCollected(t *testing.T) {
 	hub := NewHub()
 	keep := hub.Subscribe(0)
@@ -123,7 +128,7 @@ func TestClosedSubscriberIsCollected(t *testing.T) {
 		sub := hub.Subscribe(0)
 		runtime.SetFinalizer(sub, func(*Subscriber) { close(collected) })
 		hub.Publish(timeseries.Window{Index: 0})
-		sub.Close() // the newest subscriber: its slot is the slice's tail
+		sub.Close()
 	}()
 	for i := 0; i < 50; i++ {
 		runtime.GC()
@@ -167,8 +172,8 @@ func TestGetDoesNotCopyTimeline(t *testing.T) {
 // BenchmarkPublisherWindow is the per-window cost of a run's publish
 // path with one SSE subscriber draining it: what B/op and allocs/op
 // report is what each window adds to a run the registry keeps (the
-// window itself and its hub history entry, up to the history bound;
-// past it, -benchtime 200000x measures eviction too).
+// window itself and its hub log entry, up to the log bound; past it,
+// -benchtime 200000x measures eviction too).
 func BenchmarkPublisherWindow(b *testing.B) {
 	hub := NewHub()
 	sub := hub.Subscribe(0)

@@ -2,7 +2,8 @@ package ctrl
 
 // Server-sent events for the per-run timeline: each closed window
 // streams to the client as it lands, with drop accounting made visible
-// as its own event type when a slow consumer overran its ring.
+// as its own event type when a slow consumer fell more than its lag
+// bound behind.
 
 import (
 	"encoding/json"
@@ -14,7 +15,7 @@ import (
 // SSEHandler streams a run's hub as text/event-stream. Event types:
 //
 //	event: window  data: {timeseries.Window}
-//	event: drop    data: {"dropped": N}   — N ring overruns just before
+//	event: drop    data: {"dropped": N}   — N events skipped just before
 //	                                        the next window
 //	event: done    data: {}               — the run finished; stream ends
 //

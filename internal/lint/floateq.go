@@ -21,7 +21,7 @@ var analyzerFloatEq = &Analyzer{
 	Doc:  "flag ==/!= on floating-point model quantities outside tolerance helpers (zero guards, NaN checks and constant folds stay legal)",
 	Paths: []string{
 		"internal/core", "internal/analyzer", "internal/explore",
-		"internal/sched", "internal/interval", "internal/phase",
+		"internal/sched", "internal/interval",
 		"internal/stats", ".",
 	},
 	Run: runFloatEq,

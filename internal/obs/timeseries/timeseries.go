@@ -7,10 +7,11 @@
 //
 // The paper's argument is that layered mismatch is *time-varying*:
 // LPMR1/2/3 open and close as program phases shift. A Sampler makes that
-// visible. It closes a Window every Width cycles (fixed mode) or merges
-// consecutive same-phase windows into one (adaptive mode, reusing the
-// internal/phase detector), and each Window carries enough raw counters
-// to recompute the per-window C-AMAT and LPMR values after any merge.
+// visible. It closes a Window every Width cycles (the last one at Flush
+// may be shorter), and each Window carries the raw counters its
+// per-window C-AMAT and LPMR values derive from. A window is final when
+// it closes: nothing writes it again, so the control plane can hand the
+// one stored copy to every reader.
 //
 // Like the rest of the observability layer, the sampler is zero-cost
 // when disabled: a nil *Sampler ignores every call, so an unobserved
@@ -26,14 +27,13 @@ import (
 	"strings"
 
 	"lpm/internal/analyzer"
-	"lpm/internal/phase"
 )
 
 // SeriesVersion is the schema version stamped on every Series; bump it
 // on any incompatible change to the timeline JSON shape.
 const SeriesVersion = 1
 
-// DefaultWidth is the base window width in cycles when Config.Width is
+// DefaultWidth is the window width in cycles when Config.Width is
 // zero.
 const DefaultWidth = 2048
 
@@ -43,11 +43,8 @@ const DefaultMaxWindows = 4096
 
 // Config parameterises a Sampler.
 type Config struct {
-	// Width is the base window width in cycles (0 = DefaultWidth).
+	// Width is the window width in cycles (0 = DefaultWidth).
 	Width uint64
-	// Adaptive merges consecutive base windows that classify into the
-	// same phase, yielding variable-length phase-aligned windows.
-	Adaptive bool
 	// MaxWindows bounds stored windows (0 = DefaultMaxWindows).
 	MaxWindows int
 	// CPIexe, when positive, enables the per-window LPMR derivation
@@ -56,9 +53,8 @@ type Config struct {
 	// OnWindow, when non-nil, receives every closed window in order —
 	// the live-export hook. It runs on the simulation goroutine. The
 	// window is the sampler's own stored copy, and the sampler never
-	// writes it again (an adaptive merge builds a new window), so the
-	// receiver may keep and share the pointer; it must not write
-	// through it.
+	// writes it again, so the receiver may keep and share the pointer;
+	// it must not write through it.
 	OnWindow func(*Window)
 }
 
@@ -75,25 +71,17 @@ type probe struct {
 type Sampler struct {
 	cfg     Config
 	collect func(cycles uint64) Window
-	det     *phase.Detector
 	probes  []probe // sorted by name
 
 	windows   []*Window
 	winCycles uint64
 	dropped   uint64
-	lastPhase int
 }
 
 // New returns a sampler for cfg.
-func New(cfg Config) *Sampler {
-	s := &Sampler{cfg: cfg, lastPhase: -1}
-	if cfg.Adaptive {
-		s.det = phase.NewDetector(0) // the detector's default threshold
-	}
-	return s
-}
+func New(cfg Config) *Sampler { return &Sampler{cfg: cfg} }
 
-// Width returns the effective base window width.
+// Width returns the effective window width.
 func (s *Sampler) Width() uint64 {
 	if s == nil {
 		return 0
@@ -136,7 +124,7 @@ func (s *Sampler) Track(name string, fn func() float64) {
 	s.probes = slices.Insert(s.probes, i, probe{name: name, fn: fn})
 }
 
-// Tick advances the sampler one cycle; on a base-window boundary it
+// Tick advances the sampler one cycle; on a window boundary it
 // collects, derives and stores the window. Call exactly once per
 // simulated cycle, after every component has ticked.
 func (s *Sampler) Tick(cycle uint64) {
@@ -187,10 +175,8 @@ func (s *Sampler) Flush(cycle uint64) {
 }
 
 // close builds the window ending at cycle (inclusive), derives its
-// model quantities, classifies its phase, and appends or merges it. A
-// window is immutable once stored: a merge replaces the newest window
-// with a new one rather than writing into it, because OnWindow
-// receivers share the stored pointer.
+// model quantities and appends it. The stored window is final:
+// OnWindow receivers share its pointer.
 func (s *Sampler) close(cycle uint64) {
 	if s.collect == nil {
 		s.winCycles = 0
@@ -203,22 +189,6 @@ func (s *Sampler) close(cycle uint64) {
 	w.Probes = s.sampleProbes()
 	w.finalize(s.cfg.CPIexe)
 	w.Phase = -1
-	if s.det != nil {
-		w.Phase = s.det.Classify(w.signature())
-	}
-
-	if s.cfg.Adaptive && len(s.windows) > 0 {
-		last := s.windows[len(s.windows)-1]
-		if last.Phase == w.Phase && last.End == w.Start {
-			m := last.merged(&w)
-			m.finalize(s.cfg.CPIexe)
-			s.windows[len(s.windows)-1] = m
-			if s.cfg.OnWindow != nil {
-				s.cfg.OnWindow(m)
-			}
-			return
-		}
-	}
 	w.Index = s.nextIndex()
 	s.windows = append(s.windows, &w)
 	if len(s.windows) > s.maxWindows() {
@@ -232,7 +202,7 @@ func (s *Sampler) close(cycle uint64) {
 }
 
 // nextIndex returns the index for a fresh window (monotonic even after
-// drops or merges).
+// drops).
 func (s *Sampler) nextIndex() int {
 	if len(s.windows) == 0 {
 		return int(s.dropped)
@@ -265,14 +235,12 @@ func (s *Sampler) Series() Series {
 	if s == nil {
 		return Series{}
 	}
-	out := Series{
-		Version:  SeriesVersion,
-		Width:    s.Width(),
-		Adaptive: s.cfg.Adaptive,
-		Dropped:  s.dropped,
-		Windows:  copyWindows(s.windows),
+	return Series{
+		Version: SeriesVersion,
+		Width:   s.Width(),
+		Dropped: s.dropped,
+		Windows: copyWindows(s.windows),
 	}
-	return out
 }
 
 // copyWindows returns the stored windows as values (nil when there are
@@ -293,10 +261,8 @@ func copyWindows(ws []*Window) []Window {
 type Series struct {
 	// Version is SeriesVersion at capture time.
 	Version int `json:"version"`
-	// Width is the base window width in cycles.
+	// Width is the window width in cycles.
 	Width uint64 `json:"width"`
-	// Adaptive records whether windows were phase-merged.
-	Adaptive bool `json:"adaptive,omitempty"`
 	// Dropped counts windows evicted by the MaxWindows bound.
 	Dropped uint64 `json:"dropped,omitempty"`
 	// Windows is the timeline, oldest first.
@@ -343,24 +309,10 @@ type CPUSample struct {
 	IPC float64 `json:"ipc"`
 }
 
-// add accumulates o into s (window merging).
-func (s *CPUSample) add(o CPUSample) {
-	s.Instructions += o.Instructions
-	s.MemInstructions += o.MemInstructions
-	s.Cycles += o.Cycles
-	s.StallCycles += o.StallCycles
-	s.MemStallCycles += o.MemStallCycles
-	s.EmptyCycles += o.EmptyCycles
-	s.MemActiveCycles += o.MemActiveCycles
-	s.OverlapCycles += o.OverlapCycles
-	s.ROBOccupancySum += o.ROBOccupancySum
-	s.IssueStalls += o.IssueStalls
-}
-
 // CacheSample is one cache level's deltas over a window. Params carries
-// the raw analyzer counters so the per-window C-AMAT parameters (H,
-// pMR, pAMP, C_H, C_M) are recomputable after merges; Level is the
-// stable instance label ("l1.0", "l2", "l3").
+// the raw analyzer counters the per-window C-AMAT parameters (H, pMR,
+// pAMP, C_H, C_M) derive from; Level is the stable instance label
+// ("l1.0", "l2", "l3").
 type CacheSample struct {
 	Level  string          `json:"level"`
 	Params analyzer.Params `json:"params"`
@@ -374,17 +326,6 @@ type CacheSample struct {
 	// MSHROccupancySum accumulates per-cycle outstanding-miss counts
 	// (port/bank pressure shows up in Params' hit-phase concurrency).
 	MSHROccupancySum uint64 `json:"mshr_occupancy_sum"`
-}
-
-// add accumulates o into s (window merging).
-func (s *CacheSample) add(o CacheSample) {
-	s.Params = s.Params.Add(o.Params)
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.PrimaryMisses += o.PrimaryMisses
-	s.MSHRWaits += o.MSHRWaits
-	s.Rejected += o.Rejected
-	s.MSHROccupancySum += o.MSHROccupancySum
 }
 
 // DRAMSample is the memory controller's deltas over a window.
@@ -404,20 +345,6 @@ type DRAMSample struct {
 	QueueOccupancySum uint64 `json:"queue_occupancy_sum"`
 }
 
-// add accumulates o into s (window merging).
-func (s *DRAMSample) add(o DRAMSample) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-	s.RowConflicts += o.RowConflicts
-	s.Rejected += o.Rejected
-	s.ActiveCycles += o.ActiveCycles
-	s.LatencySum += o.LatencySum
-	s.BusBusyCycles += o.BusBusyCycles
-	s.QueueOccupancySum += o.QueueOccupancySum
-}
-
 // NoCSample is the interconnect's deltas over a window (nil when the
 // chip has no NoC).
 type NoCSample struct {
@@ -425,14 +352,6 @@ type NoCSample struct {
 	Responses     uint64 `json:"responses"`
 	Rejected      uint64 `json:"rejected"`
 	QueueCycleSum uint64 `json:"queue_cycle_sum"`
-}
-
-// add accumulates o into s (window merging).
-func (s *NoCSample) add(o NoCSample) {
-	s.Requests += o.Requests
-	s.Responses += o.Responses
-	s.Rejected += o.Rejected
-	s.QueueCycleSum += o.QueueCycleSum
 }
 
 // Derived is the per-window model view the analyzer computes from the
@@ -453,12 +372,12 @@ type Derived struct {
 
 // Window is one sampled interval: [Start, End) in chip cycles.
 type Window struct {
-	// Index is the window's ordinal (monotonic across drops/merges).
+	// Index is the window's ordinal (monotonic across drops).
 	Index int `json:"index"`
 	// Start and End bound the window: cycles Start..End-1 inclusive.
 	Start uint64 `json:"start"`
 	End   uint64 `json:"end"`
-	// Phase is the phase id in adaptive mode, -1 in fixed mode.
+	// Phase is always -1; lpm-timeline/v1 documents carry it.
 	Phase int `json:"phase"`
 
 	// CPU holds one sample per core slot; Cache one per cache level
@@ -492,14 +411,6 @@ func (w Window) AggregateStall() StallTree {
 	return t
 }
 
-// signature builds the phase-classification vector from the window's
-// aggregate behaviour (the same features phase.FromLPM standardises);
-// it reads the finalized Derived view.
-func (w Window) signature() phase.Signature {
-	l1 := w.Hierarchy().Levels[0]
-	return phase.FromLPM(w.Derived.Fmem, l1.MR(), l1.PMR(), l1.CH(), l1.CM(), w.Derived.IPC)
-}
-
 // Hierarchy returns the window's counters as the LPM request chain: the
 // cores' retirements summed, the L1 (every private cache summed), L2 and
 // optional L3 levels, and memory. Summed over contiguous windows it
@@ -528,8 +439,8 @@ func (w Window) Hierarchy() analyzer.Hierarchy {
 	return h
 }
 
-// finalize recomputes the Derived view from the raw samples; the
-// sampler calls it on close and after every merge.
+// finalize computes the Derived view from the raw samples; the sampler
+// calls it on close.
 func (w *Window) finalize(cpiExe float64) {
 	h := w.Hierarchy()
 	d := Derived{
@@ -547,39 +458,4 @@ func (w *Window) finalize(cpiExe float64) {
 	d.LPMR2 = analyzer.LPMR(d.CAMAT2, d.Fmem, cpiExe, d.MR1)
 	d.LPMR3 = analyzer.LPMR(d.CAMAT3, d.Fmem, cpiExe, d.MR1, d.MR2)
 	w.Derived = d
-}
-
-// merged returns w extended by o (the next contiguous window): counters
-// sum, stall trees sum, probes take o's (latest) values. The sums land in
-// fresh slices — w may already be published, and its readers must never
-// see it change. The caller re-finalizes the result.
-func (w *Window) merged(o *Window) *Window {
-	m := *w
-	m.End = o.End
-	m.CPU = slices.Clone(w.CPU)
-	for i := range m.CPU {
-		if i < len(o.CPU) {
-			m.CPU[i].add(o.CPU[i])
-		}
-	}
-	m.Cache = slices.Clone(w.Cache)
-	for i := range m.Cache {
-		if i < len(o.Cache) {
-			m.Cache[i].add(o.Cache[i])
-		}
-	}
-	m.DRAM.add(o.DRAM)
-	if w.NoC != nil && o.NoC != nil {
-		noc := *w.NoC
-		noc.add(*o.NoC)
-		m.NoC = &noc
-	}
-	m.Stall = slices.Clone(w.Stall)
-	for i := range m.Stall {
-		if i < len(o.Stall) {
-			m.Stall[i].Add(o.Stall[i])
-		}
-	}
-	m.Probes = o.Probes
-	return &m
 }

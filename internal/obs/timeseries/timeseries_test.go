@@ -10,7 +10,7 @@ import (
 )
 
 // fakeCollector returns a collector producing one-core windows whose
-// counters scale with the window length, so merges and derivations are
+// counters scale with the window length, so derivations are
 // checkable arithmetically.
 func fakeCollector(ipcNum uint64) func(cycles uint64) Window {
 	return func(cycles uint64) Window {
@@ -124,63 +124,10 @@ func TestPartialWindowOnlyOnFlush(t *testing.T) {
 	}
 }
 
-func TestAdaptiveMergesStablePhases(t *testing.T) {
-	s := New(Config{Width: 50, Adaptive: true})
-	s.SetCollector(fakeCollector(8)) // identical behaviour every window
-	for cy := uint64(0); cy < 500; cy++ {
-		s.Tick(cy)
-	}
-	ser := s.Series()
-	if len(ser.Windows) != 1 {
-		t.Fatalf("stable behaviour should merge to 1 window, got %d", len(ser.Windows))
-	}
-	w := ser.Windows[0]
-	if w.Start != 0 || w.End != 500 {
-		t.Fatalf("merged window bounds [%d,%d), want [0,500)", w.Start, w.End)
-	}
-	if w.Phase != 0 {
-		t.Fatalf("merged window phase = %d, want 0", w.Phase)
-	}
-	// Merged counters must equal the sum of the base windows.
-	if got := w.CPU[0].Instructions; got != 400 {
-		t.Fatalf("merged instructions = %d, want 400", got)
-	}
-	if got := w.AggregateStall().Total(); got != 500 {
-		t.Fatalf("merged stall total = %d, want 500", got)
-	}
-}
-
-func TestAdaptiveSplitsPhaseChange(t *testing.T) {
-	behaviour := uint64(9)
-	s := New(Config{Width: 50, Adaptive: true})
-	s.SetCollector(func(cycles uint64) Window { return fakeCollector(behaviour)(cycles) })
-	for cy := uint64(0); cy < 200; cy++ {
-		s.Tick(cy)
-	}
-	behaviour = 1 // drastic IPC shift => new phase
-	for cy := uint64(200); cy < 400; cy++ {
-		s.Tick(cy)
-	}
-	ser := s.Series()
-	if len(ser.Windows) != 2 {
-		t.Fatalf("want 2 phase windows, got %d", len(ser.Windows))
-	}
-	if ser.Windows[0].Phase == ser.Windows[1].Phase {
-		t.Fatalf("phase ids should differ: %d vs %d", ser.Windows[0].Phase, ser.Windows[1].Phase)
-	}
-	if ser.Windows[0].End != 200 || ser.Windows[1].Start != 200 {
-		t.Fatalf("phase boundary misplaced: [%d,%d) [%d,%d)",
-			ser.Windows[0].Start, ser.Windows[0].End, ser.Windows[1].Start, ser.Windows[1].End)
-	}
-	if got := totalCycles(ser); got != 400 {
-		t.Fatalf("series covers %d cycles, want 400", got)
-	}
-}
-
 func TestMaxWindowsDropsOldest(t *testing.T) {
 	s := New(Config{Width: 10, MaxWindows: 3})
 	s.SetCollector(fakeCollector(10))
-	for cy := uint64(0); cy < 100; cy++ { // 10 base windows
+	for cy := uint64(0); cy < 100; cy++ { // 10 windows
 		s.Tick(cy)
 	}
 	ser := s.Series()
@@ -233,11 +180,10 @@ func TestOnWindowHookFires(t *testing.T) {
 }
 
 // TestEmittedWindowsAreImmutable: OnWindow receivers keep the pointer
-// they are handed (the control plane's hub history and SSE rings), so an
-// adaptive merge must build a new window rather than add into the one
-// already emitted. Every emitted version must still conserve its stall
-// cycles and encode to the same JSON after the run as when it was
-// emitted.
+// they are handed (the control plane's hub history), so the sampler must
+// never write a window after emitting it. Every emitted window must
+// still conserve its stall cycles and encode to the same JSON after the
+// run as when it was emitted, and the stored series is those windows.
 func TestEmittedWindowsAreImmutable(t *testing.T) {
 	type emitted struct {
 		w    *Window
@@ -245,7 +191,7 @@ func TestEmittedWindowsAreImmutable(t *testing.T) {
 	}
 	var seen []emitted
 	behaviour := uint64(8)
-	s := New(Config{Width: 50, Adaptive: true, CPIexe: 0.5, OnWindow: func(w *Window) {
+	s := New(Config{Width: 50, CPIexe: 0.5, OnWindow: func(w *Window) {
 		b, err := json.Marshal(w)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
@@ -258,41 +204,38 @@ func TestEmittedWindowsAreImmutable(t *testing.T) {
 		return w
 	})
 	s.Track("x.probe", func() float64 { return float64(behaviour) })
-	for cy := uint64(0); cy < 400; cy++ {
+	for cy := uint64(0); cy < 390; cy++ {
 		if cy == 200 {
-			behaviour = 1 // a new phase: the second window opens
+			behaviour = 1
 		}
 		s.Tick(cy)
 	}
-	s.Flush(399)
+	s.Flush(389)
 
-	if len(seen) != 8 || s.Windows() != 2 {
-		t.Fatalf("emitted %d versions of %d windows, want 8 of 2", len(seen), s.Windows())
+	if len(seen) != 8 || s.Windows() != 8 {
+		t.Fatalf("emitted %d windows, stored %d, want 8 of 8", len(seen), s.Windows())
 	}
 	if first := seen[0].w; first.Start != 0 || first.End != 50 {
-		t.Fatalf("first emitted version is [%d,%d) after the run, want [0,50)", first.Start, first.End)
+		t.Fatalf("first emitted window is [%d,%d) after the run, want [0,50)", first.Start, first.End)
 	}
+	ser := s.Series()
 	for i, e := range seen {
 		if got, want := e.w.AggregateStall().Total(), e.w.Cycles(); got != want {
-			t.Errorf("version %d (window %d, [%d,%d)): stall total %d != %d cycles",
-				i, e.w.Index, e.w.Start, e.w.End, got, want)
+			t.Errorf("window %d ([%d,%d)): stall total %d != %d cycles", i, e.w.Start, e.w.End, got, want)
 		}
 		if e.w.NoC.Requests != e.w.Cycles() {
-			t.Errorf("version %d: NoC requests %d != %d cycles", i, e.w.NoC.Requests, e.w.Cycles())
+			t.Errorf("window %d: NoC requests %d != %d cycles", i, e.w.NoC.Requests, e.w.Cycles())
 		}
 		b, err := json.Marshal(e.w)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
 		if string(b) != string(e.json) {
-			t.Errorf("version %d (window %d) changed after it was emitted:\nthen %s\nnow  %s", i, e.w.Index, e.json, b)
+			t.Errorf("window %d changed after it was emitted:\nthen %s\nnow  %s", i, e.json, b)
 		}
-	}
-	// The stored series is the newest version of each window.
-	ser := s.Series()
-	if last := seen[len(seen)-1].w; ser.Windows[1].End != last.End || ser.Windows[1].Index != last.Index {
-		t.Fatalf("stored window [%d,%d) is not the last emitted version [%d,%d)",
-			ser.Windows[1].Start, ser.Windows[1].End, last.Start, last.End)
+		if w := ser.Windows[i]; w.Index != i || w.Start != e.w.Start || w.End != e.w.End {
+			t.Errorf("stored window %d is [%d,%d) index %d, emitted [%d,%d)", i, w.Start, w.End, w.Index, e.w.Start, e.w.End)
+		}
 	}
 }
 

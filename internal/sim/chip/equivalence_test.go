@@ -39,7 +39,7 @@ func equivRun(t *testing.T, mk func() chip.Config, ff bool, warm, window uint64,
 	budget := (warm + window) * 600
 	ch.RunUntilRetired(warm, budget)
 	ch.ResetCounters()
-	ch.EnableTimeseries(timeseries.Config{Width: 2048, MaxWindows: 64})
+	s := ch.EnableTimeseries(timeseries.Config{Width: 2048, MaxWindows: 64})
 	remaining := window
 	for i := splits; i >= 1; i-- {
 		part := remaining / uint64(i)
@@ -53,7 +53,7 @@ func equivRun(t *testing.T, mk func() chip.Config, ff bool, warm, window uint64,
 	if err := ch.Err(); err != nil {
 		t.Fatalf("run error (ff=%v): %v", ff, err)
 	}
-	return ch.Snapshot(), ch.Timeseries().Series()
+	return ch.Snapshot(), s.Series()
 }
 
 // checkEquiv runs the configuration both ways and fails on any
@@ -160,12 +160,12 @@ func TestEquivToggleMidRun(t *testing.T) {
 		ch.SetFastForward(toggle)
 		ch.RunUntilRetired(warm, (warm+window)*600)
 		ch.ResetCounters()
-		ch.EnableTimeseries(timeseries.Config{Width: 2048, MaxWindows: 64})
+		s := ch.EnableTimeseries(timeseries.Config{Width: 2048, MaxWindows: 64})
 		ch.Run(window/2, (warm+window)*600)
 		ch.SetFastForward(false)
 		ch.Run(window-window/2, (warm+window)*600)
 		ch.FlushTimeseries()
-		return ch.Snapshot(), ch.Timeseries().Series()
+		return ch.Snapshot(), s.Series()
 	}
 	a, sa := run(true)
 	b, sb := run(false)

@@ -63,7 +63,7 @@ func runSchedule(t *testing.T, ff bool, between func(*Chip)) (ffOutcome, float64
 	if between != nil {
 		between(c)
 	}
-	c.EnableTimeseries(timeseries.Config{Width: 2048, MaxWindows: 64})
+	s := c.EnableTimeseries(timeseries.Config{Width: 2048, MaxWindows: 64})
 	jumped, start := c.ffJumped, c.now
 	c.Run(busyInstr+quietInstr, ffBudget)
 	c.FlushTimeseries()
@@ -71,7 +71,7 @@ func runSchedule(t *testing.T, ff bool, between func(*Chip)) (ffOutcome, float64
 	if c.now > start {
 		share = float64(c.ffJumped-jumped) / float64(c.now-start)
 	}
-	return ffOutcome{c.Snapshot(), c.Timeseries().Series(), c.now, c.Err()}, share
+	return ffOutcome{c.Snapshot(), s.Series(), c.now, c.Err()}, share
 }
 
 // checkSchedule runs the schedule stepped and fast-forwarded and fails on

@@ -165,7 +165,7 @@ func TestWindowsSumToMeasure(t *testing.T) {
 	}
 	tscfg := timeseries.Config{Width: 512, MaxWindows: 1 << 20}
 
-	for i, p := range []string{"401.bzip2", "403.gcc", "416.gamess", "429.mcf", "433.milc"} {
+	for _, p := range []string{"401.bzip2", "403.gcc", "416.gamess", "429.mcf", "433.milc"} {
 		t.Run(p, func(t *testing.T) {
 			cfg := SingleCore(p)
 			cpiExe := MeasureCPIexe(cfg.Cores[0].CPU, trace.NewSynthetic(trace.MustProfile(p)), 3, 10000)
@@ -175,7 +175,7 @@ func TestWindowsSumToMeasure(t *testing.T) {
 			}
 			ch.ResetCounters()
 			c := tscfg
-			c.Adaptive, c.CPIexe = i%2 == 1, cpiExe
+			c.CPIexe = cpiExe
 			ch.EnableTimeseries(c)
 			ch.Run(15000, 20_000_000)
 			m := ch.Measure(0, cpiExe)

@@ -39,9 +39,6 @@ func (t Tier) String() string {
 	}
 }
 
-// Tier returns the chip's current execution tier.
-func (c *Chip) Tier() Tier { return c.tier }
-
 // SetTier switches the execution tier. Entering the functional tier
 // requires a drained pipeline (nothing Busy): the functional engine
 // does not advance in-flight detailed work, so carrying it across the

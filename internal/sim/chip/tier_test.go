@@ -114,9 +114,6 @@ func TestFunctionalTierResumesCleanly(t *testing.T) {
 func TestTierGuards(t *testing.T) {
 	t.Parallel()
 	ch := chip.New(chip.SingleCore("410.bwaves"))
-	if got := ch.Tier(); got != chip.TierDetailed {
-		t.Fatalf("fresh chip tier = %v, want detailed", got)
-	}
 	mustPanic(t, "RunFunctional requires the functional tier", func() { ch.RunFunctional(1) })
 
 	ch.SetTier(chip.TierFunctional)

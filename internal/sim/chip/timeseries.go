@@ -96,15 +96,6 @@ func (c *Chip) EnableTimeseries(cfg timeseries.Config) *timeseries.Sampler {
 	return s
 }
 
-// Timeseries returns the attached sampler (nil unless EnableTimeseries
-// was called).
-func (c *Chip) Timeseries() *timeseries.Sampler {
-	if c.ts == nil {
-		return nil
-	}
-	return c.ts.s
-}
-
 // FlushTimeseries closes the in-progress partial window, if any.
 func (c *Chip) FlushTimeseries() {
 	if c.ts == nil {

@@ -131,24 +131,6 @@ func TestTimeseriesResetCountersRebasesWindows(t *testing.T) {
 	}
 }
 
-func TestTimeseriesAdaptiveConservation(t *testing.T) {
-	ch := New(SingleCore("403.gcc"))
-	s := ch.EnableTimeseries(timeseries.Config{Width: 256, Adaptive: true, CPIexe: 0.5})
-	start := ch.Now()
-	ch.Run(15000, 2_000_000)
-	ch.FlushTimeseries()
-	ser := s.Series()
-	checkConservation(t, ser, 1)
-	if got := totalCycles(ser); got != ch.Now()-start {
-		t.Fatalf("adaptive series covers %d cycles, run took %d", got, ch.Now()-start)
-	}
-	for i, w := range ser.Windows {
-		if w.Phase < 0 {
-			t.Fatalf("adaptive window %d has no phase id", i)
-		}
-	}
-}
-
 func TestTimeseriesProbesPublished(t *testing.T) {
 	ch := New(SingleCore("410.bwaves"))
 	s := ch.EnableTimeseries(timeseries.Config{Width: 128})
@@ -176,7 +158,7 @@ func TestTimeseriesProbesPublished(t *testing.T) {
 
 func TestEnableTimeseriesIdempotentAndNilOff(t *testing.T) {
 	ch := New(SingleCore("410.bwaves"))
-	if ch.Timeseries() != nil {
+	if ch.ts != nil {
 		t.Fatal("sampler present before EnableTimeseries")
 	}
 	ch.FlushTimeseries() // must be a no-op, not a panic
@@ -185,8 +167,8 @@ func TestEnableTimeseriesIdempotentAndNilOff(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("EnableTimeseries not idempotent")
 	}
-	if ch.Timeseries() != s1 {
-		t.Fatal("Timeseries accessor disagrees")
+	if ch.ts.s != s1 {
+		t.Fatal("the chip ticks a sampler EnableTimeseries did not return")
 	}
 }
 

@@ -101,8 +101,8 @@ func TestWarmUpReturnsLatchedError(t *testing.T) {
 		if err := ch.WarmUp(100_000, WarmInstructions, fast, 4_000_000); !errors.Is(err, context.Canceled) {
 			t.Fatalf("fast=%v: err = %v, want Canceled", fast, err)
 		}
-		if ch.Tier() != TierDetailed {
-			t.Fatalf("fast=%v: chip left in the %v tier", fast, ch.Tier())
+		if ch.tier != TierDetailed {
+			t.Fatalf("fast=%v: chip left in the %v tier", fast, ch.tier)
 		}
 	}
 	// A halted core fetches nothing: the seeded livelock of the watchdog

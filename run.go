@@ -39,10 +39,10 @@ type SingleRun struct {
 	Instructions, Warmup, Watchdog uint64
 	WarmupFast                     bool
 	// Observe attaches the metrics registry; Timeline the windowed
-	// sampler (base width TSWindow, phase-merged when Adaptive), attached
-	// before warm-up so a live view covers the whole run.
-	Observe, Timeline, Adaptive bool
-	TSWindow                    uint64
+	// sampler (window width TSWindow), attached before warm-up so a live
+	// view covers the whole run.
+	Observe, Timeline bool
+	TSWindow          uint64
 	// Live, when non-nil, implies Observe and Timeline and receives the
 	// series header, every closed window, a metrics snapshot every
 	// SnapshotEvery-th window and a final one. It is called on the
@@ -55,7 +55,7 @@ type SingleRun struct {
 // LiveSink receives a run's progress while it executes; ctrl.Hub is the
 // implementation behind lpmrun -serve and every lpmserve run.
 type LiveSink interface {
-	SetMeta(width uint64, adaptive bool)
+	SetMeta(width uint64)
 	PublishShared(w *timeseries.Window)
 	PublishSnapshot(s *obs.Snapshot)
 }
@@ -100,7 +100,7 @@ func RunSingle(ctx context.Context, r SingleRun) (*SingleResult, error) {
 		ch.EnableObs()
 	}
 	if r.Timeline || r.Live != nil {
-		tcfg := timeseries.Config{Width: r.TSWindow, Adaptive: r.Adaptive, CPIexe: cpiExe}
+		tcfg := timeseries.Config{Width: r.TSWindow, CPIexe: cpiExe}
 		if r.Live != nil {
 			n := 0
 			tcfg.OnWindow = func(w *timeseries.Window) {
@@ -113,7 +113,7 @@ func RunSingle(ctx context.Context, r SingleRun) (*SingleResult, error) {
 		}
 		s := ch.EnableTimeseries(tcfg)
 		if r.Live != nil {
-			r.Live.SetMeta(s.Width(), r.Adaptive)
+			r.Live.SetMeta(s.Width())
 		}
 	}
 

@@ -4,7 +4,7 @@
 # documented user path with GOCOVERDIR set — lpmreport text/-json/
 # -checkpoint/-resume/-warmup-fast and sharded over two lpmworkers with
 # -shard-journal -shard-validate, lpmexplore, lpmrun -metrics -timeline
-# -tsadaptive -serve -json, lpmtrace -record/-stat/-replay -events,
+# -serve -json, lpmtrace -record/-stat/-replay -events,
 # README's lpmlint and lpmdiff commands, the lpmserve walkthrough, the
 # diffgate inputs, the quickstart example and
 # `go run ./bench -smoke` — then merges that profile with the make bench
@@ -92,7 +92,6 @@ echo "reach: lpmrun" >&2
 for w in 401.bzip2 429.mcf 403.gcc; do
 	"$bin/lpmrun" -workload "$w" -instructions 8000 -warmup 5000 -metrics -timeline >/dev/null
 done
-"$bin/lpmrun" -workload 403.gcc -instructions 8000 -warmup 5000 -timeline -tsadaptive >/dev/null
 "$bin/lpmrun" -workload 403.gcc -instructions 8000 -warmup 5000 -warmup-fast -json >/dev/null
 "$bin/lpmrun" -workload 429.mcf -instructions 20000 -warmup 5000 -metrics -serve 127.0.0.1:0 -serve-hold 2s >"$run/lpmrun-serve.txt" &
 lr=$!
@@ -129,7 +128,7 @@ serve() {
 	pids="$pids $sv"
 	a=http://$(serveaddr "$log")
 	curl -sf -d '{"workload":"403.gcc","tenant":"acme","instructions":20000,"warmup":5000}' "$a/api/v1/runs" >/dev/null
-	curl -sf -d '{"workload":"429.mcf","tenant":"beta","instructions":20000,"warmup":5000,"adaptive":true}' "$a/api/v1/runs" >/dev/null
+	curl -sf -d '{"workload":"429.mcf","tenant":"beta","instructions":20000,"warmup":5000}' "$a/api/v1/runs" >/dev/null
 	curl -sf "$a/api/v1/runs" >/dev/null
 	curl -sf -N --max-time 60 "$a/api/v1/runs/r-1/events" >/dev/null || true
 	curl -sf "$a/api/v1/runs/r-1" >/dev/null

@@ -67,7 +67,7 @@ func TestMemoKeysPinned(t *testing.T) {
 func TestSpecJSONPinned(t *testing.T) {
 	sim, prof, alone := pinnedSpecs(true)
 	run := ctrl.RunSpec{Tenant: "acme", Workload: "429.mcf", Instructions: 1, Warmup: 2,
-		WarmupFast: true, TSWindow: 3, Adaptive: true, Watchdog: 4}
+		WarmupFast: true, TSWindow: 3, Watchdog: 4}
 	for _, c := range []struct {
 		name string
 		spec any
@@ -76,7 +76,7 @@ func TestSpecJSONPinned(t *testing.T) {
 		{"explore.SimSpec", sim, `{"Point":{"IssueWidth":4,"IWSize":32,"ROBSize":64,"L1Ports":2,"MSHRs":8,"L2Banks":4},"Profile":{"Name":"pin","MemFrac":0.4,"StoreFrac":0.25,"Footprint":1048576,"HotBytes":4096,"HotFrac":0.5,"SeqFrac":0.125,"Stride":8,"ChaseFrac":0.0625,"DepDist":3,"ExecLat":1.5,"BurstLen":100,"GapLen":50,"Seed":7},"Instructions":15000,"Warmup":140000,"MaxCycles":62000000,"Observe":true,"Timeline":true,"TimelineWindow":512,"WarmupFast":true,"WatchdogCycles":7}`},
 		{"sched.ProfileSpec", prof, `{"Profile":{"Name":"pin","MemFrac":0.4,"StoreFrac":0.25,"Footprint":1048576,"HotBytes":4096,"HotFrac":0.5,"SeqFrac":0.125,"Stride":8,"ChaseFrac":0.0625,"DepDist":3,"ExecLat":1.5,"BurstLen":100,"GapLen":50,"Seed":7},"L1Size":65536,"Opt":{"Instructions":15000,"Warmup":140000,"MaxCycles":9000000,"WarmupFast":true}}`},
 		{"sched.AloneSpec", alone, `{"Profile":{"Name":"pin","MemFrac":0.4,"StoreFrac":0.25,"Footprint":1048576,"HotBytes":4096,"HotFrac":0.5,"SeqFrac":0.125,"Stride":8,"ChaseFrac":0.0625,"DepDist":3,"ExecLat":1.5,"BurstLen":100,"GapLen":50,"Seed":7},"RefL1":65536,"WindowCycles":80000,"WarmupCycles":40000,"WarmupFast":true}`},
-		{"ctrl.RunSpec", run, `{"tenant":"acme","workload":"429.mcf","instructions":1,"warmup":2,"warmup_fast":true,"ts_window":3,"adaptive":true,"watchdog":4}`},
+		{"ctrl.RunSpec", run, `{"tenant":"acme","workload":"429.mcf","instructions":1,"warmup":2,"warmup_fast":true,"ts_window":3,"watchdog":4}`},
 	} {
 		got, err := json.Marshal(c.spec)
 		if err != nil {
